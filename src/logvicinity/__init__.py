@@ -9,15 +9,14 @@ job and maintenance records.
 __version__ = "0.1.0"
 
 from .anonymize import (AnonymizedEntry, DEFAULT_RULES, SubstitutionRuleSet,
-                        anonymize, anonymize_stream, deidentify, fnv1a_32,
+                        anonymize_stream, deidentify, fnv1a_32,
                         read_anonymized, write_anonymized)
 from .classify import FailureEvent, classify_all, classify_outage
 from .datasources import (JobRecord, MaintenanceWindow, OutageRecord, Scope,
                           load_job_report, load_maintenance, load_outage_db,
                           parse_scope)
-from .detect import (DetectionResult, GroupTooSmall, SGIndex, SGObservation,
-                     SweepResult, ThresholdReport, compute_sg,
-                     detect_abnormal, deviation_threshold,
+from .detect import (DetectionResult, GroupTooSmall, SGIndex, SweepResult,
+                     ThresholdReport, detect_abnormal, deviation_threshold,
                      filter_frequent_anonymized, filter_frequent_raw,
                      kmeans_1d_2, observation_moments, run_detection)
 from .evaluate import (EvaluationReport, MatchResult, match_detections,

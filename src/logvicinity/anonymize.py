@@ -77,10 +77,6 @@ def deidentify(message: str, rules: SubstitutionRuleSet) -> str:
     return rules.template(message)
 
 
-def anonymize(entry, rules: SubstitutionRuleSet) -> AnonymizedEntry:
-    return AnonymizedEntry(entry.timestamp, entry.node, rules.key(entry.message))
-
-
 def anonymize_stream(entries, rules: SubstitutionRuleSet):
     for entry in entries:
         yield AnonymizedEntry(entry.timestamp, entry.node, rules.key(entry.message))

@@ -6,7 +6,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from importlib.resources import files as resource_files
 
@@ -28,13 +27,11 @@ from .outages import (DEFAULT_BURST_FACTOR, DEFAULT_BURST_MINUTES,
                       detect_outages, load_footprint, load_outages,
                       write_outages)
 from .pipeline import (VARIANTS, detect_and_classify, drop_maintenance_events,
-                       extract_events, run_manifest, run_variant,
+                       extract_events, run_manifest, run_variants,
                        sweep_perspective, write_events)
 from .synth import (GeneratorSpec, desk_topology, generate, load_truth,
                     scale_topology, taurus_topology, write_corpus_files)
-
-PERSPECTIVES = ("hardware", "location", "allocation", "time_of_failure",
-                "combined")
+from .vicinity import PERSPECTIVES
 
 
 def _data_file(name: str) -> str:
@@ -43,7 +40,9 @@ def _data_file(name: str) -> str:
 
 def _atomic_write(path, writer) -> None:
     """Write via temp file + rename so readers never see partial output."""
-    tmp = f"{path}.tmp.{os.getpid()}"
+    # the temp name keeps a .gz suffix: writers compress by the file name
+    suffix = ".gz" if str(path).endswith(".gz") else ""
+    tmp = f"{path}.tmp.{os.getpid()}{suffix}"
     try:
         writer(tmp)
         os.replace(tmp, path)
@@ -126,7 +125,7 @@ def _range_from(args, entries) -> ObservationRange:
     end = getattr(args, "time_to", None)
     if not entries and (start is None or end is None):
         raise ValueError("empty corpus and no --from/--to bounds given")
-    start = parse_iso(start) if start else entries[0].timestamp
+    start = parse_iso(start) if start else min(e.timestamp for e in entries)
     end = parse_iso(end) if end else max(e.timestamp for e in entries)
     return ObservationRange(start, end)
 
@@ -195,8 +194,8 @@ def cmd_parse(args) -> int:
         "entries": stats.parsed,
         "skipped_unknown": stats.skipped_unknown,
         "nodes": len({e.node for e in entries}),
-        "from": iso(entries[0].timestamp) if entries else None,
-        "to": iso(entries[-1].timestamp) if entries else None,
+        "from": iso(min(e.timestamp for e in entries)) if entries else None,
+        "to": iso(max(e.timestamp for e in entries)) if entries else None,
     }
     if args.format == "json":
         print(json.dumps(summary, indent=2, sort_keys=True))
@@ -367,21 +366,12 @@ def cmd_pipeline(args) -> int:
         maint = load_maintenance(args.maintenance) if args.maintenance else []
         obs_range = _range_from(args, entries)
 
-    variants = VARIANTS if args.variant == "all" else (args.variant,)
-    params = dict(window=args.window, cadence=args.cadence, alpha=args.alpha,
-                  tau_min=args.tau_min, percentile=args.percentile,
-                  cv_threshold=args.cv_threshold)
-
-    def one(name):
-        return name, run_variant(entries, topology, obs_range, name, rules,
-                                 maintenance=maint, **params)
-
-    jobs_n = args.jobs or os.cpu_count() or 1
-    if jobs_n > 1 and len(variants) > 1:
-        with ThreadPoolExecutor(max_workers=jobs_n) as pool:
-            runs = dict(pool.map(one, variants))
-    else:
-        runs = dict(one(v) for v in variants)
+    runs = run_variants(
+        entries, topology, obs_range, rules, maint,
+        variants=VARIANTS if args.variant == "all" else (args.variant,),
+        window=args.window, cadence=args.cadence, alpha=args.alpha,
+        tau_min=args.tau_min, percentile=args.percentile,
+        cv_threshold=args.cv_threshold)
 
     classified = detect_and_classify(
         entries, footprint, rules, obs_range, jobs=jobs, outage_records=odb,
@@ -580,7 +570,6 @@ def build_parser(config_defaults=None) -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=VARIANTS + ("all",), default="all")
     _add_detect_params(p)
     p.add_argument("--tolerance", type=int, default=DEFAULT_TOLERANCE)
-    p.add_argument("--jobs", type=int, help="parallel variant workers")
     p.add_argument("--format", choices=("table", "csv", "json"),
                    default="table")
     p.set_defaults(func=cmd_pipeline)

@@ -25,14 +25,6 @@ class GroupTooSmall(ValueError):
     """Vicinity group has fewer than MIN_GROUP_SIZE usable observations."""
 
 
-@dataclass(frozen=True)
-class SGObservation:
-    node: object  # NodeId
-    at: int
-    window: int
-    sg: int
-
-
 class SGIndex:
     """Per-node sorted timestamp index answering half-open window counts."""
 
@@ -52,12 +44,6 @@ class SGIndex:
         # [at - window, at): the entry at `at` itself is not yet observed
         return bisect_left(ts, at) - bisect_left(ts, at - window)
 
-    def observe(self, node, at: int, window: int = DEFAULT_WINDOW) -> SGObservation:
-        return SGObservation(node, at, window, self.count(node, at, window))
-
-    def nodes(self):
-        return self.times.keys()
-
     def last_entry_before(self, node, t: int):
         """Timestamp of the node's last entry strictly before t, or None."""
         ts = self.times.get(node)
@@ -65,11 +51,6 @@ class SGIndex:
             return None
         idx = bisect_left(ts, t)
         return ts[idx - 1] if idx else None
-
-
-def compute_sg(index: SGIndex, node, at: int,
-               window: int = DEFAULT_WINDOW) -> SGObservation:
-    return index.observe(node, at, window)
 
 
 def kmeans_1d_2(values):
@@ -123,20 +104,15 @@ class ThresholdReport:
     members: dict  # NodeId -> cluster index (0 lower, 1 upper)
     minority: frozenset  # NodeIds in the smaller cluster (empty when degenerate)
 
-    @property
-    def centers(self):
-        return (self.c_minor, self.c_major)
-
 
 def deviation_threshold(sgs, alpha: float = DEFAULT_ALPHA,
                         tau_min: float = DEFAULT_TAU_MIN) -> ThresholdReport:
-    """Cluster a vicinity's SG values and derive its dynamic threshold."""
+    """Cluster a group's SGs (NodeId -> SG, in sorted node order) into tau."""
     n = len(sgs)
     if n < MIN_GROUP_SIZE:
         raise GroupTooSmall(f"need >= {MIN_GROUP_SIZE} observations, got {n}")
-    values = [o.sg for o in sgs]
-    assign, (c_lo, c_hi), wcss = kmeans_1d_2(values)
-    members = {o.node: a for o, a in zip(sgs, assign)}
+    assign, (c_lo, c_hi), wcss = kmeans_1d_2(list(sgs.values()))
+    members = dict(zip(sgs, assign))
     tau = max(tau_min, alpha * math.sqrt(wcss / n))
     n_lo = assign.count(0)
     n_hi = n - n_lo
@@ -146,7 +122,7 @@ def deviation_threshold(sgs, alpha: float = DEFAULT_ALPHA,
         minor_cluster, c_minor, c_major = 0, c_lo, c_hi
     else:
         minor_cluster, c_minor, c_major = 1, c_hi, c_lo
-    minority = frozenset(o.node for o, a in zip(sgs, assign) if a == minor_cluster)
+    minority = frozenset(node for node, a in members.items() if a == minor_cluster)
     return ThresholdReport(c_minor, c_major, wcss, tau, members, minority)
 
 
@@ -155,22 +131,21 @@ class DetectionResult:
     at: int
     group: str
     verdicts: dict  # NodeId -> verdict
-    observations: dict  # NodeId -> SGObservation
+    sgs: dict  # NodeId -> SG
     threshold: ThresholdReport
 
 
 def detect_abnormal(sgs, report: ThresholdReport, at: int = 0,
                     group: str = "") -> DetectionResult:
     verdicts = {}
-    for obs in sgs:
-        if obs.sg == 0:
-            verdicts[obs.node] = "non_responsive"
-        elif (obs.node in report.minority
-                and abs(obs.sg - report.c_major) > report.tau):
-            verdicts[obs.node] = "abnormal"
+    for node, sg in sgs.items():
+        if sg == 0:
+            verdicts[node] = "non_responsive"
+        elif node in report.minority and abs(sg - report.c_major) > report.tau:
+            verdicts[node] = "abnormal"
         else:
-            verdicts[obs.node] = "normal"
-    return DetectionResult(at, group, verdicts, {o.node: o for o in sgs}, report)
+            verdicts[node] = "normal"
+    return DetectionResult(at, group, verdicts, sgs, report)
 
 
 @dataclass
@@ -186,28 +161,46 @@ def observation_moments(start: int, end: int,
     return list(range(start + window, end + 1, cadence))
 
 
+def sweep_schedule(index: SGIndex, schedule,
+                   window: int = DEFAULT_WINDOW,
+                   alpha: float = DEFAULT_ALPHA,
+                   tau_min: float = DEFAULT_TAU_MIN) -> SweepResult:
+    """Judge each (assignment, moments) pair's usable groups at its moments.
+
+    Undersized groups go to skipped_groups once per name, in first-seen order.
+    """
+    sweep = SweepResult()
+    seen: set = set()
+    moments: set = set()
+    for assignment, ats in schedule:
+        usable = []
+        for name, group in zip(assignment.group_names, assignment.groups):
+            if len(group) >= MIN_GROUP_SIZE:
+                usable.append((name, sorted(group)))
+            elif name not in seen:
+                seen.add(name)
+                sweep.skipped_groups.append((name, len(group)))
+        moments.update(ats)
+        for at in ats:
+            for name, nodes in usable:
+                sgs = {node: index.count(node, at, window) for node in nodes}
+                report = deviation_threshold(sgs, alpha=alpha, tau_min=tau_min)
+                sweep.results.append(detect_abnormal(sgs, report, at=at, group=name))
+    sweep.moments = sorted(moments)
+    return sweep
+
+
 def run_detection(index: SGIndex, assignment, obs_range,
                   cadence: int = DEFAULT_CADENCE,
                   window: int = DEFAULT_WINDOW,
                   alpha: float = DEFAULT_ALPHA,
                   tau_min: float = DEFAULT_TAU_MIN) -> SweepResult:
-    """Sweep observation moments, emitting one DetectionResult per (moment, group)."""
+    """Sweep one fixed assignment over every observation moment of the range."""
     if cadence <= 0:
         raise ValueError("cadence must be positive")
-    sweep = SweepResult(moments=observation_moments(
-        obs_range.start, obs_range.end, cadence, window))
-    for name, group in zip(assignment.group_names, assignment.groups):
-        if len(group) < MIN_GROUP_SIZE:
-            sweep.skipped_groups.append((name, len(group)))
-    usable = [(name, sorted(group))
-              for name, group in zip(assignment.group_names, assignment.groups)
-              if len(group) >= MIN_GROUP_SIZE]
-    for at in sweep.moments:
-        for name, group in usable:
-            sgs = [index.observe(node, at, window) for node in group]
-            report = deviation_threshold(sgs, alpha=alpha, tau_min=tau_min)
-            sweep.results.append(detect_abnormal(sgs, report, at=at, group=name))
-    return sweep
+    moments = observation_moments(obs_range.start, obs_range.end, cadence, window)
+    return sweep_schedule(index, [(assignment, moments)], window=window,
+                          alpha=alpha, tau_min=tau_min)
 
 
 def filter_frequent_raw(entries, rules, percentile: float = DEFAULT_PERCENTILE):
@@ -265,19 +258,7 @@ def write_verdicts(sweep: SweepResult, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for res in sweep.results:
             for node in sorted(res.verdicts):
-                obs = res.observations[node]
                 fh.write(f"{iso(res.at)}\t{res.group}\t{node.name}\t"
-                         f"{res.verdicts[node]}\t{obs.sg}\t{res.threshold.tau:.3f}\n")
+                         f"{res.verdicts[node]}\t{res.sgs[node]}\t"
+                         f"{res.threshold.tau:.3f}\n")
 
-
-def write_sg_matrix(index: SGIndex, nodes, obs_range, path,
-                    cadence: int = DEFAULT_CADENCE,
-                    window: int = DEFAULT_WINDOW) -> None:
-    """CSV matrix: rows are observation moments, columns are nodes, cells SG."""
-    nodes = sorted(nodes)
-    moments = observation_moments(obs_range.start, obs_range.end, cadence, window)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("at," + ",".join(n.name for n in nodes) + "\n")
-        for at in moments:
-            row = ",".join(str(index.count(n, at, window)) for n in nodes)
-            fh.write(f"{iso(at)},{row}\n")

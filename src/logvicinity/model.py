@@ -239,9 +239,6 @@ class Topology:
     def resolver(self) -> dict:
         return self._by_name
 
-    def rack_of(self, node: NodeId):
-        return (node.island, node.rack)
-
     def class_counts(self) -> dict:
         counts = {}
         for n in self.nodes:
@@ -254,9 +251,6 @@ class Topology:
 
     def racks(self):
         return sorted({(n.island, n.rack) for n in self.nodes})
-
-    def nodes_in_island(self, island: int):
-        return [n for n in self.nodes if n.island == island]
 
 
 def load_topology(path) -> Topology:

@@ -51,9 +51,6 @@ class BootFootprintSpec:
             out.append(value if kind == "key" else fnv1a_32(rules.template(value)))
         return out
 
-    def templates(self) -> list:
-        return [value for kind, value in self.items if kind == "template"]
-
 
 def load_footprint(path) -> BootFootprintSpec:
     items = []

@@ -11,9 +11,9 @@ from .anonymize import SubstitutionRuleSet, anonymize_stream
 from .classify import DEFAULT_CORRELATION_WINDOW, classify_all
 from .detect import (CV_THRESHOLD, DEFAULT_ALPHA, DEFAULT_CADENCE,
                      DEFAULT_PERCENTILE, DEFAULT_TAU_MIN, DEFAULT_WINDOW,
-                     MIN_GROUP_SIZE, SGIndex, SweepResult, detect_abnormal,
-                     deviation_threshold, filter_frequent_anonymized,
-                     filter_frequent_raw, observation_moments, run_detection)
+                     SGIndex, SweepResult, filter_frequent_anonymized,
+                     filter_frequent_raw, observation_moments, run_detection,
+                     sweep_schedule)
 from .model import iso
 from .outages import detect_outages
 from .vicinity import (allocation_vicinity, combined_vicinity,
@@ -141,53 +141,38 @@ def run_variants(entries, topology, obs_range, rules=None, maintenance=(),
 # ---------------------------------------------------------------------------
 # alternative grouping perspectives
 
-def _detect_at(index, assignment, at, window, alpha, tau_min, sweep, seen):
-    for name, group in zip(assignment.group_names, assignment.groups):
-        if len(group) < MIN_GROUP_SIZE:
-            if name not in seen:
-                seen.add(name)
-                sweep.skipped_groups.append((name, len(group)))
-            continue
-        sgs = [index.observe(node, at, window) for node in sorted(group)]
-        report = deviation_threshold(sgs, alpha=alpha, tau_min=tau_min)
-        sweep.results.append(detect_abnormal(sgs, report, at=at, group=name))
-
-
 def sweep_perspective(index: SGIndex, perspective: str, topology, obs_range,
                       jobs=None, failures=None,
                       window: int = DEFAULT_WINDOW,
                       cadence: int = DEFAULT_CADENCE,
                       alpha: float = DEFAULT_ALPHA,
                       tau_min: float = DEFAULT_TAU_MIN) -> SweepResult:
-    """Sweep under any grouping perspective, including time-dependent ones."""
+    """Sweep under any grouping perspective, including time-dependent ones.
+
+    `allocation` regroups at every moment; `time_of_failure` judges each
+    failure chain once, at its first outage.
+    """
     static = {"hardware": hardware_vicinity, "location": location_vicinity,
               "combined": combined_vicinity}
     if perspective in static:
         return run_detection(index, static[perspective](topology), obs_range,
                              cadence=cadence, window=window, alpha=alpha,
                              tau_min=tau_min)
-    seen: set = set()
     if perspective == "allocation":
         if jobs is None:
             raise ValueError("allocation perspective needs job records")
-        sweep = SweepResult(moments=observation_moments(
-            obs_range.start, obs_range.end, cadence, window))
-        for at in sweep.moments:
-            _detect_at(index, allocation_vicinity(jobs, at), at, window,
-                       alpha, tau_min, sweep, seen)
-        return sweep
-    if perspective == "time_of_failure":
+        moments = observation_moments(obs_range.start, obs_range.end, cadence,
+                                      window)
+        schedule = ((allocation_vicinity(jobs, at), (at,)) for at in moments)
+    elif perspective == "time_of_failure":
         if failures is None:
             raise ValueError("time_of_failure perspective needs failure events")
-        sweep = SweepResult()
-        for assignment in time_of_failure_vicinity(failures):
-            if assignment.at not in sweep.moments:
-                sweep.moments.append(assignment.at)
-            _detect_at(index, assignment, assignment.at, window, alpha,
-                       tau_min, sweep, seen)
-        sweep.moments.sort()
-        return sweep
-    raise ValueError(f"unknown perspective: {perspective!r}")
+        schedule = ((asg, (asg.at,))
+                    for asg in time_of_failure_vicinity(failures))
+    else:
+        raise ValueError(f"unknown perspective: {perspective!r}")
+    return sweep_schedule(index, schedule, window=window, alpha=alpha,
+                          tau_min=tau_min)
 
 
 # ---------------------------------------------------------------------------

@@ -125,12 +125,3 @@ def _chain_assignment(chain) -> VicinityAssignment:
     at = chain[0].outage_time
     nodes = frozenset(ev.node for ev in chain)
     return VicinityAssignment("time_of_failure", [nodes], [f"tof:{iso(at)}"], at=at)
-
-
-def dump_assignments(assignments, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for asg in assignments:
-            at_s = iso(asg.at) if asg.at is not None else ""
-            for idx, group in enumerate(asg.groups):
-                for node in sorted(group):
-                    fh.write(f"{asg.perspective}\t{at_s}\t{idx}\t{node.name}\n")

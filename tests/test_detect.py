@@ -6,8 +6,8 @@ import pytest
 
 import oracles
 from logvicinity.anonymize import AnonymizedEntry
-from logvicinity.detect import (GroupTooSmall, SGIndex, SGObservation,
-                                detect_abnormal, deviation_threshold,
+from logvicinity.detect import (GroupTooSmall, SGIndex, detect_abnormal,
+                                deviation_threshold,
                                 filter_frequent_anonymized,
                                 filter_frequent_raw, kmeans_1d_2,
                                 observation_moments, run_detection)
@@ -96,7 +96,7 @@ def test_kmeans_degenerate_and_tiny():
 
 
 def _obs(values):
-    return [SGObservation(N[i], 0, 1800, v) for i, v in enumerate(values)]
+    return {N[i]: v for i, v in enumerate(values)}
 
 
 def test_threshold_formula():

@@ -1,19 +1,24 @@
 import json
 import os
+import random
 
 import pytest
 
-from logvicinity.anonymize import AnonymizedEntry
+from logvicinity.anonymize import AnonymizedEntry, read_anonymized
 from logvicinity.cli import main
-from logvicinity.datasources import MaintenanceWindow, Scope
-from logvicinity.detect import DetectionResult, SGIndex, SweepResult
-from logvicinity.model import (LogEntry, NodeId, format_syslog_line,
+from logvicinity.datasources import JobRecord, MaintenanceWindow, Scope
+from logvicinity.detect import (DetectionResult, SGIndex, SweepResult,
+                                run_detection, write_verdicts)
+from logvicinity.model import (LogEntry, NodeId, ObservationRange, Topology,
+                               format_syslog_line, parse_iso,
                                parse_node_name, to_epoch)
 from logvicinity.outages import load_outages
 from logvicinity.pipeline import (ExtractedEvent, drop_maintenance_events,
                                   extract_events, load_events, prepare_stream,
-                                  run_manifest, run_variant, write_events)
+                                  run_manifest, run_variant, sweep_perspective,
+                                  write_events)
 from logvicinity.synth import GeneratorSpec, generate
+from logvicinity.vicinity import VicinityAssignment
 
 X = NodeId(1, 0, 0)
 Y = NodeId(1, 0, 1)
@@ -125,6 +130,72 @@ def test_run_variant_smoke(corpus, rules):
 
 
 # ---------------------------------------------------------------------------
+# every perspective goes through one sweep loop
+
+JOB_NODES = [NodeId(1, 0, p) for p in range(8)]
+JOB_RANGE = ObservationRange(0, 4 * 3600)
+
+
+def _job_index():
+    """Random chatter on eight nodes; node 0 goes silent for 50 minutes."""
+    rng = random.Random(11)
+    entries = [LogEntry(t, n, "t", "m") for n in JOB_NODES
+               for t in rng.sample(range(JOB_RANGE.end), 400)
+               if not (n == JOB_NODES[0] and 6000 <= t < 9000)]
+    return SGIndex(entries)
+
+
+def _job(job_id, nodes, start=0):
+    return JobRecord(job_id, frozenset(nodes), start, JOB_RANGE.end + 1,
+                     "completed")
+
+
+def _rows(sweep):
+    return [(r.at, r.group, r.verdicts, r.sgs, r.threshold.tau)
+            for r in sweep.results]
+
+
+def test_allocation_sweep_of_one_steady_job_equals_static_sweep():
+    index = _job_index()
+    job = _job("j1", JOB_NODES[:4])
+    alloc = sweep_perspective(index, "allocation", None, JOB_RANGE,
+                              jobs=[job])
+    static = run_detection(
+        index, VicinityAssignment("combined", [job.nodes], ["job:j1"]),
+        JOB_RANGE)
+    assert alloc.moments == static.moments
+    assert _rows(alloc) == _rows(static)
+    assert any(v != "normal" for r in alloc.results
+               for v in r.verdicts.values())
+
+
+@pytest.mark.parametrize("perspective", ["allocation", "location"])
+def test_verdict_sg_column_is_the_window_count(perspective, tmp_path):
+    index = _job_index()
+    topology = Topology(JOB_NODES, {n: "Haswell" for n in JOB_NODES})
+    sweep = sweep_perspective(index, perspective, topology, JOB_RANGE,
+                              jobs=[_job("j1", JOB_NODES[:5])], window=900)
+    path = tmp_path / "verdicts.tsv"
+    write_verdicts(sweep, path)
+    rows = path.read_text().splitlines()
+    assert len(rows) == sum(len(r.verdicts) for r in sweep.results) > 0
+    for row in rows:
+        at, _group, name, _verdict, sg, _tau = row.split("\t")
+        assert int(sg) == index.count(parse_node_name(name), parse_iso(at), 900)
+
+
+def test_undersized_allocation_group_is_skipped_once():
+    index = _job_index()
+    jobs = [_job("j1", JOB_NODES[:4]), _job("j2", JOB_NODES[4:6]),
+            _job("j0", JOB_NODES[6:8], start=2 * 3600)]
+    sweep = sweep_perspective(index, "allocation", None, JOB_RANGE, jobs=jobs)
+    assert len(sweep.moments) > 1
+    # first-seen order, not name order: j0 only starts half-way through
+    assert sweep.skipped_groups == [("job:j2", 2), ("job:j0", 2)]
+    assert {r.group for r in sweep.results} == {"job:j1"}
+
+
+# ---------------------------------------------------------------------------
 # command-line surface
 
 GEN_ARGS = ["--seed", "3", "--days", "2", "--failures", "8",
@@ -169,6 +240,44 @@ def test_cli_anonymize(cli_dir, capsys):
     head = out.read_text().splitlines()[:2]
     assert head[0].startswith("#pars-lite v")
     assert len(head[1].split("\t")) == 3
+
+
+def test_cli_anonymize_gz_output_is_compressed(cli_dir, tmp_path, capsys):
+    outs = {}
+    for name in ("anon.txt", "anon.txt.gz"):
+        outs[name] = tmp_path / name
+        rc = main(["anonymize", "--corpus", str(cli_dir / "corpus.log"),
+                   "--topology", str(cli_dir / "topology.tsv"),
+                   "--year", "2023", "--output", str(outs[name])])
+        assert rc == 0
+    assert outs["anon.txt.gz"].read_bytes()[:2] == b"\x1f\x8b"
+    assert read_anonymized(outs["anon.txt.gz"]) == read_anonymized(
+        outs["anon.txt"])
+    rc = main(["detect-anomalies", "--anonymized",
+               "--corpus", str(outs["anon.txt.gz"]),
+               "--topology", str(cli_dir / "topology.tsv"),
+               "--variant", "anonymized"])
+    assert rc == 0
+
+
+def test_cli_results_do_not_depend_on_line_order(cli_dir, tmp_path, capsys):
+    lines = (cli_dir / "corpus.log").read_text().splitlines(keepends=True)
+    grouped = tmp_path / "grouped.log"
+    # stable sort by host: each node's lines stay in time order
+    grouped.write_text("".join(sorted(lines, key=lambda l: l.split()[3])))
+    assert grouped.read_text() != (cli_dir / "corpus.log").read_text()
+    outputs = []
+    for corpus in (cli_dir / "corpus.log", grouped):
+        events = tmp_path / f"{corpus.stem}.events.tsv"
+        common = ["--corpus", str(corpus), "--year", "2023"]
+        capsys.readouterr()
+        assert main(["parse", "--format", "json"] + common) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert main(["detect-anomalies", "--events", str(events),
+                     "--topology", str(cli_dir / "topology.tsv")]
+                    + common) == 0
+        outputs.append((summary, events.read_text()))
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_outages_classify_evaluate(cli_dir, capsys):
@@ -267,7 +376,7 @@ def test_cli_config_file_and_flag_precedence(cli_dir, tmp_path, capsys):
 def test_cli_pipeline_generate(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     rc = main(["pipeline", "--generate", "--workdir", "run",
-               "--format", "json", "--jobs", "2"] + GEN_ARGS)
+               "--format", "json"] + GEN_ARGS)
     assert rc == 0
     reports = json.loads(capsys.readouterr().out)
     assert reports["raw"] == reports["anonymized"]
