@@ -9,7 +9,7 @@ job and maintenance records.
 __version__ = "0.1.0"
 
 from .anonymize import (AnonymizedEntry, DEFAULT_RULES, SubstitutionRuleSet,
-                        anonymize_stream, deidentify, fnv1a_32,
+                        anonymize_stream, fnv1a_32,
                         read_anonymized, write_anonymized)
 from .classify import FailureEvent, classify_all, classify_outage
 from .datasources import (JobRecord, MaintenanceWindow, OutageRecord, Scope,

@@ -73,13 +73,11 @@ def fnv1a_32(text: str) -> str:
     return f"{h:08x}"
 
 
-def deidentify(message: str, rules: SubstitutionRuleSet) -> str:
-    return rules.template(message)
-
-
 def anonymize_stream(entries, rules: SubstitutionRuleSet):
-    for entry in entries:
-        yield AnonymizedEntry(entry.timestamp, entry.node, rules.key(entry.message))
+    """Key each entry's message; entries that carry a key pass through."""
+    for e in entries:
+        yield e if isinstance(e, AnonymizedEntry) else AnonymizedEntry(
+            e.timestamp, e.node, rules.key(e.message))
 
 
 def load_rules(path) -> SubstitutionRuleSet:

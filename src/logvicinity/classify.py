@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 
 from .datasources import jobs_active_on
-from .model import iso
+from .model import iso, parse_iso, parse_node_name, topen
 from .outages import OutageEvent
 
 DEFAULT_CORRELATION_WINDOW = 600  # seconds
@@ -81,10 +82,6 @@ def classify_all(outages, maint, jobs, odb,
 
 def load_classified(path) -> list:
     """Read back the CSV written by write_classified."""
-    import csv
-
-    from .model import parse_iso, parse_node_name, topen
-
     events = []
     with topen(path) as fh:
         for row in csv.reader(fh):
@@ -100,7 +97,7 @@ def load_classified(path) -> list:
 
 
 def write_classified(events, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with topen(path, "w") as fh:
         fh.write("node,outage_time,label,evidence\n")
         for ev in events:
             fh.write(f"{ev.node.name},{iso(ev.outage_time)},{ev.label},"

@@ -16,19 +16,18 @@ from .classify import (LABELS, classify_all, load_classified,
                        write_classified)
 from .datasources import load_job_report, load_maintenance, load_outage_db
 from .detect import (DEFAULT_ALPHA, DEFAULT_CADENCE, DEFAULT_PERCENTILE,
-                     DEFAULT_TAU_MIN, DEFAULT_WINDOW, CV_THRESHOLD, SGIndex,
+                     DEFAULT_TAU_MIN, DEFAULT_WINDOW, CV_THRESHOLD,
                      write_verdicts)
 from .evaluate import DEFAULT_TOLERANCE, render_reports, score
 from .model import (ObservationRange, SyslogParseError, UnknownNodeError,
-                    format_syslog_line, iso, load_topology, parse_iso,
-                    parse_node_name, parse_syslog_stream, topen)
+                    canonical_node, format_syslog_line, iso, load_topology,
+                    parse_iso, parse_node_name, parse_syslog_stream, topen)
 from .outages import (DEFAULT_BURST_FACTOR, DEFAULT_BURST_MINUTES,
                       DEFAULT_MIN_GAP, DEFAULT_SILENCE_THRESHOLD,
                       detect_outages, load_footprint, load_outages,
                       write_outages)
-from .pipeline import (VARIANTS, detect_and_classify, drop_maintenance_events,
-                       extract_events, run_manifest, run_variants,
-                       sweep_perspective, write_events)
+from .pipeline import (VARIANTS, detect_and_classify, run_manifest,
+                       run_variant, run_variants, write_events)
 from .synth import (GeneratorSpec, desk_topology, generate, load_truth,
                     scale_topology, taurus_topology, write_corpus_files)
 from .vicinity import PERSPECTIVES
@@ -103,7 +102,8 @@ def _year_from(args) -> int:
 
 def _read_raw(args, topology=None):
     """Parse a raw syslog corpus file into a list of entries."""
-    resolver = topology.resolver() if topology else parse_node_name
+    # without a topology every canonical name is a node; others are unknown
+    resolver = topology.resolver() if topology else canonical_node
     with topen(args.corpus) as fh:
         gen, stats = parse_syslog_stream(fh, _year_from(args), resolver,
                                          skip_unknown=not getattr(args, "strict", False))
@@ -262,43 +262,31 @@ def cmd_classify(args) -> int:
 
 def cmd_detect_anomalies(args) -> int:
     topology = load_topology(args.topology)
-    rules = _rules_from(args)
     entries = _read_stream(args, topology)
     obs_range = _range_from(args, entries)
+    if args.anonymized and args.variant not in ("anonymized",
+                                                "filtered_anonymized"):
+        raise ValueError("anonymized input supports only the anonymized "
+                         "and filtered_anonymized variants")
+    run = run_variant(
+        entries, topology, obs_range, args.variant, _rules_from(args),
+        load_maintenance(args.maintenance) if args.maintenance else [],
+        perspective=args.vicinity,
+        jobs=load_job_report(args.jobs_file) if args.jobs_file else None,
+        failures=(load_classified(args.failures_file)
+                  if args.failures_file else None),
+        window=args.window, cadence=args.cadence, alpha=args.alpha,
+        tau_min=args.tau_min, percentile=args.percentile,
+        cv_threshold=args.cv_threshold)
 
-    from .pipeline import prepare_stream
-    if getattr(args, "anonymized", False):
-        if args.variant not in ("anonymized", "filtered_anonymized"):
-            raise ValueError("anonymized input supports only the anonymized "
-                             "and filtered_anonymized variants")
-        if args.variant == "filtered_anonymized":
-            from .detect import filter_frequent_anonymized
-            stream, _dropped = filter_frequent_anonymized(
-                entries, args.percentile, args.cv_threshold)
-        else:
-            stream = entries
-    else:
-        stream, _dropped = prepare_stream(entries, args.variant, rules,
-                                          args.percentile, args.cv_threshold)
-    index = SGIndex(stream)
-
-    jobs = load_job_report(args.jobs_file) if args.jobs_file else None
-    failures = load_classified(args.failures_file) if args.failures_file else None
-    sweep = sweep_perspective(index, args.vicinity, topology, obs_range,
-                              jobs=jobs, failures=failures,
-                              window=args.window, cadence=args.cadence,
-                              alpha=args.alpha, tau_min=args.tau_min)
-
+    sweep = run.sweep
     flagged = sum(1 for res in sweep.results
                   for v in res.verdicts.values() if v != "normal")
     if args.output:
         _atomic_write(args.output, lambda tmp: write_verdicts(sweep, tmp))
     if args.events:
-        maint = load_maintenance(args.maintenance) if args.maintenance else []
-        events = drop_maintenance_events(
-            extract_events(sweep, index, args.cadence), maint)
-        _atomic_write(args.events, lambda tmp: write_events(events, tmp))
-        print(f"{flagged} flagged node-moments, {len(events)} events")
+        _atomic_write(args.events, lambda tmp: write_events(run.events, tmp))
+        print(f"{flagged} flagged node-moments, {len(run.events)} events")
     else:
         print(f"{flagged} flagged node-moments over {len(sweep.moments)} moments")
     if sweep.skipped_groups:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import iso
+from .model import iso, topen
 
 DEFAULT_WINDOW = 1800  # seconds of log history per observation
 DEFAULT_CADENCE = 600  # seconds between observation moments
@@ -204,7 +204,7 @@ def run_detection(index: SGIndex, assignment, obs_range,
 
 
 def filter_frequent_raw(entries, rules, percentile: float = DEFAULT_PERCENTILE):
-    """Drop entries whose deidentified template count is above the percentile."""
+    """Drop entries whose template count is above the percentile."""
     counts: dict = {}
     for e in entries:
         t = rules.template(e.message)
@@ -255,7 +255,7 @@ def filter_frequent_anonymized(entries, percentile: float = DEFAULT_PERCENTILE,
 
 
 def write_verdicts(sweep: SweepResult, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with topen(path, "w") as fh:
         for res in sweep.results:
             for node in sorted(res.verdicts):
                 fh.write(f"{iso(res.at)}\t{res.group}\t{node.name}\t"

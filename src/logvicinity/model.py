@@ -47,11 +47,17 @@ class NodeId:
         return self.name
 
 
-def parse_node_name(name: str) -> NodeId:
+def canonical_node(name: str) -> NodeId | None:
+    """The node a canonical name spells, or None for any other name."""
     m = _NODE_RE.match(name)
-    if not m:
+    return NodeId(int(m.group(1)), int(m.group(2)), int(m.group(3))) if m else None
+
+
+def parse_node_name(name: str) -> NodeId:
+    node = canonical_node(name)
+    if node is None:
         raise ValueError(f"not a canonical node name: {name!r}")
-    return NodeId(int(m.group(1)), int(m.group(2)), int(m.group(3)))
+    return node
 
 
 @dataclass(frozen=True, slots=True)

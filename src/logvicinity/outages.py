@@ -6,7 +6,7 @@ import statistics
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .anonymize import fnv1a_32
+from .anonymize import anonymize_stream
 from .model import (NodeId, ObservationRange, iso, parse_iso,
                     parse_node_name, topen)
 
@@ -48,7 +48,7 @@ class BootFootprintSpec:
     def keys(self, rules) -> list:
         out = []
         for kind, value in self.items:
-            out.append(value if kind == "key" else fnv1a_32(rules.template(value)))
+            out.append(value if kind == "key" else rules.key(value))
         return out
 
 
@@ -72,12 +72,6 @@ def save_footprint(spec: BootFootprintSpec, path) -> None:
             fh.write(f"key:{value}\n" if kind == "key" else f"{value}\n")
 
 
-def entry_signature(entry, rules) -> str:
-    """Hash key of an entry's message; anonymized entries carry it directly."""
-    key = getattr(entry, "key", None)
-    return key if key is not None else rules.key(entry.message)
-
-
 def detect_boot_events(entries, footprint: BootFootprintSpec, rules,
                        burst_factor=DEFAULT_BURST_FACTOR,
                        burst_minutes=DEFAULT_BURST_MINUTES,
@@ -95,7 +89,7 @@ def detect_boot_events(entries, footprint: BootFootprintSpec, rules,
     if any(b < a for a, b in zip(times, times[1:])):
         raise ValueError("entries must be sorted by timestamp")
     keys = footprint.keys(rules)
-    sigs = [entry_signature(e, rules) for e in entries]
+    sigs = [e.key for e in anonymize_stream(entries, rules)]
 
     events = []
     i, n = 0, len(entries)
@@ -182,6 +176,7 @@ def detect_outages(entries, footprint: BootFootprintSpec, rules,
     """Full-corpus outage sweep: footprint/burst boots plus end-of-data tails."""
     outages = []
     for node, node_entries in sorted(group_by_node(entries).items()):
+        node_entries.sort(key=lambda e: e.timestamp)  # stable: ties keep order
         boots = detect_boot_events(node_entries, footprint, rules,
                                    burst_factor=burst_factor,
                                    burst_minutes=burst_minutes,
@@ -195,7 +190,7 @@ def detect_outages(entries, footprint: BootFootprintSpec, rules,
 
 
 def write_outages(outages, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with topen(path, "w") as fh:
         for o in outages:
             boot_s = iso(o.following_boot.boot_time) if o.following_boot else "TAIL"
             fh.write(f"{o.node.name}\t{iso(o.outage_time)}\t{boot_s}\t{o.confidence}\n")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from . import __version__
 from .anonymize import SubstitutionRuleSet, anonymize_stream
@@ -14,7 +14,7 @@ from .detect import (CV_THRESHOLD, DEFAULT_ALPHA, DEFAULT_CADENCE,
                      SGIndex, SweepResult, filter_frequent_anonymized,
                      filter_frequent_raw, observation_moments, run_detection,
                      sweep_schedule)
-from .model import iso
+from .model import iso, parse_iso, parse_node_name, topen
 from .outages import detect_outages
 from .vicinity import (allocation_vicinity, combined_vicinity,
                        hardware_vicinity, location_vicinity,
@@ -113,18 +113,19 @@ class VariantRun:
 
 
 def run_variant(entries, topology, obs_range, variant: str, rules=None,
-                maintenance=(), assignment=None,
+                maintenance=(), perspective: str = "combined", jobs=None,
+                failures=None,
                 window: int = DEFAULT_WINDOW, cadence: int = DEFAULT_CADENCE,
                 alpha: float = DEFAULT_ALPHA, tau_min: float = DEFAULT_TAU_MIN,
                 percentile: float = DEFAULT_PERCENTILE,
                 cv_threshold: float = CV_THRESHOLD) -> VariantRun:
+    """Prepare one variant, sweep it under a perspective, extract its events."""
     stream, dropped = prepare_stream(entries, variant, rules, percentile,
                                      cv_threshold)
     index = SGIndex(stream)
-    if assignment is None:
-        assignment = combined_vicinity(topology)
-    sweep = run_detection(index, assignment, obs_range, cadence=cadence,
-                          window=window, alpha=alpha, tau_min=tau_min)
+    sweep = sweep_perspective(index, perspective, topology, obs_range,
+                              jobs=jobs, failures=failures, window=window,
+                              cadence=cadence, alpha=alpha, tau_min=tau_min)
     events = drop_maintenance_events(
         extract_events(sweep, index, cadence), maintenance)
     return VariantRun(variant, events, list(dropped), sweep, index)
@@ -132,10 +133,16 @@ def run_variant(entries, topology, obs_range, variant: str, rules=None,
 
 def run_variants(entries, topology, obs_range, rules=None, maintenance=(),
                  variants=VARIANTS, **params) -> dict:
+    """Run each variant once; raw and anonymized share one run."""
     entries = list(entries)
-    return {v: run_variant(entries, topology, obs_range, v, rules,
-                           maintenance, **params)
-            for v in variants}
+    runs: dict = {}
+    for v in variants:
+        # the detector reads only (timestamp, node), which keying leaves as is
+        twin = {"raw": "anonymized", "anonymized": "raw"}.get(v)
+        runs[v] = (replace(runs[twin], name=v) if twin in runs else
+                   run_variant(entries, topology, obs_range, v, rules,
+                               maintenance, **params))
+    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +197,7 @@ def detect_and_classify(entries, footprint, rules, obs_range, jobs=(),
 
 
 def write_events(events, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with topen(path, "w") as fh:
         fh.write("# node\toutage\tfirst_flagged\tlast_flagged\tsilent\n")
         for ev in events:
             fh.write(f"{ev.node.name}\t{iso(ev.outage_time)}\t"
@@ -199,7 +206,6 @@ def write_events(events, path) -> None:
 
 
 def load_events(path) -> list:
-    from .model import parse_iso, parse_node_name, topen
     out = []
     with topen(path) as fh:
         for lineno, line in enumerate(fh, 1):

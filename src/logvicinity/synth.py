@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .datasources import (JobRecord, MaintenanceWindow, OutageRecord, Scope,
@@ -316,6 +317,12 @@ def _plan_failures(spec: GeneratorSpec, topology: Topology, maint, rng):
         pool.append(hot[i % len(hot)])
     for i in range(spec.failure_count - hot_quota):
         pool.append(cold[i % len(cold)] if cold else hot[i % len(hot)])
+    # a node's failures stand >= 5 h apart inside [lo, hi]
+    fit = (hi - lo) // (5 * HOUR) + 1
+    most = max(Counter(pool).values(), default=0)
+    if most > fit:
+        raise ValueError(f"spec infeasible: a node needs {most} failures 5 h "
+                         f"apart; {fit} fit in [start + 6 h, end - 2.5 h]")
     rng.shuffle(pool)
 
     times_of: dict = {}

@@ -1,7 +1,7 @@
 import pytest
 
-from logvicinity.anonymize import (SubstitutionRuleSet, anonymize_stream,
-                                   deidentify, fnv1a_32, load_rules,
+from logvicinity.anonymize import (AnonymizedEntry, SubstitutionRuleSet,
+                                   anonymize_stream, fnv1a_32, load_rules,
                                    read_anonymized, save_rules,
                                    write_anonymized)
 from logvicinity.model import LogEntry, NodeId
@@ -79,9 +79,15 @@ def test_same_template_same_key():
     assert rules.key(CRON_SAMPLE[0]) != rules.key(CRON_SAMPLE[5])
 
 
-def test_deidentify_is_template():
+def test_keyed_entries_pass_through_unchanged():
     rules = SubstitutionRuleSet()
-    assert deidentify(CRON_SAMPLE[2], rules) == rules.template(CRON_SAMPLE[2])
+    raw = [LogEntry(60 * i, NodeId(1, 0, 0), "cron", m)
+           for i, m in enumerate(CRON_SAMPLE)]
+    keyed = list(anonymize_stream(raw, rules))
+    assert [e.key for e in keyed] == [rules.key(m) for m in CRON_SAMPLE]
+    again = list(anonymize_stream(keyed, rules))
+    assert all(a is b for a, b in zip(again, keyed))
+    assert all(isinstance(e, AnonymizedEntry) for e in again)
 
 
 def test_rules_roundtrip(tmp_path):

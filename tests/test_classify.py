@@ -103,15 +103,17 @@ def test_other_nodes_jobs_ignored():
 
 
 def test_classified_file_roundtrip(tmp_path, classified_events):
-    path = tmp_path / "classified.csv"
-    write_classified(classified_events, path)
-    loaded = load_classified(path)
-    assert len(loaded) == len(classified_events)
-    for got, want in zip(loaded, classified_events):
-        assert got.node == want.node
-        assert got.outage_time == want.outage_time
-        assert got.label == want.label
-        assert got.evidence == want.evidence
+    for name in ("classified.csv", "classified.csv.gz"):
+        path = tmp_path / name
+        write_classified(classified_events, path)
+        assert (path.read_bytes()[:2] == b"\x1f\x8b") == name.endswith(".gz")
+        loaded = load_classified(path)
+        assert len(loaded) == len(classified_events)
+        for got, want in zip(loaded, classified_events):
+            assert got.node == want.node
+            assert got.outage_time == want.outage_time
+            assert got.label == want.label
+            assert got.evidence == want.evidence
 
 
 def test_load_classified_rejects_bad_label(tmp_path):

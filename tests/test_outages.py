@@ -132,9 +132,11 @@ def test_outage_file_roundtrip(tmp_path):
     entries.sort(key=lambda e: e.timestamp)
     outages = detect_outages(entries, FOOT, RULES, rng)
     assert outages  # one backtracked + one tail
-    path = tmp_path / "outages.tsv"
-    write_outages(outages, path)
-    assert load_outages(path) == outages
+    for name in ("outages.tsv", "outages.tsv.gz"):
+        path = tmp_path / name
+        write_outages(outages, path)
+        assert (path.read_bytes()[:2] == b"\x1f\x8b") == name.endswith(".gz")
+        assert load_outages(path) == outages
 
 
 def test_corpus_boot_counts(corpus, footprint, rules):

@@ -15,8 +15,8 @@ from logvicinity.model import (LogEntry, NodeId, ObservationRange, Topology,
 from logvicinity.outages import load_outages
 from logvicinity.pipeline import (ExtractedEvent, drop_maintenance_events,
                                   extract_events, load_events, prepare_stream,
-                                  run_manifest, run_variant, sweep_perspective,
-                                  write_events)
+                                  run_manifest, run_variant, run_variants,
+                                  sweep_perspective, write_events)
 from logvicinity.synth import GeneratorSpec, generate
 from logvicinity.vicinity import VicinityAssignment
 
@@ -97,9 +97,11 @@ def test_drop_maintenance_events():
 def test_events_file_roundtrip(tmp_path):
     events = [ExtractedEvent(X, 5000, 6000, 6600, False),
               ExtractedEvent(Y, 7000, 7800, 9000, True)]
-    path = tmp_path / "events.tsv"
-    write_events(events, path)
-    assert load_events(path) == events
+    for name in ("events.tsv", "events.tsv.gz"):
+        path = tmp_path / name
+        write_events(events, path)
+        assert (path.read_bytes()[:2] == b"\x1f\x8b") == name.endswith(".gz")
+        assert load_events(path) == events
 
 
 def test_prepare_stream_variants():
@@ -127,6 +129,16 @@ def test_run_variant_smoke(corpus, rules):
     assert run.name == "filtered_raw"
     assert isinstance(run.dropped, list)
     assert run.sweep.results
+
+
+def test_run_variants_shares_the_raw_run_with_anonymized(corpus, rules):
+    entries = corpus.entries[:20000]
+    args = (entries, corpus.topology, corpus.range)
+    runs = run_variants(*args, rules, variants=("raw", "anonymized"))
+    alone = run_variant(*args, "anonymized", rules)
+    assert runs["anonymized"].name == "anonymized"
+    assert runs["anonymized"].events == alone.events
+    assert runs["anonymized"].sweep is runs["raw"].sweep
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +277,14 @@ def test_cli_results_do_not_depend_on_line_order(cli_dir, tmp_path, capsys):
     grouped = tmp_path / "grouped.log"
     # stable sort by host: each node's lines stay in time order
     grouped.write_text("".join(sorted(lines, key=lambda l: l.split()[3])))
+    shuffled = tmp_path / "shuffled.log"
+    random.Random(5).shuffle(lines)
+    shuffled.write_text("".join(lines))
     assert grouped.read_text() != (cli_dir / "corpus.log").read_text()
     outputs = []
-    for corpus in (cli_dir / "corpus.log", grouped):
+    for corpus in (cli_dir / "corpus.log", grouped, shuffled):
         events = tmp_path / f"{corpus.stem}.events.tsv"
+        outages = tmp_path / f"{corpus.stem}.outages.tsv"
         common = ["--corpus", str(corpus), "--year", "2023"]
         capsys.readouterr()
         assert main(["parse", "--format", "json"] + common) == 0
@@ -276,8 +292,45 @@ def test_cli_results_do_not_depend_on_line_order(cli_dir, tmp_path, capsys):
         assert main(["detect-anomalies", "--events", str(events),
                      "--topology", str(cli_dir / "topology.tsv")]
                     + common) == 0
-        outputs.append((summary, events.read_text()))
-    assert outputs[0] == outputs[1]
+        assert main(["detect-outages", "--output", str(outages)]
+                    + common) == 0
+        outputs.append((summary, events.read_text(), outages.read_text()))
+    assert outputs[0][2]
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_cli_detect_outages_anonymized_route(cli_dir, tmp_path, capsys):
+    common = ["--topology", str(cli_dir / "topology.tsv")]
+    anon = tmp_path / "anon.txt"
+    assert main(["anonymize", "--corpus", str(cli_dir / "corpus.log"),
+                 "--year", "2023", "--output", str(anon)] + common) == 0
+    raw_out, anon_out = tmp_path / "raw.tsv", tmp_path / "anon.tsv"
+    assert main(["detect-outages", "--corpus", str(cli_dir / "corpus.log"),
+                 "--year", "2023", "--output", str(raw_out)] + common) == 0
+    assert main(["detect-outages", "--corpus", str(anon), "--anonymized",
+                 "--output", str(anon_out)] + common) == 0
+    assert load_outages(raw_out)
+    assert anon_out.read_text() == raw_out.read_text()
+
+
+def test_cli_noncanonical_host_without_topology(cli_dir, tmp_path, capsys):
+    head = (cli_dir / "corpus.log").read_text().splitlines(keepends=True)[:400]
+    corpus = tmp_path / "mixed.log"
+    corpus.write_text("".join(head[:200]) + "Mar  6 00:10:00 login01 sshd: "
+                      "session opened\n" + "".join(head[200:]))
+    common = ["--corpus", str(corpus), "--year", "2023"]
+    capsys.readouterr()
+    assert main(["parse", "--format", "json"] + common) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["entries"], summary["skipped_unknown"]) == (400, 1)
+    anon = tmp_path / "anon.txt"
+    assert main(["anonymize", "--output", str(anon)] + common) == 0
+    assert len(read_anonymized(anon)[0]) == 400
+    assert main(["detect-outages", "--output",
+                 str(tmp_path / "outages.tsv")] + common) == 0
+    capsys.readouterr()
+    assert main(["parse", "--strict"] + common) == 2
+    assert "login01" in capsys.readouterr().err
 
 
 def test_cli_outages_classify_evaluate(cli_dir, capsys):
