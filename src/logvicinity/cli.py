@@ -97,7 +97,14 @@ def _footprint_from(args):
 
 
 def _year_from(args) -> int:
-    return getattr(args, "year", None) or datetime.now(timezone.utc).year
+    year = getattr(args, "year", None)
+    if year:
+        return year
+    year = datetime.now(timezone.utc).year
+    # syslog lines carry no year; a wrong guess shifts every timestamp
+    print(f"warning: no --year given, assuming the corpus is from {year}",
+          file=sys.stderr)
+    return year
 
 
 def _read_raw(args, topology=None):
@@ -151,7 +158,7 @@ def _emit_manifest(args, default_path, extra=None) -> None:
 
 
 def _dump_json(obj, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with topen(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
 
@@ -281,7 +288,7 @@ def cmd_detect_anomalies(args) -> int:
 
     sweep = run.sweep
     flagged = sum(1 for res in sweep.results
-                  for v in res.verdicts.values() if v != "normal")
+                  for v in res.verdict if v != "normal")
     if args.output:
         _atomic_write(args.output, lambda tmp: write_verdicts(sweep, tmp))
     if args.events:

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -19,6 +19,7 @@ CV_THRESHOLD = 0.1
 MIN_GROUP_SIZE = 3
 
 VERDICTS = ("normal", "abnormal", "non_responsive")
+VERDICT_NAMES = np.array(VERDICTS, dtype=object)  # verdict code -> name
 
 
 class GroupTooSmall(ValueError):
@@ -32,25 +33,33 @@ class SGIndex:
         per_node: dict = {}
         for e in entries:
             per_node.setdefault(e.node, []).append(e.timestamp)
-        self.times = {}
-        for node, ts in per_node.items():
-            ts.sort()
-            self.times[node] = ts
+        self.times = {node: np.sort(np.array(ts, dtype=np.int64))
+                      for node, ts in per_node.items()}
 
     def count(self, node, at: int, window: int = DEFAULT_WINDOW) -> int:
         ts = self.times.get(node)
-        if not ts:
+        if ts is None:
             return 0
         # [at - window, at): the entry at `at` itself is not yet observed
-        return bisect_left(ts, at) - bisect_left(ts, at - window)
+        return int(ts.searchsorted(at) - ts.searchsorted(at - window))
 
     def last_entry_before(self, node, t: int):
         """Timestamp of the node's last entry strictly before t, or None."""
         ts = self.times.get(node)
-        if not ts:
+        if ts is None:
             return None
-        idx = bisect_left(ts, t)
-        return ts[idx - 1] if idx else None
+        idx = int(ts.searchsorted(t))
+        return int(ts[idx - 1]) if idx else None
+
+    def matrix(self, nodes, moments, window: int = DEFAULT_WINDOW):
+        """SG matrix: row r holds the counts of nodes[r] at every moment."""
+        at = np.asarray(moments, dtype=np.int64)
+        out = np.zeros((len(nodes), len(at)), dtype=np.int64)
+        for row, node in enumerate(nodes):
+            ts = self.times.get(node)
+            if ts is not None:
+                out[row] = ts.searchsorted(at) - ts.searchsorted(at - window)
+        return out
 
 
 def kmeans_1d_2(values):
@@ -59,7 +68,8 @@ def kmeans_1d_2(values):
     Returns (assign, (c_lo, c_hi), wcss) where assign[i] is 0 for the lower
     cluster. All-equal input degenerates to a single lower cluster with
     wcss 0. The optimum over sorted splits is the global 2-means optimum in
-    one dimension, and it is deterministic.
+    one dimension, and it is deterministic. This scalar form is the
+    reference for split_groups, which the detector runs.
     """
     n = len(values)
     if n < 1:
@@ -95,13 +105,72 @@ def kmeans_1d_2(values):
     return assign, (c_lo, c_hi), best_wcss
 
 
+def _verdict_codes(sg, minority, c_major, tau):
+    """Indexes into VERDICTS: a zero SG is non_responsive, a minority
+    member farther than tau from the majority centre is abnormal."""
+    far = minority & (np.abs(sg - c_major[:, None]) > tau[:, None])
+    return np.where(sg == 0, 2, far.astype(np.int64))
+
+
+def split_groups(sg, alpha: float = DEFAULT_ALPHA,
+                 tau_min: float = DEFAULT_TAU_MIN):
+    """Split every row of an SG matrix (cells x n, n >= 2) into two clusters.
+
+    Row by row this is kmeans_1d_2 followed by the threshold rule, with the
+    same floating-point operations in the same order, so each cell's
+    numbers equal the scalar ones exactly. Returns per-cell arrays
+    (c_minor, c_major, wcss, tau) and per-node arrays (minority mask,
+    verdict codes into VERDICTS), all in the row's own node order.
+    """
+    cells, n = sg.shape
+    order = np.argsort(sg, axis=1, kind="stable")
+    xs = np.take_along_axis(sg, order, axis=1).astype(np.float64)
+    zero = np.zeros((cells, 1))
+    prefix = np.hstack([zero, np.cumsum(xs, axis=1)])
+    prefix_sq = np.hstack([zero, np.cumsum(xs * xs, axis=1)])
+
+    # sse(0, k) + sse(k, n) for every split k = 1..n-1, as in kmeans_1d_2
+    k = np.arange(1, n)
+    s = prefix[:, 1:n] - prefix[:, :1]
+    s2 = prefix_sq[:, 1:n] - prefix_sq[:, :1]
+    w = np.maximum(s2 - s * s / k, 0.0)
+    s = prefix[:, n:] - prefix[:, 1:n]
+    s2 = prefix_sq[:, n:] - prefix_sq[:, 1:n]
+    w = w + np.maximum(s2 - s * s / (n - k), 0.0)
+    best = np.full(cells, math.inf)
+    best_k = np.ones(cells, dtype=np.int64)
+    for j in range(n - 1):
+        better = w[:, j] < best - 1e-12
+        best[better] = w[better, j]
+        best_k[better] = j + 1
+
+    # all-equal rows: one lower cluster, wcss 0, no minority
+    flat = xs[:, 0] == xs[:, -1]
+    at_k = np.take_along_axis(prefix, best_k[:, None], axis=1)[:, 0]
+    c_lo = (at_k - prefix[:, 0]) / best_k
+    c_hi = np.where(flat, c_lo, (prefix[:, n] - at_k) / (n - best_k))
+    wcss = np.where(flat, 0.0, best)
+    n_hi = np.where(flat, 0, n - best_k)
+    n_lo = n - n_hi
+    tau = np.maximum(tau_min, alpha * np.sqrt(wcss / n))
+    lower_minor = (n_lo < n_hi) | ((n_lo == n_hi) & (c_lo <= c_hi))
+    c_minor = np.where(lower_minor, c_lo, c_hi)
+    c_major = np.where(lower_minor, c_hi, c_lo)
+
+    upper = np.arange(n) >= best_k[:, None]  # in sorted order
+    sorted_minority = (upper != lower_minor[:, None]) & ~flat[:, None]
+    minority = np.empty_like(sorted_minority)
+    np.put_along_axis(minority, order, sorted_minority, axis=1)
+    return (c_minor, c_major, wcss, tau, minority,
+            _verdict_codes(sg, minority, c_major, tau))
+
+
 @dataclass(frozen=True)
 class ThresholdReport:
     c_minor: float
     c_major: float
     wcss: float
     tau: float
-    members: dict  # NodeId -> cluster index (0 lower, 1 upper)
     minority: frozenset  # NodeIds in the smaller cluster (empty when degenerate)
 
 
@@ -111,41 +180,42 @@ def deviation_threshold(sgs, alpha: float = DEFAULT_ALPHA,
     n = len(sgs)
     if n < MIN_GROUP_SIZE:
         raise GroupTooSmall(f"need >= {MIN_GROUP_SIZE} observations, got {n}")
-    assign, (c_lo, c_hi), wcss = kmeans_1d_2(list(sgs.values()))
-    members = dict(zip(sgs, assign))
-    tau = max(tau_min, alpha * math.sqrt(wcss / n))
-    n_lo = assign.count(0)
-    n_hi = n - n_lo
-    if n_hi == 0:  # degenerate: all equal
-        return ThresholdReport(c_lo, c_hi, wcss, tau, members, frozenset())
-    if n_lo < n_hi or (n_lo == n_hi and c_lo <= c_hi):
-        minor_cluster, c_minor, c_major = 0, c_lo, c_hi
-    else:
-        minor_cluster, c_minor, c_major = 1, c_hi, c_lo
-    minority = frozenset(node for node, a in members.items() if a == minor_cluster)
-    return ThresholdReport(c_minor, c_major, wcss, tau, members, minority)
+    c_minor, c_major, wcss, tau, minority, _ = split_groups(
+        np.array([list(sgs.values())]), alpha, tau_min)
+    return ThresholdReport(
+        float(c_minor[0]), float(c_major[0]), float(wcss[0]), float(tau[0]),
+        frozenset(compress(sgs, minority[0].tolist())))
 
 
 @dataclass(frozen=True)
 class DetectionResult:
     at: int
     group: str
-    verdicts: dict  # NodeId -> verdict
-    sgs: dict  # NodeId -> SG
+    nodes: tuple  # the group's NodeIds, sorted; shared by its moments
+    sg: list  # SG per node, in `nodes` order
+    verdict: list  # verdict per node, in `nodes` order
     threshold: ThresholdReport
+
+    @property
+    def verdicts(self) -> dict:
+        """NodeId -> verdict."""
+        return dict(zip(self.nodes, self.verdict))
+
+    @property
+    def sgs(self) -> dict:
+        """NodeId -> SG."""
+        return dict(zip(self.nodes, self.sg))
 
 
 def detect_abnormal(sgs, report: ThresholdReport, at: int = 0,
                     group: str = "") -> DetectionResult:
-    verdicts = {}
-    for node, sg in sgs.items():
-        if sg == 0:
-            verdicts[node] = "non_responsive"
-        elif node in report.minority and abs(sg - report.c_major) > report.tau:
-            verdicts[node] = "abnormal"
-        else:
-            verdicts[node] = "normal"
-    return DetectionResult(at, group, verdicts, sgs, report)
+    nodes = tuple(sgs)
+    sg = list(sgs.values())
+    minority = np.array([[node in report.minority for node in nodes]])
+    codes = _verdict_codes(np.array([sg]), minority,
+                           np.array([report.c_major]), np.array([report.tau]))
+    return DetectionResult(at, group, nodes, sg, VERDICT_NAMES[codes[0]].tolist(),
+                           report)
 
 
 @dataclass
@@ -167,26 +237,62 @@ def sweep_schedule(index: SGIndex, schedule,
                    tau_min: float = DEFAULT_TAU_MIN) -> SweepResult:
     """Judge each (assignment, moments) pair's usable groups at its moments.
 
-    Undersized groups go to skipped_groups once per name, in first-seen order.
+    Results come in schedule order: moment by moment, group by group. The
+    counts come from one node x moment SG matrix, and the cells of each
+    group size are split in one batch. Undersized groups go to
+    skipped_groups once per name, in first-seen order.
     """
     sweep = SweepResult()
     seen: set = set()
     moments: set = set()
+    rows: dict = {}  # NodeId -> SG matrix row
+    groups = []  # (name, sorted nodes, their matrix rows)
+    cells = []  # (index into groups, moment), in result order
     for assignment, ats in schedule:
         usable = []
         for name, group in zip(assignment.group_names, assignment.groups):
             if len(group) >= MIN_GROUP_SIZE:
-                usable.append((name, sorted(group)))
+                nodes = tuple(sorted(group))
+                usable.append(len(groups))
+                groups.append((name, nodes,
+                               [rows.setdefault(n, len(rows)) for n in nodes]))
             elif name not in seen:
                 seen.add(name)
                 sweep.skipped_groups.append((name, len(group)))
         moments.update(ats)
-        for at in ats:
-            for name, nodes in usable:
-                sgs = {node: index.count(node, at, window) for node in nodes}
-                report = deviation_threshold(sgs, alpha=alpha, tau_min=tau_min)
-                sweep.results.append(detect_abnormal(sgs, report, at=at, group=name))
+        cells.extend((g, at) for at in ats for g in usable)
     sweep.moments = sorted(moments)
+    if not cells:
+        return sweep
+
+    matrix = index.matrix(list(rows), sweep.moments, window)
+    column = {at: j for j, at in enumerate(sweep.moments)}
+    cell_group = np.array([g for g, _ in cells])
+    cell_column = np.array([column[at] for _, at in cells])
+    sizes = np.array([len(nodes) for _, nodes, _ in groups])
+    cell_size = sizes[cell_group]
+    slot = np.zeros(len(groups), dtype=np.int64)  # group -> row of its table
+    results = [None] * len(cells)
+    for n in np.unique(sizes).tolist():
+        sized = np.flatnonzero(sizes == n)
+        slot[sized] = np.arange(len(sized))
+        table = np.array([groups[g][2] for g in sized.tolist()])  # matrix rows
+        picked = np.flatnonzero(cell_size == n)  # the cells of size n
+        sg = matrix[table[slot[cell_group[picked]]],
+                    cell_column[picked][:, None]]
+        c_minor, c_major, wcss, tau, minority, codes = split_groups(
+            sg, alpha, tau_min)
+        for c, sg_row, verdict_row, cmin, cmaj, w, t, mask in zip(
+                picked.tolist(), sg.tolist(), VERDICT_NAMES[codes].tolist(),
+                c_minor.tolist(), c_major.tolist(), wcss.tolist(),
+                tau.tolist(), minority.tolist()):
+            g, at = cells[c]
+            name, nodes, _ = groups[g]
+            report = ThresholdReport(cmin, cmaj, w, t,
+                                     frozenset(compress(nodes, mask)))
+            results[c] = DetectionResult(at, name, nodes, sg_row, verdict_row,
+                                         report)
+    sweep.results = results
     return sweep
 
 
@@ -257,8 +363,7 @@ def filter_frequent_anonymized(entries, percentile: float = DEFAULT_PERCENTILE,
 def write_verdicts(sweep: SweepResult, path) -> None:
     with topen(path, "w") as fh:
         for res in sweep.results:
-            for node in sorted(res.verdicts):
+            for node, verdict, sg in zip(res.nodes, res.verdict, res.sg):
                 fh.write(f"{iso(res.at)}\t{res.group}\t{node.name}\t"
-                         f"{res.verdicts[node]}\t{res.sgs[node]}\t"
-                         f"{res.threshold.tau:.3f}\n")
+                         f"{verdict}\t{sg}\t{res.threshold.tau:.3f}\n")
 

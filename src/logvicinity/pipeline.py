@@ -6,6 +6,8 @@ import sys
 import time
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from . import __version__
 from .anonymize import SubstitutionRuleSet, anonymize_stream
 from .classify import DEFAULT_CORRELATION_WINDOW, classify_all
@@ -65,7 +67,7 @@ def extract_events(sweep: SweepResult, index: SGIndex,
     """
     flagged: dict = {}
     for res in sweep.results:
-        for node, verdict in res.verdicts.items():
+        for node, verdict in zip(res.nodes, res.verdict):
             if verdict != "normal":
                 flagged.setdefault(node, []).append((res.at, verdict))
 
@@ -156,8 +158,8 @@ def sweep_perspective(index: SGIndex, perspective: str, topology, obs_range,
                       tau_min: float = DEFAULT_TAU_MIN) -> SweepResult:
     """Sweep under any grouping perspective, including time-dependent ones.
 
-    `allocation` regroups at every moment; `time_of_failure` judges each
-    failure chain once, at its first outage.
+    `allocation` regroups wherever the set of active jobs changes;
+    `time_of_failure` judges each failure chain once, at its first outage.
     """
     static = {"hardware": hardware_vicinity, "location": location_vicinity,
               "combined": combined_vicinity}
@@ -170,7 +172,15 @@ def sweep_perspective(index: SGIndex, perspective: str, topology, obs_range,
             raise ValueError("allocation perspective needs job records")
         moments = observation_moments(obs_range.start, obs_range.end, cadence,
                                       window)
-        schedule = ((allocation_vicinity(jobs, at), (at,)) for at in moments)
+        # regroup only where the active job set changes; a job is active
+        # on [start, end), as in JobRecord.active_at
+        at = np.array(moments, dtype=np.int64)[:, None]
+        active = ((np.array([j.start for j in jobs], dtype=np.int64) <= at)
+                  & (at < np.array([j.end for j in jobs], dtype=np.int64)))
+        cuts = [0, *(np.flatnonzero((active[1:] != active[:-1]).any(axis=1))
+                     + 1).tolist(), len(moments)]
+        schedule = [(allocation_vicinity(jobs, moments[a]), moments[a:b])
+                    for a, b in zip(cuts, cuts[1:]) if a < b]
     elif perspective == "time_of_failure":
         if failures is None:
             raise ValueError("time_of_failure perspective needs failure events")

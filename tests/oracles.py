@@ -3,6 +3,8 @@
 Deliberately naive: plain loops, no shared code with the package internals.
 """
 
+import math
+
 
 def naive_two_means(values):
     """Best 2-means of 1-D data by trying every sorted split position.
@@ -29,6 +31,32 @@ def naive_two_means(values):
             hi_mean = sum(hi) / len(hi) if hi else lo_mean
             best = (w, (lo_mean, hi_mean), frozenset(order[:k]))
     return best
+
+
+def naive_verdicts(sgs, alpha, tau_min):
+    """Verdict per SG of one group, from naive_two_means and the paper's rule.
+
+    A zero SG is non_responsive; a member of the smaller cluster (the lower
+    one on a tie) farther than tau from the other centre is abnormal.
+    """
+    n = len(sgs)
+    wcss, (lo_center, hi_center), lo_idx = naive_two_means(sgs)
+    tau = max(tau_min, alpha * math.sqrt(wcss / n))
+    hi_idx = set(range(n)) - lo_idx
+    if len(lo_idx) < len(hi_idx) or (len(lo_idx) == len(hi_idx)
+                                     and lo_center <= hi_center):
+        minority, major = lo_idx, hi_center
+    else:
+        minority, major = hi_idx, lo_center
+    out = []
+    for i, sg in enumerate(sgs):
+        if sg == 0:
+            out.append("non_responsive")
+        elif i in minority and abs(sg - major) > tau:
+            out.append("abnormal")
+        else:
+            out.append("normal")
+    return out
 
 
 def brute_window_count(entries, node, at, window):

@@ -6,11 +6,12 @@ import pytest
 
 import oracles
 from logvicinity.anonymize import AnonymizedEntry
-from logvicinity.detect import (GroupTooSmall, SGIndex, detect_abnormal,
+from logvicinity.detect import (VERDICTS, GroupTooSmall, SGIndex, detect_abnormal,
                                 deviation_threshold,
                                 filter_frequent_anonymized,
                                 filter_frequent_raw, kmeans_1d_2,
-                                observation_moments, run_detection)
+                                observation_moments, run_detection,
+                                split_groups)
 from logvicinity.model import LogEntry, NodeId, ObservationRange
 from logvicinity.vicinity import VicinityAssignment
 from logvicinity.anonymize import SubstitutionRuleSet
@@ -93,6 +94,57 @@ def test_kmeans_degenerate_and_tiny():
     assert assign == [0] and wcss == 0.0
     with pytest.raises(ValueError):
         kmeans_1d_2([])
+
+
+def _sg_matrix(rng, n, rows=40):
+    """Random integer SG rows of width n: ties, outliers, flat and zero rows."""
+    out = [[0] * n, [7] * n, [0] * (n - 1) + [3]]
+    while len(out) < rows:
+        kind = rng.random()
+        if kind < 0.3:
+            row = [rng.randrange(0, 4) for _ in range(n)]
+        elif kind < 0.6:
+            row = [rng.randrange(0, 400) for _ in range(n)]
+        else:
+            base = rng.randrange(0, 80)
+            row = [base + rng.randrange(0, 3) for _ in range(n)]
+            for i in rng.sample(range(n), rng.randrange(1, n)):
+                row[i] = rng.randrange(0, 300) if rng.random() < 0.3 else 0
+        out.append(row)
+    return np.array(out, dtype=np.int64)
+
+
+def test_split_groups_matches_scalar_and_naive_references():
+    rng = random.Random(41)
+    alpha, tau_min = 5.0, 5.0
+    for n in range(3, 31):
+        sg = _sg_matrix(rng, n)
+        c_minor, c_major, wcss, tau, minority, codes = split_groups(
+            sg, alpha, tau_min)
+        for i, row in enumerate(sg.tolist()):
+            assign, (c_lo, c_hi), want_wcss = kmeans_1d_2(row)
+            naive_wcss, naive_centers, lo_idx = oracles.naive_two_means(row)
+            assert wcss[i] == want_wcss
+            assert math.isclose(want_wcss, naive_wcss, rel_tol=1e-9,
+                                abs_tol=1e-9)
+            n_hi = sum(assign)
+            if n_hi == 0:  # all equal: no minority, both centres the value
+                want_minor, want = set(), (c_lo, c_hi)
+                assert c_lo == c_hi == row[0]
+            elif n - n_hi < n_hi or (n - n_hi == n_hi and c_lo <= c_hi):
+                want_minor, want = {j for j in range(n) if not assign[j]}, (
+                    c_lo, c_hi)
+            else:
+                want_minor, want = {j for j in range(n) if assign[j]}, (
+                    c_hi, c_lo)
+            if n_hi:
+                assert {j for j in range(n) if not assign[j]} == lo_idx
+                assert (c_lo, c_hi) == pytest.approx(naive_centers)
+            assert (c_minor[i], c_major[i]) == want
+            assert {j for j in range(n) if minority[i, j]} == want_minor
+            assert tau[i] == max(tau_min, alpha * math.sqrt(want_wcss / n))
+            assert [VERDICTS[c] for c in codes[i]] == oracles.naive_verdicts(
+                row, alpha, tau_min)
 
 
 def _obs(values):

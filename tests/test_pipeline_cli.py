@@ -1,24 +1,28 @@
 import json
 import os
 import random
+from datetime import datetime, timezone
 
+import oracles
 import pytest
 
 from logvicinity.anonymize import AnonymizedEntry, read_anonymized
 from logvicinity.cli import main
 from logvicinity.datasources import JobRecord, MaintenanceWindow, Scope
-from logvicinity.detect import (DetectionResult, SGIndex, SweepResult,
-                                run_detection, write_verdicts)
+from logvicinity.detect import (MIN_GROUP_SIZE, DetectionResult, SGIndex,
+                                SweepResult, observation_moments,
+                                run_detection, sweep_schedule, write_verdicts)
 from logvicinity.model import (LogEntry, NodeId, ObservationRange, Topology,
                                format_syslog_line, parse_iso,
-                               parse_node_name, to_epoch)
+                               parse_node_name, to_epoch, topen)
 from logvicinity.outages import load_outages
 from logvicinity.pipeline import (ExtractedEvent, drop_maintenance_events,
                                   extract_events, load_events, prepare_stream,
                                   run_manifest, run_variant, run_variants,
                                   sweep_perspective, write_events)
 from logvicinity.synth import GeneratorSpec, generate
-from logvicinity.vicinity import VicinityAssignment
+from logvicinity.vicinity import (VicinityAssignment, allocation_vicinity,
+                                  combined_vicinity, hardware_vicinity)
 
 X = NodeId(1, 0, 0)
 Y = NodeId(1, 0, 1)
@@ -28,12 +32,17 @@ def _index(ts, node=X):
     return SGIndex([LogEntry(int(t), node, "t", "m") for t in ts])
 
 
+def _result(at, verdicts):
+    """A DetectionResult from a NodeId -> verdict dict in sorted node order."""
+    return DetectionResult(at, "g", tuple(verdicts), [None] * len(verdicts),
+                           list(verdicts.values()), None)
+
+
 def _sweep(moment_verdicts, node=X):
     """moment_verdicts: [(at, verdict)] for a single node."""
     sweep = SweepResult()
     for at, verdict in moment_verdicts:
-        sweep.results.append(DetectionResult(
-            at, "g", {node: verdict}, {}, None))
+        sweep.results.append(_result(at, {node: verdict}))
         sweep.moments.append(at)
     return sweep
 
@@ -77,10 +86,8 @@ def test_extract_keeps_nodes_separate():
     entries = [LogEntry(t, n, "t", "m") for n in (X, Y) for t in (100, 2500)]
     idx = SGIndex(entries)
     sweep = SweepResult()
-    sweep.results.append(DetectionResult(3000, "g", {X: "abnormal", Y: "normal"},
-                                         {}, None))
-    sweep.results.append(DetectionResult(3600, "g", {X: "normal", Y: "abnormal"},
-                                         {}, None))
+    sweep.results.append(_result(3000, {X: "abnormal", Y: "normal"}))
+    sweep.results.append(_result(3600, {X: "normal", Y: "abnormal"}))
     events = extract_events(sweep, idx, cadence=600)
     assert {(e.node, e.first_flagged) for e in events} == {(X, 3000), (Y, 3600)}
 
@@ -205,6 +212,85 @@ def test_undersized_allocation_group_is_skipped_once():
     # first-seen order, not name order: j0 only starts half-way through
     assert sweep.skipped_groups == [("job:j2", 2), ("job:j0", 2)]
     assert {r.group for r in sweep.results} == {"job:j1"}
+
+
+def test_window_longer_than_range_gives_no_moments():
+    index = _job_index()
+    asg = VicinityAssignment("combined", [frozenset(JOB_NODES)], ["all"])
+    sweep = run_detection(index, asg, JOB_RANGE, window=JOB_RANGE.end + 1)
+    assert (sweep.moments, sweep.results) == ([], [])
+    sweep = sweep_perspective(index, "allocation", None, JOB_RANGE,
+                              jobs=[_job("j1", JOB_NODES)],
+                              window=JOB_RANGE.end + 1)
+    assert (sweep.moments, sweep.results, sweep.skipped_groups) == ([], [], [])
+
+
+def test_silent_group_node_and_minimum_group_size():
+    rng = random.Random(3)
+    entries = [LogEntry(t, n, "t", "m") for n in JOB_NODES[:5]
+               for t in rng.sample(range(JOB_RANGE.end), 300)]
+    index = SGIndex(entries)
+    silent = JOB_NODES[7]  # in a group, but has no entries at all
+    groups = [frozenset(JOB_NODES[:MIN_GROUP_SIZE]),
+              frozenset({JOB_NODES[3], JOB_NODES[4], silent})]
+    sweep = run_detection(index, VicinityAssignment(
+        "combined", groups, ["min", "with_silent"]), JOB_RANGE)
+    assert [len(r.nodes) for r in sweep.results[:2]] == [MIN_GROUP_SIZE] * 2
+    assert len(sweep.results) == 2 * len(sweep.moments)
+    for r in sweep.results[1::2]:
+        assert r.sgs[silent] == 0 and r.verdicts[silent] == "non_responsive"
+    for r in sweep.results:
+        assert r.sg == [oracles.brute_window_count(entries, n, r.at, 1800)
+                        for n in r.nodes]
+        assert r.verdict == oracles.naive_verdicts(r.sg, 5.0, 5.0)
+
+
+def test_allocation_regroups_only_when_the_job_set_changes(monkeypatch):
+    index = _job_index()
+    # j3 starts and ends on observation moments: [start, end) is half-open
+    jobs = [_job("j1", JOB_NODES[:4]), _job("j2", JOB_NODES[4:6]),
+            JobRecord("j3", frozenset(JOB_NODES[3:7]), 3600, 3 * 3600,
+                      "completed"),
+            _job("j0", JOB_NODES[6:8], start=2 * 3600)]
+    moments = observation_moments(JOB_RANGE.start, JOB_RANGE.end)
+    per_moment = sweep_schedule(
+        index, [(allocation_vicinity(jobs, at), (at,)) for at in moments])
+    calls = []
+
+    def counted(jobs, t):
+        calls.append(t)
+        return allocation_vicinity(jobs, t)
+
+    monkeypatch.setattr("logvicinity.pipeline.allocation_vicinity", counted)
+    sweep = sweep_perspective(index, "allocation", None, JOB_RANGE, jobs=jobs)
+    assert calls == [1800, 3600, 7200, 3 * 3600]
+    assert sweep.moments == per_moment.moments == moments
+    assert sweep.skipped_groups == per_moment.skipped_groups
+    assert _rows(sweep) == _rows(per_moment)
+    assert {r.group for r in sweep.results} == {"job:j1", "job:j1+j2+j3",
+                                                "job:j0+j1+j2+j3"}
+
+
+def test_sweep_does_not_depend_on_node_or_entry_order(corpus):
+    entries = [e for e in corpus.entries if e.timestamp < corpus.range.start
+               + 86400]
+    obs_range = ObservationRange(corpus.range.start,
+                                 corpus.range.start + 86400)
+    rng = random.Random(13)
+    nodes = list(corpus.topology.nodes)
+    rng.shuffle(nodes)
+    arch = {n: corpus.topology.architecture_of[n] for n in nodes}
+    shuffled_entries = list(entries)
+    rng.shuffle(shuffled_entries)
+    index, shuffled_index = SGIndex(entries), SGIndex(shuffled_entries)
+    for maker in (combined_vicinity, hardware_vicinity):
+        sweep = run_detection(index, maker(corpus.topology), obs_range)
+        shuffled = run_detection(shuffled_index, maker(Topology(nodes, arch)),
+                                 obs_range)
+        assert _rows(shuffled) == _rows(sweep)
+        assert any(v != "normal" for r in sweep.results for v in r.verdict)
+    for r in sweep.results:
+        assert r.verdict == oracles.naive_verdicts(r.sg, 5.0, 5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +524,31 @@ def test_cli_pipeline_generate(tmp_path, capsys, monkeypatch):
     for name in ("classified.csv", "report.json", "run_manifest.json",
                  "events_raw.tsv", "events_filtered_anonymized.tsv"):
         assert (tmp_path / "run" / name).exists(), name
+
+
+def test_cli_manifest_gz_is_compressed(cli_dir, tmp_path, capsys):
+    manifests = []
+    for name in ("m.json", "m.json.gz"):
+        path = tmp_path / name
+        assert main(["evaluate", "--detected", str(cli_dir / "truth.csv"),
+                     "--truth", str(cli_dir / "truth.csv"),
+                     "--manifest", str(path)]) == 0
+        assert (path.read_bytes()[:2] == b"\x1f\x8b") == name.endswith(".gz")
+        with topen(path) as fh:
+            manifests.append(json.load(fh))
+    assert manifests[0]["config"] == manifests[1]["config"]
+    assert manifests[1]["tool"] == "logvicinity"
+
+
+def test_cli_warns_about_the_assumed_year(cli_dir, capsys):
+    args = ["parse", "--corpus", str(cli_dir / "corpus.log"),
+            "--topology", str(cli_dir / "topology.tsv"), "--format", "json"]
+    year = datetime.now(timezone.utc).year
+    assert main(args) == 0
+    out, err = capsys.readouterr()
+    assert len(err.splitlines()) == 1 and str(year) in err
+    assert main(args + ["--year", str(year)]) == 0
+    assert capsys.readouterr() == (out, "")
 
 
 def test_cli_exit_codes(tmp_path):
