@@ -10,7 +10,8 @@ __version__ = "0.1.0"
 
 from .anonymize import (AnonymizedEntry, DEFAULT_RULES, SubstitutionRuleSet,
                         anonymize_stream, fnv1a_32,
-                        read_anonymized, write_anonymized)
+                        read_anonymized, read_anonymized_table,
+                        write_anonymized)
 from .classify import FailureEvent, classify_all, classify_outage
 from .datasources import (JobRecord, MaintenanceWindow, OutageRecord, Scope,
                           load_job_report, load_maintenance, load_outage_db,
@@ -21,10 +22,10 @@ from .detect import (DetectionResult, GroupTooSmall, SGIndex, SweepResult,
                      kmeans_1d_2, observation_moments, run_detection)
 from .evaluate import (EvaluationReport, MatchResult, match_detections,
                        render_reports, score)
-from .model import (LogEntry, NodeId, ObservationRange, SyslogParseError,
-                    Topology, UnknownNodeError, load_topology,
-                    parse_node_name, parse_syslog_line, parse_syslog_stream,
-                    save_topology)
+from .model import (EventTable, LogEntry, NodeId, ObservationRange,
+                    SyslogParseError, Topology, UnknownNodeError,
+                    load_topology, parse_node_name, parse_syslog_line,
+                    parse_syslog_stream, parse_syslog_table, save_topology)
 from .outages import (BootEvent, BootFootprintSpec, OutageEvent,
                       detect_boot_events, detect_outages, load_footprint)
 from .pipeline import (ExtractedEvent, VariantRun, VARIANTS,

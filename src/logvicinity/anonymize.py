@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
-from .model import NodeId, iso, parse_iso, parse_node_name, topen
+import numpy as np
+
+from .model import (AnonymizedEntry, EventTable, iso, parse_iso,
+                    parse_node_name, topen)
 
 RULE_VERSION = "1"
 
@@ -30,11 +32,7 @@ DEFAULT_RULES = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class AnonymizedEntry:
-    timestamp: int  # epoch seconds, UTC
-    node: NodeId
-    key: str  # 8 lowercase hex digits
+_KEY_RE = re.compile(r"[0-9a-f]{8}")
 
 
 class SubstitutionRuleSet:
@@ -107,18 +105,37 @@ def save_rules(rules: SubstitutionRuleSet, path) -> None:
 
 
 def write_anonymized(entries, path, rules: SubstitutionRuleSet) -> None:
+    """Write a pars-lite file: one (ISO time, node, key) row per entry.
+
+    entries may be an EventTable; each distinct timestamp is formatted once.
+    """
+    table = EventTable.of(entries)
+    key_id, keys = table.keys(rules)
+    stamps, stamp_id = np.unique(table.ts, return_inverse=True)
+    stamps = [iso(t) for t in stamps.tolist()]
+    names = [n.name for n in table.nodes]
     with topen(path, "w") as fh:
         fh.write(f"#pars-lite v{rules.version}\n")
-        for e in entries:
-            fh.write(f"{iso(e.timestamp)}\t{e.node.name}\t{e.key}\n")
+        rows = zip(stamp_id.tolist(), table.node.tolist(), key_id.tolist())
+        fh.writelines(f"{stamps[t]}\t{names[n]}\t{keys[k]}\n"
+                      for t, n, k in rows)
 
 
-def read_anonymized(path):
-    """Load an anonymized corpus file; returns (entries, rule_version)."""
-    entries, version = [], None
-    node_cache: dict = {}
+def read_anonymized_table(path):
+    """Load a pars-lite file as a keyed EventTable; returns (table, version).
+
+    A row needs exactly 3 tab-separated fields and a key of 8 lowercase hex
+    digits; anything else raises ValueError naming path:lineno. Each
+    distinct timestamp, node and key is parsed once.
+    """
+    version = None
+    ts, node, msg, keys = [], [], [], []
+    stamp_of: dict = {}
+    node_of: dict = {}  # name -> node id
+    node_ix: dict = {}  # NodeId -> node id
+    key_of: dict = {}
     with topen(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
@@ -127,9 +144,35 @@ def read_anonymized(path):
                 if m:
                     version = m.group(1)
                 continue
-            ts_s, name, key = line.split("\t")
-            node = node_cache.get(name)
-            if node is None:
-                node = node_cache.setdefault(name, parse_node_name(name))
-            entries.append(AnonymizedEntry(parse_iso(ts_s), node, key))
-    return entries, version
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise ValueError(f"{path}:{lineno}: expected 3 tab-separated "
+                                 f"fields, got {len(fields)}")
+            ts_s, name, key = fields
+            try:
+                t = stamp_of.get(ts_s)
+                if t is None:
+                    t = stamp_of[ts_s] = parse_iso(ts_s)
+                n = node_of.get(name)
+                if n is None:  # two spellings of a node share its id
+                    n = node_of[name] = node_ix.setdefault(
+                        parse_node_name(name), len(node_ix))
+                k = key_of.get(key)
+                if k is None:
+                    if not _KEY_RE.fullmatch(key):
+                        raise ValueError(f"key {key!r} is not 8 lowercase "
+                                         f"hex digits")
+                    k = key_of[key] = len(keys)
+                    keys.append(key)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            ts.append(t)
+            node.append(n)
+            msg.append(k)
+    return EventTable(ts, node, msg, list(node_ix), keys), version
+
+
+def read_anonymized(path):
+    """Load an anonymized corpus file; returns (entries, rule_version)."""
+    table, version = read_anonymized_table(path)
+    return table.entries(), version

@@ -10,8 +10,8 @@ from datetime import datetime, timezone
 from importlib.resources import files as resource_files
 
 from . import __version__
-from .anonymize import (SubstitutionRuleSet, anonymize_stream, load_rules,
-                        write_anonymized, read_anonymized)
+from .anonymize import (SubstitutionRuleSet, load_rules,
+                        read_anonymized_table, write_anonymized)
 from .classify import (LABELS, classify_all, load_classified,
                        write_classified)
 from .datasources import load_job_report, load_maintenance, load_outage_db
@@ -19,9 +19,10 @@ from .detect import (DEFAULT_ALPHA, DEFAULT_CADENCE, DEFAULT_PERCENTILE,
                      DEFAULT_TAU_MIN, DEFAULT_WINDOW, CV_THRESHOLD,
                      write_verdicts)
 from .evaluate import DEFAULT_TOLERANCE, render_reports, score
-from .model import (ObservationRange, SyslogParseError, UnknownNodeError,
-                    canonical_node, format_syslog_line, iso, load_topology,
-                    parse_iso, parse_node_name, parse_syslog_stream, topen)
+from .model import (EventTable, ObservationRange, SyslogParseError,
+                    UnknownNodeError, canonical_node, format_syslog_line, iso,
+                    load_topology, parse_iso, parse_node_name,
+                    parse_syslog_table, topen)
 from .outages import (DEFAULT_BURST_FACTOR, DEFAULT_BURST_MINUTES,
                       DEFAULT_MIN_GAP, DEFAULT_SILENCE_THRESHOLD,
                       detect_outages, load_footprint, load_outages,
@@ -108,32 +109,31 @@ def _year_from(args) -> int:
 
 
 def _read_raw(args, topology=None):
-    """Parse a raw syslog corpus file into a list of entries."""
+    """Parse a raw syslog corpus file into (EventTable, ParseStats)."""
     # without a topology every canonical name is a node; others are unknown
     resolver = topology.resolver() if topology else canonical_node
     with topen(args.corpus) as fh:
-        gen, stats = parse_syslog_stream(fh, _year_from(args), resolver,
-                                         skip_unknown=not getattr(args, "strict", False))
-        entries = list(gen)
-    return entries, stats
+        return parse_syslog_table(
+            fh, _year_from(args), resolver,
+            skip_unknown=not getattr(args, "strict", False))
 
 
-def _read_stream(args, topology=None):
+def _read_stream(args, topology=None) -> EventTable:
     """Raw or anonymized corpus, according to --anonymized."""
     if getattr(args, "anonymized", False):
-        entries, _version = read_anonymized(args.corpus)
-        return entries
-    entries, _stats = _read_raw(args, topology)
-    return entries
+        table, _version = read_anonymized_table(args.corpus)
+        return table
+    table, _stats = _read_raw(args, topology)
+    return table
 
 
-def _range_from(args, entries) -> ObservationRange:
+def _range_from(args, table) -> ObservationRange:
     start = getattr(args, "time_from", None)
     end = getattr(args, "time_to", None)
-    if not entries and (start is None or end is None):
+    if not len(table) and (start is None or end is None):
         raise ValueError("empty corpus and no --from/--to bounds given")
-    start = parse_iso(start) if start else min(e.timestamp for e in entries)
-    end = parse_iso(end) if end else max(e.timestamp for e in entries)
+    start = parse_iso(start) if start else int(table.ts.min())
+    end = parse_iso(end) if end else int(table.ts.max())
     return ObservationRange(start, end)
 
 
@@ -194,15 +194,15 @@ def _spec_from(args) -> GeneratorSpec:
 
 def cmd_parse(args) -> int:
     topology = load_topology(args.topology) if args.topology else None
-    entries, stats = _read_raw(args, topology)
+    table, stats = _read_raw(args, topology)
     if args.output:
-        _atomic_write(args.output, lambda tmp: _write_corpus(entries, tmp))
+        _atomic_write(args.output, lambda tmp: _write_corpus(table, tmp))
     summary = {
         "entries": stats.parsed,
         "skipped_unknown": stats.skipped_unknown,
-        "nodes": len({e.node for e in entries}),
-        "from": iso(min(e.timestamp for e in entries)) if entries else None,
-        "to": iso(max(e.timestamp for e in entries)) if entries else None,
+        "nodes": len(table.nodes),
+        "from": iso(int(table.ts.min())) if len(table) else None,
+        "to": iso(int(table.ts.max())) if len(table) else None,
     }
     if args.format == "json":
         print(json.dumps(summary, indent=2, sort_keys=True))
@@ -213,29 +213,29 @@ def cmd_parse(args) -> int:
     return 0
 
 
-def _write_corpus(entries, path) -> None:
+def _write_corpus(table, path) -> None:
     with topen(path, "w") as fh:
-        for e in entries:
+        for e in table.entries():
             fh.write(format_syslog_line(e) + "\n")
 
 
 def cmd_anonymize(args) -> int:
     rules = _rules_from(args)
     topology = load_topology(args.topology) if args.topology else None
-    entries, _stats = _read_raw(args, topology)
-    _atomic_write(args.output, lambda tmp: write_anonymized(
-        anonymize_stream(entries, rules), tmp, rules))
+    table, _stats = _read_raw(args, topology)
+    _atomic_write(args.output,
+                  lambda tmp: write_anonymized(table, tmp, rules))
     _emit_manifest(args, f"{args.output}.manifest.json")
-    print(f"anonymized {len(entries)} entries -> {args.output}")
+    print(f"anonymized {len(table)} entries -> {args.output}")
     return 0
 
 
 def cmd_detect_outages(args) -> int:
     topology = load_topology(args.topology) if args.topology else None
-    entries = _read_stream(args, topology)
-    obs_range = _range_from(args, entries)
+    table = _read_stream(args, topology)
+    obs_range = _range_from(args, table)
     outages = detect_outages(
-        entries, _footprint_from(args), _rules_from(args), obs_range,
+        table, _footprint_from(args), _rules_from(args), obs_range,
         silence_threshold=args.silence_threshold,
         burst_factor=args.burst_factor, burst_minutes=args.burst_minutes,
         min_gap=args.min_gap)
@@ -269,14 +269,14 @@ def cmd_classify(args) -> int:
 
 def cmd_detect_anomalies(args) -> int:
     topology = load_topology(args.topology)
-    entries = _read_stream(args, topology)
-    obs_range = _range_from(args, entries)
+    table = _read_stream(args, topology)
+    obs_range = _range_from(args, table)
     if args.anonymized and args.variant not in ("anonymized",
                                                 "filtered_anonymized"):
         raise ValueError("anonymized input supports only the anonymized "
                          "and filtered_anonymized variants")
     run = run_variant(
-        entries, topology, obs_range, args.variant, _rules_from(args),
+        table, topology, obs_range, args.variant, _rules_from(args),
         load_maintenance(args.maintenance) if args.maintenance else [],
         perspective=args.vicinity,
         jobs=load_job_report(args.jobs_file) if args.jobs_file else None,
@@ -344,7 +344,7 @@ def cmd_pipeline(args) -> int:
         spec = _spec_from(args)
         gen = generate(spec)
         write_corpus_files(gen, workdir, compress=args.gzip)
-        entries, topology = gen.entries, gen.topology
+        table, topology = EventTable.from_entries(gen.entries), gen.topology
         truth = [(f.node, f.outage_time) for f in gen.truth.failures]
         jobs, odb = gen.truth.jobs, gen.truth.outage_records
         maint = gen.truth.maintenance
@@ -353,23 +353,23 @@ def cmd_pipeline(args) -> int:
         if not args.corpus or not args.topology:
             raise ValueError("pipeline needs --generate or --corpus + --topology")
         topology = load_topology(args.topology)
-        entries, _stats = _read_raw(args, topology)
+        table, _stats = _read_raw(args, topology)
         truth = ([(f.node, f.outage_time) for f in load_truth(args.truth)]
                  if args.truth else None)
         jobs = load_job_report(args.jobs_file) if args.jobs_file else []
         odb = load_outage_db(args.outage_db) if args.outage_db else []
         maint = load_maintenance(args.maintenance) if args.maintenance else []
-        obs_range = _range_from(args, entries)
+        obs_range = _range_from(args, table)
 
     runs = run_variants(
-        entries, topology, obs_range, rules, maint,
+        table, topology, obs_range, rules, maint,
         variants=VARIANTS if args.variant == "all" else (args.variant,),
         window=args.window, cadence=args.cadence, alpha=args.alpha,
         tau_min=args.tau_min, percentile=args.percentile,
         cv_threshold=args.cv_threshold)
 
     classified = detect_and_classify(
-        entries, footprint, rules, obs_range, jobs=jobs, outage_records=odb,
+        table, footprint, rules, obs_range, jobs=jobs, outage_records=odb,
         maintenance=maint, correlation_window=args.tolerance)
     _atomic_write(os.path.join(workdir, "classified.csv"),
                   lambda tmp: write_classified(classified, tmp))

@@ -8,7 +8,7 @@ from itertools import compress
 
 import numpy as np
 
-from .model import iso, topen
+from .model import EventTable, iso, topen
 
 DEFAULT_WINDOW = 1800  # seconds of log history per observation
 DEFAULT_CADENCE = 600  # seconds between observation moments
@@ -17,6 +17,8 @@ DEFAULT_TAU_MIN = 5.0
 DEFAULT_PERCENTILE = 99.5
 CV_THRESHOLD = 0.1
 MIN_GROUP_SIZE = 3
+
+_SPAN = 1 << 40  # seconds of timestamps SGIndex can sort in one key
 
 VERDICTS = ("normal", "abnormal", "non_responsive")
 VERDICT_NAMES = np.array(VERDICTS, dtype=object)  # verdict code -> name
@@ -29,12 +31,26 @@ class GroupTooSmall(ValueError):
 class SGIndex:
     """Per-node sorted timestamp index answering half-open window counts."""
 
-    def __init__(self, entries):
-        per_node: dict = {}
-        for e in entries:
-            per_node.setdefault(e.node, []).append(e.timestamp)
-        self.times = {node: np.sort(np.array(ts, dtype=np.int64))
-                      for node, ts in per_node.items()}
+    def __init__(self, events):
+        """Index an EventTable, or a list of entries."""
+        table = EventTable.of(events)
+        # one int64 key per row, the node id above the seconds since the
+        # earliest row: sorting the keys in place groups rows by node with
+        # ascending times, and masking the node off leaves those times
+        t0 = int(table.ts.min()) if len(table) else 0
+        if len(table) and int(table.ts.max()) - t0 >= _SPAN:
+            raise ValueError("timestamps span more than 2**40 seconds")
+        key = table.node.astype(np.int64)
+        key <<= 40
+        key += table.ts
+        key -= t0
+        key.sort()
+        key &= _SPAN - 1
+        key += t0
+        counts = np.bincount(table.node, minlength=len(table.nodes))
+        bounds = [0, *np.cumsum(counts).tolist()]
+        self.times = {node: key[a:b] for node, a, b in
+                      zip(table.nodes, bounds, bounds[1:]) if a < b}
 
     def count(self, node, at: int, window: int = DEFAULT_WINDOW) -> int:
         ts = self.times.get(node)
@@ -309,55 +325,98 @@ def run_detection(index: SGIndex, assignment, obs_range,
                           alpha=alpha, tau_min=tau_min)
 
 
+def frequent_template_mask(table: EventTable, rules,
+                           percentile: float = DEFAULT_PERCENTILE):
+    """Keep-mask dropping rows whose template count is above the percentile.
+
+    Returns (keep, dropped templates, sorted).
+    """
+    if table.keyed:
+        raise ValueError("a keyed table has no message text to template")
+    index: dict = {}
+    of_msg = np.array([index.setdefault(rules.template(m), len(index))
+                       for m in table.messages], dtype=np.int64)
+    template_id = of_msg[table.msg]
+    drop = _above_percentile(template_id, len(index), percentile)
+    names = list(index)
+    return ~drop[template_id], sorted(names[i] for i in np.flatnonzero(drop))
+
+
+def _above_percentile(ids, n_ids, percentile):
+    """Per id: seen more often than the percentile of the seen ids' counts."""
+    counts = np.bincount(ids, minlength=n_ids)
+    seen = counts > 0
+    if not seen.any():
+        return seen
+    return seen & (counts > float(np.percentile(counts[seen], percentile)))
+
+
+def frequent_key_mask(table: EventTable, rules=None,
+                      percentile: float = DEFAULT_PERCENTILE,
+                      cv_threshold: float = CV_THRESHOLD,
+                      min_arrivals: int = 5):
+    """Keep-mask of the percentile rule on keys plus near-periodic keys.
+
+    A key is near-periodic when the median over nodes of its per-node
+    inter-arrival coefficient of variation is below cv_threshold (nodes with
+    fewer than min_arrivals occurrences don't vote). Returns (keep, dropped
+    keys, sorted). rules may be None for a keyed table. The squared
+    deviations are summed in row order, so a coefficient can differ from
+    np.std's pairwise sum in its last bits.
+    """
+    if not len(table):
+        return np.ones(0, dtype=bool), []
+    key_id, keys = table.keys(rules)
+    drop = _above_percentile(key_id, len(keys), percentile)
+    # rows sorted by (key, node, time); gap i joins rows i and i + 1 when
+    # both are in one (key, node) group
+    order = np.lexsort((table.ts, table.node, key_id))
+    k, n = key_id[order], table.node[order]
+    new = np.ones(len(k), dtype=bool)  # row starts a group
+    new[1:] = (k[1:] != k[:-1]) | (n[1:] != n[:-1])
+    group = np.cumsum(new, dtype=np.int32) - 1
+    m = np.bincount(group) - 1  # gaps per group
+    voter = m + 1 >= min_arrivals
+    in_voter = ~new[1:] & voter[group[1:]]
+    gaps = np.diff(table.ts[order])[in_voter]
+    label = group[1:][in_voter]
+    del order, n, group, in_voter  # freed before the float temporaries
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean = np.bincount(label, gaps, len(m)) / m  # exact sums of integers
+        dev = gaps - mean[label]
+        std = np.sqrt(np.bincount(label, dev * dev, len(m)) / m)
+        cv = np.where(mean > 0, std / mean, 0.0)[voter]
+    for key, a, b in _runs(k[new][voter]):
+        if float(np.median(cv[a:b])) < cv_threshold:
+            drop[key] = True
+    return ~drop[key_id], sorted(keys[i] for i in np.flatnonzero(drop))
+
+
+def _runs(values):
+    """(value, start, end) of each run of equal values in a 1-D array."""
+    cut = np.flatnonzero(values[1:] != values[:-1]) + 1
+    bounds = [0, *cut.tolist(), len(values)]
+    return [(values[a].item(), a, b) for a, b in zip(bounds, bounds[1:])
+            if a < b]
+
+
 def filter_frequent_raw(entries, rules, percentile: float = DEFAULT_PERCENTILE):
     """Drop entries whose template count is above the percentile."""
-    counts: dict = {}
-    for e in entries:
-        t = rules.template(e.message)
-        counts[t] = counts.get(t, 0) + 1
-    if not counts:
-        return list(entries), []
-    cut = float(np.percentile(list(counts.values()), percentile))
-    dropped = sorted(t for t, c in counts.items() if c > cut)
-    dropped_set = set(dropped)
-    kept = [e for e in entries if rules.template(e.message) not in dropped_set]
-    return kept, dropped
+    entries = list(entries)
+    keep, dropped = frequent_template_mask(
+        EventTable.from_entries(entries), rules, percentile)
+    return list(compress(entries, keep.tolist())), dropped
 
 
 def filter_frequent_anonymized(entries, percentile: float = DEFAULT_PERCENTILE,
                                cv_threshold: float = CV_THRESHOLD,
                                min_arrivals: int = 5):
-    """Percentile rule on hash keys plus removal of near-periodic keys.
-
-    A key is near-periodic when the median over nodes of its per-node
-    inter-arrival coefficient of variation is below cv_threshold (nodes with
-    fewer than min_arrivals occurrences don't vote).
-    """
-    counts: dict = {}
-    arrivals: dict = {}
-    for e in entries:
-        counts[e.key] = counts.get(e.key, 0) + 1
-        arrivals.setdefault((e.key, e.node), []).append(e.timestamp)
-    if not counts:
-        return list(entries), []
-    cut = float(np.percentile(list(counts.values()), percentile))
-    dropped = {k for k, c in counts.items() if c > cut}
-
-    cvs: dict = {}
-    for (key, _node), ts in arrivals.items():
-        if len(ts) < min_arrivals:
-            continue
-        ts = sorted(ts)
-        gaps = np.diff(ts)
-        mean = float(gaps.mean())
-        cv = float(gaps.std() / mean) if mean > 0 else 0.0
-        cvs.setdefault(key, []).append(cv)
-    for key, node_cvs in cvs.items():
-        if float(np.median(node_cvs)) < cv_threshold:
-            dropped.add(key)
-
-    kept = [e for e in entries if e.key not in dropped]
-    return kept, sorted(dropped)
+    """frequent_key_mask over keyed entries; returns (kept, dropped keys)."""
+    entries = list(entries)
+    keep, dropped = frequent_key_mask(
+        EventTable.from_entries(entries), None, percentile, cv_threshold,
+        min_arrivals)
+    return list(compress(entries, keep.tolist())), dropped
 
 
 def write_verdicts(sweep: SweepResult, path) -> None:

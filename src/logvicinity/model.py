@@ -1,11 +1,16 @@
-"""Core domain types and the BSD syslog line parser shared by every stage."""
+"""Core domain types, the BSD syslog parser and the columnar event table."""
 
 from __future__ import annotations
 
+import calendar
 import gzip
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import islice
+from typing import NamedTuple
+
+import numpy as np
 
 ARCHITECTURES = ("Haswell", "SandyBridge", "Westmere", "Broadwell", "GPU")
 
@@ -14,11 +19,15 @@ _MONTHS = {
     "Jul": 7, "Aug": 8, "Sep": 9, "Oct": 10, "Nov": 11, "Dec": 12,
 }
 _MONTH_NAMES = {v: k for k, v in _MONTHS.items()}
+_LONGEST_MONTH = (31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
 _NODE_RE = re.compile(r"^i(\d+)r(\d+)n(\d+)$")
 _TAG_RE = re.compile(r"^[\w./-]+:$")
+_DAY_RE = re.compile(r"\d{1,2}", re.ASCII)
+_TIME_RE = re.compile(r"(\d{1,2}):(\d{1,2}):(\d{1,2})(?:\.\d*)?", re.ASCII)
 
 HALF_YEAR = 180 * 86400
+STREAM_CHUNK = 4096  # lines parse_syslog_stream parses per step
 
 
 class SyslogParseError(ValueError):
@@ -33,8 +42,9 @@ class UnknownNodeError(KeyError):
     """Hostname not present in the topology resolver."""
 
 
-@dataclass(frozen=True, order=True)
-class NodeId:
+class NodeId(NamedTuple):
+    """A node's place; equal to the plain tuple (island, rack, position)."""
+
     island: int
     rack: int
     position: int
@@ -66,6 +76,13 @@ class LogEntry:
     node: NodeId
     tag: str
     message: str
+
+
+@dataclass(frozen=True, slots=True)
+class AnonymizedEntry:
+    timestamp: int  # epoch seconds, UTC
+    node: NodeId
+    key: str  # 8 lowercase hex digits
 
 
 @dataclass(frozen=True)
@@ -103,19 +120,6 @@ def parse_iso(text: str) -> int:
     return to_epoch(y, mo, d, h, mi, s)
 
 
-# month-start epoch cache keyed by (year, month); keeps stream parsing cheap
-_MONTH_EPOCH: dict = {}
-
-
-def _month_epoch(year: int, month: int) -> int:
-    key = (year, month)
-    t = _MONTH_EPOCH.get(key)
-    if t is None:
-        t = to_epoch(year, month, 1, 0, 0, 0)
-        _MONTH_EPOCH[key] = t
-    return t
-
-
 def format_bsd_time(t: int) -> str:
     dt = datetime.fromtimestamp(t, tz=timezone.utc)
     return f"{_MONTH_NAMES[dt.month]} {dt.day:2d} {dt:%H:%M:%S}"
@@ -128,40 +132,210 @@ def format_syslog_line(entry: LogEntry) -> str:
     return f"{head} {entry.message}"
 
 
+# The one check of a line's date and time: the parser caches its results
+# per (month, day) and per time string, parse_syslog_line calls it per line.
+
+def _month_day(mon_s: str, day_s: str) -> tuple:
+    """(month, day) of a BSD date that some year has (Feb 29 included)."""
+    month = _MONTHS.get(mon_s)
+    if month is None:
+        raise SyslogParseError(f"bad month {mon_s!r}")
+    if not _DAY_RE.fullmatch(day_s) or not (
+            1 <= int(day_s) <= _LONGEST_MONTH[month - 1]):
+        raise SyslogParseError(f"bad calendar day {mon_s} {day_s!r}")
+    return month, int(day_s)
+
+
+def day_start(year: int, mon_s: str, day_s: str) -> int:
+    """Epoch of midnight UTC opening a BSD month and day in year."""
+    month, day = _month_day(mon_s, day_s)
+    if day > calendar.monthrange(year, month)[1]:
+        raise SyslogParseError(f"no {mon_s} {day} in {year}")
+    return to_epoch(year, month, day, 0, 0, 0)
+
+
+def seconds_of_day(time_s: str) -> int:
+    """Seconds since midnight of "HH:MM:SS", dropping a fraction of a second."""
+    m = _TIME_RE.fullmatch(time_s)
+    if m is not None:
+        h, mi, s = int(m[1]), int(m[2]), int(m[3])
+        if h < 24 and mi < 60 and s < 60:
+            return h * 3600 + mi * 60 + s
+    raise SyslogParseError(f"bad time of day {time_s!r}")
+
+
+def _split_tag(rest: str) -> tuple:
+    """(tag, message) of the text after the host; the tag may be empty."""
+    first, _, after = rest.partition(" ")
+    if first and _TAG_RE.match(first):
+        return first[:-1], after
+    return "", rest
+
+
+def _resolve_fn(node_resolver):
+    return getattr(node_resolver, "get", node_resolver)
+
+
 def parse_syslog_line(line: str, default_year: int, node_resolver) -> LogEntry:
     """Parse one BSD syslog line ("MMM dd HH:MM:SS host tag: message").
 
     The year is taken from default_year; stream-level rollover is handled by
     parse_syslog_stream. Sub-second precision is not expected and not kept.
+    A date the year does not have, or a time of day outside 00:00:00 to
+    23:59:59, raises SyslogParseError.
     """
     parts = line.rstrip("\n").split(None, 4)
     if len(parts) < 4:
         raise SyslogParseError(f"truncated line: {line!r}", offset=0)
-    mon_s, day_s, time_s, host = parts[0], parts[1], parts[2], parts[3]
-    rest = parts[4] if len(parts) > 4 else ""
-    month = _MONTHS.get(mon_s)
-    if month is None:
-        raise SyslogParseError(f"bad month {mon_s!r}", offset=0)
     try:
-        day = int(day_s)
-        hh, mm, ss = time_s.split(":")
-        secs = int(hh) * 3600 + int(mm) * 60 + int(float(ss))
-    except ValueError:
-        raise SyslogParseError(f"bad timestamp in line: {line!r}",
-                               offset=line.find(day_s)) from None
-    try:
-        ts = _month_epoch(default_year, month) + (day - 1) * 86400 + secs
-    except ValueError:
-        raise SyslogParseError(f"bad calendar day {day_s!r}",
-                               offset=line.find(day_s)) from None
-    node = node_resolver.get(host) if hasattr(node_resolver, "get") else node_resolver(host)
+        ts = (day_start(default_year, parts[0], parts[1])
+              + seconds_of_day(parts[2]))
+    except SyslogParseError as exc:
+        raise SyslogParseError(f"{exc} in line: {line!r}",
+                               offset=line.find(parts[1])) from None
+    node = _resolve_fn(node_resolver)(parts[3])
     if node is None:
-        raise UnknownNodeError(host)
-    tag, message = "", rest
-    first, _, after = rest.partition(" ")
-    if first and _TAG_RE.match(first):
-        tag, message = first[:-1], after
+        raise UnknownNodeError(parts[3])
+    tag, message = _split_tag(parts[4] if len(parts) > 4 else "")
     return LogEntry(ts, node, tag, message)
+
+
+class _SyslogParser:
+    """BSD lines to event table columns, with per-node year rollover.
+
+    Each distinct (month, day), time string, host and message is worked out
+    once. A per-node backward jump of more than 180 days means the calendar
+    year wrapped; the node's entries carry the incremented year from then
+    on. State carries over from one feed call to the next.
+    """
+
+    def __init__(self, default_year, node_resolver, skip_unknown, stats):
+        self.year = default_year
+        self.resolve = _resolve_fn(node_resolver)
+        self.skip_unknown = skip_unknown
+        self.stats = stats
+        self.nodes, self.tags, self.messages = [], [], []
+        self._node_ix: dict = {}
+        self._day_of: dict = {}  # (month, day) strings -> default-year epoch
+        self._day_in_year: dict = {}  # (year, month, day) -> epoch
+        self._time_of: dict = {}  # time string -> seconds of day
+        self._host_of: dict = {}  # host -> node id, -1 if unknown
+        self._msg_of: dict = {}  # text after the host -> message id
+        self._year_of: list = []  # node id -> year of its latest entry
+        self._last_of: list = []  # node id -> its latest timestamp
+
+    def feed(self, lines, ts_out: list, node_out: list, msg_out: list) -> None:
+        """Append the rows of lines to the three column lists."""
+        default = self.year
+        day_of, time_of = self._day_of, self._time_of
+        host_of, msg_of = self._host_of, self._msg_of
+        year_of, last_of = self._year_of, self._last_of
+        add_ts, add_node = ts_out.append, node_out.append
+        add_msg = msg_out.append
+        before = len(ts_out)
+        try:
+            for line in lines:
+                # the text after the host keeps its newline until it is new
+                parts = line.split(None, 4)
+                if not parts or line[0] == "#":
+                    continue
+                if len(parts) < 4:
+                    raise SyslogParseError("too few fields")
+                mon_s, day_s, time_s, host = parts[:4]
+                day = day_of.get((mon_s, day_s))
+                if day is None:
+                    day = self._day(mon_s, day_s)
+                secs = time_of.get(time_s)
+                if secs is None:
+                    secs = time_of[time_s] = seconds_of_day(time_s)
+                n = host_of.get(host)
+                if n is None:
+                    n = self._add_host(host)
+                if n < 0:
+                    if self.skip_unknown:
+                        self.stats.skipped_unknown += 1
+                        continue
+                    raise UnknownNodeError(host)
+                year = year_of[n]
+                if year == default and day >= 0:
+                    ts = day + secs
+                else:
+                    ts = self._day_in(year, mon_s, day_s) + secs
+                if last_of[n] - ts > HALF_YEAR:
+                    year_of[n] = year = year + 1
+                    ts = self._day_in(year, mon_s, day_s) + secs
+                last_of[n] = ts
+                rest = parts[4] if len(parts) > 4 else ""
+                m = msg_of.get(rest)
+                if m is None:
+                    m = msg_of[rest] = self._message_id(rest.rstrip("\n"))
+                add_ts(ts)
+                add_node(n)
+                add_msg(m)
+        except SyslogParseError as exc:
+            raise SyslogParseError(f"{exc} in line: {line!r}") from None
+        finally:
+            self.stats.parsed += len(ts_out) - before
+
+    def _day(self, mon_s, day_s) -> int:
+        """Default-year epoch of a (month, day), cached; -1 for Feb 29
+        outside a leap year, which only a node in another year has."""
+        try:
+            start = day_start(self.year, mon_s, day_s)
+        except SyslogParseError:
+            _month_day(mon_s, day_s)  # raises unless some year has the day
+            start = -1
+        self._day_of[(mon_s, day_s)] = start
+        return start
+
+    def _day_in(self, year, mon_s, day_s) -> int:
+        """Epoch of the day in a node's own year (after a wrap), cached."""
+        key = (year, mon_s, day_s)
+        start = self._day_in_year.get(key)
+        if start is None:
+            start = self._day_in_year[key] = day_start(year, mon_s, day_s)
+        return start
+
+    def _message_id(self, rest) -> int:
+        """Id of the text after the host, whichever line ending it had."""
+        m = self._msg_of.get(rest)
+        if m is None:
+            m = self._msg_of[rest] = len(self.messages)
+            tag, message = _split_tag(rest)
+            self.tags.append(tag)
+            self.messages.append(message)
+        return m
+
+    def _add_host(self, host) -> int:
+        node = self.resolve(host)
+        if node is None:
+            n = -1
+        else:
+            n = self._node_ix.get(node)
+            if n is None:
+                n = self._node_ix[node] = len(self.nodes)
+                self.nodes.append(node)
+                self._year_of.append(self.year)
+                self._last_of.append(-(1 << 62))
+        self._host_of[host] = n
+        return n
+
+    def table(self, ts, node, msg) -> EventTable:
+        return EventTable(ts, node, msg, self.nodes, self.messages, self.tags)
+
+
+def parse_syslog_table(lines, default_year: int, node_resolver,
+                       skip_unknown: bool = True):
+    """Parse a whole corpus into (EventTable, ParseStats).
+
+    Rows keep line order. Rollover, unknown hosts and malformed lines are
+    handled as in parse_syslog_stream.
+    """
+    stats = ParseStats()
+    parser = _SyslogParser(default_year, node_resolver, skip_unknown, stats)
+    columns = ([], [], [])
+    parser.feed(lines, *columns)
+    return parser.table(*columns), stats
 
 
 def parse_syslog_stream(lines, default_year: int, node_resolver,
@@ -171,51 +345,133 @@ def parse_syslog_stream(lines, default_year: int, node_resolver,
     A per-node backward jump of more than 180 days means the calendar year
     wrapped; the node's entries carry the incremented year from then on.
     Unknown hostnames are skipped (counted on .skipped_unknown) unless
-    skip_unknown is false.
+    skip_unknown is false. Lines are parsed STREAM_CHUNK at a time; an error
+    is raised after the entries of the lines before it.
     """
-    year_of: dict = {}
-    last_of: dict = {}
     stats = ParseStats()
+    parser = _SyslogParser(default_year, node_resolver, skip_unknown, stats)
 
     def gen():
-        for line in lines:
-            if not line.strip() or line.startswith("#"):
-                continue
+        it = iter(lines)
+        while chunk := list(islice(it, STREAM_CHUNK)):
+            columns, error = ([], [], []), None
             try:
-                entry = parse_syslog_line(line, default_year, node_resolver)
-            except UnknownNodeError:
-                if skip_unknown:
-                    stats.skipped_unknown += 1
-                    continue
-                raise
-            node = entry.node
-            year = year_of.get(node, default_year)
-            ts = entry.timestamp
-            if year != default_year:
-                ts = _shift_year(entry.timestamp, default_year, year)
-            last = last_of.get(node)
-            if last is not None and last - ts > HALF_YEAR:
-                year += 1
-                year_of[node] = year
-                ts = _shift_year(entry.timestamp, default_year, year)
-            last_of[node] = ts
-            stats.parsed += 1
-            yield entry if ts == entry.timestamp else LogEntry(
-                ts, node, entry.tag, entry.message)
+                parser.feed(chunk, *columns)
+            except Exception as exc:  # re-raised after the parsed lines
+                error = exc
+            yield from parser.table(*columns).entries()
+            if error is not None:
+                raise error
 
     return gen(), stats
-
-
-def _shift_year(ts: int, from_year: int, to_year: int) -> int:
-    dt = datetime.fromtimestamp(ts, tz=timezone.utc)
-    return to_epoch(to_year + (dt.year - from_year), dt.month, dt.day,
-                    dt.hour, dt.minute, dt.second)
 
 
 @dataclass
 class ParseStats:
     parsed: int = 0
     skipped_unknown: int = 0
+
+
+class EventTable:
+    """A corpus as columns, one row per entry, in input order.
+
+    ts holds epoch seconds (int64), node an int32 index into nodes and msg
+    an int32 index into messages. A raw corpus has one message per distinct
+    (tag, text) pair, its tag in tags; a pars-lite corpus holds its
+    distinct template keys as messages, and tags is None.
+    """
+
+    def __init__(self, ts, node, msg, nodes, messages, tags=None):
+        self.ts = np.asarray(ts, dtype=np.int64)
+        self.node = np.asarray(node, dtype=np.int32)
+        self.nodes = nodes
+        self._msg = np.asarray(msg, dtype=np.int32)
+        self._messages, self._tags = messages, tags
+        self._source = None  # entries whose message columns are not built yet
+        self._key_cache = None  # (rules, key id per row, distinct keys)
+
+    def __len__(self) -> int:
+        return len(self.ts)
+
+    msg = property(lambda self: self._message_columns()[0])
+    messages = property(lambda self: self._message_columns()[1])
+    tags = property(lambda self: self._message_columns()[2])
+
+    @property
+    def keyed(self) -> bool:
+        """True when messages are template keys, not text."""
+        return self.tags is None
+
+    @classmethod
+    def from_entries(cls, entries) -> EventTable:
+        """A table of LogEntry or AnonymizedEntry objects (not mixed).
+
+        A list is not copied: the message columns read it on first use,
+        so it must not change in the meantime.
+        """
+        if not isinstance(entries, list):
+            entries = list(entries)
+        index: dict = {}
+        node = np.fromiter((index.setdefault(e.node, len(index))
+                            for e in entries), np.int32, len(entries))
+        table = cls(np.fromiter((e.timestamp for e in entries), np.int64,
+                                len(entries)), node, (), list(index), [])
+        table._source = entries
+        return table
+
+    def _message_columns(self):
+        """(msg, messages, tags). An entry list's are built on first use, so
+        that an index of entries does not pay for them."""
+        entries = self._source
+        if entries is not None:
+            self._source = None
+            index: dict = {}
+            if entries and isinstance(entries[0], AnonymizedEntry):
+                msg = [index.setdefault(e.key, len(index)) for e in entries]
+                self._messages, self._tags = list(index), None
+            else:
+                msg = [index.setdefault((e.tag, e.message), len(index))
+                       for e in entries]
+                self._messages = [m for _, m in index]
+                self._tags = [t for t, _ in index]
+            self._msg = np.array(msg, dtype=np.int32)
+        return self._msg, self._messages, self._tags
+
+    @classmethod
+    def of(cls, events) -> EventTable:
+        """events itself if it is a table, else the table of its entries."""
+        return events if isinstance(events, cls) else cls.from_entries(events)
+
+    def entries(self, rules=None) -> list:
+        """The rows as LogEntry objects, or as AnonymizedEntry objects when
+        the table is keyed or rules are given."""
+        nodes, rows = self.nodes, zip(self.ts.tolist(), self.node.tolist())
+        if self.keyed or rules is not None:
+            key_id, keys = self.keys(rules)
+            return [AnonymizedEntry(t, nodes[n], keys[k])
+                    for (t, n), k in zip(rows, key_id.tolist())]
+        tags, texts = self.tags, self.messages
+        return [LogEntry(t, nodes[n], tags[m], texts[m])
+                for (t, n), m in zip(rows, self.msg.tolist())]
+
+    def keys(self, rules):
+        """(key id per row, distinct keys); each distinct message is keyed
+        once per rule set."""
+        if self.keyed:
+            return self.msg, self.messages
+        if self._key_cache is None or self._key_cache[0] is not rules:
+            index: dict = {}
+            of_msg = np.array([index.setdefault(rules.key(m), len(index))
+                               for m in self.messages], dtype=np.int32)
+            self._key_cache = (rules, of_msg[self.msg], list(index))
+        return self._key_cache[1], self._key_cache[2]
+
+    def take(self, keep) -> EventTable:
+        """The rows where the boolean mask keep holds; all rows if None."""
+        if keep is None:
+            return self
+        return EventTable(self.ts[keep], self.node[keep], self.msg[keep],
+                          self.nodes, self.messages, self.tags)
 
 
 def topen(path, mode="rt"):

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import statistics
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass
 
-from .anonymize import anonymize_stream
-from .model import (NodeId, ObservationRange, iso, parse_iso,
+import numpy as np
+
+from .model import (EventTable, NodeId, ObservationRange, iso, parse_iso,
                     parse_node_name, topen)
 
 FOOTPRINT_SPAN = 120  # seconds within which the whole footprint must appear
@@ -85,41 +85,51 @@ def detect_boot_events(entries, footprint: BootFootprintSpec, rules,
     """
     if not entries:
         return []
-    times = [e.timestamp for e in entries]
-    if any(b < a for a, b in zip(times, times[1:])):
+    table = EventTable.from_entries(entries)
+    if (np.diff(table.ts) < 0).any():
         raise ValueError("entries must be sorted by timestamp")
-    keys = footprint.keys(rules)
-    sigs = [e.key for e in anonymize_stream(entries, rules)]
+    key_id, keys = table.keys(rules)
+    return _boot_events(entries[0].node, table.ts, key_id,
+                        _footprint_ids(footprint, rules, keys), burst_factor,
+                        burst_minutes, min_gap)
 
+
+def _footprint_ids(footprint: BootFootprintSpec, rules, keys) -> list:
+    """The footprint's key ids among a table's keys; -1 for an absent key."""
+    index = {k: i for i, k in enumerate(keys)}
+    return [index.get(k, -1) for k in footprint.keys(rules)]
+
+
+def _boot_events(node, times, sigs, foot, burst_factor, burst_minutes,
+                 min_gap) -> list:
+    """detect_boot_events on one node's time-sorted columns: times and
+    key ids (arrays), foot the footprint's key ids."""
     events = []
-    i, n = 0, len(entries)
-    while i < n:
-        if sigs[i] == keys[0]:
-            end = _match_footprint(sigs, times, i, keys)
-            if end is not None:
-                events.append(BootEvent(entries[i].node, times[i], "footprint"))
-                i = end + 1
+    if foot[0] >= 0:
+        starts = np.flatnonzero(sigs == foot[0]).tolist()
+        times_l, sigs_l = times.tolist(), sigs.tolist()
+        done = 0  # entries before this are part of a matched footprint
+        for i in starts:
+            if i < done:
                 continue
-        i += 1
+            end = _match_footprint(sigs_l, times_l, i, foot)
+            if end is not None:
+                events.append(BootEvent(node, times_l[i], "footprint"))
+                done = end + 1
 
-    per_minute: dict = {}
-    for t in times:
-        m = t // 60
-        per_minute[m] = per_minute.get(m, 0) + 1
-    span = range(times[0] // 60, times[-1] // 60 + 1)
-    median_rate = statistics.median(per_minute.get(m, 0) for m in span)
-    threshold = burst_factor * max(median_rate, 1.0)
+    first = int(times[0]) // 60
+    per_minute = np.bincount(times // 60 - first)
+    threshold = burst_factor * max(float(np.median(per_minute)), 1.0)
+    per_minute = per_minute.tolist() + [0] * max(burst_minutes, 0)
 
     footprint_times = [e.boot_time for e in events]
-    for j, t in enumerate(times):
-        if j > 0 and t - times[j - 1] < min_gap:
-            continue
-        if j == 0:
-            continue  # nothing before the first entry to call a gap
-        m0 = t // 60
-        if all(per_minute.get(m0 + k, 0) > threshold for k in range(burst_minutes)):
+    # a gap of at least min_gap before an entry; the first has none before it
+    for j in (np.flatnonzero(np.diff(times) >= min_gap) + 1).tolist():
+        t = int(times[j])
+        m0 = t // 60 - first
+        if all(per_minute[m0 + k] > threshold for k in range(burst_minutes)):
             if not any(abs(t - ft) <= FOOTPRINT_SPAN for ft in footprint_times):
-                events.append(BootEvent(entries[0].node, t, "burst"))
+                events.append(BootEvent(node, t, "burst"))
 
     events.sort(key=lambda e: e.boot_time)
     return events
@@ -127,26 +137,30 @@ def detect_boot_events(entries, footprint: BootFootprintSpec, rules,
 
 def _match_footprint(sigs, times, start, keys):
     """Return the index of the last matched item, or None."""
+    end = bisect_right(times, times[start] + FOOTPRINT_SPAN, start)
     pos = start
-    deadline = times[start] + FOOTPRINT_SPAN
     for key in keys[1:]:
-        pos += 1
-        while pos < len(sigs) and times[pos] <= deadline and sigs[pos] != key:
-            pos += 1
-        if pos >= len(sigs) or times[pos] > deadline:
+        try:
+            pos = sigs.index(key, pos + 1, end)
+        except ValueError:
             return None
     return pos
 
 
 def backtrack_outages(entries, boots) -> list:
     """Place one outage at the last entry strictly before each boot."""
+    return _backtrack(np.array([e.timestamp for e in entries], dtype=np.int64),
+                      boots)
+
+
+def _backtrack(times, boots) -> list:
     outages = []
-    times = [e.timestamp for e in entries]
     for boot in boots:
-        idx = bisect_left(times, boot.boot_time)
+        idx = int(times.searchsorted(boot.boot_time))
         if idx == 0:
             continue  # node's first boot in range: nothing to backtrack to
-        outages.append(OutageEvent(boot.node, times[idx - 1], boot, tail=False))
+        outages.append(OutageEvent(boot.node, int(times[idx - 1]), boot,
+                                   tail=False))
     return outages
 
 
@@ -154,17 +168,14 @@ def detect_tail_outage(entries, obs_range: ObservationRange,
                        silence_threshold=DEFAULT_SILENCE_THRESHOLD):
     if not entries:
         return None
-    last = entries[-1].timestamp
+    return _tail(entries[0].node, entries[-1].timestamp, obs_range,
+                 silence_threshold)
+
+
+def _tail(node, last, obs_range, silence_threshold):
     if obs_range.end - last > silence_threshold:
-        return OutageEvent(entries[0].node, last, None, tail=True)
+        return OutageEvent(node, last, None, tail=True)
     return None
-
-
-def group_by_node(entries) -> dict:
-    by_node: dict = {}
-    for e in entries:
-        by_node.setdefault(e.node, []).append(e)
-    return by_node
 
 
 def detect_outages(entries, footprint: BootFootprintSpec, rules,
@@ -173,16 +184,28 @@ def detect_outages(entries, footprint: BootFootprintSpec, rules,
                    burst_factor=DEFAULT_BURST_FACTOR,
                    burst_minutes=DEFAULT_BURST_MINUTES,
                    min_gap=DEFAULT_MIN_GAP) -> list:
-    """Full-corpus outage sweep: footprint/burst boots plus end-of-data tails."""
+    """Full-corpus outage sweep: footprint/burst boots plus end-of-data tails.
+
+    entries may be an EventTable. Each node's rows are stably sorted by
+    timestamp, so ties keep their input order.
+    """
+    table = EventTable.of(entries)
+    key_id, keys = table.keys(rules)
+    foot = _footprint_ids(footprint, rules, keys)
+    # rows by node id, then stably by time; node n's are bounds[n]:bounds[n+1]
+    order = np.lexsort((table.ts, table.node))
+    bounds = [0, *np.cumsum(np.bincount(table.node,
+                                        minlength=len(table.nodes))).tolist()]
+    times, sigs = table.ts[order], key_id[order]
     outages = []
-    for node, node_entries in sorted(group_by_node(entries).items()):
-        node_entries.sort(key=lambda e: e.timestamp)  # stable: ties keep order
-        boots = detect_boot_events(node_entries, footprint, rules,
-                                   burst_factor=burst_factor,
-                                   burst_minutes=burst_minutes,
-                                   min_gap=min_gap)
-        outages.extend(backtrack_outages(node_entries, boots))
-        tail = detect_tail_outage(node_entries, obs_range, silence_threshold)
+    for n, node in sorted(enumerate(table.nodes), key=lambda p: p[1]):
+        a, b = bounds[n], bounds[n + 1]
+        if a == b:
+            continue
+        boots = _boot_events(node, times[a:b], sigs[a:b], foot, burst_factor,
+                             burst_minutes, min_gap)
+        outages.extend(_backtrack(times[a:b], boots))
+        tail = _tail(node, int(times[b - 1]), obs_range, silence_threshold)
         if tail is not None:
             outages.append(tail)
     outages.sort(key=lambda o: (o.node, o.outage_time))

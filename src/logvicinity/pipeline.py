@@ -9,14 +9,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .anonymize import SubstitutionRuleSet, anonymize_stream
+from .anonymize import SubstitutionRuleSet
 from .classify import DEFAULT_CORRELATION_WINDOW, classify_all
 from .detect import (CV_THRESHOLD, DEFAULT_ALPHA, DEFAULT_CADENCE,
                      DEFAULT_PERCENTILE, DEFAULT_TAU_MIN, DEFAULT_WINDOW,
-                     SGIndex, SweepResult, filter_frequent_anonymized,
-                     filter_frequent_raw, observation_moments, run_detection,
-                     sweep_schedule)
-from .model import iso, parse_iso, parse_node_name, topen
+                     SGIndex, SweepResult, frequent_key_mask,
+                     frequent_template_mask, observation_moments,
+                     run_detection, sweep_schedule)
+from .model import EventTable, iso, parse_iso, parse_node_name, topen
 from .outages import detect_outages
 from .vicinity import (allocation_vicinity, combined_vicinity,
                        hardware_vicinity, location_vicinity,
@@ -37,21 +37,37 @@ class ExtractedEvent:
     non_responsive: bool  # the run contained zero-SG moments
 
 
+def variant_mask(table: EventTable, variant: str, rules,
+                 percentile: float = DEFAULT_PERCENTILE,
+                 cv_threshold: float = CV_THRESHOLD):
+    """One processing variant as (keep-mask or None for all rows, dropped).
+
+    The detector reads only (timestamp, node), so raw and anonymized keep
+    every row; the filtered variants drop frequent templates or keys.
+    """
+    if variant in ("raw", "anonymized"):
+        return None, []
+    if variant == "filtered_raw":
+        return frequent_template_mask(table, rules, percentile)
+    if variant == "filtered_anonymized":
+        return frequent_key_mask(table, rules, percentile, cv_threshold)
+    raise ValueError(f"unknown variant: {variant!r}")
+
+
 def prepare_stream(entries, variant: str, rules=None,
                    percentile: float = DEFAULT_PERCENTILE,
                    cv_threshold: float = CV_THRESHOLD):
-    """Materialize one processing variant; returns (stream, dropped)."""
+    """Materialize one processing variant; returns (stream, dropped).
+
+    The anonymized variants yield AnonymizedEntry objects, the raw ones
+    entries of the input's type.
+    """
     rules = rules or SubstitutionRuleSet()
-    if variant == "raw":
-        return list(entries), []
-    if variant == "anonymized":
-        return list(anonymize_stream(entries, rules)), []
-    if variant == "filtered_raw":
-        return filter_frequent_raw(list(entries), rules, percentile)
-    if variant == "filtered_anonymized":
-        anon = list(anonymize_stream(entries, rules))
-        return filter_frequent_anonymized(anon, percentile, cv_threshold)
-    raise ValueError(f"unknown variant: {variant!r}")
+    table = EventTable.of(entries)
+    keep, dropped = variant_mask(table, variant, rules, percentile,
+                                 cv_threshold)
+    keyed = variant in ("anonymized", "filtered_anonymized")
+    return table.take(keep).entries(rules if keyed else None), dropped
 
 
 def extract_events(sweep: SweepResult, index: SGIndex,
@@ -121,28 +137,32 @@ def run_variant(entries, topology, obs_range, variant: str, rules=None,
                 alpha: float = DEFAULT_ALPHA, tau_min: float = DEFAULT_TAU_MIN,
                 percentile: float = DEFAULT_PERCENTILE,
                 cv_threshold: float = CV_THRESHOLD) -> VariantRun:
-    """Prepare one variant, sweep it under a perspective, extract its events."""
-    stream, dropped = prepare_stream(entries, variant, rules, percentile,
-                                     cv_threshold)
-    index = SGIndex(stream)
+    """Mask one variant of a table (or entry list), sweep it under a
+    perspective, extract its events."""
+    table = EventTable.of(entries)
+    keep, dropped = variant_mask(table, variant,
+                                 rules or SubstitutionRuleSet(), percentile,
+                                 cv_threshold)
+    index = SGIndex(table.take(keep))
     sweep = sweep_perspective(index, perspective, topology, obs_range,
                               jobs=jobs, failures=failures, window=window,
                               cadence=cadence, alpha=alpha, tau_min=tau_min)
     events = drop_maintenance_events(
         extract_events(sweep, index, cadence), maintenance)
-    return VariantRun(variant, events, list(dropped), sweep, index)
+    return VariantRun(variant, events, dropped, sweep, index)
 
 
 def run_variants(entries, topology, obs_range, rules=None, maintenance=(),
                  variants=VARIANTS, **params) -> dict:
-    """Run each variant once; raw and anonymized share one run."""
-    entries = list(entries)
+    """Run each variant once on one table; raw and anonymized share a run."""
+    table = EventTable.of(entries)
+    rules = rules or SubstitutionRuleSet()  # one rule set keys the table once
     runs: dict = {}
     for v in variants:
         # the detector reads only (timestamp, node), which keying leaves as is
         twin = {"raw": "anonymized", "anonymized": "raw"}.get(v)
         runs[v] = (replace(runs[twin], name=v) if twin in runs else
-                   run_variant(entries, topology, obs_range, v, rules,
+                   run_variant(table, topology, obs_range, v, rules,
                                maintenance, **params))
     return runs
 

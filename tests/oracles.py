@@ -4,6 +4,7 @@ Deliberately naive: plain loops, no shared code with the package internals.
 """
 
 import math
+from datetime import datetime, timezone
 
 
 def naive_two_means(values):
@@ -121,3 +122,86 @@ def chain_by_transitive_closure(instants, interval):
             if changed:
                 break
     return sorted(tuple(g) for g in groups)
+
+
+def reference_parse(lines, default_year, resolver, parse_line):
+    """Entries of a syslog corpus by the documented per-node rollover rule.
+
+    Each line is parsed alone by parse_line in its host's current year,
+    which starts at default_year. An entry more than 180 days before the
+    host's previous entry means the calendar year wrapped: it and the
+    host's later entries carry the next year. Blank and '#' lines are
+    ignored; lines of unknown hosts are counted and skipped. Returns
+    (entries, skipped).
+    """
+    year_of, last_of, entries, skipped = {}, {}, [], 0
+    for line in lines:
+        if not line.strip() or line.startswith("#"):
+            continue
+        host = line.split()[3]
+        if resolver.get(host) is None:
+            skipped += 1
+            continue
+        year = year_of.get(host, default_year)
+        entry = parse_line(line, year, resolver)
+        if host in last_of and last_of[host] - entry.timestamp > 180 * 86400:
+            year_of[host] = year = year + 1
+            entry = parse_line(line, year, resolver)
+        last_of[host] = entry.timestamp
+        entries.append(entry)
+    return entries, skipped
+
+
+MONTHS = ["Jan", "Feb", "Mar", "Apr", "May", "Jun",
+          "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"]
+
+
+def bsd_timestamp(line, year):
+    """Epoch of a BSD line's "Mmm dd HH:MM:SS[.frac]" read in year.
+
+    Raises ValueError when the fields are not a real instant of that year.
+    """
+    month, day, clock = line.split()[:3]
+    hour, minute, second = clock.split(":")
+    second, _, fraction = second.partition(".")
+    for digits in (day, hour, minute, second):
+        if not digits or any(c not in "0123456789" for c in digits):
+            raise ValueError(f"not a decimal number: {digits!r}")
+    if any(c not in "0123456789" for c in fraction):
+        raise ValueError(f"not a fraction: {fraction!r}")
+    when = datetime(year, MONTHS.index(month) + 1, int(day), int(hour),
+                    int(minute), int(second), tzinfo=timezone.utc)
+    return int(when.timestamp())
+
+
+def naive_key_filter(entries, percentile, cv_threshold, min_arrivals=5):
+    """Dropped keys of the anonymized filter, by plain loops.
+
+    A key is dropped when its count is above the (linear) percentile of
+    all key counts, or when the median over nodes with at least
+    min_arrivals entries of the key of the coefficient of variation of the
+    node's inter-arrival gaps is below cv_threshold.
+    """
+    counts, arrivals = {}, {}
+    for e in entries:
+        counts[e.key] = counts.get(e.key, 0) + 1
+        arrivals.setdefault((e.key, e.node), []).append(e.timestamp)
+    cut = naive_percentile(list(counts.values()), percentile)
+    dropped = {k for k, c in counts.items() if c > cut}
+    cvs = {}
+    for (key, _node), ts in arrivals.items():
+        if len(ts) < min_arrivals:
+            continue
+        ts = sorted(ts)
+        gaps = [b - a for a, b in zip(ts, ts[1:])]
+        mean = sum(gaps) / len(gaps)
+        std = math.sqrt(sum((g - mean) ** 2 for g in gaps) / len(gaps))
+        cvs.setdefault(key, []).append(std / mean if mean > 0 else 0.0)
+    for key, values in cvs.items():
+        values.sort()
+        mid = len(values) // 2
+        median = (values[mid] if len(values) % 2
+                  else (values[mid - 1] + values[mid]) / 2)
+        if median < cv_threshold:
+            dropped.add(key)
+    return sorted(dropped)

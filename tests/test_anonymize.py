@@ -132,3 +132,19 @@ def test_anonymized_file_leaks_no_message_text(tmp_path):
     text = path.read_text()
     for word in ("root", "cron", "Anacron", "CMD", "php"):
         assert word not in text
+
+
+@pytest.mark.parametrize("row,complaint", [
+    ("2023-03-06T00:00:00Z\ti1r0n0", "3 tab-separated fields"),
+    ("2023-03-06T00:00:00Z\ti1r0n0\tdeadbeef\textra", "3 tab-separated fields"),
+    ("2023-03-06T00:00:00Z\ti1r0n0\tnot-a-key", "not 8 lowercase hex"),
+    ("2023-03-06T00:00:00Z\ti1r0n0\tDEADBEEF", "not 8 lowercase hex"),
+    ("2023-03-06T00:00:00Z\ti1r0n0\tdeadbeef0", "not 8 lowercase hex"),
+])
+def test_read_anonymized_rejects_malformed_rows(tmp_path, row, complaint):
+    path = tmp_path / "anon.txt"
+    path.write_text("#pars-lite v1\n2023-03-06T00:00:00Z\ti1r0n0\tdeadbeef\n"
+                    + row + "\n")
+    with pytest.raises(ValueError, match=complaint) as exc:
+        read_anonymized(path)
+    assert f"{path}:3:" in str(exc.value)

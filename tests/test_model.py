@@ -17,6 +17,15 @@ def test_node_name_roundtrip():
     assert parse_node_name("i3r12n7") == node
 
 
+def test_node_id_is_its_plain_tuple():
+    node = NodeId(3, 12, 7)
+    assert node == (3, 12, 7) and hash(node) == hash((3, 12, 7))
+    assert (node.island, node.rack, node.position) == (3, 12, 7)
+    assert str(node) == "i3r12n7"
+    assert sorted([NodeId(2, 0, 0), NodeId(1, 5, 9), node]) == [
+        NodeId(1, 5, 9), NodeId(2, 0, 0), node]
+
+
 @pytest.mark.parametrize("bad", ["i1r2", "n5r2i1", "i1r2n", "rack3", "", "i1r2nx"])
 def test_bad_node_names_rejected(bad):
     with pytest.raises(ValueError):
@@ -44,6 +53,64 @@ def test_parse_truncated_line_raises():
         parse_syslog_line("Mar 1 00:00", 2023, parse_node_name)
     with pytest.raises(SyslogParseError):
         parse_syslog_line("Xxx 1 00:00:01 i1r0n0 m: x", 2023, parse_node_name)
+
+
+@pytest.mark.parametrize("stamp", [
+    "Feb 31 10:00:00",   # no such day: not Mar 3
+    "Mar  0 10:00:00",   # not Feb 28
+    "Feb 29 10:00:00",   # 2023 is no leap year: not Mar 1
+    "Apr 31 10:00:00",
+    "Mar  1 24:00:00",   # not midnight of the next day
+    "Mar  1 25:99:99",   # not a roll into the next day
+    "Mar  1 -1:00:00",   # not a roll into the day before
+    "Mar  1 10:60:00",
+    "Mar  1 10:00:1e3",  # not 16 minutes later
+    "Mar  1 10:00:inf",  # not an OverflowError
+])
+def test_impossible_dates_and_times_are_rejected(stamp):
+    line = f"{stamp} i1r0n0 a: x"
+    with pytest.raises(SyslogParseError):
+        parse_syslog_line(line, 2023, parse_node_name)
+    gen, _ = parse_syslog_stream([line], 2023, parse_node_name)
+    with pytest.raises(SyslogParseError):
+        list(gen)
+
+
+@pytest.mark.parametrize("stamp", ["Feb 30 10:00:00", "Mar  1 24:00:00"])
+def test_impossible_stamp_of_an_unknown_host_is_not_skipped(stamp):
+    # no year has them, so the line is malformed whichever node sent it
+    gen, stats = parse_syslog_stream([f"{stamp} login01 a: x"], 2023, {})
+    with pytest.raises(SyslogParseError):
+        list(gen)
+    assert stats.skipped_unknown == 0
+
+
+def test_subsecond_times_and_leap_days_are_accepted():
+    for stamp in ("Mar  1 10:00:00.5", "Mar  1 10:00:00"):
+        entry = parse_syslog_line(f"{stamp} i1r0n0 a: x", 2023, parse_node_name)
+        assert entry.timestamp == to_epoch(2023, 3, 1, 10, 0, 0)
+    entry = parse_syslog_line("Feb 29 23:59:59 i1r0n0 a: x", 2024,
+                              parse_node_name)
+    assert entry.timestamp == to_epoch(2024, 2, 29, 23, 59, 59)
+
+
+def test_leap_day_after_a_wrap_into_a_leap_year():
+    lines = ["Dec 31 23:00:00 i1r0n0 a: x", "Jan  2 00:00:00 i1r0n0 a: x",
+             "Feb 29 12:00:00 i1r0n0 a: x", "Dec 31 23:00:00 i1r0n1 a: x"]
+    gen, _ = parse_syslog_stream(lines, 2023, parse_node_name)
+    assert [e.timestamp for e in gen] == [
+        to_epoch(2023, 12, 31, 23, 0, 0), to_epoch(2024, 1, 2, 0, 0, 0),
+        to_epoch(2024, 2, 29, 12, 0, 0), to_epoch(2023, 12, 31, 23, 0, 0)]
+
+
+def test_stream_raises_after_the_entries_before_the_bad_line():
+    lines = ["Mar  1 10:00:00 i1r0n0 a: x", "Mar  1 10:00:01 i1r0n0 a: y",
+             "Mar 32 10:00:02 i1r0n0 a: z"]
+    gen, stats = parse_syslog_stream(lines, 2023, parse_node_name)
+    assert [next(gen).message, next(gen).message] == ["x", "y"]
+    with pytest.raises(SyslogParseError, match="Mar 32"):
+        next(gen)
+    assert stats.parsed == 2
 
 
 def test_format_parse_roundtrip():
