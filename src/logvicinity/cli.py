@@ -20,9 +20,9 @@ from .detect import (DEFAULT_ALPHA, DEFAULT_CADENCE, DEFAULT_PERCENTILE,
                      write_verdicts)
 from .evaluate import DEFAULT_TOLERANCE, render_reports, score
 from .model import (EventTable, ObservationRange, SyslogParseError,
-                    UnknownNodeError, canonical_node, format_syslog_line, iso,
-                    load_topology, parse_iso, parse_node_name,
-                    parse_syslog_table, topen)
+                    UnknownNodeError, canonical_node, iso, load_topology,
+                    parse_iso, parse_node_name, parse_syslog_table, topen,
+                    write_syslog)
 from .outages import (DEFAULT_BURST_FACTOR, DEFAULT_BURST_MINUTES,
                       DEFAULT_MIN_GAP, DEFAULT_SILENCE_THRESHOLD,
                       detect_outages, load_footprint, load_outages,
@@ -196,7 +196,7 @@ def cmd_parse(args) -> int:
     topology = load_topology(args.topology) if args.topology else None
     table, stats = _read_raw(args, topology)
     if args.output:
-        _atomic_write(args.output, lambda tmp: _write_corpus(table, tmp))
+        _atomic_write(args.output, lambda tmp: write_syslog(table, tmp))
     summary = {
         "entries": stats.parsed,
         "skipped_unknown": stats.skipped_unknown,
@@ -211,12 +211,6 @@ def cmd_parse(args) -> int:
             print(f"{key}: {value}")
     _emit_manifest(args, f"{args.output}.manifest.json" if args.output else None)
     return 0
-
-
-def _write_corpus(table, path) -> None:
-    with topen(path, "w") as fh:
-        for e in table.entries():
-            fh.write(format_syslog_line(e) + "\n")
 
 
 def cmd_anonymize(args) -> int:
@@ -344,7 +338,7 @@ def cmd_pipeline(args) -> int:
         spec = _spec_from(args)
         gen = generate(spec)
         write_corpus_files(gen, workdir, compress=args.gzip)
-        table, topology = EventTable.from_entries(gen.entries), gen.topology
+        table, topology = gen.entries, gen.topology
         truth = [(f.node, f.outage_time) for f in gen.truth.failures]
         jobs, odb = gen.truth.jobs, gen.truth.outage_records
         maint = gen.truth.maintenance

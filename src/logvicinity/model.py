@@ -206,7 +206,10 @@ class _SyslogParser:
     Each distinct (month, day), time string, host and message is worked out
     once. A per-node backward jump of more than 180 days means the calendar
     year wrapped; the node's entries carry the incremented year from then
-    on. State carries over from one feed call to the next.
+    on. A date the node's year lacks (Feb 29) is read as the day after
+    Feb 28: a wrap by that reading carries the line into the next year,
+    otherwise the line is an error. State carries over from one feed call
+    to the next.
     """
 
     def __init__(self, default_year, node_resolver, skip_unknown, stats):
@@ -217,7 +220,7 @@ class _SyslogParser:
         self.nodes, self.tags, self.messages = [], [], []
         self._node_ix: dict = {}
         self._day_of: dict = {}  # (month, day) strings -> default-year epoch
-        self._day_in_year: dict = {}  # (year, month, day) -> epoch
+        self._day_in_year: dict = {}  # (year, month, day) -> (epoch, real)
         self._time_of: dict = {}  # time string -> seconds of day
         self._host_of: dict = {}  # host -> node id, -1 if unknown
         self._msg_of: dict = {}  # text after the host -> message id
@@ -243,8 +246,9 @@ class _SyslogParser:
                     raise SyslogParseError("too few fields")
                 mon_s, day_s, time_s, host = parts[:4]
                 day = day_of.get((mon_s, day_s))
-                if day is None:
-                    day = self._day(mon_s, day_s)
+                if day is None:  # -1 when the default year lacks the day
+                    start, real = self._day_in(default, mon_s, day_s)
+                    day = day_of[(mon_s, day_s)] = start if real else -1
                 secs = time_of.get(time_s)
                 if secs is None:
                     secs = time_of[time_s] = seconds_of_day(time_s)
@@ -260,10 +264,13 @@ class _SyslogParser:
                 if year == default and day >= 0:
                     ts = day + secs
                 else:
-                    ts = self._day_in(year, mon_s, day_s) + secs
+                    start, real = self._day_in(year, mon_s, day_s)
+                    ts = start + secs
+                    if not real and last_of[n] - ts <= HALF_YEAR:
+                        raise SyslogParseError(f"no {mon_s} {day_s} in {year}")
                 if last_of[n] - ts > HALF_YEAR:
                     year_of[n] = year = year + 1
-                    ts = self._day_in(year, mon_s, day_s) + secs
+                    ts = day_start(year, mon_s, day_s) + secs
                 last_of[n] = ts
                 rest = parts[4] if len(parts) > 4 else ""
                 m = msg_of.get(rest)
@@ -277,24 +284,16 @@ class _SyslogParser:
         finally:
             self.stats.parsed += len(ts_out) - before
 
-    def _day(self, mon_s, day_s) -> int:
-        """Default-year epoch of a (month, day), cached; -1 for Feb 29
-        outside a leap year, which only a node in another year has."""
-        try:
-            start = day_start(self.year, mon_s, day_s)
-        except SyslogParseError:
-            _month_day(mon_s, day_s)  # raises unless some year has the day
-            start = -1
-        self._day_of[(mon_s, day_s)] = start
-        return start
-
-    def _day_in(self, year, mon_s, day_s) -> int:
-        """Epoch of the day in a node's own year (after a wrap), cached."""
+    def _day_in(self, year, mon_s, day_s) -> tuple:
+        """(epoch, whether year has the day) of a BSD date, cached; Feb 29
+        of a common year reads as the day after Feb 28."""
         key = (year, mon_s, day_s)
-        start = self._day_in_year.get(key)
-        if start is None:
-            start = self._day_in_year[key] = day_start(year, mon_s, day_s)
-        return start
+        if key not in self._day_in_year:
+            month, day = _month_day(mon_s, day_s)  # some year has the day
+            real = day <= calendar.monthrange(year, month)[1]
+            month, day = (month, day) if real else (3, 1)
+            self._day_in_year[key] = (to_epoch(year, month, day, 0, 0, 0), real)
+        return self._day_in_year[key]
 
     def _message_id(self, rest) -> int:
         """Id of the text after the host, whichever line ending it had."""
@@ -384,18 +383,12 @@ class EventTable:
     def __init__(self, ts, node, msg, nodes, messages, tags=None):
         self.ts = np.asarray(ts, dtype=np.int64)
         self.node = np.asarray(node, dtype=np.int32)
-        self.nodes = nodes
-        self._msg = np.asarray(msg, dtype=np.int32)
-        self._messages, self._tags = messages, tags
-        self._source = None  # entries whose message columns are not built yet
+        self.msg = np.asarray(msg, dtype=np.int32)
+        self.nodes, self.messages, self.tags = nodes, messages, tags
         self._key_cache = None  # (rules, key id per row, distinct keys)
 
     def __len__(self) -> int:
         return len(self.ts)
-
-    msg = property(lambda self: self._message_columns()[0])
-    messages = property(lambda self: self._message_columns()[1])
-    tags = property(lambda self: self._message_columns()[2])
 
     @property
     def keyed(self) -> bool:
@@ -404,38 +397,19 @@ class EventTable:
 
     @classmethod
     def from_entries(cls, entries) -> EventTable:
-        """A table of LogEntry or AnonymizedEntry objects (not mixed).
-
-        A list is not copied: the message columns read it on first use,
-        so it must not change in the meantime.
-        """
-        if not isinstance(entries, list):
-            entries = list(entries)
-        index: dict = {}
-        node = np.fromiter((index.setdefault(e.node, len(index))
-                            for e in entries), np.int32, len(entries))
-        table = cls(np.fromiter((e.timestamp for e in entries), np.int64,
-                                len(entries)), node, (), list(index), [])
-        table._source = entries
-        return table
-
-    def _message_columns(self):
-        """(msg, messages, tags). An entry list's are built on first use, so
-        that an index of entries does not pay for them."""
-        entries = self._source
-        if entries is not None:
-            self._source = None
-            index: dict = {}
-            if entries and isinstance(entries[0], AnonymizedEntry):
-                msg = [index.setdefault(e.key, len(index)) for e in entries]
-                self._messages, self._tags = list(index), None
-            else:
-                msg = [index.setdefault((e.tag, e.message), len(index))
-                       for e in entries]
-                self._messages = [m for _, m in index]
-                self._tags = [t for t, _ in index]
-            self._msg = np.array(msg, dtype=np.int32)
-        return self._msg, self._messages, self._tags
+        """A table of LogEntry or AnonymizedEntry objects (not mixed), built
+        in one pass; nodes and messages are numbered in first-seen order."""
+        entries = entries if isinstance(entries, list) else list(entries)
+        keyed = bool(entries) and isinstance(entries[0], AnonymizedEntry)
+        node_ix, msg_ix, ts, node, msg = {}, {}, [], [], []
+        for e in entries:
+            ts.append(e.timestamp)
+            node.append(node_ix.setdefault(e.node, len(node_ix)))
+            msg.append(msg_ix.setdefault(e.key if keyed else (e.tag, e.message),
+                                         len(msg_ix)))
+        messages, tags = (list(msg_ix), None) if keyed else (
+            [m for _, m in msg_ix], [t for t, _ in msg_ix])
+        return cls(ts, node, msg, list(node_ix), messages, tags)
 
     @classmethod
     def of(cls, events) -> EventTable:
@@ -472,6 +446,25 @@ class EventTable:
             return self
         return EventTable(self.ts[keep], self.node[keep], self.msg[keep],
                           self.nodes, self.messages, self.tags)
+
+
+def write_syslog(table: EventTable, path) -> None:
+    """Write a raw table's rows as format_syslog_line lines; each day's
+    "Mon DD", each second's "HH:MM:SS", each node name and each message
+    text is formatted once."""
+    day, secs = np.divmod(table.ts, 86400)
+    days, day_of = np.unique(day, return_inverse=True)
+    dates = [format_bsd_time(d * 86400)[:6] for d in days.tolist()]
+    clock = [f"{h:02d}:{m:02d}:{s:02d}"
+             for h in range(24) for m in range(60) for s in range(60)]
+    names = [n.name for n in table.nodes]
+    texts = [f"{t}: {m}" if t else m
+             for t, m in zip(table.tags, table.messages)]
+    rows = zip(day_of.tolist(), secs.tolist(), table.node.tolist(),
+               table.msg.tolist())
+    with topen(path, "w") as fh:
+        fh.writelines(f"{dates[d]} {clock[s]} {names[n]} {texts[m]}\n"
+                      for d, s, n, m in rows)
 
 
 def topen(path, mode="rt"):

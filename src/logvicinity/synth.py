@@ -7,12 +7,15 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from pathlib import Path
+
+import numpy as np
 
 from .datasources import (JobRecord, MaintenanceWindow, OutageRecord, Scope,
                           write_job_report, write_maintenance, write_outage_db)
-from .model import (LogEntry, NodeId, ObservationRange, Topology,
-                    format_syslog_line, iso, parse_iso, parse_node_name,
-                    save_topology, to_epoch, topen)
+from .model import (EventTable, NodeId, ObservationRange, Topology, iso,
+                    parse_iso, parse_node_name, save_topology, to_epoch,
+                    topen, write_syslog)
 
 DAY = 86400
 HOUR = 3600
@@ -156,7 +159,9 @@ class GroundTruth:
 
 @dataclass
 class GeneratedCorpus:
-    entries: list
+    """entries: one EventTable in time order, nodes in topology order."""
+
+    entries: EventTable
     truth: GroundTruth
     topology: Topology
     spec: GeneratorSpec
@@ -541,10 +546,7 @@ def _node_stream(node, arch, spec, chatter, failures, maint_windows, storms,
     merged = [it for it in other if keep_other(it)]
     merged.extend(it for it in heart if keep_heart(it))
     merged.extend(extra)
-    entries = [LogEntry(int(t), node, tag, msg)
-               for t, tag, msg in merged if start <= t < end]
-    entries.sort(key=lambda e: e.timestamp)
-    return entries
+    return [(int(t), tag, msg) for t, tag, msg in merged if start <= t < end]
 
 
 def _boot_entries(rng, boot_time):
@@ -573,15 +575,28 @@ def generate(spec: GeneratorSpec) -> GeneratedCorpus:
     storms = _plan_storms(spec, topology, planned, maint, rng)
     jobs, odb = _plan_jobs(spec, topology, planned, maint, rng)
 
-    entries = []
     resolved: list = []
+    msg_ix: dict = {}  # (tag, message) -> message id
+    ts_of, msg_of = [], []
     for node in topology.nodes:
         arch = topology.architecture_of[node]
         windows = [w for w in maint if w.scope.covers(node)]
-        entries.extend(_node_stream(
-            node, arch, spec, chatter_of[arch], planned.get(node, []),
-            windows, storms.get(node, []), resolved))
-    entries.sort(key=lambda e: (e.timestamp, e.node, e.tag))
+        rows = _node_stream(node, arch, spec, chatter_of[arch],
+                            planned.get(node, []), windows,
+                            storms.get(node, []), resolved)
+        ts_of.append(np.fromiter((r[0] for r in rows), np.int64, len(rows)))
+        msg_of.append(np.fromiter((msg_ix.setdefault(r[1:], len(msg_ix))
+                                   for r in rows), np.int32, len(rows)))
+    ts, msg = np.concatenate(ts_of), np.concatenate(msg_of)
+    node = np.repeat(np.arange(len(ts_of), dtype=np.int32),
+                     [len(t) for t in ts_of])
+    tags = [tag for tag, _ in msg_ix]
+    # node ids follow NodeId order and messages of one tag share a dense
+    # rank, so this stable sort is by (timestamp, node, tag)
+    tag_rank = np.unique(tags, return_inverse=True)[1]
+    order = np.lexsort((tag_rank[msg], node, ts))
+    entries = EventTable(ts[order], node[order], msg[order],
+                         list(topology.nodes), [m for _, m in msg_ix], tags)
     resolved.sort(key=lambda f: (f.outage_time, f.node))
 
     truth = GroundTruth(
@@ -599,8 +614,6 @@ def generate(spec: GeneratorSpec) -> GeneratedCorpus:
 
 def write_corpus_files(gen: GeneratedCorpus, outdir, compress=False) -> dict:
     """Write the syslog corpus and every auxiliary file; returns their paths."""
-    from pathlib import Path
-
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -611,9 +624,7 @@ def write_corpus_files(gen: GeneratedCorpus, outdir, compress=False) -> dict:
         "maintenance": outdir / "maintenance.tsv",
         "truth": outdir / "truth.csv",
     }
-    with topen(paths["corpus"], "w") as fh:
-        for entry in gen.entries:
-            fh.write(format_syslog_line(entry) + "\n")
+    write_syslog(gen.entries, paths["corpus"])
     save_topology(gen.topology, paths["topology"])
     write_job_report(gen.truth.jobs, paths["jobs"])
     write_outage_db(gen.truth.outage_records, paths["outage_db"])

@@ -3,6 +3,7 @@
 Deliberately naive: plain loops, no shared code with the package internals.
 """
 
+import calendar
 import math
 from datetime import datetime, timezone
 
@@ -130,23 +131,28 @@ def reference_parse(lines, default_year, resolver, parse_line):
     Each line is parsed alone by parse_line in its host's current year,
     which starts at default_year. An entry more than 180 days before the
     host's previous entry means the calendar year wrapped: it and the
-    host's later entries carry the next year. Blank and '#' lines are
-    ignored; lines of unknown hosts are counted and skipped. Returns
-    (entries, skipped).
+    host's later entries carry the next year. A Feb 29 the host's year
+    lacks is compared as Mar 1; unless that wraps the year, the line is
+    an error. Blank and '#' lines are ignored; lines of unknown hosts are
+    counted and skipped. Returns (entries, skipped).
     """
     year_of, last_of, entries, skipped = {}, {}, [], 0
     for line in lines:
         if not line.strip() or line.startswith("#"):
             continue
-        host = line.split()[3]
+        month, day, rest = line.split(None, 2)
+        host = rest.split()[1]
         if resolver.get(host) is None:
             skipped += 1
             continue
         year = year_of.get(host, default_year)
-        entry = parse_line(line, year, resolver)
-        if host in last_of and last_of[host] - entry.timestamp > 180 * 86400:
+        probe = line
+        if (month, day) == ("Feb", "29") and not calendar.isleap(year):
+            probe = f"Mar  1 {rest}"
+        ts = parse_line(probe, year, resolver).timestamp
+        if host in last_of and last_of[host] - ts > 180 * 86400:
             year_of[host] = year = year + 1
-            entry = parse_line(line, year, resolver)
+        entry = parse_line(line, year, resolver)  # raises if year lacks it
         last_of[host] = entry.timestamp
         entries.append(entry)
     return entries, skipped

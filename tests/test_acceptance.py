@@ -128,9 +128,9 @@ def test_failures_flagged_before_outage_and_healthy_nodes_quiet(corpus):
     # (2 h before the outage through 1 h past its reboot, or to the end of
     # the range when it never comes back) and outside announced windows
     # covering it, padded 30 min before and 1 h after.
-    stamps = {}
-    for e in corpus.entries:
-        stamps.setdefault(e.node, []).append(e.timestamp)
+    table = corpus.entries  # rows in time order
+    stamps = {node: table.ts[table.node == n].tolist()
+              for n, node in enumerate(table.nodes)}
     excl = {}
     for f in corpus.truth.failures:
         ts = stamps[f.node]
@@ -246,7 +246,7 @@ def test_invariant_suites(corpus, rules):
             match_bad += 1
 
     by_key = {}
-    for message in {e.message for e in corpus.entries}:
+    for message in set(corpus.entries.messages):
         template = rules.template(message)
         by_key.setdefault(fnv1a_32(template), set()).add(template)
     collisions = [k for k, tpls in by_key.items() if len(tpls) > 1]

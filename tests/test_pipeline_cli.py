@@ -3,6 +3,7 @@ import os
 import random
 from datetime import datetime, timezone
 
+import numpy as np
 import oracles
 import pytest
 
@@ -130,8 +131,13 @@ def test_run_manifest_fields():
     assert set(man) == {"tool", "version", "python", "created", "seed", "config"}
 
 
+def _head(table, n):
+    """The first n rows of a table."""
+    return table.take(np.arange(len(table)) < n)
+
+
 def test_run_variant_smoke(corpus, rules):
-    run = run_variant(corpus.entries[:20000], corpus.topology,
+    run = run_variant(_head(corpus.entries, 20000), corpus.topology,
                       corpus.range, "filtered_raw", rules)
     assert run.name == "filtered_raw"
     assert isinstance(run.dropped, list)
@@ -139,7 +145,7 @@ def test_run_variant_smoke(corpus, rules):
 
 
 def test_run_variants_shares_the_raw_run_with_anonymized(corpus, rules):
-    entries = corpus.entries[:20000]
+    entries = _head(corpus.entries, 20000)
     args = (entries, corpus.topology, corpus.range)
     runs = run_variants(*args, rules, variants=("raw", "anonymized"))
     alone = run_variant(*args, "anonymized", rules)
@@ -272,8 +278,8 @@ def test_allocation_regroups_only_when_the_job_set_changes(monkeypatch):
 
 
 def test_sweep_does_not_depend_on_node_or_entry_order(corpus):
-    entries = [e for e in corpus.entries if e.timestamp < corpus.range.start
-               + 86400]
+    table = corpus.entries
+    entries = table.take(table.ts < corpus.range.start + 86400).entries()
     obs_range = ObservationRange(corpus.range.start,
                                  corpus.range.start + 86400)
     rng = random.Random(13)
@@ -327,6 +333,15 @@ def test_cli_parse_summary(cli_dir, capsys):
     assert summary["nodes"] == 64
     assert summary["skipped_unknown"] == 0
     assert summary["entries"] > 10000
+    # the generated corpus is in time order: normalizing it changes nothing
+    written = (cli_dir / "corpus.log").read_bytes()
+    for name in ("normal.log", "normal.log.gz"):
+        out = cli_dir / name
+        assert main(["parse", "--corpus", str(cli_dir / "corpus.log"),
+                     "--year", "2023", "--output", str(out)]) == 0
+        assert (out.read_bytes()[:2] == b"\x1f\x8b") == name.endswith(".gz")
+        with topen(out) as fh:
+            assert fh.read().encode() == written
 
 
 def test_cli_anonymize(cli_dir, capsys):

@@ -1,9 +1,10 @@
 import statistics
 
+import numpy as np
 import pytest
 
 from logvicinity.datasources import load_job_report, load_maintenance, load_outage_db
-from logvicinity.model import (load_topology, parse_syslog_stream, topen)
+from logvicinity.model import load_topology, parse_syslog_table, topen
 from logvicinity.synth import (CAUSES, DEFAULT_BASE_RATES, FOOTPRINT_LINES,
                                GASP, GeneratorSpec, HEARTBEAT, SHUTDOWN_LINES,
                                _scaled_streams, desk_topology, generate,
@@ -19,9 +20,21 @@ def test_desk_topology_shape():
     assert topo.class_counts() == {"Haswell": 36, "SandyBridge": 16, "GPU": 12}
 
 
+def _rows(table):
+    """(timestamp, node name, tag, message) columns, row by row."""
+    node, msg = table.node.tolist(), table.msg.tolist()
+    return (table.ts.tolist(), [table.nodes[n].name for n in node],
+            [table.tags[m] for m in msg], [table.messages[m] for m in msg])
+
+
+def _node_entries(table, node):
+    """A node's rows as LogEntry objects, in time order."""
+    return table.take(table.node == table.nodes.index(node)).entries()
+
+
 def test_same_seed_reproduces_exactly(corpus):
     again = generate(GeneratorSpec())
-    assert again.entries == corpus.entries
+    assert _rows(again.entries) == _rows(corpus.entries)
     assert again.truth.failures == corpus.truth.failures
     assert again.truth.jobs == corpus.truth.jobs
     assert again.truth.storms == corpus.truth.storms
@@ -29,7 +42,7 @@ def test_same_seed_reproduces_exactly(corpus):
 
 def test_different_seed_differs(corpus):
     other = generate(GeneratorSpec(seed=8))
-    assert other.entries != corpus.entries
+    assert _rows(other.entries) != _rows(corpus.entries)
     assert other.truth.failures != corpus.truth.failures
 
 
@@ -73,11 +86,8 @@ def test_temporal_clustering(corpus):
 
 
 def test_last_entry_is_the_outage_instant(corpus):
-    per_node = {}
-    for e in corpus.entries:
-        per_node.setdefault(e.node, []).append(e)
     for f in corpus.truth.failures:
-        entries = per_node[f.node]
+        entries = _node_entries(corpus.entries, f.node)
         at = [e for e in entries if e.timestamp == f.outage_time]
         assert at, f"{f.node.name}: nothing logged at the outage instant"
         if f.cause == "silent_hang":
@@ -132,14 +142,11 @@ def test_storm_plan(corpus):
 def test_maintenance_windows_have_shutdown_and_boot(corpus):
     windows = corpus.truth.maintenance
     assert len(windows) == 2
-    per_node = {}
-    for e in corpus.entries:
-        per_node.setdefault(e.node, []).append(e)
     for w in windows:
         covered = [n for n in corpus.topology.nodes if w.scope.covers(n)]
         assert covered
         for node in covered:
-            inside = [e for e in per_node[node]
+            inside = [e for e in _node_entries(corpus.entries, node)
                       if w.start <= e.timestamp <= w.end]
             msgs = [e.message for e in inside]
             for _tag, text in SHUTDOWN_LINES:
@@ -149,9 +156,9 @@ def test_maintenance_windows_have_shutdown_and_boot(corpus):
 
 def test_per_class_rates(corpus):
     failing = {f.node for f in corpus.truth.failures}
-    counts = {}
-    for e in corpus.entries:
-        counts[e.node] = counts.get(e.node, 0) + 1
+    table = corpus.entries
+    counts = dict(zip(table.nodes, np.bincount(
+        table.node, minlength=len(table.nodes)).tolist()))
     hours = corpus.spec.days * 24
     for arch in ("Haswell", "SandyBridge", "GPU"):
         rates = [counts[n] / hours for n in corpus.topology.nodes
@@ -177,10 +184,9 @@ def test_corpus_files_roundtrip(tmp_path):
     assert topo.architecture_of == gen.topology.architecture_of
 
     with topen(paths["corpus"]) as fh:
-        stream, stats = parse_syslog_stream(fh, 2023, topo.resolver())
-        entries = list(stream)
+        table, stats = parse_syslog_table(fh, 2023, topo.resolver())
     assert stats.skipped_unknown == 0
-    assert entries == gen.entries
+    assert _rows(table) == _rows(gen.entries)
 
     assert load_job_report(paths["jobs"]) == gen.truth.jobs
     assert load_outage_db(paths["outage_db"]) == gen.truth.outage_records

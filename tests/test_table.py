@@ -13,7 +13,7 @@ from logvicinity.model import (AnonymizedEntry, EventTable, LogEntry, NodeId,
                                format_bsd_time, format_syslog_line,
                                parse_syslog_line,
                                parse_syslog_stream, parse_syslog_table,
-                               to_epoch)
+                               to_epoch, topen, write_syslog)
 from logvicinity.outages import detect_boot_events, detect_outages
 from logvicinity.pipeline import VARIANTS, run_variant
 
@@ -70,6 +70,31 @@ def test_table_columns_follow_the_line_parser_and_rollover_rule():
         parse_syslog_table(lines, 2023, resolver, skip_unknown=False)
 
 
+@pytest.mark.parametrize("before, year, wraps", [
+    ("Dec 31 23:59:00 i1r0n0", 2023, True),
+    # the day after Feb 28 is 180 days and 1 s before the node's last line
+    ("Aug 28 00:00:02 i1r0n0", 2023, True),
+    ("Aug 28 00:00:01 i1r0n0", 2023, False),  # 180 days: no wrap
+    ("Feb 28 23:59:59 i1r0n0", 2023, False),
+    ("Dec 31 23:59:00 i1r0n1", 2023, False),  # the node's first line
+    ("Dec 31 23:59:00 i1r0n0", 2022, False),  # 2023 lacks Feb 29 too
+])
+def test_feb_29_is_read_as_the_day_after_feb_28(before, year, wraps):
+    lines = [f"{before} a: b\n", "Feb 29 00:00:01 i1r0n0 a: b\n"]
+    resolver = TOPOLOGY.resolver()
+    if not wraps:
+        with pytest.raises(SyslogParseError, match="no Feb 29 in"):
+            parse_syslog_table(lines, year, resolver)
+        with pytest.raises(SyslogParseError, match="no Feb 29 in"):
+            oracles.reference_parse(lines, year, resolver, parse_syslog_line)
+        return
+    table, _ = parse_syslog_table(lines, year, resolver)
+    assert table.ts[-1] == to_epoch(year + 1, 2, 29, 0, 0, 1)
+    expected, _ = oracles.reference_parse(lines, year, resolver,
+                                          parse_syslog_line)
+    assert table.entries() == expected
+
+
 def test_a_message_is_one_message_with_or_without_its_newline():
     lines = ["Mar  1 10:00:00 i1r0n0 a: x\n", "Mar  1 10:00:01 i1r0n0 a: x"]
     table, _ = parse_syslog_table(lines, 2023, TOPOLOGY.resolver())
@@ -77,11 +102,29 @@ def test_a_message_is_one_message_with_or_without_its_newline():
     assert table.msg.tolist() == [0, 0]
 
 
-def test_from_entries_round_trips():
+def _columns(table):
+    return (table.ts.tolist(), table.node.tolist(), table.msg.tolist(),
+            table.nodes, table.messages, table.tags)
+
+
+def test_from_entries_round_trips(tmp_path):
     lines = _wrapping_corpus(42)
     entries = list(parse_syslog_stream(lines, 2023, TOPOLOGY.resolver())[0])
     table = EventTable.from_entries(entries)
     assert table.entries() == entries
+    # rows with an empty tag, an empty message, a year wrap and many days
+    assert "" in table.tags and "" in table.messages
+    assert table.ts[-1] - table.ts[0] > 30 * 86400
+    assert table.ts[-1] >= to_epoch(2024, 1, 1, 0, 0, 0) > table.ts[0]
+    for name in ("corpus.log", "corpus.log.gz"):
+        path = tmp_path / name
+        write_syslog(table, path)
+        assert (path.read_bytes()[:2] == b"\x1f\x8b") == name.endswith(".gz")
+        with topen(path) as fh:
+            written = fh.readlines()
+        assert written == [format_syslog_line(e) + "\n" for e in entries]
+        again, _ = parse_syslog_table(written, 2023, TOPOLOGY.resolver())
+        assert _columns(again) == _columns(table)
     assert len(table) == len(entries)
     assert sorted(zip(table.tags, table.messages)) == sorted(set(MESSAGES))
     rules = SubstitutionRuleSet()
@@ -109,7 +152,8 @@ def test_each_distinct_message_is_keyed_once(monkeypatch):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_run_variant_on_a_table_equals_its_entry_list(corpus, rules, variant):
-    entries = corpus.entries[:60000]
+    head = corpus.entries.take(np.arange(len(corpus.entries)) < 60000)
+    entries = head.entries()
     lines = [format_syslog_line(e) for e in entries]
     table, _ = parse_syslog_table(lines, 2023, corpus.topology.resolver())
     args = (corpus.topology, corpus.range, variant, rules,
@@ -124,7 +168,7 @@ def test_run_variant_on_a_table_equals_its_entry_list(corpus, rules, variant):
 
 
 def test_outages_do_not_depend_on_line_order(corpus, footprint, rules):
-    shuffled = list(corpus.entries)
+    shuffled = corpus.entries.entries()
     random.Random(8).shuffle(shuffled)
     outages = detect_outages(corpus.entries, footprint, rules, corpus.range)
     assert outages
