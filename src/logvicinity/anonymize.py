@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import re
 
-import numpy as np
-
-from .model import (AnonymizedEntry, EventTable, iso, parse_iso,
-                    parse_node_name, topen)
+from .model import (AnonymizedEntry, EventTable, _day_clock, _write_rows,
+                    iso, parse_iso, parse_node_name, topen)
 
 RULE_VERSION = "1"
 
@@ -107,18 +105,18 @@ def save_rules(rules: SubstitutionRuleSet, path) -> None:
 def write_anonymized(entries, path, rules: SubstitutionRuleSet) -> None:
     """Write a pars-lite file: one (ISO time, node, key) row per entry.
 
-    entries may be an EventTable; each distinct timestamp is formatted once.
+    entries may be an EventTable. Each day's "YYYY-MM-DDT" and each
+    second's "HH:MM:SS" is formatted once.
     """
     table = EventTable.of(entries)
     key_id, keys = table.keys(rules)
-    stamps, stamp_id = np.unique(table.ts, return_inverse=True)
-    stamps = [iso(t) for t in stamps.tolist()]
+    dates, day, secs, clock = _day_clock(table.ts, lambda t: iso(t)[:-9])
     names = [n.name for n in table.nodes]
     with topen(path, "w") as fh:
         fh.write(f"#pars-lite v{rules.version}\n")
-        rows = zip(stamp_id.tolist(), table.node.tolist(), key_id.tolist())
-        fh.writelines(f"{stamps[t]}\t{names[n]}\t{keys[k]}\n"
-                      for t, n, k in rows)
+        _write_rows(fh, lambda d, s, n, k:
+                    f"{dates[d]}{clock[s]}Z\t{names[n]}\t{keys[k]}\n",
+                    day, secs, table.node, key_id)
 
 
 def read_anonymized_table(path):

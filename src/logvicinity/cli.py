@@ -281,8 +281,7 @@ def cmd_detect_anomalies(args) -> int:
         cv_threshold=args.cv_threshold)
 
     sweep = run.sweep
-    flagged = sum(1 for res in sweep.results
-                  for v in res.verdict if v != "normal")
+    flagged = int((sweep.code != 0).sum())
     if args.output:
         _atomic_write(args.output, lambda tmp: write_verdicts(sweep, tmp))
     if args.events:

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from itertools import compress
 
 import numpy as np
 
-from .model import EventTable, iso, topen
+from .model import EventTable, _write_rows, iso, topen
 
 DEFAULT_WINDOW = 1800  # seconds of log history per observation
 DEFAULT_CADENCE = 600  # seconds between observation moments
@@ -236,9 +237,57 @@ def detect_abnormal(sgs, report: ThresholdReport, at: int = 0,
 
 @dataclass
 class SweepResult:
-    results: list = field(default_factory=list)
-    skipped_groups: list = field(default_factory=list)  # (group, size), once each
-    moments: list = field(default_factory=list)
+    """A sweep's verdicts in columns, one cell per judged (moment, group).
+
+    Cell c judged group group[c] at moment at[c]. Its node-moments are the
+    rows offset[c]:offset[c + 1] of the per-row arrays, in the group's
+    sorted node order. groups[g] is group g's (name, sorted NodeIds) and
+    nodes[i] node i's NodeId; nodes is sorted, so node ids order as
+    NodeIds do.
+    """
+    at: np.ndarray  # per cell: the moment
+    group: np.ndarray  # per cell: index into groups
+    c_minor: np.ndarray  # per cell: the cluster centres, wcss and tau
+    c_major: np.ndarray
+    wcss: np.ndarray
+    tau: np.ndarray
+    offset: np.ndarray  # cells + 1 row offsets
+    node: np.ndarray  # per row: index into nodes
+    sg: np.ndarray  # per row: the window count
+    code: np.ndarray  # per row: index into VERDICTS
+    minority: np.ndarray  # per row: in the smaller cluster
+    groups: list
+    nodes: list
+    skipped_groups: list  # (group, size), once each
+    moments: list  # every distinct moment of the schedule, sorted
+
+    @property
+    def results(self) -> CellViews:
+        """The cells as a read-only sequence of DetectionResult views."""
+        return CellViews(self)
+
+
+class CellViews(Sequence):
+    """A sweep's cells, each read as a DetectionResult built on access."""
+
+    def __init__(self, sweep: SweepResult):
+        self._sweep = sweep
+
+    def __len__(self) -> int:
+        return len(self._sweep.at)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i = range(len(self))[i]
+        s = self._sweep
+        a, b = s.offset[i:i + 2].tolist()
+        name, nodes = s.groups[s.group[i]]
+        minority = frozenset(compress(nodes, s.minority[a:b].tolist()))
+        report = ThresholdReport(float(s.c_minor[i]), float(s.c_major[i]),
+                                 float(s.wcss[i]), float(s.tau[i]), minority)
+        return DetectionResult(int(s.at[i]), name, nodes, s.sg[a:b].tolist(),
+                               VERDICT_NAMES[s.code[a:b]].tolist(), report)
 
 
 def observation_moments(start: int, end: int,
@@ -253,63 +302,59 @@ def sweep_schedule(index: SGIndex, schedule,
                    tau_min: float = DEFAULT_TAU_MIN) -> SweepResult:
     """Judge each (assignment, moments) pair's usable groups at its moments.
 
-    Results come in schedule order: moment by moment, group by group. The
+    Cells come in schedule order: moment by moment, group by group. The
     counts come from one node x moment SG matrix, and the cells of each
     group size are split in one batch. Undersized groups go to
     skipped_groups once per name, in first-seen order.
     """
-    sweep = SweepResult()
-    seen: set = set()
-    moments: set = set()
-    rows: dict = {}  # NodeId -> SG matrix row
-    groups = []  # (name, sorted nodes, their matrix rows)
-    cells = []  # (index into groups, moment), in result order
+    skipped, seen, moments = [], set(), set()
+    groups = []  # (name, sorted nodes)
+    # per schedule entry; an empty first piece keeps np.concatenate valid
+    cell_at, cell_group = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
     for assignment, ats in schedule:
         usable = []
         for name, group in zip(assignment.group_names, assignment.groups):
             if len(group) >= MIN_GROUP_SIZE:
-                nodes = tuple(sorted(group))
                 usable.append(len(groups))
-                groups.append((name, nodes,
-                               [rows.setdefault(n, len(rows)) for n in nodes]))
+                groups.append((name, tuple(sorted(group))))
             elif name not in seen:
                 seen.add(name)
-                sweep.skipped_groups.append((name, len(group)))
+                skipped.append((name, len(group)))
         moments.update(ats)
-        cells.extend((g, at) for at in ats for g in usable)
-    sweep.moments = sorted(moments)
-    if not cells:
-        return sweep
+        ats = np.asarray(ats, dtype=np.int64)
+        cell_at.append(np.repeat(ats, len(usable)))
+        cell_group.append(np.tile(np.asarray(usable, dtype=np.int64),
+                                  len(ats)))
+    moments = sorted(moments)
+    nodes = sorted({node for _, members in groups for node in members})
+    node_id = {node: i for i, node in enumerate(nodes)}
+    at, group = np.concatenate(cell_at), np.concatenate(cell_group)
+    sizes = np.array([len(members) for _, members in groups], dtype=np.int64)
+    cell_size = sizes[group]
+    offset = np.zeros(len(at) + 1, dtype=np.int64)
+    np.cumsum(cell_size, out=offset[1:])
+    c_minor, c_major, wcss, tau = (np.zeros(len(at)) for _ in range(4))
+    rows = int(offset[-1])
+    node, sg = np.zeros(rows, np.int64), np.zeros(rows, np.int64)
+    code, minority = np.zeros(rows, np.int8), np.zeros(rows, bool)
 
-    matrix = index.matrix(list(rows), sweep.moments, window)
-    column = {at: j for j, at in enumerate(sweep.moments)}
-    cell_group = np.array([g for g, _ in cells])
-    cell_column = np.array([column[at] for _, at in cells])
-    sizes = np.array([len(nodes) for _, nodes, _ in groups])
-    cell_size = sizes[cell_group]
+    matrix = index.matrix(nodes, moments, window)
+    column = np.searchsorted(np.asarray(moments, dtype=np.int64), at)
     slot = np.zeros(len(groups), dtype=np.int64)  # group -> row of its table
-    results = [None] * len(cells)
-    for n in np.unique(sizes).tolist():
+    for n in np.unique(cell_size).tolist():
         sized = np.flatnonzero(sizes == n)
         slot[sized] = np.arange(len(sized))
-        table = np.array([groups[g][2] for g in sized.tolist()])  # matrix rows
+        table = np.array([[node_id[x] for x in groups[g][1]]
+                          for g in sized.tolist()], dtype=np.int64)
         picked = np.flatnonzero(cell_size == n)  # the cells of size n
-        sg = matrix[table[slot[cell_group[picked]]],
-                    cell_column[picked][:, None]]
-        c_minor, c_major, wcss, tau, minority, codes = split_groups(
-            sg, alpha, tau_min)
-        for c, sg_row, verdict_row, cmin, cmaj, w, t, mask in zip(
-                picked.tolist(), sg.tolist(), VERDICT_NAMES[codes].tolist(),
-                c_minor.tolist(), c_major.tolist(), wcss.tolist(),
-                tau.tolist(), minority.tolist()):
-            g, at = cells[c]
-            name, nodes, _ = groups[g]
-            report = ThresholdReport(cmin, cmaj, w, t,
-                                     frozenset(compress(nodes, mask)))
-            results[c] = DetectionResult(at, name, nodes, sg_row, verdict_row,
-                                         report)
-    sweep.results = results
-    return sweep
+        ids = table[slot[group[picked]]]
+        counts = matrix[ids, column[picked][:, None]]
+        (c_minor[picked], c_major[picked], wcss[picked], tau[picked],
+         mask, codes) = split_groups(counts, alpha, tau_min)
+        row = offset[picked][:, None] + np.arange(n)
+        node[row], sg[row], code[row], minority[row] = ids, counts, codes, mask
+    return SweepResult(at, group, c_minor, c_major, wcss, tau, offset, node,
+                       sg, code, minority, groups, nodes, skipped, moments)
 
 
 def run_detection(index: SGIndex, assignment, obs_range,
@@ -420,9 +465,14 @@ def filter_frequent_anonymized(entries, percentile: float = DEFAULT_PERCENTILE,
 
 
 def write_verdicts(sweep: SweepResult, path) -> None:
+    """One `time group node verdict sg tau` TSV line per node-moment."""
+    stamps = {at: iso(at) for at in sweep.moments}
+    heads = [f"{stamps[at]}\t{sweep.groups[g][0]}\t" for at, g in
+             zip(sweep.at.tolist(), sweep.group.tolist())]
+    tails = [f"\t{tau:.3f}\n" for tau in sweep.tau.tolist()]
+    names = [node.name for node in sweep.nodes]
+    cell = np.repeat(np.arange(len(heads)), np.diff(sweep.offset))
     with topen(path, "w") as fh:
-        for res in sweep.results:
-            for node, verdict, sg in zip(res.nodes, res.verdict, res.sg):
-                fh.write(f"{iso(res.at)}\t{res.group}\t{node.name}\t"
-                         f"{verdict}\t{sg}\t{res.threshold.tau:.3f}\n")
-
+        _write_rows(fh, lambda c, n, v, sg:
+                    f"{heads[c]}{names[n]}\t{VERDICTS[v]}\t{sg}{tails[c]}",
+                    cell, sweep.node, sweep.code, sweep.sg)

@@ -448,23 +448,43 @@ class EventTable:
                           self.nodes, self.messages, self.tags)
 
 
+def _day_clock(ts, day_text):
+    """Epoch seconds split for the writers: (texts, day, second, clock).
+
+    texts holds day_text(midnight) of each distinct day, day each row's
+    index into texts, second its second of the day, and clock the
+    "HH:MM:SS" of every second of a day.
+    """
+    day, second = np.divmod(ts, 86400)
+    days, day = np.unique(day, return_inverse=True)
+    clock = [f"{h:02d}:{m:02d}:{s:02d}"
+             for h in range(24) for m in range(60) for s in range(60)]
+    return [day_text(d * 86400) for d in days.tolist()], day, second, clock
+
+
+_CHUNK = 1 << 16  # rows converted and formatted per write
+
+
+def _write_rows(fh, line, *columns) -> None:
+    """Write line(*row) for every row of equal-length array columns, a
+    slice of _CHUNK rows at a time."""
+    for a in range(0, len(columns[0]), _CHUNK):
+        fh.writelines(map(line, *(c[a:a + _CHUNK].tolist() for c in columns)))
+
+
 def write_syslog(table: EventTable, path) -> None:
     """Write a raw table's rows as format_syslog_line lines; each day's
     "Mon DD", each second's "HH:MM:SS", each node name and each message
     text is formatted once."""
-    day, secs = np.divmod(table.ts, 86400)
-    days, day_of = np.unique(day, return_inverse=True)
-    dates = [format_bsd_time(d * 86400)[:6] for d in days.tolist()]
-    clock = [f"{h:02d}:{m:02d}:{s:02d}"
-             for h in range(24) for m in range(60) for s in range(60)]
+    dates, day, secs, clock = _day_clock(
+        table.ts, lambda t: format_bsd_time(t)[:6])
     names = [n.name for n in table.nodes]
     texts = [f"{t}: {m}" if t else m
              for t, m in zip(table.tags, table.messages)]
-    rows = zip(day_of.tolist(), secs.tolist(), table.node.tolist(),
-               table.msg.tolist())
     with topen(path, "w") as fh:
-        fh.writelines(f"{dates[d]} {clock[s]} {names[n]} {texts[m]}\n"
-                      for d, s, n, m in rows)
+        _write_rows(fh, lambda d, s, n, m:
+                    f"{dates[d]} {clock[s]} {names[n]} {texts[m]}\n",
+                    day, secs, table.node, table.msg)
 
 
 def topen(path, mode="rt"):

@@ -13,7 +13,7 @@ from .anonymize import SubstitutionRuleSet
 from .classify import DEFAULT_CORRELATION_WINDOW, classify_all
 from .detect import (CV_THRESHOLD, DEFAULT_ALPHA, DEFAULT_CADENCE,
                      DEFAULT_PERCENTILE, DEFAULT_TAU_MIN, DEFAULT_WINDOW,
-                     SGIndex, SweepResult, frequent_key_mask,
+                     VERDICTS, SGIndex, SweepResult, frequent_key_mask,
                      frequent_template_mask, observation_moments,
                      run_detection, sweep_schedule)
 from .model import EventTable, iso, parse_iso, parse_node_name, topen
@@ -81,34 +81,38 @@ def extract_events(sweep: SweepResult, index: SGIndex,
     moment; a run that only deviated is anchored at the last entry at or
     before the first flagged moment.
     """
-    flagged: dict = {}
-    for res in sweep.results:
-        for node, verdict in zip(res.nodes, res.verdict):
-            if verdict != "normal":
-                flagged.setdefault(node, []).append((res.at, verdict))
-
     span = (max_gap_moments + 1) * cadence
+    flagged = np.flatnonzero(sweep.code)
+    if not len(flagged):
+        return []
+    cell = np.searchsorted(sweep.offset, flagged, side="right") - 1
+    triples = np.stack([sweep.node[flagged], sweep.at[cell],
+                        sweep.code[flagged]])
+    triples = triples[:, np.lexsort(triples[::-1])]
+    repeat = np.zeros(len(flagged), dtype=bool)
+    repeat[1:] = (np.diff(triples, axis=1) == 0).all(axis=0)
+    node, at, code = triples[:, ~repeat]
+    # a run starts at a new node or after a gap longer than span
+    start = np.ones(len(at), dtype=bool)
+    start[1:] = (node[1:] != node[:-1]) | (np.diff(at) > span)
+    first = np.flatnonzero(start)
+    last = np.append(first[1:], len(at)) - 1
+    # a silent run is probed at its last zero moment, one that only
+    # deviated just after its first flagged moment
+    zero = code == VERDICTS.index("non_responsive")
+    run_of = np.cumsum(start)[zero] - 1
+    silent = np.bincount(run_of, minlength=len(first)) > 0
+    last_zero = np.zeros(len(first), dtype=np.int64)
+    np.maximum.at(last_zero, run_of, at[zero])
+    probe = np.where(silent, last_zero, at[first] + 1)
+
     events = []
-    for node in sorted(flagged):
-        moments = sorted(set(flagged[node]))
-        runs, run = [], [moments[0]]
-        for item in moments[1:]:
-            if item[0] - run[-1][0] > span:
-                runs.append(run)
-                run = [item]
-            else:
-                run.append(item)
-        runs.append(run)
-        for run in runs:
-            zeros = [at for at, v in run if v == "non_responsive"]
-            if zeros:
-                anchor = index.last_entry_before(node, zeros[-1])
-            else:
-                anchor = index.last_entry_before(node, run[0][0] + 1)
-            if anchor is None:
-                continue
-            events.append(ExtractedEvent(node, anchor, run[0][0], run[-1][0],
-                                         bool(zeros)))
+    for n, t, a, b, s in zip(node[first].tolist(), probe.tolist(),
+                             at[first].tolist(), at[last].tolist(),
+                             silent.tolist()):
+        anchor = index.last_entry_before(sweep.nodes[n], t)
+        if anchor is not None:
+            events.append(ExtractedEvent(sweep.nodes[n], anchor, a, b, s))
     events.sort(key=lambda e: (e.outage_time, e.node))
     return events
 

@@ -1,11 +1,16 @@
 """Independent reference implementations used to pin expected values.
 
 Deliberately naive: plain loops, no shared code with the package internals.
+columnar_sweep, at the end, builds a sweep from hand-written cells.
 """
 
 import calendar
 import math
 from datetime import datetime, timezone
+
+import numpy as np
+
+from logvicinity.detect import VERDICTS, SweepResult
 
 
 def naive_two_means(values):
@@ -68,6 +73,60 @@ def brute_window_count(entries, node, at, window):
         if e.node == node and at - window <= e.timestamp < at:
             total += 1
     return total
+
+
+def reference_extract_events(sweep, index, cadence, max_gap_moments):
+    """Events of a sweep by the plain per-node loop over its cells.
+
+    Per node, its distinct (moment, verdict) flags in order form runs
+    split where consecutive flags lie more than (max_gap_moments + 1)
+    cadences apart. A run with a non_responsive flag is anchored at the
+    node's last entry before its last such moment, any other run at its
+    last entry at or before its first moment; unanchorable runs drop.
+    Returns (node, anchor, first, last, silent) tuples ordered by
+    (anchor, node), runs of one node in time order.
+    """
+    flagged = {}
+    for res in sweep.results:
+        for node, verdict in zip(res.nodes, res.verdict):
+            if verdict != "normal":
+                flagged.setdefault(node, []).append((res.at, verdict))
+
+    span = (max_gap_moments + 1) * cadence
+    events = []
+    for node in sorted(flagged):
+        moments = sorted(set(flagged[node]))
+        runs, run = [], [moments[0]]
+        for item in moments[1:]:
+            if item[0] - run[-1][0] > span:
+                runs.append(run)
+                run = [item]
+            else:
+                run.append(item)
+        runs.append(run)
+        for run in runs:
+            zeros = [at for at, v in run if v == "non_responsive"]
+            if zeros:
+                anchor = index.last_entry_before(node, zeros[-1])
+            else:
+                anchor = index.last_entry_before(node, run[0][0] + 1)
+            if anchor is None:
+                continue
+            events.append((node, anchor, run[0][0], run[-1][0], bool(zeros)))
+    events.sort(key=lambda e: (e[1], e[0]))
+    return events
+
+
+def reference_verdict_lines(sweep):
+    """The verdict TSV lines of a sweep, one cell at a time."""
+    out = []
+    for res in sweep.results:
+        stamp = datetime.fromtimestamp(res.at, tz=timezone.utc).strftime(
+            "%Y-%m-%dT%H:%M:%SZ")
+        for node, verdict, sg in zip(res.nodes, res.verdict, res.sg):
+            out.append(f"{stamp}\t{res.group}\t{node.name}\t"
+                       f"{verdict}\t{sg}\t{res.threshold.tau:.3f}\n")
+    return out
 
 
 def bipartite_max_matching(detections, truth, tolerance):
@@ -211,3 +270,28 @@ def naive_key_filter(entries, percentile, cv_threshold, min_arrivals=5):
         if median < cv_threshold:
             dropped.add(key)
     return sorted(dropped)
+
+
+def columnar_sweep(cells):
+    """A SweepResult from hand-written cells, one row per listed node.
+
+    cells: [(at, group name, {NodeId: verdict})], in result order. A
+    non_responsive node gets SG 0 and every other node SG 1; the cluster
+    numbers are 0 and the minority is the flagged nodes.
+    """
+    nodes = sorted({node for _, _, verdicts in cells for node in verdicts})
+    groups, node, code = [], [], []
+    for at, name, verdicts in cells:
+        members = tuple(sorted(verdicts))
+        groups.append((name, members))
+        node += [nodes.index(n) for n in members]
+        code += [VERDICTS.index(verdicts[n]) for n in members]
+    code = np.array(code, dtype=np.int8)
+    zeros = np.zeros(len(cells))
+    offset = np.cumsum([0] + [len(g[1]) for g in groups])
+    return SweepResult(
+        np.array([c[0] for c in cells], dtype=np.int64),
+        np.arange(len(cells)), zeros, zeros, zeros, zeros, offset,
+        np.array(node, dtype=np.int64),
+        (code != VERDICTS.index("non_responsive")).astype(np.int64), code,
+        code != 0, groups, nodes, [], sorted({c[0] for c in cells}))

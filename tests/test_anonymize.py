@@ -4,7 +4,7 @@ from logvicinity.anonymize import (AnonymizedEntry, SubstitutionRuleSet,
                                    anonymize_stream, fnv1a_32, load_rules,
                                    read_anonymized, save_rules,
                                    write_anonymized)
-from logvicinity.model import LogEntry, NodeId
+from logvicinity.model import LogEntry, NodeId, iso, to_epoch
 
 # Variants of the same underlying events; which rows must share a template
 # is the core contract of the substitution pass.
@@ -123,6 +123,25 @@ def test_write_read_anonymized_roundtrip(tmp_path, suffix):
     loaded, version = read_anonymized(path)
     assert version == rules.version
     assert loaded == anon
+
+
+def test_write_anonymized_rows_are_iso_node_key(tmp_path):
+    """Each row is (iso(timestamp), node name, key), across midnights, a
+    new year and the epoch."""
+    rules = SubstitutionRuleSet()
+    nodes = [NodeId(1, 0, 0), NodeId(2, 1, 3)]
+    new_year = to_epoch(2024, 1, 1, 0, 0, 0)
+    stamps = [-86401, -1, 0, new_year - 1, new_year, new_year + 59,
+              new_year + 3599, new_year + 86399, new_year + 86400,
+              to_epoch(2024, 2, 29, 12, 34, 56)]
+    entries = [LogEntry(t, nodes[i % 2], "CRON",
+                        CRON_SAMPLE[i % len(CRON_SAMPLE)])
+               for i, t in enumerate(stamps)]
+    path = tmp_path / "anon.txt"
+    write_anonymized(entries, path, rules)
+    assert path.read_text().splitlines() == [f"#pars-lite v{rules.version}"] + [
+        f"{iso(a.timestamp)}\t{a.node.name}\t{a.key}"
+        for a in anonymize_stream(entries, rules)]
 
 
 def test_anonymized_file_leaks_no_message_text(tmp_path):

@@ -10,8 +10,7 @@ import pytest
 from logvicinity.anonymize import AnonymizedEntry, read_anonymized
 from logvicinity.cli import main
 from logvicinity.datasources import JobRecord, MaintenanceWindow, Scope
-from logvicinity.detect import (MIN_GROUP_SIZE, DetectionResult, SGIndex,
-                                SweepResult, observation_moments,
+from logvicinity.detect import (MIN_GROUP_SIZE, SGIndex, observation_moments,
                                 run_detection, sweep_schedule, write_verdicts)
 from logvicinity.model import (LogEntry, NodeId, ObservationRange, Topology,
                                format_syslog_line, parse_iso,
@@ -33,19 +32,10 @@ def _index(ts, node=X):
     return SGIndex([LogEntry(int(t), node, "t", "m") for t in ts])
 
 
-def _result(at, verdicts):
-    """A DetectionResult from a NodeId -> verdict dict in sorted node order."""
-    return DetectionResult(at, "g", tuple(verdicts), [None] * len(verdicts),
-                           list(verdicts.values()), None)
-
-
 def _sweep(moment_verdicts, node=X):
     """moment_verdicts: [(at, verdict)] for a single node."""
-    sweep = SweepResult()
-    for at, verdict in moment_verdicts:
-        sweep.results.append(_result(at, {node: verdict}))
-        sweep.moments.append(at)
-    return sweep
+    return oracles.columnar_sweep([(at, "g", {node: verdict})
+                                   for at, verdict in moment_verdicts])
 
 
 def test_extract_abnormal_run_anchor():
@@ -86,9 +76,8 @@ def test_extract_skips_unanchorable_runs():
 def test_extract_keeps_nodes_separate():
     entries = [LogEntry(t, n, "t", "m") for n in (X, Y) for t in (100, 2500)]
     idx = SGIndex(entries)
-    sweep = SweepResult()
-    sweep.results.append(_result(3000, {X: "abnormal", Y: "normal"}))
-    sweep.results.append(_result(3600, {X: "normal", Y: "abnormal"}))
+    sweep = oracles.columnar_sweep([(3000, "g", {X: "abnormal", Y: "normal"}),
+                                    (3600, "g", {X: "normal", Y: "abnormal"})])
     events = extract_events(sweep, idx, cadence=600)
     assert {(e.node, e.first_flagged) for e in events} == {(X, 3000), (Y, 3600)}
 
@@ -224,11 +213,12 @@ def test_window_longer_than_range_gives_no_moments():
     index = _job_index()
     asg = VicinityAssignment("combined", [frozenset(JOB_NODES)], ["all"])
     sweep = run_detection(index, asg, JOB_RANGE, window=JOB_RANGE.end + 1)
-    assert (sweep.moments, sweep.results) == ([], [])
+    assert (sweep.moments, list(sweep.results)) == ([], [])
     sweep = sweep_perspective(index, "allocation", None, JOB_RANGE,
                               jobs=[_job("j1", JOB_NODES)],
                               window=JOB_RANGE.end + 1)
-    assert (sweep.moments, sweep.results, sweep.skipped_groups) == ([], [], [])
+    assert (sweep.moments, list(sweep.results),
+            sweep.skipped_groups) == ([], [], [])
 
 
 def test_silent_group_node_and_minimum_group_size():

@@ -1,0 +1,178 @@
+"""The columnar sweep, its cell views, event extraction and the verdict
+writer, checked against the per-cell loops in oracles.py."""
+
+from types import SimpleNamespace
+
+import oracles
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from logvicinity.detect import (SGIndex, detect_abnormal, deviation_threshold,
+                                observation_moments, write_verdicts)
+from logvicinity.model import LogEntry, NodeId, ObservationRange
+from logvicinity.pipeline import extract_events, sweep_perspective
+from logvicinity.vicinity import (allocation_vicinity, combined_vicinity,
+                                  hardware_vicinity, location_vicinity,
+                                  time_of_failure_vicinity)
+
+CADENCE = 600
+N = [NodeId(1, 0, p) for p in range(6)]
+
+
+def _tuples(events):
+    return [(e.node, e.outage_time, e.first_flagged, e.last_flagged,
+             e.non_responsive) for e in events]
+
+
+def _index(spec):
+    """spec: {node: [timestamps]}."""
+    return SGIndex([LogEntry(t, node, "t", "m")
+                    for node, ts in spec.items() for t in ts])
+
+
+def _chained_failures(corpus, obs_range):
+    """Regular failures of four nodes at a time, a few hours apart, so
+    that every failure chain is a usable group."""
+    nodes = corpus.topology.nodes
+    return [SimpleNamespace(node=nodes[(7 * k + j) % len(nodes)],
+                            outage_time=obs_range.start + (k + 1) * 10800 + 60 * j,
+                            label="regular_failure")
+            for k in range(12) for j in range(4)]
+
+
+def _schedule(perspective, corpus, obs_range, failures, window):
+    """(moment, assignment) per moment, as the sweep should judge them."""
+    static = {"hardware": hardware_vicinity, "location": location_vicinity,
+              "combined": combined_vicinity}
+    if perspective == "time_of_failure":
+        return [(asg.at, asg) for asg in time_of_failure_vicinity(failures)]
+    moments = observation_moments(obs_range.start, obs_range.end, CADENCE,
+                                  window)
+    if perspective == "allocation":
+        return [(at, allocation_vicinity(corpus.truth.jobs, at))
+                for at in moments]
+    asg = static[perspective](corpus.topology)
+    return [(at, asg) for at in moments]
+
+
+@pytest.mark.parametrize("perspective", ["combined", "hardware", "location",
+                                         "allocation", "time_of_failure"])
+def test_sweep_matches_the_per_cell_loops(perspective, corpus, tmp_path):
+    obs_range = ObservationRange(corpus.range.start,
+                                 corpus.range.start + 2 * 86400)
+    index = SGIndex(corpus.entries)
+    failures = _chained_failures(corpus, obs_range)
+    window = 900
+    sweep = sweep_perspective(index, perspective, corpus.topology, obs_range,
+                              jobs=corpus.truth.jobs, failures=failures,
+                              window=window)
+
+    # every cell, in schedule order, equals its group's row split alone
+    cells = [(at, name, tuple(sorted(group)))
+             for at, asg in _schedule(perspective, corpus, obs_range,
+                                      failures, window)
+             for name, group in zip(asg.group_names, asg.groups)
+             if len(group) >= 3]
+    assert len(sweep.results) == len(cells) > 0
+    for res, (at, name, nodes) in zip(sweep.results, cells):
+        sgs = {n: index.count(n, at, window) for n in nodes}
+        assert res == detect_abnormal(sgs, deviation_threshold(sgs), at, name)
+
+    flagged = sum(v != "normal" for r in sweep.results for v in r.verdict)
+    assert int((sweep.code != 0).sum()) == flagged > 0
+    assert _tuples(extract_events(sweep, index, CADENCE)) == \
+        oracles.reference_extract_events(sweep, index, CADENCE, 3)
+    path = tmp_path / "verdicts.tsv"
+    write_verdicts(sweep, path)
+    assert path.read_text().splitlines(keepends=True) == \
+        oracles.reference_verdict_lines(sweep)
+
+
+@pytest.mark.parametrize("max_gap", [0, 1, 3])
+def test_runs_split_one_moment_past_the_gap_limit(max_gap):
+    index = _index({N[0]: [100], N[1]: [100]})
+    limit = (max_gap + 1) * CADENCE  # max_gap unflagged moments between
+    sweep = oracles.columnar_sweep(
+        [(3000, "g", {N[0]: "abnormal", N[1]: "abnormal"}),
+         (3000 + limit, "g", {N[0]: "abnormal", N[1]: "normal"}),
+         (3000 + limit + CADENCE, "g", {N[0]: "normal", N[1]: "abnormal"})])
+    events = extract_events(sweep, index, CADENCE, max_gap)
+    assert _tuples(events) == oracles.reference_extract_events(
+        sweep, index, CADENCE, max_gap)
+    assert sorted((e.node, e.first_flagged, e.last_flagged)
+                  for e in events) == [
+        (N[0], 3000, 3000 + limit),
+        (N[1], 3000, 3000), (N[1], 3000 + limit + CADENCE,
+                             3000 + limit + CADENCE)]
+
+
+def test_silent_and_unanchorable_runs():
+    index = _index({N[0]: [100, 2500, 4000, 9000], N[1]: [100],
+                    N[2]: [20000]})
+    cells = [(3000, "g", {N[0]: "abnormal", N[1]: "non_responsive",
+                          N[2]: "abnormal"}),
+             (3600, "g", {N[0]: "non_responsive", N[1]: "abnormal",
+                          N[2]: "normal"}),
+             # the same moment judged in a second group
+             (3600, "h", {N[0]: "abnormal", N[1]: "non_responsive",
+                          N[2]: "normal"}),
+             (4800, "g", {N[0]: "non_responsive", N[1]: "normal",
+                          N[2]: "normal"}),
+             (12000, "g", {N[0]: "abnormal", N[1]: "normal",
+                           N[2]: "normal"})]
+    sweep = oracles.columnar_sweep(cells)
+    events = extract_events(sweep, index, CADENCE)
+    assert _tuples(events) == oracles.reference_extract_events(
+        sweep, index, CADENCE, 3)
+    # a run ending silent anchors before its last zero moment; N[2] has
+    # no entry before its run, so it has no event
+    assert _tuples(events) == [(N[1], 100, 3000, 3600, True),
+                               (N[0], 4000, 3000, 4800, True),
+                               (N[0], 9000, 12000, 12000, False)]
+
+
+def test_no_flags_no_events():
+    sweep = oracles.columnar_sweep([(3000, "g", {N[0]: "normal"})])
+    assert extract_events(sweep, _index({N[0]: [100]}), CADENCE) == []
+    assert extract_events(oracles.columnar_sweep([]), _index({}),
+                          CADENCE) == []
+
+
+@st.composite
+def flag_patterns(draw):
+    """(cells, entries, max_gap): flags on up to four nodes whose gaps
+    cluster around the bridging limit, some moments judged twice."""
+    max_gap = draw(st.integers(0, 3))
+    nodes = N[:draw(st.integers(1, 4))]
+    steps = st.sampled_from([0, 1, max_gap, max_gap + 1, max_gap + 2,
+                             max_gap + 3])
+    flags = {}  # moment -> {node: verdict}
+    for node in nodes:
+        m = draw(st.integers(0, 3))
+        for step in draw(st.lists(steps, max_size=8)):
+            m += step
+            verdict = draw(st.sampled_from(["abnormal", "non_responsive"]))
+            flags.setdefault(m, {})[node] = verdict
+    cells = []
+    for m in sorted(flags):
+        verdicts = {n: flags[m].get(n, "normal") for n in nodes}
+        cells.append((1800 + m * CADENCE, "g", verdicts))
+        if draw(st.booleans()):
+            again = {n: draw(st.sampled_from(["normal", "abnormal",
+                                              "non_responsive"]))
+                     for n in nodes}
+            cells.append((1800 + m * CADENCE, "h", again))
+    last = 1800 + (max(flags, default=0) + 2) * CADENCE
+    entries = {n: draw(st.lists(st.integers(0, last), max_size=6))
+               for n in nodes}
+    return cells, entries, max_gap
+
+
+@settings(max_examples=300, deadline=None)
+@given(flag_patterns())
+def test_extract_events_equals_the_reference_loop(pattern):
+    cells, entries, max_gap = pattern
+    sweep, index = oracles.columnar_sweep(cells), _index(entries)
+    assert _tuples(extract_events(sweep, index, CADENCE, max_gap)) == \
+        oracles.reference_extract_events(sweep, index, CADENCE, max_gap)
