@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import re
 
-from .model import (AnonymizedEntry, EventTable, _day_clock, _write_rows,
-                    iso, parse_iso, parse_node_name, topen)
+from .model import (EventTable, _day_clock, _format_rows, iso, parse_iso,
+                    parse_node_name, topen)
 
 RULE_VERSION = "1"
 
@@ -69,11 +69,20 @@ def fnv1a_32(text: str) -> str:
     return f"{h:08x}"
 
 
-def anonymize_stream(entries, rules: SubstitutionRuleSet):
-    """Key each entry's message; entries that carry a key pass through."""
-    for e in entries:
-        yield e if isinstance(e, AnonymizedEntry) else AnonymizedEntry(
-            e.timestamp, e.node, rules.key(e.message))
+def anonymize_stream(table: EventTable, rules: SubstitutionRuleSet):
+    """Yield the pars-lite line of each table row: ISO time, node name and
+    key, tab-separated.
+
+    A keyed table's keys pass through. Each distinct message is keyed
+    once, and each day's "YYYY-MM-DDT" and each second's "HH:MM:SS" is
+    formatted once.
+    """
+    key_id, keys = table.keys(rules)
+    dates, day, secs, clock = _day_clock(table.ts, lambda t: iso(t)[:-9])
+    names = [n.name for n in table.nodes]
+    yield from _format_rows(
+        lambda d, s, n, k: f"{dates[d]}{clock[s]}Z\t{names[n]}\t{keys[k]}\n",
+        day, secs, table.node, key_id)
 
 
 def load_rules(path) -> SubstitutionRuleSet:
@@ -102,24 +111,15 @@ def save_rules(rules: SubstitutionRuleSet, path) -> None:
             fh.write(f"{pattern}\t{token}\n")
 
 
-def write_anonymized(entries, path, rules: SubstitutionRuleSet) -> None:
-    """Write a pars-lite file: one (ISO time, node, key) row per entry.
-
-    entries may be an EventTable. Each day's "YYYY-MM-DDT" and each
-    second's "HH:MM:SS" is formatted once.
-    """
-    table = EventTable.of(entries)
-    key_id, keys = table.keys(rules)
-    dates, day, secs, clock = _day_clock(table.ts, lambda t: iso(t)[:-9])
-    names = [n.name for n in table.nodes]
+def write_anonymized(table: EventTable, path,
+                     rules: SubstitutionRuleSet) -> None:
+    """Write a pars-lite file: a version line, then anonymize_stream's rows."""
     with topen(path, "w") as fh:
         fh.write(f"#pars-lite v{rules.version}\n")
-        _write_rows(fh, lambda d, s, n, k:
-                    f"{dates[d]}{clock[s]}Z\t{names[n]}\t{keys[k]}\n",
-                    day, secs, table.node, key_id)
+        fh.writelines(anonymize_stream(table, rules))
 
 
-def read_anonymized_table(path):
+def read_anonymized(path):
     """Load a pars-lite file as a keyed EventTable; returns (table, version).
 
     A row needs exactly 3 tab-separated fields and a key of 8 lowercase hex
@@ -168,9 +168,3 @@ def read_anonymized_table(path):
             node.append(n)
             msg.append(k)
     return EventTable(ts, node, msg, list(node_ix), keys), version
-
-
-def read_anonymized(path):
-    """Load an anonymized corpus file; returns (entries, rule_version)."""
-    table, version = read_anonymized_table(path)
-    return table.entries(), version

@@ -10,8 +10,8 @@ from datetime import datetime, timezone
 from importlib.resources import files as resource_files
 
 from . import __version__
-from .anonymize import (SubstitutionRuleSet, load_rules,
-                        read_anonymized_table, write_anonymized)
+from .anonymize import (SubstitutionRuleSet, load_rules, read_anonymized,
+                        write_anonymized)
 from .classify import (LABELS, classify_all, load_classified,
                        write_classified)
 from .datasources import load_job_report, load_maintenance, load_outage_db
@@ -121,7 +121,7 @@ def _read_raw(args, topology=None):
 def _read_stream(args, topology=None) -> EventTable:
     """Raw or anonymized corpus, according to --anonymized."""
     if getattr(args, "anonymized", False):
-        table, _version = read_anonymized_table(args.corpus)
+        table, _version = read_anonymized(args.corpus)
         return table
     table, _stats = _read_raw(args, topology)
     return table

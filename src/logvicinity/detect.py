@@ -9,7 +9,7 @@ from itertools import compress
 
 import numpy as np
 
-from .model import EventTable, _write_rows, iso, topen
+from .model import EventTable, _format_rows, iso, topen
 
 DEFAULT_WINDOW = 1800  # seconds of log history per observation
 DEFAULT_CADENCE = 600  # seconds between observation moments
@@ -25,16 +25,10 @@ VERDICTS = ("normal", "abnormal", "non_responsive")
 VERDICT_NAMES = np.array(VERDICTS, dtype=object)  # verdict code -> name
 
 
-class GroupTooSmall(ValueError):
-    """Vicinity group has fewer than MIN_GROUP_SIZE usable observations."""
-
-
 class SGIndex:
     """Per-node sorted timestamp index answering half-open window counts."""
 
-    def __init__(self, events):
-        """Index an EventTable, or a list of entries."""
-        table = EventTable.of(events)
+    def __init__(self, table: EventTable):
         # one int64 key per row, the node id above the seconds since the
         # earliest row: sorting the keys in place groups rows by node with
         # ascending times, and masking the node off leaves those times
@@ -122,13 +116,6 @@ def kmeans_1d_2(values):
     return assign, (c_lo, c_hi), best_wcss
 
 
-def _verdict_codes(sg, minority, c_major, tau):
-    """Indexes into VERDICTS: a zero SG is non_responsive, a minority
-    member farther than tau from the majority centre is abnormal."""
-    far = minority & (np.abs(sg - c_major[:, None]) > tau[:, None])
-    return np.where(sg == 0, 2, far.astype(np.int64))
-
-
 def split_groups(sg, alpha: float = DEFAULT_ALPHA,
                  tau_min: float = DEFAULT_TAU_MIN):
     """Split every row of an SG matrix (cells x n, n >= 2) into two clusters.
@@ -178,8 +165,11 @@ def split_groups(sg, alpha: float = DEFAULT_ALPHA,
     sorted_minority = (upper != lower_minor[:, None]) & ~flat[:, None]
     minority = np.empty_like(sorted_minority)
     np.put_along_axis(minority, order, sorted_minority, axis=1)
+    # a zero SG is non_responsive, a minority member farther than tau from
+    # the majority centre abnormal
+    far = minority & (np.abs(sg - c_major[:, None]) > tau[:, None])
     return (c_minor, c_major, wcss, tau, minority,
-            _verdict_codes(sg, minority, c_major, tau))
+            np.where(sg == 0, 2, far.astype(np.int64)))
 
 
 @dataclass(frozen=True)
@@ -189,19 +179,6 @@ class ThresholdReport:
     wcss: float
     tau: float
     minority: frozenset  # NodeIds in the smaller cluster (empty when degenerate)
-
-
-def deviation_threshold(sgs, alpha: float = DEFAULT_ALPHA,
-                        tau_min: float = DEFAULT_TAU_MIN) -> ThresholdReport:
-    """Cluster a group's SGs (NodeId -> SG, in sorted node order) into tau."""
-    n = len(sgs)
-    if n < MIN_GROUP_SIZE:
-        raise GroupTooSmall(f"need >= {MIN_GROUP_SIZE} observations, got {n}")
-    c_minor, c_major, wcss, tau, minority, _ = split_groups(
-        np.array([list(sgs.values())]), alpha, tau_min)
-    return ThresholdReport(
-        float(c_minor[0]), float(c_major[0]), float(wcss[0]), float(tau[0]),
-        frozenset(compress(sgs, minority[0].tolist())))
 
 
 @dataclass(frozen=True)
@@ -222,17 +199,6 @@ class DetectionResult:
     def sgs(self) -> dict:
         """NodeId -> SG."""
         return dict(zip(self.nodes, self.sg))
-
-
-def detect_abnormal(sgs, report: ThresholdReport, at: int = 0,
-                    group: str = "") -> DetectionResult:
-    nodes = tuple(sgs)
-    sg = list(sgs.values())
-    minority = np.array([[node in report.minority for node in nodes]])
-    codes = _verdict_codes(np.array([sg]), minority,
-                           np.array([report.c_major]), np.array([report.tau]))
-    return DetectionResult(at, group, nodes, sg, VERDICT_NAMES[codes[0]].tolist(),
-                           report)
 
 
 @dataclass
@@ -370,11 +336,11 @@ def run_detection(index: SGIndex, assignment, obs_range,
                           alpha=alpha, tau_min=tau_min)
 
 
-def frequent_template_mask(table: EventTable, rules,
-                           percentile: float = DEFAULT_PERCENTILE):
-    """Keep-mask dropping rows whose template count is above the percentile.
+def filter_frequent_raw(table: EventTable, rules,
+                        percentile: float = DEFAULT_PERCENTILE):
+    """Drop the rows whose template count is above the percentile.
 
-    Returns (keep, dropped templates, sorted).
+    Returns (kept table, dropped templates, sorted).
     """
     if table.keyed:
         raise ValueError("a keyed table has no message text to template")
@@ -384,7 +350,8 @@ def frequent_template_mask(table: EventTable, rules,
     template_id = of_msg[table.msg]
     drop = _above_percentile(template_id, len(index), percentile)
     names = list(index)
-    return ~drop[template_id], sorted(names[i] for i in np.flatnonzero(drop))
+    return (table.take(~drop[template_id]),
+            sorted(names[i] for i in np.flatnonzero(drop)))
 
 
 def _above_percentile(ids, n_ids, percentile):
@@ -396,21 +363,21 @@ def _above_percentile(ids, n_ids, percentile):
     return seen & (counts > float(np.percentile(counts[seen], percentile)))
 
 
-def frequent_key_mask(table: EventTable, rules=None,
-                      percentile: float = DEFAULT_PERCENTILE,
-                      cv_threshold: float = CV_THRESHOLD,
-                      min_arrivals: int = 5):
-    """Keep-mask of the percentile rule on keys plus near-periodic keys.
+def filter_frequent_anonymized(table: EventTable, rules=None,
+                               percentile: float = DEFAULT_PERCENTILE,
+                               cv_threshold: float = CV_THRESHOLD,
+                               min_arrivals: int = 5):
+    """Drop the rows of keys above the percentile and of near-periodic keys.
 
     A key is near-periodic when the median over nodes of its per-node
     inter-arrival coefficient of variation is below cv_threshold (nodes with
-    fewer than min_arrivals occurrences don't vote). Returns (keep, dropped
-    keys, sorted). rules may be None for a keyed table. The squared
+    fewer than min_arrivals occurrences don't vote). Returns (kept table,
+    dropped keys, sorted). rules may be None for a keyed table. The squared
     deviations are summed in row order, so a coefficient can differ from
     np.std's pairwise sum in its last bits.
     """
     if not len(table):
-        return np.ones(0, dtype=bool), []
+        return table, []
     key_id, keys = table.keys(rules)
     drop = _above_percentile(key_id, len(keys), percentile)
     # rows sorted by (key, node, time); gap i joins rows i and i + 1 when
@@ -434,7 +401,8 @@ def frequent_key_mask(table: EventTable, rules=None,
     for key, a, b in _runs(k[new][voter]):
         if float(np.median(cv[a:b])) < cv_threshold:
             drop[key] = True
-    return ~drop[key_id], sorted(keys[i] for i in np.flatnonzero(drop))
+    return (table.take(~drop[key_id]),
+            sorted(keys[i] for i in np.flatnonzero(drop)))
 
 
 def _runs(values):
@@ -443,25 +411,6 @@ def _runs(values):
     bounds = [0, *cut.tolist(), len(values)]
     return [(values[a].item(), a, b) for a, b in zip(bounds, bounds[1:])
             if a < b]
-
-
-def filter_frequent_raw(entries, rules, percentile: float = DEFAULT_PERCENTILE):
-    """Drop entries whose template count is above the percentile."""
-    entries = list(entries)
-    keep, dropped = frequent_template_mask(
-        EventTable.from_entries(entries), rules, percentile)
-    return list(compress(entries, keep.tolist())), dropped
-
-
-def filter_frequent_anonymized(entries, percentile: float = DEFAULT_PERCENTILE,
-                               cv_threshold: float = CV_THRESHOLD,
-                               min_arrivals: int = 5):
-    """frequent_key_mask over keyed entries; returns (kept, dropped keys)."""
-    entries = list(entries)
-    keep, dropped = frequent_key_mask(
-        EventTable.from_entries(entries), None, percentile, cv_threshold,
-        min_arrivals)
-    return list(compress(entries, keep.tolist())), dropped
 
 
 def write_verdicts(sweep: SweepResult, path) -> None:
@@ -473,6 +422,7 @@ def write_verdicts(sweep: SweepResult, path) -> None:
     names = [node.name for node in sweep.nodes]
     cell = np.repeat(np.arange(len(heads)), np.diff(sweep.offset))
     with topen(path, "w") as fh:
-        _write_rows(fh, lambda c, n, v, sg:
-                    f"{heads[c]}{names[n]}\t{VERDICTS[v]}\t{sg}{tails[c]}",
-                    cell, sweep.node, sweep.code, sweep.sg)
+        fh.writelines(_format_rows(
+            lambda c, n, v, sg:
+            f"{heads[c]}{names[n]}\t{VERDICTS[v]}\t{sg}{tails[c]}",
+            cell, sweep.node, sweep.code, sweep.sg))

@@ -78,13 +78,6 @@ class LogEntry:
     message: str
 
 
-@dataclass(frozen=True, slots=True)
-class AnonymizedEntry:
-    timestamp: int  # epoch seconds, UTC
-    node: NodeId
-    key: str  # 8 lowercase hex digits
-
-
 @dataclass(frozen=True)
 class ObservationRange:
     start: int
@@ -325,27 +318,30 @@ class _SyslogParser:
 
 def parse_syslog_table(lines, default_year: int, node_resolver,
                        skip_unknown: bool = True):
-    """Parse a whole corpus into (EventTable, ParseStats).
-
-    Rows keep line order. Rollover, unknown hosts and malformed lines are
-    handled as in parse_syslog_stream.
-    """
-    stats = ParseStats()
-    parser = _SyslogParser(default_year, node_resolver, skip_unknown, stats)
-    columns = ([], [], [])
-    parser.feed(lines, *columns)
-    return parser.table(*columns), stats
+    """Parse a whole corpus into (EventTable, ParseStats): the chunks of
+    parse_syslog_stream, concatenated. Rows keep line order."""
+    chunks, stats = parse_syslog_stream(lines, default_year, node_resolver,
+                                        skip_unknown)
+    chunks = list(chunks)
+    if not chunks:
+        return EventTable([], [], [], [], [], []), stats
+    last = chunks[-1]  # every chunk shares the parser's growing lists
+    return EventTable(*(np.concatenate([getattr(c, col) for c in chunks])
+                        for col in ("ts", "node", "msg")),
+                      last.nodes, last.messages, last.tags), stats
 
 
 def parse_syslog_stream(lines, default_year: int, node_resolver,
                         skip_unknown: bool = True):
-    """Yield LogEntry per line with per-node year rollover correction.
+    """Parse lines STREAM_CHUNK at a time; returns (chunks, ParseStats).
 
-    A per-node backward jump of more than 180 days means the calendar year
-    wrapped; the node's entries carry the incremented year from then on.
-    Unknown hostnames are skipped (counted on .skipped_unknown) unless
-    skip_unknown is false. Lines are parsed STREAM_CHUNK at a time; an error
-    is raised after the entries of the lines before it.
+    chunks yields one EventTable per STREAM_CHUNK lines. The chunks share
+    the parser's nodes, messages and tags lists, which later chunks only
+    extend, so an id means the same in every chunk. A per-node backward
+    jump of more than 180 days means the calendar year wrapped; the node's
+    entries carry the incremented year from then on. Unknown hostnames are
+    skipped (counted on .skipped_unknown) unless skip_unknown is false. An
+    error is raised after the chunk of the lines before it.
     """
     stats = ParseStats()
     parser = _SyslogParser(default_year, node_resolver, skip_unknown, stats)
@@ -358,7 +354,7 @@ def parse_syslog_stream(lines, default_year: int, node_resolver,
                 parser.feed(chunk, *columns)
             except Exception as exc:  # re-raised after the parsed lines
                 error = exc
-            yield from parser.table(*columns).entries()
+            yield parser.table(*columns)
             if error is not None:
                 raise error
 
@@ -395,39 +391,6 @@ class EventTable:
         """True when messages are template keys, not text."""
         return self.tags is None
 
-    @classmethod
-    def from_entries(cls, entries) -> EventTable:
-        """A table of LogEntry or AnonymizedEntry objects (not mixed), built
-        in one pass; nodes and messages are numbered in first-seen order."""
-        entries = entries if isinstance(entries, list) else list(entries)
-        keyed = bool(entries) and isinstance(entries[0], AnonymizedEntry)
-        node_ix, msg_ix, ts, node, msg = {}, {}, [], [], []
-        for e in entries:
-            ts.append(e.timestamp)
-            node.append(node_ix.setdefault(e.node, len(node_ix)))
-            msg.append(msg_ix.setdefault(e.key if keyed else (e.tag, e.message),
-                                         len(msg_ix)))
-        messages, tags = (list(msg_ix), None) if keyed else (
-            [m for _, m in msg_ix], [t for t, _ in msg_ix])
-        return cls(ts, node, msg, list(node_ix), messages, tags)
-
-    @classmethod
-    def of(cls, events) -> EventTable:
-        """events itself if it is a table, else the table of its entries."""
-        return events if isinstance(events, cls) else cls.from_entries(events)
-
-    def entries(self, rules=None) -> list:
-        """The rows as LogEntry objects, or as AnonymizedEntry objects when
-        the table is keyed or rules are given."""
-        nodes, rows = self.nodes, zip(self.ts.tolist(), self.node.tolist())
-        if self.keyed or rules is not None:
-            key_id, keys = self.keys(rules)
-            return [AnonymizedEntry(t, nodes[n], keys[k])
-                    for (t, n), k in zip(rows, key_id.tolist())]
-        tags, texts = self.tags, self.messages
-        return [LogEntry(t, nodes[n], tags[m], texts[m])
-                for (t, n), m in zip(rows, self.msg.tolist())]
-
     def keys(self, rules):
         """(key id per row, distinct keys); each distinct message is keyed
         once per rule set."""
@@ -440,10 +403,13 @@ class EventTable:
             self._key_cache = (rules, of_msg[self.msg], list(index))
         return self._key_cache[1], self._key_cache[2]
 
+    def keyed_by(self, rules) -> EventTable:
+        """The keyed table of the same rows: each message's key in its place."""
+        key_id, keys = self.keys(rules)
+        return EventTable(self.ts, self.node, key_id, self.nodes, keys)
+
     def take(self, keep) -> EventTable:
-        """The rows where the boolean mask keep holds; all rows if None."""
-        if keep is None:
-            return self
+        """The rows where the boolean mask keep holds."""
         return EventTable(self.ts[keep], self.node[keep], self.msg[keep],
                           self.nodes, self.messages, self.tags)
 
@@ -462,14 +428,14 @@ def _day_clock(ts, day_text):
     return [day_text(d * 86400) for d in days.tolist()], day, second, clock
 
 
-_CHUNK = 1 << 16  # rows converted and formatted per write
+_CHUNK = 1 << 16  # rows converted and formatted per step
 
 
-def _write_rows(fh, line, *columns) -> None:
-    """Write line(*row) for every row of equal-length array columns, a
-    slice of _CHUNK rows at a time."""
+def _format_rows(line, *columns):
+    """Yield line(*row) for every row of equal-length array columns,
+    converting a slice of _CHUNK rows at a time."""
     for a in range(0, len(columns[0]), _CHUNK):
-        fh.writelines(map(line, *(c[a:a + _CHUNK].tolist() for c in columns)))
+        yield from map(line, *(c[a:a + _CHUNK].tolist() for c in columns))
 
 
 def write_syslog(table: EventTable, path) -> None:
@@ -482,9 +448,9 @@ def write_syslog(table: EventTable, path) -> None:
     texts = [f"{t}: {m}" if t else m
              for t, m in zip(table.tags, table.messages)]
     with topen(path, "w") as fh:
-        _write_rows(fh, lambda d, s, n, m:
-                    f"{dates[d]} {clock[s]} {names[n]} {texts[m]}\n",
-                    day, secs, table.node, table.msg)
+        fh.writelines(_format_rows(
+            lambda d, s, n, m: f"{dates[d]} {clock[s]} {names[n]} {texts[m]}\n",
+            day, secs, table.node, table.msg))
 
 
 def topen(path, mode="rt"):

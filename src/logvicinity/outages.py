@@ -72,24 +72,25 @@ def save_footprint(spec: BootFootprintSpec, path) -> None:
             fh.write(f"key:{value}\n" if kind == "key" else f"{value}\n")
 
 
-def detect_boot_events(entries, footprint: BootFootprintSpec, rules,
-                       burst_factor=DEFAULT_BURST_FACTOR,
+def detect_boot_events(table: EventTable, footprint: BootFootprintSpec,
+                       rules, burst_factor=DEFAULT_BURST_FACTOR,
                        burst_minutes=DEFAULT_BURST_MINUTES,
                        min_gap=DEFAULT_MIN_GAP) -> list:
-    """Detect boots in one node's time-ordered entries.
+    """Detect boots in a table of one node's rows, in time order.
 
     Footprint: all spec items occur in order within 120 s. Burst: per-minute
     rate above burst_factor x the node's median rate (floored at 1/min) for
     burst_minutes consecutive minutes right after a gap of at least min_gap.
     Footprint wins when both fire within 120 s.
     """
-    if not entries:
+    if not len(table):
         return []
-    table = EventTable.from_entries(entries)
+    if (table.node != table.node[0]).any():
+        raise ValueError("boot detection reads one node's rows")
     if (np.diff(table.ts) < 0).any():
-        raise ValueError("entries must be sorted by timestamp")
+        raise ValueError("rows must be sorted by timestamp")
     key_id, keys = table.keys(rules)
-    return _boot_events(entries[0].node, table.ts, key_id,
+    return _boot_events(table.nodes[table.node[0]], table.ts, key_id,
                         _footprint_ids(footprint, rules, keys), burst_factor,
                         burst_minutes, min_gap)
 
@@ -147,38 +148,7 @@ def _match_footprint(sigs, times, start, keys):
     return pos
 
 
-def backtrack_outages(entries, boots) -> list:
-    """Place one outage at the last entry strictly before each boot."""
-    return _backtrack(np.array([e.timestamp for e in entries], dtype=np.int64),
-                      boots)
-
-
-def _backtrack(times, boots) -> list:
-    outages = []
-    for boot in boots:
-        idx = int(times.searchsorted(boot.boot_time))
-        if idx == 0:
-            continue  # node's first boot in range: nothing to backtrack to
-        outages.append(OutageEvent(boot.node, int(times[idx - 1]), boot,
-                                   tail=False))
-    return outages
-
-
-def detect_tail_outage(entries, obs_range: ObservationRange,
-                       silence_threshold=DEFAULT_SILENCE_THRESHOLD):
-    if not entries:
-        return None
-    return _tail(entries[0].node, entries[-1].timestamp, obs_range,
-                 silence_threshold)
-
-
-def _tail(node, last, obs_range, silence_threshold):
-    if obs_range.end - last > silence_threshold:
-        return OutageEvent(node, last, None, tail=True)
-    return None
-
-
-def detect_outages(entries, footprint: BootFootprintSpec, rules,
+def detect_outages(table: EventTable, footprint: BootFootprintSpec, rules,
                    obs_range: ObservationRange,
                    silence_threshold=DEFAULT_SILENCE_THRESHOLD,
                    burst_factor=DEFAULT_BURST_FACTOR,
@@ -186,10 +156,12 @@ def detect_outages(entries, footprint: BootFootprintSpec, rules,
                    min_gap=DEFAULT_MIN_GAP) -> list:
     """Full-corpus outage sweep: footprint/burst boots plus end-of-data tails.
 
-    entries may be an EventTable. Each node's rows are stably sorted by
-    timestamp, so ties keep their input order.
+    Each boot places an outage at the node's last row strictly before it;
+    a boot before the node's first row places none. A node silent for more
+    than silence_threshold before the range ends gets a tail outage at its
+    last row. Each node's rows are stably sorted by timestamp, so ties keep
+    their input order.
     """
-    table = EventTable.of(entries)
     key_id, keys = table.keys(rules)
     foot = _footprint_ids(footprint, rules, keys)
     # rows by node id, then stably by time; node n's are bounds[n]:bounds[n+1]
@@ -204,10 +176,11 @@ def detect_outages(entries, footprint: BootFootprintSpec, rules,
             continue
         boots = _boot_events(node, times[a:b], sigs[a:b], foot, burst_factor,
                              burst_minutes, min_gap)
-        outages.extend(_backtrack(times[a:b], boots))
-        tail = _tail(node, int(times[b - 1]), obs_range, silence_threshold)
-        if tail is not None:
-            outages.append(tail)
+        before = times[a:b].searchsorted([e.boot_time for e in boots]).tolist()
+        outages.extend(OutageEvent(node, int(times[a + i - 1]), boot, False)
+                       for boot, i in zip(boots, before) if i)
+        if obs_range.end - times[b - 1] > silence_threshold:
+            outages.append(OutageEvent(node, int(times[b - 1]), None, True))
     outages.sort(key=lambda o: (o.node, o.outage_time))
     return outages
 

@@ -13,9 +13,9 @@ from .anonymize import SubstitutionRuleSet
 from .classify import DEFAULT_CORRELATION_WINDOW, classify_all
 from .detect import (CV_THRESHOLD, DEFAULT_ALPHA, DEFAULT_CADENCE,
                      DEFAULT_PERCENTILE, DEFAULT_TAU_MIN, DEFAULT_WINDOW,
-                     VERDICTS, SGIndex, SweepResult, frequent_key_mask,
-                     frequent_template_mask, observation_moments,
-                     run_detection, sweep_schedule)
+                     VERDICTS, SGIndex, SweepResult,
+                     filter_frequent_anonymized, filter_frequent_raw,
+                     observation_moments, run_detection, sweep_schedule)
 from .model import EventTable, iso, parse_iso, parse_node_name, topen
 from .outages import detect_outages
 from .vicinity import (allocation_vicinity, combined_vicinity,
@@ -37,37 +37,27 @@ class ExtractedEvent:
     non_responsive: bool  # the run contained zero-SG moments
 
 
-def variant_mask(table: EventTable, variant: str, rules,
-                 percentile: float = DEFAULT_PERCENTILE,
-                 cv_threshold: float = CV_THRESHOLD):
-    """One processing variant as (keep-mask or None for all rows, dropped).
-
-    The detector reads only (timestamp, node), so raw and anonymized keep
-    every row; the filtered variants drop frequent templates or keys.
-    """
-    if variant in ("raw", "anonymized"):
-        return None, []
-    if variant == "filtered_raw":
-        return frequent_template_mask(table, rules, percentile)
-    if variant == "filtered_anonymized":
-        return frequent_key_mask(table, rules, percentile, cv_threshold)
-    raise ValueError(f"unknown variant: {variant!r}")
-
-
-def prepare_stream(entries, variant: str, rules=None,
+def prepare_stream(table: EventTable, variant: str, rules=None,
                    percentile: float = DEFAULT_PERCENTILE,
                    cv_threshold: float = CV_THRESHOLD):
-    """Materialize one processing variant; returns (stream, dropped).
+    """One processing variant of a table; returns (variant table, dropped).
 
-    The anonymized variants yield AnonymizedEntry objects, the raw ones
-    entries of the input's type.
+    The anonymized variants are keyed tables. The detector reads only
+    (timestamp, node), so raw and anonymized keep every row; the filtered
+    variants drop frequent templates or keys.
     """
     rules = rules or SubstitutionRuleSet()
-    table = EventTable.of(entries)
-    keep, dropped = variant_mask(table, variant, rules, percentile,
-                                 cv_threshold)
-    keyed = variant in ("anonymized", "filtered_anonymized")
-    return table.take(keep).entries(rules if keyed else None), dropped
+    if variant == "raw":
+        return table, []
+    if variant == "filtered_raw":
+        return filter_frequent_raw(table, rules, percentile)
+    keyed = table.keyed_by(rules)
+    if variant == "anonymized":
+        return keyed, []
+    if variant == "filtered_anonymized":
+        return filter_frequent_anonymized(keyed, None, percentile,
+                                          cv_threshold)
+    raise ValueError(f"unknown variant: {variant!r}")
 
 
 def extract_events(sweep: SweepResult, index: SGIndex,
@@ -134,20 +124,18 @@ class VariantRun:
     index: SGIndex
 
 
-def run_variant(entries, topology, obs_range, variant: str, rules=None,
-                maintenance=(), perspective: str = "combined", jobs=None,
-                failures=None,
+def run_variant(table: EventTable, topology, obs_range, variant: str,
+                rules=None, maintenance=(), perspective: str = "combined",
+                jobs=None, failures=None,
                 window: int = DEFAULT_WINDOW, cadence: int = DEFAULT_CADENCE,
                 alpha: float = DEFAULT_ALPHA, tau_min: float = DEFAULT_TAU_MIN,
                 percentile: float = DEFAULT_PERCENTILE,
                 cv_threshold: float = CV_THRESHOLD) -> VariantRun:
-    """Mask one variant of a table (or entry list), sweep it under a
-    perspective, extract its events."""
-    table = EventTable.of(entries)
-    keep, dropped = variant_mask(table, variant,
-                                 rules or SubstitutionRuleSet(), percentile,
-                                 cv_threshold)
-    index = SGIndex(table.take(keep))
+    """Prepare one variant of a table, sweep it under a perspective,
+    extract its events."""
+    variant_table, dropped = prepare_stream(table, variant, rules, percentile,
+                                            cv_threshold)
+    index = SGIndex(variant_table)
     sweep = sweep_perspective(index, perspective, topology, obs_range,
                               jobs=jobs, failures=failures, window=window,
                               cadence=cadence, alpha=alpha, tau_min=tau_min)
@@ -156,10 +144,9 @@ def run_variant(entries, topology, obs_range, variant: str, rules=None,
     return VariantRun(variant, events, dropped, sweep, index)
 
 
-def run_variants(entries, topology, obs_range, rules=None, maintenance=(),
-                 variants=VARIANTS, **params) -> dict:
+def run_variants(table: EventTable, topology, obs_range, rules=None,
+                 maintenance=(), variants=VARIANTS, **params) -> dict:
     """Run each variant once on one table; raw and anonymized share a run."""
-    table = EventTable.of(entries)
     rules = rules or SubstitutionRuleSet()  # one rule set keys the table once
     runs: dict = {}
     for v in variants:
@@ -203,7 +190,10 @@ def sweep_perspective(index: SGIndex, perspective: str, topology, obs_range,
                   & (at < np.array([j.end for j in jobs], dtype=np.int64)))
         cuts = [0, *(np.flatnonzero((active[1:] != active[:-1]).any(axis=1))
                      + 1).tolist(), len(moments)]
-        schedule = [(allocation_vicinity(jobs, moments[a]), moments[a:b])
+        # each grouping gets its segment's active jobs (in job order), so
+        # allocation_vicinity does not test every job again
+        schedule = [(allocation_vicinity([jobs[j] for j in np.flatnonzero(
+                        active[a]).tolist()], moments[a]), moments[a:b])
                     for a, b in zip(cuts, cuts[1:]) if a < b]
     elif perspective == "time_of_failure":
         if failures is None:
@@ -219,12 +209,12 @@ def sweep_perspective(index: SGIndex, perspective: str, topology, obs_range,
 # ---------------------------------------------------------------------------
 # outage detection + classification route
 
-def detect_and_classify(entries, footprint, rules, obs_range, jobs=(),
-                        outage_records=(), maintenance=(),
+def detect_and_classify(table: EventTable, footprint, rules, obs_range,
+                        jobs=(), outage_records=(), maintenance=(),
                         correlation_window: int = DEFAULT_CORRELATION_WINDOW,
                         **outage_params) -> list:
     """Boot-anchored outages classified against operational records."""
-    outages = detect_outages(entries, footprint, rules, obs_range,
+    outages = detect_outages(table, footprint, rules, obs_range,
                              **outage_params)
     return classify_all(outages, maintenance, jobs, outage_records,
                         correlation_window)

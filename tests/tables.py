@@ -1,0 +1,45 @@
+"""Event tables from line-level rows, and rows back from tables.
+
+Tests state their inputs as LogEntry rows (or Keyed rows for a pars-lite
+corpus), the line-level reference that parse_syslog_line returns, and
+compare a table's rows with the same types.
+"""
+
+from typing import NamedTuple
+
+from logvicinity.model import EventTable, LogEntry, NodeId
+
+
+class Keyed(NamedTuple):
+    """One row of a keyed table: a pars-lite line."""
+    timestamp: int
+    node: NodeId
+    key: str
+
+
+def table_of(rows) -> EventTable:
+    """The table of LogEntry rows, or the keyed table of Keyed rows; nodes
+    and messages are numbered in first-seen order."""
+    rows = list(rows)
+    keyed = bool(rows) and isinstance(rows[0], Keyed)
+    node_ix, msg_ix = {}, {}
+    ts = [r.timestamp for r in rows]
+    node = [node_ix.setdefault(r.node, len(node_ix)) for r in rows]
+    msg = [msg_ix.setdefault(r.key if keyed else (r.tag, r.message),
+                             len(msg_ix)) for r in rows]
+    if keyed:
+        return EventTable(ts, node, msg, list(node_ix), list(msg_ix))
+    return EventTable(ts, node, msg, list(node_ix),
+                      [m for _, m in msg_ix], [t for t, _ in msg_ix])
+
+
+def rows_of(table, rules=None) -> list:
+    """A table's rows as LogEntry, or as Keyed when the table is keyed or
+    rules are given."""
+    rows = zip(table.ts.tolist(), table.node.tolist(), table.msg.tolist())
+    if table.keyed or rules is not None:
+        key_id, keys = table.keys(rules)
+        return [Keyed(t, table.nodes[n], keys[k])
+                for (t, n, _), k in zip(rows, key_id.tolist())]
+    return [LogEntry(t, table.nodes[n], table.tags[m], table.messages[m])
+            for t, n, m in rows]

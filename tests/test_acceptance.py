@@ -22,6 +22,7 @@ from logvicinity.vicinity import (combined_vicinity, hardware_vicinity,
                                   location_vicinity)
 
 from oracles import bipartite_max_matching, brute_window_count, naive_two_means
+from tables import table_of
 
 
 def _check(name, ok, detail):
@@ -216,7 +217,7 @@ def test_invariant_suites(corpus, rules):
                        for _ in range(rng.randrange(1, 90)))
         entries = [LogEntry(t, rng.choice(nodes), "daemon", "m")
                    for t in times]
-        index = SGIndex(entries)
+        index = SGIndex(table_of(entries))
         for _ in range(400):
             node = rng.choice(nodes)
             window = rng.choice((1, 7, 600, 1800))

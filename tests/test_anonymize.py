@@ -1,10 +1,10 @@
 import pytest
 
-from logvicinity.anonymize import (AnonymizedEntry, SubstitutionRuleSet,
-                                   anonymize_stream, fnv1a_32, load_rules,
-                                   read_anonymized, save_rules,
-                                   write_anonymized)
+from logvicinity.anonymize import (SubstitutionRuleSet, anonymize_stream,
+                                   fnv1a_32, load_rules, read_anonymized,
+                                   save_rules, write_anonymized)
 from logvicinity.model import LogEntry, NodeId, iso, to_epoch
+from tables import rows_of, table_of
 
 # Variants of the same underlying events; which rows must share a template
 # is the core contract of the substitution pass.
@@ -81,13 +81,15 @@ def test_same_template_same_key():
 
 def test_keyed_entries_pass_through_unchanged():
     rules = SubstitutionRuleSet()
-    raw = [LogEntry(60 * i, NodeId(1, 0, 0), "cron", m)
-           for i, m in enumerate(CRON_SAMPLE)]
-    keyed = list(anonymize_stream(raw, rules))
-    assert [e.key for e in keyed] == [rules.key(m) for m in CRON_SAMPLE]
-    again = list(anonymize_stream(keyed, rules))
-    assert all(a is b for a, b in zip(again, keyed))
-    assert all(isinstance(e, AnonymizedEntry) for e in again)
+    raw = table_of(LogEntry(60 * i, NodeId(1, 0, 0), "cron", m)
+                   for i, m in enumerate(CRON_SAMPLE))
+    lines = list(anonymize_stream(raw, rules))
+    assert [line.split("\t")[2] for line in lines] == [
+        f"{rules.key(m)}\n" for m in CRON_SAMPLE]
+    keyed = raw.keyed_by(rules)
+    # a keyed table's keys are not keyed again, under any rule set
+    assert list(anonymize_stream(keyed, SubstitutionRuleSet([]))) == lines
+    assert keyed.keyed and rows_of(keyed) == rows_of(raw, rules)
 
 
 def test_rules_roundtrip(tmp_path):
@@ -117,12 +119,12 @@ def _entries():
 @pytest.mark.parametrize("suffix", ["txt", "txt.gz"])
 def test_write_read_anonymized_roundtrip(tmp_path, suffix):
     rules = SubstitutionRuleSet()
-    anon = list(anonymize_stream(_entries(), rules))
+    table = table_of(_entries())
     path = tmp_path / f"anon.{suffix}"
-    write_anonymized(anon, path, rules)
+    write_anonymized(table, path, rules)
     loaded, version = read_anonymized(path)
     assert version == rules.version
-    assert loaded == anon
+    assert loaded.keyed and rows_of(loaded) == rows_of(table, rules)
 
 
 def test_write_anonymized_rows_are_iso_node_key(tmp_path):
@@ -138,16 +140,16 @@ def test_write_anonymized_rows_are_iso_node_key(tmp_path):
                         CRON_SAMPLE[i % len(CRON_SAMPLE)])
                for i, t in enumerate(stamps)]
     path = tmp_path / "anon.txt"
-    write_anonymized(entries, path, rules)
+    write_anonymized(table_of(entries), path, rules)
     assert path.read_text().splitlines() == [f"#pars-lite v{rules.version}"] + [
-        f"{iso(a.timestamp)}\t{a.node.name}\t{a.key}"
-        for a in anonymize_stream(entries, rules)]
+        f"{iso(e.timestamp)}\t{e.node.name}\t{rules.key(e.message)}"
+        for e in entries]
 
 
 def test_anonymized_file_leaks_no_message_text(tmp_path):
     rules = SubstitutionRuleSet()
     path = tmp_path / "anon.txt"
-    write_anonymized(anonymize_stream(_entries(), rules), path, rules)
+    write_anonymized(table_of(_entries()), path, rules)
     text = path.read_text()
     for word in ("root", "cron", "Anacron", "CMD", "php"):
         assert word not in text

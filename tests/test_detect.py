@@ -1,26 +1,26 @@
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import oracles
-from logvicinity.anonymize import AnonymizedEntry
-from logvicinity.detect import (VERDICTS, GroupTooSmall, SGIndex, detect_abnormal,
-                                deviation_threshold,
+from logvicinity.anonymize import SubstitutionRuleSet
+from logvicinity.detect import (MIN_GROUP_SIZE, VERDICTS, SGIndex,
                                 filter_frequent_anonymized,
                                 filter_frequent_raw, kmeans_1d_2,
                                 observation_moments, run_detection,
                                 split_groups)
 from logvicinity.model import LogEntry, NodeId, ObservationRange
 from logvicinity.vicinity import VicinityAssignment
-from logvicinity.anonymize import SubstitutionRuleSet
+from tables import Keyed, rows_of, table_of
 
 N = [NodeId(1, 0, p) for p in range(8)]
 
 
 def _entries(spec):
-    """spec: {node: [timestamps]} -> sorted LogEntry list."""
+    """spec: {node: [timestamps]} -> LogEntry rows in time order."""
     out = [LogEntry(int(t), node, "t", f"event {i}")
            for node, ts in spec.items() for i, t in enumerate(ts)]
     out.sort(key=lambda e: e.timestamp)
@@ -28,7 +28,7 @@ def _entries(spec):
 
 
 def test_sg_window_is_half_open():
-    idx = SGIndex(_entries({N[0]: [100, 1899, 1900, 3699, 3700]}))
+    idx = SGIndex(table_of(_entries({N[0]: [100, 1899, 1900, 3699, 3700]})))
     # [at-window, at): 1900 not yet seen at 1900, 100 aged out at 1901
     assert idx.count(N[0], 1900, window=1800) == 2
     assert idx.count(N[0], 1901, window=1800) == 2
@@ -42,7 +42,7 @@ def test_sg_counts_match_brute_force():
     spec = {n: sorted(rng.randrange(0, 50000) for _ in range(rng.randrange(0, 120)))
             for n in N}
     entries = _entries(spec)
-    idx = SGIndex(entries)
+    idx = SGIndex(table_of(entries))
     for _ in range(2000):
         node = rng.choice(N)
         at = rng.randrange(0, 52000)
@@ -52,7 +52,7 @@ def test_sg_counts_match_brute_force():
 
 
 def test_last_entry_before():
-    idx = SGIndex(_entries({N[0]: [100, 200, 300]}))
+    idx = SGIndex(table_of(_entries({N[0]: [100, 200, 300]})))
     assert idx.last_entry_before(N[0], 250) == 200
     assert idx.last_entry_before(N[0], 200) == 100
     assert idx.last_entry_before(N[0], 100) is None
@@ -147,64 +147,73 @@ def test_split_groups_matches_scalar_and_naive_references():
                 row, alpha, tau_min)
 
 
-def _obs(values):
-    return {N[i]: v for i, v in enumerate(values)}
+def _split(sgs, alpha=5.0, tau_min=5.0):
+    """One group's row through split_groups, checked against the naive
+    two-means and verdict rule; returns the row's numbers by name."""
+    c_minor, c_major, wcss, tau, minority, codes = split_groups(
+        np.array([sgs]), alpha, tau_min)
+    want_wcss, _, _ = oracles.naive_two_means(sgs)
+    assert math.isclose(wcss[0], want_wcss, rel_tol=1e-9, abs_tol=1e-9)
+    verdicts = [VERDICTS[c] for c in codes[0]]
+    assert verdicts == oracles.naive_verdicts(sgs, alpha, tau_min)
+    return SimpleNamespace(c_minor=c_minor[0], c_major=c_major[0],
+                           tau=tau[0], verdicts=verdicts,
+                           minority=set(np.flatnonzero(minority[0]).tolist()))
 
 
 def test_threshold_formula():
-    rep = deviation_threshold(_obs([50, 52, 49, 51, 200]), alpha=5.0, tau_min=5.0)
+    rep = _split([50, 52, 49, 51, 200], alpha=5.0, tau_min=5.0)
     assert rep.tau == pytest.approx(5.0 * math.sqrt(5.0 / 5))
     # wide residual spread lifts tau above the floor
-    rep = deviation_threshold(_obs([0, 20, 40]), alpha=5.0, tau_min=5.0)
+    rep = _split([0, 20, 40], alpha=5.0, tau_min=5.0)
     assert rep.tau == pytest.approx(5.0 * math.sqrt(200.0 / 3))
     # floor kicks in when the spread is small
-    rep = deviation_threshold(_obs([10, 10, 10]), alpha=5.0, tau_min=5.0)
-    assert rep.tau == 5.0 and rep.minority == frozenset()
+    rep = _split([10, 10, 10], alpha=5.0, tau_min=5.0)
+    assert rep.tau == 5.0 and rep.minority == set()
 
 
 def test_threshold_minority_is_smaller_cluster():
-    rep = deviation_threshold(_obs([50, 52, 49, 51, 200]))
-    assert rep.minority == frozenset({N[4]})
+    rep = _split([50, 52, 49, 51, 200])
+    assert rep.minority == {4}
     assert rep.c_major == pytest.approx(50.5)
-    rep = deviation_threshold(_obs([3, 50, 52, 49]))
-    assert rep.minority == frozenset({N[0]})
+    rep = _split([3, 50, 52, 49])
+    assert rep.minority == {0}
     assert rep.c_major == pytest.approx((50 + 52 + 49) / 3)
 
 
 def test_threshold_tie_prefers_lower_cluster():
-    rep = deviation_threshold(_obs([1, 1, 9, 9]))
-    assert rep.minority == frozenset({N[0], N[1]})
+    rep = _split([1, 1, 9, 9])
+    assert rep.minority == {0, 1}
     assert rep.c_minor == 1.0 and rep.c_major == 9.0
 
 
 def test_threshold_group_too_small():
-    with pytest.raises(GroupTooSmall):
-        deviation_threshold(_obs([5, 6]))
+    # a group below MIN_GROUP_SIZE is never split: the sweep skips it
+    pair = frozenset(N[:MIN_GROUP_SIZE - 1])
+    idx = SGIndex(table_of(_entries({n: [100, 200] for n in pair})))
+    sweep = run_detection(idx, VicinityAssignment("combined", [pair],
+                                                  ["pair"]),
+                          ObservationRange(0, 3600))
+    assert sweep.skipped_groups == [("pair", 2)]
+    assert len(sweep.results) == 0 and len(sweep.moments) == 4
 
 
 def test_zero_sg_beats_abnormal():
-    sgs = _obs([0, 12, 12, 12])
-    rep = deviation_threshold(sgs)
-    res = detect_abnormal(sgs, rep)
-    assert res.verdicts[N[0]] == "non_responsive"
-    assert all(res.verdicts[n] == "normal" for n in (N[1], N[2], N[3]))
+    res = _split([0, 12, 12, 12])
+    assert res.verdicts == ["non_responsive", "normal", "normal", "normal"]
 
 
 def test_abnormal_needs_minority_and_margin():
-    sgs = _obs([3, 50, 52, 49, 51])
-    rep = deviation_threshold(sgs)
-    res = detect_abnormal(sgs, rep)
-    assert res.verdicts[N[0]] == "abnormal"
+    res = _split([3, 50, 52, 49, 51])
+    assert res.verdicts[0] == "abnormal"
     # minority member inside the margin stays normal
-    sgs = _obs([10, 11, 11, 11])
-    res = detect_abnormal(sgs, deviation_threshold(sgs))
-    assert res.verdicts[N[0]] == "normal"
+    res = _split([10, 11, 11, 11])
+    assert res.minority == {0} and res.verdicts[0] == "normal"
 
 
 def test_all_zero_group_is_all_non_responsive():
-    sgs = _obs([0, 0, 0])
-    res = detect_abnormal(sgs, deviation_threshold(sgs))
-    assert set(res.verdicts.values()) == {"non_responsive"}
+    res = _split([0, 0, 0])
+    assert set(res.verdicts) == {"non_responsive"}
 
 
 def test_observation_moments():
@@ -219,7 +228,7 @@ def test_run_detection_counts_and_skips():
     asg = VicinityAssignment("combined", [big, small], ["big", "small"])
     spec = {n: list(range(0, 7201, 60)) for n in N[:4]}
     spec.update({n: [10] for n in N[6:8]})
-    idx = SGIndex(_entries(spec))
+    idx = SGIndex(table_of(_entries(spec)))
     sweep = run_detection(idx, asg, ObservationRange(0, 7200))
     assert sweep.skipped_groups == [("small", 2)]
     assert len(sweep.moments) == 10
@@ -249,24 +258,24 @@ def test_filter_raw_drops_top_template():
         for msg in ("alpha event", "beta event", "gamma event"):
             entries.append(LogEntry(t, N[0], "c", msg))
             t += 1
-    kept, dropped = filter_frequent_raw(entries, rules)
+    kept, dropped = filter_frequent_raw(table_of(entries), rules)
     assert dropped == ["very chatty heartbeat"]
     assert len(kept) == 30
-    assert all(e.message != "very chatty heartbeat" for e in kept)
+    assert all(e.message != "very chatty heartbeat" for e in rows_of(kept))
 
 
 def test_filter_raw_keeps_everything_when_flat():
     rules = SubstitutionRuleSet()
     entries = [LogEntry(i, N[0], "c", "unique marker " + "x" * (i + 1))
                for i in range(20)]
-    kept, dropped = filter_frequent_raw(entries, rules)
+    kept, dropped = filter_frequent_raw(table_of(entries), rules)
     # every template count equals the cut; strictly-above never holds
     assert dropped == []
     assert len(kept) == 20
 
 
 def _anon(key, node, times):
-    return [AnonymizedEntry(int(t), node, key) for t in times]
+    return [Keyed(int(t), node, key) for t in times]
 
 
 def test_filter_anonymized_drops_periodic_key():
@@ -280,9 +289,10 @@ def test_filter_anonymized_drops_periodic_key():
             t += rng.uniform(100, 1100)
         entries += _anon("bbbb0002", node, jitter_ts)
     entries.sort(key=lambda e: e.timestamp)
-    kept, dropped = filter_frequent_anonymized(entries, percentile=100.0)
+    kept, dropped = filter_frequent_anonymized(table_of(entries),
+                                               percentile=100.0)
     assert dropped == ["aaaa0001"]
-    assert {e.key for e in kept} == {"bbbb0002"}
+    assert {e.key for e in rows_of(kept)} == {"bbbb0002"}
 
 
 def test_filter_anonymized_min_arrivals_gate():
@@ -290,6 +300,7 @@ def test_filter_anonymized_min_arrivals_gate():
     entries = []
     for node in N[:3]:
         entries += _anon("cccc0003", node, [0, 600, 1200, 1800])
-    kept, dropped = filter_frequent_anonymized(entries, percentile=100.0)
+    kept, dropped = filter_frequent_anonymized(table_of(entries),
+                                               percentile=100.0)
     assert dropped == []
     assert len(kept) == len(entries)

@@ -71,17 +71,17 @@ def test_impossible_dates_and_times_are_rejected(stamp):
     line = f"{stamp} i1r0n0 a: x"
     with pytest.raises(SyslogParseError):
         parse_syslog_line(line, 2023, parse_node_name)
-    gen, _ = parse_syslog_stream([line], 2023, parse_node_name)
+    chunks, _ = parse_syslog_stream([line], 2023, parse_node_name)
     with pytest.raises(SyslogParseError):
-        list(gen)
+        list(chunks)
 
 
 @pytest.mark.parametrize("stamp", ["Feb 30 10:00:00", "Mar  1 24:00:00"])
 def test_impossible_stamp_of_an_unknown_host_is_not_skipped(stamp):
     # no year has them, so the line is malformed whichever node sent it
-    gen, stats = parse_syslog_stream([f"{stamp} login01 a: x"], 2023, {})
+    chunks, stats = parse_syslog_stream([f"{stamp} login01 a: x"], 2023, {})
     with pytest.raises(SyslogParseError):
-        list(gen)
+        list(chunks)
     assert stats.skipped_unknown == 0
 
 
@@ -97,8 +97,8 @@ def test_subsecond_times_and_leap_days_are_accepted():
 def test_leap_day_after_a_wrap_into_a_leap_year():
     lines = ["Dec 31 23:00:00 i1r0n0 a: x", "Jan  2 00:00:00 i1r0n0 a: x",
              "Feb 29 12:00:00 i1r0n0 a: x", "Dec 31 23:00:00 i1r0n1 a: x"]
-    gen, _ = parse_syslog_stream(lines, 2023, parse_node_name)
-    assert [e.timestamp for e in gen] == [
+    chunks, _ = parse_syslog_stream(lines, 2023, parse_node_name)
+    assert [t for chunk in chunks for t in chunk.ts.tolist()] == [
         to_epoch(2023, 12, 31, 23, 0, 0), to_epoch(2024, 1, 2, 0, 0, 0),
         to_epoch(2024, 2, 29, 12, 0, 0), to_epoch(2023, 12, 31, 23, 0, 0)]
 
@@ -106,10 +106,11 @@ def test_leap_day_after_a_wrap_into_a_leap_year():
 def test_stream_raises_after_the_entries_before_the_bad_line():
     lines = ["Mar  1 10:00:00 i1r0n0 a: x", "Mar  1 10:00:01 i1r0n0 a: y",
              "Mar 32 10:00:02 i1r0n0 a: z"]
-    gen, stats = parse_syslog_stream(lines, 2023, parse_node_name)
-    assert [next(gen).message, next(gen).message] == ["x", "y"]
+    chunks, stats = parse_syslog_stream(lines, 2023, parse_node_name)
+    chunk = next(chunks)
+    assert [chunk.messages[m] for m in chunk.msg.tolist()] == ["x", "y"]
     with pytest.raises(SyslogParseError, match="Mar 32"):
-        next(gen)
+        next(chunks)
     assert stats.parsed == 2
 
 
@@ -126,8 +127,8 @@ def test_stream_year_rollover():
         "Dec 31 23:59:59 i1r0n0 a: still before",
         "Jan  1 00:00:02 i1r0n0 a: after midnight",
     ]
-    gen, _stats = parse_syslog_stream(lines, 2022, parse_node_name)
-    ts = [e.timestamp for e in gen]
+    chunks, _stats = parse_syslog_stream(lines, 2022, parse_node_name)
+    ts = [t for chunk in chunks for t in chunk.ts.tolist()]
     assert ts == sorted(ts)
     assert ts[2] - ts[1] == 3  # Jan 1 belongs to the next year
 
@@ -138,10 +139,10 @@ def test_stream_rollover_is_per_node():
         "Jan  1 00:00:01 i1r0n0 a: wrapped",
         "Dec 31 23:59:59 i1r0n1 a: other node still in the old year",
     ]
-    gen, _ = parse_syslog_stream(lines, 2022, parse_node_name)
-    entries = list(gen)
-    assert entries[1].timestamp - entries[0].timestamp == 2
-    assert entries[2].timestamp == entries[0].timestamp
+    chunks, _ = parse_syslog_stream(lines, 2022, parse_node_name)
+    ts = [t for chunk in chunks for t in chunk.ts.tolist()]
+    assert ts[1] - ts[0] == 2
+    assert ts[2] == ts[0]
 
 
 def test_stream_skips_unknown_hosts():
@@ -150,15 +151,15 @@ def test_stream_skips_unknown_hosts():
         "Mar  1 00:00:01 i1r0n0 a: known",
         "Mar  1 00:00:02 i9r9n9 a: not in topology",
     ]
-    gen, stats = parse_syslog_stream(lines, 2023, topo.resolver())
-    assert len(list(gen)) == 1
+    chunks, stats = parse_syslog_stream(lines, 2023, topo.resolver())
+    assert sum(len(chunk) for chunk in chunks) == 1
     assert stats.parsed == 1
     assert stats.skipped_unknown == 1
 
-    gen, _ = parse_syslog_stream(lines, 2023, topo.resolver(),
-                                 skip_unknown=False)
+    chunks, _ = parse_syslog_stream(lines, 2023, topo.resolver(),
+                                    skip_unknown=False)
     with pytest.raises(UnknownNodeError):
-        list(gen)
+        list(chunks)
 
 
 def test_iso_roundtrip():

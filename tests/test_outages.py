@@ -2,12 +2,12 @@ import pytest
 
 from logvicinity.anonymize import SubstitutionRuleSet
 from logvicinity.model import LogEntry, NodeId, ObservationRange
-from logvicinity.outages import (BootEvent, BootFootprintSpec,
-                                 backtrack_outages, detect_boot_events,
-                                 detect_outages, detect_tail_outage,
+from logvicinity.outages import (BootEvent, BootFootprintSpec, OutageEvent,
+                                 detect_boot_events, detect_outages,
                                  load_footprint, load_outages, save_footprint,
                                  write_outages)
 from logvicinity.synth import FOOTPRINT_LINES
+from tables import table_of
 
 NODE = NodeId(1, 0, 0)
 RULES = SubstitutionRuleSet()
@@ -30,7 +30,7 @@ def _steady(start, end, period=300):
 def test_footprint_match_in_order():
     entries = _steady(0, 3600) + _boot_lines(5000) + _steady(5100, 9000)
     entries.sort(key=lambda e: e.timestamp)
-    boots = detect_boot_events(entries, FOOT, RULES)
+    boots = detect_boot_events(table_of(entries), FOOT, RULES)
     assert [(b.boot_time, b.confidence) for b in boots] == [(5000, "footprint")]
 
 
@@ -41,7 +41,7 @@ def test_footprint_requires_order():
         shuffled[i] = LogEntry(5000 + i * 10, e.node, e.tag, e.message)
     entries = _steady(0, 3600) + shuffled + _steady(5100, 9000)
     entries.sort(key=lambda e: e.timestamp)
-    assert detect_boot_events(entries, FOOT, RULES) == []
+    assert detect_boot_events(table_of(entries), FOOT, RULES) == []
 
 
 def test_footprint_deadline():
@@ -50,7 +50,7 @@ def test_footprint_deadline():
              for i, (tag, msg) in enumerate(FOOTPRINT_LINES)]
     entries = _steady(0, 3600) + lines + _steady(5400, 9000)
     entries.sort(key=lambda e: e.timestamp)
-    assert detect_boot_events(entries, FOOT, RULES) == []
+    assert detect_boot_events(table_of(entries), FOOT, RULES) == []
 
 
 def test_burst_boot_after_gap():
@@ -58,7 +58,7 @@ def test_burst_boot_after_gap():
     burst_start = 14000  # > min_gap after the last steady entry at 6900
     burst = [_e(burst_start + i * 4, f"msg variant {i}") for i in range(40)]
     entries = sorted(entries + burst, key=lambda e: e.timestamp)
-    boots = detect_boot_events(entries, FOOT, RULES)
+    boots = detect_boot_events(table_of(entries), FOOT, RULES)
     assert [(b.boot_time, b.confidence) for b in boots] == [
         (burst_start, "burst")]
 
@@ -68,13 +68,13 @@ def test_burst_needs_preceding_gap():
     entries = _steady(0, 7200)
     burst = [_e(3605 + i * 4, f"msg variant {i}") for i in range(40)]
     entries = sorted(entries + burst, key=lambda e: e.timestamp)
-    assert detect_boot_events(entries, FOOT, RULES) == []
+    assert detect_boot_events(table_of(entries), FOOT, RULES) == []
 
 
 def test_first_entry_is_not_a_burst_candidate():
     burst = [_e(1000 + i * 4, f"msg variant {i}") for i in range(40)]
     entries = burst + _steady(2000, 9000)
-    assert detect_boot_events(entries, FOOT, RULES) == []
+    assert detect_boot_events(table_of(entries), FOOT, RULES) == []
 
 
 def test_footprint_suppresses_burst_double_count():
@@ -85,38 +85,44 @@ def test_footprint_suppresses_burst_double_count():
     entries += [_e(t0 + 20 + i * 3, f"flood {i}") for i in range(60)]
     entries += _steady(15000, 18000)
     entries.sort(key=lambda e: e.timestamp)
-    boots = detect_boot_events(entries, FOOT, RULES)
+    boots = detect_boot_events(table_of(entries), FOOT, RULES)
     assert len(boots) == 1
     assert boots[0].confidence == "footprint"
 
 
 def test_unsorted_entries_rejected():
     entries = [_e(100), _e(50)]
-    with pytest.raises(ValueError):
-        detect_boot_events(entries, FOOT, RULES)
+    with pytest.raises(ValueError, match="sorted"):
+        detect_boot_events(table_of(entries), FOOT, RULES)
+    two_nodes = [_e(50), LogEntry(100, NodeId(1, 0, 1), "t", "x")]
+    with pytest.raises(ValueError, match="one node"):
+        detect_boot_events(table_of(two_nodes), FOOT, RULES)
 
 
 def test_backtrack_picks_last_entry_strictly_before():
-    entries = [_e(100), _e(200), _e(5000)]
-    outages = backtrack_outages(entries, [BootEvent(NODE, 5000, "footprint")])
+    entries = [_e(100), _e(200)] + _boot_lines(5000)
+    outages = detect_outages(table_of(entries), FOOT, RULES,
+                             ObservationRange(0, 5100))
     assert len(outages) == 1
     assert outages[0].outage_time == 200
     assert outages[0].tail is False
+    assert outages[0].following_boot == BootEvent(NODE, 5000, "footprint")
 
 
 def test_backtrack_skips_boot_before_any_entry():
-    entries = [_e(100), _e(200)]
-    assert backtrack_outages(entries, [BootEvent(NODE, 100, "burst")]) == []
+    table = table_of(_boot_lines(100) + [_e(200)])
+    assert [b.boot_time for b in detect_boot_events(table, FOOT, RULES)] == [
+        100]
+    assert detect_outages(table, FOOT, RULES, ObservationRange(0, 300)) == []
 
 
 def test_tail_outage():
     rng = ObservationRange(0, 50000)
-    entries = [_e(100), _e(200)]
-    tail = detect_tail_outage(entries, rng)
-    assert tail is not None and tail.tail and tail.outage_time == 200
-    assert tail.confidence == "tail"
+    outages = detect_outages(table_of([_e(100), _e(200)]), FOOT, RULES, rng)
+    assert outages == [OutageEvent(NODE, 200, None, tail=True)]
+    assert outages[0].confidence == "tail"
     # recent enough data: no tail
-    assert detect_tail_outage([_e(49000)], rng) is None
+    assert detect_outages(table_of([_e(49000)]), FOOT, RULES, rng) == []
 
 
 def test_footprint_file_roundtrip(tmp_path):
@@ -130,7 +136,7 @@ def test_outage_file_roundtrip(tmp_path):
     rng = ObservationRange(0, 50000)
     entries = _steady(0, 3600) + _boot_lines(14000) + _steady(14100, 20000)
     entries.sort(key=lambda e: e.timestamp)
-    outages = detect_outages(entries, FOOT, RULES, rng)
+    outages = detect_outages(table_of(entries), FOOT, RULES, rng)
     assert outages  # one backtracked + one tail
     for name in ("outages.tsv", "outages.tsv.gz"):
         path = tmp_path / name

@@ -7,7 +7,7 @@ import numpy as np
 import oracles
 import pytest
 
-from logvicinity.anonymize import AnonymizedEntry, read_anonymized
+from logvicinity.anonymize import read_anonymized
 from logvicinity.cli import main
 from logvicinity.datasources import JobRecord, MaintenanceWindow, Scope
 from logvicinity.detect import (MIN_GROUP_SIZE, SGIndex, observation_moments,
@@ -23,13 +23,14 @@ from logvicinity.pipeline import (ExtractedEvent, drop_maintenance_events,
 from logvicinity.synth import GeneratorSpec, generate
 from logvicinity.vicinity import (VicinityAssignment, allocation_vicinity,
                                   combined_vicinity, hardware_vicinity)
+from tables import rows_of, table_of
 
 X = NodeId(1, 0, 0)
 Y = NodeId(1, 0, 1)
 
 
 def _index(ts, node=X):
-    return SGIndex([LogEntry(int(t), node, "t", "m") for t in ts])
+    return SGIndex(table_of(LogEntry(int(t), node, "t", "m") for t in ts))
 
 
 def _sweep(moment_verdicts, node=X):
@@ -75,7 +76,7 @@ def test_extract_skips_unanchorable_runs():
 
 def test_extract_keeps_nodes_separate():
     entries = [LogEntry(t, n, "t", "m") for n in (X, Y) for t in (100, 2500)]
-    idx = SGIndex(entries)
+    idx = SGIndex(table_of(entries))
     sweep = oracles.columnar_sweep([(3000, "g", {X: "abnormal", Y: "normal"}),
                                     (3600, "g", {X: "normal", Y: "abnormal"})])
     events = extract_events(sweep, idx, cadence=600)
@@ -103,13 +104,14 @@ def test_events_file_roundtrip(tmp_path):
 
 def test_prepare_stream_variants():
     entries = [LogEntry(t, X, "c", "alpha beta") for t in range(0, 600, 60)]
-    raw, dropped = prepare_stream(entries, "raw")
-    assert raw == entries and dropped == []
-    anon, _ = prepare_stream(entries, "anonymized")
-    assert all(isinstance(e, AnonymizedEntry) for e in anon)
-    assert len({e.key for e in anon}) == 1
+    table = table_of(entries)
+    raw, dropped = prepare_stream(table, "raw")
+    assert rows_of(raw) == entries and dropped == []
+    anon, _ = prepare_stream(table, "anonymized")
+    assert anon.keyed and len(anon) == len(entries)
+    assert len({e.key for e in rows_of(anon)}) == 1
     with pytest.raises(ValueError):
-        prepare_stream(entries, "mystery")
+        prepare_stream(table, "mystery")
 
 
 def test_run_manifest_fields():
@@ -156,7 +158,7 @@ def _job_index():
     entries = [LogEntry(t, n, "t", "m") for n in JOB_NODES
                for t in rng.sample(range(JOB_RANGE.end), 400)
                if not (n == JOB_NODES[0] and 6000 <= t < 9000)]
-    return SGIndex(entries)
+    return SGIndex(table_of(entries))
 
 
 def _job(job_id, nodes, start=0):
@@ -225,7 +227,7 @@ def test_silent_group_node_and_minimum_group_size():
     rng = random.Random(3)
     entries = [LogEntry(t, n, "t", "m") for n in JOB_NODES[:5]
                for t in rng.sample(range(JOB_RANGE.end), 300)]
-    index = SGIndex(entries)
+    index = SGIndex(table_of(entries))
     silent = JOB_NODES[7]  # in a group, but has no entries at all
     groups = [frozenset(JOB_NODES[:MIN_GROUP_SIZE]),
               frozenset({JOB_NODES[3], JOB_NODES[4], silent})]
@@ -269,7 +271,7 @@ def test_allocation_regroups_only_when_the_job_set_changes(monkeypatch):
 
 def test_sweep_does_not_depend_on_node_or_entry_order(corpus):
     table = corpus.entries
-    entries = table.take(table.ts < corpus.range.start + 86400).entries()
+    entries = rows_of(table.take(table.ts < corpus.range.start + 86400))
     obs_range = ObservationRange(corpus.range.start,
                                  corpus.range.start + 86400)
     rng = random.Random(13)
@@ -278,7 +280,8 @@ def test_sweep_does_not_depend_on_node_or_entry_order(corpus):
     arch = {n: corpus.topology.architecture_of[n] for n in nodes}
     shuffled_entries = list(entries)
     rng.shuffle(shuffled_entries)
-    index, shuffled_index = SGIndex(entries), SGIndex(shuffled_entries)
+    index = SGIndex(table_of(entries))
+    shuffled_index = SGIndex(table_of(shuffled_entries))
     for maker in (combined_vicinity, hardware_vicinity):
         sweep = run_detection(index, maker(corpus.topology), obs_range)
         shuffled = run_detection(shuffled_index, maker(Topology(nodes, arch)),
@@ -354,8 +357,9 @@ def test_cli_anonymize_gz_output_is_compressed(cli_dir, tmp_path, capsys):
                    "--year", "2023", "--output", str(outs[name])])
         assert rc == 0
     assert outs["anon.txt.gz"].read_bytes()[:2] == b"\x1f\x8b"
-    assert read_anonymized(outs["anon.txt.gz"]) == read_anonymized(
-        outs["anon.txt"])
+    (gz, gz_version), (plain, version) = (
+        read_anonymized(outs[name]) for name in ("anon.txt.gz", "anon.txt"))
+    assert (rows_of(gz), gz_version) == (rows_of(plain), version)
     rc = main(["detect-anomalies", "--anonymized",
                "--corpus", str(outs["anon.txt.gz"]),
                "--topology", str(cli_dir / "topology.tsv"),

@@ -3,18 +3,20 @@ writer, checked against the per-cell loops in oracles.py."""
 
 from types import SimpleNamespace
 
+import numpy as np
 import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logvicinity.detect import (SGIndex, detect_abnormal, deviation_threshold,
-                                observation_moments, write_verdicts)
+from logvicinity.detect import (SGIndex, observation_moments, split_groups,
+                                write_verdicts)
 from logvicinity.model import LogEntry, NodeId, ObservationRange
 from logvicinity.pipeline import extract_events, sweep_perspective
 from logvicinity.vicinity import (allocation_vicinity, combined_vicinity,
                                   hardware_vicinity, location_vicinity,
                                   time_of_failure_vicinity)
+from tables import table_of
 
 CADENCE = 600
 N = [NodeId(1, 0, p) for p in range(6)]
@@ -27,8 +29,8 @@ def _tuples(events):
 
 def _index(spec):
     """spec: {node: [timestamps]}."""
-    return SGIndex([LogEntry(t, node, "t", "m")
-                    for node, ts in spec.items() for t in ts])
+    return SGIndex(table_of(LogEntry(t, node, "t", "m")
+                            for node, ts in spec.items() for t in ts))
 
 
 def _chained_failures(corpus, obs_range):
@@ -68,7 +70,8 @@ def test_sweep_matches_the_per_cell_loops(perspective, corpus, tmp_path):
                               jobs=corpus.truth.jobs, failures=failures,
                               window=window)
 
-    # every cell, in schedule order, equals its group's row split alone
+    # every cell, in schedule order, equals its group's row split alone,
+    # and its verdicts are the naive rule's
     cells = [(at, name, tuple(sorted(group)))
              for at, asg in _schedule(perspective, corpus, obs_range,
                                       failures, window)
@@ -76,8 +79,15 @@ def test_sweep_matches_the_per_cell_loops(perspective, corpus, tmp_path):
              if len(group) >= 3]
     assert len(sweep.results) == len(cells) > 0
     for res, (at, name, nodes) in zip(sweep.results, cells):
-        sgs = {n: index.count(n, at, window) for n in nodes}
-        assert res == detect_abnormal(sgs, deviation_threshold(sgs), at, name)
+        sg = [index.count(n, at, window) for n in nodes]
+        c_minor, c_major, wcss, tau, minority, _ = split_groups(np.array([sg]))
+        assert (res.at, res.group, res.nodes, res.sg) == (at, name, nodes, sg)
+        assert res.verdict == oracles.naive_verdicts(sg, 5.0, 5.0)
+        threshold = res.threshold
+        assert (threshold.c_minor, threshold.c_major, threshold.wcss,
+                threshold.tau) == (c_minor[0], c_major[0], wcss[0], tau[0])
+        assert threshold.minority == {n for n, m in zip(nodes, minority[0])
+                                      if m}
 
     flagged = sum(v != "normal" for r in sweep.results for v in r.verdict)
     assert int((sweep.code != 0).sum()) == flagged > 0

@@ -10,6 +10,7 @@ from logvicinity.synth import (CAUSES, DEFAULT_BASE_RATES, FOOTPRINT_LINES,
                                _scaled_streams, desk_topology, generate,
                                load_truth, scale_topology, taurus_topology,
                                write_corpus_files)
+from tables import rows_of
 
 HOUR = 3600
 
@@ -29,7 +30,7 @@ def _rows(table):
 
 def _node_entries(table, node):
     """A node's rows as LogEntry objects, in time order."""
-    return table.take(table.node == table.nodes.index(node)).entries()
+    return rows_of(table.take(table.node == table.nodes.index(node)))
 
 
 def test_same_seed_reproduces_exactly(corpus):

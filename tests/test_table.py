@@ -6,16 +6,17 @@ import numpy as np
 import pytest
 
 import oracles
-from logvicinity.anonymize import SubstitutionRuleSet, anonymize_stream
+from logvicinity import model
+from logvicinity.anonymize import SubstitutionRuleSet, fnv1a_32
 from logvicinity.detect import filter_frequent_anonymized
-from logvicinity.model import (AnonymizedEntry, EventTable, LogEntry, NodeId,
-                               SyslogParseError, Topology, UnknownNodeError,
-                               format_bsd_time, format_syslog_line,
-                               parse_syslog_line,
+from logvicinity.model import (LogEntry, NodeId, SyslogParseError, Topology,
+                               UnknownNodeError, format_bsd_time,
+                               format_syslog_line, parse_syslog_line,
                                parse_syslog_stream, parse_syslog_table,
                                to_epoch, topen, write_syslog)
 from logvicinity.outages import detect_boot_events, detect_outages
 from logvicinity.pipeline import VARIANTS, run_variant
+from tables import Keyed, rows_of, table_of
 
 NODES = [NodeId(1, 0, p) for p in range(5)]
 TOPOLOGY = Topology(NODES, {n: "Haswell" for n in NODES})
@@ -60,14 +61,49 @@ def test_table_columns_follow_the_line_parser_and_rollover_rule():
     assert skipped > 0 and any(e.timestamp >= to_epoch(2024, 2, 29, 0, 0, 0)
                                for e in expected)
     table, stats = parse_syslog_table(lines, 2023, resolver)
-    assert table.entries() == expected
+    assert rows_of(table) == expected
     assert (stats.parsed, stats.skipped_unknown) == (len(expected), skipped)
     assert table.ts.dtype == np.int64 and table.node.dtype == np.int32
     assert len(table.messages) == len(set(MESSAGES))  # one per distinct pair
-    gen, stream_stats = parse_syslog_stream(lines, 2023, resolver)
-    assert list(gen) == expected and stream_stats == stats
+    chunks, stream_stats = parse_syslog_stream(lines, 2023, resolver)
+    assert [e for chunk in chunks for e in rows_of(chunk)] == expected
+    assert stream_stats == stats
     with pytest.raises(UnknownNodeError):
         parse_syslog_table(lines, 2023, resolver, skip_unknown=False)
+
+
+def _parsed(lines):
+    """parse_syslog_table's columns, nodes, messages, tags and stats, or
+    its error."""
+    try:
+        table, stats = parse_syslog_table(lines, 2023, TOPOLOGY.resolver())
+    except SyslogParseError as exc:
+        return str(exc)
+    return (table.ts.tolist(), table.node.tolist(), table.msg.tolist(),
+            table.nodes, table.messages, table.tags, stats)
+
+
+def test_chunk_size_does_not_change_the_parse(monkeypatch):
+    """Metamorphic: STREAM_CHUNK lines per chunk, from one line to more
+    than the corpus holds, give one result; rollover state, unknown
+    hosts and the error of a malformed last line cross chunk bounds."""
+    lines = _wrapping_corpus(44)
+    bad = lines + ["Mar 32 10:00:00 i1r0n0 a: z\n"]
+    monkeypatch.setattr(model, "STREAM_CHUNK", len(bad))
+    whole, error = _parsed(lines), _parsed(bad)
+    assert whole[-1].skipped_unknown > 0 and "Mar 32" in error
+    assert max(whole[0]) >= to_epoch(2024, 2, 29, 0, 0, 0)
+    for size in (1, 7, 4096):
+        monkeypatch.setattr(model, "STREAM_CHUNK", size)
+        assert _parsed(lines) == whole
+        assert _parsed(bad) == error
+        chunks, stats = parse_syslog_stream(bad, 2023, TOPOLOGY.resolver())
+        sizes = []
+        with pytest.raises(SyslogParseError):
+            for chunk in chunks:
+                sizes.append(len(chunk))
+        assert max(sizes) <= size and sum(sizes) == stats.parsed
+        assert stats == whole[-1]
 
 
 @pytest.mark.parametrize("before, year, wraps", [
@@ -92,7 +128,7 @@ def test_feb_29_is_read_as_the_day_after_feb_28(before, year, wraps):
     assert table.ts[-1] == to_epoch(year + 1, 2, 29, 0, 0, 1)
     expected, _ = oracles.reference_parse(lines, year, resolver,
                                           parse_syslog_line)
-    assert table.entries() == expected
+    assert rows_of(table) == expected
 
 
 def test_a_message_is_one_message_with_or_without_its_newline():
@@ -107,11 +143,11 @@ def _columns(table):
             table.nodes, table.messages, table.tags)
 
 
-def test_from_entries_round_trips(tmp_path):
+def test_table_rows_round_trip(tmp_path):
     lines = _wrapping_corpus(42)
-    entries = list(parse_syslog_stream(lines, 2023, TOPOLOGY.resolver())[0])
-    table = EventTable.from_entries(entries)
-    assert table.entries() == entries
+    entries = rows_of(parse_syslog_table(lines, 2023, TOPOLOGY.resolver())[0])
+    table = table_of(entries)
+    assert rows_of(table) == entries
     # rows with an empty tag, an empty message, a year wrap and many days
     assert "" in table.tags and "" in table.messages
     assert table.ts[-1] - table.ts[0] > 30 * 86400
@@ -128,12 +164,13 @@ def test_from_entries_round_trips(tmp_path):
     assert len(table) == len(entries)
     assert sorted(zip(table.tags, table.messages)) == sorted(set(MESSAGES))
     rules = SubstitutionRuleSet()
-    keyed = list(anonymize_stream(entries, rules))
-    assert table.entries(rules) == keyed
-    keyed_table = EventTable.from_entries(keyed)
-    assert keyed_table.keyed and keyed_table.entries() == keyed
-    assert EventTable.from_entries([]).entries() == []
-    assert EventTable.of(table) is table
+    keyed = rows_of(table, rules)
+    assert keyed == [Keyed(e.timestamp, e.node, rules.key(e.message))
+                     for e in entries]
+    keyed_table = table.keyed_by(rules)
+    assert keyed_table.keyed and rows_of(keyed_table) == keyed
+    assert rows_of(table_of(keyed)) == keyed
+    assert rows_of(table_of([])) == []
 
 
 def test_each_distinct_message_is_keyed_once(monkeypatch):
@@ -147,18 +184,20 @@ def test_each_distinct_message_is_keyed_once(monkeypatch):
     assert table.keys(rules)[0] is key_id  # cached per rule set
     assert sorted(keyed) == sorted(table.messages)
     assert [keys[k] for k in key_id.tolist()] == [
-        e.key for e in anonymize_stream(table.entries(), rules)]
+        fnv1a_32(rules.template(e.message)) for e in rows_of(table)]
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_run_variant_on_a_table_equals_its_entry_list(corpus, rules, variant):
+    """A table parsed from the formatted lines of the generated entries
+    runs as the generated table itself, whose nodes and messages are
+    numbered in another order."""
     head = corpus.entries.take(np.arange(len(corpus.entries)) < 60000)
-    entries = head.entries()
-    lines = [format_syslog_line(e) for e in entries]
+    lines = [format_syslog_line(e) for e in rows_of(head)]
     table, _ = parse_syslog_table(lines, 2023, corpus.topology.resolver())
     args = (corpus.topology, corpus.range, variant, rules,
             corpus.truth.maintenance)
-    from_table, from_list = run_variant(table, *args), run_variant(entries, *args)
+    from_table, from_list = run_variant(table, *args), run_variant(head, *args)
     assert from_table.events == from_list.events
     assert from_table.dropped == from_list.dropped
     assert [(r.at, r.group, r.sg, r.verdict) for r in from_table.sweep.results] \
@@ -168,12 +207,11 @@ def test_run_variant_on_a_table_equals_its_entry_list(corpus, rules, variant):
 
 
 def test_outages_do_not_depend_on_line_order(corpus, footprint, rules):
-    shuffled = corpus.entries.entries()
+    shuffled = rows_of(corpus.entries)
     random.Random(8).shuffle(shuffled)
     outages = detect_outages(corpus.entries, footprint, rules, corpus.range)
     assert outages
-    assert detect_outages(shuffled, footprint, rules, corpus.range) == outages
-    table = EventTable.from_entries(shuffled)
+    table = table_of(shuffled)
     assert detect_outages(table, footprint, rules, corpus.range) == outages
 
 
@@ -188,23 +226,25 @@ def test_key_filter_matches_naive_oracle():
             for node in NODES[:rng.randrange(1, 6)]:
                 t = rng.randrange(5000)
                 for _ in range(rng.randrange(1, 40)):
-                    entries.append(AnonymizedEntry(t, node, key))
+                    entries.append(Keyed(t, node, key))
                     t += period + rng.randrange(-jitter, jitter + 1)
         rng.shuffle(entries)
         percentile = rng.choice((90.0, 99.5, 100.0))
-        _, dropped = filter_frequent_anonymized(entries, percentile, 0.1)
+        _, dropped = filter_frequent_anonymized(table_of(entries), None,
+                                                percentile, 0.1)
         assert dropped == oracles.naive_key_filter(entries, percentile, 0.1)
 
 
 def test_key_filter_edges():
     def periodic(key, times):
-        return [AnonymizedEntry(t, n, key) for n in NODES[:3] for t in times]
+        return [Keyed(t, n, key) for n in NODES[:3] for t in times]
 
     entries = (periodic("00000005", range(0, 3000, 600))  # 5 arrivals vote
                + periodic("00000004", range(0, 2400, 600))  # 4 do not
                + periodic("00000000", [7] * 6)  # no gap at all: cv 0
                + periodic("0000000a", [0, 5, 600, 700, 1900, 2000]))
-    _, dropped = filter_frequent_anonymized(entries, 100.0, 0.1)
+    _, dropped = filter_frequent_anonymized(table_of(entries), None, 100.0,
+                                            0.1)
     assert dropped == ["00000000", "00000005"]
     assert dropped == oracles.naive_key_filter(entries, 100.0, 0.1)
 
@@ -217,7 +257,8 @@ def test_footprint_must_end_within_its_span(footprint, rules):
         entries += [LogEntry(5000 + dt, node, "boot", msg) for dt, (_, msg)
                     in zip(steps, footprint.items)]
         entries.sort(key=lambda e: e.timestamp)
-        boots = [b for b in detect_boot_events(entries, footprint, rules)
+        boots = [b for b in detect_boot_events(table_of(entries), footprint,
+                                               rules)
                  if b.confidence == "footprint"]
         assert bool(boots) == found
 
@@ -275,7 +316,7 @@ def test_malformed_line_fuzz():
         try:
             table, _ = parse_syslog_table([line], 2023, resolver,
                                           skip_unknown=False)
-            assert table.entries() == [entry], line
+            assert rows_of(table) == [entry], line
         except (SyslogParseError, UnknownNodeError) as exc:
             assert type(exc).__name__ == entry, line
     assert min(outcomes.values()) > 20, outcomes
