@@ -363,7 +363,7 @@ def _above_percentile(ids, n_ids, percentile):
     return seen & (counts > float(np.percentile(counts[seen], percentile)))
 
 
-def filter_frequent_anonymized(table: EventTable, rules=None,
+def filter_frequent_anonymized(table: EventTable,
                                percentile: float = DEFAULT_PERCENTILE,
                                cv_threshold: float = CV_THRESHOLD,
                                min_arrivals: int = 5):
@@ -372,13 +372,15 @@ def filter_frequent_anonymized(table: EventTable, rules=None,
     A key is near-periodic when the median over nodes of its per-node
     inter-arrival coefficient of variation is below cv_threshold (nodes with
     fewer than min_arrivals occurrences don't vote). Returns (kept table,
-    dropped keys, sorted). rules may be None for a keyed table. The squared
-    deviations are summed in row order, so a coefficient can differ from
-    np.std's pairwise sum in its last bits.
+    dropped keys, sorted). The squared deviations are summed in row order,
+    so a coefficient can differ from np.std's pairwise sum in its last bits.
     """
+    if not table.keyed:
+        raise ValueError("key the table (EventTable.keyed_by) before "
+                         "filtering its keys")
     if not len(table):
         return table, []
-    key_id, keys = table.keys(rules)
+    key_id, keys = table.keys(None)
     drop = _above_percentile(key_id, len(keys), percentile)
     # rows sorted by (key, node, time); gap i joins rows i and i + 1 when
     # both are in one (key, node) group

@@ -55,8 +55,7 @@ def prepare_stream(table: EventTable, variant: str, rules=None,
     if variant == "anonymized":
         return keyed, []
     if variant == "filtered_anonymized":
-        return filter_frequent_anonymized(keyed, None, percentile,
-                                          cv_threshold)
+        return filter_frequent_anonymized(keyed, percentile, cv_threshold)
     raise ValueError(f"unknown variant: {variant!r}")
 
 
@@ -133,8 +132,11 @@ def run_variant(table: EventTable, topology, obs_range, variant: str,
                 cv_threshold: float = CV_THRESHOLD) -> VariantRun:
     """Prepare one variant of a table, sweep it under a perspective,
     extract its events."""
-    variant_table, dropped = prepare_stream(table, variant, rules, percentile,
-                                            cv_threshold)
+    # the detector reads only (timestamp, node), which keying leaves as is,
+    # so the anonymized variant sweeps the table it was given
+    variant_table, dropped = prepare_stream(
+        table, "raw" if variant == "anonymized" else variant, rules,
+        percentile, cv_threshold)
     index = SGIndex(variant_table)
     sweep = sweep_perspective(index, perspective, topology, obs_range,
                               jobs=jobs, failures=failures, window=window,
@@ -190,8 +192,7 @@ def sweep_perspective(index: SGIndex, perspective: str, topology, obs_range,
                   & (at < np.array([j.end for j in jobs], dtype=np.int64)))
         cuts = [0, *(np.flatnonzero((active[1:] != active[:-1]).any(axis=1))
                      + 1).tolist(), len(moments)]
-        # each grouping gets its segment's active jobs (in job order), so
-        # allocation_vicinity does not test every job again
+        # each grouping gets its segment's active jobs, in job order
         schedule = [(allocation_vicinity([jobs[j] for j in np.flatnonzero(
                         active[a]).tolist()], moments[a]), moments[a:b])
                     for a, b in zip(cuts, cuts[1:]) if a < b]

@@ -69,9 +69,11 @@ def combined_vicinity(topology: Topology) -> VicinityAssignment:
     return _grouped("combined", buckets)
 
 
-def allocation_vicinity(jobs, t: int) -> VicinityAssignment:
-    """Union-merge the node sets of all jobs active at t; singletons stay out."""
-    active = [j for j in jobs if j.active_at(t)]
+def allocation_vicinity(active, t: int) -> VicinityAssignment:
+    """Union-merge the node sets of the jobs active at t; singletons stay out.
+
+    The caller picks the active jobs (JobRecord.active_at).
+    """
     parent: dict = {}
 
     def find(x):

@@ -304,3 +304,13 @@ def test_filter_anonymized_min_arrivals_gate():
                                                percentile=100.0)
     assert dropped == []
     assert len(kept) == len(entries)
+
+
+def test_filter_anonymized_needs_a_keyed_table():
+    entries = [LogEntry(t, N[0], "cron", "job ran") for t in range(0, 600, 60)]
+    with pytest.raises(ValueError):
+        filter_frequent_anonymized(table_of(entries), 100.0)
+    keyed = table_of(entries).keyed_by(SubstitutionRuleSet())
+    kept, dropped = filter_frequent_anonymized(keyed, 100.0)
+    assert dropped == keyed.messages  # one exactly periodic key
+    assert len(kept) == 0

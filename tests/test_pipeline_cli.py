@@ -252,7 +252,8 @@ def test_allocation_regroups_only_when_the_job_set_changes(monkeypatch):
             _job("j0", JOB_NODES[6:8], start=2 * 3600)]
     moments = observation_moments(JOB_RANGE.start, JOB_RANGE.end)
     per_moment = sweep_schedule(
-        index, [(allocation_vicinity(jobs, at), (at,)) for at in moments])
+        index, [(allocation_vicinity([j for j in jobs if j.active_at(at)], at),
+                 (at,)) for at in moments])
     calls = []
 
     def counted(jobs, t):

@@ -52,7 +52,8 @@ def _schedule(perspective, corpus, obs_range, failures, window):
     moments = observation_moments(obs_range.start, obs_range.end, CADENCE,
                                   window)
     if perspective == "allocation":
-        return [(at, allocation_vicinity(corpus.truth.jobs, at))
+        return [(at, allocation_vicinity(
+                    [j for j in corpus.truth.jobs if j.active_at(at)], at))
                 for at in moments]
     asg = static[perspective](corpus.topology)
     return [(at, asg) for at in moments]

@@ -230,8 +230,8 @@ def test_key_filter_matches_naive_oracle():
                     t += period + rng.randrange(-jitter, jitter + 1)
         rng.shuffle(entries)
         percentile = rng.choice((90.0, 99.5, 100.0))
-        _, dropped = filter_frequent_anonymized(table_of(entries), None,
-                                                percentile, 0.1)
+        _, dropped = filter_frequent_anonymized(table_of(entries), percentile,
+                                                0.1)
         assert dropped == oracles.naive_key_filter(entries, percentile, 0.1)
 
 
@@ -243,8 +243,7 @@ def test_key_filter_edges():
                + periodic("00000004", range(0, 2400, 600))  # 4 do not
                + periodic("00000000", [7] * 6)  # no gap at all: cv 0
                + periodic("0000000a", [0, 5, 600, 700, 1900, 2000]))
-    _, dropped = filter_frequent_anonymized(table_of(entries), None, 100.0,
-                                            0.1)
+    _, dropped = filter_frequent_anonymized(table_of(entries), 100.0, 0.1)
     assert dropped == ["00000000", "00000005"]
     assert dropped == oracles.naive_key_filter(entries, 100.0, 0.1)
 

@@ -75,7 +75,7 @@ def test_count_lambdas_accept_what_the_targets_return(tmp_path):
     for name, fn, args in (
             ("filter_frequent_raw", filter_frequent_raw, (table, rules, 50.0)),
             ("filter_frequent_anonymized", filter_frequent_anonymized,
-             (keyed, None, 50.0))):
+             (keyed, 50.0))):
         result = fn(*args)
         got = counts[("detect", name)](args, result)
         assert got == {"input": len(ENTRIES), "kept": len(result[0])}

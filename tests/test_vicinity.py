@@ -90,7 +90,8 @@ def test_allocation_singletons_stay_ungrouped():
 
 def test_allocation_respects_job_activity_window():
     jobs = [_job("a", [0, 1], start=0, end=40), _job("b", [2, 3], start=30, end=90)]
-    asg = allocation_vicinity(jobs, 50)  # job a already ended
+    # the caller picks the active jobs; job a already ended
+    asg = allocation_vicinity([j for j in jobs if j.active_at(50)], 50)
     assert asg.group_names == ["job:b"]
 
 
