@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import re
 
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
 from .model import (EventTable, _day_clock, _format_rows, iso, parse_iso,
                     parse_node_name, topen)
 
@@ -30,9 +33,6 @@ DEFAULT_RULES = [
 ]
 
 
-_KEY_RE = re.compile(r"[0-9a-f]{8}")
-
-
 class SubstitutionRuleSet:
     """Ordered substitution rules; application is idempotent by construction."""
 
@@ -54,10 +54,10 @@ class SubstitutionRuleSet:
         return out
 
     def key(self, message: str) -> str:
-        k = self._key_cache.get(message)
+        template = self.template(message)
+        k = self._key_cache.get(template)  # many messages share a template
         if k is None:
-            k = fnv1a_32(self.template(message))
-            self._key_cache[message] = k
+            k = self._key_cache[template] = fnv1a_32(template)
         return k
 
 
@@ -119,52 +119,255 @@ def write_anonymized(table: EventTable, path,
         fh.writelines(anonymize_stream(table, rules))
 
 
+BLOCK = 1 << 19  # bytes read_anonymized decodes per step
+
+_KEY_RE = re.compile(rb"[0-9a-f]{8}")
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
+_STAMP = np.frombuffer(b"0000-00-00T00:00:00Z", np.uint8)  # 0: any digit
+_CLASS = np.arange(256, dtype=np.uint8)  # byte -> itself, a digit -> "0"
+_CLASS[np.frombuffer(b"0123456789", np.uint8)] = ord("0")
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+_WIDE = 32  # wider fields are deduplicated one by one
+_PRIME = np.uint64(0x100000001B3)
+
+
 def read_anonymized(path):
     """Load a pars-lite file as a keyed EventTable; returns (table, version).
 
     A row needs exactly 3 tab-separated fields and a key of 8 lowercase hex
-    digits; anything else raises ValueError naming path:lineno. Each
-    distinct timestamp, node and key is parsed once.
+    digits; anything else raises ValueError naming path:lineno. Lines end
+    in \\n, \\r\\n or \\r, as in text mode. The file is read BLOCK bytes at
+    a time, cut after the block's last line end; arrays find and check the
+    fields of a block and decode its keys and canonical ISO stamps. Each
+    distinct node name and other stamp spelling is parsed once.
     """
-    version = None
-    ts, node, msg, keys = [], [], [], []
-    stamp_of: dict = {}
-    node_of: dict = {}  # name -> node id
-    node_ix: dict = {}  # NodeId -> node id
-    key_of: dict = {}
-    with topen(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                m = re.match(r"#pars-lite v(\S+)", line)
-                if m:
-                    version = m.group(1)
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 tab-separated "
-                                 f"fields, got {len(fields)}")
-            ts_s, name, key = fields
+    reader = _ParsLiteReader(path)
+    with topen(path, "rb") as fh:
+        pending = []  # blocks since the last line end fed
+        while block := fh.read(BLOCK):
+            pending.append(block)
+            if b"\n" not in block and b"\r" not in block:
+                continue  # a long line: join its blocks once
+            data = b"".join(pending)
+            pending.clear()
+            held = b"\r" if data.endswith(b"\r") else b""  # maybe \r\n
+            data = _lf(data[:len(data) - len(held)])
+            cut = data.rfind(b"\n") + 1
+            reader.feed(data[:cut])
+            pending.append(data[cut:] + held)
+        rest = _lf(b"".join(pending))
+        reader.feed(rest + b"\n" if rest and not rest.endswith(b"\n")
+                    else rest)
+    return reader.table(), reader.version
+
+
+def _lf(data: bytes) -> bytes:
+    """data with each \\r\\n and lone \\r turned into \\n."""
+    if b"\r" not in data:
+        return data
+    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+
+
+class _ParsLiteReader:
+    """Columns of a pars-lite file fed as blocks of whole lines.
+
+    Node and key ids follow first appearance in the file.
+    """
+
+    def __init__(self, path):
+        self.path, self.lineno, self.version = path, 0, None
+        self.blocks = []  # (ts, node id, key id) arrays per block
+        self.stamp_of: dict = {}  # stamp bytes -> epoch, None if bad
+        self.node_of: dict = {}  # name bytes -> node id, -1 if bad
+        self.node_ix: dict = {}  # NodeId -> node id
+        self.key_of: dict = {}  # key bytes -> key id, -1 if bad
+        self.keys: list = []
+
+    def table(self) -> EventTable:
+        ts, node, msg = (np.concatenate(c) for c in zip(*self.blocks))
+        return EventTable(ts, node, msg, list(self.node_ix), self.keys)
+
+    def feed(self, data: bytes) -> None:
+        """Add the rows of data, lines that each end in \\n. A bad row
+        raises ValueError; invalid UTF-8 raises after the lines before it."""
+        try:
+            data.decode("utf-8")
+            bad_text = None
+        except UnicodeDecodeError as exc:
+            data, bad_text = data[:data.rfind(b"\n", 0, exc.start) + 1], exc
+        buf = np.frombuffer(data + bytes(_WIDE), np.uint8)
+        ends = np.flatnonzero(buf == ord("\n"))
+        starts = np.concatenate(([0], ends + 1))[:-1]
+        heads = buf[starts]  # a blank line's head is its \n
+        for i in np.flatnonzero(heads == ord("#")).tolist():
+            m = re.match(r"#pars-lite v(\S+)",
+                         data[starts[i]:ends[i]].decode("utf-8"))
+            if m:
+                self.version = m.group(1)
+        line = np.flatnonzero((heads != ord("\n")) & (heads != ord("#")))
+        start, end = starts[line], ends[line]
+        tabs = np.flatnonzero(buf == ord("\t"))
+        tab = np.searchsorted(tabs, start)
+        shaped = np.searchsorted(tabs, end) - tab == 2
+        n = len(line) if shaped.all() else int(np.argmin(shaped))
+        start, end, tab = start[:n], end[:n], tab[:n]
+        t1, t2 = tabs[tab], tabs[tab + 1]
+        ts, ts_ok = self._stamps(buf, start, t1)
+        node = self._nodes(buf, t1 + 1, t2)
+        key, key_ok = self._keys(buf, t2 + 1, end)
+        ok = ts_ok & (node >= 0) & key_ok
+        bad = n if ok.all() else int(np.argmin(ok))
+        if bad < len(line):
+            i = int(line[bad])
+            raise ValueError(f"{self.path}:{self.lineno + i + 1}: " + _row_error(
+                data[starts[i]:ends[i]].decode("utf-8")))
+        if bad_text is not None:
+            raise bad_text
+        self.blocks.append((ts, node, key))
+        self.lineno += len(ends)
+
+    def _stamps(self, buf, start, stop):
+        """(epoch, valid) of each stamp field."""
+        ts, ok = _canonical_stamps(buf, start, stop)
+        other = np.flatnonzero(~ok)
+        if len(other):
+            texts, inverse = _distinct(buf, start[other], stop[other])
+            epochs = [self._stamp(t) for t in texts]
+            ts[other] = np.array([e or 0 for e in epochs], np.int64)[inverse]
+            ok[other] = np.array([e is not None for e in epochs])[inverse]
+        return ts, ok
+
+    def _stamp(self, text: bytes):
+        if text not in self.stamp_of:
             try:
-                t = stamp_of.get(ts_s)
-                if t is None:
-                    t = stamp_of[ts_s] = parse_iso(ts_s)
-                n = node_of.get(name)
-                if n is None:  # two spellings of a node share its id
-                    n = node_of[name] = node_ix.setdefault(
-                        parse_node_name(name), len(node_ix))
-                k = key_of.get(key)
-                if k is None:
-                    if not _KEY_RE.fullmatch(key):
-                        raise ValueError(f"key {key!r} is not 8 lowercase "
-                                         f"hex digits")
-                    k = key_of[key] = len(keys)
-                    keys.append(key)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            ts.append(t)
-            node.append(n)
-            msg.append(k)
-    return EventTable(ts, node, msg, list(node_ix), keys), version
+                self.stamp_of[text] = parse_iso(text.decode("utf-8"))
+            except ValueError:
+                self.stamp_of[text] = None
+        return self.stamp_of[text]
+
+    def _nodes(self, buf, start, stop):
+        """Node id of each name field, -1 for a bad name; two spellings of
+        a node share its id."""
+        texts, inverse = _distinct(buf, start, stop)
+        return np.array([self._node(t) for t in texts], np.int32)[inverse]
+
+    def _node(self, text: bytes) -> int:
+        n = self.node_of.get(text)
+        if n is None:
+            try:
+                node = parse_node_name(text.decode("utf-8"))
+                n = self.node_ix.setdefault(node, len(self.node_ix))
+            except ValueError:
+                n = -1
+            self.node_of[text] = n
+        return n
+
+    def _keys(self, buf, start, stop):
+        """(key id, valid) of each key field."""
+        first, inverse = _first_seen(_word(buf, start, 8))
+        ids = np.array([self._key(buf[i:i + 8].tobytes())
+                        for i in start[first].tolist()], np.int32)[inverse]
+        return ids, (stop - start == 8) & (ids >= 0)
+
+    def _key(self, text: bytes) -> int:
+        k = self.key_of.get(text)
+        if k is None:
+            k = -1
+            if _KEY_RE.fullmatch(text):
+                k = len(self.keys)
+                self.keys.append(text.decode("ascii"))
+            self.key_of[text] = k
+        return k
+
+
+def _row_error(line: str) -> str:
+    """Why a pars-lite row is malformed."""
+    fields = line.split("\t")
+    if len(fields) != 3:
+        return f"expected 3 tab-separated fields, got {len(fields)}"
+    ts_s, name, key = fields
+    try:
+        parse_iso(ts_s)
+        parse_node_name(name)
+    except ValueError as exc:
+        return str(exc)
+    return f"key {key!r} is not 8 lowercase hex digits"
+
+
+def _gather(buf, start, width):
+    """The width bytes from each start on, as rows; buf ends in _WIDE
+    padding bytes, so no row runs past it."""
+    return sliding_window_view(buf, width)[start]
+
+
+def _canonical_stamps(buf, start, stop):
+    """(epoch, valid) of "YYYY-MM-DDTHH:MM:SSZ" fields; valid is false for
+    any other field and for a date or time datetime rejects. A run of
+    equal stamps is decoded once."""
+    text = _gather(buf, start, len(_STAMP))
+    words = text.view(np.uint32)
+    head = np.ones(len(text), bool)
+    head[1:] = (words[1:] != words[:-1]).any(axis=1)
+    run = np.cumsum(head) - 1
+    text = text[head]
+    ok = (_CLASS[text] == _CLASS[_STAMP]).all(axis=1)
+    d = text.astype(np.int64) - ord("0")
+
+    def number(at, size):
+        return d[:, at:at + size] @ 10 ** np.arange(size - 1, -1, -1)
+
+    year, month, day = number(0, 4), number(5, 2), number(8, 2)
+    hour, minute, second = number(11, 2), number(14, 2), number(17, 2)
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_days = _MONTH_DAYS[np.clip(month, 0, 12)] + (leap & (month == 2))
+    ok &= ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
+           & (day <= month_days) & (hour < 24) & (minute < 60) & (second < 60))
+    # days from 1970-01-01 of a proleptic Gregorian date (days from civil)
+    y = year - (month <= 2)
+    era = y // 400
+    yoe = y - era * 400
+    doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
+    days = era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
+    epoch = days * 86400 + hour * 3600 + minute * 60 + second
+    return epoch[run], ok[run] & (stop - start == len(_STAMP))
+
+
+def _first_seen(values):
+    """Row of each distinct value's first appearance, in row order, and
+    each row's index into those."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    first = np.full(len(distinct), len(values))
+    np.minimum.at(first, inverse, np.arange(len(values)))
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse]
+
+
+def _word(buf, start, size):
+    """The first size (at most 8) bytes from each start on, as a uint64
+    that is 0 in the bytes after them."""
+    word = _gather(buf, start, 8).view("<u8").ravel()
+    return word & _LOW_BYTES[np.clip(size, 0, 8)]
+
+
+def _distinct(buf, start, stop):
+    """The distinct byte strings buf[start:stop] of the fields, in order of
+    first appearance, and each field's index into them."""
+    size = stop - start
+    width = int(size.max(initial=0))
+    if width <= _WIDE:
+        words = [_word(buf, start + at, size - at)
+                 for at in range(0, width, 8)]
+        h = size.astype(np.uint64)
+        for word in words:
+            h = h * _PRIME ^ word
+        first, inverse = _first_seen(h)
+        same = first[inverse]
+        if all((w == w[same]).all() for w in [size, *words]):
+            return [buf[a:b].tobytes() for a, b in
+                    zip(start[first].tolist(), stop[first].tolist())], inverse
+    index: dict = {}  # wide fields, or two texts share a hash
+    inverse = [index.setdefault(buf[a:b].tobytes(), len(index))
+               for a, b in zip(start.tolist(), stop.tolist())]
+    return list(index), np.array(inverse, np.intp)

@@ -21,7 +21,7 @@ _MONTHS = {
 _MONTH_NAMES = {v: k for k, v in _MONTHS.items()}
 _LONGEST_MONTH = (31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
-_NODE_RE = re.compile(r"^i(\d+)r(\d+)n(\d+)$")
+_NODE_RE = re.compile(r"i(\d+)r(\d+)n(\d+)", re.ASCII)
 _TAG_RE = re.compile(r"^[\w./-]+:$")
 _DAY_RE = re.compile(r"\d{1,2}", re.ASCII)
 _TIME_RE = re.compile(r"(\d{1,2}):(\d{1,2}):(\d{1,2})(?:\.\d*)?", re.ASCII)
@@ -59,7 +59,7 @@ class NodeId(NamedTuple):
 
 def canonical_node(name: str) -> NodeId | None:
     """The node a canonical name spells, or None for any other name."""
-    m = _NODE_RE.match(name)
+    m = _NODE_RE.fullmatch(name)
     return NodeId(int(m.group(1)), int(m.group(2)), int(m.group(3))) if m else None
 
 
@@ -101,11 +101,12 @@ def iso(t: int) -> str:
 
 
 _ISO_RE = re.compile(
-    r"^(\d{4})-(\d{2})-(\d{2})[T ](\d{2}):(\d{2})(?::(\d{2}))?\s*(?:Z|\+00:00)?$")
+    r"(\d{4})-(\d{2})-(\d{2})[T ](\d{2}):(\d{2})(?::(\d{2}))?\s*(?:Z|\+00:00)?",
+    re.ASCII)
 
 
 def parse_iso(text: str) -> int:
-    m = _ISO_RE.match(text.strip())
+    m = _ISO_RE.fullmatch(text.strip())
     if not m:
         raise ValueError(f"bad timestamp: {text!r}")
     y, mo, d, h, mi = (int(m.group(i)) for i in range(1, 6))
@@ -423,12 +424,13 @@ def _day_clock(ts, day_text):
     """
     day, second = np.divmod(ts, 86400)
     days, day = np.unique(day, return_inverse=True)
-    clock = [f"{h:02d}:{m:02d}:{s:02d}"
-             for h in range(24) for m in range(60) for s in range(60)]
+    minutes = [f"{h:02d}:{m:02d}:" for h in range(24) for m in range(60)]
+    seconds = [f"{s:02d}" for s in range(60)]
+    clock = [m + s for m in minutes for s in seconds]
     return [day_text(d * 86400) for d in days.tolist()], day, second, clock
 
 
-_CHUNK = 1 << 16  # rows converted and formatted per step
+_CHUNK = 1 << 14  # rows converted and formatted per step
 
 
 def _format_rows(line, *columns):
@@ -454,13 +456,15 @@ def write_syslog(table: EventTable, path) -> None:
 
 
 def topen(path, mode="rt"):
-    """Open a text file, transparently decompressing *.gz."""
+    """Open a UTF-8 text file, or a binary one when mode holds "b",
+    transparently decompressing *.gz."""
     path = str(path)
-    if "t" not in mode:
+    encoding = None if "b" in mode else "utf-8"
+    if encoding and "t" not in mode:
         mode += "t"
     if path.endswith(".gz"):
-        return gzip.open(path, mode, encoding="utf-8")
-    return open(path, mode.replace("t", ""), encoding="utf-8")
+        return gzip.open(path, mode, encoding=encoding)
+    return open(path, mode.replace("t", ""), encoding=encoding)
 
 
 @dataclass
@@ -524,14 +528,14 @@ def save_topology(topology: Topology, path) -> None:
             fh.write(f"{n.name}\t{topology.architecture_of[n]}\t{n.island}\t{n.rack}\n")
 
 
-_RANGE_RE = re.compile(r"^(.*n)\[([\d,\-]+)\]$")
+_RANGE_RE = re.compile(r"(.*n)\[([\d,\-]+)\]", re.ASCII)
 
 
 def expand_node_spec(spec: str):
     """Expand "i1r0n[0-3,7]" style range syntax to a list of node names."""
     names = []
     for token in spec.split():
-        m = _RANGE_RE.match(token)
+        m = _RANGE_RE.fullmatch(token)
         if not m:
             names.append(token)
             continue

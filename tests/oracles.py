@@ -5,7 +5,9 @@ columnar_sweep, at the end, builds a sweep from hand-written cells.
 """
 
 import calendar
+import gzip
 import math
+import re
 from datetime import datetime, timezone
 
 import numpy as np
@@ -295,3 +297,47 @@ def columnar_sweep(cells):
         np.array(node, dtype=np.int64),
         (code != VERDICTS.index("non_responsive")).astype(np.int64), code,
         code != 0, groups, nodes, [], sorted({c[0] for c in cells}))
+
+
+def reference_read_anonymized(path, parse_iso, parse_node_name):
+    """(ts, node, key id, nodes, keys, version) of a pars-lite file, one
+    text-mode line at a time.
+
+    Stamps and node names are read by the line-level parse_iso and
+    parse_node_name. Ids follow first appearance; two spellings of a node
+    share its id. A row with other than 3 tab fields, a bad stamp, a bad
+    name or a key other than 8 lowercase hex digits raises ValueError
+    naming path:lineno.
+    """
+    opener = gzip.open if str(path).endswith(".gz") else open
+    version, ts, node, msg = None, [], [], []
+    node_ix, key_ix, stamp_of = {}, {}, {}
+    with opener(path, "rt", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            if line.startswith("#"):
+                m = re.match(r"#pars-lite v(\S+)", line)
+                if m:
+                    version = m.group(1)
+                continue
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise ValueError(f"{path}:{lineno}: expected 3 tab-separated "
+                                 f"fields, got {len(fields)}")
+            stamp, name, key = fields
+            try:
+                if stamp not in stamp_of:
+                    stamp_of[stamp] = parse_iso(stamp)
+                n = node_ix.setdefault(parse_node_name(name), len(node_ix))
+                if key not in key_ix and (len(key) != 8 or any(
+                        c not in "0123456789abcdef" for c in key)):
+                    raise ValueError(f"key {key!r} is not 8 lowercase hex "
+                                     f"digits")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            ts.append(stamp_of[stamp])
+            node.append(n)
+            msg.append(key_ix.setdefault(key, len(key_ix)))
+    return ts, node, msg, list(node_ix), list(key_ix), version

@@ -1,9 +1,14 @@
+import numpy as np
 import pytest
 
+from logvicinity import anonymize
 from logvicinity.anonymize import (SubstitutionRuleSet, anonymize_stream,
                                    fnv1a_32, load_rules, read_anonymized,
                                    save_rules, write_anonymized)
-from logvicinity.model import LogEntry, NodeId, iso, to_epoch
+from logvicinity.model import (LogEntry, NodeId, iso, parse_iso,
+                               parse_node_name, to_epoch)
+from logvicinity.synth import GeneratorSpec, generate
+from oracles import reference_read_anonymized
 from tables import rows_of, table_of
 
 # Variants of the same underlying events; which rows must share a template
@@ -155,13 +160,16 @@ def test_anonymized_file_leaks_no_message_text(tmp_path):
         assert word not in text
 
 
-@pytest.mark.parametrize("row,complaint", [
+MALFORMED = [
     ("2023-03-06T00:00:00Z\ti1r0n0", "3 tab-separated fields"),
     ("2023-03-06T00:00:00Z\ti1r0n0\tdeadbeef\textra", "3 tab-separated fields"),
     ("2023-03-06T00:00:00Z\ti1r0n0\tnot-a-key", "not 8 lowercase hex"),
     ("2023-03-06T00:00:00Z\ti1r0n0\tDEADBEEF", "not 8 lowercase hex"),
     ("2023-03-06T00:00:00Z\ti1r0n0\tdeadbeef0", "not 8 lowercase hex"),
-])
+]
+
+
+@pytest.mark.parametrize("row,complaint", MALFORMED)
 def test_read_anonymized_rejects_malformed_rows(tmp_path, row, complaint):
     path = tmp_path / "anon.txt"
     path.write_text("#pars-lite v1\n2023-03-06T00:00:00Z\ti1r0n0\tdeadbeef\n"
@@ -169,3 +177,200 @@ def test_read_anonymized_rejects_malformed_rows(tmp_path, row, complaint):
     with pytest.raises(ValueError, match=complaint) as exc:
         read_anonymized(path)
     assert f"{path}:3:" in str(exc.value)
+
+
+def _read(path):
+    """read_anonymized's result as plain lists, or the error it raises: its
+    type and, for a malformed row, its text."""
+    try:
+        table, version = read_anonymized(path)
+    except ValueError as exc:
+        return type(exc), None if type(exc) is UnicodeDecodeError else str(exc)
+    return (table.ts.tolist(), table.node.tolist(), table.msg.tolist(),
+            table.nodes, table.messages, version)
+
+
+def _reference(path):
+    try:
+        return reference_read_anonymized(path, parse_iso, parse_node_name)
+    except ValueError as exc:
+        return type(exc), None if type(exc) is UnicodeDecodeError else str(exc)
+
+
+@pytest.fixture(scope="module")
+def seed7_anonymized(tmp_path_factory):
+    """A seed-7 corpus of 64 nodes and half a day as pars-lite files."""
+    table = generate(GeneratorSpec(seed=7, days=0.5, failure_count=2,
+                                   skew_share=0.0)).entries
+    paths = [tmp_path_factory.mktemp("anon") / f"anon.{suffix}"
+             for suffix in ("txt", "txt.gz")]
+    for path in paths:
+        write_anonymized(table, path, SubstitutionRuleSet())
+    return paths
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["txt", "txt.gz"])
+@pytest.mark.parametrize("block", [None, 4099])
+def test_block_reader_matches_the_line_reader(seed7_anonymized, monkeypatch,
+                                              which, block):
+    """Metamorphic: the default block, and a block that ends inside a row
+    thousands of times, read a generated file as the line reader does;
+    node and key ids keep their first appearance across blocks."""
+    path = seed7_anonymized[which]
+    if block:
+        monkeypatch.setattr(anonymize, "BLOCK", block)
+    expect = _reference(path)
+    assert len(expect[0]) > 30_000 and len(expect[3]) == 64
+    assert _read(path) == expect
+
+
+SPELLINGS = [  # (line, expected epoch or None for a non-row line)
+    ("#pars-lite v2", None),
+    ("", None),
+    ("2023-03-06T00:00:00Z\ti01r0n1\tdeadbeef", to_epoch(2023, 3, 6, 0, 0, 0)),
+    ("# a comment between rows", None),
+    ("2023-03-06 00:00:01\ti1r0n1\t0000ffff", to_epoch(2023, 3, 6, 0, 0, 1)),
+    ("2023-03-06T00:00:02+00:00\ti1r0n2\tdeadbeef",
+     to_epoch(2023, 3, 6, 0, 0, 2)),
+    ("2023-03-06T00:01\ti2r0n1\t12345678", to_epoch(2023, 3, 6, 0, 1, 0)),
+    ("", None),
+    ("2024-02-29T23:59:59Z\ti1r0n1\tdeadbeef", to_epoch(2024, 2, 29, 23, 59, 59)),
+    ("2000-02-29T12:00:00Z\ti1r0n2\t0000ffff", to_epoch(2000, 2, 29, 12, 0, 0)),
+    ("1969-12-31T23:59:59Z\ti2r0n1\tdeadbeef", -1),
+    ("2023-12-31T23:59:59Z\ti001r00n01\t12345678",
+     to_epoch(2023, 12, 31, 23, 59, 59)),
+    (f"2024-01-01T00:00:00Z\ti{'0' * 40}1r0n1\t12345678",  # a wide field
+     to_epoch(2024, 1, 1, 0, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 64, None])
+@pytest.mark.parametrize("ends", ["\n", "\r\n", "\r", "mixed"])
+def test_block_reader_reads_every_spelling(tmp_path, monkeypatch, block,
+                                           ends):
+    """Comments and blank lines between rows, \\n, \\r\\n and lone \\r line
+    ends, no final newline, other stamp spellings, leap days and two
+    spellings of one node give the line reader's table, at any block
+    size."""
+    if block:
+        monkeypatch.setattr(anonymize, "BLOCK", block)
+    cycle = ["\n", "\r\n", "\r"] if ends == "mixed" else [ends]
+    path = tmp_path / "anon.txt"
+    path.write_bytes("".join(
+        line + ("" if i == len(SPELLINGS) - 1 else cycle[i % len(cycle)])
+        for i, (line, _) in enumerate(SPELLINGS)).encode())
+    got = _read(path)
+    assert got == _reference(path)
+    ts, node, msg, nodes, keys, version = got
+    assert ts == [t for _, t in SPELLINGS if t is not None]
+    assert nodes == [NodeId(1, 0, 1), NodeId(1, 0, 2), NodeId(2, 0, 1)]
+    assert node == [0, 0, 1, 2, 0, 1, 2, 0, 0]
+    assert keys == ["deadbeef", "0000ffff", "12345678"]
+    assert msg == [0, 1, 0, 2, 0, 1, 0, 2, 2] and version == "2"
+
+
+def test_names_that_share_a_hash_stay_apart(tmp_path, monkeypatch):
+    """With a zero multiplier only a name's last 8 bytes reach its hash:
+    the byte comparison then finds the shared hashes."""
+    monkeypatch.setattr(anonymize, "_PRIME", np.uint64(0))
+    path = tmp_path / "anon.txt"
+    path.write_text("".join(f"2023-03-06T00:00:0{i}Z\ti{i}r0n12345678\t"
+                            f"deadbeef\n" for i in range(1, 4)))
+    got = _read(path)
+    assert got == _reference(path)
+    assert got[3] == [NodeId(i, 0, 12345678) for i in range(1, 4)]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 64])
+@pytest.mark.parametrize("ends", ["\r\n", "mixed"])
+def test_each_line_end_counts_one_line(tmp_path, monkeypatch, block, ends):
+    """A \\r\\n split between two blocks is one line end."""
+    monkeypatch.setattr(anonymize, "BLOCK", block)
+    cycle = ["\n", "\r\n", "\r"] if ends == "mixed" else [ends]
+    path = tmp_path / "anon.txt"
+    path.write_bytes("".join(
+        line + cycle[i % len(cycle)]
+        for i, (line, _) in enumerate(SPELLINGS + [("bad", None)])).encode())
+    got = _read(path)
+    assert got == _reference(path)
+    assert got == (ValueError, f"{path}:{len(SPELLINGS) + 1}: expected 3 "
+                               f"tab-separated fields, got 1")
+
+
+@pytest.mark.parametrize("stamp", [
+    "2023-02-29T00:00:00Z",  # Feb 29 in a common year
+    "1900-02-29T00:00:00Z",  # a century is a common year
+    "2023-04-31T00:00:00Z", "2023-13-01T00:00:00Z", "2023-00-10T00:00:00Z",
+    "2023-03-00T00:00:00Z", "0000-03-06T00:00:00Z", "2023-03-06T24:00:00Z",
+    "2023-03-06T23:60:00Z", "2023-03-06T23:59:60Z", "2023-03-06T23:59:59z",
+    "2023-03-06t23:59:59Z", "2023/03/06T23:59:59Z", "2023-03-06T23:59:5 Z",
+    "2023-03-06T23:59:59Zx", "2023-03-06T23:59:59ZZ",
+])
+@pytest.mark.parametrize("block", [7, None])
+def test_block_reader_rejects_impossible_stamps(tmp_path, monkeypatch, stamp,
+                                                block):
+    if block:
+        monkeypatch.setattr(anonymize, "BLOCK", block)
+    path = tmp_path / "anon.txt"
+    path.write_text(f"#pars-lite v1\n2023-03-06T00:00:00Z\ti1r0n0\tdeadbeef\n"
+                    f"{stamp}\ti1r0n0\tdeadbeef\n")
+    got = _read(path)
+    assert got == _reference(path)
+    assert got[0] is ValueError and f"{path}:3: " in got[1]
+
+
+@pytest.mark.parametrize("row,complaint", MALFORMED)
+def test_read_anonymized_rejects_malformed_rows_after_the_first_block(
+        tmp_path, monkeypatch, row, complaint):
+    """The bad row lies blocks after the first; rows, blank and comment
+    lines before it end in \\n, \\r\\n and \\r."""
+    monkeypatch.setattr(anonymize, "BLOCK", 100)
+    text, lines = "#pars-lite v1\n", 1
+    for i in range(30):  # a \\r before an empty line would make one \\r\\n
+        end = ["\n", "\r\n", "\r"][i % 3]
+        text += (f"2023-03-06T00:00:{i:02d}Z\ti1r0n{i % 4}\tdeadbeef{end}"
+                 + ("# note\n" if end == "\r" else "\n"))
+        lines += 2
+    path = tmp_path / "anon.txt"
+    path.write_bytes(f"{text}{row}\n{row}\n".encode())
+    assert len(text) > 10 * anonymize.BLOCK
+    with pytest.raises(ValueError, match=complaint) as exc:
+        read_anonymized(path)
+    assert f"{path}:{lines + 1}:" in str(exc.value)
+    assert _read(path) == _reference(path)
+
+
+@pytest.mark.parametrize("block", [3, None])
+def test_invalid_utf8_raises_after_the_rows_before_it(tmp_path, monkeypatch,
+                                                      block):
+    if block:
+        monkeypatch.setattr(anonymize, "BLOCK", block)
+    good = b"#pars-lite v1\n2023-03-06T00:00:00Z\ti1r0n0\tdeadbeef\n"
+    path = tmp_path / "anon.txt"
+    path.write_bytes(good + b"2023-03-06T00:00:01Z\ti1r0n0\tdead\xffbeef\n")
+    assert _read(path) == _reference(path) == (UnicodeDecodeError, None)
+    path.write_bytes(good + b"2023-03-06T00:00:01Z\ti1r0n0\n\xff\n")
+    with pytest.raises(ValueError, match=f"{path}:3: expected 3"):
+        read_anonymized(path)
+
+
+@pytest.mark.parametrize("row", [
+    "2023-03-06T00:00:00Z\ti\u0661r0n0\tdeadbeef",  # an Arabic-Indic 1
+    "\u0662\u0660\u0662\u0663-03-06T00:00:00Z\ti1r0n0\tdeadbeef",
+    "2023-03-06T00:00:00Z\ti1r0n\uff10\tdeadbeef",  # a fullwidth 0
+])
+def test_read_anonymized_wants_ascii_digits(tmp_path, row):
+    path = tmp_path / "anon.txt"
+    path.write_text(f"#pars-lite v1\n{row}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"{path}:2: "):
+        read_anonymized(path)
+
+
+def test_each_template_is_hashed_once(monkeypatch):
+    hashed = []
+    monkeypatch.setattr(anonymize, "fnv1a_32",
+                        lambda text: hashed.append(text) or fnv1a_32(text))
+    rules = SubstitutionRuleSet()
+    keys = [rules.key(m) for m in CRON_SAMPLE + CRON_SAMPLE]
+    assert keys == [fnv1a_32(rules.template(m)) for m in CRON_SAMPLE * 2]
+    assert sorted(hashed) == sorted({rules.template(m) for m in CRON_SAMPLE})

@@ -4,7 +4,7 @@ import pytest
 
 from logvicinity.model import (LogEntry, NodeId, ObservationRange,
                                SyslogParseError, Topology, UnknownNodeError,
-                               compress_node_names, expand_node_spec,
+                               canonical_node, compress_node_names, expand_node_spec,
                                format_syslog_line, iso, load_topology,
                                parse_iso, parse_node_name, parse_syslog_line,
                                parse_syslog_stream, save_topology, to_epoch,
@@ -30,6 +30,21 @@ def test_node_id_is_its_plain_tuple():
 def test_bad_node_names_rejected(bad):
     with pytest.raises(ValueError):
         parse_node_name(bad)
+
+
+@pytest.mark.parametrize("bad", ["i\u0661r0n0", "i1r0n\uff10", "i1r0n0\n"])
+def test_node_names_want_ascii_digits_and_nothing_after(bad):
+    assert canonical_node(bad) is None
+    with pytest.raises(ValueError):
+        parse_node_name(bad)
+
+
+@pytest.mark.parametrize("bad", [
+    "\u0662\u0660\u0662\u0663-03-06T00:00:00Z", "2023-03-06T00:00:0\u0661Z",
+    "2023-03-06T00:00:00\u00a0Z"])
+def test_iso_wants_ascii_digits_and_spaces(bad):
+    with pytest.raises(ValueError, match="bad timestamp"):
+        parse_iso(bad)
 
 
 def test_parse_line_fields():
@@ -211,6 +226,13 @@ def test_topology_rejects_bad_rows(tmp_path, row):
         load_topology(path)
 
 
+def test_topology_rejects_non_ascii_digits(tmp_path):
+    path = tmp_path / "topo.tsv"
+    path.write_text("i\u0661r0n0\tHaswell\t1\t0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="not a canonical node name"):
+        load_topology(path)
+
+
 def test_topology_rejects_duplicates(tmp_path):
     path = tmp_path / "topo.tsv"
     path.write_text("i1r0n0\tHaswell\t1\t0\ni1r0n0\tHaswell\t1\t0\n")
@@ -222,6 +244,15 @@ def test_expand_node_spec():
     assert expand_node_spec("i1r0n[0-2,5]") == [
         "i1r0n0", "i1r0n1", "i1r0n2", "i1r0n5"]
     assert expand_node_spec("i1r0n3 i2r1n0") == ["i1r0n3", "i2r1n0"]
+
+
+@pytest.mark.parametrize("spec", ["i1r0n[\u0661-3]", "i1r0n[1,\uff13]"])
+def test_expand_node_spec_wants_ascii_digits(spec):
+    """A range spelled with other digits is not a range: it stays one
+    name, which is not a node name."""
+    assert expand_node_spec(spec) == [spec]
+    with pytest.raises(ValueError):
+        parse_node_name(expand_node_spec(spec)[0])
 
 
 def test_compress_node_names_roundtrip():

@@ -429,6 +429,21 @@ def test_cli_noncanonical_host_without_topology(cli_dir, tmp_path, capsys):
     assert "login01" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("host", ["i\u0661r0n0", "i1r0n\uff10"])
+def test_cli_parse_treats_non_ascii_digits_as_unknown(tmp_path, capsys, host):
+    """Without --topology every canonical name is a node; a name spelled
+    with other than ASCII digits is not one."""
+    corpus = tmp_path / "corpus.log"
+    corpus.write_text(f"Mar  6 00:00:00 i1r0n0 a: b\n"
+                      f"Mar  6 00:00:01 {host} a: b\n", encoding="utf-8")
+    common = ["--corpus", str(corpus), "--year", "2023"]
+    capsys.readouterr()
+    assert main(["parse", "--format", "json"] + common) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["entries"], summary["skipped_unknown"]) == (1, 1)
+    assert main(["parse", "--strict"] + common) == 2
+
+
 def test_cli_outages_classify_evaluate(cli_dir, capsys):
     outages = cli_dir / "outages.tsv"
     rc = main(["detect-outages", "--corpus", str(cli_dir / "corpus.log"),
