@@ -5,9 +5,9 @@ from __future__ import annotations
 import re
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .model import (EventTable, _day_clock, _format_rows, iso, parse_iso,
+from .model import (_WIDE, EventTable, _day_clock, _distinct, _first_seen,
+                    _format_rows, _gather, _word, iso, parse_iso,
                     parse_node_name, topen)
 
 RULE_VERSION = "1"
@@ -122,13 +122,10 @@ def write_anonymized(table: EventTable, path,
 BLOCK = 1 << 19  # bytes read_anonymized decodes per step
 
 _KEY_RE = re.compile(rb"[0-9a-f]{8}")
-_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
 _STAMP = np.frombuffer(b"0000-00-00T00:00:00Z", np.uint8)  # 0: any digit
 _CLASS = np.arange(256, dtype=np.uint8)  # byte -> itself, a digit -> "0"
 _CLASS[np.frombuffer(b"0123456789", np.uint8)] = ord("0")
 _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
-_WIDE = 32  # wider fields are deduplicated one by one
-_PRIME = np.uint64(0x100000001B3)
 
 
 def read_anonymized(path):
@@ -294,12 +291,6 @@ def _row_error(line: str) -> str:
     return f"key {key!r} is not 8 lowercase hex digits"
 
 
-def _gather(buf, start, width):
-    """The width bytes from each start on, as rows; buf ends in _WIDE
-    padding bytes, so no row runs past it."""
-    return sliding_window_view(buf, width)[start]
-
-
 def _canonical_stamps(buf, start, stop):
     """(epoch, valid) of "YYYY-MM-DDTHH:MM:SSZ" fields; valid is false for
     any other field and for a date or time datetime rejects. A run of
@@ -330,44 +321,3 @@ def _canonical_stamps(buf, start, stop):
     days = era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
     epoch = days * 86400 + hour * 3600 + minute * 60 + second
     return epoch[run], ok[run] & (stop - start == len(_STAMP))
-
-
-def _first_seen(values):
-    """Row of each distinct value's first appearance, in row order, and
-    each row's index into those."""
-    distinct, inverse = np.unique(values, return_inverse=True)
-    first = np.full(len(distinct), len(values))
-    np.minimum.at(first, inverse, np.arange(len(values)))
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return first[order], rank[inverse]
-
-
-def _word(buf, start, size):
-    """The first size (at most 8) bytes from each start on, as a uint64
-    that is 0 in the bytes after them."""
-    word = _gather(buf, start, 8).view("<u8").ravel()
-    return word & _LOW_BYTES[np.clip(size, 0, 8)]
-
-
-def _distinct(buf, start, stop):
-    """The distinct byte strings buf[start:stop] of the fields, in order of
-    first appearance, and each field's index into them."""
-    size = stop - start
-    width = int(size.max(initial=0))
-    if width <= _WIDE:
-        words = [_word(buf, start + at, size - at)
-                 for at in range(0, width, 8)]
-        h = size.astype(np.uint64)
-        for word in words:
-            h = h * _PRIME ^ word
-        first, inverse = _first_seen(h)
-        same = first[inverse]
-        if all((w == w[same]).all() for w in [size, *words]):
-            return [buf[a:b].tobytes() for a, b in
-                    zip(start[first].tolist(), stop[first].tolist())], inverse
-    index: dict = {}  # wide fields, or two texts share a hash
-    inverse = [index.setdefault(buf[a:b].tobytes(), len(index))
-               for a, b in zip(start.tolist(), stop.tolist())]
-    return list(index), np.array(inverse, np.intp)

@@ -11,6 +11,7 @@ from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 ARCHITECTURES = ("Haswell", "SandyBridge", "Westmere", "Broadwell", "GPU")
 
@@ -27,7 +28,7 @@ _DAY_RE = re.compile(r"\d{1,2}", re.ASCII)
 _TIME_RE = re.compile(r"(\d{1,2}):(\d{1,2}):(\d{1,2})(?:\.\d*)?", re.ASCII)
 
 HALF_YEAR = 180 * 86400
-STREAM_CHUNK = 4096  # lines parse_syslog_stream parses per step
+STREAM_CHUNK = 16384  # lines parse_syslog_stream parses per step
 
 
 class SyslogParseError(ValueError):
@@ -194,6 +195,136 @@ def parse_syslog_line(line: str, default_year: int, node_resolver) -> LogEntry:
     return LogEntry(ts, node, tag, message)
 
 
+# Fields of a byte buffer as numpy arrays, for the readers that work on a
+# block of lines at once: the syslog parser and anonymize.read_anonymized.
+
+_WIDE = 128  # wider fields are deduplicated one by one
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
+_PRIME = np.uint64(0x100000001B3)
+
+
+def _gather(buf, start, width):
+    """The width bytes from each start on, as rows; buf ends in _WIDE
+    padding bytes, so no row runs past it."""
+    return sliding_window_view(buf, width)[start]
+
+
+def _first_seen(values):
+    """Row of each distinct value's first appearance, in row order, and
+    each row's index into those."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    first = np.full(len(distinct), len(values))
+    np.minimum.at(first, inverse, np.arange(len(values)))
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse]
+
+
+def _word(buf, start, size):
+    """The first size (at most 8) bytes from each start on, as a uint64
+    that is 0 in the bytes after them."""
+    words = np.ndarray((len(buf) - 7,), "<u8", buf, 0, (1,))  # one per byte
+    return words[start] & _LOW_BYTES[np.clip(size, 0, 8)]
+
+
+def _distinct(buf, start, stop):
+    """The distinct byte strings buf[start:stop] of the fields, in order of
+    first appearance, and each field's index into them."""
+    size = stop - start
+    width = int(size.max(initial=0))
+    if width <= _WIDE:
+        words = [_word(buf, start + at, size - at)
+                 for at in range(0, width, 8)]
+        h = size.astype(np.uint64)
+        for word in words:
+            h = h * _PRIME ^ word
+        first, inverse = _first_seen(h)
+        same = first[inverse]
+        if all((w == w[same]).all() for w in [size, *words]):
+            return [buf[a:b].tobytes() for a, b in
+                    zip(start[first].tolist(), stop[first].tolist())], inverse
+    index: dict = {}  # wide fields, or two texts share a hash
+    inverse = [index.setdefault(buf[a:b].tobytes(), len(index))
+               for a, b in zip(start.tolist(), stop.tolist())]
+    return list(index), np.array(inverse, np.intp)
+
+
+# "Mon" as one integer, sorted, and the month number of each
+_MONTH_CODE, _MONTH_OF_CODE = (np.array(c) for c in zip(*sorted(
+    (int.from_bytes(name.encode(), "big"), month)
+    for name, month in _MONTHS.items())))
+_LONGEST = np.array((0,) + _LONGEST_MONTH)
+_HOST_WINDOW = 64  # bytes searched for the end of a host
+
+
+def _unprintable(byte):
+    """Whether each uint8 is outside printable ASCII ("!" to "~")."""
+    return (byte - 0x21) > 0x5D  # bytes below "!" wrap round
+
+
+def _canonical_fields(lines):
+    """Fields of lines as arrays over one padded byte buffer, or None
+    unless every line is canonical: (buf, start, host end, rest start,
+    end, month, day, seconds of day) of each line that is not blank.
+
+    A line is blank when it is empty or starts with "#", and canonical
+    when it reads "Mon DD HH:MM:SS host rest", as write_syslog writes it:
+    single spaces, DD a day some year has (space-padded or two digits),
+    a valid time, a host of at most _HOST_WINDOW - 1 printable ASCII
+    bytes and a rest that is empty or starts with printable ASCII. A
+    line may end in "\\n" or not; a line break anywhere else makes the
+    lines not canonical.
+    """
+    try:
+        text = "".join(lines)
+        data = text.encode("utf-8")
+    except (TypeError, UnicodeEncodeError):
+        return None
+    size = np.fromiter(map(len, lines if text.isascii() else
+                           map(str.encode, lines)), np.int64, len(lines))
+    buf = np.frombuffer(data + bytes(_WIDE), np.uint8)
+    end = np.cumsum(size)
+    start = end - size
+    newline = (size > 0) & (buf[end - 1] == ord("\n"))
+    if np.count_nonzero(buf == ord("\n")) != np.count_nonzero(newline):
+        return None
+    end -= newline
+    keep = (start < end) & (buf[start] != ord("#"))
+    start, end = start[keep], end[keep]
+
+    window = _gather(buf, start, 16 + _HOST_WINDOW)
+    head = window[:, :16]
+    digit = (head - 48) < 10  # uint8: bytes below "0" wrap round
+    value = head & 15  # of a digit; 0 of a space
+    code = (head[:, 0].astype(np.int64) << 16
+            | head[:, 1].astype(np.int64) << 8 | head[:, 2])
+    at = np.searchsorted(_MONTH_CODE, code).clip(0, 11)
+    month = _MONTH_OF_CODE[at]
+    day, hour, minute, second = (value[:, k] * 10 + value[:, k + 1]
+                                 for k in (4, 7, 10, 13))
+    ok = ((_MONTH_CODE[at] == code) & (end - start > 16)
+          & (head[:, [3, 6, 15]] == ord(" ")).all(axis=1)
+          & (head[:, [9, 12]] == ord(":")).all(axis=1)
+          & digit[:, [5, 7, 8, 10, 11, 13, 14]].all(axis=1)
+          & (digit[:, 4] | (head[:, 4] == ord(" ")))
+          & (day >= 1) & (day <= _LONGEST[month])
+          & (hour < 24) & (minute < 60) & (second < 60))
+    # a host ends at the first space, control or non-ASCII byte
+    host_end = np.minimum(
+        start + 16 + _unprintable(window[:, 16:]).argmax(axis=1), end)
+    gap = host_end < end  # " rest" follows the host
+    ok &= (host_end > start + 16) & (~gap | (
+        (buf[host_end] == ord(" ")) & ~_unprintable(buf[host_end + 1])
+        & (host_end + 1 < end)))
+    if not ok.all():
+        return None
+    clock = (hour.astype(np.int64) * 3600 + minute.astype(np.int64) * 60
+             + second)
+    return (buf, start, host_end, np.where(gap, host_end + 1, end), end,
+            month, day, clock)
+
+
 class _SyslogParser:
     """BSD lines to event table columns, with per-node year rollover.
 
@@ -278,6 +409,81 @@ class _SyslogParser:
         finally:
             self.stats.parsed += len(ts_out) - before
 
+    def feed_canonical(self, lines):
+        """The (ts, node, msg) arrays of lines, or None, with no state
+        changed, unless _canonical_fields reads every line, every date
+        exists in its node's year and no node's rows wrap the year. On
+        such lines it gives feed's rows, ids, counts and state; feed
+        parses every other chunk.
+        """
+        fields = _canonical_fields(lines)
+        if fields is None:
+            return None
+        buf, start, host_end, rest, end, month, day, clock = fields
+
+        hosts, host_ix = _distinct(buf, start + 16, host_end)
+        hosts = [h.decode("ascii") for h in hosts]
+        groups: dict = {}  # node -> its index among the chunk's nodes
+        group_of_host = []
+        for host in hosts:
+            n = self._host_of.get(host)
+            if n is None:
+                try:
+                    node = self.resolve(host)
+                except Exception:  # feed raises it after the lines before
+                    return None
+            else:
+                node = self.nodes[n] if n >= 0 else None
+            group_of_host.append(-1 if node is None else
+                                 groups.setdefault(node, len(groups)))
+        group = np.array(group_of_host, np.int64)[host_ix]
+        known = group >= 0
+        if not (self.skip_unknown or known.all()):
+            return None
+        group = group[known]
+        ix = [self._node_ix.get(node) for node in groups]
+        year = np.array([self.year if n is None else self._year_of[n]
+                         for n in ix], np.int64)[group]
+        last = np.array([-(1 << 62) if n is None else self._last_of[n]
+                         for n in ix], np.int64)
+
+        # each distinct (node year, month, day) is worked out once
+        dates, date_ix = np.unique(
+            (year * 13 + month[known]) * 32 + day[known], return_inverse=True)
+        starts = [self._day_in(d // 416, _MONTH_NAMES[d // 32 % 13],
+                               str(d % 32)) for d in dates.tolist()]
+        if not all(real for _, real in starts):
+            return None
+        ts = np.array([s for s, _ in starts], np.int64)[date_ix] + clock[known]
+        # a radix sort for up to 65,536 nodes
+        order = np.argsort(group.astype(np.min_scalar_type(len(groups))),
+                           kind="stable")
+        by_node, by_node_ts = group[order], ts[order]
+        first = np.ones(len(order), bool)
+        first[1:] = by_node[1:] != by_node[:-1]
+        previous = np.empty_like(by_node_ts)
+        previous[first] = last[by_node[first]]
+        previous[~first] = by_node_ts[:-1][~first[1:]]
+        if (previous - by_node_ts > HALF_YEAR).any():
+            return None  # a node's year wraps: feed carries it over
+
+        texts, msg_ix = _distinct(buf, rest[known], end[known])
+        for host in hosts:  # accepted: record hosts, rows and counts
+            if host not in self._host_of:
+                self._add_host(host)
+        node = np.array([self._host_of[h] for h in hosts],
+                        np.int32)[host_ix[known]]
+        latest = np.ones(len(order), bool)
+        latest[:-1] = first[1:]
+        for n, t in zip(node[order][latest].tolist(),
+                        by_node_ts[latest].tolist()):
+            self._last_of[n] = t
+        msg = np.array([self._message_id(t.decode("utf-8")) for t in texts],
+                       np.int32)[msg_ix]
+        self.stats.parsed += len(ts)
+        self.stats.skipped_unknown += len(known) - len(ts)
+        return ts, node, msg
+
     def _day_in(self, year, mon_s, day_s) -> tuple:
         """(epoch, whether year has the day) of a BSD date, cached; Feb 29
         of a common year reads as the day after Feb 28."""
@@ -350,6 +556,10 @@ def parse_syslog_stream(lines, default_year: int, node_resolver,
     def gen():
         it = iter(lines)
         while chunk := list(islice(it, STREAM_CHUNK)):
+            columns = parser.feed_canonical(chunk)
+            if columns is not None:
+                yield parser.table(*columns)
+                continue
             columns, error = ([], [], []), None
             try:
                 parser.feed(chunk, *columns)

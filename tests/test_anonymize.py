@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from logvicinity import anonymize
+from logvicinity import anonymize, model
 from logvicinity.anonymize import (SubstitutionRuleSet, anonymize_stream,
                                    fnv1a_32, load_rules, read_anonymized,
                                    save_rules, write_anonymized)
@@ -272,7 +272,7 @@ def test_block_reader_reads_every_spelling(tmp_path, monkeypatch, block,
 def test_names_that_share_a_hash_stay_apart(tmp_path, monkeypatch):
     """With a zero multiplier only a name's last 8 bytes reach its hash:
     the byte comparison then finds the shared hashes."""
-    monkeypatch.setattr(anonymize, "_PRIME", np.uint64(0))
+    monkeypatch.setattr(model, "_PRIME", np.uint64(0))
     path = tmp_path / "anon.txt"
     path.write_text("".join(f"2023-03-06T00:00:0{i}Z\ti{i}r0n12345678\t"
                             f"deadbeef\n" for i in range(1, 4)))

@@ -1,3 +1,4 @@
+import gzip
 import json
 import os
 import random
@@ -336,6 +337,26 @@ def test_cli_parse_summary(cli_dir, capsys):
         assert (out.read_bytes()[:2] == b"\x1f\x8b") == name.endswith(".gz")
         with topen(out) as fh:
             assert fh.read().encode() == written
+
+
+def test_cli_parse_does_not_depend_on_compression_or_line_ends(
+        cli_dir, tmp_path, capsys):
+    """Metamorphic: the corpus, its gzip and its \\r\\n copy parse alike."""
+    written = (cli_dir / "corpus.log").read_bytes()
+    copies = {"corpus.log": written, "corpus.log.gz": gzip.compress(written),
+              "crlf.log": written.replace(b"\n", b"\r\n")}
+    results = set()
+    for name, data in copies.items():
+        (tmp_path / name).write_bytes(data)
+        out = tmp_path / f"{name}.out.log"
+        assert main(["parse", "--corpus", str(tmp_path / name),
+                     "--topology", str(cli_dir / "topology.tsv"),
+                     "--year", "2023", "--format", "json",
+                     "--output", str(out)]) == 0
+        results.add((capsys.readouterr().out, out.read_bytes()))
+    assert len(results) == 1
+    (summary, output), = results
+    assert json.loads(summary)["entries"] > 10000 and output == written
 
 
 def test_cli_anonymize(cli_dir, capsys):

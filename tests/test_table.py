@@ -1,9 +1,12 @@
 """The columnar event table: parser oracle, round trips and metamorphic checks."""
 
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from logvicinity import model
@@ -11,11 +14,13 @@ from logvicinity.anonymize import SubstitutionRuleSet, fnv1a_32
 from logvicinity.detect import filter_frequent_anonymized
 from logvicinity.model import (LogEntry, NodeId, SyslogParseError, Topology,
                                UnknownNodeError, format_bsd_time,
-                               format_syslog_line, parse_syslog_line,
+                               format_syslog_line, iso, parse_syslog_line,
                                parse_syslog_stream, parse_syslog_table,
                                to_epoch, topen, write_syslog)
 from logvicinity.outages import detect_boot_events, detect_outages
 from logvicinity.pipeline import VARIANTS, run_variant
+from logvicinity.synth import (GeneratorSpec, generate, scale_topology,
+                               taurus_topology)
 from tables import Keyed, rows_of, table_of
 
 NODES = [NodeId(1, 0, p) for p in range(5)]
@@ -104,6 +109,158 @@ def test_chunk_size_does_not_change_the_parse(monkeypatch):
                 sizes.append(len(chunk))
         assert max(sizes) <= size and sum(sizes) == stats.parsed
         assert stats == whole[-1]
+
+
+# A grammar of syslog lines: the canonical shape write_syslog emits, mixed
+# with every shape only the per-line parser reads, and malformed lines.
+RESTS = ["a: x", "", "sshd: session opened for user 17", "no tag here",
+         "kernel: caf\u00e9 \u3000 ok", "x\ty  ", "cron:", "#not: a comment"]
+WHITESPACE = ["\t", "  ", "\xa0", "\x85", "\u3000", "\x1c", " \xa0"]
+BAD_STAMPS = ["Mar 32 10:00:00", "Feb 30 10:00:00", "Mar  0 10:00:00",
+              "Mar  1 24:00:00", "Mar  1 10:60:00", "Mar  1 10:00:60"]
+
+
+@st.composite
+def syslog_lines(draw):
+    """Lines from a start in late December, mid-February or July, with
+    forward gaps, jumps of two months and Feb 29 lines, so that nodes
+    wrap the year and some Feb 29 lines are errors."""
+    t = draw(st.sampled_from([to_epoch(2023, 12, 28, 0, 0, 0),
+                              to_epoch(2023, 2, 20, 0, 0, 0),
+                              to_epoch(2023, 7, 1, 0, 0, 0)]))
+    hosts = [n.name for n in NODES] + ["login01", "i1r0n0\u00e9"]
+    kinds = ["canonical"] * 10 + ["feb29", "comment"]
+    if draw(st.booleans()):  # else the array path may take whole chunks
+        kinds += ["whitespace", "fraction", "leading", "blank", "malformed",
+                  "two_in_one", "two_in_one"]
+    lines = []
+    for _ in range(draw(st.integers(0, 40))):
+        t += draw(st.one_of(st.integers(0, 3 * 86400), st.just(60 * 86400)))
+        kind = draw(st.sampled_from(kinds))
+        host = draw(st.sampled_from(hosts))
+        rest = draw(st.sampled_from(RESTS))
+        fields = format_bsd_time(t).split(" ")
+        if kind == "feb29":
+            fields = ["Feb", "29", fields[-1]]
+        if kind == "fraction":
+            fields[-1] += draw(st.sampled_from([".5", ".", ".123456"]))
+        if kind == "malformed":  # a known host: the oracle skips the others
+            fields = draw(st.sampled_from(BAD_STAMPS)).split(" ")
+            host = NODES[1].name
+        seps = [" "] * 4
+        if kind == "whitespace":
+            seps[draw(st.integers(0, 3))] = draw(st.sampled_from(WHITESPACE))
+        head = fields[0] + seps[0] + " ".join(fields[1:-1])
+        line = (f"{head}{seps[1]}{fields[-1]}{seps[2]}{host}"
+                + (f"{seps[3]}{rest}" if rest else ""))
+        if kind == "leading":
+            line = draw(st.sampled_from([" ", "\t", "\xa0"])) + line
+        if kind == "comment":
+            line = "# " + line
+        if kind == "two_in_one":  # one list item with a "\n" inside
+            line += "\n" + draw(st.sampled_from([line, ""])) + "\n"
+        if kind == "blank":
+            line = draw(st.sampled_from(["", " ", "\t \u3000"]))
+        lines.append(line + draw(st.sampled_from(["\n", "\r\n", "\r", ""])))
+    return lines
+
+
+def _reference(lines):
+    """The oracle's rows and (parsed, skipped) counts of lines, and its
+    error: then the rows and counts are those of the lines before the
+    first line it rejects."""
+    def parse(head):
+        entries, skipped = oracles.reference_parse(
+            head, 2023, TOPOLOGY.resolver(), parse_syslog_line)
+        return entries, (len(entries), skipped)
+
+    try:
+        return *parse(lines), None
+    except SyslogParseError as exc:
+        for k in range(len(lines)):
+            try:
+                parse(lines[:k + 1])
+            except SyslogParseError:
+                return *parse(lines[:k]), str(exc)
+
+
+def _streamed(lines):
+    """The rows of every chunk parse_syslog_stream yields, its counts, and
+    the error it raises after them."""
+    chunks, stats = parse_syslog_stream(lines, 2023, TOPOLOGY.resolver())
+    rows, error = [], None
+    try:
+        for chunk in chunks:
+            rows += rows_of(chunk)
+    except SyslogParseError as exc:
+        error = str(exc)
+    return rows, (stats.parsed, stats.skipped_unknown), error
+
+
+@settings(max_examples=300, deadline=None)
+@given(syslog_lines())
+def test_chunked_parse_equals_the_line_parser(lines):
+    """Whichever path parses a chunk, the table holds the rows, and the
+    stats the counts, of the line-by-line reference, or both raise the
+    same error after the rows of the lines before it."""
+    expected = _reference(lines)
+    for size in (1, 7, 4096):
+        with mock.patch.object(model, "STREAM_CHUNK", size):
+            assert _streamed(lines) == expected
+            if expected[-1] is None:
+                table, stats = parse_syslog_table(lines, 2023,
+                                                  TOPOLOGY.resolver())
+                assert (rows_of(table), (stats.parsed, stats.skipped_unknown),
+                        None) == expected
+
+
+def _feed_chunks(monkeypatch):
+    """The chunks the per-line parser is given, as tuples of lines."""
+    fed = []
+    feed = model._SyslogParser.feed
+    monkeypatch.setattr(model._SyslogParser, "feed", lambda self, lines, *a: (
+        fed.append(tuple(lines)), feed(self, lines, *a))[1])
+    return fed
+
+
+def test_written_corpora_never_reach_the_per_line_parser(corpus, tmp_path,
+                                                         monkeypatch):
+    taurus = generate(GeneratorSpec(
+        topology=scale_topology(taurus_topology(), 0.0625), days=0.5,
+        failure_count=1, skew_share=0.0, seed=5))
+    fed = _feed_chunks(monkeypatch)
+    for gen in (corpus, taurus):
+        entries = gen.entries.take(np.arange(len(gen.entries)) < 60000)
+        path = tmp_path / "corpus.log"
+        write_syslog(entries, path)
+        with topen(path) as fh:
+            table, stats = parse_syslog_table(fh, 2023,
+                                              gen.topology.resolver())
+        assert stats.parsed == len(entries) > 2 * model.STREAM_CHUNK
+        assert rows_of(table) == rows_of(entries)
+    assert fed == []
+
+
+def test_only_chunks_with_a_wrap_reach_the_per_line_parser(monkeypatch):
+    lines = [line for line in _wrapping_corpus(45)
+             if line.strip() and not line.startswith("#")]
+    resolver = TOPOLOGY.resolver()
+    entries, _ = oracles.reference_parse(lines, 2023, resolver,
+                                         parse_syslog_line)
+    size, year_of, wraps = 64, {}, set()  # wraps: chunks of year changes
+    known = [i for i, line in enumerate(lines) if line.split()[3] in resolver]
+    for entry, i in zip(entries, known):
+        year = iso(entry.timestamp)[:4]
+        if year_of.setdefault(entry.node, year) != year:
+            wraps.add(i // size)
+        year_of[entry.node] = year
+    monkeypatch.setattr(model, "STREAM_CHUNK", size)
+    fed = _feed_chunks(monkeypatch)
+    table, _ = parse_syslog_table(lines, 2023, resolver)
+    assert rows_of(table) == entries
+    assert 0 < len(wraps) < len(lines) // size // 2
+    assert fed == [tuple(lines[k * size:(k + 1) * size])
+                   for k in sorted(wraps)]
 
 
 @pytest.mark.parametrize("before, year, wraps", [
