@@ -548,7 +548,9 @@ def parse_syslog_stream(lines, default_year: int, node_resolver,
     jump of more than 180 days means the calendar year wrapped; the node's
     entries carry the incremented year from then on. Unknown hostnames are
     skipped (counted on .skipped_unknown) unless skip_unknown is false. An
-    error is raised after the chunk of the lines before it.
+    error is raised after the chunk of the lines before it. A chunk in
+    write_syslog's shape is parsed as numpy arrays, any other line by line;
+    both give the same rows.
     """
     stats = ParseStats()
     parser = _SyslogParser(default_year, node_resolver, skip_unknown, stats)
