@@ -171,10 +171,17 @@ def cmd_generate(args) -> int:
     gen = generate(spec)
     paths = write_corpus_files(gen, args.out, compress=args.gzip)
     _emit_manifest(args, os.path.join(args.out, "run_manifest.json"),
-                   extra={"outputs": paths})
+                   extra={"outputs": paths, **_corpus_range(spec)})
     print(f"{len(gen.entries)} entries on {len(gen.topology)} nodes, "
           f"{len(gen.truth.failures)} injected failures -> {args.out}")
     return 0
+
+
+def _corpus_range(spec) -> dict:
+    """A generated corpus's range for its manifest; year is the --year to
+    parse its corpus.log with."""
+    start = iso(spec.start)
+    return {"start": start, "end": iso(spec.end), "year": int(start[:4])}
 
 
 def _spec_from(args) -> GeneratorSpec:
@@ -384,7 +391,8 @@ def cmd_pipeline(args) -> int:
         for name, run in runs.items():
             print(f"{name}: {len(run.events)} events")
 
-    _emit_manifest(args, os.path.join(workdir, "run_manifest.json"))
+    _emit_manifest(args, os.path.join(workdir, "run_manifest.json"),
+                   extra=_corpus_range(spec) if args.generate else None)
     return 0
 
 

@@ -7,6 +7,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -467,40 +468,82 @@ def _plan_jobs(spec: GeneratorSpec, topology: Topology, planned, maint, rng):
 # ---------------------------------------------------------------------------
 # per-node stream synthesis
 
+def _uniforms(rng, n):
+    """The next n values of rng.random() as one array, drawn as one block.
+
+    random() builds each double from two 32-bit Mersenne Twister words, a
+    and b, as ((a >> 5) * 2**26 + (b >> 6)) / 2**53; getrandbits(64 * n)
+    returns those 2n words least significant first, and leaves rng where n
+    calls of random() would.
+    """
+    words = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"),
+                          "<u4")
+    return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) \
+        / 9007199254740992.0
+
+
 def _lattice(rng, start, end, period, jitter):
-    ticks = []
-    t = start + rng.uniform(0, period)
-    while t < end:
-        ticks.append(t + rng.uniform(-jitter, jitter))
-        t += period
-    return [tick for tick in ticks if start <= tick < end]
+    """Jittered ticks in [start, end), drawn as the per-tick loop would.
+
+    The loop adds period to a random offset until it reaches end and
+    jitters each tick by rng.uniform(-jitter, jitter). The accumulate adds
+    in the loop's order, so the tick count is known before the jitter draws.
+    """
+    t0 = start + rng.uniform(0, period)
+    # two spare steps: the accumulated grid reaches end before they run out
+    steps = np.full(max(0, math.ceil((end - t0) / period)) + 2, float(period))
+    steps[0] = t0
+    grid = np.add.accumulate(steps)
+    count = int(np.searchsorted(grid, end))
+    a, b = -jitter, jitter
+    ticks = grid[:count] + (a + (b - a) * _uniforms(rng, count))
+    return ticks[(start <= ticks) & (ticks < end)]
+
+
+def _outside(times, spans):
+    """Mask of the times that fall strictly inside none of the (a, b) spans."""
+    keep = np.ones(len(times), bool)
+    for a, b in spans:
+        keep &= ~((a < times) & (times < b))
+    return keep
+
+
+def _where(mask, times, keys):
+    """A segment's rows where mask holds; a single key stays shared."""
+    if len(keys) != 1:
+        keys = list(compress(keys, mask))
+    return times[mask], keys
 
 
 def _node_stream(node, arch, spec, chatter, failures, maint_windows, storms,
                  resolved_out):
+    """A node's rows as (float times, keys) segments in row order.
+
+    keys holds one (tag, message) per row, or one for the whole segment.
+    """
     rng = random.Random(f"{spec.seed}:{node.name}")
     start, end = spec.start, spec.end
 
-    heart = [(t, HEARTBEAT[2], HEARTBEAT[3])
-             for t in _lattice(rng, start, end, HEARTBEAT[0], HEARTBEAT[1])]
-    other = [(t, CRON[2], CRON[3])
-             for t in _lattice(rng, start, end, CRON[0], CRON[1])]
+    heart = _lattice(rng, start, end, HEARTBEAT[0], HEARTBEAT[1])
+    lattices = [(_lattice(rng, start, end, CRON[0], CRON[1]), [CRON[2:]])]
     for period, jitter, tag, msg in chatter:
-        other.extend((t, tag, msg) for t in _lattice(rng, start, end, period, jitter))
+        lattices.append((_lattice(rng, start, end, period, jitter), [(tag, msg)]))
 
+    poisson, poisson_keys = [], []
     t = start
     mean_gap = WINDOW / POISSON_PER_WINDOW
     while True:
         t += rng.expovariate(1.0 / mean_gap)
         if t >= end:
             break
-        tag, msg = _poisson_message(rng)
-        other.append((t, tag, msg))
+        poisson.append(t)
+        poisson_keys.append(_poisson_message(rng))
 
+    storm_ticks = []
     for storm_start in storms:
         tick = storm_start + rng.uniform(0, STORM_PERIOD)
         while tick < storm_start + STORM_LENGTH:
-            other.append((tick, CRON[2], CRON[3]))
+            storm_ticks.append(tick)
             tick += STORM_PERIOD + rng.uniform(-3, 3)
 
     extra = []
@@ -511,7 +554,7 @@ def _node_stream(node, arch, spec, chatter, failures, maint_windows, storms,
         if failure.cause == "silent_hang":
             # the hang leaves the heartbeat as the final entry: pin the
             # failure instant to the last tick at or before the planned time
-            last_tick = max(h[0] for h in heart if h[0] <= failure.nominal)
+            last_tick = float(heart[heart <= failure.nominal].max())
             t_fail, heart_stop = int(last_tick), last_tick
         else:
             t_fail = failure.nominal
@@ -537,16 +580,13 @@ def _node_stream(node, arch, spec, chatter, failures, maint_windows, storms,
         heart_cut.append((cutoff, resume))
         extra.extend(_boot_entries(rng, resume))
 
-    def keep_other(item):
-        return all(not (a < item[0] < b) for a, b in cut_spans)
-
-    def keep_heart(item):
-        return all(not (a < item[0] < b) for a, b in heart_cut)
-
-    merged = [it for it in other if keep_other(it)]
-    merged.extend(it for it in heart if keep_heart(it))
-    merged.extend(extra)
-    return [(int(t), tag, msg) for t, tag, msg in merged if start <= t < end]
+    other = lattices + [(np.array(poisson, float), poisson_keys),
+                        (np.array(storm_ticks, float), [CRON[2:]])]
+    segments = [_where(_outside(t, cut_spans), t, keys) for t, keys in other]
+    segments.append(_where(_outside(heart, heart_cut), heart, [HEARTBEAT[2:]]))
+    segments.append((np.array([row[0] for row in extra], float),
+                     [row[1:] for row in extra]))
+    return [_where((start <= t) & (t < end), t, keys) for t, keys in segments]
 
 
 def _boot_entries(rng, boot_time):
@@ -576,20 +616,22 @@ def generate(spec: GeneratorSpec) -> GeneratedCorpus:
     jobs, odb = _plan_jobs(spec, topology, planned, maint, rng)
 
     resolved: list = []
-    msg_ix: dict = {}  # (tag, message) -> message id
-    ts_of, msg_of = [], []
-    for node in topology.nodes:
+    msg_ix: dict = {}  # (tag, message) -> message id, by first appearance
+    ts_of, msg_of, node_of = [], [], []  # one item per non-empty segment
+    for n, node in enumerate(topology.nodes):
         arch = topology.architecture_of[node]
         windows = [w for w in maint if w.scope.covers(node)]
-        rows = _node_stream(node, arch, spec, chatter_of[arch],
-                            planned.get(node, []), windows,
-                            storms.get(node, []), resolved)
-        ts_of.append(np.fromiter((r[0] for r in rows), np.int64, len(rows)))
-        msg_of.append(np.fromiter((msg_ix.setdefault(r[1:], len(msg_ix))
-                                   for r in rows), np.int32, len(rows)))
+        for times, keys in _node_stream(node, arch, spec, chatter_of[arch],
+                                        planned.get(node, []), windows,
+                                        storms.get(node, []), resolved):
+            if len(times):  # an emptied segment registers no message
+                ids = [msg_ix.setdefault(key, len(msg_ix)) for key in keys]
+                ts_of.append(times.astype(np.int64))
+                msg_of.append(np.broadcast_to(np.array(ids, np.int32),
+                                              len(times)))
+                node_of.append(n)
     ts, msg = np.concatenate(ts_of), np.concatenate(msg_of)
-    node = np.repeat(np.arange(len(ts_of), dtype=np.int32),
-                     [len(t) for t in ts_of])
+    node = np.repeat(np.array(node_of, np.int32), [len(t) for t in ts_of])
     tags = [tag for tag, _ in msg_ix]
     # node ids follow NodeId order and messages of one tag share a dense
     # rank, so this stable sort is by (timestamp, node, tag)

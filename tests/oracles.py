@@ -1,12 +1,14 @@
 """Independent reference implementations used to pin expected values.
 
 Deliberately naive: plain loops, no shared code with the package internals.
-columnar_sweep, at the end, builds a sweep from hand-written cells.
+columnar_sweep builds a sweep from hand-written cells; reference_generate
+reuses synth's schedule planners and rebuilds only the per-node streams.
 """
 
 import calendar
 import gzip
 import math
+import random
 import re
 from datetime import datetime, timezone
 
@@ -341,3 +343,115 @@ def reference_read_anonymized(path, parse_iso, parse_node_name):
             node.append(n)
             msg.append(key_ix.setdefault(key, len(key_ix)))
     return ts, node, msg, list(node_ix), list(key_ix), version
+
+
+def reference_generate(spec):
+    """(EventTable, failures) of synth.generate, built one row at a time.
+
+    The per-node streams walk every lattice tick in Python, drawing each
+    offset and jitter with rng.uniform, and apply the cut spans with one
+    all() per row. The schedule planners, boot bursts and Poisson messages
+    are synth's own; ids follow the rows' first appearance.
+    """
+    from logvicinity.model import EventTable
+    from logvicinity.synth import (CRON, DAY, DEFAULT_BASE_RATES, GASP,
+                                   HEARTBEAT, POISSON_PER_WINDOW,
+                                   SHUTDOWN_LINES, STORM_LENGTH, STORM_PERIOD,
+                                   WINDOW, InjectedFailure, _boot_entries,
+                                   _plan_failures, _plan_jobs,
+                                   _plan_maintenance, _plan_storms,
+                                   _poisson_message, _scaled_streams,
+                                   desk_topology)
+
+    def lattice(rng, start, end, period, jitter):
+        ticks = []
+        t = start + rng.uniform(0, period)
+        while t < end:
+            ticks.append(t + rng.uniform(-jitter, jitter))
+            t += period
+        return [tick for tick in ticks if start <= tick < end]
+
+    def node_stream(node, chatter, failures, maint_windows, storms,
+                    resolved_out):
+        rng = random.Random(f"{spec.seed}:{node.name}")
+        start, end = spec.start, spec.end
+        heart = [(t, HEARTBEAT[2], HEARTBEAT[3])
+                 for t in lattice(rng, start, end, HEARTBEAT[0], HEARTBEAT[1])]
+        other = [(t, CRON[2], CRON[3])
+                 for t in lattice(rng, start, end, CRON[0], CRON[1])]
+        for period, jitter, tag, msg in chatter:
+            other.extend((t, tag, msg)
+                         for t in lattice(rng, start, end, period, jitter))
+        t = start
+        mean_gap = WINDOW / POISSON_PER_WINDOW
+        while True:
+            t += rng.expovariate(1.0 / mean_gap)
+            if t >= end:
+                break
+            tag, msg = _poisson_message(rng)
+            other.append((t, tag, msg))
+        for storm_start in storms:
+            tick = storm_start + rng.uniform(0, STORM_PERIOD)
+            while tick < storm_start + STORM_LENGTH:
+                other.append((tick, CRON[2], CRON[3]))
+                tick += STORM_PERIOD + rng.uniform(-3, 3)
+
+        extra, cut_spans, heart_cut = [], [], []
+        for failure in failures:
+            if failure.cause == "silent_hang":
+                last_tick = max(h[0] for h in heart if h[0] <= failure.nominal)
+                t_fail, heart_stop = int(last_tick), last_tick
+            else:
+                t_fail = failure.nominal
+                heart_stop = float(t_fail)
+                extra.append((float(t_fail), GASP[0], GASP[1]))
+            has_reboot = failure.cause != "no_reboot"
+            resume = t_fail + failure.downtime if has_reboot else end + DAY
+            cut_spans.append((t_fail - failure.quiet, resume))
+            heart_cut.append((heart_stop, resume))
+            if has_reboot:
+                extra.extend(_boot_entries(rng, resume))
+            resolved_out.append(InjectedFailure(node, t_fail, has_reboot,
+                                                failure.cause))
+        for window in maint_windows:
+            cutoff = window.start + rng.uniform(60, 300)
+            resume = window.end - rng.uniform(600, 1200)
+            for offset, (tag, msg) in enumerate(SHUTDOWN_LINES):
+                extra.append((cutoff + 5 + 10 * offset, tag, msg))
+            cut_spans.append((cutoff, resume))
+            heart_cut.append((cutoff, resume))
+            extra.extend(_boot_entries(rng, resume))
+
+        merged = [it for it in other
+                  if all(not (a < it[0] < b) for a, b in cut_spans)]
+        merged.extend(it for it in heart
+                      if all(not (a < it[0] < b) for a, b in heart_cut))
+        merged.extend(extra)
+        return [(int(t), tag, msg) for t, tag, msg in merged if start <= t < end]
+
+    topology = spec.topology or desk_topology()
+    rates = dict(DEFAULT_BASE_RATES)
+    rates.update(spec.base_rate or {})
+    rng = random.Random(f"{spec.seed}:schedule")
+    maint = _plan_maintenance(spec, topology)
+    planned = _plan_failures(spec, topology, maint, rng)
+    storms = _plan_storms(spec, topology, planned, maint, rng)
+    _plan_jobs(spec, topology, planned, maint, rng)
+
+    failures, msg_ix, rows = [], {}, []
+    for n, node in enumerate(topology.nodes):
+        arch = topology.architecture_of[node]
+        for t, tag, msg in node_stream(
+                node, _scaled_streams(arch, rates[arch]),
+                planned.get(node, []),
+                [w for w in maint if w.scope.covers(node)],
+                storms.get(node, []), failures):
+            rows.append((t, n, tag, msg_ix.setdefault((tag, msg), len(msg_ix))))
+    rows.sort(key=lambda r: r[:3])  # stable: ties keep stream order
+    failures.sort(key=lambda f: (f.outage_time, f.node))
+    table = EventTable(np.array([r[0] for r in rows], np.int64),
+                       np.array([r[1] for r in rows], np.int32),
+                       np.array([r[3] for r in rows], np.int32),
+                       list(topology.nodes), [m for _, m in msg_ix],
+                       [tag for tag, _ in msg_ix])
+    return table, failures

@@ -14,7 +14,7 @@ from logvicinity.datasources import JobRecord, MaintenanceWindow, Scope
 from logvicinity.detect import (MIN_GROUP_SIZE, SGIndex, observation_moments,
                                 run_detection, sweep_schedule, write_verdicts)
 from logvicinity.model import (LogEntry, NodeId, ObservationRange, Topology,
-                               format_syslog_line, parse_iso,
+                               format_syslog_line, iso, parse_iso,
                                parse_node_name, to_epoch, topen)
 from logvicinity.outages import load_outages
 from logvicinity.pipeline import (ExtractedEvent, drop_maintenance_events,
@@ -319,6 +319,24 @@ def test_cli_generate_outputs(cli_dir):
     assert not list(cli_dir.glob("*.tmp*"))
 
 
+def test_cli_generate_manifest_records_the_corpus_range(cli_dir, tmp_path):
+    spec = GeneratorSpec()
+    manifest = json.loads((cli_dir / "run_manifest.json").read_text())
+    assert manifest["config"]["start"] is None
+    assert manifest["start"] == iso(spec.start)
+    assert manifest["end"] == iso(spec.start + 2 * 86400)
+    assert manifest["year"] == 2023
+
+    out = tmp_path / "wrap"
+    assert main(["generate", "--out", str(out), "--start", "2022-12-31T12:00:00Z",
+                 "--days", "1", "--failures", "2", "--storms", "2",
+                 "--background-jobs", "5"]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["start"] == iso(to_epoch(2022, 12, 31, 12, 0, 0))
+    assert manifest["end"] == "2023-01-01T12:00:00Z"
+    assert manifest["year"] == 2022
+
+
 def test_cli_parse_summary(cli_dir, capsys):
     rc = main(["parse", "--corpus", str(cli_dir / "corpus.log"),
                "--topology", str(cli_dir / "topology.tsv"),
@@ -570,6 +588,8 @@ def test_cli_pipeline_generate(tmp_path, capsys, monkeypatch):
     for name in ("classified.csv", "report.json", "run_manifest.json",
                  "events_raw.tsv", "events_filtered_anonymized.tsv"):
         assert (tmp_path / "run" / name).exists(), name
+    manifest = json.loads((tmp_path / "run" / "run_manifest.json").read_text())
+    assert manifest["start"] == iso(GeneratorSpec().start)
 
 
 def test_cli_manifest_gz_is_compressed(cli_dir, tmp_path, capsys):

@@ -1,15 +1,22 @@
+import os
+import random
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import oracles
 import pytest
 
+import logvicinity
 from logvicinity.datasources import load_job_report, load_maintenance, load_outage_db
-from logvicinity.model import load_topology, parse_syslog_table, topen
+from logvicinity.model import load_topology, parse_syslog_table, to_epoch, topen
 from logvicinity.synth import (CAUSES, DEFAULT_BASE_RATES, FOOTPRINT_LINES,
                                GASP, GeneratorSpec, HEARTBEAT, SHUTDOWN_LINES,
-                               _scaled_streams, desk_topology, generate,
-                               load_truth, scale_topology, taurus_topology,
-                               write_corpus_files)
+                               _scaled_streams, _uniforms, desk_topology,
+                               generate, load_truth, scale_topology,
+                               taurus_topology, write_corpus_files)
 from tables import rows_of
 
 HOUR = 3600
@@ -229,3 +236,67 @@ def test_spec_validation():
         GeneratorSpec(base_rate={"Haswell": -1})
     with pytest.raises(ValueError):
         generate(GeneratorSpec(days=0.5))  # no room for any failure
+
+
+REFERENCE_SPECS = {
+    "3.5 days": dict(days=3.5, failure_count=20),
+    "seed 1": dict(days=2.0, seed=1, failure_count=6, skew_share=0.0),
+    "seed 2": dict(days=2.0, seed=2, failure_count=6, skew_share=0.0),
+    "seed 3": dict(days=2.0, seed=3, failure_count=6, skew_share=0.0),
+    "taurus x0.25": dict(topology=scale_topology(taurus_topology(), 0.25),
+                         days=0.5, failure_count=2, skew_share=0.0),
+    "new year": dict(start=to_epoch(2022, 12, 31, 12, 0, 0), days=1.0,
+                     failure_count=3, skew_share=0.0),
+    # rates off the defaults give float lattice periods and jitters; the
+    # Haswell chatter period (100 h) leaves some nodes' lattice empty
+    "base rates": dict(days=2.0, failure_count=6,
+                       base_rate={"Haswell": 20.01, "GPU": 120.5}),
+    "no maintenance": dict(days=2.0, failure_count=6, maintenance=False),
+    "many storms": dict(days=2.0, failure_count=6, storm_count=200),
+}
+
+
+def _assert_equals_reference(gen):
+    table, failures = oracles.reference_generate(gen.spec)
+    got = gen.entries
+    np.testing.assert_array_equal(got.ts, table.ts)
+    np.testing.assert_array_equal(got.node, table.node)
+    np.testing.assert_array_equal(got.msg, table.msg)
+    assert got.messages == table.messages
+    assert got.tags == table.tags
+    assert gen.truth.failures == failures
+
+
+def test_default_corpus_equals_the_per_row_reference(corpus):
+    _assert_equals_reference(corpus)
+
+
+@pytest.mark.parametrize("name", REFERENCE_SPECS)
+def test_generate_equals_the_per_row_reference(name):
+    _assert_equals_reference(generate(GeneratorSpec(**REFERENCE_SPECS[name])))
+
+
+@pytest.mark.parametrize("seed", ["7:n000", "3:schedule", "11:n1r2p3"])
+def test_block_draws_equal_random(seed):
+    """_uniforms(rng, n) gives the next n random() values and their state.
+
+    Corpora rest on this: a Python whose getrandbits word order or random()
+    formula differs fails here instead of generating other corpora.
+    """
+    rng, again = random.Random(seed), random.Random(seed)
+    for n in (0, 1, 2, 3, 1000):
+        assert _uniforms(rng, n).tolist() == [again.random() for _ in range(n)]
+        assert rng.getstate() == again.getstate()
+    assert rng.random() == again.random()
+
+
+def test_generate_does_not_import_numpy_random():
+    code = ("import sys\n"
+            "from logvicinity.synth import GeneratorSpec, generate\n"
+            "generate(GeneratorSpec(days=1.0, failure_count=3, skew_share=0.0))\n"
+            "print('numpy.random' in sys.modules)\n")
+    src = str(Path(logvicinity.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
