@@ -105,7 +105,7 @@ def load_rules(path) -> SubstitutionRuleSet:
 
 
 def save_rules(rules: SubstitutionRuleSet, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with topen(path, "w") as fh:
         fh.write(f"# substitution rules v{rules.version}\n")
         for pattern, (_, token) in zip(rules.patterns, rules.rules):
             fh.write(f"{pattern}\t{token}\n")

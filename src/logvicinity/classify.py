@@ -5,13 +5,10 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
-from .datasources import jobs_active_on
-from .model import iso, parse_iso, parse_node_name, topen
+from .names import LABELS, iso, parse_iso, parse_node_name, topen
 from .outages import OutageEvent
 
 DEFAULT_CORRELATION_WINDOW = 600  # seconds
-
-LABELS = ("regular_failure", "planned", "not_failure", "ambiguous")
 
 # Evidence pairs that cannot both hold for a genuine failure.
 CONTRADICTIONS = (

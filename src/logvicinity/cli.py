@@ -7,34 +7,18 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
-from importlib.resources import files as resource_files
 
 from . import __version__
-from .anonymize import (SubstitutionRuleSet, load_rules, read_anonymized,
-                        write_anonymized)
-from .classify import (LABELS, classify_all, load_classified,
-                       write_classified)
-from .datasources import load_job_report, load_maintenance, load_outage_db
-from .detect import (DEFAULT_ALPHA, DEFAULT_CADENCE, DEFAULT_PERCENTILE,
-                     DEFAULT_TAU_MIN, DEFAULT_WINDOW, CV_THRESHOLD,
-                     write_verdicts)
-from .evaluate import DEFAULT_TOLERANCE, render_reports, score
-from .model import (EventTable, ObservationRange, SyslogParseError,
-                    UnknownNodeError, canonical_node, iso, load_topology,
-                    parse_iso, parse_node_name, parse_syslog_table, topen,
-                    write_syslog)
-from .outages import (DEFAULT_BURST_FACTOR, DEFAULT_BURST_MINUTES,
-                      DEFAULT_MIN_GAP, DEFAULT_SILENCE_THRESHOLD,
-                      detect_outages, load_footprint, load_outages,
-                      write_outages)
-from .pipeline import (VARIANTS, detect_and_classify, run_manifest,
-                       run_variant, run_variants, write_events)
-from .synth import (GeneratorSpec, desk_topology, generate, load_truth,
-                    scale_topology, taurus_topology, write_corpus_files)
-from .vicinity import PERSPECTIVES
+from .names import (CV_THRESHOLD, DEFAULT_ALPHA, DEFAULT_BURST_FACTOR,
+                    DEFAULT_BURST_MINUTES, DEFAULT_CADENCE, DEFAULT_MIN_GAP,
+                    DEFAULT_PERCENTILE, DEFAULT_SILENCE_THRESHOLD,
+                    DEFAULT_TAU_MIN, DEFAULT_TOLERANCE, DEFAULT_WINDOW, LABELS,
+                    PERSPECTIVES, VARIANTS, ObservationRange, canonical_node,
+                    iso, parse_iso, parse_node_name, run_manifest, topen)
 
 
 def _data_file(name: str) -> str:
+    from importlib.resources import files as resource_files
     return str(resource_files("logvicinity").joinpath("data", name))
 
 
@@ -87,12 +71,14 @@ def _scan_config_path(argv):
     return None
 
 
-def _rules_from(args) -> SubstitutionRuleSet:
+def _rules_from(args):
+    from .anonymize import SubstitutionRuleSet, load_rules
     path = getattr(args, "rules", None)
     return load_rules(path) if path else SubstitutionRuleSet()
 
 
 def _footprint_from(args):
+    from .outages import load_footprint
     path = getattr(args, "footprint", None) or _data_file("boot.footprint")
     return load_footprint(path)
 
@@ -110,6 +96,7 @@ def _year_from(args) -> int:
 
 def _read_raw(args, topology=None):
     """Parse a raw syslog corpus file into (EventTable, ParseStats)."""
+    from .model import parse_syslog_table
     # without a topology every canonical name is a node; others are unknown
     resolver = topology.resolver() if topology else canonical_node
     with topen(args.corpus) as fh:
@@ -118,9 +105,10 @@ def _read_raw(args, topology=None):
             skip_unknown=not getattr(args, "strict", False))
 
 
-def _read_stream(args, topology=None) -> EventTable:
+def _read_stream(args, topology=None):
     """Raw or anonymized corpus, according to --anonymized."""
     if getattr(args, "anonymized", False):
+        from .anonymize import read_anonymized
         table, _version = read_anonymized(args.corpus)
         return table
     table, _stats = _read_raw(args, topology)
@@ -164,9 +152,10 @@ def _dump_json(obj, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each imports the modules it runs, so `evaluate` needs no numpy
 
 def cmd_generate(args) -> int:
+    from .synth import generate, write_corpus_files
     spec = _spec_from(args)
     gen = generate(spec)
     paths = write_corpus_files(gen, args.out, compress=args.gzip)
@@ -184,7 +173,9 @@ def _corpus_range(spec) -> dict:
     return {"start": start, "end": iso(spec.end), "year": int(start[:4])}
 
 
-def _spec_from(args) -> GeneratorSpec:
+def _spec_from(args):
+    from .synth import (GeneratorSpec, desk_topology, scale_topology,
+                        taurus_topology)
     if getattr(args, "taurus_scale", None):
         topology = scale_topology(taurus_topology(), args.taurus_scale)
     else:
@@ -200,6 +191,7 @@ def _spec_from(args) -> GeneratorSpec:
 
 
 def cmd_parse(args) -> int:
+    from .model import load_topology, write_syslog
     topology = load_topology(args.topology) if args.topology else None
     table, stats = _read_raw(args, topology)
     if args.output:
@@ -221,6 +213,8 @@ def cmd_parse(args) -> int:
 
 
 def cmd_anonymize(args) -> int:
+    from .anonymize import write_anonymized
+    from .model import load_topology
     rules = _rules_from(args)
     topology = load_topology(args.topology) if args.topology else None
     table, _stats = _read_raw(args, topology)
@@ -232,6 +226,8 @@ def cmd_anonymize(args) -> int:
 
 
 def cmd_detect_outages(args) -> int:
+    from .model import load_topology
+    from .outages import detect_outages, write_outages
     topology = load_topology(args.topology) if args.topology else None
     table = _read_stream(args, topology)
     obs_range = _range_from(args, table)
@@ -247,6 +243,9 @@ def cmd_detect_outages(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .classify import classify_all, write_classified
+    from .datasources import load_job_report, load_maintenance, load_outage_db
+    from .outages import load_outages
     outages = load_outages(args.outages)
     jobs = load_job_report(args.jobs_file) if args.jobs_file else []
     odb = load_outage_db(args.outage_db) if args.outage_db else []
@@ -269,6 +268,11 @@ def cmd_classify(args) -> int:
 
 
 def cmd_detect_anomalies(args) -> int:
+    from .classify import load_classified
+    from .datasources import load_job_report, load_maintenance
+    from .detect import write_verdicts
+    from .model import load_topology
+    from .pipeline import run_variant, write_events
     topology = load_topology(args.topology)
     table = _read_stream(args, topology)
     obs_range = _range_from(args, table)
@@ -326,6 +330,7 @@ def _load_instants(path) -> list:
 
 
 def cmd_evaluate(args) -> int:
+    from .evaluate import render_reports, score
     detected = _load_instants(args.detected)
     truth = _load_instants(args.truth)
     report = score(detected, truth, args.tolerance)
@@ -335,12 +340,18 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    from .classify import write_classified
+    from .datasources import load_job_report, load_maintenance, load_outage_db
+    from .evaluate import render_reports, score
+    from .model import load_topology
+    from .pipeline import detect_and_classify, run_variants, write_events
     workdir = args.workdir
     os.makedirs(workdir, exist_ok=True)
     rules = _rules_from(args)
     footprint = _footprint_from(args)
 
     if args.generate:
+        from .synth import generate, write_corpus_files
         spec = _spec_from(args)
         gen = generate(spec)
         write_corpus_files(gen, workdir, compress=args.gzip)
@@ -354,8 +365,7 @@ def cmd_pipeline(args) -> int:
             raise ValueError("pipeline needs --generate or --corpus + --topology")
         topology = load_topology(args.topology)
         table, _stats = _read_raw(args, topology)
-        truth = ([(f.node, f.outage_time) for f in load_truth(args.truth)]
-                 if args.truth else None)
+        truth = _load_instants(args.truth) if args.truth else None
         jobs = load_job_report(args.jobs_file) if args.jobs_file else []
         odb = load_outage_db(args.outage_db) if args.outage_db else []
         maint = load_maintenance(args.maintenance) if args.maintenance else []
@@ -571,9 +581,13 @@ def build_parser(config_defaults=None) -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pipeline)
 
     if config_defaults:
-        overrides = {k: v for k, v in config_defaults.items() if k != "func"}
+        # one file serves every subcommand, so a key need only be one's option
+        known = {a.dest for p in made for a in p._actions} - {"help"}
+        unknown = sorted(set(config_defaults) - known)
+        if unknown:
+            raise ValueError(f"no subcommand has config key {unknown[0]!r}")
         for p in made:
-            p.set_defaults(**overrides)
+            p.set_defaults(**config_defaults)
     return parser
 
 
@@ -582,7 +596,10 @@ def main(argv=None) -> int:
     config_path = _scan_config_path(argv)
     try:
         defaults = _load_config(config_path) if config_path else None
-        parser = build_parser(defaults)
+        try:
+            parser = build_parser(defaults)
+        except ValueError as exc:  # an unknown key in the config file
+            raise ValueError(f"{config_path}: {exc}") from None
         args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit:
@@ -590,8 +607,7 @@ def main(argv=None) -> int:
     except (AssertionError, ArithmeticError) as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 3
-    except (OSError, ValueError, KeyError, SyslogParseError,
-            UnknownNodeError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,14 +9,11 @@ from itertools import compress
 
 import numpy as np
 
-from .model import EventTable, _format_rows, iso, topen
+from .model import EventTable, _format_rows
+from .names import (CV_THRESHOLD, DEFAULT_ALPHA, DEFAULT_CADENCE,
+                    DEFAULT_PERCENTILE, DEFAULT_TAU_MIN, DEFAULT_WINDOW,
+                    iso, topen)
 
-DEFAULT_WINDOW = 1800  # seconds of log history per observation
-DEFAULT_CADENCE = 600  # seconds between observation moments
-DEFAULT_ALPHA = 5.0
-DEFAULT_TAU_MIN = 5.0
-DEFAULT_PERCENTILE = 99.5
-CV_THRESHOLD = 0.1
 MIN_GROUP_SIZE = 3
 
 _SPAN = 1 << 40  # seconds of timestamps SGIndex can sort in one key

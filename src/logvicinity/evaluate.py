@@ -7,7 +7,7 @@ import io
 import json
 from dataclasses import dataclass
 
-DEFAULT_TOLERANCE = 600
+from .names import DEFAULT_TOLERANCE
 
 
 def _as_pairs(items):

@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import calendar
-import gzip
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import islice
-from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from .names import (NodeId, ObservationRange, SyslogParseError,  # noqa: F401
+                    UnknownNodeError, canonical_node, iso, parse_iso,
+                    parse_node_name, to_epoch, topen)
 
 ARCHITECTURES = ("Haswell", "SandyBridge", "Westmere", "Broadwell", "GPU")
 
@@ -22,7 +24,6 @@ _MONTHS = {
 _MONTH_NAMES = {v: k for k, v in _MONTHS.items()}
 _LONGEST_MONTH = (31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
-_NODE_RE = re.compile(r"i(\d+)r(\d+)n(\d+)", re.ASCII)
 _TAG_RE = re.compile(r"^[\w./-]+:$")
 _DAY_RE = re.compile(r"\d{1,2}", re.ASCII)
 _TIME_RE = re.compile(r"(\d{1,2}):(\d{1,2}):(\d{1,2})(?:\.\d*)?", re.ASCII)
@@ -31,88 +32,12 @@ HALF_YEAR = 180 * 86400
 STREAM_CHUNK = 16384  # lines parse_syslog_stream parses per step
 
 
-class SyslogParseError(ValueError):
-    """Raised on a malformed syslog line; .offset is the byte offset of the bad field."""
-
-    def __init__(self, message, offset=0):
-        super().__init__(message)
-        self.offset = offset
-
-
-class UnknownNodeError(KeyError):
-    """Hostname not present in the topology resolver."""
-
-
-class NodeId(NamedTuple):
-    """A node's place; equal to the plain tuple (island, rack, position)."""
-
-    island: int
-    rack: int
-    position: int
-
-    @property
-    def name(self) -> str:
-        return f"i{self.island}r{self.rack}n{self.position}"
-
-    def __str__(self) -> str:
-        return self.name
-
-
-def canonical_node(name: str) -> NodeId | None:
-    """The node a canonical name spells, or None for any other name."""
-    m = _NODE_RE.fullmatch(name)
-    return NodeId(int(m.group(1)), int(m.group(2)), int(m.group(3))) if m else None
-
-
-def parse_node_name(name: str) -> NodeId:
-    node = canonical_node(name)
-    if node is None:
-        raise ValueError(f"not a canonical node name: {name!r}")
-    return node
-
-
 @dataclass(frozen=True, slots=True)
 class LogEntry:
     timestamp: int  # epoch seconds, UTC
     node: NodeId
     tag: str
     message: str
-
-
-@dataclass(frozen=True)
-class ObservationRange:
-    start: int
-    end: int
-
-    def __post_init__(self):
-        if self.start >= self.end:
-            raise ValueError("observation range must have start < end")
-
-    def __contains__(self, t: int) -> bool:
-        return self.start <= t <= self.end
-
-
-def to_epoch(year, month, day, hour, minute, second) -> int:
-    return int(datetime(year, month, day, hour, minute, second,
-                        tzinfo=timezone.utc).timestamp())
-
-
-def iso(t: int) -> str:
-    return datetime.fromtimestamp(t, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
-_ISO_RE = re.compile(
-    r"(\d{4})-(\d{2})-(\d{2})[T ](\d{2}):(\d{2})(?::(\d{2}))?\s*(?:Z|\+00:00)?",
-    re.ASCII)
-
-
-def parse_iso(text: str) -> int:
-    m = _ISO_RE.fullmatch(text.strip())
-    if not m:
-        raise ValueError(f"bad timestamp: {text!r}")
-    y, mo, d, h, mi = (int(m.group(i)) for i in range(1, 6))
-    s = int(m.group(6) or 0)
-    return to_epoch(y, mo, d, h, mi, s)
 
 
 def format_bsd_time(t: int) -> str:
@@ -667,18 +592,6 @@ def write_syslog(table: EventTable, path) -> None:
             day, secs, table.node, table.msg))
 
 
-def topen(path, mode="rt"):
-    """Open a UTF-8 text file, or a binary one when mode holds "b",
-    transparently decompressing *.gz."""
-    path = str(path)
-    encoding = None if "b" in mode else "utf-8"
-    if encoding and "t" not in mode:
-        mode += "t"
-    if path.endswith(".gz"):
-        return gzip.open(path, mode, encoding=encoding)
-    return open(path, mode.replace("t", ""), encoding=encoding)
-
-
 @dataclass
 class Topology:
     """Inventory of nodes with their architecture class and physical place."""
@@ -734,7 +647,7 @@ def load_topology(path) -> Topology:
 
 
 def save_topology(topology: Topology, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with topen(path, "w") as fh:
         fh.write("# node\tarchitecture\tisland\track\n")
         for n in topology.nodes:
             fh.write(f"{n.name}\t{topology.architecture_of[n]}\t{n.island}\t{n.rack}\n")

@@ -7,14 +7,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (EventTable, NodeId, ObservationRange, iso, parse_iso,
-                    parse_node_name, topen)
+from .model import EventTable
+from .names import (DEFAULT_BURST_FACTOR, DEFAULT_BURST_MINUTES,
+                    DEFAULT_MIN_GAP, DEFAULT_SILENCE_THRESHOLD, NodeId,
+                    ObservationRange, iso, parse_iso, parse_node_name, topen)
 
 FOOTPRINT_SPAN = 120  # seconds within which the whole footprint must appear
-DEFAULT_BURST_FACTOR = 5
-DEFAULT_BURST_MINUTES = 2
-DEFAULT_MIN_GAP = 600  # seconds of silence required before a burst boot
-DEFAULT_SILENCE_THRESHOLD = 3600
 
 
 @dataclass(frozen=True)

@@ -2,27 +2,24 @@
 
 from __future__ import annotations
 
-import sys
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import __version__
 from .anonymize import SubstitutionRuleSet
 from .classify import DEFAULT_CORRELATION_WINDOW, classify_all
-from .detect import (CV_THRESHOLD, DEFAULT_ALPHA, DEFAULT_CADENCE,
-                     DEFAULT_PERCENTILE, DEFAULT_TAU_MIN, DEFAULT_WINDOW,
-                     VERDICTS, SGIndex, SweepResult,
+from .detect import (VERDICTS, SGIndex, SweepResult,
                      filter_frequent_anonymized, filter_frequent_raw,
                      observation_moments, run_detection, sweep_schedule)
-from .model import EventTable, iso, parse_iso, parse_node_name, topen
+from .model import EventTable
+from .names import (CV_THRESHOLD, DEFAULT_ALPHA, DEFAULT_CADENCE,  # noqa: F401
+                    DEFAULT_PERCENTILE, DEFAULT_TAU_MIN, DEFAULT_WINDOW,
+                    VARIANTS, iso, parse_iso, parse_node_name, run_manifest,
+                    topen)
 from .outages import detect_outages
 from .vicinity import (allocation_vicinity, combined_vicinity,
                        hardware_vicinity, location_vicinity,
                        time_of_failure_vicinity)
-
-VARIANTS = ("raw", "anonymized", "filtered_raw", "filtered_anonymized")
 
 DEFAULT_MAX_GAP_MOMENTS = 3
 
@@ -245,14 +242,3 @@ def load_events(path) -> list:
                 parse_iso(parts[2]), parse_iso(parts[3]), parts[4] == "true"))
     return out
 
-
-def run_manifest(config: dict, seed=None) -> dict:
-    """Reproducibility record written next to result files."""
-    return {
-        "tool": "logvicinity",
-        "version": __version__,
-        "python": sys.version.split()[0],
-        "created": iso(int(time.time())),
-        "seed": seed,
-        "config": config,
-    }

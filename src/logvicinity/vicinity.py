@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Topology, iso
-
-PERSPECTIVES = ("hardware", "location", "allocation", "time_of_failure", "combined")
+from .model import Topology
+from .names import PERSPECTIVES, iso  # noqa: F401
 
 DEFAULT_CHAIN_INTERVAL = 600  # seconds between failures considered related
 

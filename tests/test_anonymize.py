@@ -6,7 +6,7 @@ from logvicinity.anonymize import (SubstitutionRuleSet, anonymize_stream,
                                    fnv1a_32, load_rules, read_anonymized,
                                    save_rules, write_anonymized)
 from logvicinity.model import (LogEntry, NodeId, iso, parse_iso,
-                               parse_node_name, to_epoch)
+                               parse_node_name, to_epoch, topen)
 from logvicinity.synth import GeneratorSpec, generate
 from oracles import reference_read_anonymized
 from tables import rows_of, table_of
@@ -104,6 +104,19 @@ def test_rules_roundtrip(tmp_path):
     loaded = load_rules(path)
     assert loaded.version == "9"
     assert loaded.patterns == rules.patterns
+    for msg in CRON_SAMPLE:
+        assert loaded.template(msg) == rules.template(msg)
+
+
+def test_rules_gz_roundtrip(tmp_path):
+    rules = SubstitutionRuleSet(version="9")
+    save_rules(rules, tmp_path / "subst.rules")
+    save_rules(rules, tmp_path / "subst.rules.gz")
+    assert (tmp_path / "subst.rules.gz").read_bytes()[:2] == b"\x1f\x8b"
+    with topen(tmp_path / "subst.rules.gz") as fh:
+        assert fh.read() == (tmp_path / "subst.rules").read_text()
+    loaded = load_rules(tmp_path / "subst.rules.gz")
+    assert (loaded.version, loaded.patterns) == ("9", rules.patterns)
     for msg in CRON_SAMPLE:
         assert loaded.template(msg) == rules.template(msg)
 

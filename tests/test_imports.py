@@ -1,0 +1,109 @@
+"""The import boundary: what `import logvicinity` and each subcommand load.
+
+Each check runs in a fresh interpreter, because this test process has
+loaded every module already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import logvicinity
+from logvicinity.cli import build_parser, main
+from logvicinity.model import NodeId, iso
+from logvicinity.pipeline import ExtractedEvent, write_events
+
+SRC = str(Path(logvicinity.__file__).resolve().parents[1])
+NO_NUMPY = "import sys\nsys.modules['numpy'] = None  # any numpy import fails\n"
+LOADED = ("import json, sys\n"
+          "print(json.dumps(sorted(m for m in sys.modules\n"
+          "                        if m == 'numpy' or m.startswith('logvicinity'))))\n")
+T0 = 1_690_000_000
+
+
+def _child(code, *args) -> str:
+    """Run code in a fresh interpreter with args as sys.argv[1:]; its stdout."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _loaded(stdout) -> set:
+    return set(json.loads(stdout.splitlines()[-1]))
+
+
+def test_import_package_loads_no_module():
+    assert _loaded(_child("import logvicinity\n" + LOADED)) == {"logvicinity"}
+
+
+def test_every_export_resolves_lazily():
+    code = """
+import importlib, logvicinity
+ns = {}
+exec("from logvicinity import *", ns)
+for name in logvicinity.__all__:
+    module = importlib.import_module("logvicinity." + logvicinity._MODULE_OF[name])
+    assert ns[name] is getattr(module, name) is getattr(logvicinity, name), name
+assert not hasattr(logvicinity, "no_such_name")
+assert set(logvicinity.__all__) <= set(dir(logvicinity))
+print(len(logvicinity.__all__))
+"""
+    assert int(_child(code)) == len(logvicinity.__all__) > 70
+
+
+def _score_inputs(tmp_path):
+    nodes = [NodeId(1, 0, i) for i in range(4)]
+    detected = tmp_path / "events.tsv"
+    write_events([ExtractedEvent(n, T0 + 900 * i, T0 + 900 * i + 600,
+                                 T0 + 900 * i + 1200, i % 2 == 0)
+                  for i, n in enumerate(nodes[:3])], detected)
+    truth = tmp_path / "truth.csv"
+    truth.write_text("node,outage_time,has_reboot,cause\n" + "".join(
+        f"{n.name},{iso(T0 + 900 * i + 300 * (i % 2))},true,crash_panic\n"
+        for i, n in enumerate(nodes[1:], 1)))
+    return ["evaluate", "--detected", str(detected), "--truth", str(truth)]
+
+
+def test_cli_runs_evaluate_help_and_version_without_numpy(tmp_path, capsys):
+    evaluate = _score_inputs(tmp_path)
+    assert main(evaluate) == 0
+    expected = capsys.readouterr().out
+    subcommands = build_parser()._subparsers._group_actions[0].choices
+    code = NO_NUMPY + """
+import contextlib, io, json
+from logvicinity.cli import main
+for argv in [["--help"], ["--version"]] + [[c, "--help"] for c in json.loads(sys.argv[2])]:
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(argv)
+    except SystemExit as exc:
+        assert exc.code == 0, argv
+    else:
+        raise AssertionError(f"{argv} did not exit")
+assert main(json.loads(sys.argv[1])) == 0
+"""
+    manifest = str(tmp_path / "m.json")
+    out = _child(code, json.dumps(evaluate + ["--manifest", manifest]),
+                 json.dumps(sorted(subcommands)))
+    assert out == expected
+    assert json.loads(Path(manifest).read_text())["tool"] == "logvicinity"
+
+
+def test_anonymize_loads_only_what_it_runs(tmp_path):
+    corpus = tmp_path / "corpus.log"
+    corpus.write_text("".join(f"Jul 22 0{h}:00:00 i1r0n{n} cron: run {n}\n"
+                              for h in range(3) for n in range(3)))
+    out = tmp_path / "anon.txt"
+    code = "from logvicinity.cli import main\n" \
+           "assert main(sys.argv[1:]) == 0\n" + LOADED
+    loaded = _loaded(_child("import sys\n" + code, "anonymize", "--corpus",
+                            str(corpus), "--year", "2023",
+                            "--output", str(out)))
+    assert out.read_text().count("\n") == 10
+    assert {"logvicinity.anonymize", "logvicinity.model"} <= loaded
+    assert not loaded & {f"logvicinity.{m}" for m in (
+        "synth", "pipeline", "detect", "outages", "classify")}

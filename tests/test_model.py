@@ -214,6 +214,19 @@ def test_topology_roundtrip(tmp_path):
     assert loaded.class_counts() == {"Haswell": 3, "GPU": 1}
 
 
+def test_topology_gz_roundtrip(tmp_path):
+    nodes = [NodeId(1, 0, i) for i in range(3)] + [NodeId(2, 1, 0)]
+    topo = Topology(nodes, {n: "Haswell" for n in nodes})
+    save_topology(topo, tmp_path / "topo.tsv")
+    save_topology(topo, tmp_path / "topo.tsv.gz")
+    assert (tmp_path / "topo.tsv.gz").read_bytes()[:2] == b"\x1f\x8b"
+    with topen(tmp_path / "topo.tsv.gz") as fh:
+        assert fh.read() == (tmp_path / "topo.tsv").read_text()
+    loaded = load_topology(tmp_path / "topo.tsv.gz")
+    assert (loaded.nodes, loaded.architecture_of) == (
+        topo.nodes, topo.architecture_of)
+
+
 @pytest.mark.parametrize("row", [
     "i1r0n0\tNotAnArch\t1\t0",      # unknown class
     "i1r0n0\tHaswell\t2\t0",        # island column disagrees with the name

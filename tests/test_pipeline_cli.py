@@ -9,7 +9,7 @@ import oracles
 import pytest
 
 from logvicinity.anonymize import read_anonymized
-from logvicinity.cli import main
+from logvicinity.cli import _load_instants, main
 from logvicinity.datasources import JobRecord, MaintenanceWindow, Scope
 from logvicinity.detect import (MIN_GROUP_SIZE, SGIndex, observation_moments,
                                 run_detection, sweep_schedule, write_verdicts)
@@ -21,7 +21,7 @@ from logvicinity.pipeline import (ExtractedEvent, drop_maintenance_events,
                                   extract_events, load_events, prepare_stream,
                                   run_manifest, run_variant, run_variants,
                                   sweep_perspective, write_events)
-from logvicinity.synth import GeneratorSpec, generate
+from logvicinity.synth import GeneratorSpec, generate, load_truth
 from logvicinity.vicinity import (VicinityAssignment, allocation_vicinity,
                                   combined_vicinity, hardware_vicinity)
 from tables import rows_of, table_of
@@ -574,6 +574,26 @@ def test_cli_config_file_and_flag_precedence(cli_dir, tmp_path, capsys):
     config = json.loads(manifest.read_text())["config"]
     assert config["alpha"] == 9.0      # explicit flag beats the file
     assert config["cadence"] == 1200   # file beats the built-in default
+
+
+def test_cli_config_rejects_an_unknown_key(cli_dir, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    truth = str(cli_dir / "truth.csv")
+    args = ["evaluate", "--config", str(cfg), "--detected", truth,
+            "--truth", truth]
+    cfg.write_text("windw = 900\n")
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert str(cfg) in err and "'windw'" in err
+    # one file serves every subcommand: another one's option is allowed
+    cfg.write_text("window = 900\ntolerance = 300\n")
+    assert main(args) == 0
+
+
+def test_truth_readers_agree(cli_dir):
+    truth = cli_dir / "truth.csv"
+    pairs = [(f.node, f.outage_time) for f in load_truth(truth)]
+    assert len(pairs) == 8 and _load_instants(truth) == pairs
 
 
 def test_cli_pipeline_generate(tmp_path, capsys, monkeypatch):

@@ -7,19 +7,25 @@ that each function returns what the tracer expects of it.
 """
 
 import importlib
+import json
+import os
 import random
+import subprocess
 import sys
 from collections.abc import Iterator
 from pathlib import Path
 
 import pytest
 
+import logvicinity
 from logvicinity.anonymize import (SubstitutionRuleSet, read_anonymized,
                                    write_anonymized)
+from logvicinity.cli import main
 from logvicinity.detect import filter_frequent_anonymized, filter_frequent_raw
 from logvicinity.model import LogEntry, NodeId, ParseStats, format_syslog_line
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+BENCH = str(Path(__file__).resolve().parents[1] / "bench")
+sys.path.insert(0, BENCH)
 import tracer  # noqa: E402
 
 from tables import table_of  # noqa: E402
@@ -80,3 +86,37 @@ def test_count_lambdas_accept_what_the_targets_return(tmp_path):
         got = counts[("detect", name)](args, result)
         assert got == {"input": len(ENTRIES), "kept": len(result[0])}
         assert 0 < got["kept"] < got["input"]
+
+
+def test_tracer_wraps_modules_the_cli_imports_late(tmp_path):
+    """cli imports a subcommand's modules when it runs; the traced layers
+    must still record spans, or a layer would read 0 in the benchmark."""
+    gen = tmp_path / "gen"
+    assert main(["generate", "--out", str(gen), "--seed", "3", "--days", "0.5",
+                 "--failures", "2", "--storms", "2",
+                 "--background-jobs", "5"]) == 0
+    year = json.loads((gen / "run_manifest.json").read_text())["year"]
+    code = """
+import json, sys
+import tracer
+t = tracer.Tracer()
+t.install()
+from logvicinity import cli
+corpus, truth, anon, year = sys.argv[1:]
+assert cli.main(["anonymize", "--corpus", corpus, "--year", year,
+                 "--output", anon]) == 0
+assert cli.main(["evaluate", "--detected", truth, "--truth", truth]) == 0
+t.uninstall_gc()
+print(json.dumps(sorted({s["name"] for s in t.dump()["spans"]})))
+"""
+    src = str(Path(logvicinity.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join((src, BENCH))}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(gen / "corpus.log"),
+         str(gen / "truth.csv"), str(tmp_path / "anon.txt"), str(year)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    names = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert {"model.parse_syslog_stream", "anonymize.write_anonymized",
+            "anonymize.anonymize_stream", "evaluate.score",
+            "cli.main"} <= names
