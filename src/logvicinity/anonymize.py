@@ -6,9 +6,9 @@ import re
 
 import numpy as np
 
-from .model import (_WIDE, EventTable, _day_clock, _distinct, _first_seen,
-                    _format_rows, _gather, _word, iso, parse_iso,
-                    parse_node_name, topen)
+from .model import (_WIDE, BLOCK, EventTable, _distinct, _first_seen,
+                    _gather, _gather_rows, _stamps, _word, iso, parse_iso,
+                    parse_node_name, read_blocks, topen)
 
 RULE_VERSION = "1"
 
@@ -70,19 +70,18 @@ def fnv1a_32(text: str) -> str:
 
 
 def anonymize_stream(table: EventTable, rules: SubstitutionRuleSet):
-    """Yield the pars-lite line of each table row: ISO time, node name and
-    key, tab-separated.
+    """Yield the pars-lite lines of the table's rows as UTF-8 bytes, one
+    chunk per model._CHUNK rows: ISO time, node name and key,
+    tab-separated, each line ending in \\n.
 
     A keyed table's keys pass through. Each distinct message is keyed
-    once, and each day's "YYYY-MM-DDT" and each second's "HH:MM:SS" is
-    formatted once.
+    once, and each node name and key is encoded once.
     """
     key_id, keys = table.keys(rules)
-    dates, day, secs, clock = _day_clock(table.ts, lambda t: iso(t)[:-9])
-    names = [n.name for n in table.nodes]
-    yield from _format_rows(
-        lambda d, s, n, k: f"{dates[d]}{clock[s]}Z\t{names[n]}\t{keys[k]}\n",
-        day, secs, table.node, key_id)
+    yield from _gather_rows(
+        len(table), _stamps(table.ts, lambda t: iso(t)[:11], b"Z\t"),
+        ([f"{n.name}\t" for n in table.nodes], table.node),
+        ([f"{k}\n" for k in keys], key_id))
 
 
 def load_rules(path) -> SubstitutionRuleSet:
@@ -114,12 +113,10 @@ def save_rules(rules: SubstitutionRuleSet, path) -> None:
 def write_anonymized(table: EventTable, path,
                      rules: SubstitutionRuleSet) -> None:
     """Write a pars-lite file: a version line, then anonymize_stream's rows."""
-    with topen(path, "w") as fh:
-        fh.write(f"#pars-lite v{rules.version}\n")
+    with topen(path, "wb") as fh:
+        fh.write(f"#pars-lite v{rules.version}\n".encode())
         fh.writelines(anonymize_stream(table, rules))
 
-
-BLOCK = 1 << 19  # bytes read_anonymized decodes per step
 
 _KEY_RE = re.compile(rb"[0-9a-f]{8}")
 _STAMP = np.frombuffer(b"0000-00-00T00:00:00Z", np.uint8)  # 0: any digit
@@ -133,36 +130,16 @@ def read_anonymized(path):
 
     A row needs exactly 3 tab-separated fields and a key of 8 lowercase hex
     digits; anything else raises ValueError naming path:lineno. Lines end
-    in \\n, \\r\\n or \\r, as in text mode. The file is read BLOCK bytes at
-    a time, cut after the block's last line end; arrays find and check the
-    fields of a block and decode its keys and canonical ISO stamps. Each
-    distinct node name and other stamp spelling is parsed once.
+    in \\n, \\r\\n or \\r, as in text mode. model.read_blocks reads the
+    file BLOCK bytes at a time; arrays find and check the fields of a
+    block and decode its keys and canonical ISO stamps. Each distinct
+    node name and other stamp spelling is parsed once.
     """
     reader = _ParsLiteReader(path)
     with topen(path, "rb") as fh:
-        pending = []  # blocks since the last line end fed
-        while block := fh.read(BLOCK):
-            pending.append(block)
-            if b"\n" not in block and b"\r" not in block:
-                continue  # a long line: join its blocks once
-            data = b"".join(pending)
-            pending.clear()
-            held = b"\r" if data.endswith(b"\r") else b""  # maybe \r\n
-            data = _lf(data[:len(data) - len(held)])
-            cut = data.rfind(b"\n") + 1
-            reader.feed(data[:cut])
-            pending.append(data[cut:] + held)
-        rest = _lf(b"".join(pending))
-        reader.feed(rest + b"\n" if rest and not rest.endswith(b"\n")
-                    else rest)
+        for data in read_blocks(fh, BLOCK):
+            reader.feed(data)
     return reader.table(), reader.version
-
-
-def _lf(data: bytes) -> bytes:
-    """data with each \\r\\n and lone \\r turned into \\n."""
-    if b"\r" not in data:
-        return data
-    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
 
 
 class _ParsLiteReader:
@@ -181,7 +158,8 @@ class _ParsLiteReader:
         self.keys: list = []
 
     def table(self) -> EventTable:
-        ts, node, msg = (np.concatenate(c) for c in zip(*self.blocks))
+        ts, node, msg = ((np.concatenate(c) for c in zip(*self.blocks))
+                         if self.blocks else ([], [], []))
         return EventTable(ts, node, msg, list(self.node_ix), self.keys)
 
     def feed(self, data: bytes) -> None:

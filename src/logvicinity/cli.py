@@ -99,7 +99,7 @@ def _read_raw(args, topology=None):
     from .model import parse_syslog_table
     # without a topology every canonical name is a node; others are unknown
     resolver = topology.resolver() if topology else canonical_node
-    with topen(args.corpus) as fh:
+    with topen(args.corpus, "rb") as fh:
         return parse_syslog_table(
             fh, _year_from(args), resolver,
             skip_unknown=not getattr(args, "strict", False))
@@ -199,6 +199,8 @@ def cmd_parse(args) -> int:
     summary = {
         "entries": stats.parsed,
         "skipped_unknown": stats.skipped_unknown,
+        "array_chunks": stats.array_chunks,
+        "line_chunks": stats.line_chunks,
         "nodes": len(table.nodes),
         "from": iso(int(table.ts.min())) if len(table) else None,
         "to": iso(int(table.ts.max())) if len(table) else None,

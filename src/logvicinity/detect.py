@@ -9,7 +9,7 @@ from itertools import compress
 
 import numpy as np
 
-from .model import EventTable, _format_rows
+from .model import EventTable, _gather_rows
 from .names import (CV_THRESHOLD, DEFAULT_ALPHA, DEFAULT_CADENCE,
                     DEFAULT_PERCENTILE, DEFAULT_TAU_MIN, DEFAULT_WINDOW,
                     iso, topen)
@@ -418,10 +418,11 @@ def write_verdicts(sweep: SweepResult, path) -> None:
     heads = [f"{stamps[at]}\t{sweep.groups[g][0]}\t" for at, g in
              zip(sweep.at.tolist(), sweep.group.tolist())]
     tails = [f"\t{tau:.3f}\n" for tau in sweep.tau.tolist()]
-    names = [node.name for node in sweep.nodes]
     cell = np.repeat(np.arange(len(heads)), np.diff(sweep.offset))
-    with topen(path, "w") as fh:
-        fh.writelines(_format_rows(
-            lambda c, n, v, sg:
-            f"{heads[c]}{names[n]}\t{VERDICTS[v]}\t{sg}{tails[c]}",
-            cell, sweep.node, sweep.code, sweep.sg))
+    sgs, sg = np.unique(sweep.sg, return_inverse=True)
+    with topen(path, "wb") as fh:
+        fh.writelines(_gather_rows(
+            len(cell), (heads, cell),
+            ([f"{n.name}\t" for n in sweep.nodes], sweep.node),
+            ([f"{v}\t" for v in VERDICTS], sweep.code),
+            (map(str, sgs.tolist()), sg), (tails, cell)))

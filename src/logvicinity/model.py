@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import calendar
+import io
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import islice
+from itertools import islice, repeat
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -188,33 +189,24 @@ def _unprintable(byte):
     return (byte - 0x21) > 0x5D  # bytes below "!" wrap round
 
 
-def _canonical_fields(lines):
-    """Fields of lines as arrays over one padded byte buffer, or None
-    unless every line is canonical: (buf, start, host end, rest start,
-    end, month, day, seconds of day) of each line that is not blank.
+def _canonical_fields(pieces):
+    """Fields of the lines of bytes pieces, joined, as arrays over one
+    padded byte buffer, or None unless every line is canonical: (buf,
+    start, host end, rest start, end, month, day, seconds of day) of each
+    line that is not blank.
 
-    A line is blank when it is empty or starts with "#", and canonical
-    when it reads "Mon DD HH:MM:SS host rest", as write_syslog writes it:
-    single spaces, DD a day some year has (space-padded or two digits),
-    a valid time, a host of at most _HOST_WINDOW - 1 printable ASCII
-    bytes and a rest that is empty or starts with printable ASCII. A
-    line may end in "\\n" or not; a line break anywhere else makes the
-    lines not canonical.
+    Lines end at "\\n"; the last may lack it. A line is blank when it is
+    empty or starts with "#", and canonical when it reads "Mon DD
+    HH:MM:SS host rest", as write_syslog writes it: single spaces, DD a
+    day some year has (space-padded or two digits), a valid time, a host
+    of at most _HOST_WINDOW - 1 printable ASCII bytes and a rest that is
+    empty or starts with printable ASCII.
     """
-    try:
-        text = "".join(lines)
-        data = text.encode("utf-8")
-    except (TypeError, UnicodeEncodeError):
-        return None
-    size = np.fromiter(map(len, lines if text.isascii() else
-                           map(str.encode, lines)), np.int64, len(lines))
-    buf = np.frombuffer(data + bytes(_WIDE), np.uint8)
-    end = np.cumsum(size)
-    start = end - size
-    newline = (size > 0) & (buf[end - 1] == ord("\n"))
-    if np.count_nonzero(buf == ord("\n")) != np.count_nonzero(newline):
-        return None
-    end -= newline
+    buf = np.frombuffer(b"".join([*pieces, bytes(_WIDE)]), np.uint8)
+    size = len(buf) - _WIDE
+    newline = np.flatnonzero(buf[:size] == ord("\n"))
+    start = np.concatenate(([0], newline + 1))
+    end = np.append(newline, size)
     keep = (start < end) & (buf[start] != ord("#"))
     start, end = start[keep], end[keep]
 
@@ -334,14 +326,14 @@ class _SyslogParser:
         finally:
             self.stats.parsed += len(ts_out) - before
 
-    def feed_canonical(self, lines):
-        """The (ts, node, msg) arrays of lines, or None, with no state
-        changed, unless _canonical_fields reads every line, every date
-        exists in its node's year and no node's rows wrap the year. On
-        such lines it gives feed's rows, ids, counts and state; feed
-        parses every other chunk.
+    def feed_canonical(self, pieces):
+        """The (ts, node, msg) arrays of the lines of bytes pieces, or
+        None, with no state changed, unless _canonical_fields reads every
+        line, every date exists in its node's year and no node's rows wrap
+        the year. On such lines it gives feed's rows, ids, counts and
+        state; feed parses every other chunk.
         """
-        fields = _canonical_fields(lines)
+        fields = _canonical_fields(pieces)
         if fields is None:
             return None
         buf, start, host_end, rest, end, month, day, clock = fields
@@ -465,7 +457,8 @@ def parse_syslog_table(lines, default_year: int, node_resolver,
 
 def parse_syslog_stream(lines, default_year: int, node_resolver,
                         skip_unknown: bool = True):
-    """Parse lines STREAM_CHUNK at a time; returns (chunks, ParseStats).
+    """Parse a binary file (by read_blocks) or str lines STREAM_CHUNK
+    lines at a time; returns (chunks, ParseStats).
 
     chunks yields one EventTable per STREAM_CHUNK lines. The chunks share
     the parser's nodes, messages and tags lists, which later chunks only
@@ -473,23 +466,27 @@ def parse_syslog_stream(lines, default_year: int, node_resolver,
     jump of more than 180 days means the calendar year wrapped; the node's
     entries carry the incremented year from then on. Unknown hostnames are
     skipped (counted on .skipped_unknown) unless skip_unknown is false. An
-    error is raised after the chunk of the lines before it. A chunk in
-    write_syslog's shape is parsed as numpy arrays, any other line by line;
-    both give the same rows.
+    error is raised after the chunk of the lines before it, invalid UTF-8
+    before it. A chunk in write_syslog's shape is parsed as numpy arrays,
+    any other line by line; both give the same rows.
     """
     stats = ParseStats()
     parser = _SyslogParser(default_year, node_resolver, skip_unknown, stats)
+    binary = isinstance(lines, (io.RawIOBase, io.BufferedIOBase))
 
     def gen():
-        it = iter(lines)
-        while chunk := list(islice(it, STREAM_CHUNK)):
-            columns = parser.feed_canonical(chunk)
+        source = _file_chunks(lines) if binary else _str_chunks(lines)
+        for pieces, chunk in source:
+            columns = None if pieces is None else parser.feed_canonical(pieces)
             if columns is not None:
+                stats.array_chunks += 1
                 yield parser.table(*columns)
                 continue
+            stats.line_chunks += 1
             columns, error = ([], [], []), None
             try:
-                parser.feed(chunk, *columns)
+                parser.feed(chunk or io.StringIO(b"".join(pieces).decode()),
+                            *columns)
             except Exception as exc:  # re-raised after the parsed lines
                 error = exc
             yield parser.table(*columns)
@@ -499,10 +496,70 @@ def parse_syslog_stream(lines, default_year: int, node_resolver,
     return gen(), stats
 
 
+def _file_chunks(fh):
+    """(bytes pieces, None) of each STREAM_CHUNK lines of a binary file."""
+    pieces, lines = [], 0  # the pieces after the last cut, and their lines
+    for block in read_blocks(fh, BLOCK):
+        if not block.isascii():
+            block.decode("utf-8")  # raises on invalid UTF-8
+        ends = np.flatnonzero(np.frombuffer(block, np.uint8) == ord("\n")) + 1
+        view, cuts = memoryview(block), [0, *ends[
+            STREAM_CHUNK - lines - 1::STREAM_CHUNK].tolist()]
+        for a, b in zip(cuts, cuts[1:]):
+            yield [*pieces, view[a:b]], None
+            pieces = []
+        pieces.append(view[cuts[-1]:])
+        lines = (lines + len(ends)) % STREAM_CHUNK
+    if lines:
+        yield pieces, None
+
+
+def _str_chunks(lines):
+    """([bytes], lines) of each STREAM_CHUNK str lines; [bytes] is None
+    unless each item is one line ending in its only "\\n"."""
+    it = iter(lines)
+    while chunk := list(islice(it, STREAM_CHUNK)):
+        text = "".join(chunk)
+        one_each = text.count("\n") == len(chunk) == sum(
+            map(str.endswith, chunk, repeat("\n")))
+        try:
+            data = [text.encode("utf-8")] if one_each else None
+        except UnicodeEncodeError:  # a lone surrogate: feed reads it
+            data = None
+        yield data, chunk
+
+
 @dataclass
 class ParseStats:
+    """Rows parsed and skipped, by which two stats are equal, and the
+    chunks parsed on the array path and line by line."""
     parsed: int = 0
     skipped_unknown: int = 0
+    array_chunks: int = field(default=0, compare=False)
+    line_chunks: int = field(default=0, compare=False)
+
+
+BLOCK = 1 << 19  # bytes read_blocks reads per step
+
+
+def read_blocks(fh, size: int):
+    """Yield binary file fh, read size bytes at a time, as blocks of whole
+    lines ending in \\n: \\r\\n and lone \\r become \\n, as in text mode,
+    a line longer than a block joins its blocks once and a last line
+    without an end gets one."""
+    pending = []  # the bytes after the last line end
+    while block := fh.read(size):
+        while block.endswith(b"\r") and (more := fh.read(1)):
+            block += more  # a \r\n the read split stays one line end
+        if b"\r" in block:  # replace alone would search the block twice
+            block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        cut = block.rfind(b"\n") + 1
+        if cut:
+            yield b"".join([*pending, memoryview(block)[:cut]])
+            pending.clear()
+        pending.append(block[cut:])
+    if rest := b"".join(pending):
+        yield rest + b"\n"
 
 
 class EventTable:
@@ -552,44 +609,66 @@ class EventTable:
                           self.nodes, self.messages, self.tags)
 
 
-def _day_clock(ts, day_text):
-    """Epoch seconds split for the writers: (texts, day, second, clock).
-
-    texts holds day_text(midnight) of each distinct day, day each row's
-    index into texts, second its second of the day, and clock the
-    "HH:MM:SS" of every second of a day.
-    """
-    day, second = np.divmod(ts, 86400)
-    days, day = np.unique(day, return_inverse=True)
-    minutes = [f"{h:02d}:{m:02d}:" for h in range(24) for m in range(60)]
-    seconds = [f"{s:02d}" for s in range(60)]
-    clock = [m + s for m in minutes for s in seconds]
-    return [day_text(d * 86400) for d in days.tolist()], day, second, clock
+_CHUNK = 1 << 14  # rows the writers gather per step
 
 
-_CHUNK = 1 << 14  # rows converted and formatted per step
+def _stamps(ts, day_text, suffix: bytes):
+    """A _gather_rows column of each row's day_text(midnight), "HH:MM:SS"
+    and suffix: per slice of rows one uint8 matrix, from each distinct
+    day's text and the clock's digits by integer arithmetic."""
+    pad = [1] * len(suffix)
+    div = np.array([36000, 3600, 1, 600, 60, 1, 10, 1] + pad)
+    mod = np.array([10, 10, 1, 6, 10, 1, 6, 10] + pad)
+    zero = np.frombuffer(b"00:00:00" + suffix, np.uint8)
+
+    def column(rows):
+        day, second = np.divmod(ts[rows], 86400)
+        days, day = np.unique(day, return_inverse=True)
+        heads = b"".join(day_text(d * 86400).encode() for d in days.tolist())
+        out = np.hstack([  # days' texts of unequal width do not reshape
+            np.frombuffer(heads, np.uint8).reshape(len(days), -1)[day],
+            (second[:, None] // div % mod + zero).astype(np.uint8)])
+        return out.view(f"S{out.shape[1]}").ravel()
+
+    return column
 
 
-def _format_rows(line, *columns):
-    """Yield line(*row) for every row of equal-length array columns,
-    converting a slice of _CHUNK rows at a time."""
-    for a in range(0, len(columns[0]), _CHUNK):
-        yield from map(line, *(c[a:a + _CHUNK].tolist() for c in columns))
+def _gather_rows(n, *columns):
+    """Yield the bytes of rows 0 to n, _CHUNK rows at a time, a row being
+    its columns' fragments in order. A column is (texts, index), a row's
+    fragment texts[index[row]] with each text encoded once, or a function
+    of a slice of rows giving their fragments."""
+    columns = [c if callable(c) else
+               (np.array([t.encode("utf-8") for t in c[0]], object), c[1])
+               for c in columns]
+    for a in range(0, n, _CHUNK):
+        rows = slice(a, min(n, a + _CHUNK))
+        out = np.empty((rows.stop - a, len(columns)), object)
+        for j, c in enumerate(columns):
+            out[:, j] = c(rows) if callable(c) else c[0][c[1][rows]]
+        yield b"".join(out.ravel().tolist())
 
 
 def write_syslog(table: EventTable, path) -> None:
-    """Write a raw table's rows as format_syslog_line lines; each day's
-    "Mon DD", each second's "HH:MM:SS", each node name and each message
-    text is formatted once."""
-    dates, day, secs, clock = _day_clock(
-        table.ts, lambda t: format_bsd_time(t)[:6])
-    names = [n.name for n in table.nodes]
+    """Write a raw table's rows as format_syslog_line lines.
+
+    Every (tag, message) pair must read back as itself: no line break,
+    no leading whitespace, and the tag _split_tag finds. Else ValueError
+    names the first pair that does not.
+    """
     texts = [f"{t}: {m}" if t else m
              for t, m in zip(table.tags, table.messages)]
-    with topen(path, "w") as fh:
-        fh.writelines(_format_rows(
-            lambda d, s, n, m: f"{dates[d]} {clock[s]} {names[n]} {texts[m]}\n",
-            day, secs, table.node, table.msg))
+    for tag, message, text in zip(table.tags, table.messages, texts):
+        if ("\n" in text or "\r" in text or text[:1].isspace()
+                or _split_tag(text) != (tag, message)):
+            raise ValueError(f"tag {tag!r} with message {message!r} would "
+                             f"not read back from a syslog line")
+    with topen(path, "wb") as fh:
+        fh.writelines(_gather_rows(
+            len(table),
+            _stamps(table.ts, lambda t: format_bsd_time(t)[:7], b" "),
+            ([f"{n.name} " for n in table.nodes], table.node),
+            ([f"{t}\n" for t in texts], table.msg)))
 
 
 @dataclass

@@ -3,6 +3,7 @@
 Deliberately naive: plain loops, no shared code with the package internals.
 columnar_sweep builds a sweep from hand-written cells; reference_generate
 reuses synth's schedule planners and rebuilds only the per-node streams.
+The reference writers format one row at a time with datetime.
 """
 
 import calendar
@@ -299,6 +300,44 @@ def columnar_sweep(cells):
         np.array(node, dtype=np.int64),
         (code != VERDICTS.index("non_responsive")).astype(np.int64), code,
         code != 0, groups, nodes, [], sorted({c[0] for c in cells}))
+
+
+def _text_writer(path):
+    """A UTF-8 text file for writing, gzip-compressed for a .gz path."""
+    if str(path).endswith(".gz"):
+        return gzip.open(path, "wt", encoding="utf-8", newline="")
+    return open(path, "w", encoding="utf-8", newline="")
+
+
+def reference_write_syslog(table, path):
+    """Write a raw table as syslog lines, one formatted row at a time:
+    "Mon DD HH:MM:SS host tag: message", the tag and its colon left out
+    when the tag is empty."""
+    with _text_writer(path) as fh:
+        for t, n, m in zip(table.ts.tolist(), table.node.tolist(),
+                           table.msg.tolist()):
+            dt = datetime.fromtimestamp(t, tz=timezone.utc)
+            tag, message = table.tags[m], table.messages[m]
+            text = f"{tag}: {message}" if tag else message
+            fh.write(f"{MONTHS[dt.month - 1]} {dt.day:2d} "
+                     f"{dt.hour:02d}:{dt.minute:02d}:{dt.second:02d} "
+                     f"{table.nodes[n].name} {text}\n")
+
+
+def reference_pars_lite(table, path, rules):
+    """Write a table as a pars-lite file, one formatted row at a time: a
+    version line, then "YYYY-MM-DDTHH:MM:SSZ\tnode\tkey" per row, the key
+    of a raw row being rules.key of its message."""
+    with _text_writer(path) as fh:
+        fh.write(f"#pars-lite v{rules.version}\n")
+        for t, n, m in zip(table.ts.tolist(), table.node.tolist(),
+                           table.msg.tolist()):
+            dt = datetime.fromtimestamp(t, tz=timezone.utc)
+            key = table.messages[m] if table.keyed else rules.key(
+                table.messages[m])
+            fh.write(f"{dt.year:04d}-{dt.month:02d}-{dt.day:02d}T"
+                     f"{dt.hour:02d}:{dt.minute:02d}:{dt.second:02d}Z\t"
+                     f"{table.nodes[n].name}\t{key}\n")
 
 
 def reference_read_anonymized(path, parse_iso, parse_node_name):

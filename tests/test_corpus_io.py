@@ -1,0 +1,247 @@
+"""Corpus files as bytes: the row writers against per-row oracles, the
+write_syslog round-trip check, and the block reader behind both readers."""
+
+import gzip
+import json
+import tempfile
+from datetime import datetime, timezone
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import oracles
+from logvicinity import model
+from logvicinity.anonymize import SubstitutionRuleSet, write_anonymized
+from logvicinity.cli import main
+from logvicinity.model import (EventTable, NodeId, canonical_node,
+                               parse_syslog_table, to_epoch, topen,
+                               write_syslog)
+from logvicinity.synth import (GeneratorSpec, generate, scale_topology,
+                               taurus_topology)
+from tables import rows_of
+
+NODES = [NodeId(1, 0, 0), NodeId(2, 13, 7), NodeId(11, 0, 112)]
+TAGS = ["", "sshd", "kernel", "café", "a.b/c-d_1", "x"]
+# month ends, a leap day, year ends and the epoch
+EDGES = [to_epoch(2023, 1, 31, 23, 59, 0), to_epoch(2024, 2, 28, 23, 59, 0),
+         to_epoch(2024, 2, 29, 23, 59, 0), to_epoch(2023, 12, 31, 23, 58, 0),
+         to_epoch(2024, 12, 31, 23, 59, 30), 0]
+
+
+def _reads_back(tag, message):
+    """Whether a syslog line reads (tag, message) back: no line break, no
+    leading whitespace, and a first word that reads as a tag exactly when
+    there is one."""
+    text = f"{tag}: {message}" if tag else message
+    first = text.split(" ", 1)[0]
+    tagged = (first.endswith(":") and len(first) > 1 and all(
+        c.isalnum() or c in "_./-" for c in first[:-1]))
+    return ("\n" not in text and "\r" not in text
+            and not text[:1].isspace() and tagged == bool(tag))
+
+
+MESSAGES = st.text(st.characters(blacklist_categories=("Cs",),
+                                 blacklist_characters="\n\r"), max_size=12)
+
+
+@st.composite
+def tables(draw, rows, valid=True):
+    """A raw table of rows rows near month and year ends, in time order,
+    with non-ASCII, empty and tag-like texts."""
+    pairs = st.tuples(st.sampled_from(TAGS), MESSAGES | st.sampled_from(
+        ["", " lead", "a b: x", "café: ok", "x\ty  ", "　x"]))
+    if valid:
+        pairs = pairs.filter(lambda p: _reads_back(*p))
+    messages = draw(st.lists(pairs, min_size=1, max_size=6, unique=True))
+    edge = draw(st.sampled_from(EDGES))
+    ts = sorted(edge + draw(st.integers(-2 * 86400, 2 * 86400))
+                for _ in range(rows))
+    node = [draw(st.integers(0, len(NODES) - 1)) for _ in range(rows)]
+    msg = [draw(st.integers(0, len(messages) - 1)) for _ in range(rows)]
+    return EventTable(ts, node, msg, NODES, [m for _, m in messages],
+                      [t for t, _ in messages])
+
+
+def _year(t) -> int:
+    return datetime.fromtimestamp(int(t), tz=timezone.utc).year
+
+
+def _text(path) -> bytes:
+    with topen(path, "rb") as fh:
+        return fh.read()
+
+
+def _same_bytes(table, suffix, rules=None):
+    """Whether a writer and its oracle write the same bytes to a path with
+    suffix; for a .gz path, also whether the writer compressed."""
+    with tempfile.TemporaryDirectory() as tmp:
+        got, expect = Path(tmp) / f"got{suffix}", Path(tmp) / f"ref{suffix}"
+        if rules is None:
+            write_syslog(table, got)
+            oracles.reference_write_syslog(table, expect)
+        else:
+            write_anonymized(table, got, rules)
+            oracles.reference_pars_lite(table, expect, rules)
+        compressed = got.read_bytes()[:2] == b"\x1f\x8b"
+        return (_text(got) == _text(expect)
+                and compressed == suffix.endswith(".gz"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([0, 1, 4, 5, 11]).flatmap(tables),
+       st.sampled_from([".log", ".log.gz"]))
+def test_writers_equal_their_per_row_oracles(table, suffix):
+    """Oracle: 0, 1, _CHUNK and _CHUNK + 1 rows and more, with _CHUNK 4."""
+    rules = SubstitutionRuleSet()
+    with mock.patch.object(model, "_CHUNK", 4):
+        assert _same_bytes(table, suffix)
+        assert _same_bytes(table, suffix, rules)
+        assert _same_bytes(table.keyed_by(rules), suffix, rules)
+
+
+@pytest.mark.parametrize("rows", [0, 1, model._CHUNK, model._CHUNK + 1])
+def test_writers_equal_their_oracles_at_the_chunk_size(rows):
+    second = np.arange(rows, dtype=np.int64) * 37
+    table = EventTable(EDGES[3] + second, second % 3, second % 2, NODES,
+                       ["café ok", ""], ["kernel", ""])
+    rules = SubstitutionRuleSet()
+    for suffix in (".log", ".log.gz"):
+        assert _same_bytes(table, suffix)
+        assert _same_bytes(table, suffix, rules)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: tables(n, valid=False)))
+def test_write_syslog_writes_what_reads_back(table):
+    """A table writes exactly when each of its (tag, message) pairs reads
+    back, and the file then parses to the table's rows."""
+    bad = [p for p in zip(table.tags, table.messages) if not _reads_back(*p)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.log"
+        if bad:
+            with pytest.raises(ValueError, match="would not read back"):
+                write_syslog(table, path)
+            return
+        write_syslog(table, path)
+        # a syslog line has no year: each node's first line is in this one
+        year = _year(table.ts[0])
+        assume(all(_year(table.ts[np.argmax(table.node == n)]) == year
+                   for n in set(table.node.tolist())))
+        with topen(path, "rb") as fh:
+            again, _ = parse_syslog_table(fh, year, canonical_node)
+    assert rows_of(again) == rows_of(table)
+
+
+@pytest.mark.parametrize("tag, message", [
+    ("", "a\nb"),  # two lines, the second too short
+    ("", "  lead"),  # reads back as "lead"
+    ("a b", "x"),  # reads back as the message "a b: x" with no tag
+])
+def test_write_syslog_rejects_what_does_not_read_back(tmp_path, tag, message):
+    table = EventTable([0, 1], [0, 0], [0, 1], NODES, ["fine", message],
+                       ["cron", tag])
+    with pytest.raises(ValueError) as exc:
+        write_syslog(table, tmp_path / "corpus.log")
+    assert repr(tag) in str(exc.value) and repr(message) in str(exc.value)
+    assert not (tmp_path / "corpus.log").exists()
+
+
+def test_generated_and_parsed_tables_still_write(corpus, tmp_path):
+    taurus = generate(GeneratorSpec(
+        topology=scale_topology(taurus_topology(), 0.0625), days=0.5,
+        failure_count=1, skew_share=0.0, seed=5)).entries
+    for i, table in enumerate([corpus.entries, taurus]):
+        path = tmp_path / f"corpus{i}.log"
+        write_syslog(table, path)
+        with topen(path, "rb") as fh:
+            parsed, _ = parse_syslog_table(fh, 2023, canonical_node)
+        write_syslog(parsed, tmp_path / "again.log")
+        assert (tmp_path / "again.log").read_bytes() == path.read_bytes()
+
+
+# The block reader: every spelling of one corpus file parses alike.
+
+@pytest.fixture(scope="module")
+def odd_corpus(tmp_path_factory):
+    """3,000 generated rows as a syslog file, with a comment, a blank
+    line, an unknown host, a double space and non-ASCII text between."""
+    table = generate(GeneratorSpec(
+        days=1.0, failure_count=3, skew_share=0.0, storm_count=5,
+        background_jobs=10, seed=11)).entries
+    path = tmp_path_factory.mktemp("odd") / "rows.log"
+    write_syslog(table.take(np.arange(len(table)) < 3000), path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    for at, line in [(2500, b"Mar  6 10:00:00  i1r0n0 two spaces\n"),
+                     (1700, "Mar  6 10:00:00 i1r0n1 café: ü\n".encode()),
+                     (900, b"Mar  6 10:00:00 login01 not a node\n"),
+                     (400, b"\n"), (10, b"# a comment\n")]:
+        lines.insert(at, line)
+    return b"".join(lines)
+
+
+def _parse_file(path, mode="rb"):
+    with topen(path, mode) as fh:
+        table, stats = parse_syslog_table(fh, 2023, canonical_node)
+    return ((table.ts.tolist(), table.node.tolist(), table.msg.tolist(),
+             table.nodes, table.messages, table.tags),
+            (stats.parsed, stats.skipped_unknown, stats.array_chunks,
+             stats.line_chunks))
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096, None])
+def test_file_spellings_parse_alike(odd_corpus, tmp_path, monkeypatch, block):
+    """Metamorphic: plain, .gz, \\r\\n, lone \\r and no final newline, at
+    any block size, give the text-mode reader's table and stats,
+    chunk counts included."""
+    monkeypatch.setattr(model, "STREAM_CHUNK", 700)
+    (tmp_path / "plain.log").write_bytes(odd_corpus)
+    expect = _parse_file(tmp_path / "plain.log", "r")  # str lines
+    assert _parse_file(tmp_path / "plain.log") == expect
+    parsed, skipped, _, per_line = expect[1]
+    assert parsed > 3000 and skipped == 1 and 0 < per_line < 5
+    if block:
+        monkeypatch.setattr(model, "BLOCK", block)
+    spellings = {"gz.log.gz": gzip.compress(odd_corpus),
+                 "crlf.log": odd_corpus.replace(b"\n", b"\r\n"),
+                 "cr.log": odd_corpus.replace(b"\n", b"\r"),
+                 "open.log": odd_corpus.rstrip(b"\n")}
+    for name, data in spellings.items():
+        (tmp_path / name).write_bytes(data)
+        assert _parse_file(tmp_path / name) == expect, name
+
+
+@pytest.mark.parametrize("bad", [b"Mar  6 10:00:01 i1r0n0 caf\xe9 ok\n",
+                                 b"# caf\xff\n",
+                                 b"Mar  6 10:00:01  i1r0n0 \xff\n"])
+def test_invalid_utf8_fails_parse_and_writes_nothing(tmp_path, capsys, bad):
+    """In a message of a canonical chunk, in a comment and in a chunk
+    the per-line parser reads."""
+    good = b"Mar  6 10:00:00 i1r0n0 kernel: ok\n"
+    (tmp_path / "bad.log").write_bytes(good * 3 + bad + good)
+    out = tmp_path / "out.log"
+    assert main(["parse", "--corpus", str(tmp_path / "bad.log"), "--year",
+                 "2023", "--output", str(out)]) == 2
+    assert "can't decode" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "bad.log"]
+
+
+def test_parse_counts_array_and_per_line_chunks(odd_corpus, tmp_path,
+                                                monkeypatch, capsys):
+    """A canonical corpus never reaches the per-line parser; one odd line
+    sends exactly its chunk there, and `parse` prints both counts."""
+    monkeypatch.setattr(model, "STREAM_CHUNK", 500)
+    lines = odd_corpus.splitlines(keepends=True)
+    canonical = b"".join(line for line in lines if b"  i1" not in line)
+    odd = canonical.replace(b"\n", b"\nMar  6 10:00:00  i1r0n0 odd\n", 1)
+    for data, per_line in [(canonical, 0), (odd, 1)]:
+        (tmp_path / "corpus.log").write_bytes(data)
+        assert main(["parse", "--corpus", str(tmp_path / "corpus.log"),
+                     "--year", "2023", "--format", "json"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        chunks = -(-len(data.splitlines()) // 500)
+        assert (summary["array_chunks"], summary["line_chunks"]) == (
+            chunks - per_line, per_line)
