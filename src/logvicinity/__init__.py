@@ -37,8 +37,9 @@ _EXPORTS = {
     "synth": ("GeneratedCorpus", "GeneratorSpec", "GroundTruth",
               "InjectedFailure", "desk_topology", "generate", "load_truth",
               "scale_topology", "taurus_topology", "write_corpus_files"),
-    "vicinity": ("VicinityAssignment", "allocation_vicinity",
-                 "combined_vicinity", "hardware_vicinity", "location_vicinity",
+    "vicinity": ("VicinityAssignment", "allocation_groups",
+                 "allocation_vicinity", "combined_vicinity",
+                 "hardware_vicinity", "location_vicinity",
                  "time_of_failure_vicinity"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()

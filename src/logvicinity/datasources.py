@@ -79,13 +79,15 @@ class MaintenanceWindow:
 
 
 def load_job_report(path) -> list:
-    jobs = []
+    jobs: dict = {}  # job id -> its record, in file order
     with topen(path) as fh:
         for rownum, row in enumerate(csv.reader(fh), 1):
             if not row or row[0].startswith("#") or row[0] == "job_id":
                 continue
             try:
                 job_id, nodes_s, start_s, end_s, status = row
+                if job_id in jobs:
+                    raise ValueError(f"duplicate job id {job_id!r}")
                 if status not in JOB_STATUSES:
                     raise ValueError(f"unknown status {status!r}")
                 nodes = frozenset(parse_node_name(n)
@@ -97,8 +99,8 @@ def load_job_report(path) -> list:
                     raise ValueError("start after end")
             except ValueError as exc:
                 raise ValueError(f"{path}: row {rownum}: {exc}") from None
-            jobs.append(JobRecord(job_id, nodes, start, end, status))
-    return jobs
+            jobs[job_id] = JobRecord(job_id, nodes, start, end, status)
+    return list(jobs.values())
 
 
 def write_job_report(jobs, path) -> None:

@@ -9,7 +9,7 @@ from itertools import compress
 
 import numpy as np
 
-from .model import EventTable, _gather_rows
+from .model import EventTable, _gather_rows, _percentile
 from .names import (CV_THRESHOLD, DEFAULT_ALPHA, DEFAULT_CADENCE,
                     DEFAULT_PERCENTILE, DEFAULT_TAU_MIN, DEFAULT_WINDOW,
                     iso, topen)
@@ -204,9 +204,9 @@ class SweepResult:
 
     Cell c judged group group[c] at moment at[c]. Its node-moments are the
     rows offset[c]:offset[c + 1] of the per-row arrays, in the group's
-    sorted node order. groups[g] is group g's (name, sorted NodeIds) and
-    nodes[i] node i's NodeId; nodes is sorted, so node ids order as
-    NodeIds do.
+    sorted node order. groups[g] is distinct group g's (name, sorted
+    NodeIds) and nodes[i] node i's NodeId; nodes is sorted, so node ids
+    order as NodeIds do.
     """
     at: np.ndarray  # per cell: the moment
     group: np.ndarray  # per cell: index into groups
@@ -263,23 +263,23 @@ def sweep_schedule(index: SGIndex, schedule,
                    window: int = DEFAULT_WINDOW,
                    alpha: float = DEFAULT_ALPHA,
                    tau_min: float = DEFAULT_TAU_MIN) -> SweepResult:
-    """Judge each (assignment, moments) pair's usable groups at its moments.
+    """Judge each (groups, moments) pair's usable (name, nodes) groups.
 
-    Cells come in schedule order: moment by moment, group by group. The
-    counts come from one node x moment SG matrix, and the cells of each
-    group size are split in one batch. Undersized groups go to
-    skipped_groups once per name, in first-seen order.
+    Cells come in schedule order: moment by moment, group by group. One
+    node x moment SG matrix gives the counts, and the cells of each group
+    size are split in one batch. A recurring group keeps one groups entry;
+    an undersized name goes to skipped_groups once, first seen first.
     """
     skipped, seen, moments = [], set(), set()
-    groups = []  # (name, sorted nodes)
+    groups: dict = {}  # (name, frozenset of nodes) -> its index
     # per schedule entry; an empty first piece keeps np.concatenate valid
     cell_at, cell_group = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
-    for assignment, ats in schedule:
+    for named, ats in schedule:
         usable = []
-        for name, group in zip(assignment.group_names, assignment.groups):
+        for name, group in named:
             if len(group) >= MIN_GROUP_SIZE:
-                usable.append(len(groups))
-                groups.append((name, tuple(sorted(group))))
+                usable.append(groups.setdefault((name, frozenset(group)),
+                                                len(groups)))
             elif name not in seen:
                 seen.add(name)
                 skipped.append((name, len(group)))
@@ -289,6 +289,7 @@ def sweep_schedule(index: SGIndex, schedule,
         cell_group.append(np.tile(np.asarray(usable, dtype=np.int64),
                                   len(ats)))
     moments = sorted(moments)
+    groups = [(name, tuple(sorted(group))) for name, group in groups]
     nodes = sorted({node for _, members in groups for node in members})
     node_id = {node: i for i, node in enumerate(nodes)}
     at, group = np.concatenate(cell_at), np.concatenate(cell_group)
@@ -304,7 +305,8 @@ def sweep_schedule(index: SGIndex, schedule,
     matrix = index.matrix(nodes, moments, window)
     column = np.searchsorted(np.asarray(moments, dtype=np.int64), at)
     slot = np.zeros(len(groups), dtype=np.int64)  # group -> row of its table
-    for n in np.unique(cell_size).tolist():
+    # the sizes in order; np.unique(cell_size) would import numpy.ma
+    for n in np.flatnonzero(np.bincount(cell_size)).tolist():
         sized = np.flatnonzero(sizes == n)
         slot[sized] = np.arange(len(sized))
         table = np.array([[node_id[x] for x in groups[g][1]]
@@ -329,8 +331,9 @@ def run_detection(index: SGIndex, assignment, obs_range,
     if cadence <= 0:
         raise ValueError("cadence must be positive")
     moments = observation_moments(obs_range.start, obs_range.end, cadence, window)
-    return sweep_schedule(index, [(assignment, moments)], window=window,
-                          alpha=alpha, tau_min=tau_min)
+    return sweep_schedule(index, [(zip(assignment.group_names,
+                                       assignment.groups), moments)],
+                          window=window, alpha=alpha, tau_min=tau_min)
 
 
 def filter_frequent_raw(table: EventTable, rules,
@@ -357,7 +360,7 @@ def _above_percentile(ids, n_ids, percentile):
     seen = counts > 0
     if not seen.any():
         return seen
-    return seen & (counts > float(np.percentile(counts[seen], percentile)))
+    return seen & (counts > _percentile(counts[seen], percentile))
 
 
 def filter_frequent_anonymized(table: EventTable,
@@ -397,19 +400,15 @@ def filter_frequent_anonymized(table: EventTable,
         dev = gaps - mean[label]
         std = np.sqrt(np.bincount(label, dev * dev, len(m)) / m)
         cv = np.where(mean > 0, std / mean, 0.0)[voter]
-    for key, a, b in _runs(k[new][voter]):
-        if float(np.median(cv[a:b])) < cv_threshold:
-            drop[key] = True
+    # each key's median as np.median takes it, from its sorted coefficients
+    voting = k[new][voter]  # each voter's key, ascending
+    cv = cv[np.lexsort((cv, voting))]
+    first = np.flatnonzero(np.diff(voting, prepend=-1))
+    size = np.diff(first, append=len(voting))
+    median = (cv[first + (size - 1) // 2] + cv[first + size // 2]) / 2
+    drop[voting[first][median < cv_threshold]] = True
     return (table.take(~drop[key_id]),
             sorted(keys[i] for i in np.flatnonzero(drop)))
-
-
-def _runs(values):
-    """(value, start, end) of each run of equal values in a 1-D array."""
-    cut = np.flatnonzero(values[1:] != values[:-1]) + 1
-    bounds = [0, *cut.tolist(), len(values)]
-    return [(values[a].item(), a, b) for a, b in zip(bounds, bounds[1:])
-            if a < b]
 
 
 def write_verdicts(sweep: SweepResult, path) -> None:

@@ -147,6 +147,17 @@ def _first_seen(values):
     return first[order], rank[inverse]
 
 
+def _percentile(values, q):
+    """np.percentile(values, q) of a non-empty 1-D array, bit for bit. Its
+    np.unique call (np.median's on floats too) imports numpy.ma, 12 ms."""
+    if not 0 <= q <= 100:
+        raise ValueError("Percentiles must be in the range [0, 100]")
+    pos = (len(values) - 1) * (q / 100)  # at most len - 1
+    lo, t = int(pos), pos - int(pos)
+    a, b = np.sort(values)[[lo, min(lo + 1, len(values) - 1)]].tolist()
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+
 def _word(buf, start, size):
     """The first size (at most 8) bytes from each start on, as a uint64
     that is 0 in the bytes after them."""
@@ -189,22 +200,23 @@ def _unprintable(byte):
     return (byte - 0x21) > 0x5D  # bytes below "!" wrap round
 
 
-def _canonical_fields(pieces):
+def _canonical_fields(pieces, newline=None):
     """Fields of the lines of bytes pieces, joined, as arrays over one
     padded byte buffer, or None unless every line is canonical: (buf,
     start, host end, rest start, end, month, day, seconds of day) of each
     line that is not blank.
 
-    Lines end at "\\n"; the last may lack it. A line is blank when it is
-    empty or starts with "#", and canonical when it reads "Mon DD
-    HH:MM:SS host rest", as write_syslog writes it: single spaces, DD a
-    day some year has (space-padded or two digits), a valid time, a host
-    of at most _HOST_WINDOW - 1 printable ASCII bytes and a rest that is
-    empty or starts with printable ASCII.
+    Lines end at "\\n" (newline, if given, holds their offsets); the last
+    may lack it. A line is blank when it is empty or starts with "#", and
+    canonical when it reads "Mon DD HH:MM:SS host rest", as write_syslog
+    writes it: single spaces, DD a day some year has (space-padded or two
+    digits), a valid time, a host of at most _HOST_WINDOW - 1 printable
+    ASCII bytes and a rest that is empty or starts with printable ASCII.
     """
     buf = np.frombuffer(b"".join([*pieces, bytes(_WIDE)]), np.uint8)
     size = len(buf) - _WIDE
-    newline = np.flatnonzero(buf[:size] == ord("\n"))
+    if newline is None:
+        newline = np.flatnonzero(buf[:size] == ord("\n"))
     start = np.concatenate(([0], newline + 1))
     end = np.append(newline, size)
     keep = (start < end) & (buf[start] != ord("#"))
@@ -326,14 +338,14 @@ class _SyslogParser:
         finally:
             self.stats.parsed += len(ts_out) - before
 
-    def feed_canonical(self, pieces):
+    def feed_canonical(self, pieces, newline=None):
         """The (ts, node, msg) arrays of the lines of bytes pieces, or
         None, with no state changed, unless _canonical_fields reads every
         line, every date exists in its node's year and no node's rows wrap
         the year. On such lines it gives feed's rows, ids, counts and
         state; feed parses every other chunk.
         """
-        fields = _canonical_fields(pieces)
+        fields = _canonical_fields(pieces, newline)
         if fields is None:
             return None
         buf, start, host_end, rest, end, month, day, clock = fields
@@ -476,8 +488,9 @@ def parse_syslog_stream(lines, default_year: int, node_resolver,
 
     def gen():
         source = _file_chunks(lines) if binary else _str_chunks(lines)
-        for pieces, chunk in source:
-            columns = None if pieces is None else parser.feed_canonical(pieces)
+        for pieces, newline, chunk in source:
+            columns = (parser.feed_canonical(pieces, newline)
+                       if pieces is not None else None)
             if columns is not None:
                 stats.array_chunks += 1
                 yield parser.table(*columns)
@@ -497,26 +510,29 @@ def parse_syslog_stream(lines, default_year: int, node_resolver,
 
 
 def _file_chunks(fh):
-    """(bytes pieces, None) of each STREAM_CHUNK lines of a binary file."""
-    pieces, lines = [], 0  # the pieces after the last cut, and their lines
+    """(bytes pieces, their "\\n" offsets, None) per STREAM_CHUNK lines of fh."""
+    pieces, marks, held = [], [], 0  # uncut: pieces, "\n" offsets, size
     for block in read_blocks(fh, BLOCK):
         if not block.isascii():
             block.decode("utf-8")  # raises on invalid UTF-8
-        ends = np.flatnonzero(np.frombuffer(block, np.uint8) == ord("\n")) + 1
-        view, cuts = memoryview(block), [0, *ends[
-            STREAM_CHUNK - lines - 1::STREAM_CHUNK].tolist()]
-        for a, b in zip(cuts, cuts[1:]):
-            yield [*pieces, view[a:b]], None
-            pieces = []
-        pieces.append(view[cuts[-1]:])
-        lines = (lines + len(ends)) % STREAM_CHUNK
-    if lines:
-        yield pieces, None
+        newline = np.flatnonzero(np.frombuffer(block, np.uint8) == ord("\n"))
+        view, a, i = memoryview(block), 0, 0  # first uncut byte and "\n"
+        for j in range(STREAM_CHUNK - sum(map(len, marks)) - 1, len(newline),
+                       STREAM_CHUNK):  # each "\n" that ends a chunk
+            b = int(newline[j]) + 1
+            yield ([*pieces, view[a:b]],
+                   np.concatenate([*marks, newline[i:j + 1] + (held - a)]), None)
+            pieces, marks, held, a, i = [], [], 0, b, j + 1
+        pieces.append(view[a:])
+        marks.append(newline[i:] + (held - a))
+        held += len(block) - a
+    if held:
+        yield pieces, np.concatenate(marks), None
 
 
 def _str_chunks(lines):
-    """([bytes], lines) of each STREAM_CHUNK str lines; [bytes] is None
-    unless each item is one line ending in its only "\\n"."""
+    """([bytes], None, lines) of each STREAM_CHUNK str lines; [bytes] is
+    None unless each item is one line ending in its only "\\n"."""
     it = iter(lines)
     while chunk := list(islice(it, STREAM_CHUNK)):
         text = "".join(chunk)
@@ -526,7 +542,7 @@ def _str_chunks(lines):
             data = [text.encode("utf-8")] if one_each else None
         except UnicodeEncodeError:  # a lone surrogate: feed reads it
             data = None
-        yield data, chunk
+        yield data, None, chunk
 
 
 @dataclass

@@ -17,7 +17,7 @@ from .names import (CV_THRESHOLD, DEFAULT_ALPHA, DEFAULT_CADENCE,  # noqa: F401
                     VARIANTS, iso, parse_iso, parse_node_name, run_manifest,
                     topen)
 from .outages import detect_outages
-from .vicinity import (allocation_vicinity, combined_vicinity,
+from .vicinity import (allocation_groups, combined_vicinity,
                        hardware_vicinity, location_vicinity,
                        time_of_failure_vicinity)
 
@@ -178,8 +178,9 @@ def sweep_perspective(index: SGIndex, perspective: str, topology, obs_range,
                              cadence=cadence, window=window, alpha=alpha,
                              tau_min=tau_min)
     if perspective == "allocation":
-        if jobs is None:
-            raise ValueError("allocation perspective needs job records")
+        if jobs is None or len({j.job_id for j in jobs}) < len(jobs):
+            raise ValueError("allocation perspective needs job records "
+                             "with unique job ids")
         moments = observation_moments(obs_range.start, obs_range.end, cadence,
                                       window)
         # regroup only where the active job set changes; a job is active
@@ -190,13 +191,13 @@ def sweep_perspective(index: SGIndex, perspective: str, topology, obs_range,
         cuts = [0, *(np.flatnonzero((active[1:] != active[:-1]).any(axis=1))
                      + 1).tolist(), len(moments)]
         # each grouping gets its segment's active jobs, in job order
-        schedule = [(allocation_vicinity([jobs[j] for j in np.flatnonzero(
-                        active[a]).tolist()], moments[a]), moments[a:b])
+        schedule = [(allocation_groups([jobs[j] for j in np.flatnonzero(
+                        active[a]).tolist()]), moments[a:b])
                     for a, b in zip(cuts, cuts[1:]) if a < b]
     elif perspective == "time_of_failure":
         if failures is None:
             raise ValueError("time_of_failure perspective needs failure events")
-        schedule = ((asg, (asg.at,))
+        schedule = ((zip(asg.group_names, asg.groups), (asg.at,))
                     for asg in time_of_failure_vicinity(failures))
     else:
         raise ValueError(f"unknown perspective: {perspective!r}")

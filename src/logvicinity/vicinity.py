@@ -68,42 +68,31 @@ def combined_vicinity(topology: Topology) -> VicinityAssignment:
     return _grouped("combined", buckets)
 
 
-def allocation_vicinity(active, t: int) -> VicinityAssignment:
-    """Union-merge the node sets of the jobs active at t; singletons stay out.
+def allocation_groups(active) -> list:
+    """(name, nodes) of each union of the active jobs' node sets, by name.
 
-    The caller picks the active jobs (JobRecord.active_at).
+    A job joins every union that shares a node with it; a union is named
+    "job:" and its sorted job ids joined by "+", and a union of one node is
+    dropped. The caller picks the active jobs (JobRecord.active_at).
     """
-    parent: dict = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
+    unions = []  # (job ids, nodes), disjoint
     for job in active:
-        nodes = sorted(job.nodes)
-        for n in nodes:
-            parent.setdefault(n, n)
-        for n in nodes[1:]:
-            union(nodes[0], n)
+        ids, nodes = [job.job_id], set(job.nodes)
+        for union in [u for u in unions if not nodes.isdisjoint(u[1])]:
+            unions.remove(union)
+            ids += union[0]
+            nodes |= union[1]
+        unions.append((ids, nodes))
+    return sorted((("job:" + "+".join(sorted(ids)), frozenset(nodes))
+                   for ids, nodes in unions if len(nodes) > 1),
+                  key=lambda group: group[0])
 
-    components: dict = {}
-    for n in parent:
-        components.setdefault(find(n), set()).add(n)
-    buckets, ungrouped = {}, set()
-    for root, nodes in components.items():
-        if len(nodes) < 2:
-            ungrouped |= nodes
-            continue
-        ids = sorted({j.job_id for j in active if j.nodes & nodes})
-        buckets["job:" + "+".join(ids)] = nodes
-    return _grouped("allocation", buckets, at=t, ungrouped=ungrouped)
+
+def allocation_vicinity(active, t: int) -> VicinityAssignment:
+    """allocation_groups at t; the active nodes left over are ungrouped."""
+    groups = dict(allocation_groups(active))
+    return _grouped("allocation", groups, at=t, ungrouped=set().union(
+        *(job.nodes for job in active)).difference(*groups.values()))
 
 
 def time_of_failure_vicinity(failures, interval=DEFAULT_CHAIN_INTERVAL) -> list:

@@ -16,6 +16,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from logvicinity.detect import VERDICTS, SweepResult
+from logvicinity.vicinity import VicinityAssignment
 
 
 def naive_two_means(values):
@@ -187,6 +188,42 @@ def chain_by_transitive_closure(instants, interval):
             if changed:
                 break
     return sorted(tuple(g) for g in groups)
+
+
+def reference_allocation_vicinity(active, t):
+    """Node-level union-find over the active jobs' node sets: one group per
+    component of two or more nodes, named by the ids of the jobs touching
+    it; one-node components are ungrouped."""
+    parent: dict = {}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for job in active:
+        nodes = sorted(job.nodes)
+        for n in nodes:
+            parent.setdefault(n, n)
+        for n in nodes[1:]:
+            ra, rb = find(nodes[0]), find(n)
+            if ra != rb:
+                parent[rb] = ra
+
+    components: dict = {}
+    for n in parent:
+        components.setdefault(find(n), set()).add(n)
+    buckets, ungrouped = {}, set()
+    for nodes in components.values():
+        if len(nodes) < 2:
+            ungrouped |= nodes
+            continue
+        ids = sorted({j.job_id for j in active if j.nodes & nodes})
+        buckets["job:" + "+".join(ids)] = frozenset(nodes)
+    names = sorted(buckets)
+    return VicinityAssignment("allocation", [buckets[n] for n in names], names,
+                              ungrouped=frozenset(ungrouped), at=t)
 
 
 def reference_parse(lines, default_year, resolver, parse_line):

@@ -9,8 +9,8 @@ from logvicinity.datasources import (JobRecord, MaintenanceWindow,
 from logvicinity.model import NodeId, parse_node_name
 
 
-def _job(start, end, nodes=("i1r0n0",), status="completed"):
-    return JobRecord("j1", frozenset(parse_node_name(n) for n in nodes),
+def _job(start, end, nodes=("i1r0n0",), status="completed", job_id="j1"):
+    return JobRecord(job_id, frozenset(parse_node_name(n) for n in nodes),
                      start, end, status)
 
 
@@ -33,7 +33,8 @@ def test_jobs_active_on_filters_node_and_time():
 def test_job_report_roundtrip(tmp_path):
     jobs = [
         _job(1600000000, 1600003600, nodes=("i1r0n0", "i1r0n1", "i1r0n2")),
-        _job(1600000500, 1600001000, nodes=("i2r1n4",), status="node_fail"),
+        _job(1600000500, 1600001000, nodes=("i2r1n4",), status="node_fail",
+             job_id="j2"),
     ]
     path = tmp_path / "jobs.csv"
     write_job_report(jobs, path)
@@ -53,6 +54,18 @@ def test_job_report_rejects_bad_rows(tmp_path, row):
     with pytest.raises(ValueError) as err:
         load_job_report(path)
     assert "row 2" in str(err.value)
+
+
+def test_job_report_rejects_a_repeated_job_id(tmp_path):
+    path = tmp_path / "jobs.csv"
+    path.write_text(
+        "job_id,nodes,start,end,status\n"
+        "a,i1r0n[0-2],2020-01-01T00:00:00Z,2020-01-01T01:00:00Z,completed\n"
+        "b,i1r0n3,2020-01-01T00:00:00Z,2020-01-01T01:00:00Z,completed\n"
+        "a,i1r0n[5-7],2020-01-01T00:00:00Z,2020-01-01T01:00:00Z,completed\n")
+    with pytest.raises(ValueError) as err:
+        load_job_report(path)
+    assert str(err.value) == f"{path}: row 4: duplicate job id 'a'"
 
 
 def test_parse_scope():

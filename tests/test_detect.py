@@ -12,7 +12,7 @@ from logvicinity.detect import (MIN_GROUP_SIZE, VERDICTS, SGIndex,
                                 filter_frequent_raw, kmeans_1d_2,
                                 observation_moments, run_detection,
                                 split_groups)
-from logvicinity.model import LogEntry, NodeId, ObservationRange
+from logvicinity.model import LogEntry, NodeId, ObservationRange, _percentile
 from logvicinity.vicinity import VicinityAssignment
 from tables import Keyed, rows_of, table_of
 
@@ -242,9 +242,14 @@ def test_percentile_matches_naive_oracle():
     rng = random.Random(5)
     for _ in range(200):
         xs = [rng.randrange(0, 1000) for _ in range(rng.randrange(1, 40))]
-        for q in (50.0, 90.0, 99.5, 100.0):
-            assert float(np.percentile(xs, q)) == pytest.approx(
-                oracles.naive_percentile(xs, q))
+        for values in (np.array(xs), np.array([x * rng.random() for x in xs])):
+            for q in (0.0, 50.0, 90.0, 99.5, 100.0, rng.uniform(0, 100)):
+                assert _percentile(values, q) == float(np.percentile(values, q))
+                assert _percentile(values, q) == pytest.approx(
+                    oracles.naive_percentile(values.tolist(), q))
+    for q in (-1.0, 100.5):
+        with pytest.raises(ValueError):
+            _percentile(np.arange(3), q)
 
 
 def test_filter_raw_drops_top_template():

@@ -107,3 +107,28 @@ def test_anonymize_loads_only_what_it_runs(tmp_path):
     assert {"logvicinity.anonymize", "logvicinity.model"} <= loaded
     assert not loaded & {f"logvicinity.{m}" for m in (
         "synth", "pipeline", "detect", "outages", "classify")}
+
+
+def test_detection_and_outages_never_load_numpy_ma():
+    # np.percentile, np.unique without indices and np.median on floats
+    # import numpy.ma on their first call; detection does without them
+    code = """
+import sys
+from logvicinity.anonymize import SubstitutionRuleSet
+from logvicinity.outages import BootFootprintSpec
+from logvicinity.pipeline import detect_and_classify, run_variants, sweep_perspective
+from logvicinity.synth import FOOTPRINT_LINES, GeneratorSpec, generate
+c = generate(GeneratorSpec(seed=3, days=1.0, failure_count=3, skew_share=0.0,
+                           storm_count=5, background_jobs=10))
+runs = run_variants(c.entries, c.topology, c.range,
+                    maintenance=c.truth.maintenance)
+sweep_perspective(runs["raw"].index, "allocation", c.topology, c.range,
+                  jobs=c.truth.jobs)
+footprint = BootFootprintSpec([("template", m) for _, m in FOOTPRINT_LINES])
+print(len(detect_and_classify(c.entries, footprint, SubstitutionRuleSet(),
+                              c.range)))
+print("numpy.ma" in sys.modules)
+"""
+    outages, loaded = _child(code).split()
+    assert int(outages) > 0
+    assert loaded == "False"

@@ -22,7 +22,7 @@ from logvicinity.pipeline import (ExtractedEvent, drop_maintenance_events,
                                   run_manifest, run_variant, run_variants,
                                   sweep_perspective, write_events)
 from logvicinity.synth import GeneratorSpec, generate, load_truth
-from logvicinity.vicinity import (VicinityAssignment, allocation_vicinity,
+from logvicinity.vicinity import (VicinityAssignment, allocation_groups,
                                   combined_vicinity, hardware_vicinity)
 from tables import rows_of, table_of
 
@@ -253,22 +253,32 @@ def test_allocation_regroups_only_when_the_job_set_changes(monkeypatch):
             _job("j0", JOB_NODES[6:8], start=2 * 3600)]
     moments = observation_moments(JOB_RANGE.start, JOB_RANGE.end)
     per_moment = sweep_schedule(
-        index, [(allocation_vicinity([j for j in jobs if j.active_at(at)], at),
+        index, [(allocation_groups([j for j in jobs if j.active_at(at)]),
                  (at,)) for at in moments])
     calls = []
 
-    def counted(jobs, t):
-        calls.append(t)
-        return allocation_vicinity(jobs, t)
+    def counted(active):
+        calls.append([j.job_id for j in active])
+        return allocation_groups(active)
 
-    monkeypatch.setattr("logvicinity.pipeline.allocation_vicinity", counted)
+    monkeypatch.setattr("logvicinity.pipeline.allocation_groups", counted)
     sweep = sweep_perspective(index, "allocation", None, JOB_RANGE, jobs=jobs)
-    assert calls == [1800, 3600, 7200, 3 * 3600]
+    # one call where the active set changes, with its jobs in job order
+    assert calls == [[j.job_id for j in jobs if j.active_at(at)]
+                     for at in (1800, 3600, 7200, 3 * 3600)]
     assert sweep.moments == per_moment.moments == moments
     assert sweep.skipped_groups == per_moment.skipped_groups
     assert _rows(sweep) == _rows(per_moment)
     assert {r.group for r in sweep.results} == {"job:j1", "job:j1+j2+j3",
                                                 "job:j0+j1+j2+j3"}
+
+
+def test_allocation_rejects_a_repeated_job_id():
+    jobs = [_job("a", JOB_NODES[:3]), _job("b", JOB_NODES[3:5]),
+            _job("a", JOB_NODES[5:8])]
+    with pytest.raises(ValueError, match="unique job ids"):
+        sweep_perspective(_job_index(), "allocation", None, JOB_RANGE,
+                          jobs=jobs)
 
 
 def test_sweep_does_not_depend_on_node_or_entry_order(corpus):

@@ -1,6 +1,7 @@
 """The columnar sweep, its cell views, event extraction and the verdict
 writer, checked against the per-cell loops in oracles.py."""
 
+import random
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,9 +14,8 @@ from logvicinity.detect import (SGIndex, observation_moments, split_groups,
                                 write_verdicts)
 from logvicinity.model import LogEntry, NodeId, ObservationRange
 from logvicinity.pipeline import extract_events, sweep_perspective
-from logvicinity.vicinity import (allocation_vicinity, combined_vicinity,
-                                  hardware_vicinity, location_vicinity,
-                                  time_of_failure_vicinity)
+from logvicinity.vicinity import (combined_vicinity, hardware_vicinity,
+                                  location_vicinity, time_of_failure_vicinity)
 from tables import table_of
 
 CADENCE = 600
@@ -52,7 +52,7 @@ def _schedule(perspective, corpus, obs_range, failures, window):
     moments = observation_moments(obs_range.start, obs_range.end, CADENCE,
                                   window)
     if perspective == "allocation":
-        return [(at, allocation_vicinity(
+        return [(at, oracles.reference_allocation_vicinity(
                     [j for j in corpus.truth.jobs if j.active_at(at)], at))
                 for at in moments]
     asg = static[perspective](corpus.topology)
@@ -98,6 +98,28 @@ def test_sweep_matches_the_per_cell_loops(perspective, corpus, tmp_path):
     write_verdicts(sweep, path)
     assert path.read_text().splitlines(keepends=True) == \
         oracles.reference_verdict_lines(sweep)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_job_order_does_not_change_the_allocation_sweep(seed, corpus,
+                                                        tmp_path):
+    index = SGIndex(corpus.entries)
+    shuffled = list(corpus.truth.jobs)
+    random.Random(seed).shuffle(shuffled)
+    sweeps = [sweep_perspective(index, "allocation", corpus.topology,
+                                corpus.range, jobs=jobs, window=900)
+              for jobs in (corpus.truth.jobs, shuffled)]
+    names = [[s.groups[g][0] for g in s.group.tolist()] for s in sweeps]
+    assert names[0] == names[1]
+    assert any("+" in name for name in names[0])  # some union merges jobs
+    first, second = sweeps
+    for column in ("at", "offset", "node", "sg", "code", "minority", "tau"):
+        assert np.array_equal(getattr(first, column), getattr(second, column))
+    assert first.nodes == second.nodes
+    assert first.skipped_groups == second.skipped_groups != []
+    for name, sweep in zip("ab", sweeps):
+        write_verdicts(sweep, tmp_path / name)
+    assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
 
 
 @pytest.mark.parametrize("max_gap", [0, 1, 3])

@@ -405,6 +405,18 @@ def test_key_filter_edges():
     assert dropped == oracles.naive_key_filter(entries, 100.0, 0.1)
 
 
+def test_key_filter_takes_the_mean_of_an_even_vote():
+    # two voters with cv 0 and 0.5: the key's median is 0.25
+    entries = ([Keyed(t, NODES[0], "0000000e") for t in range(0, 3000, 600)]
+               + [Keyed(t, NODES[1], "0000000e")
+                  for t in (0, 300, 1200, 1500, 2400)])
+    for cv_threshold, dropped in ((0.3, ["0000000e"]), (0.2, [])):
+        assert filter_frequent_anonymized(table_of(entries), 100.0,
+                                          cv_threshold)[1] == dropped
+        assert oracles.naive_key_filter(entries, 100.0, cv_threshold) \
+            == dropped
+
+
 def test_footprint_must_end_within_its_span(footprint, rules):
     node = NODES[0]
     for last, found in ((120, True), (121, False)):

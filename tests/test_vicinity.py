@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from logvicinity.classify import FailureEvent
@@ -8,9 +10,10 @@ from logvicinity.datasources import JobRecord
 from logvicinity.model import NodeId, Topology
 from logvicinity.outages import OutageEvent
 from logvicinity.synth import desk_topology
-from logvicinity.vicinity import (VicinityAssignment, allocation_vicinity,
-                                  combined_vicinity, hardware_vicinity,
-                                  location_vicinity, time_of_failure_vicinity)
+from logvicinity.vicinity import (VicinityAssignment, allocation_groups,
+                                  allocation_vicinity, combined_vicinity,
+                                  hardware_vicinity, location_vicinity,
+                                  time_of_failure_vicinity)
 
 
 def test_desk_hardware_groups():
@@ -93,6 +96,37 @@ def test_allocation_respects_job_activity_window():
     # the caller picks the active jobs; job a already ended
     asg = allocation_vicinity([j for j in jobs if j.active_at(50)], 50)
     assert asg.group_names == ["job:b"]
+
+
+@st.composite
+def active_jobs(draw):
+    """Jobs with distinct ids on up to ten nodes, in any order: chains of
+    overlapping jobs, one-node jobs, identical node sets, or none."""
+    sets = draw(st.lists(st.frozensets(st.integers(0, 9), min_size=1,
+                                       max_size=4), max_size=9))
+    jobs = [_job(f"j{i}", positions) for i, positions in enumerate(sets)]
+    return draw(st.permutations(jobs))
+
+
+@settings(max_examples=400, deadline=None)
+@given(active_jobs())
+@example([])
+@example([_job("a", [0, 1]), _job("b", [2, 3]), _job("c", [1, 2])])
+@example([_job("b", [4]), _job("a", [4, 5]), _job("c", [4, 5]),
+          _job("d", [7])])
+def test_allocation_groups_equal_the_union_find_reference(jobs):
+    want = oracles.reference_allocation_vicinity(jobs, 50)
+    assert allocation_groups(jobs) == list(zip(want.group_names, want.groups))
+    got = allocation_vicinity(jobs, 50)
+    assert (got.group_names, got.groups, got.ungrouped, got.at) == \
+        (want.group_names, want.groups, want.ungrouped, want.at)
+
+
+def test_allocation_groups_bridge_every_union_a_job_touches():
+    jobs = [_job("b", [0, 1]), _job("a", [3, 4]), _job("c", [6, 7]),
+            _job("d", [1, 4, 7]), _job("e", [9])]
+    assert allocation_groups(jobs) == [
+        ("job:a+b+c+d", frozenset(NodeId(1, 0, p) for p in (0, 1, 3, 4, 6, 7)))]
 
 
 def _fe(pos, t, label="regular_failure"):
