@@ -87,7 +87,7 @@ def anonymize_stream(table: EventTable, rules: SubstitutionRuleSet):
 def load_rules(path) -> SubstitutionRuleSet:
     rules, version = [], RULE_VERSION
     with topen(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
@@ -98,7 +98,13 @@ def load_rules(path) -> SubstitutionRuleSet:
                 continue
             pattern, _, token = line.partition("\t")
             if not token:
-                raise ValueError(f"rules line needs <pattern>\\t<token>: {line!r}")
+                raise ValueError(f"{path}:{lineno}: rules line needs "
+                                 f"<pattern>\\t<token>: {line!r}")
+            try:
+                re.compile(pattern)
+            except re.error as exc:
+                raise ValueError(f"{path}:{lineno}: bad pattern "
+                                 f"{pattern!r}: {exc}") from None
             rules.append((pattern, token))
     return SubstitutionRuleSet(rules, version=version)
 

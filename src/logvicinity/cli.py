@@ -317,7 +317,7 @@ def _load_instants(path) -> list:
     """
     out = []
     with topen(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line.strip() or line.startswith("#"):
                 continue
@@ -327,7 +327,12 @@ def _load_instants(path) -> list:
             if len(cells) >= 3 and cells[2] in LABELS:
                 if cells[2] != "regular_failure":
                     continue
-            out.append((parse_node_name(cells[0]), parse_iso(cells[1])))
+            if len(cells) < 2:
+                raise ValueError(f"{path}:{lineno}: expected node and instant")
+            try:
+                out.append((parse_node_name(cells[0]), parse_iso(cells[1])))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return out
 
 

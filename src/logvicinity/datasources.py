@@ -104,7 +104,7 @@ def load_job_report(path) -> list:
 
 
 def write_job_report(jobs, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with topen(path, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow(["job_id", "nodes", "start", "end", "status"])
         for job in jobs:
@@ -142,16 +142,12 @@ def load_maintenance(path) -> list:
 
 
 def write_outage_db(records, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with topen(path, "w") as fh:
         for r in records:
             fh.write(f"{iso(r.start)}..{iso(r.end)}\t{r.scope}\t{r.description}\n")
 
 
 def write_maintenance(windows, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with topen(path, "w") as fh:
         for w in windows:
             fh.write(f"{iso(w.start)}..{iso(w.end)}\t{w.scope}\n")
-
-
-def jobs_active_on(node: NodeId, t: int, jobs) -> list:
-    return [job for job in jobs if job.active_at(t) and node in job.nodes]

@@ -7,7 +7,6 @@ import io
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import islice, repeat
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -200,23 +199,21 @@ def _unprintable(byte):
     return (byte - 0x21) > 0x5D  # bytes below "!" wrap round
 
 
-def _canonical_fields(pieces, newline=None):
+def _canonical_fields(pieces, newline):
     """Fields of the lines of bytes pieces, joined, as arrays over one
     padded byte buffer, or None unless every line is canonical: (buf,
     start, host end, rest start, end, month, day, seconds of day) of each
     line that is not blank.
 
-    Lines end at "\\n" (newline, if given, holds their offsets); the last
-    may lack it. A line is blank when it is empty or starts with "#", and
-    canonical when it reads "Mon DD HH:MM:SS host rest", as write_syslog
-    writes it: single spaces, DD a day some year has (space-padded or two
-    digits), a valid time, a host of at most _HOST_WINDOW - 1 printable
-    ASCII bytes and a rest that is empty or starts with printable ASCII.
+    Lines end at the "\\n" offsets newline holds. A line is blank when it
+    is empty or starts with "#", and canonical when it reads "Mon DD
+    HH:MM:SS host rest", as write_syslog writes it: single spaces, DD a
+    day some year has (space-padded or two digits), a valid time, a host
+    of at most _HOST_WINDOW - 1 printable ASCII bytes and a rest that is
+    empty or starts with printable ASCII.
     """
     buf = np.frombuffer(b"".join([*pieces, bytes(_WIDE)]), np.uint8)
     size = len(buf) - _WIDE
-    if newline is None:
-        newline = np.flatnonzero(buf[:size] == ord("\n"))
     start = np.concatenate(([0], newline + 1))
     end = np.append(newline, size)
     keep = (start < end) & (buf[start] != ord("#"))
@@ -338,7 +335,7 @@ class _SyslogParser:
         finally:
             self.stats.parsed += len(ts_out) - before
 
-    def feed_canonical(self, pieces, newline=None):
+    def feed_canonical(self, pieces, newline):
         """The (ts, node, msg) arrays of the lines of bytes pieces, or
         None, with no state changed, unless _canonical_fields reads every
         line, every date exists in its node's year and no node's rows wrap
@@ -452,11 +449,11 @@ class _SyslogParser:
         return EventTable(ts, node, msg, self.nodes, self.messages, self.tags)
 
 
-def parse_syslog_table(lines, default_year: int, node_resolver,
+def parse_syslog_table(fh, default_year: int, node_resolver,
                        skip_unknown: bool = True):
     """Parse a whole corpus into (EventTable, ParseStats): the chunks of
     parse_syslog_stream, concatenated. Rows keep line order."""
-    chunks, stats = parse_syslog_stream(lines, default_year, node_resolver,
+    chunks, stats = parse_syslog_stream(fh, default_year, node_resolver,
                                         skip_unknown)
     chunks = list(chunks)
     if not chunks:
@@ -467,10 +464,10 @@ def parse_syslog_table(lines, default_year: int, node_resolver,
                       last.nodes, last.messages, last.tags), stats
 
 
-def parse_syslog_stream(lines, default_year: int, node_resolver,
+def parse_syslog_stream(fh, default_year: int, node_resolver,
                         skip_unknown: bool = True):
-    """Parse a binary file (by read_blocks) or str lines STREAM_CHUNK
-    lines at a time; returns (chunks, ParseStats).
+    """Parse a file opened in binary mode, read by read_blocks,
+    STREAM_CHUNK lines at a time; returns (chunks, ParseStats).
 
     chunks yields one EventTable per STREAM_CHUNK lines. The chunks share
     the parser's nodes, messages and tags lists, which later chunks only
@@ -482,24 +479,23 @@ def parse_syslog_stream(lines, default_year: int, node_resolver,
     before it. A chunk in write_syslog's shape is parsed as numpy arrays,
     any other line by line; both give the same rows.
     """
+    if not isinstance(fh, (io.RawIOBase, io.BufferedIOBase)):
+        raise TypeError("a syslog corpus is read from a binary file, such "
+                        f'as topen(path, "rb") opens; got {type(fh).__name__}')
     stats = ParseStats()
     parser = _SyslogParser(default_year, node_resolver, skip_unknown, stats)
-    binary = isinstance(lines, (io.RawIOBase, io.BufferedIOBase))
 
     def gen():
-        source = _file_chunks(lines) if binary else _str_chunks(lines)
-        for pieces, newline, chunk in source:
-            columns = (parser.feed_canonical(pieces, newline)
-                       if pieces is not None else None)
+        for pieces, newline in _file_chunks(fh):
+            columns = parser.feed_canonical(pieces, newline)
             if columns is not None:
                 stats.array_chunks += 1
                 yield parser.table(*columns)
                 continue
             stats.line_chunks += 1
             columns, error = ([], [], []), None
-            try:
-                parser.feed(chunk or io.StringIO(b"".join(pieces).decode()),
-                            *columns)
+            try:  # a chunk split at "\n" only, as text mode does
+                parser.feed(io.StringIO(b"".join(pieces).decode()), *columns)
             except Exception as exc:  # re-raised after the parsed lines
                 error = exc
             yield parser.table(*columns)
@@ -510,7 +506,7 @@ def parse_syslog_stream(lines, default_year: int, node_resolver,
 
 
 def _file_chunks(fh):
-    """(bytes pieces, their "\\n" offsets, None) per STREAM_CHUNK lines of fh."""
+    """(bytes pieces, their "\\n" offsets) per STREAM_CHUNK lines of fh."""
     pieces, marks, held = [], [], 0  # uncut: pieces, "\n" offsets, size
     for block in read_blocks(fh, BLOCK):
         if not block.isascii():
@@ -521,28 +517,13 @@ def _file_chunks(fh):
                        STREAM_CHUNK):  # each "\n" that ends a chunk
             b = int(newline[j]) + 1
             yield ([*pieces, view[a:b]],
-                   np.concatenate([*marks, newline[i:j + 1] + (held - a)]), None)
+                   np.concatenate([*marks, newline[i:j + 1] + (held - a)]))
             pieces, marks, held, a, i = [], [], 0, b, j + 1
         pieces.append(view[a:])
         marks.append(newline[i:] + (held - a))
         held += len(block) - a
     if held:
-        yield pieces, np.concatenate(marks), None
-
-
-def _str_chunks(lines):
-    """([bytes], None, lines) of each STREAM_CHUNK str lines; [bytes] is
-    None unless each item is one line ending in its only "\\n"."""
-    it = iter(lines)
-    while chunk := list(islice(it, STREAM_CHUNK)):
-        text = "".join(chunk)
-        one_each = text.count("\n") == len(chunk) == sum(
-            map(str.endswith, chunk, repeat("\n")))
-        try:
-            data = [text.encode("utf-8")] if one_each else None
-        except UnicodeEncodeError:  # a lone surrogate: feed reads it
-            data = None
-        yield data, None, chunk
+        yield pieces, np.concatenate(marks)
 
 
 @dataclass

@@ -65,7 +65,7 @@ def load_footprint(path) -> BootFootprintSpec:
 
 
 def save_footprint(spec: BootFootprintSpec, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with topen(path, "w") as fh:
         for kind, value in spec.items:
             fh.write(f"key:{value}\n" if kind == "key" else f"{value}\n")
 

@@ -80,20 +80,14 @@ SHUTDOWN_LINES = [
 STORM_PERIOD = 15  # seconds between storm repetitions of the cron line
 STORM_LENGTH = 900
 
-WINDOW = 1800  # sizing reference for rates below
-
-
-def _stream_rate_per_window(arch: str) -> float:
-    chatter = sum(WINDOW / period for period, _, _, _ in CHATTER[arch])
-    return WINDOW / CRON[0] + WINDOW / HEARTBEAT[0] + POISSON_PER_WINDOW + chatter
-
-
-DEFAULT_BASE_RATES = {
-    arch: round(2 * _stream_rate_per_window(arch))
-    for arch in ("Westmere", "Haswell", "SandyBridge", "GPU", "Broadwell")
-}
+WINDOW = 1800  # the Poisson messages' rate is per WINDOW seconds
 
 CAUSES = ("crash_panic", "silent_hang", "no_reboot")
+CAUSE_MIX = (0.5, 0.35, 0.15)  # the weight of each of CAUSES
+FAILURE_SKEW = 0.2  # share of the failing roster that is hot
+TEMPORAL_CLUSTER_PROB = 0.3  # a failure draws a mate minutes later
+RACK_AFFINITY = 0.5  # the mate is sought in the same rack first
+SUDDEN_PROB = 0.1  # a non-hang failure has no quiet period before it
 
 
 def _poisson_message(rng):
@@ -111,30 +105,11 @@ class GeneratorSpec:
     start: int = to_epoch(2023, 3, 6, 0, 0, 0)
     days: float = 7.0
     seed: int = 7
-    base_rate: dict | None = None  # arch -> entries/hour; None -> defaults
     failure_count: int = 40
-    failure_skew: float = 0.2
     skew_share: float = 0.7
-    temporal_cluster_prob: float = 0.3
-    rack_affinity: float = 0.5
-    sudden_prob: float = 0.1
-    cause_mix: tuple = (("crash_panic", 0.5), ("silent_hang", 0.35),
-                        ("no_reboot", 0.15))
     storm_count: int = 60
     background_jobs: int = 150
     maintenance: bool = True
-
-    def __post_init__(self):
-        for name, p in (("failure_skew", self.failure_skew),
-                        ("temporal_cluster_prob", self.temporal_cluster_prob),
-                        ("rack_affinity", self.rack_affinity),
-                        ("sudden_prob", self.sudden_prob)):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
-        if self.base_rate:
-            for arch, rate in self.base_rate.items():
-                if rate <= 0:
-                    raise ValueError(f"base rate for {arch} must be positive")
 
     @property
     def end(self) -> int:
@@ -252,26 +227,6 @@ def scale_topology(topology: Topology, factor: float) -> Topology:
     return Topology(nodes, arch_of)
 
 
-def _scaled_streams(arch: str, rate_per_hour: float):
-    """Chatter lattice set for a class, rescaled to hit a requested rate."""
-    default_extra = sum(WINDOW / p for p, _, _, _ in CHATTER[arch])
-    floor = WINDOW / CRON[0] + WINDOW / HEARTBEAT[0] + POISSON_PER_WINDOW
-    extra = rate_per_hour / 2.0 - floor
-    if extra < 0:
-        raise ValueError(
-            f"base rate {rate_per_hour}/h for {arch} is below the shared "
-            f"template floor ({int(floor * 2)}/h)")
-    if default_extra == 0:
-        return []
-    factor = extra / default_extra
-    out = []
-    for period, jitter, tag, msg in CHATTER[arch]:
-        if factor <= 0:
-            continue
-        out.append((period / factor, jitter / factor, tag, msg))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # schedule construction
 
@@ -313,7 +268,7 @@ def _plan_failures(spec: GeneratorSpec, topology: Topology, maint, rng):
 
     failing_target = min(len(topology.nodes),
                          max(3, round(spec.failure_count * 0.4)))
-    hot_count = max(1, round(spec.failure_skew * failing_target))
+    hot_count = max(1, round(FAILURE_SKEW * failing_target))
     roster = rng.sample(list(topology.nodes), failing_target)
     hot, cold = roster[:hot_count], roster[hot_count:]
     hot_quota = min(spec.failure_count, round(spec.skew_share * spec.failure_count))
@@ -362,10 +317,10 @@ def _plan_failures(spec: GeneratorSpec, topology: Topology, maint, rng):
             continue
         times_of.setdefault(head, []).append(t)
         failures.append((head, t))
-        if pool and rng.random() < spec.temporal_cluster_prob:
+        if pool and rng.random() < TEMPORAL_CLUSTER_PROB:
             t2 = t + rng.uniform(60, 540)
             rack = ((head.island, head.rack)
-                    if rng.random() < spec.rack_affinity else None)
+                    if rng.random() < RACK_AFFINITY else None)
             mate = take_node(t2, exclude={head}, prefer_rack=rack)
             if mate is not None:
                 times_of.setdefault(mate, []).append(t2)
@@ -373,7 +328,6 @@ def _plan_failures(spec: GeneratorSpec, topology: Topology, maint, rng):
     if pool:
         raise ValueError("spec infeasible: could not place all failures")
 
-    causes, weights = zip(*spec.cause_mix)
     per_node: dict = {}
     planned: dict = {}
     for node, t in sorted(failures, key=lambda f: f[1]):
@@ -381,10 +335,10 @@ def _plan_failures(spec: GeneratorSpec, topology: Topology, maint, rng):
     for node, ts in per_node.items():
         last = max(ts)
         for t in ts:
-            cause = rng.choices(causes, weights)[0]
+            cause = rng.choices(CAUSES, CAUSE_MIX)[0]
             if cause == "no_reboot" and t != last:
-                cause = rng.choices(causes[:2], weights[:2])[0]
-            sudden = cause != "silent_hang" and rng.random() < spec.sudden_prob
+                cause = rng.choices(CAUSES[:2], CAUSE_MIX[:2])[0]
+            sudden = cause != "silent_hang" and rng.random() < SUDDEN_PROB
             planned.setdefault(node, []).append(_NodeFailure(
                 nominal=int(t),
                 cause=cause,
@@ -515,7 +469,7 @@ def _where(mask, times, keys):
     return times[mask], keys
 
 
-def _node_stream(node, arch, spec, chatter, failures, maint_windows, storms,
+def _node_stream(node, spec, chatter, failures, maint_windows, storms,
                  resolved_out):
     """A node's rows as (float times, keys) segments in row order.
 
@@ -603,11 +557,6 @@ def _boot_entries(rng, boot_time):
 def generate(spec: GeneratorSpec) -> GeneratedCorpus:
     """Produce the corpus, sorted by time, plus authoritative ground truth."""
     topology = spec.topology or desk_topology()
-    rates = dict(DEFAULT_BASE_RATES)
-    if spec.base_rate:
-        rates.update(spec.base_rate)
-    chatter_of = {arch: _scaled_streams(arch, rates[arch])
-                  for arch in {topology.architecture_of[n] for n in topology.nodes}}
 
     rng = random.Random(f"{spec.seed}:schedule")
     maint = _plan_maintenance(spec, topology)
@@ -619,9 +568,9 @@ def generate(spec: GeneratorSpec) -> GeneratedCorpus:
     msg_ix: dict = {}  # (tag, message) -> message id, by first appearance
     ts_of, msg_of, node_of = [], [], []  # one item per non-empty segment
     for n, node in enumerate(topology.nodes):
-        arch = topology.architecture_of[node]
         windows = [w for w in maint if w.scope.covers(node)]
-        for times, keys in _node_stream(node, arch, spec, chatter_of[arch],
+        chatter = CHATTER[topology.architecture_of[node]]
+        for times, keys in _node_stream(node, spec, chatter,
                                         planned.get(node, []), windows,
                                         storms.get(node, []), resolved):
             if len(times):  # an emptied segment registers no message

@@ -235,7 +235,8 @@ def reference_parse(lines, default_year, resolver, parse_line):
     host's later entries carry the next year. A Feb 29 the host's year
     lacks is compared as Mar 1; unless that wraps the year, the line is
     an error. Blank and '#' lines are ignored; lines of unknown hosts are
-    counted and skipped. Returns (entries, skipped).
+    counted and skipped, unless their date is one no year has or their
+    time is invalid. Returns (entries, skipped).
     """
     year_of, last_of, entries, skipped = {}, {}, [], 0
     for line in lines:
@@ -244,6 +245,9 @@ def reference_parse(lines, default_year, resolver, parse_line):
         month, day, rest = line.split(None, 2)
         host = rest.split()[1]
         if resolver.get(host) is None:
+            # 2024 has every day some year has: this raises only on a
+            # date no year has or a bad time
+            parse_line(line, 2024, lambda name: name)
             skipped += 1
             continue
         year = year_of.get(host, default_year)
@@ -430,14 +434,13 @@ def reference_generate(spec):
     are synth's own; ids follow the rows' first appearance.
     """
     from logvicinity.model import EventTable
-    from logvicinity.synth import (CRON, DAY, DEFAULT_BASE_RATES, GASP,
+    from logvicinity.synth import (CHATTER, CRON, DAY, GASP,
                                    HEARTBEAT, POISSON_PER_WINDOW,
                                    SHUTDOWN_LINES, STORM_LENGTH, STORM_PERIOD,
                                    WINDOW, InjectedFailure, _boot_entries,
                                    _plan_failures, _plan_jobs,
                                    _plan_maintenance, _plan_storms,
-                                   _poisson_message, _scaled_streams,
-                                   desk_topology)
+                                   _poisson_message, desk_topology)
 
     def lattice(rng, start, end, period, jitter):
         ticks = []
@@ -506,8 +509,6 @@ def reference_generate(spec):
         return [(int(t), tag, msg) for t, tag, msg in merged if start <= t < end]
 
     topology = spec.topology or desk_topology()
-    rates = dict(DEFAULT_BASE_RATES)
-    rates.update(spec.base_rate or {})
     rng = random.Random(f"{spec.seed}:schedule")
     maint = _plan_maintenance(spec, topology)
     planned = _plan_failures(spec, topology, maint, rng)
@@ -516,9 +517,8 @@ def reference_generate(spec):
 
     failures, msg_ix, rows = [], {}, []
     for n, node in enumerate(topology.nodes):
-        arch = topology.architecture_of[node]
         for t, tag, msg in node_stream(
-                node, _scaled_streams(arch, rates[arch]),
+                node, CHATTER[topology.architecture_of[node]],
                 planned.get(node, []),
                 [w for w in maint if w.scope.covers(node)],
                 storms.get(node, []), failures):

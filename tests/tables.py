@@ -2,9 +2,11 @@
 
 Tests state their inputs as LogEntry rows (or Keyed rows for a pars-lite
 corpus), the line-level reference that parse_syslog_line returns, and
-compare a table's rows with the same types.
+compare a table's rows with the same types. A syslog corpus stated as
+str lines is parsed from syslog_file.
 """
 
+import io
 from typing import NamedTuple
 
 from logvicinity.model import EventTable, LogEntry, NodeId
@@ -31,6 +33,12 @@ def table_of(rows) -> EventTable:
         return EventTable(ts, node, msg, list(node_ix), list(msg_ix))
     return EventTable(ts, node, msg, list(node_ix),
                       [m for _, m in msg_ix], [t for t, _ in msg_ix])
+
+
+def syslog_file(lines) -> io.BytesIO:
+    """The binary file of str lines, which carry their own line ends: the
+    lines joined and encoded as UTF-8."""
+    return io.BytesIO("".join(lines).encode("utf-8"))
 
 
 def rows_of(table, rules=None) -> list:

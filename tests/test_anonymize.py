@@ -5,6 +5,7 @@ from logvicinity import anonymize, model
 from logvicinity.anonymize import (SubstitutionRuleSet, anonymize_stream,
                                    fnv1a_32, load_rules, read_anonymized,
                                    save_rules, write_anonymized)
+from logvicinity.cli import main
 from logvicinity.model import (LogEntry, NodeId, iso, parse_iso,
                                parse_node_name, to_epoch, topen)
 from logvicinity.synth import GeneratorSpec, generate
@@ -131,6 +132,21 @@ def test_load_rules_rejects_untabbed_line(tmp_path):
     path.write_text("just-a-pattern-no-token\n")
     with pytest.raises(ValueError):
         load_rules(path)
+
+
+def test_load_rules_names_the_line_of_a_bad_pattern(tmp_path, capsys):
+    path = tmp_path / "subst.rules"
+    path.write_text("# substitution rules v1\n\\d+\t<NUM>\na(\t<X>\n")
+    with pytest.raises(ValueError) as err:
+        load_rules(path)
+    assert str(err.value).startswith(f"{path}:3: bad pattern 'a(': ")
+    corpus = tmp_path / "corpus.log"
+    corpus.write_text("Mar  6 10:00:00 i1r0n0 kernel: ok\n")
+    assert main(["anonymize", "--corpus", str(corpus), "--year", "2023",
+                 "--rules", str(path), "--output", str(tmp_path / "a")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {path}:3: bad pattern 'a(': ")
+    assert not (tmp_path / "a").exists()
 
 
 def _entries():

@@ -18,8 +18,8 @@ from logvicinity import model
 from logvicinity.anonymize import SubstitutionRuleSet, write_anonymized
 from logvicinity.cli import main
 from logvicinity.model import (EventTable, NodeId, canonical_node,
-                               parse_syslog_table, to_epoch, topen,
-                               write_syslog)
+                               parse_syslog_stream, parse_syslog_table,
+                               to_epoch, topen, write_syslog)
 from logvicinity.synth import (GeneratorSpec, generate, scale_topology,
                                taurus_topology)
 from tables import rows_of
@@ -183,8 +183,8 @@ def odd_corpus(tmp_path_factory):
     return b"".join(lines)
 
 
-def _parse_file(path, mode="rb"):
-    with topen(path, mode) as fh:
+def _parse_file(path):
+    with topen(path, "rb") as fh:
         table, stats = parse_syslog_table(fh, 2023, canonical_node)
     return ((table.ts.tolist(), table.node.tolist(), table.msg.tolist(),
              table.nodes, table.messages, table.tags),
@@ -194,13 +194,12 @@ def _parse_file(path, mode="rb"):
 
 @pytest.mark.parametrize("block", [1, 7, 4096, None])
 def test_file_spellings_parse_alike(odd_corpus, tmp_path, monkeypatch, block):
-    """Metamorphic: plain, .gz, \\r\\n, lone \\r and no final newline, at
-    any block size, give the text-mode reader's table and stats,
-    chunk counts included."""
+    """Metamorphic: .gz, \\r\\n, lone \\r and no final newline, at any
+    block size, give the plain file's table and stats, chunk counts
+    included."""
     monkeypatch.setattr(model, "STREAM_CHUNK", 700)
     (tmp_path / "plain.log").write_bytes(odd_corpus)
-    expect = _parse_file(tmp_path / "plain.log", "r")  # str lines
-    assert _parse_file(tmp_path / "plain.log") == expect
+    expect = _parse_file(tmp_path / "plain.log")
     parsed, skipped, _, per_line = expect[1]
     assert parsed > 3000 and skipped == 1 and 0 < per_line < 5
     if block:
@@ -212,6 +211,17 @@ def test_file_spellings_parse_alike(odd_corpus, tmp_path, monkeypatch, block):
     for name, data in spellings.items():
         (tmp_path / name).write_bytes(data)
         assert _parse_file(tmp_path / name) == expect, name
+
+
+def test_only_a_binary_file_is_parsed(tmp_path):
+    """A list of lines or a text-mode file raises, naming the opener."""
+    line = "Mar  6 10:00:00 i1r0n0 kernel: ok\n"
+    (tmp_path / "one.log").write_text(line)
+    with topen(tmp_path / "one.log") as text:
+        for source in ([line], text):
+            for parse in (parse_syslog_stream, parse_syslog_table):
+                with pytest.raises(TypeError, match='topen\\(path, "rb"\\)'):
+                    parse(source, 2023, canonical_node)
 
 
 @pytest.mark.parametrize("bad", [b"Mar  6 10:00:01 i1r0n0 caf\xe9 ok\n",

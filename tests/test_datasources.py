@@ -1,11 +1,10 @@
 import pytest
 
 from logvicinity.datasources import (JobRecord, MaintenanceWindow,
-                                     OutageRecord, Scope, jobs_active_on,
-                                     load_job_report, load_maintenance,
-                                     load_outage_db, parse_scope,
-                                     write_job_report, write_maintenance,
-                                     write_outage_db)
+                                     OutageRecord, Scope, load_job_report,
+                                     load_maintenance, load_outage_db,
+                                     parse_scope, write_job_report,
+                                     write_maintenance, write_outage_db)
 from logvicinity.model import NodeId, parse_node_name
 
 
@@ -22,12 +21,9 @@ def test_job_active_half_open():
     assert not job.active_at(200)
 
 
-def test_jobs_active_on_filters_node_and_time():
-    a = _job(100, 200, nodes=("i1r0n0", "i1r0n1"))
-    b = _job(150, 300, nodes=("i2r0n0",))
-    node = parse_node_name("i1r0n1")
-    assert jobs_active_on(node, 150, [a, b]) == [a]
-    assert jobs_active_on(node, 250, [a, b]) == []
+def _gzipped(path):
+    """Whether the file is gzip data exactly when its name ends in .gz."""
+    return (path.read_bytes()[:2] == b"\x1f\x8b") == (path.suffix == ".gz")
 
 
 def test_job_report_roundtrip(tmp_path):
@@ -36,10 +32,10 @@ def test_job_report_roundtrip(tmp_path):
         _job(1600000500, 1600001000, nodes=("i2r1n4",), status="node_fail",
              job_id="j2"),
     ]
-    path = tmp_path / "jobs.csv"
-    write_job_report(jobs, path)
-    loaded = load_job_report(path)
-    assert loaded == jobs
+    for path in (tmp_path / "jobs.csv", tmp_path / "jobs.csv.gz"):
+        write_job_report(jobs, path)
+        assert _gzipped(path)
+        assert load_job_report(path) == jobs
 
 
 @pytest.mark.parametrize("row", [
@@ -99,16 +95,18 @@ def test_outage_db_roundtrip(tmp_path):
         OutageRecord(1600000000, 1600007200, Scope("island", island=2), "power work"),
         OutageRecord(1600100000, 1600101000, Scope("node", node=NodeId(1, 0, 3)), ""),
     ]
-    path = tmp_path / "outage.db"
-    write_outage_db(records, path)
-    assert load_outage_db(path) == records
+    for path in (tmp_path / "outage.db", tmp_path / "outage.db.gz"):
+        write_outage_db(records, path)
+        assert _gzipped(path)
+        assert load_outage_db(path) == records
 
 
 def test_maintenance_roundtrip(tmp_path):
     windows = [MaintenanceWindow(1600000000, 1600007200, Scope("system"))]
-    path = tmp_path / "maintenance.tsv"
-    write_maintenance(windows, path)
-    assert load_maintenance(path) == windows
+    for path in (tmp_path / "maint.tsv", tmp_path / "maint.tsv.gz"):
+        write_maintenance(windows, path)
+        assert _gzipped(path)
+        assert load_maintenance(path) == windows
 
 
 @pytest.mark.parametrize("line", [

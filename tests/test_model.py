@@ -9,6 +9,7 @@ from logvicinity.model import (LogEntry, NodeId, ObservationRange,
                                parse_iso, parse_node_name, parse_syslog_line,
                                parse_syslog_stream, save_topology, to_epoch,
                                topen)
+from tables import syslog_file
 
 
 def test_node_name_roundtrip():
@@ -86,7 +87,7 @@ def test_impossible_dates_and_times_are_rejected(stamp):
     line = f"{stamp} i1r0n0 a: x"
     with pytest.raises(SyslogParseError):
         parse_syslog_line(line, 2023, parse_node_name)
-    chunks, _ = parse_syslog_stream([line], 2023, parse_node_name)
+    chunks, _ = parse_syslog_stream(syslog_file([line]), 2023, parse_node_name)
     with pytest.raises(SyslogParseError):
         list(chunks)
 
@@ -94,7 +95,8 @@ def test_impossible_dates_and_times_are_rejected(stamp):
 @pytest.mark.parametrize("stamp", ["Feb 30 10:00:00", "Mar  1 24:00:00"])
 def test_impossible_stamp_of_an_unknown_host_is_not_skipped(stamp):
     # no year has them, so the line is malformed whichever node sent it
-    chunks, stats = parse_syslog_stream([f"{stamp} login01 a: x"], 2023, {})
+    chunks, stats = parse_syslog_stream(syslog_file([f"{stamp} login01 a: x"]),
+                                        2023, {})
     with pytest.raises(SyslogParseError):
         list(chunks)
     assert stats.skipped_unknown == 0
@@ -110,18 +112,19 @@ def test_subsecond_times_and_leap_days_are_accepted():
 
 
 def test_leap_day_after_a_wrap_into_a_leap_year():
-    lines = ["Dec 31 23:00:00 i1r0n0 a: x", "Jan  2 00:00:00 i1r0n0 a: x",
-             "Feb 29 12:00:00 i1r0n0 a: x", "Dec 31 23:00:00 i1r0n1 a: x"]
-    chunks, _ = parse_syslog_stream(lines, 2023, parse_node_name)
+    lines = ["Dec 31 23:00:00 i1r0n0 a: x\n", "Jan  2 00:00:00 i1r0n0 a: x\n",
+             "Feb 29 12:00:00 i1r0n0 a: x\n", "Dec 31 23:00:00 i1r0n1 a: x\n"]
+    chunks, _ = parse_syslog_stream(syslog_file(lines), 2023, parse_node_name)
     assert [t for chunk in chunks for t in chunk.ts.tolist()] == [
         to_epoch(2023, 12, 31, 23, 0, 0), to_epoch(2024, 1, 2, 0, 0, 0),
         to_epoch(2024, 2, 29, 12, 0, 0), to_epoch(2023, 12, 31, 23, 0, 0)]
 
 
 def test_stream_raises_after_the_entries_before_the_bad_line():
-    lines = ["Mar  1 10:00:00 i1r0n0 a: x", "Mar  1 10:00:01 i1r0n0 a: y",
-             "Mar 32 10:00:02 i1r0n0 a: z"]
-    chunks, stats = parse_syslog_stream(lines, 2023, parse_node_name)
+    lines = ["Mar  1 10:00:00 i1r0n0 a: x\n", "Mar  1 10:00:01 i1r0n0 a: y\n",
+             "Mar 32 10:00:02 i1r0n0 a: z\n"]
+    chunks, stats = parse_syslog_stream(syslog_file(lines), 2023,
+                                        parse_node_name)
     chunk = next(chunks)
     assert [chunk.messages[m] for m in chunk.msg.tolist()] == ["x", "y"]
     with pytest.raises(SyslogParseError, match="Mar 32"):
@@ -138,11 +141,12 @@ def test_format_parse_roundtrip():
 
 def test_stream_year_rollover():
     lines = [
-        "Dec 31 23:59:58 i1r0n0 a: before midnight",
-        "Dec 31 23:59:59 i1r0n0 a: still before",
-        "Jan  1 00:00:02 i1r0n0 a: after midnight",
+        "Dec 31 23:59:58 i1r0n0 a: before midnight\n",
+        "Dec 31 23:59:59 i1r0n0 a: still before\n",
+        "Jan  1 00:00:02 i1r0n0 a: after midnight\n",
     ]
-    chunks, _stats = parse_syslog_stream(lines, 2022, parse_node_name)
+    chunks, _stats = parse_syslog_stream(syslog_file(lines), 2022,
+                                         parse_node_name)
     ts = [t for chunk in chunks for t in chunk.ts.tolist()]
     assert ts == sorted(ts)
     assert ts[2] - ts[1] == 3  # Jan 1 belongs to the next year
@@ -150,11 +154,11 @@ def test_stream_year_rollover():
 
 def test_stream_rollover_is_per_node():
     lines = [
-        "Dec 31 23:59:59 i1r0n0 a: wrap on this node",
-        "Jan  1 00:00:01 i1r0n0 a: wrapped",
-        "Dec 31 23:59:59 i1r0n1 a: other node still in the old year",
+        "Dec 31 23:59:59 i1r0n0 a: wrap on this node\n",
+        "Jan  1 00:00:01 i1r0n0 a: wrapped\n",
+        "Dec 31 23:59:59 i1r0n1 a: other node still in the old year\n",
     ]
-    chunks, _ = parse_syslog_stream(lines, 2022, parse_node_name)
+    chunks, _ = parse_syslog_stream(syslog_file(lines), 2022, parse_node_name)
     ts = [t for chunk in chunks for t in chunk.ts.tolist()]
     assert ts[1] - ts[0] == 2
     assert ts[2] == ts[0]
@@ -163,15 +167,16 @@ def test_stream_rollover_is_per_node():
 def test_stream_skips_unknown_hosts():
     topo = Topology([NodeId(1, 0, 0)], {NodeId(1, 0, 0): "Haswell"})
     lines = [
-        "Mar  1 00:00:01 i1r0n0 a: known",
-        "Mar  1 00:00:02 i9r9n9 a: not in topology",
+        "Mar  1 00:00:01 i1r0n0 a: known\n",
+        "Mar  1 00:00:02 i9r9n9 a: not in topology\n",
     ]
-    chunks, stats = parse_syslog_stream(lines, 2023, topo.resolver())
+    chunks, stats = parse_syslog_stream(syslog_file(lines), 2023,
+                                        topo.resolver())
     assert sum(len(chunk) for chunk in chunks) == 1
     assert stats.parsed == 1
     assert stats.skipped_unknown == 1
 
-    chunks, _ = parse_syslog_stream(lines, 2023, topo.resolver(),
+    chunks, _ = parse_syslog_stream(syslog_file(lines), 2023, topo.resolver(),
                                     skip_unknown=False)
     with pytest.raises(UnknownNodeError):
         list(chunks)

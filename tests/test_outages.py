@@ -127,9 +127,11 @@ def test_tail_outage():
 
 def test_footprint_file_roundtrip(tmp_path):
     spec = BootFootprintSpec([("template", "line one"), ("key", "deadbeef")])
-    path = tmp_path / "boot.footprint"
-    save_footprint(spec, path)
-    assert load_footprint(path).items == spec.items
+    for name in ("boot.footprint", "boot.footprint.gz"):
+        path = tmp_path / name
+        save_footprint(spec, path)
+        assert (path.read_bytes()[:2] == b"\x1f\x8b") == name.endswith(".gz")
+        assert load_footprint(path).items == spec.items
 
 
 def test_outage_file_roundtrip(tmp_path):

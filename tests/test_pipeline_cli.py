@@ -606,6 +606,21 @@ def test_truth_readers_agree(cli_dir):
     assert len(pairs) == 8 and _load_instants(truth) == pairs
 
 
+@pytest.mark.parametrize("row, why", [
+    ("i1r0n0", "expected node and instant"),
+    ("i1r0n0,yesterday", "bad timestamp: 'yesterday'"),
+    ("node7,2023-03-06T00:00:00Z", "not a canonical node name: 'node7'"),
+])
+def test_evaluate_names_the_line_of_a_bad_row(cli_dir, tmp_path, capsys,
+                                              row, why):
+    truth = tmp_path / "truth.csv"
+    truth.write_text("node,outage_time\ni1r0n1,2023-03-06T01:00:00Z\n"
+                     f"{row}\n")
+    assert main(["evaluate", "--detected", str(cli_dir / "truth.csv"),
+                 "--truth", str(truth)]) == 2
+    assert capsys.readouterr().err == f"error: {truth}:3: {why}\n"
+
+
 def test_cli_pipeline_generate(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     rc = main(["pipeline", "--generate", "--workdir", "run",

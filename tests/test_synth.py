@@ -12,11 +12,12 @@ import pytest
 import logvicinity
 from logvicinity.datasources import load_job_report, load_maintenance, load_outage_db
 from logvicinity.model import load_topology, parse_syslog_table, to_epoch, topen
-from logvicinity.synth import (CAUSES, DEFAULT_BASE_RATES, FOOTPRINT_LINES,
-                               GASP, GeneratorSpec, HEARTBEAT, SHUTDOWN_LINES,
-                               _scaled_streams, _uniforms, desk_topology,
-                               generate, load_truth, scale_topology,
-                               taurus_topology, write_corpus_files)
+from logvicinity.synth import (CAUSES, CHATTER, CRON, FOOTPRINT_LINES, GASP,
+                               GeneratorSpec, HEARTBEAT, POISSON_PER_WINDOW,
+                               SHUTDOWN_LINES, WINDOW, _uniforms,
+                               desk_topology, generate, load_truth,
+                               scale_topology, taurus_topology,
+                               write_corpus_files)
 from tables import rows_of
 
 HOUR = 3600
@@ -162,6 +163,14 @@ def test_maintenance_windows_have_shutdown_and_boot(corpus):
             assert FOOTPRINT_LINES[0][1] in msgs  # node comes back inside
 
 
+def _rate_per_hour(arch):
+    """Entries per hour of a class's node: one per period of each
+    lattice and POISSON_PER_WINDOW Poisson messages per WINDOW."""
+    periods = [s[0] for s in (CRON, HEARTBEAT, *CHATTER[arch])]
+    return (sum(HOUR / p for p in periods)
+            + POISSON_PER_WINDOW * HOUR / WINDOW)
+
+
 def test_per_class_rates(corpus):
     failing = {f.node for f in corpus.truth.failures}
     table = corpus.entries
@@ -173,7 +182,7 @@ def test_per_class_rates(corpus):
                  if corpus.topology.architecture_of[n] == arch
                  and n not in failing]
         med = statistics.median(rates)
-        assert med == pytest.approx(DEFAULT_BASE_RATES[arch], rel=0.25)
+        assert med == pytest.approx(_rate_per_hour(arch), rel=0.25)
     meds = {arch: statistics.median(
         counts[n] / hours for n in corpus.topology.nodes
         if corpus.topology.architecture_of[n] == arch and n not in failing)
@@ -191,7 +200,7 @@ def test_corpus_files_roundtrip(tmp_path):
     assert topo.nodes == gen.topology.nodes
     assert topo.architecture_of == gen.topology.architecture_of
 
-    with topen(paths["corpus"]) as fh:
+    with topen(paths["corpus"], "rb") as fh:
         table, stats = parse_syslog_table(fh, 2023, topo.resolver())
     assert stats.skipped_unknown == 0
     assert _rows(table) == _rows(gen.entries)
@@ -218,22 +227,7 @@ def test_scale_topology_identity_and_shrink():
         scale_topology(taurus, 1.5)
 
 
-def test_scaled_streams_floor():
-    with pytest.raises(ValueError):
-        _scaled_streams("Haswell", 19)
-    assert _scaled_streams("Haswell", 20) == []
-    doubled = _scaled_streams("Haswell", 2 * DEFAULT_BASE_RATES["Haswell"])
-    assert len(doubled) == 1
-    period, jitter = doubled[0][0], doubled[0][1]
-    assert period == pytest.approx(900 / 7)
-    assert jitter == pytest.approx(180 / 7)
-
-
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        GeneratorSpec(failure_skew=1.5)
-    with pytest.raises(ValueError):
-        GeneratorSpec(base_rate={"Haswell": -1})
     with pytest.raises(ValueError):
         generate(GeneratorSpec(days=0.5))  # no room for any failure
 
@@ -247,10 +241,6 @@ REFERENCE_SPECS = {
                          days=0.5, failure_count=2, skew_share=0.0),
     "new year": dict(start=to_epoch(2022, 12, 31, 12, 0, 0), days=1.0,
                      failure_count=3, skew_share=0.0),
-    # rates off the defaults give float lattice periods and jitters; the
-    # Haswell chatter period (100 h) leaves some nodes' lattice empty
-    "base rates": dict(days=2.0, failure_count=6,
-                       base_rate={"Haswell": 20.01, "GPU": 120.5}),
     "no maintenance": dict(days=2.0, failure_count=6, maintenance=False),
     "many storms": dict(days=2.0, failure_count=6, storm_count=200),
 }

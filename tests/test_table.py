@@ -1,5 +1,6 @@
 """The columnar event table: parser oracle, round trips and metamorphic checks."""
 
+import io
 import random
 from unittest import mock
 
@@ -21,7 +22,7 @@ from logvicinity.outages import detect_boot_events, detect_outages
 from logvicinity.pipeline import VARIANTS, run_variant
 from logvicinity.synth import (GeneratorSpec, generate, scale_topology,
                                taurus_topology)
-from tables import Keyed, rows_of, table_of
+from tables import Keyed, rows_of, syslog_file, table_of
 
 NODES = [NodeId(1, 0, p) for p in range(5)]
 TOPOLOGY = Topology(NODES, {n: "Haswell" for n in NODES})
@@ -65,23 +66,26 @@ def test_table_columns_follow_the_line_parser_and_rollover_rule():
                                                 parse_syslog_line)
     assert skipped > 0 and any(e.timestamp >= to_epoch(2024, 2, 29, 0, 0, 0)
                                for e in expected)
-    table, stats = parse_syslog_table(lines, 2023, resolver)
+    table, stats = parse_syslog_table(syslog_file(lines), 2023, resolver)
     assert rows_of(table) == expected
     assert (stats.parsed, stats.skipped_unknown) == (len(expected), skipped)
     assert table.ts.dtype == np.int64 and table.node.dtype == np.int32
     assert len(table.messages) == len(set(MESSAGES))  # one per distinct pair
-    chunks, stream_stats = parse_syslog_stream(lines, 2023, resolver)
+    chunks, stream_stats = parse_syslog_stream(syslog_file(lines), 2023,
+                                               resolver)
     assert [e for chunk in chunks for e in rows_of(chunk)] == expected
     assert stream_stats == stats
     with pytest.raises(UnknownNodeError):
-        parse_syslog_table(lines, 2023, resolver, skip_unknown=False)
+        parse_syslog_table(syslog_file(lines), 2023, resolver,
+                           skip_unknown=False)
 
 
 def _parsed(lines):
     """parse_syslog_table's columns, nodes, messages, tags and stats, or
     its error."""
     try:
-        table, stats = parse_syslog_table(lines, 2023, TOPOLOGY.resolver())
+        table, stats = parse_syslog_table(syslog_file(lines), 2023,
+                                          TOPOLOGY.resolver())
     except SyslogParseError as exc:
         return str(exc)
     return (table.ts.tolist(), table.node.tolist(), table.msg.tolist(),
@@ -102,7 +106,8 @@ def test_chunk_size_does_not_change_the_parse(monkeypatch):
         monkeypatch.setattr(model, "STREAM_CHUNK", size)
         assert _parsed(lines) == whole
         assert _parsed(bad) == error
-        chunks, stats = parse_syslog_stream(bad, 2023, TOPOLOGY.resolver())
+        chunks, stats = parse_syslog_stream(syslog_file(bad), 2023,
+                                            TOPOLOGY.resolver())
         sizes = []
         with pytest.raises(SyslogParseError):
             for chunk in chunks:
@@ -157,7 +162,7 @@ def syslog_lines(draw):
             line = draw(st.sampled_from([" ", "\t", "\xa0"])) + line
         if kind == "comment":
             line = "# " + line
-        if kind == "two_in_one":  # one list item with a "\n" inside
+        if kind == "two_in_one":  # one drawn line with a "\n" inside
             line += "\n" + draw(st.sampled_from([line, ""])) + "\n"
         if kind == "blank":
             line = draw(st.sampled_from(["", " ", "\t \u3000"]))
@@ -166,9 +171,14 @@ def syslog_lines(draw):
 
 
 def _reference(lines):
-    """The oracle's rows and (parsed, skipped) counts of lines, and its
-    error: then the rows and counts are those of the lines before the
-    first line it rejects."""
+    """The oracle's rows and (parsed, skipped) counts of the text of
+    lines, split into lines as text mode splits it, and its error: then
+    the rows and counts are those of the lines before the first line it
+    rejects. As in the reader, a last line without an end gets one."""
+    lines = list(io.StringIO("".join(lines), newline=None))
+    if lines and not lines[-1].endswith("\n"):
+        lines[-1] += "\n"
+
     def parse(head):
         entries, skipped = oracles.reference_parse(
             head, 2023, TOPOLOGY.resolver(), parse_syslog_line)
@@ -187,7 +197,8 @@ def _reference(lines):
 def _streamed(lines):
     """The rows of every chunk parse_syslog_stream yields, its counts, and
     the error it raises after them."""
-    chunks, stats = parse_syslog_stream(lines, 2023, TOPOLOGY.resolver())
+    chunks, stats = parse_syslog_stream(syslog_file(lines), 2023,
+                                        TOPOLOGY.resolver())
     rows, error = [], None
     try:
         for chunk in chunks:
@@ -208,7 +219,7 @@ def test_chunked_parse_equals_the_line_parser(lines):
         with mock.patch.object(model, "STREAM_CHUNK", size):
             assert _streamed(lines) == expected
             if expected[-1] is None:
-                table, stats = parse_syslog_table(lines, 2023,
+                table, stats = parse_syslog_table(syslog_file(lines), 2023,
                                                   TOPOLOGY.resolver())
                 assert (rows_of(table), (stats.parsed, stats.skipped_unknown),
                         None) == expected
@@ -218,8 +229,12 @@ def _feed_chunks(monkeypatch):
     """The chunks the per-line parser is given, as tuples of lines."""
     fed = []
     feed = model._SyslogParser.feed
-    monkeypatch.setattr(model._SyslogParser, "feed", lambda self, lines, *a: (
-        fed.append(tuple(lines)), feed(self, lines, *a))[1])
+
+    def record(self, lines, *columns):  # lines: a file, read once
+        fed.append(tuple(lines))
+        return feed(self, fed[-1], *columns)
+
+    monkeypatch.setattr(model._SyslogParser, "feed", record)
     return fed
 
 
@@ -233,7 +248,7 @@ def test_written_corpora_never_reach_the_per_line_parser(corpus, tmp_path,
         entries = gen.entries.take(np.arange(len(gen.entries)) < 60000)
         path = tmp_path / "corpus.log"
         write_syslog(entries, path)
-        with topen(path) as fh:
+        with topen(path, "rb") as fh:  # as the CLI opens a corpus
             table, stats = parse_syslog_table(fh, 2023,
                                               gen.topology.resolver())
         assert stats.parsed == len(entries) > 2 * model.STREAM_CHUNK
@@ -256,7 +271,7 @@ def test_only_chunks_with_a_wrap_reach_the_per_line_parser(monkeypatch):
         year_of[entry.node] = year
     monkeypatch.setattr(model, "STREAM_CHUNK", size)
     fed = _feed_chunks(monkeypatch)
-    table, _ = parse_syslog_table(lines, 2023, resolver)
+    table, _ = parse_syslog_table(syslog_file(lines), 2023, resolver)
     assert rows_of(table) == entries
     assert 0 < len(wraps) < len(lines) // size // 2
     assert fed == [tuple(lines[k * size:(k + 1) * size])
@@ -277,11 +292,11 @@ def test_feb_29_is_read_as_the_day_after_feb_28(before, year, wraps):
     resolver = TOPOLOGY.resolver()
     if not wraps:
         with pytest.raises(SyslogParseError, match="no Feb 29 in"):
-            parse_syslog_table(lines, year, resolver)
+            parse_syslog_table(syslog_file(lines), year, resolver)
         with pytest.raises(SyslogParseError, match="no Feb 29 in"):
             oracles.reference_parse(lines, year, resolver, parse_syslog_line)
         return
-    table, _ = parse_syslog_table(lines, year, resolver)
+    table, _ = parse_syslog_table(syslog_file(lines), year, resolver)
     assert table.ts[-1] == to_epoch(year + 1, 2, 29, 0, 0, 1)
     expected, _ = oracles.reference_parse(lines, year, resolver,
                                           parse_syslog_line)
@@ -290,7 +305,7 @@ def test_feb_29_is_read_as_the_day_after_feb_28(before, year, wraps):
 
 def test_a_message_is_one_message_with_or_without_its_newline():
     lines = ["Mar  1 10:00:00 i1r0n0 a: x\n", "Mar  1 10:00:01 i1r0n0 a: x"]
-    table, _ = parse_syslog_table(lines, 2023, TOPOLOGY.resolver())
+    table, _ = parse_syslog_table(syslog_file(lines), 2023, TOPOLOGY.resolver())
     assert (table.tags, table.messages) == (["a"], ["x"])
     assert table.msg.tolist() == [0, 0]
 
@@ -302,7 +317,8 @@ def _columns(table):
 
 def test_table_rows_round_trip(tmp_path):
     lines = _wrapping_corpus(42)
-    entries = rows_of(parse_syslog_table(lines, 2023, TOPOLOGY.resolver())[0])
+    entries = rows_of(parse_syslog_table(syslog_file(lines), 2023,
+                                         TOPOLOGY.resolver())[0])
     table = table_of(entries)
     assert rows_of(table) == entries
     # rows with an empty tag, an empty message, a year wrap and many days
@@ -316,7 +332,8 @@ def test_table_rows_round_trip(tmp_path):
         with topen(path) as fh:
             written = fh.readlines()
         assert written == [format_syslog_line(e) + "\n" for e in entries]
-        again, _ = parse_syslog_table(written, 2023, TOPOLOGY.resolver())
+        with topen(path, "rb") as fh:
+            again, _ = parse_syslog_table(fh, 2023, TOPOLOGY.resolver())
         assert _columns(again) == _columns(table)
     assert len(table) == len(entries)
     assert sorted(zip(table.tags, table.messages)) == sorted(set(MESSAGES))
@@ -331,7 +348,7 @@ def test_table_rows_round_trip(tmp_path):
 
 
 def test_each_distinct_message_is_keyed_once(monkeypatch):
-    table, _ = parse_syslog_table(_wrapping_corpus(43), 2023,
+    table, _ = parse_syslog_table(syslog_file(_wrapping_corpus(43)), 2023,
                                   TOPOLOGY.resolver())
     rules = SubstitutionRuleSet()
     keyed = []
@@ -350,8 +367,9 @@ def test_run_variant_on_a_table_equals_its_entry_list(corpus, rules, variant):
     runs as the generated table itself, whose nodes and messages are
     numbered in another order."""
     head = corpus.entries.take(np.arange(len(corpus.entries)) < 60000)
-    lines = [format_syslog_line(e) for e in rows_of(head)]
-    table, _ = parse_syslog_table(lines, 2023, corpus.topology.resolver())
+    lines = [format_syslog_line(e) + "\n" for e in rows_of(head)]
+    table, _ = parse_syslog_table(syslog_file(lines), 2023,
+                                  corpus.topology.resolver())
     args = (corpus.topology, corpus.range, variant, rules,
             corpus.truth.maintenance)
     from_table, from_list = run_variant(table, *args), run_variant(head, *args)
@@ -482,8 +500,8 @@ def test_malformed_line_fuzz():
         outcomes["ok" if isinstance(entry, LogEntry) else entry] += 1
         # the table parser agrees line by line
         try:
-            table, _ = parse_syslog_table([line], 2023, resolver,
-                                          skip_unknown=False)
+            table, _ = parse_syslog_table(syslog_file([line]), 2023,
+                                          resolver, skip_unknown=False)
             assert rows_of(table) == [entry], line
         except (SyslogParseError, UnknownNodeError) as exc:
             assert type(exc).__name__ == entry, line

@@ -28,7 +28,7 @@ BENCH = str(Path(__file__).resolve().parents[1] / "bench")
 sys.path.insert(0, BENCH)
 import tracer  # noqa: E402
 
-from tables import table_of  # noqa: E402
+from tables import syslog_file, table_of  # noqa: E402
 
 NODE = NodeId(1, 0, 0)
 # one template in two thirds of the rows, at irregular times
@@ -55,8 +55,9 @@ def test_every_target_resolves(target):
 def test_generator_targets_return_iterators():
     kinds = {(m, a): k for m, a, _, k, _ in tracer.TARGETS}
     rules = SubstitutionRuleSet()
-    lines = [format_syslog_line(e) for e in ENTRIES]
-    calls = {("model", "parse_syslog_stream"): (lines, 2023, {NODE.name: NODE}),
+    lines = [format_syslog_line(e) + "\n" for e in ENTRIES]
+    calls = {("model", "parse_syslog_stream"): (syslog_file(lines), 2023,
+                                                {NODE.name: NODE}),
              ("anonymize", "anonymize_stream"): (table_of(ENTRIES), rules)}
     assert {key for key, kind in kinds.items() if kind != "call"} == set(calls)
     for key, args in calls.items():
