@@ -6,9 +6,9 @@ import re
 
 import numpy as np
 
-from .model import (_WIDE, BLOCK, EventTable, _distinct, _first_seen,
-                    _gather, _gather_rows, _stamps, _word, iso, parse_iso,
-                    parse_node_name, read_blocks, topen)
+from .model import (_WIDE, BLOCK, EventTable, _days, _distinct,
+                    _first_seen, _gather, _gather_rows, _leap, _stamps, _word,
+                    iso, parse_iso, parse_node_name, read_blocks, topen)
 
 RULE_VERSION = "1"
 
@@ -91,8 +91,8 @@ def load_rules(path) -> SubstitutionRuleSet:
             line = line.rstrip("\n")
             if not line:
                 continue
-            if line.startswith("#"):
-                m = re.search(r"\bv(\S+)", line)
+            if line.startswith("#"):  # only save_rules's header
+                m = re.match(r"# substitution rules v(\S+)", line)
                 if m:
                     version = m.group(1)
                 continue
@@ -293,15 +293,10 @@ def _canonical_stamps(buf, start, stop):
 
     year, month, day = number(0, 4), number(5, 2), number(8, 2)
     hour, minute, second = number(11, 2), number(14, 2), number(17, 2)
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    month_days = _MONTH_DAYS[np.clip(month, 0, 12)] + (leap & (month == 2))
+    month_days = (_MONTH_DAYS[np.clip(month, 0, 12)]
+                  + (_leap(year) & (month == 2)))
     ok &= ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
            & (day <= month_days) & (hour < 24) & (minute < 60) & (second < 60))
-    # days from 1970-01-01 of a proleptic Gregorian date (days from civil)
-    y = year - (month <= 2)
-    era = y // 400
-    yoe = y - era * 400
-    doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
-    days = era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
-    epoch = days * 86400 + hour * 3600 + minute * 60 + second
+    epoch = (_days(year, month, day) * 86400 + hour * 3600 + minute * 60
+             + second)
     return epoch[run], ok[run] & (stop - start == len(_STAMP))

@@ -199,8 +199,7 @@ def cmd_parse(args) -> int:
     summary = {
         "entries": stats.parsed,
         "skipped_unknown": stats.skipped_unknown,
-        "array_chunks": stats.array_chunks,
-        "line_chunks": stats.line_chunks,
+        "lines_one_by_one": stats.lines_one_by_one,
         "nodes": len(table.nodes),
         "from": iso(int(table.ts.min())) if len(table) else None,
         "to": iso(int(table.ts.max())) if len(table) else None,

@@ -7,6 +7,7 @@ import io
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import count
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -137,13 +138,17 @@ def _gather(buf, start, width):
 def _first_seen(values):
     """Row of each distinct value's first appearance, in row order, and
     each row's index into those."""
-    distinct, inverse = np.unique(values, return_inverse=True)
-    first = np.full(len(distinct), len(values))
-    np.minimum.at(first, inverse, np.arange(len(values)))
+    return _in_order(np.unique(values, return_inverse=True)[1])
+
+
+def _in_order(ix):
+    """_first_seen of small non-negative ints ix."""
+    first = np.full(int(ix.max(initial=-1)) + 1, len(ix))
+    np.minimum.at(first, ix, np.arange(len(ix)))
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    return first[order], rank[inverse]
+    return first[order][:np.count_nonzero(first < len(ix))], rank[ix]
 
 
 def _percentile(values, q):
@@ -199,27 +204,27 @@ def _unprintable(byte):
     return (byte - 0x21) > 0x5D  # bytes below "!" wrap round
 
 
-def _canonical_fields(pieces, newline):
-    """Fields of the lines of bytes pieces, joined, as arrays over one
-    padded byte buffer, or None unless every line is canonical: (buf,
-    start, host end, rest start, end, month, day, seconds of day) of each
-    line that is not blank.
+def _canonical_fields(data, newline):
+    """(buf, start, host end, rest start, end, month << 5 | day, seconds
+    of day, ok) arrays of each line of data that is not blank; the fields
+    of a line are undefined unless ok, that is unless it is canonical.
 
-    Lines end at the "\\n" offsets newline holds. A line is blank when it
-    is empty or starts with "#", and canonical when it reads "Mon DD
-    HH:MM:SS host rest", as write_syslog writes it: single spaces, DD a
-    day some year has (space-padded or two digits), a valid time, a host
-    of at most _HOST_WINDOW - 1 printable ASCII bytes and a rest that is
-    empty or starts with printable ASCII.
+    data ends in _WIDE padding bytes, its lines at the "\\n" offsets
+    newline holds. A line is blank when it is empty or starts with "#",
+    and canonical when it reads "Mon DD HH:MM:SS host rest", as
+    write_syslog writes it: single spaces, DD a day some year has
+    (space-padded or two digits), a valid time, a host of at most
+    _HOST_WINDOW - 1 printable ASCII bytes and a rest that is empty or
+    starts with printable ASCII.
     """
-    buf = np.frombuffer(b"".join([*pieces, bytes(_WIDE)]), np.uint8)
+    buf = np.frombuffer(data, np.uint8)
     size = len(buf) - _WIDE
     start = np.concatenate(([0], newline + 1))
     end = np.append(newline, size)
     keep = (start < end) & (buf[start] != ord("#"))
     start, end = start[keep], end[keep]
 
-    window = _gather(buf, start, 16 + _HOST_WINDOW)
+    window = _gather(buf, start, 32)  # the head and a host's first 16 bytes
     head = window[:, :16]
     digit = (head - 48) < 10  # uint8: bytes below "0" wrap round
     value = head & 15  # of a digit; 0 of a space
@@ -237,30 +242,46 @@ def _canonical_fields(pieces, newline):
           & (day >= 1) & (day <= _LONGEST[month])
           & (hour < 24) & (minute < 60) & (second < 60))
     # a host ends at the first space, control or non-ASCII byte
-    host_end = np.minimum(
-        start + 16 + _unprintable(window[:, 16:]).argmax(axis=1), end)
+    host_end = start + 16 + _unprintable(window[:, 16:]).argmax(axis=1)
+    long = np.flatnonzero(~_unprintable(buf[host_end]))  # 16 bytes or more
+    stop = _unprintable(_gather(buf, start[long] + 32, _HOST_WINDOW - 16))
+    host_end[long] = np.where(stop.any(axis=1), 32 + stop.argmax(axis=1),
+                              16) + start[long]
+    host_end = np.minimum(host_end, end)
     gap = host_end < end  # " rest" follows the host
     ok &= (host_end > start + 16) & (~gap | (
         (buf[host_end] == ord(" ")) & ~_unprintable(buf[host_end + 1])
         & (host_end + 1 < end)))
-    if not ok.all():
-        return None
     clock = (hour.astype(np.int64) * 3600 + minute.astype(np.int64) * 60
              + second)
     return (buf, start, host_end, np.where(gap, host_end + 1, end), end,
-            month, day, clock)
+            month << 5 | day, clock, ok)
+
+
+def _midnights(years, date):
+    """Epochs of (year, month << 5 | day) midnights, per distinct date."""
+    keys, ix = np.unique(years << 9 | date, return_inverse=True)
+    return (_days(keys >> 9, keys >> 5 & 15, keys & 31) * 86400)[ix]
+
+
+def _leap(year):
+    return (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+
+
+def _days(year, month, day):
+    """Days from 1970-01-01 of proleptic Gregorian dates (days from
+    civil); day 29 of February in a common year is Mar 1."""
+    y = year - (month <= 2)
+    era = y // 400
+    yoe = y - era * 400
+    doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
+    return era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
 
 
 class _SyslogParser:
-    """BSD lines to event table columns, with per-node year rollover.
-
-    Each distinct (month, day), time string, host and message is worked out
-    once. A per-node backward jump of more than 180 days means the calendar
-    year wrapped; the node's entries carry the incremented year from then
-    on. A date the node's year lacks (Feb 29) is read as the day after
-    Feb 28: a wrap by that reading carries the line into the next year,
-    otherwise the line is an error. State carries over from one feed call
-    to the next.
+    """BSD lines to event table columns, with per-node year rollover, a
+    chunk at a time: arrays read the fields of its canonical lines,
+    _line_fields those of the others, and one array step takes every row.
     """
 
     def __init__(self, default_year, node_resolver, skip_unknown, stats):
@@ -269,160 +290,163 @@ class _SyslogParser:
         self.skip_unknown = skip_unknown
         self.stats = stats
         self.nodes, self.tags, self.messages = [], [], []
-        self._node_ix: dict = {}
-        self._day_of: dict = {}  # (month, day) strings -> default-year epoch
-        self._day_in_year: dict = {}  # (year, month, day) -> (epoch, real)
-        self._time_of: dict = {}  # time string -> seconds of day
-        self._host_of: dict = {}  # host -> node id, -1 if unknown
+        self._node_ix: dict = {}  # node -> node id
+        self._host_of: dict = {}  # host -> node, None if unknown
         self._msg_of: dict = {}  # text after the host -> message id
-        self._year_of: list = []  # node id -> year of its latest entry
-        self._last_of: list = []  # node id -> its latest timestamp
+        self._state: dict = {}  # node -> (year, timestamp) of its last row
+        self._date_of: dict = {}  # (month, day) strings -> month << 5 | day
+        self._clock_of: dict = {}  # "HH:MM:SS" -> seconds of day
 
-    def feed(self, lines, ts_out: list, node_out: list, msg_out: list) -> None:
-        """Append the rows of lines to the three column lists."""
-        default = self.year
-        day_of, time_of = self._day_of, self._time_of
-        host_of, msg_of = self._host_of, self._msg_of
-        year_of, last_of = self._year_of, self._last_of
-        add_ts, add_node = ts_out.append, node_out.append
-        add_msg = msg_out.append
-        before = len(ts_out)
-        try:
-            for line in lines:
-                # the text after the host keeps its newline until it is new
-                parts = line.split(None, 4)
-                if not parts or line[0] == "#":
-                    continue
-                if len(parts) < 4:
-                    raise SyslogParseError("too few fields")
-                mon_s, day_s, time_s, host = parts[:4]
-                day = day_of.get((mon_s, day_s))
-                if day is None:  # -1 when the default year lacks the day
-                    start, real = self._day_in(default, mon_s, day_s)
-                    day = day_of[(mon_s, day_s)] = start if real else -1
-                secs = time_of.get(time_s)
-                if secs is None:
-                    secs = time_of[time_s] = seconds_of_day(time_s)
-                n = host_of.get(host)
-                if n is None:
-                    n = self._add_host(host)
-                if n < 0:
-                    if self.skip_unknown:
-                        self.stats.skipped_unknown += 1
-                        continue
-                    raise UnknownNodeError(host)
-                year = year_of[n]
-                if year == default and day >= 0:
-                    ts = day + secs
-                else:
-                    start, real = self._day_in(year, mon_s, day_s)
-                    ts = start + secs
-                    if not real and last_of[n] - ts <= HALF_YEAR:
-                        raise SyslogParseError(f"no {mon_s} {day_s} in {year}")
-                if last_of[n] - ts > HALF_YEAR:
-                    year_of[n] = year = year + 1
-                    ts = day_start(year, mon_s, day_s) + secs
-                last_of[n] = ts
-                rest = parts[4] if len(parts) > 4 else ""
-                m = msg_of.get(rest)
-                if m is None:
-                    m = msg_of[rest] = self._message_id(rest.rstrip("\n"))
-                add_ts(ts)
-                add_node(n)
-                add_msg(m)
-        except SyslogParseError as exc:
-            raise SyslogParseError(f"{exc} in line: {line!r}") from None
-        finally:
-            self.stats.parsed += len(ts_out) - before
+    def parse(self, pieces, newline):
+        """((ts, node, msg), error) of the lines of bytes pieces: the rows
+        before the first bad line and its error, or every row and None."""
+        data = b"".join([*pieces, bytes(_WIDE)])
+        buf, start, host_end, rest, end, date, clock, ok = (
+            _canonical_fields(data, newline))
+        host, text = np.zeros((2, len(start)), np.intp)  # distinct ids
+        hosts, host[ok] = _distinct(buf, start[ok] + 16, host_end[ok])
+        texts, text[ok] = _distinct(buf, rest[ok], end[ok])
+        hosts, texts = [h.decode() for h in hosts], [t.decode() for t in texts]
+        stop, error = len(start), None  # the first bad line, its error
+        odd = np.flatnonzero(~ok)
+        if len(odd):  # the lines the arrays reject, one by one
+            read, bad, error, fields = self._line_fields(
+                [data[a:b].decode() for a, b in
+                 zip(start[odd].tolist(), end[odd].tolist())])
+            self.stats.lines_one_by_one += min(bad + 1, len(odd))
+            if error is not None:
+                stop = int(odd[bad])
+            at = odd[read]
+            date[at], clock[at] = fields[:2]
+            for names, ix, new in ((hosts, host, fields[2]),
+                                   (texts, text, fields[3])):
+                index = dict(zip(dict.fromkeys(new), count(len(names))))
+                ix[at] = [*map(index.get, new)]
+                names += index
+            ok[at] = True
 
-    def feed_canonical(self, pieces, newline):
-        """The (ts, node, msg) arrays of the lines of bytes pieces, or
-        None, with no state changed, unless _canonical_fields reads every
-        line, every date exists in its node's year and no node's rows wrap
-        the year. On such lines it gives feed's rows, ids, counts and
-        state; feed parses every other chunk.
-        """
-        fields = _canonical_fields(pieces, newline)
-        if fields is None:
-            return None
-        buf, start, host_end, rest, end, month, day, clock = fields
-
-        hosts, host_ix = _distinct(buf, start + 16, host_end)
-        hosts = [h.decode("ascii") for h in hosts]
+        # each host is resolved once; a refused host's first line is bad
+        faults: dict = {}  # host -> its error
+        for name in hosts:
+            try:
+                if name not in self._host_of:
+                    self._host_of[name] = self.resolve(name)
+                if self._host_of[name] is None and not self.skip_unknown:
+                    raise UnknownNodeError(name)
+            except Exception as exc:
+                faults[name] = exc
         groups: dict = {}  # node -> its index among the chunk's nodes
-        group_of_host = []
-        for host in hosts:
-            n = self._host_of.get(host)
-            if n is None:
-                try:
-                    node = self.resolve(host)
-                except Exception:  # feed raises it after the lines before
-                    return None
-            else:
-                node = self.nodes[n] if n >= 0 else None
-            group_of_host.append(-1 if node is None else
-                                 groups.setdefault(node, len(groups)))
-        group = np.array(group_of_host, np.int64)[host_ix]
-        known = group >= 0
-        if not (self.skip_unknown or known.all()):
-            return None
-        group = group[known]
-        ix = [self._node_ix.get(node) for node in groups]
-        year = np.array([self.year if n is None else self._year_of[n]
-                         for n in ix], np.int64)[group]
-        last = np.array([-(1 << 62) if n is None else self._last_of[n]
-                         for n in ix], np.int64)
+        group = np.array([-1 if node is None else
+                          groups.setdefault(node, len(groups))
+                          for node in map(self._host_of.get, hosts)], np.int64)
+        rows = np.flatnonzero(ok[:stop])
+        host, group = host[rows], group[host[rows]]
+        hit = np.flatnonzero(np.array([h in faults for h in hosts], bool)[host])
+        if len(hit):
+            stop, error = int(rows[hit[0]]), faults[hosts[host[hit[0]]]]
+        unknown = rows[group < 0]  # lines of unknown hosts
+        keep = (group >= 0) & (rows < stop)
+        at, group = rows[keep], group[keep]
+        date, clock, text = date[at], clock[at], text[at]
 
-        # each distinct (node year, month, day) is worked out once
-        dates, date_ix = np.unique(
-            (year * 13 + month[known]) * 32 + day[known], return_inverse=True)
-        starts = [self._day_in(d // 416, _MONTH_NAMES[d // 32 % 13],
-                               str(d % 32)) for d in dates.tolist()]
-        if not all(real for _, real in starts):
-            return None
-        ts = np.array([s for s, _ in starts], np.int64)[date_ix] + clock[known]
-        # a radix sort for up to 65,536 nodes
-        order = np.argsort(group.astype(np.min_scalar_type(len(groups))),
-                           kind="stable")
-        by_node, by_node_ts = group[order], ts[order]
-        first = np.ones(len(order), bool)
-        first[1:] = by_node[1:] != by_node[:-1]
-        previous = np.empty_like(by_node_ts)
-        previous[first] = last[by_node[first]]
-        previous[~first] = by_node_ts[:-1][~first[1:]]
-        if (previous - by_node_ts > HALF_YEAR).any():
-            return None  # a node's year wraps: feed carries it over
+        year, last = np.array([self._state.get(node, (self.year, -(1 << 62)))
+                               for node in groups], np.int64).reshape(-1, 2).T
+        ts, year, bad = self._times(group, date, clock, year, last)
+        if bad < len(at):
+            stop = int(at[bad])
+            error = SyslogParseError(f"no Feb 29 in {int(year[bad])}")
+        if isinstance(error, SyslogParseError):  # it names its line
+            line = data[start[stop]:end[stop] + 1].decode()
+            error = SyslogParseError(f"{error} in line: {line!r}")
+        self.stats.skipped_unknown += int(np.searchsorted(unknown, stop))
+        self.stats.parsed += bad
+        ts, year, group, text = ts[:bad], year[:bad], group[:bad], text[:bad]
+        nodes = list(groups)
+        for i in (bad - 1 - _in_order(group[::-1])[0]).tolist():  # last rows
+            self._state[nodes[group[i]]] = (int(year[i]), int(ts[i]))
+        (first, rank), (seen, index) = _in_order(group), _in_order(text)
+        node = [self._node_id(nodes[g]) for g in group[first].tolist()]
+        msg = [self._message_id(texts[t]) for t in text[seen].tolist()]
+        return (ts, np.array(node, np.int32)[rank],
+                np.array(msg, np.int32)[index]), error
 
-        texts, msg_ix = _distinct(buf, rest[known], end[known])
-        for host in hosts:  # accepted: record hosts, rows and counts
-            if host not in self._host_of:
-                self._add_host(host)
-        node = np.array([self._host_of[h] for h in hosts],
-                        np.int32)[host_ix[known]]
-        latest = np.ones(len(order), bool)
-        latest[:-1] = first[1:]
-        for n, t in zip(node[order][latest].tolist(),
-                        by_node_ts[latest].tolist()):
-            self._last_of[n] = t
-        msg = np.array([self._message_id(t.decode("utf-8")) for t in texts],
-                       np.int32)[msg_ix]
-        self.stats.parsed += len(ts)
-        self.stats.skipped_unknown += len(known) - len(ts)
-        return ts, node, msg
+    def _line_fields(self, lines) -> tuple:
+        """(index of each line read, index and error of the first bad line
+        or len(lines) and None, and the month << 5 | day, seconds of day,
+        host and rest of each line read) of lines by str.split(None, 4),
+        each distinct date and time of day checked once. Lines of
+        whitespace and lines from the bad one on are not read."""
+        date_of, clock_of = self._date_of, self._clock_of
+        dates, clocks, hosts, rests, blank = [], [], [], [], []
+        bad, error = len(lines), None
+        for k, line in enumerate(lines):
+            parts = line.split(None, 4)
+            try:
+                if len(parts) < 4:
+                    if parts:
+                        raise SyslogParseError("too few fields")
+                    blank.append(k)
+                    continue
+                date = date_of.get((parts[0], parts[1]))
+                if date is None:
+                    month, day = _month_day(parts[0], parts[1])
+                    date = date_of[parts[0], parts[1]] = month << 5 | day
+                clock = clock_of.get(parts[2])
+                if clock is None:  # keyed by "HH:MM:SS": a fraction is dropped
+                    hms, _, frac = parts[2].partition(".")
+                    clock = clock_of.get(hms)
+                    if clock is None or frac.strip("0123456789"):
+                        clock = clock_of[hms] = seconds_of_day(parts[2])
+            except SyslogParseError as exc:
+                bad, error = k, exc
+                break
+            dates.append(date)
+            clocks.append(clock)
+            hosts.append(parts[3])
+            rests.append(parts[4] if len(parts) > 4 else "")
+        return (np.delete(np.arange(bad), blank), bad, error,
+                (dates, clocks, hosts, rests))
 
-    def _day_in(self, year, mon_s, day_s) -> tuple:
-        """(epoch, whether year has the day) of a BSD date, cached; Feb 29
-        of a common year reads as the day after Feb 28."""
-        key = (year, mon_s, day_s)
-        if key not in self._day_in_year:
-            month, day = _month_day(mon_s, day_s)  # some year has the day
-            real = day <= calendar.monthrange(year, month)[1]
-            month, day = (month, day) if real else (3, 1)
-            self._day_in_year[key] = (to_epoch(year, month, day, 0, 0, 0), real)
-        return self._day_in_year[key]
+    def _times(self, group, date, clock, year, last):
+        """(ts, year) of the rows, of group g from year[g] and timestamp
+        last[g] on, and the first Feb 29 row whose year lacks it. A row
+        wraps when it is more than HALF_YEAR before its node's previous
+        row, both read in the previous row's year (Feb 29 of a common year
+        as Mar 1). Each pass marks the wraps under the last pass's years;
+        row i's mark is final after i + 1 passes, all after two as a rule."""
+        order = np.argsort(group.astype(np.min_scalar_type(len(year))),
+                           kind="stable")  # by node, a radix sort
+        by_node = group[order]
+        first = np.diff(by_node, prepend=-1) != 0  # a node's first row
+        head = np.flatnonzero(first)
+        years, wraps = year[group], np.zeros(len(group), bool)  # by node
+        while True:
+            ts = _midnights(years, date) + clock
+            by_node_ts = read = ts[order]
+            if wraps.any():  # read each row in its previous row's year
+                back = np.empty_like(wraps)
+                back[order] = wraps
+                read = (_midnights(years - back, date) + clock)[order]
+            previous = np.append(0, by_node_ts[:-1])  # the node's last row
+            previous[head] = last[by_node[head]]
+            marks = previous - read > HALF_YEAR
+            if np.array_equal(marks, wraps):
+                feb29 = np.flatnonzero(date == 2 << 5 | 29)
+                lacks = feb29[~_leap(years[feb29])]
+                return ts, years, int(lacks[0]) if len(lacks) else len(date)
+            wraps = marks
+            seen = np.cumsum(wraps)  # wraps up to each row, per node
+            years = year[group]
+            years[order] += seen - (seen - wraps)[head][np.cumsum(first) - 1]
+
+    def _node_id(self, node) -> int:
+        n = self._node_ix.setdefault(node, len(self.nodes))
+        if n == len(self.nodes):
+            self.nodes.append(node)
+        return n
 
     def _message_id(self, rest) -> int:
-        """Id of the text after the host, whichever line ending it had."""
+        """Id of the text after the host."""
         m = self._msg_of.get(rest)
         if m is None:
             m = self._msg_of[rest] = len(self.messages)
@@ -430,20 +454,6 @@ class _SyslogParser:
             self.tags.append(tag)
             self.messages.append(message)
         return m
-
-    def _add_host(self, host) -> int:
-        node = self.resolve(host)
-        if node is None:
-            n = -1
-        else:
-            n = self._node_ix.get(node)
-            if n is None:
-                n = self._node_ix[node] = len(self.nodes)
-                self.nodes.append(node)
-                self._year_of.append(self.year)
-                self._last_of.append(-(1 << 62))
-        self._host_of[host] = n
-        return n
 
     def table(self, ts, node, msg) -> EventTable:
         return EventTable(ts, node, msg, self.nodes, self.messages, self.tags)
@@ -476,8 +486,7 @@ def parse_syslog_stream(fh, default_year: int, node_resolver,
     entries carry the incremented year from then on. Unknown hostnames are
     skipped (counted on .skipped_unknown) unless skip_unknown is false. An
     error is raised after the chunk of the lines before it, invalid UTF-8
-    before it. A chunk in write_syslog's shape is parsed as numpy arrays,
-    any other line by line; both give the same rows.
+    before it. Arrays read lines in write_syslog's shape, str.split others.
     """
     if not isinstance(fh, (io.RawIOBase, io.BufferedIOBase)):
         raise TypeError("a syslog corpus is read from a binary file, such "
@@ -487,17 +496,7 @@ def parse_syslog_stream(fh, default_year: int, node_resolver,
 
     def gen():
         for pieces, newline in _file_chunks(fh):
-            columns = parser.feed_canonical(pieces, newline)
-            if columns is not None:
-                stats.array_chunks += 1
-                yield parser.table(*columns)
-                continue
-            stats.line_chunks += 1
-            columns, error = ([], [], []), None
-            try:  # a chunk split at "\n" only, as text mode does
-                parser.feed(io.StringIO(b"".join(pieces).decode()), *columns)
-            except Exception as exc:  # re-raised after the parsed lines
-                error = exc
+            columns, error = parser.parse(pieces, newline)
             yield parser.table(*columns)
             if error is not None:
                 raise error
@@ -529,11 +528,10 @@ def _file_chunks(fh):
 @dataclass
 class ParseStats:
     """Rows parsed and skipped, by which two stats are equal, and the
-    chunks parsed on the array path and line by line."""
+    lines whose fields were extracted one by one."""
     parsed: int = 0
     skipped_unknown: int = 0
-    array_chunks: int = field(default=0, compare=False)
-    line_chunks: int = field(default=0, compare=False)
+    lines_one_by_one: int = field(default=0, compare=False)
 
 
 BLOCK = 1 << 19  # bytes read_blocks reads per step

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from logvicinity import anonymize, model
-from logvicinity.anonymize import (SubstitutionRuleSet, anonymize_stream,
-                                   fnv1a_32, load_rules, read_anonymized,
-                                   save_rules, write_anonymized)
+from logvicinity.anonymize import (RULE_VERSION, SubstitutionRuleSet,
+                                   anonymize_stream, fnv1a_32, load_rules,
+                                   read_anonymized, save_rules,
+                                   write_anonymized)
 from logvicinity.cli import main
 from logvicinity.model import (LogEntry, NodeId, iso, parse_iso,
                                parse_node_name, to_epoch, topen)
@@ -112,6 +113,18 @@ def test_rules_roundtrip(tmp_path):
     assert loaded.patterns == rules.patterns
     for msg in CRON_SAMPLE:
         assert loaded.template(msg) == rules.template(msg)
+
+
+def test_only_the_header_sets_the_rules_version(tmp_path):
+    """A later comment with a word starting with "v" keeps the version."""
+    path = tmp_path / "subst.rules"
+    path.write_text("# substitution rules v1\n"
+                    "# very strict rules for site X\n"
+                    "\\d+\t<NUM>\n")
+    loaded = load_rules(path)
+    assert (loaded.version, loaded.patterns) == ("1", ["\\d+"])
+    path.write_text("# rules v2, not a header\n\\d+\t<NUM>\n")
+    assert load_rules(path).version == RULE_VERSION
 
 
 def test_rules_gz_roundtrip(tmp_path):

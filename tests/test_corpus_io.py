@@ -188,20 +188,19 @@ def _parse_file(path):
         table, stats = parse_syslog_table(fh, 2023, canonical_node)
     return ((table.ts.tolist(), table.node.tolist(), table.msg.tolist(),
              table.nodes, table.messages, table.tags),
-            (stats.parsed, stats.skipped_unknown, stats.array_chunks,
-             stats.line_chunks))
+            (stats.parsed, stats.skipped_unknown, stats.lines_one_by_one))
 
 
 @pytest.mark.parametrize("block", [1, 7, 4096, None])
 def test_file_spellings_parse_alike(odd_corpus, tmp_path, monkeypatch, block):
     """Metamorphic: .gz, \\r\\n, lone \\r and no final newline, at any
-    block size, give the plain file's table and stats, chunk counts
-    included."""
+    block size, give the plain file's table and stats, the count of
+    lines read one by one included."""
     monkeypatch.setattr(model, "STREAM_CHUNK", 700)
     (tmp_path / "plain.log").write_bytes(odd_corpus)
     expect = _parse_file(tmp_path / "plain.log")
-    parsed, skipped, _, per_line = expect[1]
-    assert parsed > 3000 and skipped == 1 and 0 < per_line < 5
+    parsed, skipped, one_by_one = expect[1]
+    assert parsed > 3000 and skipped == 1 and one_by_one == 1
     if block:
         monkeypatch.setattr(model, "BLOCK", block)
     spellings = {"gz.log.gz": gzip.compress(odd_corpus),
@@ -239,19 +238,48 @@ def test_invalid_utf8_fails_parse_and_writes_nothing(tmp_path, capsys, bad):
     assert list(tmp_path.iterdir()) == [tmp_path / "bad.log"]
 
 
-def test_parse_counts_array_and_per_line_chunks(odd_corpus, tmp_path,
-                                                monkeypatch, capsys):
-    """A canonical corpus never reaches the per-line parser; one odd line
-    sends exactly its chunk there, and `parse` prints both counts."""
+def test_parse_counts_the_lines_read_one_by_one(odd_corpus, tmp_path,
+                                               monkeypatch, capsys):
+    """A canonical corpus has no line read one by one; each odd line
+    counts once, and `parse` prints the count."""
     monkeypatch.setattr(model, "STREAM_CHUNK", 500)
     lines = odd_corpus.splitlines(keepends=True)
     canonical = b"".join(line for line in lines if b"  i1" not in line)
     odd = canonical.replace(b"\n", b"\nMar  6 10:00:00  i1r0n0 odd\n", 1)
-    for data, per_line in [(canonical, 0), (odd, 1)]:
+    for data, one_by_one in [(canonical, 0), (odd, 1)]:
         (tmp_path / "corpus.log").write_bytes(data)
         assert main(["parse", "--corpus", str(tmp_path / "corpus.log"),
                      "--year", "2023", "--format", "json"]) == 0
         summary = json.loads(capsys.readouterr().out)
-        chunks = -(-len(data.splitlines()) // 500)
-        assert (summary["array_chunks"], summary["line_chunks"]) == (
-            chunks - per_line, per_line)
+        assert summary["lines_one_by_one"] == one_by_one
+        assert "array_chunks" not in summary and "line_chunks" not in summary
+
+
+# Spellings of a line that str.split reads as the canonical line reads
+ODD_SPELLINGS = [
+    lambda line: line[:16] + line[16:].replace(b" ", b"  ", 1),  # "host  "
+    lambda line: line[:15] + b"\t" + line[16:],
+    lambda line: line[:15] + b".5" + line[15:],  # a fraction of a second
+    lambda line: b" " + line,
+    lambda line: line[:3] + b"\xc2\xa0" + line[4:],  # a no-break space
+]
+
+
+def test_one_odd_line_per_chunk_is_the_only_line_read_one_by_one(
+        corpus, tmp_path, monkeypatch):
+    """Metamorphic: respelling one line of every STREAM_CHUNK so that the
+    arrays reject it gives the canonical corpus's table, and exactly
+    those lines are read one by one."""
+    monkeypatch.setattr(model, "STREAM_CHUNK", 2048)
+    write_syslog(corpus.entries.take(np.arange(len(corpus.entries)) < 30000),
+                 tmp_path / "canonical.log")
+    lines = (tmp_path / "canonical.log").read_bytes().splitlines(True)
+    odd = range(100, len(lines), model.STREAM_CHUNK)
+    for k, i in enumerate(odd):
+        lines[i] = ODD_SPELLINGS[k % len(ODD_SPELLINGS)](lines[i])
+    (tmp_path / "odd.log").write_bytes(b"".join(lines))
+    expect = _parse_file(tmp_path / "canonical.log")
+    assert expect[1] == (30000, 0, 0)
+    assert _parse_file(tmp_path / "odd.log") == (expect[0],
+                                                 (30000, 0, len(odd)))
+    assert len(odd) == 15

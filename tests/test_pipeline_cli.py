@@ -439,8 +439,19 @@ def test_cli_results_do_not_depend_on_line_order(cli_dir, tmp_path, capsys):
                     + common) == 0
         assert main(["detect-outages", "--output", str(outages)]
                     + common) == 0
-        outputs.append((summary, events.read_text(), outages.read_text()))
-    assert outputs[0][2]
+        # the pars-lite file keeps line order; its rows and verdicts do not
+        anon = tmp_path / f"{corpus.stem}.anon.txt"
+        anon_events = tmp_path / f"{corpus.stem}.anon.events.tsv"
+        assert main(["anonymize", "--output", str(anon)] + common) == 0
+        assert main(["detect-anomalies", "--corpus", str(anon),
+                     "--anonymized", "--variant", "anonymized",
+                     "--events", str(anon_events),
+                     "--topology", str(cli_dir / "topology.tsv")]) == 0
+        outputs.append((summary, events.read_text(), outages.read_text(),
+                        sorted(anon.read_text().splitlines()[1:]),
+                        anon_events.read_text()))
+    assert outputs[0][2] and len(outputs[0][3]) == summary["entries"]
+    assert outputs[0][4] == outputs[0][1]  # the detector reads no text
     assert outputs[0] == outputs[1] == outputs[2]
 
 

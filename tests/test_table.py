@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -225,25 +225,10 @@ def test_chunked_parse_equals_the_line_parser(lines):
                         None) == expected
 
 
-def _feed_chunks(monkeypatch):
-    """The chunks the per-line parser is given, as tuples of lines."""
-    fed = []
-    feed = model._SyslogParser.feed
-
-    def record(self, lines, *columns):  # lines: a file, read once
-        fed.append(tuple(lines))
-        return feed(self, fed[-1], *columns)
-
-    monkeypatch.setattr(model._SyslogParser, "feed", record)
-    return fed
-
-
-def test_written_corpora_never_reach_the_per_line_parser(corpus, tmp_path,
-                                                         monkeypatch):
+def test_written_corpora_are_never_read_line_by_line(corpus, tmp_path):
     taurus = generate(GeneratorSpec(
         topology=scale_topology(taurus_topology(), 0.0625), days=0.5,
         failure_count=1, skew_share=0.0, seed=5))
-    fed = _feed_chunks(monkeypatch)
     for gen in (corpus, taurus):
         entries = gen.entries.take(np.arange(len(gen.entries)) < 60000)
         path = tmp_path / "corpus.log"
@@ -253,10 +238,10 @@ def test_written_corpora_never_reach_the_per_line_parser(corpus, tmp_path,
                                               gen.topology.resolver())
         assert stats.parsed == len(entries) > 2 * model.STREAM_CHUNK
         assert rows_of(table) == rows_of(entries)
-    assert fed == []
+        assert stats.lines_one_by_one == 0
 
 
-def test_only_chunks_with_a_wrap_reach_the_per_line_parser(monkeypatch):
+def test_year_wraps_are_read_by_the_arrays(monkeypatch):
     lines = [line for line in _wrapping_corpus(45)
              if line.strip() and not line.startswith("#")]
     resolver = TOPOLOGY.resolver()
@@ -270,12 +255,10 @@ def test_only_chunks_with_a_wrap_reach_the_per_line_parser(monkeypatch):
             wraps.add(i // size)
         year_of[entry.node] = year
     monkeypatch.setattr(model, "STREAM_CHUNK", size)
-    fed = _feed_chunks(monkeypatch)
-    table, _ = parse_syslog_table(syslog_file(lines), 2023, resolver)
+    table, stats = parse_syslog_table(syslog_file(lines), 2023, resolver)
     assert rows_of(table) == entries
     assert 0 < len(wraps) < len(lines) // size // 2
-    assert fed == [tuple(lines[k * size:(k + 1) * size])
-                   for k in sorted(wraps)]
+    assert stats.lines_one_by_one == 0
 
 
 @pytest.mark.parametrize("before, year, wraps", [
@@ -301,6 +284,77 @@ def test_feb_29_is_read_as_the_day_after_feb_28(before, year, wraps):
     expected, _ = oracles.reference_parse(lines, year, resolver,
                                           parse_syslog_line)
     assert rows_of(table) == expected
+
+
+# Backward jumps within a day of 180 days across Feb 29: whether a line
+# wraps the year depends on whether the node's year is a leap year.
+BOUNDARY_DATES = ["Aug 26", "Aug 27", "Aug 28", "Aug 29", "Feb 27", "Feb 28",
+                  "Feb 29", "Mar  1", "Mar  2", "Dec 31", "Jan  1"]
+
+
+@settings(max_examples=200, deadline=None)
+@example([("Aug 27", 43200, "i1r0n0"), ("Feb 28", 46800, "i1r0n0")] * 8, 2024)
+@given(st.lists(st.tuples(st.sampled_from(BOUNDARY_DATES),
+                          st.integers(0, 86399),
+                          st.sampled_from(["i1r0n0", "i1r0n1", "login01"])),
+                max_size=40),
+       st.sampled_from([2020, 2023, 2024, 2100]))
+def test_leap_dependent_wraps_follow_the_line_parser(rows, year):
+    """The wrap passes settle on the line-by-line rule, also where a wrap
+    turns on the node's year being a leap year, and fail alike. In the
+    example a jump back from Aug 27 to Feb 28 wraps only when read in a
+    leap year, so only the first one does, which takes four passes."""
+    lines = [f"{date} {format_bsd_time(t)[7:]} {host} a: b\n"
+             for date, t, host in rows]
+    resolver = TOPOLOGY.resolver()
+    try:
+        expected = oracles.reference_parse(lines, year, resolver,
+                                           parse_syslog_line)
+    except SyslogParseError as exc:
+        with pytest.raises(SyslogParseError, match="no Feb 29 in") as got:
+            parse_syslog_table(syslog_file(lines), year, resolver)
+        assert str(got.value) == str(exc)
+        return
+    table, stats = parse_syslog_table(syslog_file(lines), year, resolver)
+    assert (rows_of(table), stats.skipped_unknown) == expected
+
+
+def test_host_length_decides_only_the_path():
+    """Hosts of every length round the arrays' 16- and 64-byte windows
+    give the line parser's rows; from 64 bytes on a line is read one by
+    one."""
+    lengths = [1, 15, 16, 17, 31, 32, 33, 47, 48, 63, 64, 65, 100]
+    hosts = ["h" * (n - 1) + "x" for n in lengths]
+    resolver = {h: NodeId(1, 0, k) for k, h in enumerate(hosts)}
+    lines = [f"Mar  6 10:00:{k:02d} {h} a: b{k}\n"
+             for k, h in enumerate(hosts * 2)] + ["Mar  6 10:01:00 n x\n"]
+    expected, skipped = oracles.reference_parse(lines, 2023, resolver,
+                                                parse_syslog_line)
+    table, stats = parse_syslog_table(syslog_file(lines), 2023, resolver)
+    assert rows_of(table) == expected and stats.skipped_unknown == skipped
+    assert stats.lines_one_by_one == 2 * sum(n >= 64 for n in lengths)
+
+
+def test_fractions_of_a_second_share_their_second():
+    """Lines read one by one cache each "HH:MM:SS" once, whatever its
+    fraction, and a bad fraction still fails with the line parser's
+    text."""
+    lines = [f"Mar  6 10:00:0{k % 2}.{k:06d} i1r0n0 a: b\n" for k in range(50)]
+    parser = model._SyslogParser(2023, TOPOLOGY.resolver(), True,
+                                 model.ParseStats())
+    for pieces, newline in model._file_chunks(syslog_file(lines)):
+        (ts, _, _), error = parser.parse(pieces, newline)
+    assert error is None and len(parser._clock_of) == 2
+    assert ts.tolist() == [e.timestamp for e in oracles.reference_parse(
+        lines, 2023, TOPOLOGY.resolver(), parse_syslog_line)[0]]
+    for bad in ("10:00:00.5x", "10:00:00.\u0665", "10:00:00..5"):
+        line = f"Mar  6 {bad} i1r0n0 a: b\n"
+        with pytest.raises(SyslogParseError) as got:
+            parse_syslog_table(syslog_file(lines + [line]), 2023,
+                               TOPOLOGY.resolver())
+        with pytest.raises(SyslogParseError) as want:
+            parse_syslog_line(line, 2023, TOPOLOGY.resolver())
+        assert str(got.value) == str(want.value)
 
 
 def test_a_message_is_one_message_with_or_without_its_newline():
