@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
-from .names import LABELS, iso, parse_iso, parse_node_name, topen
+from .names import LABELS, iso, parse_iso, parse_node_name, read_records, topen
 from .outages import OutageEvent
 
 DEFAULT_CORRELATION_WINDOW = 600  # seconds
@@ -79,18 +78,18 @@ def classify_all(outages, maint, jobs, odb,
 
 def load_classified(path) -> list:
     """Read back the CSV written by write_classified."""
-    events = []
-    with topen(path) as fh:
-        for row in csv.reader(fh):
-            if not row or row[0] in ("node", "") or row[0].startswith("#"):
-                continue
-            if len(row) < 3 or row[2] not in LABELS:
-                raise ValueError(f"{path}: malformed classified row: {row!r}")
-            outage = OutageEvent(parse_node_name(row[0]), parse_iso(row[1]),
-                                 None, tail=False)
-            evidence = tuple(row[3].split("+")) if len(row) > 3 and row[3] else ()
-            events.append(FailureEvent(outage, row[2], evidence))
-    return events
+    def row(fields):
+        if fields[0] in ("node", ""):  # the header
+            return None
+        if len(fields) < 3 or fields[2] not in LABELS:
+            raise ValueError(f"malformed classified row: {fields!r}")
+        outage = OutageEvent(parse_node_name(fields[0]), parse_iso(fields[1]),
+                             None, tail=False)
+        evidence = (tuple(fields[3].split("+")) if len(fields) > 3 and fields[3]
+                    else ())
+        return FailureEvent(outage, fields[2], evidence)
+
+    return read_records(path, row, sep=",")
 
 
 def write_classified(events, path) -> None:

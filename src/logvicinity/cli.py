@@ -14,7 +14,8 @@ from .names import (CV_THRESHOLD, DEFAULT_ALPHA, DEFAULT_BURST_FACTOR,
                     DEFAULT_PERCENTILE, DEFAULT_SILENCE_THRESHOLD,
                     DEFAULT_TAU_MIN, DEFAULT_TOLERANCE, DEFAULT_WINDOW, LABELS,
                     PERSPECTIVES, VARIANTS, ObservationRange, canonical_node,
-                    iso, parse_iso, parse_node_name, run_manifest, topen)
+                    iso, parse_iso, parse_node_name, read_records,
+                    run_manifest, topen)
 
 
 def _data_file(name: str) -> str:
@@ -85,12 +86,13 @@ def _footprint_from(args):
 
 def _year_from(args) -> int:
     year = getattr(args, "year", None)
-    if year:
-        return year
-    year = datetime.now(timezone.utc).year
-    # syslog lines carry no year; a wrong guess shifts every timestamp
-    print(f"warning: no --year given, assuming the corpus is from {year}",
-          file=sys.stderr)
+    if year is None:
+        year = datetime.now(timezone.utc).year
+        # syslog lines carry no year; a wrong guess shifts every timestamp
+        print(f"warning: no --year given, assuming the corpus is from {year}",
+              file=sys.stderr)
+    elif not 1 <= year <= 9999:
+        raise ValueError(f"--year {year} is out of range 1..9999")
     return year
 
 
@@ -314,25 +316,16 @@ def _load_instants(path) -> list:
     Classified rows keep only the regular_failure label; other shapes keep
     every row.
     """
-    out = []
-    with topen(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            cells = line.split("\t") if "\t" in line else line.split(",")
-            if cells[0] == "node":
-                continue
-            if len(cells) >= 3 and cells[2] in LABELS:
-                if cells[2] != "regular_failure":
-                    continue
-            if len(cells) < 2:
-                raise ValueError(f"{path}:{lineno}: expected node and instant")
-            try:
-                out.append((parse_node_name(cells[0]), parse_iso(cells[1])))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return out
+    def row(line):
+        cells = line.split("\t") if "\t" in line else line.split(",")
+        if cells[0] == "node" or (len(cells) >= 3 and cells[2] in LABELS
+                                  and cells[2] != "regular_failure"):
+            return None  # the header, or a classified row of another label
+        if len(cells) < 2:
+            raise ValueError("expected node and instant")
+        return parse_node_name(cells[0]), parse_iso(cells[1])
+
+    return read_records(path, row, sep=None)
 
 
 def cmd_evaluate(args) -> int:

@@ -6,7 +6,7 @@ import csv
 from dataclasses import dataclass
 
 from .model import (NodeId, compress_node_names, expand_node_spec, iso,
-                    parse_iso, parse_node_name, topen)
+                    parse_iso, parse_node_name, read_records, topen)
 
 JOB_STATUSES = ("completed", "failed", "cancelled", "timeout", "node_fail")
 
@@ -79,28 +79,26 @@ class MaintenanceWindow:
 
 
 def load_job_report(path) -> list:
-    jobs: dict = {}  # job id -> its record, in file order
-    with topen(path) as fh:
-        for rownum, row in enumerate(csv.reader(fh), 1):
-            if not row or row[0].startswith("#") or row[0] == "job_id":
-                continue
-            try:
-                job_id, nodes_s, start_s, end_s, status = row
-                if job_id in jobs:
-                    raise ValueError(f"duplicate job id {job_id!r}")
-                if status not in JOB_STATUSES:
-                    raise ValueError(f"unknown status {status!r}")
-                nodes = frozenset(parse_node_name(n)
-                                  for n in expand_node_spec(nodes_s))
-                if not nodes:
-                    raise ValueError("empty node list")
-                start, end = parse_iso(start_s), parse_iso(end_s)
-                if start > end:
-                    raise ValueError("start after end")
-            except ValueError as exc:
-                raise ValueError(f"{path}: row {rownum}: {exc}") from None
-            jobs[job_id] = JobRecord(job_id, nodes, start, end, status)
-    return list(jobs.values())
+    seen = set()  # job ids so far
+
+    def row(fields):
+        if fields[0] == "job_id":  # the header
+            return None
+        job_id, nodes_s, start_s, end_s, status = fields
+        if job_id in seen:
+            raise ValueError(f"duplicate job id {job_id!r}")
+        if status not in JOB_STATUSES:
+            raise ValueError(f"unknown status {status!r}")
+        nodes = frozenset(parse_node_name(n) for n in expand_node_spec(nodes_s))
+        if not nodes:
+            raise ValueError("empty node list")
+        start, end = parse_iso(start_s), parse_iso(end_s)
+        if start > end:
+            raise ValueError("start after end")
+        seen.add(job_id)
+        return JobRecord(job_id, nodes, start, end, status)
+
+    return read_records(path, row, sep=",")
 
 
 def write_job_report(jobs, path) -> None:
@@ -113,32 +111,25 @@ def write_job_report(jobs, path) -> None:
                              iso(job.start), iso(job.end), job.status])
 
 
-def _load_windows(path):
-    rows = []
-    with topen(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) < 2:
-                raise ValueError(f"{path}:{lineno}: expected start..end<TAB>scope")
-            span, scope_s = parts[0], parts[1]
-            desc = parts[2] if len(parts) > 2 else ""
-            start_s, sep, end_s = span.partition("..")
-            if not sep:
-                raise ValueError(f"{path}:{lineno}: span must be start..end")
-            rows.append((parse_iso(start_s), parse_iso(end_s),
-                         parse_scope(scope_s), desc))
-    return rows
+def _window(line):
+    """(start, end, scope, note) of a start..end<TAB>scope[<TAB>note] line;
+    the note is the rest of the line, tabs included."""
+    parts = line.split("\t", 2)
+    if len(parts) < 2:
+        raise ValueError("expected start..end<TAB>scope")
+    start_s, sep, end_s = parts[0].partition("..")
+    if not sep:
+        raise ValueError("span must be start..end")
+    return (parse_iso(start_s), parse_iso(end_s), parse_scope(parts[1]),
+            parts[2] if len(parts) > 2 else "")
 
 
 def load_outage_db(path) -> list:
-    return [OutageRecord(s, e, scope, desc) for s, e, scope, desc in _load_windows(path)]
+    return [OutageRecord(*w) for w in read_records(path, _window, sep=None)]
 
 
 def load_maintenance(path) -> list:
-    return [MaintenanceWindow(s, e, scope) for s, e, scope, _ in _load_windows(path)]
+    return [MaintenanceWindow(*w[:3]) for w in read_records(path, _window, sep=None)]
 
 
 def write_outage_db(records, path) -> None:

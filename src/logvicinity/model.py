@@ -6,7 +6,7 @@ import calendar
 import io
 import re
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import MAXYEAR, datetime, timezone
 from itertools import count
 
 import numpy as np
@@ -14,7 +14,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .names import (NodeId, ObservationRange, SyslogParseError,  # noqa: F401
                     UnknownNodeError, canonical_node, iso, parse_iso,
-                    parse_node_name, to_epoch, topen)
+                    parse_node_name, read_records, to_epoch, topen)
 
 ARCHITECTURES = ("Haswell", "SandyBridge", "Westmere", "Broadwell", "GPU")
 
@@ -354,7 +354,9 @@ class _SyslogParser:
         ts, year, bad = self._times(group, date, clock, year, last)
         if bad < len(at):
             stop = int(at[bad])
-            error = SyslogParseError(f"no Feb 29 in {int(year[bad])}")
+            y = int(year[bad])
+            error = SyslogParseError(f"year {y} is out of range" if y > MAXYEAR
+                                     else f"no Feb 29 in {y}")
         if isinstance(error, SyslogParseError):  # it names its line
             line = data[start[stop]:end[stop] + 1].decode()
             error = SyslogParseError(f"{error} in line: {line!r}")
@@ -409,11 +411,12 @@ class _SyslogParser:
 
     def _times(self, group, date, clock, year, last):
         """(ts, year) of the rows, of group g from year[g] and timestamp
-        last[g] on, and the first Feb 29 row whose year lacks it. A row
-        wraps when it is more than HALF_YEAR before its node's previous
-        row, both read in the previous row's year (Feb 29 of a common year
-        as Mar 1). Each pass marks the wraps under the last pass's years;
-        row i's mark is final after i + 1 passes, all after two as a rule."""
+        last[g] on, and the first row on a Feb 29 its year lacks or in a
+        year past MAXYEAR. A row wraps when it is more than HALF_YEAR
+        before its node's previous row, both read in the previous row's
+        year (Feb 29 of a common year as Mar 1). Each pass marks the wraps
+        under the last pass's years; row i's mark is final after i + 1
+        passes, all after two as a rule."""
         order = np.argsort(group.astype(np.min_scalar_type(len(year))),
                            kind="stable")  # by node, a radix sort
         by_node = group[order]
@@ -432,8 +435,9 @@ class _SyslogParser:
             marks = previous - read > HALF_YEAR
             if np.array_equal(marks, wraps):
                 feb29 = np.flatnonzero(date == 2 << 5 | 29)
-                lacks = feb29[~_leap(years[feb29])]
-                return ts, years, int(lacks[0]) if len(lacks) else len(date)
+                bad = np.union1d(feb29[~_leap(years[feb29])],
+                                 np.flatnonzero(years > MAXYEAR))
+                return ts, years, int(bad[0]) if len(bad) else len(date)
             wraps = marks
             seen = np.cumsum(wraps)  # wraps up to each row, per node
             years = year[group]
@@ -698,26 +702,22 @@ class Topology:
 
 
 def load_topology(path) -> Topology:
-    nodes, arch_of = [], {}
-    with topen(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 tab-separated fields")
-            name, arch, island_s, rack_s = parts
-            if arch not in ARCHITECTURES:
-                raise ValueError(f"{path}:{lineno}: unknown architecture {arch!r}")
-            node = parse_node_name(name)
-            if (node.island, node.rack) != (int(island_s), int(rack_s)):
-                raise ValueError(f"{path}:{lineno}: island/rack disagree with {name}")
-            if node in arch_of:
-                raise ValueError(f"{path}:{lineno}: duplicate node {name}")
-            nodes.append(node)
-            arch_of[node] = arch
-    return Topology(nodes, arch_of)
+    arch_of = {}
+
+    def row(line):
+        # outer blanks, a trailing tab included, were never part of a field
+        name, arch, island_s, rack_s = line.strip().split("\t")
+        if arch not in ARCHITECTURES:
+            raise ValueError(f"unknown architecture {arch!r}")
+        node = parse_node_name(name)
+        if (node.island, node.rack) != (int(island_s), int(rack_s)):
+            raise ValueError(f"island/rack disagree with {name}")
+        if node in arch_of:
+            raise ValueError(f"duplicate node {name}")
+        arch_of[node] = arch
+        return node
+
+    return Topology(read_records(path, row, sep=None), arch_of)
 
 
 def save_topology(topology: Topology, path) -> None:

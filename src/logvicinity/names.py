@@ -120,6 +120,33 @@ def topen(path, mode="rt"):
     return open(path, mode.replace("t", ""), encoding=encoding)
 
 
+def read_records(path, row, sep="\t") -> list:
+    """row(fields) of each record line of a text file (.gz ok), in file
+    order: fields is the line split at sep, by CSV rules for ",", or the
+    whole line for None. Blank lines and lines whose first non-blank
+    character is "#" are skipped; row returns None for a header row. A
+    ValueError from row, or a CSV error, fails the read as
+    "PATH:LINE: reason"."""
+    errors = ValueError
+    if sep == ",":
+        import csv  # loaded only by the subcommands that read CSV
+        errors = (ValueError, csv.Error)
+    records = []
+    with topen(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.rstrip("\n")
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            try:
+                record = row(line if sep is None else next(csv.reader([line]))
+                             if sep == "," else line.split(sep))
+            except errors as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if record is not None:
+                records.append(record)
+    return records
+
+
 def run_manifest(config: dict, seed=None) -> dict:
     """Reproducibility record written next to result files."""
     return {

@@ -10,7 +10,8 @@ import numpy as np
 from .model import EventTable
 from .names import (DEFAULT_BURST_FACTOR, DEFAULT_BURST_MINUTES,
                     DEFAULT_MIN_GAP, DEFAULT_SILENCE_THRESHOLD, NodeId,
-                    ObservationRange, iso, parse_iso, parse_node_name, topen)
+                    ObservationRange, iso, parse_iso, parse_node_name,
+                    read_records, topen)
 
 FOOTPRINT_SPAN = 120  # seconds within which the whole footprint must appear
 
@@ -51,17 +52,15 @@ class BootFootprintSpec:
 
 
 def load_footprint(path) -> BootFootprintSpec:
-    items = []
-    with topen(path) as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            if line.startswith("key:"):
-                items.append(("key", line[4:].strip()))
-            else:
-                items.append(("template", line))
-    return BootFootprintSpec(items)
+    def row(line):
+        if not line.startswith("key:"):
+            return ("template", line)
+        key = line[4:].strip()
+        if len(key) != 8 or key.strip("0123456789abcdef"):
+            raise ValueError(f"key {key!r} is not 8 lowercase hex digits")
+        return ("key", key)
+
+    return BootFootprintSpec(read_records(path, row, sep=None))
 
 
 def save_footprint(spec: BootFootprintSpec, path) -> None:
@@ -192,20 +191,12 @@ def write_outages(outages, path) -> None:
 
 def load_outages(path) -> list:
     """Read back the TSV written by write_outages."""
-    out = []
-    with topen(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 columns")
-            node = parse_node_name(parts[0])
-            t = parse_iso(parts[1])
-            if parts[2] == "TAIL":
-                out.append(OutageEvent(node, t, None, tail=True))
-            else:
-                boot = BootEvent(node, parse_iso(parts[2]), parts[3])
-                out.append(OutageEvent(node, t, boot, tail=False))
-    return out
+    def row(fields):
+        name, outage_s, boot_s, confidence = fields
+        node, t = parse_node_name(name), parse_iso(outage_s)
+        if boot_s == "TAIL":
+            return OutageEvent(node, t, None, tail=True)
+        boot = BootEvent(node, parse_iso(boot_s), confidence)
+        return OutageEvent(node, t, boot, tail=False)
+
+    return read_records(path, row)

@@ -14,8 +14,8 @@ from .detect import (VERDICTS, SGIndex, SweepResult,
 from .model import EventTable
 from .names import (CV_THRESHOLD, DEFAULT_ALPHA, DEFAULT_CADENCE,  # noqa: F401
                     DEFAULT_PERCENTILE, DEFAULT_TAU_MIN, DEFAULT_WINDOW,
-                    VARIANTS, iso, parse_iso, parse_node_name, run_manifest,
-                    topen)
+                    VARIANTS, iso, parse_iso, parse_node_name, read_records,
+                    run_manifest, topen)
 from .outages import detect_outages
 from .vicinity import (allocation_groups, combined_vicinity,
                        hardware_vicinity, location_vicinity,
@@ -229,17 +229,11 @@ def write_events(events, path) -> None:
 
 
 def load_events(path) -> list:
-    out = []
-    with topen(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 5:
-                raise ValueError(f"{path}:{lineno}: expected 5 columns")
-            out.append(ExtractedEvent(
-                parse_node_name(parts[0]), parse_iso(parts[1]),
-                parse_iso(parts[2]), parse_iso(parts[3]), parts[4] == "true"))
-    return out
+    """Read back the TSV written by write_events."""
+    def row(fields):
+        name, outage_s, first_s, last_s, silent = fields
+        return ExtractedEvent(parse_node_name(name), parse_iso(outage_s),
+                              parse_iso(first_s), parse_iso(last_s),
+                              silent == "true")
 
+    return read_records(path, row)

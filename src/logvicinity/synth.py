@@ -15,8 +15,8 @@ import numpy as np
 from .datasources import (JobRecord, MaintenanceWindow, OutageRecord, Scope,
                           write_job_report, write_maintenance, write_outage_db)
 from .model import (EventTable, NodeId, ObservationRange, Topology, iso,
-                    parse_iso, parse_node_name, save_topology, to_epoch,
-                    topen, write_syslog)
+                    parse_iso, parse_node_name, read_records, save_topology,
+                    to_epoch, topen, write_syslog)
 
 DAY = 86400
 HOUR = 3600
@@ -620,22 +620,26 @@ def write_corpus_files(gen: GeneratedCorpus, outdir, compress=False) -> dict:
     write_job_report(gen.truth.jobs, paths["jobs"])
     write_outage_db(gen.truth.outage_records, paths["outage_db"])
     write_maintenance(gen.truth.maintenance, paths["maintenance"])
-    with open(paths["truth"], "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node", "outage_time", "has_reboot", "cause"])
-        for f in gen.truth.failures:
-            writer.writerow([f.node.name, iso(f.outage_time),
-                             str(f.has_reboot).lower(), f.cause])
+    write_truth(gen.truth.failures, paths["truth"])
     return {k: str(v) for k, v in paths.items()}
 
 
+def write_truth(failures, path) -> None:
+    with topen(path, "w") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["node", "outage_time", "has_reboot", "cause"])
+        for f in failures:
+            writer.writerow([f.node.name, iso(f.outage_time),
+                             str(f.has_reboot).lower(), f.cause])
+
+
 def load_truth(path) -> list:
-    failures = []
-    with topen(path) as fh:
-        for row in csv.reader(fh):
-            if not row or row[0] == "node" or row[0].startswith("#"):
-                continue
-            failures.append(InjectedFailure(
-                parse_node_name(row[0]), parse_iso(row[1]),
-                row[2] == "true", row[3]))
-    return failures
+    """Read back the CSV written by write_truth."""
+    def row(fields):
+        if fields[0] == "node":  # the header
+            return None
+        name, outage_s, has_reboot, cause = fields[:4]
+        return InjectedFailure(parse_node_name(name), parse_iso(outage_s),
+                               has_reboot == "true", cause)
+
+    return read_records(path, row, sep=",")

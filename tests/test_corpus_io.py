@@ -238,6 +238,20 @@ def test_invalid_utf8_fails_parse_and_writes_nothing(tmp_path, capsys, bad):
     assert list(tmp_path.iterdir()) == [tmp_path / "bad.log"]
 
 
+@pytest.mark.parametrize("year, error", [
+    ("9999", "year 10000 is out of range in line: "
+             "'Jan  1 00:00:00 i1r0n0 a: b\\n'"),
+    ("10000", "--year 10000 is out of range 1..9999"),
+    ("0", "--year 0 is out of range 1..9999"),
+])
+def test_parse_fails_on_a_year_out_of_range(tmp_path, capsys, year, error):
+    corpus = tmp_path / "corpus.log"
+    corpus.write_text("Aug  1 00:00:00 i1r0n0 a: b\n"
+                      "Jan  1 00:00:00 i1r0n0 a: b\n")
+    assert main(["parse", "--corpus", str(corpus), "--year", year]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
 def test_parse_counts_the_lines_read_one_by_one(odd_corpus, tmp_path,
                                                monkeypatch, capsys):
     """A canonical corpus has no line read one by one; each odd line

@@ -38,18 +38,26 @@ def test_job_report_roundtrip(tmp_path):
         assert load_job_report(path) == jobs
 
 
-@pytest.mark.parametrize("row", [
-    "j1,i1r0n0,2020-01-01T00:00:00Z,2020-01-01T01:00:00Z,exploded",
-    "j1,i1r0n0,2020-01-01T02:00:00Z,2020-01-01T01:00:00Z,completed",
-    "j1,,2020-01-01T00:00:00Z,2020-01-01T01:00:00Z,completed",
-    "j1,i1r0n0,not-a-time,2020-01-01T01:00:00Z,completed",
-])
-def test_job_report_rejects_bad_rows(tmp_path, row):
+_BAD_JOB_ROWS = [  # (row, reason)
+    ("j1,i1r0n0,2020-01-01T00:00:00Z,2020-01-01T01:00:00Z,exploded",
+     "unknown status 'exploded'"),
+    ("j1,i1r0n0,2020-01-01T02:00:00Z,2020-01-01T01:00:00Z,completed",
+     "start after end"),
+    ("j1,,2020-01-01T00:00:00Z,2020-01-01T01:00:00Z,completed",
+     "empty node list"),
+    ("j1,i1r0n0,not-a-time,2020-01-01T01:00:00Z,completed",
+     "bad timestamp: 'not-a-time'"),
+]
+
+
+@pytest.mark.parametrize("row,reason", [pytest.param(row, reason, id=row)
+                                        for row, reason in _BAD_JOB_ROWS])
+def test_job_report_rejects_bad_rows(tmp_path, row, reason):
     path = tmp_path / "jobs.csv"
     path.write_text("job_id,nodes,start,end,status\n" + row + "\n")
     with pytest.raises(ValueError) as err:
         load_job_report(path)
-    assert "row 2" in str(err.value)
+    assert str(err.value) == f"{path}:2: {reason}"
 
 
 def test_job_report_rejects_a_repeated_job_id(tmp_path):
@@ -61,7 +69,7 @@ def test_job_report_rejects_a_repeated_job_id(tmp_path):
         "a,i1r0n[5-7],2020-01-01T00:00:00Z,2020-01-01T01:00:00Z,completed\n")
     with pytest.raises(ValueError) as err:
         load_job_report(path)
-    assert str(err.value) == f"{path}: row 4: duplicate job id 'a'"
+    assert str(err.value) == f"{path}:4: duplicate job id 'a'"
 
 
 def test_parse_scope():
@@ -94,6 +102,7 @@ def test_outage_db_roundtrip(tmp_path):
     records = [
         OutageRecord(1600000000, 1600007200, Scope("island", island=2), "power work"),
         OutageRecord(1600100000, 1600101000, Scope("node", node=NodeId(1, 0, 3)), ""),
+        OutageRecord(1600200000, 1600201000, Scope("system"), "rack A\tPSU swap"),
     ]
     for path in (tmp_path / "outage.db", tmp_path / "outage.db.gz"):
         write_outage_db(records, path)
@@ -107,6 +116,12 @@ def test_maintenance_roundtrip(tmp_path):
         write_maintenance(windows, path)
         assert _gzipped(path)
         assert load_maintenance(path) == windows
+    # a window with a note, which may hold tabs, as an outage db row has
+    noted = OutageRecord(1600100000, 1600101000, Scope("island", island=2),
+                         "rack A\tPSU swap")
+    write_outage_db([noted], tmp_path / "noted.tsv")
+    assert load_maintenance(tmp_path / "noted.tsv") == [
+        MaintenanceWindow(noted.start, noted.end, noted.scope)]
 
 
 @pytest.mark.parametrize("line", [

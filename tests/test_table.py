@@ -286,6 +286,18 @@ def test_feb_29_is_read_as_the_day_after_feb_28(before, year, wraps):
     assert rows_of(table) == expected
 
 
+def test_a_year_past_9999_is_an_error_after_the_rows_before_it():
+    lines = ["Aug  1 00:00:00 i1r0n0 a: b\n", "Jan  1 00:00:00 i1r0n0 a: b\n"]
+    chunks, stats = parse_syslog_stream(syslog_file(lines), 9999,
+                                        TOPOLOGY.resolver())
+    read = []
+    with pytest.raises(SyslogParseError) as err:
+        read.extend(chunk.ts.tolist() for chunk in chunks)
+    assert str(err.value) == ("year 10000 is out of range in line: "
+                              f"{lines[1]!r}")
+    assert read == [[to_epoch(9999, 8, 1, 0, 0, 0)]] and stats.parsed == 1
+
+
 # Backward jumps within a day of 180 days across Feb 29: whether a line
 # wraps the year depends on whether the node's year is a leap year.
 BOUNDARY_DATES = ["Aug 26", "Aug 27", "Aug 28", "Aug 29", "Feb 27", "Feb 28",
