@@ -314,15 +314,24 @@ def _load_instants(path) -> list:
     """(node, instant) pairs from events TSV, classified CSV, or truth CSV.
 
     Classified rows keep only the regular_failure label; other shapes keep
-    every row.
+    every row. Under write_classified's header a label not in LABELS fails
+    the read.
     """
+    labelled = False  # under write_classified's header
+
     def row(line):
+        nonlocal labelled
         cells = line.split("\t") if "\t" in line else line.split(",")
-        if cells[0] == "node" or (len(cells) >= 3 and cells[2] in LABELS
-                                  and cells[2] != "regular_failure"):
-            return None  # the header, or a classified row of another label
+        if cells[0] == "node":  # a header
+            labelled = cells[2:3] == ["label"]
+            return None
         if len(cells) < 2:
             raise ValueError("expected node and instant")
+        label = cells[2] if len(cells) > 2 else None
+        if labelled and label not in LABELS:
+            raise ValueError(f"unknown label {label!r}")
+        if label in LABELS and label != "regular_failure":
+            return None  # a classified row of another label
         return parse_node_name(cells[0]), parse_iso(cells[1])
 
     return read_records(path, row, sep=None)

@@ -614,11 +614,16 @@ _CHUNK = 1 << 14  # rows the writers gather per step
 def _stamps(ts, day_text, suffix: bytes):
     """A _gather_rows column of each row's day_text(midnight), "HH:MM:SS"
     and suffix: per slice of rows one uint8 matrix, from each distinct
-    day's text and the clock's digits by integer arithmetic."""
-    pad = [1] * len(suffix)
-    div = np.array([36000, 3600, 1, 600, 60, 1, 10, 1] + pad)
-    mod = np.array([10, 10, 1, 6, 10, 1, 6, 10] + pad)
-    zero = np.frombuffer(b"00:00:00" + suffix, np.uint8)
+    day's text and a table of every second's clock and suffix."""
+    digits = np.frombuffer(b"".join(b"%02d" % i for i in range(60)),
+                           np.uint8).reshape(60, 2)
+    clock = np.empty((24, 60, 60, 8 + len(suffix)), np.uint8)
+    clock[..., 0:2] = digits[:24, None, None]
+    clock[..., 3:5] = digits[:, None]
+    clock[..., 6:8] = digits
+    clock[..., 2] = clock[..., 5] = ord(":")
+    clock[..., 8:] = np.frombuffer(suffix, np.uint8)
+    clock = clock.reshape(86400, -1)  # row s: second s of a day
 
     def column(rows):
         day, second = np.divmod(ts[rows], 86400)
@@ -626,7 +631,7 @@ def _stamps(ts, day_text, suffix: bytes):
         heads = b"".join(day_text(d * 86400).encode() for d in days.tolist())
         out = np.hstack([  # days' texts of unequal width do not reshape
             np.frombuffer(heads, np.uint8).reshape(len(days), -1)[day],
-            (second[:, None] // div % mod + zero).astype(np.uint8)])
+            clock[second]])
         return out.view(f"S{out.shape[1]}").ravel()
 
     return column

@@ -121,23 +121,25 @@ def topen(path, mode="rt"):
 
 
 def read_records(path, row, sep="\t") -> list:
-    """row(fields) of each record line of a text file (.gz ok), in file
-    order: fields is the line split at sep, by CSV rules for ",", or the
-    whole line for None. Blank lines and lines whose first non-blank
-    character is "#" are skipped; row returns None for a header row. A
-    ValueError from row, or a CSV error, fails the read as
+    """row(fields) of each record line of a UTF-8 text file (.gz ok), in
+    file order: fields is the line split at sep, by CSV rules for ",", or
+    the whole line for None. Lines end at "\\n", "\\r\\n" or "\\r". Blank
+    lines and lines whose first non-blank character is "#" are skipped;
+    row returns None for a header row. A line that is not UTF-8, a
+    ValueError from row, or a CSV error fails the read as
     "PATH:LINE: reason"."""
-    errors = ValueError
+    errors = ValueError  # UnicodeDecodeError among them
     if sep == ",":
         import csv  # loaded only by the subcommands that read CSV
         errors = (ValueError, csv.Error)
     records = []
-    with topen(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
+    with topen(path, "rb") as fh:
+        lines = (line for raw in fh for line in raw.splitlines())
+        for lineno, line in enumerate(lines, 1):
             try:
+                line = line.decode("utf-8")
+                if not line.strip() or line.lstrip().startswith("#"):
+                    continue
                 record = row(line if sep is None else next(csv.reader([line]))
                              if sep == "," else line.split(sep))
             except errors as exc:

@@ -194,6 +194,10 @@ def load_outages(path) -> list:
     def row(fields):
         name, outage_s, boot_s, confidence = fields
         node, t = parse_node_name(name), parse_iso(outage_s)
+        written = ("tail",) if boot_s == "TAIL" else ("footprint", "burst")
+        if confidence not in written:
+            raise ValueError(f"confidence {confidence!r} is not one of "
+                             f"{', '.join(written)}")
         if boot_s == "TAIL":
             return OutageEvent(node, t, None, tail=True)
         boot = BootEvent(node, parse_iso(boot_s), confidence)

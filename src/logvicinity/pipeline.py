@@ -232,6 +232,8 @@ def load_events(path) -> list:
     """Read back the TSV written by write_events."""
     def row(fields):
         name, outage_s, first_s, last_s, silent = fields
+        if silent not in ("true", "false"):
+            raise ValueError(f"silent must be true or false, not {silent!r}")
         return ExtractedEvent(parse_node_name(name), parse_iso(outage_s),
                               parse_iso(first_s), parse_iso(last_s),
                               silent == "true")

@@ -55,6 +55,13 @@ CHATTER = {
 }
 
 POISSON_PER_WINDOW = 1.0  # variable-message rate, every class
+# The Poisson messages' kinds, drawn as randrange(3): (tag, head, tail, low,
+# high), the text being head, the randint(low, high) value and tail
+POISSON_MESSAGES = (
+    ("smartd", "Device temperature changed to ", " Celsius", 28, 71),
+    ("sshd", "Accepted publickey for operator from port ", "", 1024, 65000),
+    ("nfs", "server responded after ", " ms retry delay", 2, 900),
+)
 
 GASP = ("kernel", "Kernel panic - not syncing: Fatal Exception")
 
@@ -88,15 +95,6 @@ FAILURE_SKEW = 0.2  # share of the failing roster that is hot
 TEMPORAL_CLUSTER_PROB = 0.3  # a failure draws a mate minutes later
 RACK_AFFINITY = 0.5  # the mate is sought in the same rack first
 SUDDEN_PROB = 0.1  # a non-hang failure has no quiet period before it
-
-
-def _poisson_message(rng):
-    kind = rng.randrange(3)
-    if kind == 0:
-        return ("smartd", f"Device temperature changed to {rng.randint(28, 71)} Celsius")
-    if kind == 1:
-        return ("sshd", f"Accepted publickey for operator from port {rng.randint(1024, 65000)}")
-    return ("nfs", f"server responded after {rng.randint(2, 900)} ms retry delay")
 
 
 @dataclass
@@ -454,6 +452,46 @@ def _lattice(rng, start, end, period, jitter):
     return ticks[(start <= ticks) & (ticks < end)]
 
 
+def _poisson(rng, start, end):
+    """The Poisson messages in [start, end): float times and int codes
+    kind << 16 | value, drawn as the per-message loop would.
+
+    That loop advances t by rng.expovariate(1 / mean gap) until t reaches
+    end, then draws the kind as rng.randrange(3) and the value as
+    rng.randint(low, high). Python 3.10 to 3.13 compute expovariate as
+    -log(1 - random()) / lambd, and randrange and randint as low plus the
+    first getrandbits(k) below the width, k the width's bit length. Called
+    directly, random and getrandbits draw the same words in the same order.
+    """
+    random, getrandbits = rng.random, rng.getrandbits
+    kinds = len(POISSON_MESSAGES)
+    kind_bits = kinds.bit_length()
+    draws = [(high - low + 1, (high - low + 1).bit_length(), kind << 16 | low)
+             for kind, (*_texts, low, high) in enumerate(POISSON_MESSAGES)]
+    lambd = 1.0 / (WINDOW / POISSON_PER_WINDOW)
+    times, codes = [], []
+    t = start
+    while True:
+        t += -math.log(1.0 - random()) / lambd
+        if t >= end:
+            return np.array(times, float), np.array(codes, np.int64)
+        kind = getrandbits(kind_bits)
+        while kind >= kinds:
+            kind = getrandbits(kind_bits)
+        width, k, base = draws[kind]
+        value = getrandbits(k)
+        while value >= width:
+            value = getrandbits(k)
+        times.append(t)
+        codes.append(base + value)
+
+
+def _poisson_key(code):
+    """The (tag, message) of a _poisson code."""
+    tag, head, tail, _low, _high = POISSON_MESSAGES[code >> 16]
+    return tag, f"{head}{code & 0xFFFF}{tail}"
+
+
 def _outside(times, spans):
     """Mask of the times that fall strictly inside none of the (a, b) spans."""
     keep = np.ones(len(times), bool)
@@ -464,7 +502,11 @@ def _outside(times, spans):
 
 def _where(mask, times, keys):
     """A segment's rows where mask holds; a single key stays shared."""
-    if len(keys) != 1:
+    if mask.all():
+        return times, keys
+    if isinstance(keys, np.ndarray):
+        keys = keys[mask]
+    elif len(keys) != 1:
         keys = list(compress(keys, mask))
     return times[mask], keys
 
@@ -473,7 +515,8 @@ def _node_stream(node, spec, chatter, failures, maint_windows, storms,
                  resolved_out):
     """A node's rows as (float times, keys) segments in row order.
 
-    keys holds one (tag, message) per row, or one for the whole segment.
+    keys holds one (tag, message) per row, or one for the whole segment, or
+    for the Poisson messages an array of one _poisson code per row.
     """
     rng = random.Random(f"{spec.seed}:{node.name}")
     start, end = spec.start, spec.end
@@ -483,15 +526,7 @@ def _node_stream(node, spec, chatter, failures, maint_windows, storms,
     for period, jitter, tag, msg in chatter:
         lattices.append((_lattice(rng, start, end, period, jitter), [(tag, msg)]))
 
-    poisson, poisson_keys = [], []
-    t = start
-    mean_gap = WINDOW / POISSON_PER_WINDOW
-    while True:
-        t += rng.expovariate(1.0 / mean_gap)
-        if t >= end:
-            break
-        poisson.append(t)
-        poisson_keys.append(_poisson_message(rng))
+    poisson = _poisson(rng, start, end)
 
     storm_ticks = []
     for storm_start in storms:
@@ -534,13 +569,15 @@ def _node_stream(node, spec, chatter, failures, maint_windows, storms,
         heart_cut.append((cutoff, resume))
         extra.extend(_boot_entries(rng, resume))
 
-    other = lattices + [(np.array(poisson, float), poisson_keys),
-                        (np.array(storm_ticks, float), [CRON[2:]])]
+    # the lattices, Poisson messages and storms (placed 2 h inside the
+    # range) lie in [start, end); boot bursts can run past end
+    other = lattices + [poisson, (np.array(storm_ticks, float), [CRON[2:]])]
     segments = [_where(_outside(t, cut_spans), t, keys) for t, keys in other]
     segments.append(_where(_outside(heart, heart_cut), heart, [HEARTBEAT[2:]]))
-    segments.append((np.array([row[0] for row in extra], float),
-                     [row[1:] for row in extra]))
-    return [_where((start <= t) & (t < end), t, keys) for t, keys in segments]
+    t = np.array([row[0] for row in extra], float)
+    segments.append(_where((start <= t) & (t < end), t,
+                           [row[1:] for row in extra]))
+    return segments
 
 
 def _boot_entries(rng, boot_time):
@@ -552,6 +589,49 @@ def _boot_entries(rng, boot_time):
         out.append((t, tag, msg))
         t += rng.uniform(2, 6)
     return out
+
+
+_KEY_BITS = 63  # a packed sort key stays a non-negative int64
+
+
+def _time_order(ts, counts, rank):
+    """Sort the rows by (ts, node, rank), ties in row order. The rows come
+    node by node, counts[n] of node n.
+
+    Returns the sorted ts, in ts's own buffer, and each sorted row's node
+    and index before the sort. One int64 key packs a row's time since the
+    first, its node, its rank and its index within its node's rows. The
+    keys are distinct, so one unstable sort gives the stable order, and ts
+    and node are read back out of the sorted keys. Rows whose key would
+    need more than 63 bits raise ValueError.
+    """
+    t0 = int(ts.min())
+    bits = [(int(ts.max()) - t0).bit_length(), (len(counts) - 1).bit_length(),
+            int(rank.max()).bit_length(), (int(counts.max()) - 1).bit_length()]
+    if sum(bits) > _KEY_BITS:
+        raise ValueError(
+            f"a sort key of {sum(bits)} bits (time span, nodes, tags and rows "
+            f"per node) is past the limit of {_KEY_BITS} bits")
+    _, node_bits, rank_bits, row_bits = bits
+    first = np.cumsum(counts) - counts  # each node's first row
+    key = ts
+    key -= t0
+    key <<= node_bits + rank_bits
+    key += rank
+    key <<= row_bits
+    key += np.arange(len(key))
+    # the node, and the row's index within its node's rows
+    key += np.repeat((np.arange(len(counts)) << (rank_bits + row_bits))
+                     - first, counts)
+    key.sort()
+    row = key & ((1 << row_bits) - 1)
+    key >>= row_bits + rank_bits
+    node = np.bitwise_and(key, (1 << node_bits) - 1,
+                          out=np.empty(len(key), np.int32), casting="unsafe")
+    row += first[node]
+    key >>= node_bits
+    key += t0
+    return key, node, row
 
 
 def generate(spec: GeneratorSpec) -> GeneratedCorpus:
@@ -566,27 +646,42 @@ def generate(spec: GeneratorSpec) -> GeneratedCorpus:
 
     resolved: list = []
     msg_ix: dict = {}  # (tag, message) -> message id, by first appearance
-    ts_of, msg_of, node_of = [], [], []  # one item per non-empty segment
-    for n, node in enumerate(topology.nodes):
+    code_ix: dict = {}  # _poisson code -> message id
+    times_of, counts = [], []  # counts: each node's rows
+    ids, runs = [], []  # runs[i] consecutive rows of message ids[i]
+    for node in topology.nodes:
         windows = [w for w in maint if w.scope.covers(node)]
         chatter = CHATTER[topology.architecture_of[node]]
+        rows = 0
         for times, keys in _node_stream(node, spec, chatter,
                                         planned.get(node, []), windows,
                                         storms.get(node, []), resolved):
-            if len(times):  # an emptied segment registers no message
-                ids = [msg_ix.setdefault(key, len(msg_ix)) for key in keys]
-                ts_of.append(times.astype(np.int64))
-                msg_of.append(np.broadcast_to(np.array(ids, np.int32),
-                                              len(times)))
-                node_of.append(n)
-    ts, msg = np.concatenate(ts_of), np.concatenate(msg_of)
-    node = np.repeat(np.array(node_of, np.int32), [len(t) for t in ts_of])
+            if not len(times):  # an emptied segment registers no message
+                continue
+            if isinstance(keys, np.ndarray):  # each text formatted once
+                keys = keys.tolist()
+                for code in keys:
+                    if code not in code_ix:
+                        code_ix[code] = msg_ix.setdefault(_poisson_key(code),
+                                                          len(msg_ix))
+                ids.extend(map(code_ix.__getitem__, keys))
+            else:
+                ids.extend(msg_ix.setdefault(key, len(msg_ix)) for key in keys)
+            runs.extend([1] * len(keys) if len(keys) > 1 else [len(times)])
+            times_of.append(times)
+            rows += len(times)
+        counts.append(rows)
+    ts = np.concatenate(times_of, dtype=np.int64, casting="unsafe")
+    del times_of
+    ids = np.array(ids, np.int32)
     tags = [tag for tag, _ in msg_ix]
     # node ids follow NodeId order and messages of one tag share a dense
-    # rank, so this stable sort is by (timestamp, node, tag)
-    tag_rank = np.unique(tags, return_inverse=True)[1]
-    order = np.lexsort((tag_rank[msg], node, ts))
-    entries = EventTable(ts[order], node[order], msg[order],
+    # rank, so the rows go by (timestamp, node, tag)
+    rank_of = {tag: r for r, tag in enumerate(sorted(set(tags)))}
+    tag_rank = np.array([rank_of[tag] for tag in tags], np.int32)
+    ts, node, row = _time_order(ts, np.array(counts),
+                                np.repeat(tag_rank[ids], runs))
+    entries = EventTable(ts, node, np.repeat(ids, runs)[row],
                          list(topology.nodes), [m for _, m in msg_ix], tags)
     resolved.sort(key=lambda f: (f.outage_time, f.node))
 

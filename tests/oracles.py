@@ -425,13 +425,27 @@ def reference_read_anonymized(path, parse_iso, parse_node_name):
     return ts, node, msg, list(node_ix), list(key_ix), version
 
 
+def reference_poisson_message(rng):
+    """A Poisson message's (tag, message), by rng.randrange and rng.randint."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return ("smartd",
+                f"Device temperature changed to {rng.randint(28, 71)} Celsius")
+    if kind == 1:
+        return ("sshd", "Accepted publickey for operator from port "
+                        f"{rng.randint(1024, 65000)}")
+    return ("nfs", f"server responded after {rng.randint(2, 900)} ms "
+                   "retry delay")
+
+
 def reference_generate(spec):
     """(EventTable, failures) of synth.generate, built one row at a time.
 
     The per-node streams walk every lattice tick in Python, drawing each
     offset and jitter with rng.uniform, and apply the cut spans with one
-    all() per row. The schedule planners, boot bursts and Poisson messages
-    are synth's own; ids follow the rows' first appearance.
+    all() per row. Each Poisson message is rng.expovariate, rng.randrange
+    and rng.randint calls. The schedule planners and boot bursts are
+    synth's own; ids follow the rows' first appearance.
     """
     from logvicinity.model import EventTable
     from logvicinity.synth import (CHATTER, CRON, DAY, GASP,
@@ -440,7 +454,7 @@ def reference_generate(spec):
                                    WINDOW, InjectedFailure, _boot_entries,
                                    _plan_failures, _plan_jobs,
                                    _plan_maintenance, _plan_storms,
-                                   _poisson_message, desk_topology)
+                                   desk_topology)
 
     def lattice(rng, start, end, period, jitter):
         ticks = []
@@ -467,7 +481,7 @@ def reference_generate(spec):
             t += rng.expovariate(1.0 / mean_gap)
             if t >= end:
                 break
-            tag, msg = _poisson_message(rng)
+            tag, msg = reference_poisson_message(rng)
             other.append((t, tag, msg))
         for storm_start in storms:
             tick = storm_start + rng.uniform(0, STORM_PERIOD)

@@ -163,6 +163,20 @@ def test_generated_and_parsed_tables_still_write(corpus, tmp_path):
         assert (tmp_path / "again.log").read_bytes() == path.read_bytes()
 
 
+def test_generated_corpus_round_trips_through_gz(tmp_path):
+    table = generate(GeneratorSpec(days=1.0, failure_count=3,
+                                   skew_share=0.0)).entries
+    write_syslog(table, tmp_path / "corpus.log")
+    write_syslog(table, tmp_path / "corpus.log.gz")
+    packed = (tmp_path / "corpus.log.gz").read_bytes()
+    assert packed[:2] == b"\x1f\x8b"
+    assert gzip.decompress(packed) == (tmp_path / "corpus.log").read_bytes()
+    with topen(tmp_path / "corpus.log.gz", "rb") as fh:
+        again, stats = parse_syslog_table(fh, 2023, canonical_node)
+    assert stats.parsed == len(table)
+    assert rows_of(again) == rows_of(table)
+
+
 # The block reader: every spelling of one corpus file parses alike.
 
 @pytest.fixture(scope="module")

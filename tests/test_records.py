@@ -95,11 +95,14 @@ def test_every_record_file_reads_back_what_its_writer_wrote(tmp_path, name):
 
 def _with_bad_third_line(path, name, bad=None):
     """path, written as a file of the format whose first two lines are
-    its writer's and whose third is a bad row, the format's by default."""
+    its writer's and whose third is a bad row (text, or bytes), the
+    format's by default."""
     write, _read, _records, bad_row = FORMATS[name]
     write(path)
-    head = path.read_text().splitlines(keepends=True)[:2]
-    path.write_text("".join(head) + (bad or bad_row) + "\n")
+    head = path.read_bytes().splitlines(keepends=True)[:2]
+    bad = bad or bad_row
+    path.write_bytes(b"".join(head)
+                     + (bad if isinstance(bad, bytes) else bad.encode()) + b"\n")
     return path
 
 
@@ -112,9 +115,33 @@ def test_a_bad_row_names_its_file_and_line(tmp_path, name):
     assert len(str(err.value)) > len(f"{path}:3: ")  # and gives a reason
 
 
+@pytest.mark.parametrize("name", FORMATS)
+def test_a_line_that_is_not_utf8_names_its_file_and_line(tmp_path, name):
+    path = _with_bad_third_line(tmp_path / name, name, b"i1r0n0\xff")
+    with pytest.raises(ValueError) as err:
+        FORMATS[name][1](path)
+    assert str(err.value).startswith(f"{path}:3: 'utf-8' codec can't decode")
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("outages", "i1r0n0\t2023-01-01T00:00:00Z\t2023-01-01T00:10:00Z\tnonsense"),
+    ("outages", "i1r0n0\t2023-01-01T00:00:00Z\tTAIL\tfootprint"),
+    ("outages", "i1r0n0\t2023-01-01T00:00:00Z\t2023-01-01T00:10:00Z\ttail"),
+    ("events", "i1r0n0\t2023-01-01T00:00:00Z\t2023-01-01T00:00:00Z\t"
+               "2023-01-01T00:10:00Z\tyes"),
+], ids=["confidence", "tail-confidence-footprint", "boot-confidence-tail",
+        "silent"])
+def test_a_value_its_writer_never_writes_names_its_line(tmp_path, name, bad):
+    path = _with_bad_third_line(tmp_path / name, name, bad)
+    with pytest.raises(ValueError) as err:
+        FORMATS[name][1](path)
+    assert str(err.value).startswith(f"{path}:3: ")
+
+
 @pytest.mark.parametrize("name, bad", [
     ("events", FORMATS["events"][3]),
     ("classified", "i1r0n0,not-a-time,regular_failure,"),
+    ("classified", FORMATS["classified"][3]),  # an unknown label
     ("truth", "node7,2023-01-01T00:00:00Z,true,crash_panic"),
 ])
 def test_scored_instants_name_the_bad_line(tmp_path, name, bad):
@@ -154,3 +181,24 @@ def test_cli_fails_on_a_bad_row_with_its_file_and_line(tmp_path, capsys, name,
         FORMATS[other][0](files[other])
     assert main([arg.format(**files) for arg in argv]) == 2
     assert capsys.readouterr().err.startswith(f"error: {files['bad']}:3: ")
+
+
+def test_evaluate_fails_on_an_unknown_label(tmp_path, capsys):
+    """A classified row whose label is not one of LABELS is no detection."""
+    bad = _with_bad_third_line(tmp_path / "classified.csv", "classified",
+                               "i1r0n0,2023-01-01T00:00:00Z,mystery,")
+    write_truth(TRUTH, tmp_path / "truth.csv")
+    assert main(["evaluate", "--detected", str(bad),
+                 "--truth", str(tmp_path / "truth.csv")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}:3: ")
+
+
+def test_cli_names_the_line_that_is_not_utf8(tmp_path, capsys):
+    jobs = _with_bad_third_line(tmp_path / "jobs.csv", "jobs",
+                                     b"j3,i1r0n0,caf\xe9")
+    write_outages(OUTAGES, tmp_path / "outages.tsv")
+    assert main(["classify", "--outages", str(tmp_path / "outages.tsv"),
+                 "--jobs-file", str(jobs),
+                 "--output", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {jobs}:3: 'utf-8' codec can't decode byte 0xe9")

@@ -10,11 +10,13 @@ import oracles
 import pytest
 
 import logvicinity
+from logvicinity import synth
 from logvicinity.datasources import load_job_report, load_maintenance, load_outage_db
 from logvicinity.model import load_topology, parse_syslog_table, to_epoch, topen
 from logvicinity.synth import (CAUSES, CHATTER, CRON, FOOTPRINT_LINES, GASP,
                                GeneratorSpec, HEARTBEAT, POISSON_PER_WINDOW,
-                               SHUTDOWN_LINES, WINDOW, _uniforms,
+                               SHUTDOWN_LINES, WINDOW, _poisson,
+                               _poisson_key, _time_order, _uniforms,
                                desk_topology, generate, load_truth,
                                scale_topology, taurus_topology,
                                write_corpus_files)
@@ -278,6 +280,85 @@ def test_block_draws_equal_random(seed):
         assert _uniforms(rng, n).tolist() == [again.random() for _ in range(n)]
         assert rng.getstate() == again.getstate()
     assert rng.random() == again.random()
+
+
+@pytest.mark.parametrize("seed", ["7:i1r0n0", "3:i3r0n11", "11:x"])
+@pytest.mark.parametrize("days", [0.0, 0.01, 0.5, 7.0])
+def test_poisson_draws_equal_the_stdlib_calls(seed, days):
+    """_poisson gives the messages and times of rng.expovariate,
+    rng.randrange(3) and rng.randint, and leaves rng where they do.
+
+    A Python whose expovariate or randrange draws differ fails here instead
+    of generating other corpora.
+    """
+    start = to_epoch(2023, 3, 6, 0, 0, 0)
+    end = start + int(days * 86400)
+    rng, again = random.Random(seed), random.Random(seed)
+    times, codes = _poisson(rng, start, end)
+    want_times, want_keys = [], []
+    t = start
+    while True:
+        t += again.expovariate(1.0 / (WINDOW / POISSON_PER_WINDOW))
+        if t >= end:
+            break
+        want_times.append(t)
+        want_keys.append(oracles.reference_poisson_message(again))
+    assert times.tolist() == want_times
+    assert [_poisson_key(code) for code in codes.tolist()] == want_keys
+    assert rng.getstate() == again.getstate()
+
+
+def _lexsorted(ts, counts, rank):
+    """_time_order's result by the stable np.lexsort."""
+    node = np.repeat(np.arange(len(counts), dtype=np.int32), counts)
+    order = np.lexsort((rank, node, ts))
+    return ts[order], node[order], order
+
+
+def test_packed_key_sorts_as_the_stable_lexsort():
+    rng = random.Random(5)
+    counts = np.array([rng.randrange(40) for _ in range(9)] + [0, 1])
+    rows = int(counts.sum())
+    # six seconds and three ranks: most rows tie with another
+    ts = np.array([1_678_060_800 + rng.randrange(6) for _ in range(rows)])
+    rank = np.array([rng.randrange(3) for _ in range(rows)], np.int32)
+    want = _lexsorted(ts, counts, rank)
+    got = _time_order(ts.copy(), counts, rank)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+
+
+def test_packed_key_sorts_tied_storm_and_cron_rows(monkeypatch):
+    """In "many storms" storm and lattice cron lines share seconds."""
+    seen = []
+
+    def spy(ts, counts, rank):
+        seen.append((_lexsorted(ts, counts, rank), rank))
+        got = _time_order(ts, counts, rank)
+        seen.append(got)
+        return got
+
+    monkeypatch.setattr(synth, "_time_order", spy)
+    generate(GeneratorSpec(**REFERENCE_SPECS["many storms"]))
+    ((ts, node, row), rank), got = seen
+    # rows equal in time, node and tag: only their order within the node
+    # tells them apart
+    tied = (np.diff(ts) == 0) & (np.diff(node) == 0) & (np.diff(rank[row]) == 0)
+    assert tied.any()
+    for g, w in zip(got, (ts, node, row)):
+        np.testing.assert_array_equal(g, w)
+
+
+def test_packed_key_fails_past_63_bits():
+    # a 62-bit span and two nodes fill the 63 bits: the rows still sort
+    ts, node, row = _time_order(np.array([2**61, 0]), np.array([1, 1]),
+                                np.zeros(2, np.int32))
+    assert ts.tolist() == [0, 2**61]
+    assert node.tolist() == [1, 0] and row.tolist() == [1, 0]
+    # a third node needs a 64th bit
+    with pytest.raises(ValueError, match="64 bits .* past the limit of 63"):
+        _time_order(np.array([2**61, 0, 5]), np.array([1, 1, 1]),
+                    np.zeros(3, np.int32))
 
 
 def test_generate_does_not_import_numpy_random():
