@@ -20,8 +20,7 @@ _EXPORTS = {
                     "parse_scope"),
     "detect": ("DetectionResult", "SGIndex", "SweepResult", "ThresholdReport",
                "filter_frequent_anonymized", "filter_frequent_raw",
-               "kmeans_1d_2", "observation_moments", "run_detection",
-               "split_groups"),
+               "observation_moments", "run_detection", "split_groups"),
     "evaluate": ("EvaluationReport", "MatchResult", "match_detections",
                  "render_reports", "score"),
     "model": ("EventTable", "LogEntry", "Topology", "load_topology",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 
 import numpy as np
 
@@ -23,9 +23,17 @@ VERDICT_NAMES = np.array(VERDICTS, dtype=object)  # verdict code -> name
 
 
 class SGIndex:
-    """Per-node sorted timestamp index answering half-open window counts."""
+    """Per-node sorted timestamp index answering half-open window counts.
+
+    `matrix` keeps an edge table: row i holds the i-th indexed node's number
+    of entries before each kept edge, as int32, and a last row of zeros
+    stands for every node without entries. The index never changes after
+    it is built, so the table cannot go stale.
+    """
 
     def __init__(self, table: EventTable):
+        if len(table) >= 1 << 31:  # the edge table counts rows in int32
+            raise ValueError("an SGIndex holds fewer than 2**31 rows")
         # one int64 key per row, the node id above the seconds since the
         # earliest row: sorting the keys in place groups rows by node with
         # ascending times, and masking the node off leaves those times
@@ -43,6 +51,9 @@ class SGIndex:
         bounds = [0, *np.cumsum(counts).tolist()]
         self.times = {node: key[a:b] for node, a, b in
                       zip(table.nodes, bounds, bounds[1:]) if a < b}
+        self._row = {node: i for i, node in enumerate(self.times)}
+        self._edges = np.zeros(0, dtype=np.int64)
+        self._before = np.zeros((len(self.times) + 1, 0), dtype=np.int32)
 
     def count(self, node, at: int, window: int = DEFAULT_WINDOW) -> int:
         ts = self.times.get(node)
@@ -61,95 +72,109 @@ class SGIndex:
 
     def matrix(self, nodes, moments, window: int = DEFAULT_WINDOW):
         """SG matrix: row r holds the counts of nodes[r] at every moment."""
-        at = np.asarray(moments, dtype=np.int64)
-        out = np.zeros((len(nodes), len(at)), dtype=np.int64)
-        for row, node in enumerate(nodes):
-            ts = self.times.get(node)
-            if ts is not None:
-                out[row] = ts.searchsorted(at) - ts.searchsorted(at - window)
-        return out
+        hi = np.asarray(moments, dtype=np.int64)
+        lo = hi - window
+        if not (_found(self._edges, lo) and _found(self._edges, hi)):
+            self._keep_edges(_distinct(np.concatenate([lo, hi])))
+        # [at - window, at): the entries before at, less those before
+        # at - window; the columns are taken first, so no copy of the
+        # whole table is made
+        rows = [self._row.get(node, -1) for node in nodes]
+        return np.subtract(
+            np.take(np.take(self._before, self._edges.searchsorted(hi),
+                            axis=1), rows, axis=0),
+            np.take(np.take(self._before, self._edges.searchsorted(lo),
+                            axis=1), rows, axis=0), dtype=np.int64)
+
+    def _keep_edges(self, edges):
+        """Keep the union of the kept and the new edges, or the new edges
+        alone where the union would more than double them; only columns
+        of edges not kept before are counted."""
+        kept, counted = self._edges, self._before
+        union = _distinct(np.concatenate([kept, edges]))
+        if len(union) > 2 * len(edges):
+            union, kept, counted = edges, kept[:0], counted[:, :0]
+        before = np.zeros((len(self.times) + 1, len(union)), dtype=np.int32)
+        new = np.ones(len(union), dtype=bool)
+        old = union.searchsorted(kept)
+        before[:, old], new[old] = counted, False
+        new = np.flatnonzero(new)
+        for row, ts in zip(before, self.times.values()):
+            row[new] = ts.searchsorted(union[new])
+        self._edges, self._before = union, before
 
 
-def kmeans_1d_2(values):
-    """Optimal 1-D 2-means: the best split of the sorted values.
+def _distinct(values):
+    """The sorted distinct values of an int64 array."""
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
-    Returns (assign, (c_lo, c_hi), wcss) where assign[i] is 0 for the lower
-    cluster. All-equal input degenerates to a single lower cluster with
-    wcss 0. The optimum over sorted splits is the global 2-means optimum in
-    one dimension, and it is deterministic. This scalar form is the
-    reference for split_groups, which the detector runs.
-    """
-    n = len(values)
-    if n < 1:
-        raise ValueError("kmeans_1d_2 needs at least one value")
-    order = sorted(range(n), key=lambda i: values[i])
-    xs = [float(values[i]) for i in order]
-    if xs[0] == xs[-1]:
-        return [0] * n, (xs[0], xs[0]), 0.0
 
-    prefix = [0.0]
-    prefix_sq = [0.0]
-    for x in xs:
-        prefix.append(prefix[-1] + x)
-        prefix_sq.append(prefix_sq[-1] + x * x)
-
-    def sse(i, j):  # over xs[i:j]
-        if j <= i:
-            return 0.0
-        s = prefix[j] - prefix[i]
-        s2 = prefix_sq[j] - prefix_sq[i]
-        return max(s2 - s * s / (j - i), 0.0)
-
-    best_k, best_wcss = 1, math.inf
-    for k in range(1, n):
-        w = sse(0, k) + sse(k, n)
-        if w < best_wcss - 1e-12:
-            best_k, best_wcss = k, w
-    c_lo = (prefix[best_k] - prefix[0]) / best_k
-    c_hi = (prefix[n] - prefix[best_k]) / (n - best_k)
-    assign = [0] * n
-    for pos in range(best_k, n):
-        assign[order[pos]] = 1
-    return assign, (c_lo, c_hi), best_wcss
+def _found(edges, values):
+    """Whether every value is among the sorted edges."""
+    col = edges.searchsorted(values)
+    return bool((col < len(edges)).all() and (edges[col] == values).all())
 
 
 def split_groups(sg, alpha: float = DEFAULT_ALPHA,
                  tau_min: float = DEFAULT_TAU_MIN):
     """Split every row of an SG matrix (cells x n, n >= 2) into two clusters.
 
-    Row by row this is kmeans_1d_2 followed by the threshold rule, with the
-    same floating-point operations in the same order, so each cell's
+    sg holds non-negative integer counts. Each row gets the optimal 1-D
+    2-means split of its sorted values, the first split whose cost is more
+    than 1e-12 below the best before it, followed by the threshold rule.
+    The cost and centres take the same floating-point operations in the
+    same order as tests/oracles.py's scalar kmeans_1d_2, so each cell's
     numbers equal the scalar ones exactly. Returns per-cell arrays
     (c_minor, c_major, wcss, tau) and per-node arrays (minority mask,
     verdict codes into VERDICTS), all in the row's own node order.
     """
+    sg = np.asarray(sg)
+    if sg.dtype.kind not in "iu" or (sg.size and sg.min() < 0):
+        raise ValueError("split_groups needs non-negative integer counts")
     cells, n = sg.shape
-    order = np.argsort(sg, axis=1, kind="stable")
-    xs = np.take_along_axis(sg, order, axis=1).astype(np.float64)
-    zero = np.zeros((cells, 1))
-    prefix = np.hstack([zero, np.cumsum(xs, axis=1)])
-    prefix_sq = np.hstack([zero, np.cumsum(xs * xs, axis=1)])
+    if n < 2:
+        raise ValueError("split_groups needs rows of at least two counts")
+    bits = (n - 1).bit_length()
+    if sg.size and int(sg.max()) >= 1 << (63 - bits):
+        raise ValueError("counts too large to sort in one int64 key")
+    # one key per count, the count above its column: the keys are distinct,
+    # so a plain sort orders each row as a stable argsort of the counts would
+    key = sg.astype(np.int64)
+    key <<= bits
+    key |= np.arange(n)
+    ordered = np.sort(key, axis=1)
+    # from here on split positions run down the rows and cells along them,
+    # so every step runs over contiguous cells
+    xs = (ordered.T >> bits).astype(np.float64, order="C")
+    flat = xs[0] == xs[-1]  # all equal: one lower cluster, no minority
+    prefix, prefix_sq = np.zeros((2, n + 1, cells))
+    for i in range(n):
+        np.add(prefix[i], xs[i], out=prefix[i + 1])
+    xs *= xs
+    for i in range(n):
+        np.add(prefix_sq[i], xs[i], out=prefix_sq[i + 1])
 
-    # sse(0, k) + sse(k, n) for every split k = 1..n-1, as in kmeans_1d_2
-    k = np.arange(1, n)
-    s = prefix[:, 1:n] - prefix[:, :1]
-    s2 = prefix_sq[:, 1:n] - prefix_sq[:, :1]
-    w = np.maximum(s2 - s * s / k, 0.0)
-    s = prefix[:, n:] - prefix[:, 1:n]
-    s2 = prefix_sq[:, n:] - prefix_sq[:, 1:n]
-    w = w + np.maximum(s2 - s * s / (n - k), 0.0)
-    best = np.full(cells, math.inf)
-    best_k = np.ones(cells, dtype=np.int64)
-    for j in range(n - 1):
-        better = w[:, j] < best - 1e-12
-        best[better] = w[better, j]
-        best_k[better] = j + 1
+    # sse(0, k) + sse(k, n) for every split k = 1..n-1, each as
+    # max(s2 - s * s / size, 0); the prefixes start at an exact zero
+    k = np.arange(1, n)[:, None]
+    w = _sse(prefix[1:n], prefix_sq[1:n], k)
+    w += _sse(prefix[n:] - prefix[1:n], prefix_sq[n:] - prefix_sq[1:n], n - k)
+    # the first split more than 1e-12 below the best before it is the
+    # first minimum, unless a cost v > min has v - 1e-12 <= min: only those
+    # cells take the split-by-split scan
+    best, best_k = w.min(axis=0), w.argmin(axis=0) + 1
+    near = w - 1e-12
+    near = (near <= best) & (w != best)
+    for c in np.flatnonzero(near.any(axis=0)).tolist():
+        best[c], best_k[c] = _first_best(w[:, c].tolist())
 
-    # all-equal rows: one lower cluster, wcss 0, no minority
-    flat = xs[:, 0] == xs[:, -1]
-    at_k = np.take_along_axis(prefix, best_k[:, None], axis=1)[:, 0]
-    c_lo = (at_k - prefix[:, 0]) / best_k
-    c_hi = np.where(flat, c_lo, (prefix[:, n] - at_k) / (n - best_k))
+    cell = np.arange(cells)
+    at_k = np.take(prefix, best_k * cells + cell)
+    c_lo = at_k / best_k
+    c_hi = np.where(flat, c_lo, (prefix[n] - at_k) / (n - best_k))
     wcss = np.where(flat, 0.0, best)
     n_hi = np.where(flat, 0, n - best_k)
     n_lo = n - n_hi
@@ -158,15 +183,34 @@ def split_groups(sg, alpha: float = DEFAULT_ALPHA,
     c_minor = np.where(lower_minor, c_lo, c_hi)
     c_major = np.where(lower_minor, c_hi, c_lo)
 
-    upper = np.arange(n) >= best_k[:, None]  # in sorted order
-    sorted_minority = (upper != lower_minor[:, None]) & ~flat[:, None]
-    minority = np.empty_like(sorted_minority)
-    np.put_along_axis(minority, order, sorted_minority, axis=1)
+    # a column ranks at best_k or above exactly when its key is at least
+    # the key sorted to position best_k
+    split_key = np.take(ordered, cell * n + best_k)
+    minority = (key >= split_key[:, None]) != lower_minor[:, None]
+    minority &= ~flat[:, None]
     # a zero SG is non_responsive, a minority member farther than tau from
     # the majority centre abnormal
     far = minority & (np.abs(sg - c_major[:, None]) > tau[:, None])
     return (c_minor, c_major, wcss, tau, minority,
             np.where(sg == 0, 2, far.astype(np.int64)))
+
+
+def _first_best(costs):
+    """The scan: the first split whose cost is more than 1e-12 below the
+    best so far, as (cost, split)."""
+    best, best_k = math.inf, 1
+    for k, cost in enumerate(costs, 1):
+        if cost < best - 1e-12:
+            best, best_k = cost, k
+    return best, best_k
+
+
+def _sse(s, s2, size):
+    """max(s2 - s * s / size, 0) in place of a fresh s * s."""
+    w = s * s
+    w /= size
+    np.subtract(s2, w, out=w)
+    return np.maximum(w, 0.0, out=w)
 
 
 @dataclass(frozen=True)
@@ -256,6 +300,10 @@ class CellViews(Sequence):
 def observation_moments(start: int, end: int,
                         cadence: int = DEFAULT_CADENCE,
                         window: int = DEFAULT_WINDOW) -> list:
+    if cadence <= 0:
+        raise ValueError("cadence must be positive")
+    if window <= 0:
+        raise ValueError("window must be positive")
     return list(range(start + window, end + 1, cadence))
 
 
@@ -270,10 +318,11 @@ def sweep_schedule(index: SGIndex, schedule,
     size are split in one batch. A recurring group keeps one groups entry;
     an undersized name goes to skipped_groups once, first seen first.
     """
-    skipped, seen, moments = [], set(), set()
+    if window <= 0:
+        raise ValueError("window must be positive")
+    skipped, seen = [], set()
     groups: dict = {}  # (name, frozenset of nodes) -> its index
-    # per schedule entry; an empty first piece keeps np.concatenate valid
-    cell_at, cell_group = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    entry_ats, entry_groups = [], []  # per schedule entry
     for named, ats in schedule:
         usable = []
         for name, group in named:
@@ -283,43 +332,50 @@ def sweep_schedule(index: SGIndex, schedule,
             elif name not in seen:
                 seen.add(name)
                 skipped.append((name, len(group)))
-        moments.update(ats)
-        ats = np.asarray(ats, dtype=np.int64)
-        cell_at.append(np.repeat(ats, len(usable)))
-        cell_group.append(np.tile(np.asarray(usable, dtype=np.int64),
-                                  len(ats)))
-    moments = sorted(moments)
+        entry_ats.append(ats)
+        entry_groups.append(usable)
     groups = [(name, tuple(sorted(group))) for name, group in groups]
     nodes = sorted({node for _, members in groups for node in members})
     node_id = {node: i for i, node in enumerate(nodes)}
-    at, group = np.concatenate(cell_at), np.concatenate(cell_group)
+
+    # cell c is the moment's usable group c - start[moment] of its entry:
+    # each moment repeats as often as its entry has usable groups
+    ats = np.fromiter(chain.from_iterable(entry_ats), np.int64)
+    used = np.fromiter(chain.from_iterable(entry_groups), np.int64)
+    per_entry = np.array([len(u) for u in entry_groups], dtype=np.int64)
+    per_moment = np.repeat(per_entry, [len(a) for a in entry_ats])
+    first = np.cumsum(per_entry) - per_entry  # the entry's first in used
+    base = np.repeat(first, [len(a) for a in entry_ats])
+    base -= np.cumsum(per_moment) - per_moment  # less the moment's first cell
+    at = np.repeat(ats, per_moment)
+    group = used[np.repeat(base, per_moment) + np.arange(len(at))]
+    moments = _distinct(ats)
     sizes = np.array([len(members) for _, members in groups], dtype=np.int64)
     cell_size = sizes[group]
     offset = np.zeros(len(at) + 1, dtype=np.int64)
     np.cumsum(cell_size, out=offset[1:])
-    c_minor, c_major, wcss, tau = (np.zeros(len(at)) for _ in range(4))
     rows = int(offset[-1])
-    node, sg = np.zeros(rows, np.int64), np.zeros(rows, np.int64)
-    code, minority = np.zeros(rows, np.int8), np.zeros(rows, bool)
-
+    # row r is member r - offset[c] of its cell c's group
+    members = np.fromiter((node_id[x] for _, group_nodes in groups
+                           for x in group_nodes), np.int64)
+    first_member = np.cumsum(sizes) - sizes
+    node = members[np.repeat(first_member[group] - offset[:-1], cell_size)
+                   + np.arange(rows)]
     matrix = index.matrix(nodes, moments, window)
-    column = np.searchsorted(np.asarray(moments, dtype=np.int64), at)
-    slot = np.zeros(len(groups), dtype=np.int64)  # group -> row of its table
+    sg = np.take(matrix, node * len(moments)
+                 + np.repeat(moments.searchsorted(at), cell_size))
+    c_minor, c_major, wcss, tau = (np.zeros(len(at)) for _ in range(4))
+    code, minority = np.zeros(rows, np.int8), np.zeros(rows, bool)
     # the sizes in order; np.unique(cell_size) would import numpy.ma
     for n in np.flatnonzero(np.bincount(cell_size)).tolist():
-        sized = np.flatnonzero(sizes == n)
-        slot[sized] = np.arange(len(sized))
-        table = np.array([[node_id[x] for x in groups[g][1]]
-                          for g in sized.tolist()], dtype=np.int64)
         picked = np.flatnonzero(cell_size == n)  # the cells of size n
-        ids = table[slot[group[picked]]]
-        counts = matrix[ids, column[picked][:, None]]
-        (c_minor[picked], c_major[picked], wcss[picked], tau[picked],
-         mask, codes) = split_groups(counts, alpha, tau_min)
         row = offset[picked][:, None] + np.arange(n)
-        node[row], sg[row], code[row], minority[row] = ids, counts, codes, mask
+        (c_minor[picked], c_major[picked], wcss[picked], tau[picked],
+         mask, codes) = split_groups(np.take(sg, row), alpha, tau_min)
+        code[row], minority[row] = codes, mask
     return SweepResult(at, group, c_minor, c_major, wcss, tau, offset, node,
-                       sg, code, minority, groups, nodes, skipped, moments)
+                       sg, code, minority, groups, nodes, skipped,
+                       moments.tolist())
 
 
 def run_detection(index: SGIndex, assignment, obs_range,
@@ -328,8 +384,6 @@ def run_detection(index: SGIndex, assignment, obs_range,
                   alpha: float = DEFAULT_ALPHA,
                   tau_min: float = DEFAULT_TAU_MIN) -> SweepResult:
     """Sweep one fixed assignment over every observation moment of the range."""
-    if cadence <= 0:
-        raise ValueError("cadence must be positive")
     moments = observation_moments(obs_range.start, obs_range.end, cadence, window)
     return sweep_schedule(index, [(zip(assignment.group_names,
                                        assignment.groups), moments)],

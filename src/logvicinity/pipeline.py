@@ -188,12 +188,16 @@ def sweep_perspective(index: SGIndex, perspective: str, topology, obs_range,
         at = np.array(moments, dtype=np.int64)[:, None]
         active = ((np.array([j.start for j in jobs], dtype=np.int64) <= at)
                   & (at < np.array([j.end for j in jobs], dtype=np.int64)))
-        cuts = [0, *(np.flatnonzero((active[1:] != active[:-1]).any(axis=1))
-                     + 1).tolist(), len(moments)]
+        change = np.flatnonzero((active[1:] != active[:-1]).any(axis=1)) + 1
+        starts = [0, *change.tolist()] if moments else []
         # each grouping gets its segment's active jobs, in job order
-        schedule = [(allocation_groups([jobs[j] for j in np.flatnonzero(
-                        active[a]).tolist()]), moments[a:b])
-                    for a, b in zip(cuts, cuts[1:]) if a < b]
+        segment, job = np.nonzero(active[starts])
+        ends = np.cumsum(np.bincount(segment, minlength=len(starts))).tolist()
+        job = job.tolist()
+        schedule = [(allocation_groups([jobs[j] for j in job[a:b]]),
+                     moments[start:end])
+                    for a, b, start, end in zip([0, *ends], ends, starts,
+                                                [*starts[1:], len(moments)])]
     elif perspective == "time_of_failure":
         if failures is None:
             raise ValueError("time_of_failure perspective needs failure events")

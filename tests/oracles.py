@@ -46,6 +46,64 @@ def naive_two_means(values):
     return best
 
 
+def kmeans_1d_2(values):
+    """Optimal 1-D 2-means: the best split of the sorted values.
+
+    Returns (assign, (c_lo, c_hi), wcss) where assign[i] is 0 for the lower
+    cluster. All-equal input degenerates to a single lower cluster with
+    wcss 0. The optimum over sorted splits is the global 2-means optimum in
+    one dimension, and it is deterministic. This scalar form is the
+    reference for detect.split_groups, which repeats its floating-point
+    operations in the same order.
+    """
+    n = len(values)
+    if n < 1:
+        raise ValueError("kmeans_1d_2 needs at least one value")
+    order = sorted(range(n), key=lambda i: values[i])
+    xs = [float(values[i]) for i in order]
+    if xs[0] == xs[-1]:
+        return [0] * n, (xs[0], xs[0]), 0.0
+
+    prefix = [0.0]
+    prefix_sq = [0.0]
+    for x in xs:
+        prefix.append(prefix[-1] + x)
+        prefix_sq.append(prefix_sq[-1] + x * x)
+
+    def sse(i, j):  # over xs[i:j]
+        if j <= i:
+            return 0.0
+        s = prefix[j] - prefix[i]
+        s2 = prefix_sq[j] - prefix_sq[i]
+        return max(s2 - s * s / (j - i), 0.0)
+
+    best_k, best_wcss = 1, math.inf
+    for k in range(1, n):
+        w = sse(0, k) + sse(k, n)
+        if w < best_wcss - 1e-12:
+            best_k, best_wcss = k, w
+    c_lo = (prefix[best_k] - prefix[0]) / best_k
+    c_hi = (prefix[n] - prefix[best_k]) / (n - best_k)
+    assign = [0] * n
+    for pos in range(best_k, n):
+        assign[order[pos]] = 1
+    return assign, (c_lo, c_hi), best_wcss
+
+
+def scalar_threshold(values, alpha, tau_min):
+    """kmeans_1d_2 and the threshold rule for one group's SGs: returns
+    (c_minor, c_major, wcss, tau, minority positions). The smaller cluster
+    is the minority, the lower one on a tie; all-equal values have none."""
+    assign, (c_lo, c_hi), wcss = kmeans_1d_2(values)
+    n, n_hi = len(values), sum(assign)
+    tau = max(tau_min, alpha * math.sqrt(wcss / n))
+    if n_hi == 0:
+        return c_lo, c_hi, wcss, tau, set()
+    if n - n_hi < n_hi or (n - n_hi == n_hi and c_lo <= c_hi):
+        return c_lo, c_hi, wcss, tau, {i for i in range(n) if not assign[i]}
+    return c_hi, c_lo, wcss, tau, {i for i in range(n) if assign[i]}
+
+
 def naive_verdicts(sgs, alpha, tau_min):
     """Verdict per SG of one group, from naive_two_means and the paper's rule.
 

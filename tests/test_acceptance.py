@@ -12,8 +12,7 @@ from bisect import bisect_left, bisect_right
 from importlib.resources import files as resource_files
 
 from logvicinity.anonymize import fnv1a_32
-from logvicinity.detect import (DEFAULT_WINDOW, SGIndex, kmeans_1d_2,
-                                run_detection)
+from logvicinity.detect import DEFAULT_WINDOW, SGIndex, run_detection
 from logvicinity.evaluate import match_detections, score
 from logvicinity.model import LogEntry, NodeId, Topology, load_topology
 from logvicinity.pipeline import detect_and_classify, run_variant, run_variants
@@ -21,7 +20,8 @@ from logvicinity.synth import taurus_topology
 from logvicinity.vicinity import (combined_vicinity, hardware_vicinity,
                                   location_vicinity)
 
-from oracles import bipartite_max_matching, brute_window_count, naive_two_means
+from oracles import (bipartite_max_matching, brute_window_count, kmeans_1d_2,
+                     naive_two_means)
 from tables import table_of
 
 

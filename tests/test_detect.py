@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 import oracles
+from logvicinity import detect
 from logvicinity.anonymize import SubstitutionRuleSet
 from logvicinity.detect import (MIN_GROUP_SIZE, VERDICTS, SGIndex,
                                 filter_frequent_anonymized,
-                                filter_frequent_raw, kmeans_1d_2,
-                                observation_moments, run_detection,
-                                split_groups)
+                                filter_frequent_raw, observation_moments,
+                                run_detection, split_groups, sweep_schedule)
 from logvicinity.model import LogEntry, NodeId, ObservationRange, _percentile
 from logvicinity.vicinity import VicinityAssignment
 from tables import Keyed, rows_of, table_of
@@ -51,6 +51,59 @@ def test_sg_counts_match_brute_force():
             entries, node, at, window)
 
 
+def test_sg_matrix_equals_the_counts_over_a_sequence_of_calls():
+    rng = random.Random(17)
+    spec = {n: sorted(rng.randrange(0, 80000) for _ in range(rng.randrange(1, 150)))
+            for n in N[:6]}
+    idx = SGIndex(table_of(_entries(spec)))
+    absent = NodeId(9, 9, 9)
+    moments = list(range(10000, 50000, 600))
+    shuffled = rng.sample(moments, len(moments))
+    calls = [  # (nodes, moments, window), cadence 600
+        (N[:6], moments, 900),  # the first table
+        (N[:6], moments, 1800),  # a multiple of the cadence: a union
+        ([N[5], absent, N[2]], moments, 1000),  # a subset, an absent node
+        (N[:6], shuffled, 900),  # unsorted moments: a hit
+        (N[:6], [10000, 30250, 49600], 900),  # new edges between kept ones
+        (N[:6], list(range(19600, 55600, 600)), 900),  # partly kept
+        (N[:6], list(range(500000, 520000, 600)), 3600),  # disjoint
+        (N[:6], moments, 900),  # the first range again
+    ]
+    seen = []
+    for nodes, at, window in calls:
+        kept = idx._edges
+        sg = idx.matrix(nodes, at, window)
+        assert sg.dtype == np.int64
+        assert sg.tolist() == [[idx.count(n, t, window) for t in at]
+                               for n in nodes]
+        # a miss keeps the union of the kept and the new edges unless that
+        # more than doubles the new ones, which then replace the table
+        edges, union = set(at) | {t - window for t in at}, set(kept.tolist())
+        union |= edges
+        if len(union) == len(kept):
+            seen.append("hit")
+            assert idx._edges is kept
+        elif len(union) <= 2 * len(edges):
+            seen.append("union")
+            assert idx._edges.tolist() == sorted(union)
+        else:
+            seen.append("replaced")
+            assert idx._edges.tolist() == sorted(edges)
+    assert seen == ["union", "union", "union", "hit", "replaced", "union",
+                    "replaced", "union"]
+    assert len(idx.matrix([], moments, 900)) == 0
+    assert idx.matrix(N[:2], [], 900).shape == (2, 0)
+
+
+def test_sg_index_refuses_more_rows_than_its_edge_table_counts():
+    class Huge:  # only the length is read before the check
+        def __len__(self):
+            return 1 << 31
+
+    with pytest.raises(ValueError, match=r"fewer than 2\*\*31 rows"):
+        SGIndex(Huge())
+
+
 def test_last_entry_before():
     idx = SGIndex(table_of(_entries({N[0]: [100, 200, 300]})))
     assert idx.last_entry_before(N[0], 250) == 200
@@ -64,7 +117,7 @@ def test_kmeans_matches_exhaustive_split():
     for _ in range(300):
         n = rng.randrange(1, 12)
         values = [rng.randrange(0, 200) for _ in range(n)]
-        assign, centers, wcss = kmeans_1d_2(values)
+        assign, centers, wcss = oracles.kmeans_1d_2(values)
         want_wcss, want_centers, lo_idx = oracles.naive_two_means(values)
         assert math.isclose(wcss, want_wcss, rel_tol=1e-9, abs_tol=1e-9)
         if len(set(values)) > 1:
@@ -73,7 +126,7 @@ def test_kmeans_matches_exhaustive_split():
 
 
 def test_kmeans_separates_outlier():
-    assign, (c_lo, c_hi), wcss = kmeans_1d_2([50, 52, 49, 51, 200])
+    assign, (c_lo, c_hi), wcss = oracles.kmeans_1d_2([50, 52, 49, 51, 200])
     assert assign == [0, 0, 0, 0, 1]
     assert c_lo == pytest.approx(50.5)
     assert c_hi == 200.0
@@ -81,19 +134,19 @@ def test_kmeans_separates_outlier():
 
 
 def test_kmeans_balanced_pairs():
-    assign, centers, wcss = kmeans_1d_2([0, 1, 9, 10])
+    assign, centers, wcss = oracles.kmeans_1d_2([0, 1, 9, 10])
     assert assign == [0, 0, 1, 1]
     assert centers == pytest.approx((0.5, 9.5))
     assert wcss == pytest.approx(1.0)
 
 
 def test_kmeans_degenerate_and_tiny():
-    assign, centers, wcss = kmeans_1d_2([7, 7, 7])
+    assign, centers, wcss = oracles.kmeans_1d_2([7, 7, 7])
     assert assign == [0, 0, 0] and wcss == 0.0 and centers == (7.0, 7.0)
-    assign, centers, wcss = kmeans_1d_2([4])
+    assign, centers, wcss = oracles.kmeans_1d_2([4])
     assert assign == [0] and wcss == 0.0
     with pytest.raises(ValueError):
-        kmeans_1d_2([])
+        oracles.kmeans_1d_2([])
 
 
 def _sg_matrix(rng, n, rows=40):
@@ -114,37 +167,79 @@ def _sg_matrix(rng, n, rows=40):
     return np.array(out, dtype=np.int64)
 
 
+def _assert_split_matches_scalar(sg, alpha=5.0, tau_min=5.0):
+    """Every row of split_groups(sg) equals kmeans_1d_2 plus the threshold
+    rule exactly, and the naive references within rounding."""
+    n = sg.shape[1]
+    c_minor, c_major, wcss, tau, minority, codes = split_groups(
+        sg, alpha, tau_min)
+    for i, row in enumerate(sg.tolist()):
+        want = oracles.scalar_threshold(row, alpha, tau_min)
+        assign, (c_lo, c_hi), _ = oracles.kmeans_1d_2(row)
+        naive_wcss, naive_centers, lo_idx = oracles.naive_two_means(row)
+        assert (c_minor[i], c_major[i], wcss[i], tau[i]) == want[:4]
+        assert set(np.flatnonzero(minority[i]).tolist()) == want[4]
+        assert math.isclose(wcss[i], naive_wcss, rel_tol=1e-9, abs_tol=1e-9)
+        if want[4]:  # the naive split is the same, lower cluster first
+            assert {j for j in range(n) if not assign[j]} == lo_idx
+            assert (c_lo, c_hi) == pytest.approx(naive_centers)
+        else:  # all equal: no minority, both centres the value
+            assert want[0] == want[1] == row[0]
+        assert [VERDICTS[c] for c in codes[i]] == oracles.naive_verdicts(
+            row, alpha, tau_min)
+
+
 def test_split_groups_matches_scalar_and_naive_references():
     rng = random.Random(41)
-    alpha, tau_min = 5.0, 5.0
     for n in range(3, 31):
-        sg = _sg_matrix(rng, n)
-        c_minor, c_major, wcss, tau, minority, codes = split_groups(
-            sg, alpha, tau_min)
-        for i, row in enumerate(sg.tolist()):
-            assign, (c_lo, c_hi), want_wcss = kmeans_1d_2(row)
-            naive_wcss, naive_centers, lo_idx = oracles.naive_two_means(row)
-            assert wcss[i] == want_wcss
-            assert math.isclose(want_wcss, naive_wcss, rel_tol=1e-9,
-                                abs_tol=1e-9)
-            n_hi = sum(assign)
-            if n_hi == 0:  # all equal: no minority, both centres the value
-                want_minor, want = set(), (c_lo, c_hi)
-                assert c_lo == c_hi == row[0]
-            elif n - n_hi < n_hi or (n - n_hi == n_hi and c_lo <= c_hi):
-                want_minor, want = {j for j in range(n) if not assign[j]}, (
-                    c_lo, c_hi)
-            else:
-                want_minor, want = {j for j in range(n) if assign[j]}, (
-                    c_hi, c_lo)
-            if n_hi:
-                assert {j for j in range(n) if not assign[j]} == lo_idx
-                assert (c_lo, c_hi) == pytest.approx(naive_centers)
-            assert (c_minor[i], c_major[i]) == want
-            assert {j for j in range(n) if minority[i, j]} == want_minor
-            assert tau[i] == max(tau_min, alpha * math.sqrt(want_wcss / n))
-            assert [VERDICTS[c] for c in codes[i]] == oracles.naive_verdicts(
-                row, alpha, tau_min)
+        _assert_split_matches_scalar(_sg_matrix(rng, n))
+
+
+# Sorted rows whose two best splits cost the same in exact arithmetic but
+# differ by a few ulps in floating point, the lower cost at the later
+# split: the first minimum is not the scalar scan's split.
+NEAR_TIES = ([0, 1, 1, 2], [1, 2, 2, 3], [1, 1, 2, 3, 3], [2, 2, 4, 6, 6],
+             [3, 3, 4, 5, 5], [3, 3, 5, 7, 7])
+
+
+def test_split_groups_takes_the_scan_on_near_ties(monkeypatch):
+    for row in NEAR_TIES:  # the premise: the scan keeps an earlier split
+        assign, _, _ = oracles.kmeans_1d_2(row)
+        assert assign.count(0) < int(np.argmin(_costs(row))) + 1
+    scanned, scan = [], detect._first_best
+    monkeypatch.setattr(detect, "_first_best",
+                        lambda costs: scanned.append(costs) or scan(costs))
+    rng = random.Random(5)
+    for n in (4, 5):
+        rows = [row for row in NEAR_TIES if len(row) == n]
+        # each near tie in a few column orders, between ordinary rows
+        sg = np.array([rng.sample(row, n) for row in rows for _ in range(3)]
+                      + _sg_matrix(rng, n, rows=6).tolist())
+        _assert_split_matches_scalar(sg)
+    assert len(scanned) >= 3 * len(NEAR_TIES)
+
+
+def _costs(row):
+    """kmeans_1d_2's cost of every split of the sorted row."""
+    xs = sorted(float(x) for x in row)
+    prefix, prefix_sq = [0.0], [0.0]
+    for x in xs:
+        prefix.append(prefix[-1] + x)
+        prefix_sq.append(prefix_sq[-1] + x * x)
+
+    def sse(i, j):
+        s, s2 = prefix[j] - prefix[i], prefix_sq[j] - prefix_sq[i]
+        return max(s2 - s * s / (j - i), 0.0)
+
+    return [sse(0, k) + sse(k, len(xs)) for k in range(1, len(xs))]
+
+
+@pytest.mark.parametrize("sg", [[[3, -1, 4]], [[3.0, 1.0, 4.0]],
+                                [[True, False, True]], [[3], [4]],
+                                [[1 << 61, 0, 1]]])
+def test_split_groups_rejects_anything_but_counts(sg):
+    with pytest.raises(ValueError):
+        split_groups(np.array(sg))
 
 
 def _split(sgs, alpha=5.0, tau_min=5.0):
@@ -236,6 +331,21 @@ def test_run_detection_counts_and_skips():
     assert all(r.group == "big" for r in sweep.results)
     with pytest.raises(ValueError):
         run_detection(idx, asg, ObservationRange(0, 7200), cadence=0)
+
+
+@pytest.mark.parametrize("cadence, window, which", [
+    (0, 900, "cadence"), (-600, 900, "cadence"), (600, 0, "window"),
+    (600, -600, "window")])
+def test_window_and_cadence_must_be_positive(cadence, window, which):
+    idx = SGIndex(table_of(_entries({n: [10, 700] for n in N[:4]})))
+    asg = VicinityAssignment("combined", [frozenset(N[:4])], ["g"])
+    with pytest.raises(ValueError, match=f"^{which} must be positive$"):
+        observation_moments(0, 7200, cadence, window)
+    with pytest.raises(ValueError, match=f"^{which} must be positive$"):
+        run_detection(idx, asg, ObservationRange(0, 7200), cadence, window)
+    if which == "window":  # the path of every schedule, moments or none
+        with pytest.raises(ValueError, match="^window must be positive$"):
+            sweep_schedule(idx, [], window)
 
 
 def test_percentile_matches_naive_oracle():

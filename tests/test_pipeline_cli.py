@@ -679,3 +679,30 @@ def test_cli_exit_codes(tmp_path):
     assert exc.value.code == 1
     rc = main(["parse", "--corpus", str(tmp_path / "missing.log")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("vicinity, option, value", [
+    ("combined", "--window", "0"), ("combined", "--window", "-600"),
+    ("combined", "--cadence", "0"), ("allocation", "--window", "0"),
+    ("allocation", "--cadence", "0"), ("allocation", "--cadence", "-600"),
+])
+def test_cli_detect_anomalies_rejects_a_window_or_cadence_below_one(
+        cli_dir, capsys, vicinity, option, value):
+    rc = main(["detect-anomalies", "--corpus", str(cli_dir / "corpus.log"),
+               "--topology", str(cli_dir / "topology.tsv"), "--year", "2023",
+               "--vicinity", vicinity, "--jobs-file", str(cli_dir / "jobs.csv"),
+               option, value])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {option[2:]} must be positive\n"
+
+
+@pytest.mark.parametrize("option, value", [("--window", "0"),
+                                           ("--cadence", "-600")])
+def test_cli_pipeline_rejects_a_window_or_cadence_below_one(
+        cli_dir, tmp_path, capsys, option, value):
+    rc = main(["pipeline", "--corpus", str(cli_dir / "corpus.log"),
+               "--topology", str(cli_dir / "topology.tsv"), "--year", "2023",
+               "--variant", "raw", "--workdir", str(tmp_path / "run"),
+               option, value])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {option[2:]} must be positive\n"

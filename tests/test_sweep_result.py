@@ -1,6 +1,7 @@
 """The columnar sweep, its cell views, event extraction and the verdict
 writer, checked against the per-cell loops in oracles.py."""
 
+import dataclasses
 import random
 from types import SimpleNamespace
 
@@ -10,15 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logvicinity.detect import (SGIndex, observation_moments, split_groups,
+from logvicinity.detect import (SGIndex, observation_moments,
                                 write_verdicts)
-from logvicinity.model import LogEntry, NodeId, ObservationRange
+from logvicinity.model import EventTable, LogEntry, NodeId, ObservationRange
+from logvicinity.names import iso, parse_iso
 from logvicinity.pipeline import extract_events, sweep_perspective
 from logvicinity.vicinity import (combined_vicinity, hardware_vicinity,
                                   location_vicinity, time_of_failure_vicinity)
 from tables import table_of
 
 CADENCE = 600
+COLUMNS = ("at", "group", "c_minor", "c_major", "wcss", "tau", "offset",
+           "node", "sg", "code", "minority")  # a sweep's arrays
 N = [NodeId(1, 0, p) for p in range(6)]
 
 
@@ -62,33 +66,50 @@ def _schedule(perspective, corpus, obs_range, failures, window):
 @pytest.mark.parametrize("perspective", ["combined", "hardware", "location",
                                          "allocation", "time_of_failure"])
 def test_sweep_matches_the_per_cell_loops(perspective, corpus, tmp_path):
+    """Three windows swept on one index, each against the per-cell loops,
+    then again in the reverse order on a new index: the index's kept
+    window-edge counts are built, extended and read again."""
     obs_range = ObservationRange(corpus.range.start,
                                  corpus.range.start + 2 * 86400)
-    index = SGIndex(corpus.entries)
     failures = _chained_failures(corpus, obs_range)
-    window = 900
-    sweep = sweep_perspective(index, perspective, corpus.topology, obs_range,
-                              jobs=corpus.truth.jobs, failures=failures,
-                              window=window)
+    checked = {}
+    for windows in ((900, 1800, 3600), (3600, 1800, 900)):
+        index = SGIndex(corpus.entries)
+        for window in windows:
+            sweep = sweep_perspective(index, perspective, corpus.topology,
+                                      obs_range, jobs=corpus.truth.jobs,
+                                      failures=failures, window=window)
+            if window in checked:  # equal to the sweep checked cell by cell
+                for column in COLUMNS:
+                    assert np.array_equal(getattr(sweep, column),
+                                          getattr(checked[window], column))
+                continue
+            _assert_sweep_is_the_per_cell_loop(
+                sweep, index, window,
+                _schedule(perspective, corpus, obs_range, failures, window),
+                tmp_path)
+            checked[window] = sweep
 
+
+def _assert_sweep_is_the_per_cell_loop(sweep, index, window, schedule,
+                                       tmp_path):
     # every cell, in schedule order, equals its group's row split alone,
     # and its verdicts are the naive rule's
     cells = [(at, name, tuple(sorted(group)))
-             for at, asg in _schedule(perspective, corpus, obs_range,
-                                      failures, window)
+             for at, asg in schedule
              for name, group in zip(asg.group_names, asg.groups)
              if len(group) >= 3]
     assert len(sweep.results) == len(cells) > 0
     for res, (at, name, nodes) in zip(sweep.results, cells):
         sg = [index.count(n, at, window) for n in nodes]
-        c_minor, c_major, wcss, tau, minority, _ = split_groups(np.array([sg]))
+        c_minor, c_major, wcss, tau, minority = oracles.scalar_threshold(
+            sg, 5.0, 5.0)
         assert (res.at, res.group, res.nodes, res.sg) == (at, name, nodes, sg)
         assert res.verdict == oracles.naive_verdicts(sg, 5.0, 5.0)
         threshold = res.threshold
         assert (threshold.c_minor, threshold.c_major, threshold.wcss,
-                threshold.tau) == (c_minor[0], c_major[0], wcss[0], tau[0])
-        assert threshold.minority == {n for n, m in zip(nodes, minority[0])
-                                      if m}
+                threshold.tau) == (c_minor, c_major, wcss, tau)
+        assert threshold.minority == {nodes[i] for i in minority}
 
     flagged = sum(v != "normal" for r in sweep.results for v in r.verdict)
     assert int((sweep.code != 0).sum()) == flagged > 0
@@ -98,6 +119,50 @@ def test_sweep_matches_the_per_cell_loops(perspective, corpus, tmp_path):
     write_verdicts(sweep, path)
     assert path.read_text().splitlines(keepends=True) == \
         oracles.reference_verdict_lines(sweep)
+
+
+@pytest.mark.parametrize("perspective", ["combined", "hardware", "location",
+                                         "allocation", "time_of_failure"])
+def test_a_time_shift_shifts_every_moment_and_event(perspective, corpus):
+    """Shift every timestamp, job, failure and the range by k cadences,
+    inside one year: every moment and event shifts by as much, and every
+    verdict array stays as it is."""
+    obs_range = ObservationRange(corpus.range.start,
+                                 corpus.range.start + 2 * 86400)
+    failures = _chained_failures(corpus, obs_range)
+    table = corpus.entries
+    runs = {}
+    for k in (0, -11, 37):
+        d = k * CADENCE
+        index = SGIndex(EventTable(table.ts + d, table.node, table.msg,
+                                   table.nodes, table.messages, table.tags))
+        sweeps = [sweep_perspective(
+            index, perspective, corpus.topology,
+            ObservationRange(obs_range.start + d, obs_range.end + d),
+            jobs=[dataclasses.replace(j, start=j.start + d, end=j.end + d)
+                  for j in corpus.truth.jobs],
+            failures=[SimpleNamespace(node=f.node, outage_time=f.outage_time + d,
+                                      label=f.label) for f in failures],
+            window=window) for window in (900, 3600)]
+        runs[d] = [(sweep, _tuples(extract_events(sweep, index, CADENCE)))
+                   for sweep in sweeps]
+    for d, shifted in runs.items():
+        for (sweep, events), (base, base_events) in zip(shifted, runs[0]):
+            assert sweep.moments == [t + d for t in base.moments]
+            assert np.array_equal(sweep.at, base.at + d)
+            for column in COLUMNS[1:]:
+                assert np.array_equal(getattr(sweep, column),
+                                      getattr(base, column)), column
+            # a failure chain is named after its first outage
+            assert sweep.groups == [
+                ("tof:" + iso(parse_iso(name[4:]) + d)
+                 if name.startswith("tof:") else name, members)
+                for name, members in base.groups]
+            assert (sweep.nodes, sweep.skipped_groups) == (
+                base.nodes, base.skipped_groups)
+            assert events == [(n, t + d, a + d, b + d, s)
+                              for n, t, a, b, s in base_events]
+    assert any(len(events) for _, events in runs[0])
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
