@@ -23,9 +23,9 @@ _EXPORTS = {
                "observation_moments", "run_detection", "split_groups"),
     "evaluate": ("EvaluationReport", "MatchResult", "match_detections",
                  "render_reports", "score"),
-    "model": ("EventTable", "LogEntry", "Topology", "load_topology",
-              "parse_syslog_line", "parse_syslog_stream", "parse_syslog_table",
-              "save_topology", "write_syslog"),
+    "model": ("EventTable", "Topology", "load_topology",
+              "parse_syslog_stream", "parse_syslog_table", "save_topology",
+              "write_syslog"),
     "names": ("NodeId", "ObservationRange", "SyslogParseError",
               "UnknownNodeError", "VARIANTS", "parse_node_name"),
     "outages": ("BootEvent", "BootFootprintSpec", "OutageEvent",

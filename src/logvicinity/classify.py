@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .names import LABELS, iso, parse_iso, parse_node_name, read_records, topen
+from .names import (LABELS, check_nonnegative, iso, parse_iso,
+                    parse_node_name, read_records, topen)
 from .outages import OutageEvent
 
 DEFAULT_CORRELATION_WINDOW = 600  # seconds
@@ -72,6 +73,7 @@ def classify_outage(outage: OutageEvent, maint, jobs, odb,
 
 def classify_all(outages, maint, jobs, odb,
                  correlation_window=DEFAULT_CORRELATION_WINDOW) -> list:
+    check_nonnegative(correlation_window=correlation_window)
     return [classify_outage(o, maint, jobs, odb, correlation_window)
             for o in outages]
 

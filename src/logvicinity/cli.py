@@ -14,8 +14,8 @@ from .names import (CV_THRESHOLD, DEFAULT_ALPHA, DEFAULT_BURST_FACTOR,
                     DEFAULT_PERCENTILE, DEFAULT_SILENCE_THRESHOLD,
                     DEFAULT_TAU_MIN, DEFAULT_TOLERANCE, DEFAULT_WINDOW, LABELS,
                     PERSPECTIVES, VARIANTS, ObservationRange, canonical_node,
-                    iso, parse_iso, parse_node_name, read_records,
-                    run_manifest, topen)
+                    check_nonnegative, iso, parse_iso, parse_node_name,
+                    read_records, run_manifest, topen)
 
 
 def _data_file(name: str) -> str:
@@ -125,6 +125,17 @@ def _range_from(args, table) -> ObservationRange:
     start = parse_iso(start) if start else int(table.ts.min())
     end = parse_iso(end) if end else int(table.ts.max())
     return ObservationRange(start, end)
+
+
+def _check_moments(args, obs_range) -> None:
+    """Refuse a range too short for one observation moment: its sweep
+    would judge nothing."""
+    from .detect import observation_moments
+    if not observation_moments(obs_range.start, obs_range.end, args.cadence,
+                               args.window):
+        raise ValueError(f"the range {iso(obs_range.start)} to "
+                         f"{iso(obs_range.end)} holds no observation moment: "
+                         f"it is shorter than one window ({args.window} s)")
 
 
 def _config_of(args) -> dict:
@@ -279,6 +290,8 @@ def cmd_detect_anomalies(args) -> int:
     topology = load_topology(args.topology)
     table = _read_stream(args, topology)
     obs_range = _range_from(args, table)
+    if args.vicinity != "time_of_failure":  # it judges at the failures
+        _check_moments(args, obs_range)
     if args.anonymized and args.variant not in ("anonymized",
                                                 "filtered_anonymized"):
         raise ValueError("anonymized input supports only the anonymized "
@@ -353,6 +366,9 @@ def cmd_pipeline(args) -> int:
     from .evaluate import render_reports, score
     from .model import load_topology
     from .pipeline import detect_and_classify, run_variants, write_events
+    # --tolerance is also the correlation window: named as the flag, and
+    # checked before any sweep
+    check_nonnegative(tolerance=args.tolerance)
     workdir = args.workdir
     os.makedirs(workdir, exist_ok=True)
     rules = _rules_from(args)
@@ -378,6 +394,7 @@ def cmd_pipeline(args) -> int:
         odb = load_outage_db(args.outage_db) if args.outage_db else []
         maint = load_maintenance(args.maintenance) if args.maintenance else []
         obs_range = _range_from(args, table)
+    _check_moments(args, obs_range)
 
     runs = run_variants(
         table, topology, obs_range, rules, maint,

@@ -12,9 +12,10 @@ import numpy as np
 from .model import EventTable, _gather_rows, _percentile
 from .names import (CV_THRESHOLD, DEFAULT_ALPHA, DEFAULT_CADENCE,
                     DEFAULT_PERCENTILE, DEFAULT_TAU_MIN, DEFAULT_WINDOW,
-                    iso, topen)
+                    check_nonnegative, iso, topen)
 
 MIN_GROUP_SIZE = 3
+MIN_ARRIVALS = 5  # a node votes on a key's period from this many rows on
 
 _SPAN = 1 << 40  # seconds of timestamps SGIndex can sort in one key
 
@@ -320,6 +321,7 @@ def sweep_schedule(index: SGIndex, schedule,
     """
     if window <= 0:
         raise ValueError("window must be positive")
+    check_nonnegative(alpha=alpha, tau_min=tau_min)
     skipped, seen = [], set()
     groups: dict = {}  # (name, frozenset of nodes) -> its index
     entry_ats, entry_groups = [], []  # per schedule entry
@@ -419,19 +421,19 @@ def _above_percentile(ids, n_ids, percentile):
 
 def filter_frequent_anonymized(table: EventTable,
                                percentile: float = DEFAULT_PERCENTILE,
-                               cv_threshold: float = CV_THRESHOLD,
-                               min_arrivals: int = 5):
+                               cv_threshold: float = CV_THRESHOLD):
     """Drop the rows of keys above the percentile and of near-periodic keys.
 
     A key is near-periodic when the median over nodes of its per-node
     inter-arrival coefficient of variation is below cv_threshold (nodes with
-    fewer than min_arrivals occurrences don't vote). Returns (kept table,
+    fewer than MIN_ARRIVALS occurrences don't vote). Returns (kept table,
     dropped keys, sorted). The squared deviations are summed in row order,
     so a coefficient can differ from np.std's pairwise sum in its last bits.
     """
     if not table.keyed:
         raise ValueError("key the table (EventTable.keyed_by) before "
                          "filtering its keys")
+    check_nonnegative(cv_threshold=cv_threshold)
     if not len(table):
         return table, []
     key_id, keys = table.keys(None)
@@ -444,7 +446,7 @@ def filter_frequent_anonymized(table: EventTable,
     new[1:] = (k[1:] != k[:-1]) | (n[1:] != n[:-1])
     group = np.cumsum(new, dtype=np.int32) - 1
     m = np.bincount(group) - 1  # gaps per group
-    voter = m + 1 >= min_arrivals
+    voter = m + 1 >= MIN_ARRIVALS
     in_voter = ~new[1:] & voter[group[1:]]
     gaps = np.diff(table.ts[order])[in_voter]
     label = group[1:][in_voter]

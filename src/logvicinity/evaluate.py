@@ -7,7 +7,7 @@ import io
 import json
 from dataclasses import dataclass
 
-from .names import DEFAULT_TOLERANCE
+from .names import DEFAULT_TOLERANCE, check_nonnegative
 
 
 def _as_pairs(items):
@@ -39,6 +39,7 @@ def match_detections(detections, truth, tolerance=DEFAULT_TOLERANCE) -> MatchRes
     within `tolerance` seconds of the earliest unmatched truth instant on
     the same node claims it.
     """
+    check_nonnegative(tolerance=tolerance)
     det = sorted(_as_pairs(detections))
     tru = sorted(_as_pairs(truth))
     by_node_det: dict = {}

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import calendar
 import io
 import re
 from dataclasses import dataclass, field
@@ -33,28 +32,13 @@ HALF_YEAR = 180 * 86400
 STREAM_CHUNK = 16384  # lines parse_syslog_stream parses per step
 
 
-@dataclass(frozen=True, slots=True)
-class LogEntry:
-    timestamp: int  # epoch seconds, UTC
-    node: NodeId
-    tag: str
-    message: str
-
-
 def format_bsd_time(t: int) -> str:
     dt = datetime.fromtimestamp(t, tz=timezone.utc)
     return f"{_MONTH_NAMES[dt.month]} {dt.day:2d} {dt:%H:%M:%S}"
 
 
-def format_syslog_line(entry: LogEntry) -> str:
-    head = f"{format_bsd_time(entry.timestamp)} {entry.node.name}"
-    if entry.tag:
-        return f"{head} {entry.tag}: {entry.message}"
-    return f"{head} {entry.message}"
-
-
 # The one check of a line's date and time: the parser caches its results
-# per (month, day) and per time string, parse_syslog_line calls it per line.
+# per (month, day) and per time string.
 
 def _month_day(mon_s: str, day_s: str) -> tuple:
     """(month, day) of a BSD date that some year has (Feb 29 included)."""
@@ -65,14 +49,6 @@ def _month_day(mon_s: str, day_s: str) -> tuple:
             1 <= int(day_s) <= _LONGEST_MONTH[month - 1]):
         raise SyslogParseError(f"bad calendar day {mon_s} {day_s!r}")
     return month, int(day_s)
-
-
-def day_start(year: int, mon_s: str, day_s: str) -> int:
-    """Epoch of midnight UTC opening a BSD month and day in year."""
-    month, day = _month_day(mon_s, day_s)
-    if day > calendar.monthrange(year, month)[1]:
-        raise SyslogParseError(f"no {mon_s} {day} in {year}")
-    return to_epoch(year, month, day, 0, 0, 0)
 
 
 def seconds_of_day(time_s: str) -> int:
@@ -95,30 +71,6 @@ def _split_tag(rest: str) -> tuple:
 
 def _resolve_fn(node_resolver):
     return getattr(node_resolver, "get", node_resolver)
-
-
-def parse_syslog_line(line: str, default_year: int, node_resolver) -> LogEntry:
-    """Parse one BSD syslog line ("MMM dd HH:MM:SS host tag: message").
-
-    The year is taken from default_year; stream-level rollover is handled by
-    parse_syslog_stream. Sub-second precision is not expected and not kept.
-    A date the year does not have, or a time of day outside 00:00:00 to
-    23:59:59, raises SyslogParseError.
-    """
-    parts = line.rstrip("\n").split(None, 4)
-    if len(parts) < 4:
-        raise SyslogParseError(f"truncated line: {line!r}", offset=0)
-    try:
-        ts = (day_start(default_year, parts[0], parts[1])
-              + seconds_of_day(parts[2]))
-    except SyslogParseError as exc:
-        raise SyslogParseError(f"{exc} in line: {line!r}",
-                               offset=line.find(parts[1])) from None
-    node = _resolve_fn(node_resolver)(parts[3])
-    if node is None:
-        raise UnknownNodeError(parts[3])
-    tag, message = _split_tag(parts[4] if len(parts) > 4 else "")
-    return LogEntry(ts, node, tag, message)
 
 
 # Fields of a byte buffer as numpy arrays, for the readers that work on a
@@ -654,7 +606,8 @@ def _gather_rows(n, *columns):
 
 
 def write_syslog(table: EventTable, path) -> None:
-    """Write a raw table's rows as format_syslog_line lines.
+    """Write a raw table's rows as "Mon dd HH:MM:SS host tag: message"
+    lines, with no "tag: " where the tag is empty.
 
     Every (tag, message) pair must read back as itself: no line break,
     no leading whitespace, and the tag _split_tag finds. Else ValueError
@@ -691,13 +644,6 @@ class Topology:
 
     def resolver(self) -> dict:
         return self._by_name
-
-    def class_counts(self) -> dict:
-        counts = {}
-        for n in self.nodes:
-            arch = self.architecture_of[n]
-            counts[arch] = counts.get(arch, 0) + 1
-        return counts
 
     def islands(self):
         return sorted({n.island for n in self.nodes})

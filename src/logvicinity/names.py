@@ -4,6 +4,7 @@ instants, files, errors and option defaults, on the standard library alone."""
 from __future__ import annotations
 
 import gzip
+import math
 import re
 import sys
 import time
@@ -33,11 +34,16 @@ _NODE_RE = re.compile(r"i(\d+)r(\d+)n(\d+)", re.ASCII)
 
 
 class SyslogParseError(ValueError):
-    """Raised on a malformed syslog line; .offset is the byte offset of the bad field."""
+    """Raised on a malformed syslog line."""
 
-    def __init__(self, message, offset=0):
-        super().__init__(message)
-        self.offset = offset
+
+def check_nonnegative(**params) -> None:
+    """Raise ValueError naming the first parameter that is not a finite
+    number of at least zero."""
+    for name, value in params.items():
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be a finite number >= 0, "
+                             f"not {value!r}")
 
 
 class UnknownNodeError(KeyError):

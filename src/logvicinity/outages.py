@@ -10,8 +10,8 @@ import numpy as np
 from .model import EventTable
 from .names import (DEFAULT_BURST_FACTOR, DEFAULT_BURST_MINUTES,
                     DEFAULT_MIN_GAP, DEFAULT_SILENCE_THRESHOLD, NodeId,
-                    ObservationRange, iso, parse_iso, parse_node_name,
-                    read_records, topen)
+                    ObservationRange, check_nonnegative, iso, parse_iso,
+                    parse_node_name, read_records, topen)
 
 FOOTPRINT_SPAN = 120  # seconds within which the whole footprint must appear
 
@@ -80,6 +80,8 @@ def detect_boot_events(table: EventTable, footprint: BootFootprintSpec,
     burst_minutes consecutive minutes right after a gap of at least min_gap.
     Footprint wins when both fire within 120 s.
     """
+    check_nonnegative(burst_factor=burst_factor, burst_minutes=burst_minutes,
+                      min_gap=min_gap)
     if not len(table):
         return []
     if (table.node != table.node[0]).any():
@@ -118,7 +120,7 @@ def _boot_events(node, times, sigs, foot, burst_factor, burst_minutes,
     first = int(times[0]) // 60
     per_minute = np.bincount(times // 60 - first)
     threshold = burst_factor * max(float(np.median(per_minute)), 1.0)
-    per_minute = per_minute.tolist() + [0] * max(burst_minutes, 0)
+    per_minute = per_minute.tolist() + [0] * burst_minutes
 
     footprint_times = [e.boot_time for e in events]
     # a gap of at least min_gap before an entry; the first has none before it
@@ -159,6 +161,9 @@ def detect_outages(table: EventTable, footprint: BootFootprintSpec, rules,
     last row. Each node's rows are stably sorted by timestamp, so ties keep
     their input order.
     """
+    check_nonnegative(silence_threshold=silence_threshold,
+                      burst_factor=burst_factor, burst_minutes=burst_minutes,
+                      min_gap=min_gap)
     key_id, keys = table.keys(rules)
     foot = _footprint_ids(footprint, rules, keys)
     # rows by node id, then stably by time; node n's are bounds[n]:bounds[n+1]

@@ -21,7 +21,7 @@ from .vicinity import (allocation_groups, combined_vicinity,
                        hardware_vicinity, location_vicinity,
                        time_of_failure_vicinity)
 
-DEFAULT_MAX_GAP_MOMENTS = 3
+MAX_GAP_MOMENTS = 3  # unflagged moments an event run bridges
 
 
 @dataclass(frozen=True)
@@ -57,17 +57,16 @@ def prepare_stream(table: EventTable, variant: str, rules=None,
 
 
 def extract_events(sweep: SweepResult, index: SGIndex,
-                   cadence: int = DEFAULT_CADENCE,
-                   max_gap_moments: int = DEFAULT_MAX_GAP_MOMENTS) -> list:
+                   cadence: int = DEFAULT_CADENCE) -> list:
     """Collapse flagged moments into per-node events.
 
-    Consecutive non-normal moments on a node (gaps up to max_gap_moments
+    Consecutive non-normal moments on a node (gaps up to MAX_GAP_MOMENTS
     unflagged moments are bridged) form one run. A run that went fully
     silent is anchored at the node's last entry before its final silent
     moment; a run that only deviated is anchored at the last entry at or
     before the first flagged moment.
     """
-    span = (max_gap_moments + 1) * cadence
+    span = (MAX_GAP_MOMENTS + 1) * cadence
     flagged = np.flatnonzero(sweep.code)
     if not len(flagged):
         return []

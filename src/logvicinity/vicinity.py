@@ -7,15 +7,13 @@ from dataclasses import dataclass
 from .model import Topology
 from .names import PERSPECTIVES, iso  # noqa: F401
 
-DEFAULT_CHAIN_INTERVAL = 600  # seconds between failures considered related
+CHAIN_INTERVAL = 600  # seconds between failures considered related
 
 
 @dataclass
 class VicinityAssignment:
-    perspective: str
     groups: list  # of frozenset of NodeId
     group_names: list
-    ungrouped: frozenset = frozenset()
     at: int | None = None
 
     def __post_init__(self):
@@ -27,36 +25,25 @@ class VicinityAssignment:
                 raise ValueError("vicinity groups must be disjoint")
             seen |= g
 
-    def covered(self) -> frozenset:
-        out = set(self.ungrouped)
-        for g in self.groups:
-            out |= g
-        return frozenset(out)
 
-
-def _grouped(perspective, buckets, at=None, ungrouped=frozenset()):
+def _grouped(buckets, at=None):
     names = sorted(buckets)
-    return VicinityAssignment(
-        perspective,
-        [frozenset(buckets[name]) for name in names],
-        [str(name) for name in names],
-        ungrouped=frozenset(ungrouped),
-        at=at,
-    )
+    return VicinityAssignment([frozenset(buckets[name]) for name in names],
+                              [str(name) for name in names], at=at)
 
 
 def hardware_vicinity(topology: Topology) -> VicinityAssignment:
     buckets: dict = {}
     for node in topology.nodes:
         buckets.setdefault(topology.architecture_of[node], set()).add(node)
-    return _grouped("hardware", buckets)
+    return _grouped(buckets)
 
 
 def location_vicinity(topology: Topology) -> VicinityAssignment:
     buckets: dict = {}
     for node in topology.nodes:
         buckets.setdefault(f"i{node.island}r{node.rack}", set()).add(node)
-    return _grouped("location", buckets)
+    return _grouped(buckets)
 
 
 def combined_vicinity(topology: Topology) -> VicinityAssignment:
@@ -65,7 +52,7 @@ def combined_vicinity(topology: Topology) -> VicinityAssignment:
     for node in topology.nodes:
         arch = topology.architecture_of[node]
         buckets.setdefault(f"{arch}/i{node.island}r{node.rack}", set()).add(node)
-    return _grouped("combined", buckets)
+    return _grouped(buckets)
 
 
 def allocation_groups(active) -> list:
@@ -89,20 +76,19 @@ def allocation_groups(active) -> list:
 
 
 def allocation_vicinity(active, t: int) -> VicinityAssignment:
-    """allocation_groups at t; the active nodes left over are ungrouped."""
-    groups = dict(allocation_groups(active))
-    return _grouped("allocation", groups, at=t, ungrouped=set().union(
-        *(job.nodes for job in active)).difference(*groups.values()))
+    """allocation_groups at t, as an assignment."""
+    return _grouped(dict(allocation_groups(active)), at=t)
 
 
-def time_of_failure_vicinity(failures, interval=DEFAULT_CHAIN_INTERVAL) -> list:
-    """Chain regular failures whose spacing is at most `interval` (single linkage)."""
+def time_of_failure_vicinity(failures) -> list:
+    """Chain regular failures whose spacing is at most CHAIN_INTERVAL
+    (single linkage)."""
     regular = sorted((f for f in failures if f.label == "regular_failure"),
                      key=lambda f: f.outage_time)
     assignments = []
     chain: list = []
     for ev in regular:
-        if chain and ev.outage_time - chain[-1].outage_time > interval:
+        if chain and ev.outage_time - chain[-1].outage_time > CHAIN_INTERVAL:
             assignments.append(_chain_assignment(chain))
             chain = []
         chain.append(ev)
@@ -114,4 +100,4 @@ def time_of_failure_vicinity(failures, interval=DEFAULT_CHAIN_INTERVAL) -> list:
 def _chain_assignment(chain) -> VicinityAssignment:
     at = chain[0].outage_time
     nodes = frozenset(ev.node for ev in chain)
-    return VicinityAssignment("time_of_failure", [nodes], [f"tof:{iso(at)}"], at=at)
+    return VicinityAssignment([nodes], [f"tof:{iso(at)}"], at=at)

@@ -1,6 +1,9 @@
 """Independent reference implementations used to pin expected values.
 
-Deliberately naive: plain loops, no shared code with the package internals.
+Deliberately naive: plain loops, no shared code with the package internals,
+except that the line-level parser (parse_syslog_line, which reference_parse
+applies line by line) checks a date, a time of day and a tag with the
+table parser's own helpers.
 columnar_sweep builds a sweep from hand-written cells; reference_generate
 reuses synth's schedule planners and rebuilds only the per-node streams.
 The reference writers format one row at a time with datetime.
@@ -11,11 +14,16 @@ import gzip
 import math
 import random
 import re
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
 
 from logvicinity.detect import VERDICTS, SweepResult
+from logvicinity.model import (_month_day, _resolve_fn, _split_tag,
+                               format_bsd_time, seconds_of_day)
+from logvicinity.names import (NodeId, SyslogParseError, UnknownNodeError,
+                               to_epoch)
 from logvicinity.vicinity import VicinityAssignment
 
 
@@ -251,7 +259,7 @@ def chain_by_transitive_closure(instants, interval):
 def reference_allocation_vicinity(active, t):
     """Node-level union-find over the active jobs' node sets: one group per
     component of two or more nodes, named by the ids of the jobs touching
-    it; one-node components are ungrouped."""
+    it; one-node components are dropped."""
     parent: dict = {}
 
     def find(x):
@@ -272,23 +280,68 @@ def reference_allocation_vicinity(active, t):
     components: dict = {}
     for n in parent:
         components.setdefault(find(n), set()).add(n)
-    buckets, ungrouped = {}, set()
+    buckets = {}
     for nodes in components.values():
         if len(nodes) < 2:
-            ungrouped |= nodes
             continue
         ids = sorted({j.job_id for j in active if j.nodes & nodes})
         buckets["job:" + "+".join(ids)] = frozenset(nodes)
     names = sorted(buckets)
-    return VicinityAssignment("allocation", [buckets[n] for n in names], names,
-                              ungrouped=frozenset(ungrouped), at=t)
+    return VicinityAssignment([buckets[n] for n in names], names, at=t)
 
 
-def reference_parse(lines, default_year, resolver, parse_line):
+@dataclass(frozen=True, slots=True)
+class LogEntry:
+    """One syslog line's entry, the row type of the line-level reference."""
+    timestamp: int  # epoch seconds, UTC
+    node: NodeId
+    tag: str
+    message: str
+
+
+def format_syslog_line(entry: LogEntry) -> str:
+    head = f"{format_bsd_time(entry.timestamp)} {entry.node.name}"
+    if entry.tag:
+        return f"{head} {entry.tag}: {entry.message}"
+    return f"{head} {entry.message}"
+
+
+def day_start(year: int, mon_s: str, day_s: str) -> int:
+    """Epoch of midnight UTC opening a BSD month and day in year."""
+    month, day = _month_day(mon_s, day_s)
+    if day > calendar.monthrange(year, month)[1]:
+        raise SyslogParseError(f"no {mon_s} {day} in {year}")
+    return to_epoch(year, month, day, 0, 0, 0)
+
+
+def parse_syslog_line(line: str, default_year: int, node_resolver) -> LogEntry:
+    """Parse one BSD syslog line ("MMM dd HH:MM:SS host tag: message").
+
+    The year is taken from default_year; rollover is reference_parse's.
+    Sub-second precision is not expected and not kept. A date the year
+    does not have, or a time of day outside 00:00:00 to 23:59:59, raises
+    SyslogParseError.
+    """
+    parts = line.rstrip("\n").split(None, 4)
+    if len(parts) < 4:
+        raise SyslogParseError(f"truncated line: {line!r}")
+    try:
+        ts = (day_start(default_year, parts[0], parts[1])
+              + seconds_of_day(parts[2]))
+    except SyslogParseError as exc:
+        raise SyslogParseError(f"{exc} in line: {line!r}") from None
+    node = _resolve_fn(node_resolver)(parts[3])
+    if node is None:
+        raise UnknownNodeError(parts[3])
+    tag, message = _split_tag(parts[4] if len(parts) > 4 else "")
+    return LogEntry(ts, node, tag, message)
+
+
+def reference_parse(lines, default_year, resolver):
     """Entries of a syslog corpus by the documented per-node rollover rule.
 
-    Each line is parsed alone by parse_line in its host's current year,
-    which starts at default_year. An entry more than 180 days before the
+    Each line is parsed alone by parse_syslog_line in its host's current
+    year, which starts at default_year. An entry more than 180 days before the
     host's previous entry means the calendar year wrapped: it and the
     host's later entries carry the next year. A Feb 29 the host's year
     lacks is compared as Mar 1; unless that wraps the year, the line is
@@ -305,17 +358,18 @@ def reference_parse(lines, default_year, resolver, parse_line):
         if resolver.get(host) is None:
             # 2024 has every day some year has: this raises only on a
             # date no year has or a bad time
-            parse_line(line, 2024, lambda name: name)
+            parse_syslog_line(line, 2024, lambda name: name)
             skipped += 1
             continue
         year = year_of.get(host, default_year)
         probe = line
         if (month, day) == ("Feb", "29") and not calendar.isleap(year):
             probe = f"Mar  1 {rest}"
-        ts = parse_line(probe, year, resolver).timestamp
+        ts = parse_syslog_line(probe, year, resolver).timestamp
         if host in last_of and last_of[host] - ts > 180 * 86400:
             year_of[host] = year = year + 1
-        entry = parse_line(line, year, resolver)  # raises if year lacks it
+        # raises if the year lacks the date
+        entry = parse_syslog_line(line, year, resolver)
         last_of[host] = entry.timestamp
         entries.append(entry)
     return entries, skipped

@@ -1,7 +1,7 @@
 """Event tables from line-level rows, and rows back from tables.
 
 Tests state their inputs as LogEntry rows (or Keyed rows for a pars-lite
-corpus), the line-level reference that parse_syslog_line returns, and
+corpus), the rows of the line-level reference oracles.parse_syslog_line, and
 compare a table's rows with the same types. A syslog corpus stated as
 str lines is parsed from syslog_file.
 """
@@ -9,7 +9,8 @@ str lines is parsed from syslog_file.
 import io
 from typing import NamedTuple
 
-from logvicinity.model import EventTable, LogEntry, NodeId
+from logvicinity.model import EventTable, NodeId
+from oracles import LogEntry
 
 
 class Keyed(NamedTuple):

@@ -7,10 +7,10 @@ from logvicinity.anonymize import (RULE_VERSION, SubstitutionRuleSet,
                                    read_anonymized, save_rules,
                                    write_anonymized)
 from logvicinity.cli import main
-from logvicinity.model import (LogEntry, NodeId, iso, parse_iso,
-                               parse_node_name, to_epoch, topen)
+from logvicinity.model import (NodeId, iso, parse_iso, parse_node_name,
+                               to_epoch, topen)
 from logvicinity.synth import GeneratorSpec, generate
-from oracles import reference_read_anonymized
+from oracles import LogEntry, reference_read_anonymized
 from tables import rows_of, table_of
 
 # Variants of the same underlying events; which rows must share a template

@@ -12,8 +12,9 @@ from logvicinity.detect import (MIN_GROUP_SIZE, VERDICTS, SGIndex,
                                 filter_frequent_anonymized,
                                 filter_frequent_raw, observation_moments,
                                 run_detection, split_groups, sweep_schedule)
-from logvicinity.model import LogEntry, NodeId, ObservationRange, _percentile
+from logvicinity.model import NodeId, ObservationRange, _percentile
 from logvicinity.vicinity import VicinityAssignment
+from oracles import LogEntry
 from tables import Keyed, rows_of, table_of
 
 N = [NodeId(1, 0, p) for p in range(8)]
@@ -286,8 +287,7 @@ def test_threshold_group_too_small():
     # a group below MIN_GROUP_SIZE is never split: the sweep skips it
     pair = frozenset(N[:MIN_GROUP_SIZE - 1])
     idx = SGIndex(table_of(_entries({n: [100, 200] for n in pair})))
-    sweep = run_detection(idx, VicinityAssignment("combined", [pair],
-                                                  ["pair"]),
+    sweep = run_detection(idx, VicinityAssignment([pair], ["pair"]),
                           ObservationRange(0, 3600))
     assert sweep.skipped_groups == [("pair", 2)]
     assert len(sweep.results) == 0 and len(sweep.moments) == 4
@@ -320,7 +320,7 @@ def test_observation_moments():
 def test_run_detection_counts_and_skips():
     big = frozenset(N[:4])
     small = frozenset(N[6:8])
-    asg = VicinityAssignment("combined", [big, small], ["big", "small"])
+    asg = VicinityAssignment([big, small], ["big", "small"])
     spec = {n: list(range(0, 7201, 60)) for n in N[:4]}
     spec.update({n: [10] for n in N[6:8]})
     idx = SGIndex(table_of(_entries(spec)))
@@ -338,7 +338,7 @@ def test_run_detection_counts_and_skips():
     (600, -600, "window")])
 def test_window_and_cadence_must_be_positive(cadence, window, which):
     idx = SGIndex(table_of(_entries({n: [10, 700] for n in N[:4]})))
-    asg = VicinityAssignment("combined", [frozenset(N[:4])], ["g"])
+    asg = VicinityAssignment([frozenset(N[:4])], ["g"])
     with pytest.raises(ValueError, match=f"^{which} must be positive$"):
         observation_moments(0, 7200, cadence, window)
     with pytest.raises(ValueError, match=f"^{which} must be positive$"):

@@ -1,12 +1,13 @@
 import pytest
 
 from logvicinity.anonymize import SubstitutionRuleSet
-from logvicinity.model import LogEntry, NodeId, ObservationRange
+from logvicinity.model import NodeId, ObservationRange
 from logvicinity.outages import (BootEvent, BootFootprintSpec, OutageEvent,
                                  detect_boot_events, detect_outages,
                                  load_footprint, load_outages, save_footprint,
                                  write_outages)
 from logvicinity.synth import FOOTPRINT_LINES
+from oracles import LogEntry
 from tables import table_of
 
 NODE = NodeId(1, 0, 0)

@@ -8,15 +8,15 @@ import numpy as np
 import oracles
 import pytest
 
-from logvicinity.anonymize import read_anonymized
+from logvicinity.anonymize import SubstitutionRuleSet, read_anonymized
 from logvicinity.cli import _load_instants, main
 from logvicinity.datasources import JobRecord, MaintenanceWindow, Scope
 from logvicinity.detect import (MIN_GROUP_SIZE, SGIndex, observation_moments,
                                 run_detection, sweep_schedule, write_verdicts)
-from logvicinity.model import (LogEntry, NodeId, ObservationRange, Topology,
-                               format_syslog_line, iso, parse_iso,
-                               parse_node_name, to_epoch, topen)
-from logvicinity.outages import load_outages
+from logvicinity.model import (NodeId, ObservationRange, Topology, iso,
+                               parse_iso, parse_node_name, to_epoch, topen)
+from logvicinity.outages import (BootFootprintSpec, detect_boot_events,
+                                 load_outages)
 from logvicinity.pipeline import (ExtractedEvent, drop_maintenance_events,
                                   extract_events, load_events, prepare_stream,
                                   run_manifest, run_variant, run_variants,
@@ -24,6 +24,7 @@ from logvicinity.pipeline import (ExtractedEvent, drop_maintenance_events,
 from logvicinity.synth import GeneratorSpec, generate, load_truth
 from logvicinity.vicinity import (VicinityAssignment, allocation_groups,
                                   combined_vicinity, hardware_vicinity)
+from oracles import LogEntry, format_syslog_line
 from tables import rows_of, table_of
 
 X = NodeId(1, 0, 0)
@@ -59,12 +60,12 @@ def test_extract_bridges_gaps_up_to_limit():
     idx = _index([100])
     # 3 unflagged moments between flags: still one run
     sweep = _sweep([(3000, "abnormal"), (5400, "abnormal")])
-    events = extract_events(sweep, idx, cadence=600, max_gap_moments=3)
+    events = extract_events(sweep, idx, cadence=600)
     assert len(events) == 1
     assert (events[0].first_flagged, events[0].last_flagged) == (3000, 5400)
     # 4 unflagged moments: two runs
     sweep = _sweep([(3000, "abnormal"), (6000, "abnormal")])
-    events = extract_events(sweep, idx, cadence=600, max_gap_moments=3)
+    events = extract_events(sweep, idx, cadence=600)
     assert [(e.first_flagged, e.last_flagged) for e in events] == [
         (3000, 3000), (6000, 6000)]
 
@@ -178,7 +179,7 @@ def test_allocation_sweep_of_one_steady_job_equals_static_sweep():
     alloc = sweep_perspective(index, "allocation", None, JOB_RANGE,
                               jobs=[job])
     static = run_detection(
-        index, VicinityAssignment("combined", [job.nodes], ["job:j1"]),
+        index, VicinityAssignment([job.nodes], ["job:j1"]),
         JOB_RANGE)
     assert alloc.moments == static.moments
     assert _rows(alloc) == _rows(static)
@@ -214,7 +215,7 @@ def test_undersized_allocation_group_is_skipped_once():
 
 def test_window_longer_than_range_gives_no_moments():
     index = _job_index()
-    asg = VicinityAssignment("combined", [frozenset(JOB_NODES)], ["all"])
+    asg = VicinityAssignment([frozenset(JOB_NODES)], ["all"])
     sweep = run_detection(index, asg, JOB_RANGE, window=JOB_RANGE.end + 1)
     assert (sweep.moments, list(sweep.results)) == ([], [])
     sweep = sweep_perspective(index, "allocation", None, JOB_RANGE,
@@ -233,7 +234,7 @@ def test_silent_group_node_and_minimum_group_size():
     groups = [frozenset(JOB_NODES[:MIN_GROUP_SIZE]),
               frozenset({JOB_NODES[3], JOB_NODES[4], silent})]
     sweep = run_detection(index, VicinityAssignment(
-        "combined", groups, ["min", "with_silent"]), JOB_RANGE)
+        groups, ["min", "with_silent"]), JOB_RANGE)
     assert [len(r.nodes) for r in sweep.results[:2]] == [MIN_GROUP_SIZE] * 2
     assert len(sweep.results) == 2 * len(sweep.moments)
     for r in sweep.results[1::2]:
@@ -706,3 +707,92 @@ def test_cli_pipeline_rejects_a_window_or_cadence_below_one(
                option, value])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {option[2:]} must be positive\n"
+
+
+def _command_args(command, cli_dir, tmp_path):
+    """A command's arguments on the cli_dir corpus and its records."""
+    corpus = ["--corpus", str(cli_dir / "corpus.log"), "--year", "2023",
+              "--topology", str(cli_dir / "topology.tsv")]
+    if command == "classify":
+        outages = tmp_path / "outages.tsv"
+        assert main(["detect-outages", "--output", str(outages)]
+                    + corpus) == 0
+        return ["classify", "--outages", str(outages),
+                "--jobs-file", str(cli_dir / "jobs.csv"),
+                "--outage-db", str(cli_dir / "outage.db"),
+                "--maintenance", str(cli_dir / "maintenance.tsv"),
+                "--output", str(tmp_path / "c.csv")]
+    return {
+        "detect-anomalies": ["detect-anomalies"] + corpus,
+        "detect-outages": ["detect-outages", "--output",
+                           str(tmp_path / "o.tsv")] + corpus,
+        "evaluate": ["evaluate", "--detected", str(cli_dir / "truth.csv"),
+                     "--truth", str(cli_dir / "truth.csv")],
+        "pipeline": ["pipeline", "--variant", "raw",
+                     "--workdir", str(tmp_path / "run")] + corpus,
+    }[command]
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("detect-anomalies", "--alpha", "-5"),
+    ("detect-anomalies", "--alpha", "nan"),
+    ("detect-anomalies", "--tau-min", "nan"),
+    ("detect-anomalies", "--tau-min", "-0.5"),
+    ("detect-anomalies", "--cv-threshold", "nan"),
+    ("detect-outages", "--burst-minutes", "-2"),
+    ("detect-outages", "--min-gap", "-5"),
+    ("detect-outages", "--silence-threshold", "-1"),
+    ("detect-outages", "--burst-factor", "nan"),
+    ("detect-outages", "--burst-factor", "inf"),
+    ("classify", "--correlation-window", "-1"),
+    ("evaluate", "--tolerance", "-600"),
+    ("pipeline", "--tau-min", "inf"),
+    ("pipeline", "--tolerance", "-600"),
+])
+def test_cli_rejects_a_negative_or_non_finite_parameter(
+        cli_dir, tmp_path, capsys, command, option, value):
+    args = _command_args(command, cli_dir, tmp_path)
+    if option == "--cv-threshold":
+        args += ["--variant", "filtered_anonymized"]
+    capsys.readouterr()
+    assert main(args + [option, value]) == 2
+    name = option[2:].replace("-", "_")
+    assert capsys.readouterr().err.startswith(
+        f"error: {name} must be a finite number >= 0, not ")
+
+
+def test_cli_config_file_values_are_checked_too(cli_dir, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("min_gap = -5\n")
+    args = _command_args("detect-outages", cli_dir, tmp_path)
+    capsys.readouterr()
+    assert main(args + ["--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == \
+        "error: min_gap must be a finite number >= 0, not -5\n"
+
+
+def test_boot_detection_rejects_a_negative_or_non_finite_parameter():
+    table = table_of(LogEntry(t, X, "t", "m") for t in range(0, 6000, 60))
+    footprint = BootFootprintSpec([("template", "m")])
+    rules = SubstitutionRuleSet()
+    assert detect_boot_events(table, footprint, rules, min_gap=0)
+    for params in ({"burst_factor": float("nan")}, {"burst_minutes": -1},
+                   {"min_gap": -60}):
+        with pytest.raises(ValueError, match=f"^{next(iter(params))} must"):
+            detect_boot_events(table, footprint, rules, **params)
+
+
+@pytest.mark.parametrize("command", ["detect-anomalies", "pipeline"])
+def test_cli_refuses_a_range_shorter_than_one_window(cli_dir, tmp_path,
+                                                      capsys, command):
+    args = _command_args(command, cli_dir, tmp_path)
+    start = "2023-03-06T00:00:00Z"
+    capsys.readouterr()
+    assert main(args + ["--from", start, "--to", "2023-03-06T00:10:00Z"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: the range {start} to 2023-03-06T00:10:00Z holds no "
+        f"observation moment: it is shorter than one window (1800 s)\n")
+    # a range of exactly one window holds one moment
+    assert main(args + ["--from", start, "--to", "2023-03-06T00:30:00Z"]) == 0
+    if command == "detect-anomalies":
+        assert capsys.readouterr().out.endswith(" over 1 moments\n")

@@ -4,6 +4,7 @@ writer, checked against the per-cell loops in oracles.py."""
 import dataclasses
 import random
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import oracles
@@ -11,13 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logvicinity import pipeline
 from logvicinity.detect import (SGIndex, observation_moments,
                                 write_verdicts)
-from logvicinity.model import EventTable, LogEntry, NodeId, ObservationRange
+from logvicinity.model import EventTable, NodeId, ObservationRange
 from logvicinity.names import iso, parse_iso
 from logvicinity.pipeline import extract_events, sweep_perspective
 from logvicinity.vicinity import (combined_vicinity, hardware_vicinity,
                                   location_vicinity, time_of_failure_vicinity)
+from oracles import LogEntry
 from tables import table_of
 
 CADENCE = 600
@@ -195,7 +198,8 @@ def test_runs_split_one_moment_past_the_gap_limit(max_gap):
         [(3000, "g", {N[0]: "abnormal", N[1]: "abnormal"}),
          (3000 + limit, "g", {N[0]: "abnormal", N[1]: "normal"}),
          (3000 + limit + CADENCE, "g", {N[0]: "normal", N[1]: "abnormal"})])
-    events = extract_events(sweep, index, CADENCE, max_gap)
+    with mock.patch.object(pipeline, "MAX_GAP_MOMENTS", max_gap):
+        events = extract_events(sweep, index, CADENCE)
     assert _tuples(events) == oracles.reference_extract_events(
         sweep, index, CADENCE, max_gap)
     assert sorted((e.node, e.first_flagged, e.last_flagged)
@@ -272,5 +276,7 @@ def flag_patterns(draw):
 def test_extract_events_equals_the_reference_loop(pattern):
     cells, entries, max_gap = pattern
     sweep, index = oracles.columnar_sweep(cells), _index(entries)
-    assert _tuples(extract_events(sweep, index, CADENCE, max_gap)) == \
-        oracles.reference_extract_events(sweep, index, CADENCE, max_gap)
+    with mock.patch.object(pipeline, "MAX_GAP_MOMENTS", max_gap):
+        events = extract_events(sweep, index, CADENCE)
+    assert _tuples(events) == oracles.reference_extract_events(
+        sweep, index, CADENCE, max_gap)

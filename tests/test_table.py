@@ -13,15 +13,15 @@ import oracles
 from logvicinity import model
 from logvicinity.anonymize import SubstitutionRuleSet, fnv1a_32
 from logvicinity.detect import filter_frequent_anonymized
-from logvicinity.model import (LogEntry, NodeId, SyslogParseError, Topology,
-                               UnknownNodeError, format_bsd_time,
-                               format_syslog_line, iso, parse_syslog_line,
+from logvicinity.model import (NodeId, SyslogParseError, Topology,
+                               UnknownNodeError, format_bsd_time, iso,
                                parse_syslog_stream, parse_syslog_table,
                                to_epoch, topen, write_syslog)
 from logvicinity.outages import detect_boot_events, detect_outages
 from logvicinity.pipeline import VARIANTS, run_variant
 from logvicinity.synth import (GeneratorSpec, generate, scale_topology,
                                taurus_topology)
+from oracles import LogEntry, format_syslog_line, parse_syslog_line
 from tables import Keyed, rows_of, syslog_file, table_of
 
 NODES = [NodeId(1, 0, p) for p in range(5)]
@@ -62,8 +62,7 @@ def _wrapping_corpus(seed):
 def test_table_columns_follow_the_line_parser_and_rollover_rule():
     lines = _wrapping_corpus(41)
     resolver = TOPOLOGY.resolver()
-    expected, skipped = oracles.reference_parse(lines, 2023, resolver,
-                                                parse_syslog_line)
+    expected, skipped = oracles.reference_parse(lines, 2023, resolver)
     assert skipped > 0 and any(e.timestamp >= to_epoch(2024, 2, 29, 0, 0, 0)
                                for e in expected)
     table, stats = parse_syslog_table(syslog_file(lines), 2023, resolver)
@@ -181,7 +180,7 @@ def _reference(lines):
 
     def parse(head):
         entries, skipped = oracles.reference_parse(
-            head, 2023, TOPOLOGY.resolver(), parse_syslog_line)
+            head, 2023, TOPOLOGY.resolver())
         return entries, (len(entries), skipped)
 
     try:
@@ -245,8 +244,7 @@ def test_year_wraps_are_read_by_the_arrays(monkeypatch):
     lines = [line for line in _wrapping_corpus(45)
              if line.strip() and not line.startswith("#")]
     resolver = TOPOLOGY.resolver()
-    entries, _ = oracles.reference_parse(lines, 2023, resolver,
-                                         parse_syslog_line)
+    entries, _ = oracles.reference_parse(lines, 2023, resolver)
     size, year_of, wraps = 64, {}, set()  # wraps: chunks of year changes
     known = [i for i, line in enumerate(lines) if line.split()[3] in resolver]
     for entry, i in zip(entries, known):
@@ -277,12 +275,11 @@ def test_feb_29_is_read_as_the_day_after_feb_28(before, year, wraps):
         with pytest.raises(SyslogParseError, match="no Feb 29 in"):
             parse_syslog_table(syslog_file(lines), year, resolver)
         with pytest.raises(SyslogParseError, match="no Feb 29 in"):
-            oracles.reference_parse(lines, year, resolver, parse_syslog_line)
+            oracles.reference_parse(lines, year, resolver)
         return
     table, _ = parse_syslog_table(syslog_file(lines), year, resolver)
     assert table.ts[-1] == to_epoch(year + 1, 2, 29, 0, 0, 1)
-    expected, _ = oracles.reference_parse(lines, year, resolver,
-                                          parse_syslog_line)
+    expected, _ = oracles.reference_parse(lines, year, resolver)
     assert rows_of(table) == expected
 
 
@@ -320,8 +317,7 @@ def test_leap_dependent_wraps_follow_the_line_parser(rows, year):
              for date, t, host in rows]
     resolver = TOPOLOGY.resolver()
     try:
-        expected = oracles.reference_parse(lines, year, resolver,
-                                           parse_syslog_line)
+        expected = oracles.reference_parse(lines, year, resolver)
     except SyslogParseError as exc:
         with pytest.raises(SyslogParseError, match="no Feb 29 in") as got:
             parse_syslog_table(syslog_file(lines), year, resolver)
@@ -340,8 +336,7 @@ def test_host_length_decides_only_the_path():
     resolver = {h: NodeId(1, 0, k) for k, h in enumerate(hosts)}
     lines = [f"Mar  6 10:00:{k:02d} {h} a: b{k}\n"
              for k, h in enumerate(hosts * 2)] + ["Mar  6 10:01:00 n x\n"]
-    expected, skipped = oracles.reference_parse(lines, 2023, resolver,
-                                                parse_syslog_line)
+    expected, skipped = oracles.reference_parse(lines, 2023, resolver)
     table, stats = parse_syslog_table(syslog_file(lines), 2023, resolver)
     assert rows_of(table) == expected and stats.skipped_unknown == skipped
     assert stats.lines_one_by_one == 2 * sum(n >= 64 for n in lengths)
@@ -358,7 +353,7 @@ def test_fractions_of_a_second_share_their_second():
         (ts, _, _), error = parser.parse(pieces, newline)
     assert error is None and len(parser._clock_of) == 2
     assert ts.tolist() == [e.timestamp for e in oracles.reference_parse(
-        lines, 2023, TOPOLOGY.resolver(), parse_syslog_line)[0]]
+        lines, 2023, TOPOLOGY.resolver())[0]]
     for bad in ("10:00:00.5x", "10:00:00.\u0665", "10:00:00..5"):
         line = f"Mar  6 {bad} i1r0n0 a: b\n"
         with pytest.raises(SyslogParseError) as got:

@@ -22,12 +22,13 @@ from logvicinity.anonymize import (SubstitutionRuleSet, read_anonymized,
                                    write_anonymized)
 from logvicinity.cli import main
 from logvicinity.detect import filter_frequent_anonymized, filter_frequent_raw
-from logvicinity.model import LogEntry, NodeId, ParseStats, format_syslog_line
+from logvicinity.model import NodeId, ParseStats
 
 BENCH = str(Path(__file__).resolve().parents[1] / "bench")
 sys.path.insert(0, BENCH)
 import tracer  # noqa: E402
 
+from oracles import LogEntry, format_syslog_line  # noqa: E402
 from tables import syslog_file, table_of  # noqa: E402
 
 NODE = NodeId(1, 0, 0)

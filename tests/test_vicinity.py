@@ -42,8 +42,7 @@ def test_desk_combined_groups():
 def test_static_perspectives_cover_topology(maker):
     topo = desk_topology()
     asg = maker(topo)
-    assert asg.covered() == frozenset(topo.nodes)
-    assert asg.ungrouped == frozenset()
+    assert frozenset().union(*asg.groups) == frozenset(topo.nodes)
 
 
 def test_random_topologies_partition_cleanly():
@@ -65,7 +64,7 @@ def test_random_topologies_partition_cleanly():
             asg = maker(topo)
             total = sum(len(g) for g in asg.groups)
             assert total == len(topo.nodes)  # disjointness is enforced on init
-            assert asg.covered() == frozenset(topo.nodes)
+            assert frozenset().union(*asg.groups) == frozenset(topo.nodes)
 
 
 def _job(jid, names, start=0, end=100):
@@ -87,8 +86,8 @@ def test_allocation_merges_overlapping_jobs():
 def test_allocation_singletons_stay_ungrouped():
     jobs = [_job("a", [0]), _job("b", [1, 2])]
     asg = allocation_vicinity(jobs, 50)
-    assert len(asg.groups) == 1
-    assert {n.position for n in asg.ungrouped} == {0}
+    assert asg.group_names == ["job:b"]
+    assert all(NodeId(1, 0, 0) not in g for g in asg.groups)
 
 
 def test_allocation_respects_job_activity_window():
@@ -118,8 +117,8 @@ def test_allocation_groups_equal_the_union_find_reference(jobs):
     want = oracles.reference_allocation_vicinity(jobs, 50)
     assert allocation_groups(jobs) == list(zip(want.group_names, want.groups))
     got = allocation_vicinity(jobs, 50)
-    assert (got.group_names, got.groups, got.ungrouped, got.at) == \
-        (want.group_names, want.groups, want.ungrouped, want.at)
+    assert (got.group_names, got.groups, got.at) == \
+        (want.group_names, want.groups, want.at)
 
 
 def test_allocation_groups_bridge_every_union_a_job_touches():
@@ -136,7 +135,7 @@ def _fe(pos, t, label="regular_failure"):
 
 def test_failure_chains_single_linkage():
     events = [_fe(0, 1000), _fe(1, 1500), _fe(2, 2100), _fe(3, 9000)]
-    chains = time_of_failure_vicinity(events, interval=600)
+    chains = time_of_failure_vicinity(events)
     assert len(chains) == 2
     first, second = chains
     assert first.at == 1000 and len(first.groups[0]) == 3
@@ -147,7 +146,7 @@ def test_failure_chains_single_linkage():
 def test_failure_chains_ignore_non_regular():
     events = [_fe(0, 1000), _fe(1, 1500, label="planned"),
               _fe(2, 2100, label="ambiguous")]
-    chains = time_of_failure_vicinity(events, interval=600)
+    chains = time_of_failure_vicinity(events)
     assert len(chains) == 1
     assert {n.position for n in chains[0].groups[0]} == {0}
 
@@ -157,7 +156,7 @@ def test_failure_chains_match_transitive_closure_oracle():
     for _ in range(200):
         count = rng.randrange(1, 25)
         events = [_fe(i, rng.randrange(0, 20000)) for i in range(count)]
-        chains = time_of_failure_vicinity(events, interval=600)
+        chains = time_of_failure_vicinity(events)
         got = sorted(tuple(sorted(ev for ev in
                                   (e.outage_time for e in events
                                    if e.node in g.groups[0])))
@@ -170,6 +169,6 @@ def test_failure_chains_match_transitive_closure_oracle():
 def test_assignment_rejects_overlap_and_empty():
     a, b = NodeId(1, 0, 0), NodeId(1, 0, 1)
     with pytest.raises(ValueError):
-        VicinityAssignment("x", [frozenset({a}), frozenset({a, b})], ["p", "q"])
+        VicinityAssignment([frozenset({a}), frozenset({a, b})], ["p", "q"])
     with pytest.raises(ValueError):
-        VicinityAssignment("x", [frozenset()], ["p"])
+        VicinityAssignment([frozenset()], ["p"])
