@@ -6,9 +6,9 @@ import re
 
 import numpy as np
 
-from .model import (_WIDE, BLOCK, EventTable, _days, _distinct,
-                    _first_seen, _gather, _gather_rows, _leap, _stamps, _word,
-                    iso, parse_iso, parse_node_name, read_blocks, topen)
+from .model import (EventTable, _days, _distinct, _first_seen, _gather,
+                    _gather_rows, _leap, _line_blocks, _stamps, _word, iso,
+                    parse_iso, parse_node_name, topen)
 
 RULE_VERSION = "1"
 
@@ -136,15 +136,16 @@ def read_anonymized(path):
 
     A row needs exactly 3 tab-separated fields and a key of 8 lowercase hex
     digits; anything else raises ValueError naming path:lineno. Lines end
-    in \\n, \\r\\n or \\r, as in text mode. model.read_blocks reads the
-    file BLOCK bytes at a time; arrays find and check the fields of a
-    block and decode its keys and canonical ISO stamps. Each distinct
-    node name and other stamp spelling is parsed once.
+    in \\n, \\r\\n or \\r, as in text mode. The file is read in
+    model._line_blocks blocks, the parser's; arrays find and check the
+    fields of a block and decode its keys and canonical ISO stamps. Each
+    distinct node name and other stamp spelling is parsed once. The first
+    bad line, malformed or invalid UTF-8, raises.
     """
     reader = _ParsLiteReader(path)
     with topen(path, "rb") as fh:
-        for data in read_blocks(fh, BLOCK):
-            reader.feed(data)
+        for block in _line_blocks(fh):
+            reader.feed(*block)
     return reader.table(), reader.version
 
 
@@ -168,17 +169,10 @@ class _ParsLiteReader:
                          if self.blocks else ([], [], []))
         return EventTable(ts, node, msg, list(self.node_ix), self.keys)
 
-    def feed(self, data: bytes) -> None:
-        """Add the rows of data, lines that each end in \\n. A bad row
-        raises ValueError; invalid UTF-8 raises after the lines before it."""
-        try:
-            data.decode("utf-8")
-            bad_text = None
-        except UnicodeDecodeError as exc:
-            data, bad_text = data[:data.rfind(b"\n", 0, exc.start) + 1], exc
-        buf = np.frombuffer(data + bytes(_WIDE), np.uint8)
-        ends = np.flatnonzero(buf == ord("\n"))
-        starts = np.concatenate(([0], ends + 1))[:-1]
+    def feed(self, data: bytes, starts, ends) -> None:
+        """Add the rows of a model._line_blocks block (data, its lines'
+        starts and ends); a bad row raises ValueError."""
+        buf = np.frombuffer(data, np.uint8)
         heads = buf[starts]  # a blank line's head is its \n
         for i in np.flatnonzero(heads == ord("#")).tolist():
             m = re.match(r"#pars-lite v(\S+)",
@@ -202,8 +196,6 @@ class _ParsLiteReader:
             i = int(line[bad])
             raise ValueError(f"{self.path}:{self.lineno + i + 1}: " + _row_error(
                 data[starts[i]:ends[i]].decode("utf-8")))
-        if bad_text is not None:
-            raise bad_text
         self.blocks.append((ts, node, key))
         self.lineno += len(ends)
 

@@ -38,7 +38,7 @@ def _atomic_write(path, writer) -> None:
 
 
 def _load_config(path) -> dict:
-    """key=value lines; '#' comments; values coerced to int/float/bool."""
+    """key=value lines; '#' comments; values as text, for build_parser."""
     out = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -48,19 +48,20 @@ def _load_config(path) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, value = (s.strip() for s in line.split("=", 1))
-            key = key.replace("-", "_")
-            if value.lower() in ("true", "false"):
-                out[key] = value.lower() == "true"
-                continue
-            for cast in (int, float):
-                try:
-                    out[key] = cast(value)
-                    break
-                except ValueError:
-                    continue
-            else:
-                out[key] = value
+            out[key.replace("-", "_")] = value
     return out
+
+
+def _config_value(action, text: str):
+    """A config value's text read by its option's type, as the flag's
+    value would be; a switch takes true or false."""
+    kind = bool if action.nargs == 0 else action.type or str
+    try:
+        return ({"true": True, "false": False}[text.lower()] if kind is bool
+                else kind(text))
+    except (KeyError, ValueError):
+        raise ValueError(f"config key {action.dest!r}: invalid "
+                         f"{kind.__name__} value: {text!r}") from None
 
 
 def _scan_config_path(argv):
@@ -612,7 +613,8 @@ def build_parser(config_defaults=None) -> argparse.ArgumentParser:
         if unknown:
             raise ValueError(f"no subcommand has config key {unknown[0]!r}")
         for p in made:
-            p.set_defaults(**config_defaults)
+            p.set_defaults(**{a.dest: _config_value(a, config_defaults[a.dest])
+                              for a in p._actions if a.dest in config_defaults})
     return parser
 
 
@@ -623,7 +625,7 @@ def main(argv=None) -> int:
         defaults = _load_config(config_path) if config_path else None
         try:
             parser = build_parser(defaults)
-        except ValueError as exc:  # an unknown key in the config file
+        except ValueError as exc:  # an unknown key or a bad value
             raise ValueError(f"{config_path}: {exc}") from None
         args = parser.parse_args(argv)
         return args.func(args)

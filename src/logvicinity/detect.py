@@ -9,7 +9,7 @@ from itertools import chain, compress
 
 import numpy as np
 
-from .model import EventTable, _gather_rows, _percentile
+from .model import EventTable, _gather_rows, _lexsort, _percentile
 from .names import (CV_THRESHOLD, DEFAULT_ALPHA, DEFAULT_CADENCE,
                     DEFAULT_PERCENTILE, DEFAULT_TAU_MIN, DEFAULT_WINDOW,
                     check_nonnegative, iso, topen)
@@ -440,7 +440,7 @@ def filter_frequent_anonymized(table: EventTable,
     drop = _above_percentile(key_id, len(keys), percentile)
     # rows sorted by (key, node, time); gap i joins rows i and i + 1 when
     # both are in one (key, node) group
-    order = np.lexsort((table.ts, table.node, key_id))
+    order = _lexsort((table.ts, table.node, key_id))
     k, n = key_id[order], table.node[order]
     new = np.ones(len(k), dtype=bool)  # row starts a group
     new[1:] = (k[1:] != k[:-1]) | (n[1:] != n[:-1])

@@ -29,7 +29,6 @@ _DAY_RE = re.compile(r"\d{1,2}", re.ASCII)
 _TIME_RE = re.compile(r"(\d{1,2}):(\d{1,2}):(\d{1,2})(?:\.\d*)?", re.ASCII)
 
 HALF_YEAR = 180 * 86400
-STREAM_CHUNK = 16384  # lines parse_syslog_stream parses per step
 
 
 def format_bsd_time(t: int) -> str:
@@ -114,6 +113,20 @@ def _percentile(values, q):
     return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
+def _lexsort(keys):
+    """np.lexsort(keys) of integer columns by one stable argsort per key,
+    a key of ids narrowed by np.min_scalar_type so numpy radix-sorts it."""
+    order = None
+    for key in keys:
+        if order is not None:
+            key = key[order]
+        if len(key) and key.min() >= 0:
+            key = key.astype(np.min_scalar_type(int(key.max())))
+        step = np.argsort(key, kind="stable")
+        order = step if order is None else order[step]
+    return order
+
+
 def _word(buf, start, size):
     """The first size (at most 8) bytes from each start on, as a uint64
     that is 0 in the bytes after them."""
@@ -156,23 +169,20 @@ def _unprintable(byte):
     return (byte - 0x21) > 0x5D  # bytes below "!" wrap round
 
 
-def _canonical_fields(data, newline):
+def _canonical_fields(data, start, end):
     """(buf, start, host end, rest start, end, month << 5 | day, seconds
     of day, ok) arrays of each line of data that is not blank; the fields
     of a line are undefined unless ok, that is unless it is canonical.
 
-    data ends in _WIDE padding bytes, its lines at the "\\n" offsets
-    newline holds. A line is blank when it is empty or starts with "#",
-    and canonical when it reads "Mon DD HH:MM:SS host rest", as
+    data ends in _WIDE padding bytes, its lines run from the offsets start
+    to the "\\n" offsets end. A line is blank when it is empty or starts
+    with "#", and canonical when it reads "Mon DD HH:MM:SS host rest", as
     write_syslog writes it: single spaces, DD a day some year has
     (space-padded or two digits), a valid time, a host of at most
     _HOST_WINDOW - 1 printable ASCII bytes and a rest that is empty or
     starts with printable ASCII.
     """
     buf = np.frombuffer(data, np.uint8)
-    size = len(buf) - _WIDE
-    start = np.concatenate(([0], newline + 1))
-    end = np.append(newline, size)
     keep = (start < end) & (buf[start] != ord("#"))
     start, end = start[keep], end[keep]
 
@@ -249,12 +259,12 @@ class _SyslogParser:
         self._date_of: dict = {}  # (month, day) strings -> month << 5 | day
         self._clock_of: dict = {}  # "HH:MM:SS" -> seconds of day
 
-    def parse(self, pieces, newline):
-        """((ts, node, msg), error) of the lines of bytes pieces: the rows
-        before the first bad line and its error, or every row and None."""
-        data = b"".join([*pieces, bytes(_WIDE)])
+    def parse(self, data, start, end):
+        """(EventTable, error) of the lines of a _line_blocks block: the
+        rows before the first bad line and its error, or every row and
+        None."""
         buf, start, host_end, rest, end, date, clock, ok = (
-            _canonical_fields(data, newline))
+            _canonical_fields(data, start, end))
         host, text = np.zeros((2, len(start)), np.intp)  # distinct ids
         hosts, host[ok] = _distinct(buf, start[ok] + 16, host_end[ok])
         texts, text[ok] = _distinct(buf, rest[ok], end[ok])
@@ -321,8 +331,9 @@ class _SyslogParser:
         (first, rank), (seen, index) = _in_order(group), _in_order(text)
         node = [self._node_id(nodes[g]) for g in group[first].tolist()]
         msg = [self._message_id(texts[t]) for t in text[seen].tolist()]
-        return (ts, np.array(node, np.int32)[rank],
-                np.array(msg, np.int32)[index]), error
+        return EventTable(ts, np.array(node, np.int32)[rank],
+                          np.array(msg, np.int32)[index], self.nodes,
+                          self.messages, self.tags), error
 
     def _line_fields(self, lines) -> tuple:
         """(index of each line read, index and error of the first bad line
@@ -369,8 +380,7 @@ class _SyslogParser:
         year (Feb 29 of a common year as Mar 1). Each pass marks the wraps
         under the last pass's years; row i's mark is final after i + 1
         passes, all after two as a rule."""
-        order = np.argsort(group.astype(np.min_scalar_type(len(year))),
-                           kind="stable")  # by node, a radix sort
+        order = _lexsort([group])  # by node
         by_node = group[order]
         first = np.diff(by_node, prepend=-1) != 0  # a node's first row
         head = np.flatnonzero(first)
@@ -411,9 +421,6 @@ class _SyslogParser:
             self.messages.append(message)
         return m
 
-    def table(self, ts, node, msg) -> EventTable:
-        return EventTable(ts, node, msg, self.nodes, self.messages, self.tags)
-
 
 def parse_syslog_table(fh, default_year: int, node_resolver,
                        skip_unknown: bool = True):
@@ -432,17 +439,17 @@ def parse_syslog_table(fh, default_year: int, node_resolver,
 
 def parse_syslog_stream(fh, default_year: int, node_resolver,
                         skip_unknown: bool = True):
-    """Parse a file opened in binary mode, read by read_blocks,
-    STREAM_CHUNK lines at a time; returns (chunks, ParseStats).
+    """Parse a file opened in binary mode; returns (chunks, ParseStats).
 
-    chunks yields one EventTable per STREAM_CHUNK lines. The chunks share
+    chunks yields one EventTable per _line_blocks block. The chunks share
     the parser's nodes, messages and tags lists, which later chunks only
     extend, so an id means the same in every chunk. A per-node backward
     jump of more than 180 days means the calendar year wrapped; the node's
     entries carry the incremented year from then on. Unknown hostnames are
-    skipped (counted on .skipped_unknown) unless skip_unknown is false. An
-    error is raised after the chunk of the lines before it, invalid UTF-8
-    before it. Arrays read lines in write_syslog's shape, str.split others.
+    skipped (counted on .skipped_unknown) unless skip_unknown is false.
+    The first bad line, malformed or invalid UTF-8, raises its error after
+    the chunk of the lines before it. Arrays read lines in write_syslog's
+    shape, str.split others.
     """
     if not isinstance(fh, (io.RawIOBase, io.BufferedIOBase)):
         raise TypeError("a syslog corpus is read from a binary file, such "
@@ -451,34 +458,13 @@ def parse_syslog_stream(fh, default_year: int, node_resolver,
     parser = _SyslogParser(default_year, node_resolver, skip_unknown, stats)
 
     def gen():
-        for pieces, newline in _file_chunks(fh):
-            columns, error = parser.parse(pieces, newline)
-            yield parser.table(*columns)
-            if error is not None:
+        for block in _line_blocks(fh):
+            table, error = parser.parse(*block)
+            yield table
+            if error:
                 raise error
 
     return gen(), stats
-
-
-def _file_chunks(fh):
-    """(bytes pieces, their "\\n" offsets) per STREAM_CHUNK lines of fh."""
-    pieces, marks, held = [], [], 0  # uncut: pieces, "\n" offsets, size
-    for block in read_blocks(fh, BLOCK):
-        if not block.isascii():
-            block.decode("utf-8")  # raises on invalid UTF-8
-        newline = np.flatnonzero(np.frombuffer(block, np.uint8) == ord("\n"))
-        view, a, i = memoryview(block), 0, 0  # first uncut byte and "\n"
-        for j in range(STREAM_CHUNK - sum(map(len, marks)) - 1, len(newline),
-                       STREAM_CHUNK):  # each "\n" that ends a chunk
-            b = int(newline[j]) + 1
-            yield ([*pieces, view[a:b]],
-                   np.concatenate([*marks, newline[i:j + 1] + (held - a)]))
-            pieces, marks, held, a, i = [], [], 0, b, j + 1
-        pieces.append(view[a:])
-        marks.append(newline[i:] + (held - a))
-        held += len(block) - a
-    if held:
-        yield pieces, np.concatenate(marks)
 
 
 @dataclass
@@ -490,7 +476,7 @@ class ParseStats:
     lines_one_by_one: int = field(default=0, compare=False)
 
 
-BLOCK = 1 << 19  # bytes read_blocks reads per step
+BLOCK = 1 << 20  # bytes read_blocks reads per step
 
 
 def read_blocks(fh, size: int):
@@ -511,6 +497,24 @@ def read_blocks(fh, size: int):
         pending.append(block[cut:])
     if rest := b"".join(pending):
         yield rest + b"\n"
+
+
+def _line_blocks(fh):
+    """Yield (block + _WIDE padding bytes, its lines' starts, their "\\n"
+    offsets) per read_blocks(fh, BLOCK) block. A block with invalid UTF-8
+    is cut before the line that holds it, whose UnicodeDecodeError is
+    raised when the reader asks for the next block."""
+    for block in read_blocks(fh, BLOCK):
+        error = None
+        try:
+            block.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            cut = block.rfind(b"\n", 0, exc.start) + 1
+            block, error = block[:cut], exc
+        end = np.flatnonzero(np.frombuffer(block, np.uint8) == ord("\n"))
+        yield block + bytes(_WIDE), np.concatenate(([0], end + 1))[:-1], end
+        if error:
+            raise error
 
 
 class EventTable:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EventTable
+from .model import EventTable, _lexsort
 from .names import (DEFAULT_BURST_FACTOR, DEFAULT_BURST_MINUTES,
                     DEFAULT_MIN_GAP, DEFAULT_SILENCE_THRESHOLD, NodeId,
                     ObservationRange, check_nonnegative, iso, parse_iso,
@@ -167,7 +167,7 @@ def detect_outages(table: EventTable, footprint: BootFootprintSpec, rules,
     key_id, keys = table.keys(rules)
     foot = _footprint_ids(footprint, rules, keys)
     # rows by node id, then stably by time; node n's are bounds[n]:bounds[n+1]
-    order = np.lexsort((table.ts, table.node))
+    order = _lexsort((table.ts, table.node))
     bounds = [0, *np.cumsum(np.bincount(table.node,
                                         minlength=len(table.nodes))).tolist()]
     times, sigs = table.ts[order], key_id[order]

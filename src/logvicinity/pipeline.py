@@ -116,7 +116,6 @@ class VariantRun:
     events: list
     dropped: list
     sweep: SweepResult
-    index: SGIndex
 
 
 def run_variant(table: EventTable, topology, obs_range, variant: str,
@@ -139,7 +138,7 @@ def run_variant(table: EventTable, topology, obs_range, variant: str,
                               cadence=cadence, alpha=alpha, tau_min=tau_min)
     events = drop_maintenance_events(
         extract_events(sweep, index, cadence), maintenance)
-    return VariantRun(variant, events, dropped, sweep, index)
+    return VariantRun(variant, events, dropped, sweep)
 
 
 def run_variants(table: EventTable, topology, obs_range, rules=None,

@@ -2,6 +2,7 @@
 write_syslog round-trip check, and the block reader behind both readers."""
 
 import gzip
+import io
 import json
 import tempfile
 from datetime import datetime, timezone
@@ -210,7 +211,6 @@ def test_file_spellings_parse_alike(odd_corpus, tmp_path, monkeypatch, block):
     """Metamorphic: .gz, \\r\\n, lone \\r and no final newline, at any
     block size, give the plain file's table and stats, the count of
     lines read one by one included."""
-    monkeypatch.setattr(model, "STREAM_CHUNK", 700)
     (tmp_path / "plain.log").write_bytes(odd_corpus)
     expect = _parse_file(tmp_path / "plain.log")
     parsed, skipped, one_by_one = expect[1]
@@ -252,6 +252,33 @@ def test_invalid_utf8_fails_parse_and_writes_nothing(tmp_path, capsys, bad):
     assert list(tmp_path.iterdir()) == [tmp_path / "bad.log"]
 
 
+@pytest.mark.parametrize("block", [7, None])
+def test_the_first_bad_line_wins_malformed_or_invalid_utf8(
+        tmp_path, capsys, monkeypatch, block):
+    """One error rule: a malformed line 2 is the error of a file with
+    invalid UTF-8 on line 4, and invalid UTF-8 on line 4 of a file whose
+    lines are otherwise good, each after the rows of the lines before."""
+    if block:
+        monkeypatch.setattr(model, "BLOCK", block)
+    good = b"Mar  6 10:00:00 i1r0n0 kernel: ok\n"
+    malformed = b"Mar 32 10:00:00 i1r0n0 kernel: ok\n"
+    bad_byte = b"Mar  6 10:00:01 i1r0n0 caf\xe9 ok\n"
+    for data, rows, error in [
+            (good + malformed + good + bad_byte + good, 1, "Mar 32"),
+            (good * 3 + bad_byte + malformed, 3, "can't decode")]:
+        chunks, stats = parse_syslog_stream(io.BytesIO(data), 2023,
+                                            canonical_node)
+        seen = []
+        with pytest.raises(ValueError, match=error):
+            for chunk in chunks:
+                seen += chunk.ts.tolist()
+        assert len(seen) == stats.parsed == rows
+    (tmp_path / "bad.log").write_bytes(good + malformed + good + bad_byte)
+    assert main(["parse", "--corpus", str(tmp_path / "bad.log"), "--year",
+                 "2023"]) == 2
+    assert capsys.readouterr().err.startswith("error: bad calendar day Mar")
+
+
 @pytest.mark.parametrize("year, error", [
     ("9999", "year 10000 is out of range in line: "
              "'Jan  1 00:00:00 i1r0n0 a: b\\n'"),
@@ -270,7 +297,7 @@ def test_parse_counts_the_lines_read_one_by_one(odd_corpus, tmp_path,
                                                monkeypatch, capsys):
     """A canonical corpus has no line read one by one; each odd line
     counts once, and `parse` prints the count."""
-    monkeypatch.setattr(model, "STREAM_CHUNK", 500)
+    monkeypatch.setattr(model, "BLOCK", 1 << 15)
     lines = odd_corpus.splitlines(keepends=True)
     canonical = b"".join(line for line in lines if b"  i1" not in line)
     odd = canonical.replace(b"\n", b"\nMar  6 10:00:00  i1r0n0 odd\n", 1)
@@ -295,14 +322,16 @@ ODD_SPELLINGS = [
 
 def test_one_odd_line_per_chunk_is_the_only_line_read_one_by_one(
         corpus, tmp_path, monkeypatch):
-    """Metamorphic: respelling one line of every STREAM_CHUNK so that the
-    arrays reject it gives the canonical corpus's table, and exactly
-    those lines are read one by one."""
-    monkeypatch.setattr(model, "STREAM_CHUNK", 2048)
+    """Metamorphic: respelling the line in the middle of every BLOCK so
+    that the arrays reject it gives the canonical corpus's table, and
+    exactly those lines are read one by one."""
+    monkeypatch.setattr(model, "BLOCK", 1 << 17)
     write_syslog(corpus.entries.take(np.arange(len(corpus.entries)) < 30000),
                  tmp_path / "canonical.log")
     lines = (tmp_path / "canonical.log").read_bytes().splitlines(True)
-    odd = range(100, len(lines), model.STREAM_CHUNK)
+    ends = np.cumsum([len(line) for line in lines])
+    odd = np.searchsorted(ends, np.arange(model.BLOCK // 2, ends[-1],
+                                          model.BLOCK), side="right")
     for k, i in enumerate(odd):
         lines[i] = ODD_SPELLINGS[k % len(ODD_SPELLINGS)](lines[i])
     (tmp_path / "odd.log").write_bytes(b"".join(lines))
@@ -310,4 +339,4 @@ def test_one_odd_line_per_chunk_is_the_only_line_read_one_by_one(
     assert expect[1] == (30000, 0, 0)
     assert _parse_file(tmp_path / "odd.log") == (expect[0],
                                                  (30000, 0, len(odd)))
-    assert len(odd) == 15
+    assert len(odd) == 16

@@ -4,6 +4,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from logvicinity import detect
@@ -12,7 +14,7 @@ from logvicinity.detect import (MIN_GROUP_SIZE, VERDICTS, SGIndex,
                                 filter_frequent_anonymized,
                                 filter_frequent_raw, observation_moments,
                                 run_detection, split_groups, sweep_schedule)
-from logvicinity.model import NodeId, ObservationRange, _percentile
+from logvicinity.model import NodeId, ObservationRange, _lexsort, _percentile
 from logvicinity.vicinity import VicinityAssignment
 from oracles import LogEntry
 from tables import Keyed, rows_of, table_of
@@ -360,6 +362,28 @@ def test_percentile_matches_naive_oracle():
     for q in (-1.0, 100.5):
         with pytest.raises(ValueError):
             _percentile(np.arange(3), q)
+
+
+@st.composite
+def _int_columns(draw):
+    """One to three integer columns of one length, each of few distinct
+    values (ties), small ids to values past 2**32, some negative."""
+    n = draw(st.integers(0, 60))
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        hi = draw(st.sampled_from([0, 3, 200, 70_000, 1 << 40, 1 << 62]))
+        lo = draw(st.sampled_from([0, -hi]))
+        values = draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n))
+        dtype = draw(st.sampled_from([np.int32, np.int64])
+                     if hi < 1 << 31 else st.just(np.int64))
+        columns.append(np.array(values, dtype))
+    return columns
+
+
+@settings(max_examples=200, deadline=None)
+@given(_int_columns())
+def test_lexsort_equals_numpy_lexsort(columns):
+    assert np.array_equal(_lexsort(columns), np.lexsort(columns))
 
 
 def test_filter_raw_drops_top_template():

@@ -115,14 +115,15 @@ def test_detection_and_outages_never_load_numpy_ma():
     code = """
 import sys
 from logvicinity.anonymize import SubstitutionRuleSet
+from logvicinity.detect import SGIndex
 from logvicinity.outages import BootFootprintSpec
 from logvicinity.pipeline import detect_and_classify, run_variants, sweep_perspective
 from logvicinity.synth import FOOTPRINT_LINES, GeneratorSpec, generate
 c = generate(GeneratorSpec(seed=3, days=1.0, failure_count=3, skew_share=0.0,
                            storm_count=5, background_jobs=10))
-runs = run_variants(c.entries, c.topology, c.range,
-                    maintenance=c.truth.maintenance)
-sweep_perspective(runs["raw"].index, "allocation", c.topology, c.range,
+run_variants(c.entries, c.topology, c.range,
+             maintenance=c.truth.maintenance)
+sweep_perspective(SGIndex(c.entries), "allocation", c.topology, c.range,
                   jobs=c.truth.jobs)
 footprint = BootFootprintSpec([("template", m) for _, m in FOOTPRINT_LINES])
 print(len(detect_and_classify(c.entries, footprint, SubstitutionRuleSet(),

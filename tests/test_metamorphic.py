@@ -8,6 +8,9 @@ Testing: A Review of Challenges and Opportunities", ACM Computing Surveys
 - One fixed text for every message leaves each (timestamp, node) pair as
   it is, so the raw and anonymized events do not change: the detector
   reads no message text.
+- A second corpus on racks of an island the first lacks leaves the first
+  racks' location cells and their nodes' events as they are: a location
+  group is judged on its own nodes' counts alone.
 """
 
 import random
@@ -17,8 +20,9 @@ import pytest
 
 from logvicinity.cli import main
 from logvicinity.evaluate import score
-from logvicinity.model import EventTable
+from logvicinity.model import EventTable, NodeId, Topology
 from logvicinity.pipeline import run_variant
+from logvicinity.synth import GeneratorSpec, generate
 
 
 def _class_renaming(topology, seed):
@@ -117,3 +121,50 @@ def test_one_message_text_leaves_verdicts_and_events_as_they_are(
     *got, keys = outputs[1]
     assert keys == 1 and want[0].count("\n") > 1
     assert got == want
+
+
+def _location_cells(sweep):
+    """Each cell's centres, wcss and tau and its rows' nodes, counts,
+    verdicts and minority marks, by (moment, group name)."""
+    cells = {}
+    for c, (at, g) in enumerate(zip(sweep.at.tolist(), sweep.group.tolist())):
+        rows = slice(sweep.offset[c], sweep.offset[c + 1])
+        cells[at, sweep.groups[g][0]] = (
+            sweep.c_minor[c], sweep.c_major[c], sweep.wcss[c], sweep.tau[c],
+            [sweep.nodes[n] for n in sweep.node[rows].tolist()],
+            sweep.sg[rows].tolist(), sweep.code[rows].tolist(),
+            sweep.minority[rows].tolist())
+    return cells
+
+
+def test_a_disjoint_island_leaves_the_other_racks_alone():
+    spec = dict(days=1.0, failure_count=3, skew_share=0.0, storm_count=5,
+                background_jobs=10)
+    first, second = (generate(GeneratorSpec(seed=seed, **spec))
+                     for seed in (3, 4))
+    assert first.range == second.range
+    shift = max(first.topology.islands())  # onto islands the first lacks
+    rename = {n: NodeId(n.island + shift, n.rack, n.position)
+              for n in second.topology.nodes}
+    a, b = first.entries, second.entries
+    both = EventTable(
+        np.concatenate([a.ts, b.ts]),
+        np.concatenate([a.node, b.node + len(a.nodes)]),
+        np.concatenate([a.msg, b.msg + len(a.messages)]),
+        a.nodes + [rename[n] for n in b.nodes], a.messages + b.messages,
+        a.tags + b.tags)
+    topology = Topology(
+        first.topology.nodes + list(rename.values()),
+        {**first.topology.architecture_of,
+         **{rename[n]: arch
+            for n, arch in second.topology.architecture_of.items()}})
+    base, joint = (run_variant(table, top, first.range, "raw",
+                               perspective="location")
+                   for table, top in ((a, first.topology), (both, topology)))
+    assert base.events and (base.sweep.code != 0).any()
+    want, got = _location_cells(base.sweep), _location_cells(joint.sweep)
+    assert len(got) == 2 * len(want)  # the second racks' cells as many
+    assert {key: got[key] for key in want} == want
+    assert set(base.sweep.skipped_groups) <= set(joint.sweep.skipped_groups)
+    mine = set(first.topology.nodes)
+    assert [e for e in _events(joint) if e[0] in mine] == _events(base)

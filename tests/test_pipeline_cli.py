@@ -771,6 +771,34 @@ def test_cli_config_file_values_are_checked_too(cli_dir, tmp_path, capsys):
         "error: min_gap must be a finite number >= 0, not -5\n"
 
 
+@pytest.mark.parametrize("command, line, error", [
+    ("detect-outages", "burst_minutes = 2.5",
+     "config key 'burst_minutes': invalid int value: '2.5'"),
+    ("detect-anomalies", "window = 1800.5",
+     "config key 'window': invalid int value: '1800.5'"),
+    ("detect-anomalies", "anonymized = yes",
+     "config key 'anonymized': invalid bool value: 'yes'"),
+    ("detect-anomalies", "window = 1800", None),
+])
+def test_cli_config_values_are_read_as_their_flags(cli_dir, tmp_path, capsys,
+                                                   command, line, error):
+    """A config value is converted by its option's own type: a fraction
+    for an integer option fails as the flag would, naming the file and
+    the key, where it once ended in a traceback."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    args = _command_args(command, cli_dir, tmp_path)
+    capsys.readouterr()
+    if error is None:
+        manifest = tmp_path / "m.json"
+        assert main(args + ["--config", str(cfg),
+                            "--manifest", str(manifest)]) == 0
+        assert json.loads(manifest.read_text())["config"]["window"] == 1800
+    else:
+        assert main(args + ["--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: {error}")
+
+
 def test_boot_detection_rejects_a_negative_or_non_finite_parameter():
     table = table_of(LogEntry(t, X, "t", "m") for t in range(0, 6000, 60))
     footprint = BootFootprintSpec([("template", "m")])

@@ -92,17 +92,20 @@ def _parsed(lines):
 
 
 def test_chunk_size_does_not_change_the_parse(monkeypatch):
-    """Metamorphic: STREAM_CHUNK lines per chunk, from one line to more
-    than the corpus holds, give one result; rollover state, unknown
-    hosts and the error of a malformed last line cross chunk bounds."""
+    """Metamorphic: BLOCK bytes per read, from one byte (a line per chunk)
+    to more than the corpus holds, give one result; rollover state,
+    unknown hosts and the error of a malformed last line cross chunk
+    bounds."""
     lines = _wrapping_corpus(44)
     bad = lines + ["Mar 32 10:00:00 i1r0n0 a: z\n"]
-    monkeypatch.setattr(model, "STREAM_CHUNK", len(bad))
+    monkeypatch.setattr(model, "BLOCK", len("".join(bad).encode()))
     whole, error = _parsed(lines), _parsed(bad)
     assert whole[-1].skipped_unknown > 0 and "Mar 32" in error
     assert max(whole[0]) >= to_epoch(2024, 2, 29, 0, 0, 0)
+    shortest = min(len(line) for line in lines
+                   if line.strip() and not line.startswith("#"))
     for size in (1, 7, 4096):
-        monkeypatch.setattr(model, "STREAM_CHUNK", size)
+        monkeypatch.setattr(model, "BLOCK", size)
         assert _parsed(lines) == whole
         assert _parsed(bad) == error
         chunks, stats = parse_syslog_stream(syslog_file(bad), 2023,
@@ -111,8 +114,9 @@ def test_chunk_size_does_not_change_the_parse(monkeypatch):
         with pytest.raises(SyslogParseError):
             for chunk in chunks:
                 sizes.append(len(chunk))
-        assert max(sizes) <= size and sum(sizes) == stats.parsed
-        assert stats == whole[-1]
+        # a chunk's rows but the first lie inside one read
+        assert max(sizes) <= 1 + size // shortest and len(sizes) > 1
+        assert sum(sizes) == stats.parsed and stats == whole[-1]
 
 
 # A grammar of syslog lines: the canonical shape write_syslog emits, mixed
@@ -215,7 +219,7 @@ def test_chunked_parse_equals_the_line_parser(lines):
     same error after the rows of the lines before it."""
     expected = _reference(lines)
     for size in (1, 7, 4096):
-        with mock.patch.object(model, "STREAM_CHUNK", size):
+        with mock.patch.object(model, "BLOCK", size):
             assert _streamed(lines) == expected
             if expected[-1] is None:
                 table, stats = parse_syslog_table(syslog_file(lines), 2023,
@@ -235,7 +239,8 @@ def test_written_corpora_are_never_read_line_by_line(corpus, tmp_path):
         with topen(path, "rb") as fh:  # as the CLI opens a corpus
             table, stats = parse_syslog_table(fh, 2023,
                                               gen.topology.resolver())
-        assert stats.parsed == len(entries) > 2 * model.STREAM_CHUNK
+        assert path.stat().st_size > 2 * model.BLOCK
+        assert stats.parsed == len(entries)
         assert rows_of(table) == rows_of(entries)
         assert stats.lines_one_by_one == 0
 
@@ -245,17 +250,18 @@ def test_year_wraps_are_read_by_the_arrays(monkeypatch):
              if line.strip() and not line.startswith("#")]
     resolver = TOPOLOGY.resolver()
     entries, _ = oracles.reference_parse(lines, 2023, resolver)
-    size, year_of, wraps = 64, {}, set()  # wraps: chunks of year changes
+    size, year_of, wraps = 2048, {}, set()  # wraps: blocks of year changes
+    ends = np.cumsum([len(line.encode()) for line in lines])
     known = [i for i, line in enumerate(lines) if line.split()[3] in resolver]
     for entry, i in zip(entries, known):
         year = iso(entry.timestamp)[:4]
         if year_of.setdefault(entry.node, year) != year:
-            wraps.add(i // size)
+            wraps.add((ends[i] - 1) // size)
         year_of[entry.node] = year
-    monkeypatch.setattr(model, "STREAM_CHUNK", size)
+    monkeypatch.setattr(model, "BLOCK", size)
     table, stats = parse_syslog_table(syslog_file(lines), 2023, resolver)
     assert rows_of(table) == entries
-    assert 0 < len(wraps) < len(lines) // size // 2
+    assert 0 < len(wraps) < ends[-1] // size // 2
     assert stats.lines_one_by_one == 0
 
 
@@ -349,10 +355,10 @@ def test_fractions_of_a_second_share_their_second():
     lines = [f"Mar  6 10:00:0{k % 2}.{k:06d} i1r0n0 a: b\n" for k in range(50)]
     parser = model._SyslogParser(2023, TOPOLOGY.resolver(), True,
                                  model.ParseStats())
-    for pieces, newline in model._file_chunks(syslog_file(lines)):
-        (ts, _, _), error = parser.parse(pieces, newline)
+    for block in model._line_blocks(syslog_file(lines)):
+        table, error = parser.parse(*block)
     assert error is None and len(parser._clock_of) == 2
-    assert ts.tolist() == [e.timestamp for e in oracles.reference_parse(
+    assert table.ts.tolist() == [e.timestamp for e in oracles.reference_parse(
         lines, 2023, TOPOLOGY.resolver())[0]]
     for bad in ("10:00:00.5x", "10:00:00.\u0665", "10:00:00..5"):
         line = f"Mar  6 {bad} i1r0n0 a: b\n"
