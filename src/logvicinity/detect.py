@@ -24,52 +24,66 @@ VERDICT_NAMES = np.array(VERDICTS, dtype=object)  # verdict code -> name
 
 
 class SGIndex:
-    """Per-node sorted timestamp index answering half-open window counts.
+    """A table's rows as one sorted key, answering half-open window counts.
 
-    `matrix` keeps an edge table: row i holds the i-th indexed node's number
-    of entries before each kept edge, as int32, and a last row of zeros
-    stands for every node without entries. The index never changes after
-    it is built, so the table cannot go stale.
+    key holds one int64 per row, node id << 40 | seconds since t0, sorted,
+    so node i's rows are key[offset[i]:offset[i + 1]] in time order; an
+    unlisted node reads as the last id, which owns no rows. `matrix` keeps
+    an edge table: row i holds node i's number of entries before each kept
+    edge, as int32. The index never changes after it is built, so the
+    table cannot go stale.
     """
 
     def __init__(self, table: EventTable):
         if len(table) >= 1 << 31:  # the edge table counts rows in int32
             raise ValueError("an SGIndex holds fewer than 2**31 rows")
-        # one int64 key per row, the node id above the seconds since the
-        # earliest row: sorting the keys in place groups rows by node with
-        # ascending times, and masking the node off leaves those times
-        t0 = int(table.ts.min()) if len(table) else 0
+        if len(table.nodes) >= 1 << 22:  # ids sit above 40 bits of time
+            raise ValueError("an SGIndex holds fewer than 2**22 nodes")
+        self.t0 = t0 = int(table.ts.min()) if len(table) else 0
         if len(table) and int(table.ts.max()) - t0 >= _SPAN:
             raise ValueError("timestamps span more than 2**40 seconds")
-        key = table.node.astype(np.int64)
-        key <<= 40
-        key += table.ts
-        key -= t0
-        key.sort()
-        key &= _SPAN - 1
-        key += t0
-        counts = np.bincount(table.node, minlength=len(table.nodes))
-        bounds = [0, *np.cumsum(counts).tolist()]
-        self.times = {node: key[a:b] for node, a, b in
-                      zip(table.nodes, bounds, bounds[1:]) if a < b}
-        self._row = {node: i for i, node in enumerate(self.times)}
+        self.key = table.node.astype(np.int64)
+        self.key <<= 40
+        self.key += table.ts
+        self.key -= t0
+        self.key.sort()
+        self.offset = np.zeros(len(table.nodes) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(table.node, minlength=len(table.nodes)),
+                  out=self.offset[1:])
+        self.nodes = table.nodes  # the table's list, which ids index
         self._edges = np.zeros(0, dtype=np.int64)
-        self._before = np.zeros((len(self.times) + 1, 0), dtype=np.int32)
+        self._before = np.zeros((len(self.offset), 0), dtype=np.int32)
+
+    def _ids(self, nodes):
+        """The node ids of nodes, len(offset) - 1 for an unlisted one."""
+        of = dict(zip(self.nodes, range(len(self.offset) - 1)))
+        return np.array([of.get(node, len(of)) for node in nodes], np.int64)
+
+    def _rows_before(self, ids, times):
+        """Node ids[j]'s number of rows before times[j], broadcast. A time
+        is clipped into the key's span first: below it, it would read rows
+        of the node below, above it rows of the node above."""
+        at = np.clip(np.asarray(times, dtype=np.int64) - self.t0, 0, _SPAN)
+        rows = self.key.searchsorted((ids << 40) + at)
+        rows -= self.offset[ids]
+        return rows
 
     def count(self, node, at: int, window: int = DEFAULT_WINDOW) -> int:
-        ts = self.times.get(node)
-        if ts is None:
-            return 0
         # [at - window, at): the entry at `at` itself is not yet observed
-        return int(ts.searchsorted(at) - ts.searchsorted(at - window))
+        lo, hi = self._rows_before(self._ids([node]), [at - window, at])
+        return int(hi - lo)
 
-    def last_entry_before(self, node, t: int):
-        """Timestamp of the node's last entry strictly before t, or None."""
-        ts = self.times.get(node)
-        if ts is None:
-            return None
-        idx = int(ts.searchsorted(t))
-        return int(ts[idx - 1]) if idx else None
+    def last_entry_before(self, nodes, times):
+        """(anchors, found): per (nodes[j], times[j]), the timestamp of the
+        node's last entry strictly before the time, and whether it has one;
+        an anchor not found reads 0."""
+        ids = self._ids(nodes)
+        row = self._rows_before(ids, times)
+        found = row > 0
+        last = (self.offset[ids] + row)[found] - 1
+        anchors = np.zeros(len(ids), dtype=np.int64)
+        anchors[found] = (self.key[last] & (_SPAN - 1)) + self.t0
+        return anchors, found
 
     def matrix(self, nodes, moments, window: int = DEFAULT_WINDOW):
         """SG matrix: row r holds the counts of nodes[r] at every moment."""
@@ -80,7 +94,7 @@ class SGIndex:
         # [at - window, at): the entries before at, less those before
         # at - window; the columns are taken first, so no copy of the
         # whole table is made
-        rows = [self._row.get(node, -1) for node in nodes]
+        rows = self._ids(nodes)
         return np.subtract(
             np.take(np.take(self._before, self._edges.searchsorted(hi),
                             axis=1), rows, axis=0),
@@ -90,18 +104,18 @@ class SGIndex:
     def _keep_edges(self, edges):
         """Keep the union of the kept and the new edges, or the new edges
         alone where the union would more than double them; only columns
-        of edges not kept before are counted."""
+        of edges not kept before are counted, all nodes' at once."""
         kept, counted = self._edges, self._before
         union = _distinct(np.concatenate([kept, edges]))
         if len(union) > 2 * len(edges):
             union, kept, counted = edges, kept[:0], counted[:, :0]
-        before = np.zeros((len(self.times) + 1, len(union)), dtype=np.int32)
+        before = np.empty((len(self.offset), len(union)), dtype=np.int32)
         new = np.ones(len(union), dtype=bool)
         old = union.searchsorted(kept)
         before[:, old], new[old] = counted, False
         new = np.flatnonzero(new)
-        for row, ts in zip(before, self.times.values()):
-            row[new] = ts.searchsorted(union[new])
+        before[:, new] = self._rows_before(
+            np.arange(len(self.offset))[:, None], union[new])
         self._edges, self._before = union, before
 
 
@@ -151,12 +165,11 @@ def split_groups(sg, alpha: float = DEFAULT_ALPHA,
     # so every step runs over contiguous cells
     xs = (ordered.T >> bits).astype(np.float64, order="C")
     flat = xs[0] == xs[-1]  # all equal: one lower cluster, no minority
+    # cumsum adds down the rows in sequence, as the scalar reference does
     prefix, prefix_sq = np.zeros((2, n + 1, cells))
-    for i in range(n):
-        np.add(prefix[i], xs[i], out=prefix[i + 1])
+    np.cumsum(xs, axis=0, out=prefix[1:])
     xs *= xs
-    for i in range(n):
-        np.add(prefix_sq[i], xs[i], out=prefix_sq[i + 1])
+    np.cumsum(xs, axis=0, out=prefix_sq[1:])
 
     # sse(0, k) + sse(k, n) for every split k = 1..n-1, each as
     # max(s2 - s * s / size, 0); the prefixes start at an exact zero

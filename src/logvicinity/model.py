@@ -396,9 +396,8 @@ class _SyslogParser:
             previous[head] = last[by_node[head]]
             marks = previous - read > HALF_YEAR
             if np.array_equal(marks, wraps):
-                feb29 = np.flatnonzero(date == 2 << 5 | 29)
-                bad = np.union1d(feb29[~_leap(years[feb29])],
-                                 np.flatnonzero(years > MAXYEAR))
+                bad = np.flatnonzero(((date == 2 << 5 | 29) & ~_leap(years))
+                                     | (years > MAXYEAR))
                 return ts, years, int(bad[0]) if len(bad) else len(date)
             wraps = marks
             seen = np.cumsum(wraps)  # wraps up to each row, per node

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import compress
 
 import numpy as np
 
@@ -91,13 +92,11 @@ def extract_events(sweep: SweepResult, index: SGIndex,
     np.maximum.at(last_zero, run_of, at[zero])
     probe = np.where(silent, last_zero, at[first] + 1)
 
-    events = []
-    for n, t, a, b, s in zip(node[first].tolist(), probe.tolist(),
-                             at[first].tolist(), at[last].tolist(),
-                             silent.tolist()):
-        anchor = index.last_entry_before(sweep.nodes[n], t)
-        if anchor is not None:
-            events.append(ExtractedEvent(sweep.nodes[n], anchor, a, b, s))
+    nodes = [sweep.nodes[n] for n in node[first].tolist()]
+    anchor, found = index.last_entry_before(nodes, probe)
+    events = list(map(ExtractedEvent, compress(nodes, found.tolist()),
+                      anchor[found].tolist(), at[first[found]].tolist(),
+                      at[last[found]].tolist(), silent[found].tolist()))
     events.sort(key=lambda e: (e.outage_time, e.node))
     return events
 

@@ -147,14 +147,16 @@ def brute_window_count(entries, node, at, window):
     return total
 
 
-def reference_extract_events(sweep, index, cadence, max_gap_moments):
+def reference_extract_events(sweep, table, cadence, max_gap_moments):
     """Events of a sweep by the plain per-node loop over its cells.
 
     Per node, its distinct (moment, verdict) flags in order form runs
     split where consecutive flags lie more than (max_gap_moments + 1)
     cadences apart. A run with a non_responsive flag is anchored at the
     node's last entry before its last such moment, any other run at its
-    last entry at or before its first moment; unanchorable runs drop.
+    last entry at or before its first moment, each the largest of the
+    node's timestamps in the EventTable below the probe; unanchorable runs
+    drop.
     Returns (node, anchor, first, last, silent) tuples ordered by
     (anchor, node), runs of one node in time order.
     """
@@ -164,6 +166,9 @@ def reference_extract_events(sweep, index, cadence, max_gap_moments):
             if verdict != "normal":
                 flagged.setdefault(node, []).append((res.at, verdict))
 
+    times = {}
+    for node, ts in zip(table.node.tolist(), table.ts.tolist()):
+        times.setdefault(table.nodes[node], []).append(ts)
     span = (max_gap_moments + 1) * cadence
     events = []
     for node in sorted(flagged):
@@ -178,10 +183,9 @@ def reference_extract_events(sweep, index, cadence, max_gap_moments):
         runs.append(run)
         for run in runs:
             zeros = [at for at, v in run if v == "non_responsive"]
-            if zeros:
-                anchor = index.last_entry_before(node, zeros[-1])
-            else:
-                anchor = index.last_entry_before(node, run[0][0] + 1)
+            probe = zeros[-1] if zeros else run[0][0] + 1
+            anchor = max((t for t in times.get(node, ()) if t < probe),
+                         default=None)
             if anchor is None:
                 continue
             events.append((node, anchor, run[0][0], run[-1][0], bool(zeros)))

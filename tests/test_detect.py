@@ -106,13 +106,51 @@ def test_sg_index_refuses_more_rows_than_its_edge_table_counts():
     with pytest.raises(ValueError, match=r"fewer than 2\*\*31 rows"):
         SGIndex(Huge())
 
+    class Wide:  # node ids share an int64 key with 40 bits of time
+        nodes = range(1 << 22)
+
+        def __len__(self):
+            return 0
+
+    with pytest.raises(ValueError, match=r"fewer than 2\*\*22 nodes"):
+        SGIndex(Wide())
+
 
 def test_last_entry_before():
     idx = SGIndex(table_of(_entries({N[0]: [100, 200, 300]})))
-    assert idx.last_entry_before(N[0], 250) == 200
-    assert idx.last_entry_before(N[0], 200) == 100
-    assert idx.last_entry_before(N[0], 100) is None
-    assert idx.last_entry_before(N[1], 100) is None
+    anchors, found = idx.last_entry_before([N[0], N[0], N[0], N[1]],
+                                           [250, 200, 100, 100])
+    assert anchors.tolist() == [200, 100, 0, 0]
+    assert found.tolist() == [True, True, False, False]
+    anchors, found = SGIndex(table_of([])).last_entry_before([N[0]], [5])
+    assert (anchors.tolist(), found.tolist()) == ([0], [False])
+
+
+def test_counts_and_anchors_hold_far_outside_the_indexed_span():
+    # a time 2**40 s or more from the earliest row, unclipped, would read
+    # rows of the node below or above in the packed key
+    rng = random.Random(5)
+    t0, span = 1 << 41, 1 << 40
+    spec = {n: sorted(t0 + rng.randrange(0, 5000)
+                      for _ in range(rng.randrange(1, 40))) for n in N[:4]}
+    spec[N[0]][0] = t0
+    entries = _entries(spec)
+    idx = SGIndex(table_of(entries))
+    times = [t0 + s * span + rng.randrange(-6000, 6000)
+             for s in (-1, 0, 1) for _ in range(12)]
+    for window in (600, span, 2 * span):
+        sg = idx.matrix(N[:5], times, window)
+        for r, node in enumerate(N[:5]):
+            want = [oracles.brute_window_count(entries, node, at, window)
+                    for at in times]
+            assert [idx.count(node, at, window) for at in times] == want
+            assert sg[r].tolist() == want
+    nodes = [node for node in N[:5] for _ in times]
+    anchors, found = idx.last_entry_before(nodes, times * 5)
+    want = [max((t for t in spec.get(node, ()) if t < at), default=None)
+            for node, at in zip(nodes, times * 5)]
+    assert [a if f else None for a, f in
+            zip(anchors.tolist(), found.tolist())] == want
 
 
 def test_kmeans_matches_exhaustive_split():

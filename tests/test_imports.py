@@ -109,18 +109,24 @@ def test_anonymize_loads_only_what_it_runs(tmp_path):
         "synth", "pipeline", "detect", "outages", "classify")}
 
 
-def test_detection_and_outages_never_load_numpy_ma():
-    # np.percentile, np.unique without indices and np.median on floats
-    # import numpy.ma on their first call; detection does without them
+def test_detection_and_outages_never_load_numpy_ma(tmp_path):
+    # np.percentile, np.unique without indices (np.union1d's too) and
+    # np.median on floats import numpy.ma on their first call; parsing and
+    # detection do without them
     code = """
 import sys
 from logvicinity.anonymize import SubstitutionRuleSet
 from logvicinity.detect import SGIndex
+from logvicinity.model import parse_syslog_table, write_syslog
 from logvicinity.outages import BootFootprintSpec
 from logvicinity.pipeline import detect_and_classify, run_variants, sweep_perspective
 from logvicinity.synth import FOOTPRINT_LINES, GeneratorSpec, generate
 c = generate(GeneratorSpec(seed=3, days=1.0, failure_count=3, skew_share=0.0,
                            storm_count=5, background_jobs=10))
+write_syslog(c.entries, sys.argv[1])
+with open(sys.argv[1], "rb") as fh:
+    table, _ = parse_syslog_table(fh, 2023, c.topology.resolver())
+assert len(table) == len(c.entries)
 run_variants(c.entries, c.topology, c.range,
              maintenance=c.truth.maintenance)
 sweep_perspective(SGIndex(c.entries), "allocation", c.topology, c.range,
@@ -130,6 +136,6 @@ print(len(detect_and_classify(c.entries, footprint, SubstitutionRuleSet(),
                               c.range)))
 print("numpy.ma" in sys.modules)
 """
-    outages, loaded = _child(code).split()
+    outages, loaded = _child(code, str(tmp_path / "corpus.log")).split()
     assert int(outages) > 0
     assert loaded == "False"

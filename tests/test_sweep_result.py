@@ -34,10 +34,10 @@ def _tuples(events):
              e.non_responsive) for e in events]
 
 
-def _index(spec):
+def _table(spec):
     """spec: {node: [timestamps]}."""
-    return SGIndex(table_of(LogEntry(t, node, "t", "m")
-                            for node, ts in spec.items() for t in ts))
+    return table_of(LogEntry(t, node, "t", "m")
+                    for node, ts in spec.items() for t in ts)
 
 
 def _chained_failures(corpus, obs_range):
@@ -88,14 +88,14 @@ def test_sweep_matches_the_per_cell_loops(perspective, corpus, tmp_path):
                                           getattr(checked[window], column))
                 continue
             _assert_sweep_is_the_per_cell_loop(
-                sweep, index, window,
+                sweep, corpus.entries, index, window,
                 _schedule(perspective, corpus, obs_range, failures, window),
                 tmp_path)
             checked[window] = sweep
 
 
-def _assert_sweep_is_the_per_cell_loop(sweep, index, window, schedule,
-                                       tmp_path):
+def _assert_sweep_is_the_per_cell_loop(sweep, table, index, window,
+                                       schedule, tmp_path):
     # every cell, in schedule order, equals its group's row split alone,
     # and its verdicts are the naive rule's
     cells = [(at, name, tuple(sorted(group)))
@@ -117,7 +117,7 @@ def _assert_sweep_is_the_per_cell_loop(sweep, index, window, schedule,
     flagged = sum(v != "normal" for r in sweep.results for v in r.verdict)
     assert int((sweep.code != 0).sum()) == flagged > 0
     assert _tuples(extract_events(sweep, index, CADENCE)) == \
-        oracles.reference_extract_events(sweep, index, CADENCE, 3)
+        oracles.reference_extract_events(sweep, table, CADENCE, 3)
     path = tmp_path / "verdicts.tsv"
     write_verdicts(sweep, path)
     assert path.read_text().splitlines(keepends=True) == \
@@ -192,16 +192,16 @@ def test_job_order_does_not_change_the_allocation_sweep(seed, corpus,
 
 @pytest.mark.parametrize("max_gap", [0, 1, 3])
 def test_runs_split_one_moment_past_the_gap_limit(max_gap):
-    index = _index({N[0]: [100], N[1]: [100]})
+    table = _table({N[0]: [100], N[1]: [100]})
     limit = (max_gap + 1) * CADENCE  # max_gap unflagged moments between
     sweep = oracles.columnar_sweep(
         [(3000, "g", {N[0]: "abnormal", N[1]: "abnormal"}),
          (3000 + limit, "g", {N[0]: "abnormal", N[1]: "normal"}),
          (3000 + limit + CADENCE, "g", {N[0]: "normal", N[1]: "abnormal"})])
     with mock.patch.object(pipeline, "MAX_GAP_MOMENTS", max_gap):
-        events = extract_events(sweep, index, CADENCE)
+        events = extract_events(sweep, SGIndex(table), CADENCE)
     assert _tuples(events) == oracles.reference_extract_events(
-        sweep, index, CADENCE, max_gap)
+        sweep, table, CADENCE, max_gap)
     assert sorted((e.node, e.first_flagged, e.last_flagged)
                   for e in events) == [
         (N[0], 3000, 3000 + limit),
@@ -210,7 +210,7 @@ def test_runs_split_one_moment_past_the_gap_limit(max_gap):
 
 
 def test_silent_and_unanchorable_runs():
-    index = _index({N[0]: [100, 2500, 4000, 9000], N[1]: [100],
+    table = _table({N[0]: [100, 2500, 4000, 9000], N[1]: [100],
                     N[2]: [20000]})
     cells = [(3000, "g", {N[0]: "abnormal", N[1]: "non_responsive",
                           N[2]: "abnormal"}),
@@ -224,9 +224,9 @@ def test_silent_and_unanchorable_runs():
              (12000, "g", {N[0]: "abnormal", N[1]: "normal",
                            N[2]: "normal"})]
     sweep = oracles.columnar_sweep(cells)
-    events = extract_events(sweep, index, CADENCE)
+    events = extract_events(sweep, SGIndex(table), CADENCE)
     assert _tuples(events) == oracles.reference_extract_events(
-        sweep, index, CADENCE, 3)
+        sweep, table, CADENCE, 3)
     # a run ending silent anchors before its last zero moment; N[2] has
     # no entry before its run, so it has no event
     assert _tuples(events) == [(N[1], 100, 3000, 3600, True),
@@ -236,8 +236,9 @@ def test_silent_and_unanchorable_runs():
 
 def test_no_flags_no_events():
     sweep = oracles.columnar_sweep([(3000, "g", {N[0]: "normal"})])
-    assert extract_events(sweep, _index({N[0]: [100]}), CADENCE) == []
-    assert extract_events(oracles.columnar_sweep([]), _index({}),
+    assert extract_events(sweep, SGIndex(_table({N[0]: [100]})),
+                          CADENCE) == []
+    assert extract_events(oracles.columnar_sweep([]), SGIndex(_table({})),
                           CADENCE) == []
 
 
@@ -275,8 +276,8 @@ def flag_patterns(draw):
 @given(flag_patterns())
 def test_extract_events_equals_the_reference_loop(pattern):
     cells, entries, max_gap = pattern
-    sweep, index = oracles.columnar_sweep(cells), _index(entries)
+    sweep, table = oracles.columnar_sweep(cells), _table(entries)
     with mock.patch.object(pipeline, "MAX_GAP_MOMENTS", max_gap):
-        events = extract_events(sweep, index, CADENCE)
+        events = extract_events(sweep, SGIndex(table), CADENCE)
     assert _tuples(events) == oracles.reference_extract_events(
-        sweep, index, CADENCE, max_gap)
+        sweep, table, CADENCE, max_gap)
