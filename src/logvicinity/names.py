@@ -87,9 +87,6 @@ class ObservationRange:
         if self.start >= self.end:
             raise ValueError("observation range must have start < end")
 
-    def __contains__(self, t: int) -> bool:
-        return self.start <= t <= self.end
-
 
 def to_epoch(year, month, day, hour, minute, second) -> int:
     return int(datetime(year, month, day, hour, minute, second,

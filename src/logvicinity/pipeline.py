@@ -11,7 +11,7 @@ from .anonymize import SubstitutionRuleSet
 from .classify import DEFAULT_CORRELATION_WINDOW, classify_all
 from .detect import (VERDICTS, SGIndex, SweepResult,
                      filter_frequent_anonymized, filter_frequent_raw,
-                     observation_moments, run_detection, sweep_schedule)
+                     observation_moments, sweep_schedule)
 from .model import EventTable
 from .names import (CV_THRESHOLD, DEFAULT_ALPHA, DEFAULT_CADENCE,  # noqa: F401
                     DEFAULT_PERCENTILE, DEFAULT_TAU_MIN, DEFAULT_WINDOW,
@@ -165,21 +165,23 @@ def sweep_perspective(index: SGIndex, perspective: str, topology, obs_range,
                       tau_min: float = DEFAULT_TAU_MIN) -> SweepResult:
     """Sweep under any grouping perspective, including time-dependent ones.
 
-    `allocation` regroups wherever the set of active jobs changes;
-    `time_of_failure` judges each failure chain once, at its first outage.
+    Every perspective becomes one sweep_schedule. The static ones judge
+    their groups at every observation moment; `allocation` regroups
+    wherever the set of active jobs changes; `time_of_failure` judges each
+    failure chain once, at its first outage, so it ignores the moments but
+    is held to the same window and cadence checks.
     """
+    moments = observation_moments(obs_range.start, obs_range.end, cadence,
+                                  window)
     static = {"hardware": hardware_vicinity, "location": location_vicinity,
               "combined": combined_vicinity}
     if perspective in static:
-        return run_detection(index, static[perspective](topology), obs_range,
-                             cadence=cadence, window=window, alpha=alpha,
-                             tau_min=tau_min)
-    if perspective == "allocation":
+        asg = static[perspective](topology)
+        schedule = [(zip(asg.group_names, asg.groups), moments)]
+    elif perspective == "allocation":
         if jobs is None or len({j.job_id for j in jobs}) < len(jobs):
             raise ValueError("allocation perspective needs job records "
                              "with unique job ids")
-        moments = observation_moments(obs_range.start, obs_range.end, cadence,
-                                      window)
         # regroup only where the active job set changes; a job is active
         # on [start, end), as in JobRecord.active_at
         at = np.array(moments, dtype=np.int64)[:, None]
@@ -198,8 +200,7 @@ def sweep_perspective(index: SGIndex, perspective: str, topology, obs_range,
     elif perspective == "time_of_failure":
         if failures is None:
             raise ValueError("time_of_failure perspective needs failure events")
-        schedule = ((zip(asg.group_names, asg.groups), (asg.at,))
-                    for asg in time_of_failure_vicinity(failures))
+        schedule = time_of_failure_vicinity(failures)
     else:
         raise ValueError(f"unknown perspective: {perspective!r}")
     return sweep_schedule(index, schedule, window=window, alpha=alpha,

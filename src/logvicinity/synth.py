@@ -208,10 +208,6 @@ def scale_topology(topology: Topology, factor: float) -> Topology:
             break
         counts[arch] += 1
         leftover -= 1
-    if sum(counts.values()) > total:  # floor sum already exceeded a tiny total
-        biggest = max(counts, key=lambda a: counts[a])
-        counts = {a: 0 for a in counts}
-        counts[biggest] = total
 
     nodes, arch_of = [], {}
     for arch, members in by_class.items():

@@ -14,7 +14,6 @@ CHAIN_INTERVAL = 600  # seconds between failures considered related
 class VicinityAssignment:
     groups: list  # of frozenset of NodeId
     group_names: list
-    at: int | None = None
 
     def __post_init__(self):
         seen = set()
@@ -26,33 +25,29 @@ class VicinityAssignment:
             seen |= g
 
 
-def _grouped(buckets, at=None):
+def _grouped(topology: Topology, name_of) -> VicinityAssignment:
+    """The topology's nodes bucketed by name_of(node), in name order."""
+    buckets: dict = {}
+    for node in topology.nodes:
+        buckets.setdefault(name_of(node), set()).add(node)
     names = sorted(buckets)
     return VicinityAssignment([frozenset(buckets[name]) for name in names],
-                              [str(name) for name in names], at=at)
+                              names)
 
 
 def hardware_vicinity(topology: Topology) -> VicinityAssignment:
-    buckets: dict = {}
-    for node in topology.nodes:
-        buckets.setdefault(topology.architecture_of[node], set()).add(node)
-    return _grouped(buckets)
+    return _grouped(topology, topology.architecture_of.__getitem__)
 
 
 def location_vicinity(topology: Topology) -> VicinityAssignment:
-    buckets: dict = {}
-    for node in topology.nodes:
-        buckets.setdefault(f"i{node.island}r{node.rack}", set()).add(node)
-    return _grouped(buckets)
+    return _grouped(topology, lambda node: f"i{node.island}r{node.rack}")
 
 
 def combined_vicinity(topology: Topology) -> VicinityAssignment:
     """Rack groups within each architecture class (the default detector mode)."""
-    buckets: dict = {}
-    for node in topology.nodes:
-        arch = topology.architecture_of[node]
-        buckets.setdefault(f"{arch}/i{node.island}r{node.rack}", set()).add(node)
-    return _grouped(buckets)
+    arch = topology.architecture_of
+    return _grouped(topology,
+                    lambda node: f"{arch[node]}/i{node.island}r{node.rack}")
 
 
 def allocation_groups(active) -> list:
@@ -75,29 +70,25 @@ def allocation_groups(active) -> list:
                   key=lambda group: group[0])
 
 
-def allocation_vicinity(active, t: int) -> VicinityAssignment:
-    """allocation_groups at t, as an assignment."""
-    return _grouped(dict(allocation_groups(active)), at=t)
+def allocation_vicinity(active) -> VicinityAssignment:
+    """allocation_groups as an assignment."""
+    pairs = allocation_groups(active)
+    return VicinityAssignment([group for _, group in pairs],
+                              [name for name, _ in pairs])
 
 
 def time_of_failure_vicinity(failures) -> list:
     """Chain regular failures whose spacing is at most CHAIN_INTERVAL
-    (single linkage)."""
+    (single linkage). Each chain is one sweep_schedule entry: its nodes,
+    named "tof:" and its first outage, judged once, at that outage."""
     regular = sorted((f for f in failures if f.label == "regular_failure"),
                      key=lambda f: f.outage_time)
-    assignments = []
-    chain: list = []
+    chains: list = []
     for ev in regular:
-        if chain and ev.outage_time - chain[-1].outage_time > CHAIN_INTERVAL:
-            assignments.append(_chain_assignment(chain))
-            chain = []
-        chain.append(ev)
-    if chain:
-        assignments.append(_chain_assignment(chain))
-    return assignments
-
-
-def _chain_assignment(chain) -> VicinityAssignment:
-    at = chain[0].outage_time
-    nodes = frozenset(ev.node for ev in chain)
-    return VicinityAssignment([nodes], [f"tof:{iso(at)}"], at=at)
+        if (not chains
+                or ev.outage_time - chains[-1][-1].outage_time > CHAIN_INTERVAL):
+            chains.append([])
+        chains[-1].append(ev)
+    return [([(f"tof:{iso(chain[0].outage_time)}",
+               frozenset(ev.node for ev in chain))], (chain[0].outage_time,))
+            for chain in chains]

@@ -24,7 +24,6 @@ from logvicinity.model import (_month_day, _resolve_fn, _split_tag,
                                format_bsd_time, seconds_of_day)
 from logvicinity.names import (NodeId, SyslogParseError, UnknownNodeError,
                                to_epoch)
-from logvicinity.vicinity import VicinityAssignment
 
 
 def naive_two_means(values):
@@ -260,10 +259,11 @@ def chain_by_transitive_closure(instants, interval):
     return sorted(tuple(g) for g in groups)
 
 
-def reference_allocation_vicinity(active, t):
-    """Node-level union-find over the active jobs' node sets: one group per
-    component of two or more nodes, named by the ids of the jobs touching
-    it; one-node components are dropped."""
+def reference_allocation_groups(active):
+    """Node-level union-find over the active jobs' node sets: one (name,
+    nodes) group per component of two or more nodes, named by the ids of
+    the jobs touching it, sorted by name; one-node components are
+    dropped."""
     parent: dict = {}
 
     def find(x):
@@ -290,8 +290,7 @@ def reference_allocation_vicinity(active, t):
             continue
         ids = sorted({j.job_id for j in active if j.nodes & nodes})
         buckets["job:" + "+".join(ids)] = frozenset(nodes)
-    names = sorted(buckets)
-    return VicinityAssignment([buckets[n] for n in names], names, at=t)
+    return sorted(buckets.items())
 
 
 @dataclass(frozen=True, slots=True)

@@ -192,10 +192,10 @@ def test_iso_roundtrip():
 
 def test_observation_range():
     r = ObservationRange(100, 200)
-    assert 100 in r and 200 in r and 150 in r
-    assert 99 not in r and 201 not in r
-    with pytest.raises(ValueError):
-        ObservationRange(5, 5)
+    assert (r.start, r.end) == (100, 200)
+    for start, end in ((5, 5), (6, 5)):
+        with pytest.raises(ValueError):
+            ObservationRange(start, end)
 
 
 def test_topen_gzip_roundtrip(tmp_path):

@@ -9,14 +9,15 @@ import oracles
 import pytest
 
 from logvicinity.anonymize import SubstitutionRuleSet, read_anonymized
+from logvicinity.classify import FailureEvent, write_classified
 from logvicinity.cli import _load_instants, main
 from logvicinity.datasources import JobRecord, MaintenanceWindow, Scope
 from logvicinity.detect import (MIN_GROUP_SIZE, SGIndex, observation_moments,
                                 run_detection, sweep_schedule, write_verdicts)
 from logvicinity.model import (NodeId, ObservationRange, Topology, iso,
                                parse_iso, parse_node_name, to_epoch, topen)
-from logvicinity.outages import (BootFootprintSpec, detect_boot_events,
-                                 load_outages)
+from logvicinity.outages import (BootFootprintSpec, OutageEvent,
+                                 detect_boot_events, load_outages)
 from logvicinity.pipeline import (ExtractedEvent, drop_maintenance_events,
                                   extract_events, load_events, prepare_stream,
                                   run_manifest, run_variant, run_variants,
@@ -682,19 +683,45 @@ def test_cli_exit_codes(tmp_path):
     assert rc == 2
 
 
+def _failures_file(cli_dir, tmp_path):
+    """The corpus's true failures as a classified file of regular failures."""
+    path = tmp_path / "failures.csv"
+    write_classified([FailureEvent(OutageEvent(f.node, f.outage_time, None,
+                                               tail=False),
+                                   "regular_failure", ())
+                      for f in load_truth(cli_dir / "truth.csv")], path)
+    return path
+
+
 @pytest.mark.parametrize("vicinity, option, value", [
     ("combined", "--window", "0"), ("combined", "--window", "-600"),
     ("combined", "--cadence", "0"), ("allocation", "--window", "0"),
     ("allocation", "--cadence", "0"), ("allocation", "--cadence", "-600"),
+    ("time_of_failure", "--cadence", "0"),
+    ("time_of_failure", "--cadence", "-600"),
 ])
 def test_cli_detect_anomalies_rejects_a_window_or_cadence_below_one(
-        cli_dir, capsys, vicinity, option, value):
+        cli_dir, tmp_path, capsys, vicinity, option, value):
     rc = main(["detect-anomalies", "--corpus", str(cli_dir / "corpus.log"),
                "--topology", str(cli_dir / "topology.tsv"), "--year", "2023",
                "--vicinity", vicinity, "--jobs-file", str(cli_dir / "jobs.csv"),
+               "--failures-file", str(_failures_file(cli_dir, tmp_path)),
                option, value])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {option[2:]} must be positive\n"
+
+
+def test_cli_time_of_failure_runs_on_a_range_shorter_than_one_window(
+        cli_dir, tmp_path, capsys):
+    """time_of_failure judges at the failures, not at observation moments."""
+    rc = main(["detect-anomalies", "--corpus", str(cli_dir / "corpus.log"),
+               "--topology", str(cli_dir / "topology.tsv"), "--year", "2023",
+               "--vicinity", "time_of_failure",
+               "--failures-file", str(_failures_file(cli_dir, tmp_path)),
+               "--from", "2023-03-06T00:00:00Z",
+               "--to", "2023-03-06T00:10:00Z"])
+    assert rc == 0
+    assert " flagged node-moments over " in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("option, value", [("--window", "0"),

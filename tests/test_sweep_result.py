@@ -51,19 +51,21 @@ def _chained_failures(corpus, obs_range):
 
 
 def _schedule(perspective, corpus, obs_range, failures, window):
-    """(moment, assignment) per moment, as the sweep should judge them."""
+    """(moment, (name, nodes) pairs) per moment, as the sweep should judge
+    them."""
     static = {"hardware": hardware_vicinity, "location": location_vicinity,
               "combined": combined_vicinity}
     if perspective == "time_of_failure":
-        return [(asg.at, asg) for asg in time_of_failure_vicinity(failures)]
+        return [(at, pairs)
+                for pairs, (at,) in time_of_failure_vicinity(failures)]
     moments = observation_moments(obs_range.start, obs_range.end, CADENCE,
                                   window)
     if perspective == "allocation":
-        return [(at, oracles.reference_allocation_vicinity(
-                    [j for j in corpus.truth.jobs if j.active_at(at)], at))
+        return [(at, oracles.reference_allocation_groups(
+                    [j for j in corpus.truth.jobs if j.active_at(at)]))
                 for at in moments]
     asg = static[perspective](corpus.topology)
-    return [(at, asg) for at in moments]
+    return [(at, list(zip(asg.group_names, asg.groups))) for at in moments]
 
 
 @pytest.mark.parametrize("perspective", ["combined", "hardware", "location",
@@ -99,8 +101,8 @@ def _assert_sweep_is_the_per_cell_loop(sweep, table, index, window,
     # every cell, in schedule order, equals its group's row split alone,
     # and its verdicts are the naive rule's
     cells = [(at, name, tuple(sorted(group)))
-             for at, asg in schedule
-             for name, group in zip(asg.group_names, asg.groups)
+             for at, pairs in schedule
+             for name, group in pairs
              if len(group) >= 3]
     assert len(sweep.results) == len(cells) > 0
     for res, (at, name, nodes) in zip(sweep.results, cells):

@@ -9,11 +9,14 @@ from pathlib import Path
 import numpy as np
 import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import logvicinity
 from logvicinity import synth
 from logvicinity.datasources import load_job_report, load_maintenance, load_outage_db
-from logvicinity.model import load_topology, parse_syslog_table, to_epoch, topen
+from logvicinity.model import (NodeId, Topology, load_topology,
+                               parse_syslog_table, to_epoch, topen)
 from logvicinity.synth import (CAUSES, CHATTER, CRON, FOOTPRINT_LINES, GASP,
                                GeneratorSpec, HEARTBEAT, POISSON_PER_WINDOW,
                                SHUTDOWN_LINES, WINDOW, _poisson,
@@ -230,6 +233,23 @@ def test_scale_topology_identity_and_shrink():
         scale_topology(taurus, 0)
     with pytest.raises(ValueError):
         scale_topology(taurus, 1.5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 400), min_size=1, max_size=6),
+       st.floats(0, 1, exclude_min=True))
+def test_scale_topology_apportions_the_total_across_classes(sizes, factor):
+    nodes = [NodeId(1, c, p) for c, size in enumerate(sizes)
+             for p in range(size)]
+    topology = Topology(nodes, {n: f"class{n.rack}" for n in nodes})
+    small = scale_topology(topology, factor)
+    assert len(small.nodes) == max(1, round(len(nodes) * factor))
+    assert small.architecture_of == {n: topology.architecture_of[n]
+                                     for n in small.nodes}
+    kept = Counter(n.rack for n in small.nodes)
+    for c, size in enumerate(sizes):
+        assert kept[c] <= size
+        assert abs(kept[c] - size * factor) <= 1
 
 
 def test_spec_validation():

@@ -8,6 +8,7 @@ import oracles
 from logvicinity.classify import FailureEvent
 from logvicinity.datasources import JobRecord
 from logvicinity.model import NodeId, Topology
+from logvicinity.names import iso
 from logvicinity.outages import OutageEvent
 from logvicinity.synth import desk_topology
 from logvicinity.vicinity import (VicinityAssignment, allocation_groups,
@@ -74,8 +75,7 @@ def _job(jid, names, start=0, end=100):
 
 def test_allocation_merges_overlapping_jobs():
     jobs = [_job("a", [0, 1]), _job("b", [1, 2]), _job("c", [5, 6])]
-    asg = allocation_vicinity(jobs, 50)
-    assert asg.at == 50
+    asg = allocation_vicinity(jobs)
     sizes = sorted(len(g) for g in asg.groups)
     assert sizes == [2, 3]
     names = dict(zip(asg.group_names, asg.groups))
@@ -85,7 +85,7 @@ def test_allocation_merges_overlapping_jobs():
 
 def test_allocation_singletons_stay_ungrouped():
     jobs = [_job("a", [0]), _job("b", [1, 2])]
-    asg = allocation_vicinity(jobs, 50)
+    asg = allocation_vicinity(jobs)
     assert asg.group_names == ["job:b"]
     assert all(NodeId(1, 0, 0) not in g for g in asg.groups)
 
@@ -93,7 +93,7 @@ def test_allocation_singletons_stay_ungrouped():
 def test_allocation_respects_job_activity_window():
     jobs = [_job("a", [0, 1], start=0, end=40), _job("b", [2, 3], start=30, end=90)]
     # the caller picks the active jobs; job a already ended
-    asg = allocation_vicinity([j for j in jobs if j.active_at(50)], 50)
+    asg = allocation_vicinity([j for j in jobs if j.active_at(50)])
     assert asg.group_names == ["job:b"]
 
 
@@ -114,11 +114,10 @@ def active_jobs(draw):
 @example([_job("b", [4]), _job("a", [4, 5]), _job("c", [4, 5]),
           _job("d", [7])])
 def test_allocation_groups_equal_the_union_find_reference(jobs):
-    want = oracles.reference_allocation_vicinity(jobs, 50)
-    assert allocation_groups(jobs) == list(zip(want.group_names, want.groups))
-    got = allocation_vicinity(jobs, 50)
-    assert (got.group_names, got.groups, got.at) == \
-        (want.group_names, want.groups, want.at)
+    want = oracles.reference_allocation_groups(jobs)
+    assert allocation_groups(jobs) == want
+    got = allocation_vicinity(jobs)
+    assert list(zip(got.group_names, got.groups)) == want
 
 
 def test_allocation_groups_bridge_every_union_a_job_touches():
@@ -135,20 +134,18 @@ def _fe(pos, t, label="regular_failure"):
 
 def test_failure_chains_single_linkage():
     events = [_fe(0, 1000), _fe(1, 1500), _fe(2, 2100), _fe(3, 9000)]
-    chains = time_of_failure_vicinity(events)
-    assert len(chains) == 2
-    first, second = chains
-    assert first.at == 1000 and len(first.groups[0]) == 3
-    assert second.at == 9000 and len(second.groups[0]) == 1
-    assert first.group_names[0].startswith("tof:")
+    # one schedule entry per chain: its one group, judged at its first outage
+    chains = [([(name, len(nodes)) for name, nodes in pairs], ats)
+              for pairs, ats in time_of_failure_vicinity(events)]
+    assert chains == [([(f"tof:{iso(1000)}", 3)], (1000,)),
+                      ([(f"tof:{iso(9000)}", 1)], (9000,))]
 
 
 def test_failure_chains_ignore_non_regular():
     events = [_fe(0, 1000), _fe(1, 1500, label="planned"),
               _fe(2, 2100, label="ambiguous")]
-    chains = time_of_failure_vicinity(events)
-    assert len(chains) == 1
-    assert {n.position for n in chains[0].groups[0]} == {0}
+    [([(_, nodes)], _)] = time_of_failure_vicinity(events)
+    assert {n.position for n in nodes} == {0}
 
 
 def test_failure_chains_match_transitive_closure_oracle():
@@ -157,10 +154,9 @@ def test_failure_chains_match_transitive_closure_oracle():
         count = rng.randrange(1, 25)
         events = [_fe(i, rng.randrange(0, 20000)) for i in range(count)]
         chains = time_of_failure_vicinity(events)
-        got = sorted(tuple(sorted(ev for ev in
-                                  (e.outage_time for e in events
-                                   if e.node in g.groups[0])))
-                     for g in chains)
+        got = sorted(tuple(sorted(e.outage_time for e in events
+                                  if e.node in nodes))
+                     for [(_, nodes)], _ in chains)
         instants = [e.outage_time for e in events]
         want = oracles.chain_by_transitive_closure(instants, 600)
         assert got == sorted(want)
