@@ -41,24 +41,29 @@ class SubstitutionRuleSet:
         self.rules = [(re.compile(p), token) for p, token in raw]
         self.patterns = [p for p, _ in raw]
         self.version = version
-        self._template_cache: dict = {}
-        self._key_cache: dict = {}
 
     def template(self, message: str) -> str:
-        out = self._template_cache.get(message)
-        if out is None:
-            out = message
-            for pattern, token in self.rules:
-                out = pattern.sub(token, out)
-            self._template_cache[message] = out
-        return out
+        for pattern, token in self.rules:
+            message = pattern.sub(token, message)
+        return message
 
     def key(self, message: str) -> str:
-        template = self.template(message)
-        k = self._key_cache.get(template)  # many messages share a template
-        if k is None:
-            k = self._key_cache[template] = fnv1a_32(template)
-        return k
+        return fnv1a_32(self.template(message))
+
+    def index(self, messages):
+        """(template id, key id, distinct templates, distinct keys): the
+        ids are int32 arrays, one entry per message, numbered in first
+        appearance. Each message is templated once and each distinct
+        template hashed once; many messages share a template."""
+        templates: dict = {}
+        template_id = np.array([templates.setdefault(self.template(m),
+                                                     len(templates))
+                                for m in messages], dtype=np.int32)
+        keys: dict = {}
+        of_template = np.array([keys.setdefault(fnv1a_32(t), len(keys))
+                                for t in templates], dtype=np.int32)
+        return (template_id, of_template[template_id], list(templates),
+                list(keys))
 
 
 def fnv1a_32(text: str) -> str:

@@ -316,7 +316,8 @@ def cmd_detect_anomalies(args) -> int:
         _atomic_write(args.events, lambda tmp: write_events(run.events, tmp))
         print(f"{flagged} flagged node-moments, {len(run.events)} events")
     else:
-        print(f"{flagged} flagged node-moments over {len(sweep.moments)} moments")
+        judged = len(set(sweep.at.tolist()))  # moments with a usable group
+        print(f"{flagged} flagged node-moments over {judged} moments")
     if sweep.skipped_groups:
         for name, size in sweep.skipped_groups:
             print(f"skipped group {name} (size {size})", file=sys.stderr)

@@ -104,7 +104,8 @@ class SGIndex:
     def _keep_edges(self, edges):
         """Keep the union of the kept and the new edges, or the new edges
         alone where the union would more than double them; only columns
-        of edges not kept before are counted, all nodes' at once."""
+        of edges not kept before are counted, each node's in its own rows
+        of the key, as _rows_before counts."""
         kept, counted = self._edges, self._before
         union = _distinct(np.concatenate([kept, edges]))
         if len(union) > 2 * len(edges):
@@ -114,8 +115,11 @@ class SGIndex:
         old = union.searchsorted(kept)
         before[:, old], new[old] = counted, False
         new = np.flatnonzero(new)
-        before[:, new] = self._rows_before(
-            np.arange(len(self.offset))[:, None], union[new])
+        at = np.clip(union[new] - self.t0, 0, _SPAN)
+        bounds = self.offset.tolist()
+        for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            before[i, new] = self.key[a:b].searchsorted(at + (i << 40))
+        before[-1, new] = 0  # the unlisted id owns no rows
         self._edges, self._before = union, before
 
 
@@ -411,16 +415,10 @@ def filter_frequent_raw(table: EventTable, rules,
 
     Returns (kept table, dropped templates, sorted).
     """
-    if table.keyed:
-        raise ValueError("a keyed table has no message text to template")
-    index: dict = {}
-    of_msg = np.array([index.setdefault(rules.template(m), len(index))
-                       for m in table.messages], dtype=np.int64)
-    template_id = of_msg[table.msg]
-    drop = _above_percentile(template_id, len(index), percentile)
-    names = list(index)
+    template_id, templates = table.templates(rules)
+    drop = _above_percentile(template_id, len(templates), percentile)
     return (table.take(~drop[template_id]),
-            sorted(names[i] for i in np.flatnonzero(drop)))
+            sorted(templates[i] for i in np.flatnonzero(drop)))
 
 
 def _above_percentile(ids, n_ids, percentile):
@@ -432,24 +430,22 @@ def _above_percentile(ids, n_ids, percentile):
     return seen & (counts > _percentile(counts[seen], percentile))
 
 
-def filter_frequent_anonymized(table: EventTable,
+def filter_frequent_anonymized(table: EventTable, rules,
                                percentile: float = DEFAULT_PERCENTILE,
                                cv_threshold: float = CV_THRESHOLD):
     """Drop the rows of keys above the percentile and of near-periodic keys.
 
     A key is near-periodic when the median over nodes of its per-node
     inter-arrival coefficient of variation is below cv_threshold (nodes with
-    fewer than MIN_ARRIVALS occurrences don't vote). Returns (kept table,
+    fewer than MIN_ARRIVALS occurrences don't vote). The rules key a text
+    table; a keyed table's keys are its own. Returns (kept table,
     dropped keys, sorted). The squared deviations are summed in row order,
     so a coefficient can differ from np.std's pairwise sum in its last bits.
     """
-    if not table.keyed:
-        raise ValueError("key the table (EventTable.keyed_by) before "
-                         "filtering its keys")
     check_nonnegative(cv_threshold=cv_threshold)
     if not len(table):
         return table, []
-    key_id, keys = table.keys(None)
+    key_id, keys = table.keys(rules)
     drop = _above_percentile(key_id, len(keys), percentile)
     # rows sorted by (key, node, time); gap i joins rows i and i + 1 when
     # both are in one (key, node) group

@@ -530,7 +530,7 @@ class EventTable:
         self.node = np.asarray(node, dtype=np.int32)
         self.msg = np.asarray(msg, dtype=np.int32)
         self.nodes, self.messages, self.tags = nodes, messages, tags
-        self._key_cache = None  # (rules, key id per row, distinct keys)
+        self._index = None  # (rules, rules.index of messages)
 
     def __len__(self) -> int:
         return len(self.ts)
@@ -540,22 +540,25 @@ class EventTable:
         """True when messages are template keys, not text."""
         return self.tags is None
 
+    def _indexed(self, rules):
+        """rules.index of the messages, run once per rule set."""
+        if self.keyed:
+            raise ValueError("a keyed table has no message text to template")
+        if self._index is None or self._index[0] is not rules:
+            self._index = (rules, rules.index(self.messages))
+        return self._index[1]
+
+    def templates(self, rules):
+        """(template id per row, distinct templates) of a text table."""
+        template_id, _, templates, _ = self._indexed(rules)
+        return template_id[self.msg], templates
+
     def keys(self, rules):
-        """(key id per row, distinct keys); each distinct message is keyed
-        once per rule set."""
+        """(key id per row, distinct keys); a keyed table's own columns."""
         if self.keyed:
             return self.msg, self.messages
-        if self._key_cache is None or self._key_cache[0] is not rules:
-            index: dict = {}
-            of_msg = np.array([index.setdefault(rules.key(m), len(index))
-                               for m in self.messages], dtype=np.int32)
-            self._key_cache = (rules, of_msg[self.msg], list(index))
-        return self._key_cache[1], self._key_cache[2]
-
-    def keyed_by(self, rules) -> EventTable:
-        """The keyed table of the same rows: each message's key in its place."""
-        key_id, keys = self.keys(rules)
-        return EventTable(self.ts, self.node, key_id, self.nodes, keys)
+        _, key_id, _, keys = self._indexed(rules)
+        return key_id[self.msg], keys
 
     def take(self, keep) -> EventTable:
         """The rows where the boolean mask keep holds."""

@@ -40,20 +40,18 @@ def prepare_stream(table: EventTable, variant: str, rules=None,
                    cv_threshold: float = CV_THRESHOLD):
     """One processing variant of a table; returns (variant table, dropped).
 
-    The anonymized variants are keyed tables. The detector reads only
-    (timestamp, node), so raw and anonymized keep every row; the filtered
-    variants drop frequent templates or keys.
+    The detector reads only (timestamp, node), which keying leaves as is,
+    so raw and anonymized are the table itself; the filtered variants drop
+    the rows of frequent templates or keys.
     """
     rules = rules or SubstitutionRuleSet()
-    if variant == "raw":
+    if variant in ("raw", "anonymized"):
         return table, []
     if variant == "filtered_raw":
         return filter_frequent_raw(table, rules, percentile)
-    keyed = table.keyed_by(rules)
-    if variant == "anonymized":
-        return keyed, []
     if variant == "filtered_anonymized":
-        return filter_frequent_anonymized(keyed, percentile, cv_threshold)
+        return filter_frequent_anonymized(table, rules, percentile,
+                                          cv_threshold)
     raise ValueError(f"unknown variant: {variant!r}")
 
 
@@ -126,11 +124,8 @@ def run_variant(table: EventTable, topology, obs_range, variant: str,
                 cv_threshold: float = CV_THRESHOLD) -> VariantRun:
     """Prepare one variant of a table, sweep it under a perspective,
     extract its events."""
-    # the detector reads only (timestamp, node), which keying leaves as is,
-    # so the anonymized variant sweeps the table it was given
-    variant_table, dropped = prepare_stream(
-        table, "raw" if variant == "anonymized" else variant, rules,
-        percentile, cv_threshold)
+    variant_table, dropped = prepare_stream(table, variant, rules, percentile,
+                                            cv_threshold)
     index = SGIndex(variant_table)
     sweep = sweep_perspective(index, perspective, topology, obs_range,
                               jobs=jobs, failures=failures, window=window,
@@ -169,10 +164,13 @@ def sweep_perspective(index: SGIndex, perspective: str, topology, obs_range,
     their groups at every observation moment; `allocation` regroups
     wherever the set of active jobs changes; `time_of_failure` judges each
     failure chain once, at its first outage, so it ignores the moments but
-    is held to the same window and cadence checks.
+    is held to the same window and cadence checks. Jobs and failures count
+    only the topology's nodes: any other node has no rows, so it would
+    join every comparison as a zero.
     """
     moments = observation_moments(obs_range.start, obs_range.end, cadence,
                                   window)
+    known = frozenset(topology.nodes)
     static = {"hardware": hardware_vicinity, "location": location_vicinity,
               "combined": combined_vicinity}
     if perspective in static:
@@ -182,6 +180,8 @@ def sweep_perspective(index: SGIndex, perspective: str, topology, obs_range,
         if jobs is None or len({j.job_id for j in jobs}) < len(jobs):
             raise ValueError("allocation perspective needs job records "
                              "with unique job ids")
+        jobs = [replace(j, nodes=j.nodes & known) for j in jobs
+                if not j.nodes.isdisjoint(known)]
         # regroup only where the active job set changes; a job is active
         # on [start, end), as in JobRecord.active_at
         at = np.array(moments, dtype=np.int64)[:, None]
@@ -200,7 +200,8 @@ def sweep_perspective(index: SGIndex, perspective: str, topology, obs_range,
     elif perspective == "time_of_failure":
         if failures is None:
             raise ValueError("time_of_failure perspective needs failure events")
-        schedule = time_of_failure_vicinity(failures)
+        schedule = time_of_failure_vicinity(
+            [f for f in failures if f.node in known])
     else:
         raise ValueError(f"unknown perspective: {perspective!r}")
     return sweep_schedule(index, schedule, window=window, alpha=alpha,

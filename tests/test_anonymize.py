@@ -98,7 +98,7 @@ def test_keyed_entries_pass_through_unchanged():
     lines = _lines(anonymize_stream(raw, rules))
     assert [line.split("\t")[2] for line in lines] == [
         f"{rules.key(m)}\n" for m in CRON_SAMPLE]
-    keyed = raw.keyed_by(rules)
+    keyed = table_of(rows_of(raw, rules))
     # a keyed table's keys are not keyed again, under any rule set
     assert _lines(anonymize_stream(keyed, SubstitutionRuleSet([]))) == lines
     assert keyed.keyed and rows_of(keyed) == rows_of(raw, rules)
@@ -418,6 +418,9 @@ def test_each_template_is_hashed_once(monkeypatch):
     monkeypatch.setattr(anonymize, "fnv1a_32",
                         lambda text: hashed.append(text) or fnv1a_32(text))
     rules = SubstitutionRuleSet()
-    keys = [rules.key(m) for m in CRON_SAMPLE + CRON_SAMPLE]
-    assert keys == [fnv1a_32(rules.template(m)) for m in CRON_SAMPLE * 2]
-    assert sorted(hashed) == sorted({rules.template(m) for m in CRON_SAMPLE})
+    template_id, key_id, templates, keys = rules.index(CRON_SAMPLE * 2)
+    assert [templates[t] for t in template_id.tolist()] == [
+        rules.template(m) for m in CRON_SAMPLE * 2]
+    assert [keys[k] for k in key_id.tolist()] == [
+        fnv1a_32(rules.template(m)) for m in CRON_SAMPLE * 2]
+    assert sorted(hashed) == sorted(set(templates))

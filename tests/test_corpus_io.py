@@ -23,7 +23,7 @@ from logvicinity.model import (EventTable, NodeId, canonical_node,
                                to_epoch, topen, write_syslog)
 from logvicinity.synth import (GeneratorSpec, generate, scale_topology,
                                taurus_topology)
-from tables import rows_of
+from tables import rows_of, table_of
 
 NODES = [NodeId(1, 0, 0), NodeId(2, 13, 7), NodeId(11, 0, 112)]
 TAGS = ["", "sshd", "kernel", "café", "a.b/c-d_1", "x"]
@@ -101,7 +101,7 @@ def test_writers_equal_their_per_row_oracles(table, suffix):
     with mock.patch.object(model, "_CHUNK", 4):
         assert _same_bytes(table, suffix)
         assert _same_bytes(table, suffix, rules)
-        assert _same_bytes(table.keyed_by(rules), suffix, rules)
+        assert _same_bytes(table_of(rows_of(table, rules)), suffix, rules)
 
 
 @pytest.mark.parametrize("rows", [0, 1, model._CHUNK, model._CHUNK + 1])

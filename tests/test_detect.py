@@ -466,7 +466,7 @@ def test_filter_anonymized_drops_periodic_key():
             t += rng.uniform(100, 1100)
         entries += _anon("bbbb0002", node, jitter_ts)
     entries.sort(key=lambda e: e.timestamp)
-    kept, dropped = filter_frequent_anonymized(table_of(entries),
+    kept, dropped = filter_frequent_anonymized(table_of(entries), None,
                                                percentile=100.0)
     assert dropped == ["aaaa0001"]
     assert {e.key for e in rows_of(kept)} == {"bbbb0002"}
@@ -477,17 +477,21 @@ def test_filter_anonymized_min_arrivals_gate():
     entries = []
     for node in N[:3]:
         entries += _anon("cccc0003", node, [0, 600, 1200, 1800])
-    kept, dropped = filter_frequent_anonymized(table_of(entries),
+    kept, dropped = filter_frequent_anonymized(table_of(entries), None,
                                                percentile=100.0)
     assert dropped == []
     assert len(kept) == len(entries)
 
 
-def test_filter_anonymized_needs_a_keyed_table():
+def test_filter_anonymized_keys_a_text_table():
     entries = [LogEntry(t, N[0], "cron", "job ran") for t in range(0, 600, 60)]
-    with pytest.raises(ValueError):
-        filter_frequent_anonymized(table_of(entries), 100.0)
-    keyed = table_of(entries).keyed_by(SubstitutionRuleSet())
-    kept, dropped = filter_frequent_anonymized(keyed, 100.0)
+    rules = SubstitutionRuleSet()
+    keyed = table_of(rows_of(table_of(entries), rules))
+    kept, dropped = filter_frequent_anonymized(keyed, None, 100.0)
     assert dropped == keyed.messages  # one exactly periodic key
     assert len(kept) == 0
+    text_kept, text_dropped = filter_frequent_anonymized(table_of(entries),
+                                                         rules, 100.0)
+    assert text_dropped == dropped and len(text_kept) == 0
+    with pytest.raises(ValueError, match="keyed table has no message text"):
+        filter_frequent_raw(keyed, rules)

@@ -9,7 +9,8 @@ import oracles
 import pytest
 
 from logvicinity.anonymize import SubstitutionRuleSet, read_anonymized
-from logvicinity.classify import FailureEvent, write_classified
+from logvicinity.classify import (FailureEvent, load_classified,
+                                  write_classified)
 from logvicinity.cli import _load_instants, main
 from logvicinity.datasources import JobRecord, MaintenanceWindow, Scope
 from logvicinity.detect import (MIN_GROUP_SIZE, SGIndex, observation_moments,
@@ -24,7 +25,8 @@ from logvicinity.pipeline import (ExtractedEvent, drop_maintenance_events,
                                   sweep_perspective, write_events)
 from logvicinity.synth import GeneratorSpec, generate, load_truth
 from logvicinity.vicinity import (VicinityAssignment, allocation_groups,
-                                  combined_vicinity, hardware_vicinity)
+                                  combined_vicinity, hardware_vicinity,
+                                  time_of_failure_vicinity)
 from oracles import LogEntry, format_syslog_line
 from tables import rows_of, table_of
 
@@ -111,8 +113,8 @@ def test_prepare_stream_variants():
     raw, dropped = prepare_stream(table, "raw")
     assert rows_of(raw) == entries and dropped == []
     anon, _ = prepare_stream(table, "anonymized")
-    assert anon.keyed and len(anon) == len(entries)
-    assert len({e.key for e in rows_of(anon)}) == 1
+    assert anon is table  # keying leaves (timestamp, node) as is
+    assert len({e.key for e in rows_of(anon, SubstitutionRuleSet())}) == 1
     with pytest.raises(ValueError):
         prepare_stream(table, "mystery")
 
@@ -153,6 +155,7 @@ def test_run_variants_shares_the_raw_run_with_anonymized(corpus, rules):
 
 JOB_NODES = [NodeId(1, 0, p) for p in range(8)]
 JOB_RANGE = ObservationRange(0, 4 * 3600)
+JOB_TOPOLOGY = Topology(JOB_NODES, {n: "Haswell" for n in JOB_NODES})
 
 
 def _job_index():
@@ -177,7 +180,7 @@ def _rows(sweep):
 def test_allocation_sweep_of_one_steady_job_equals_static_sweep():
     index = _job_index()
     job = _job("j1", JOB_NODES[:4])
-    alloc = sweep_perspective(index, "allocation", None, JOB_RANGE,
+    alloc = sweep_perspective(index, "allocation", JOB_TOPOLOGY, JOB_RANGE,
                               jobs=[job])
     static = run_detection(
         index, VicinityAssignment([job.nodes], ["job:j1"]),
@@ -191,8 +194,7 @@ def test_allocation_sweep_of_one_steady_job_equals_static_sweep():
 @pytest.mark.parametrize("perspective", ["allocation", "location"])
 def test_verdict_sg_column_is_the_window_count(perspective, tmp_path):
     index = _job_index()
-    topology = Topology(JOB_NODES, {n: "Haswell" for n in JOB_NODES})
-    sweep = sweep_perspective(index, perspective, topology, JOB_RANGE,
+    sweep = sweep_perspective(index, perspective, JOB_TOPOLOGY, JOB_RANGE,
                               jobs=[_job("j1", JOB_NODES[:5])], window=900)
     path = tmp_path / "verdicts.tsv"
     write_verdicts(sweep, path)
@@ -207,7 +209,8 @@ def test_undersized_allocation_group_is_skipped_once():
     index = _job_index()
     jobs = [_job("j1", JOB_NODES[:4]), _job("j2", JOB_NODES[4:6]),
             _job("j0", JOB_NODES[6:8], start=2 * 3600)]
-    sweep = sweep_perspective(index, "allocation", None, JOB_RANGE, jobs=jobs)
+    sweep = sweep_perspective(index, "allocation", JOB_TOPOLOGY,
+                              JOB_RANGE, jobs=jobs)
     assert len(sweep.moments) > 1
     # first-seen order, not name order: j0 only starts half-way through
     assert sweep.skipped_groups == [("job:j2", 2), ("job:j0", 2)]
@@ -219,7 +222,7 @@ def test_window_longer_than_range_gives_no_moments():
     asg = VicinityAssignment([frozenset(JOB_NODES)], ["all"])
     sweep = run_detection(index, asg, JOB_RANGE, window=JOB_RANGE.end + 1)
     assert (sweep.moments, list(sweep.results)) == ([], [])
-    sweep = sweep_perspective(index, "allocation", None, JOB_RANGE,
+    sweep = sweep_perspective(index, "allocation", JOB_TOPOLOGY, JOB_RANGE,
                               jobs=[_job("j1", JOB_NODES)],
                               window=JOB_RANGE.end + 1)
     assert (sweep.moments, list(sweep.results),
@@ -264,7 +267,8 @@ def test_allocation_regroups_only_when_the_job_set_changes(monkeypatch):
         return allocation_groups(active)
 
     monkeypatch.setattr("logvicinity.pipeline.allocation_groups", counted)
-    sweep = sweep_perspective(index, "allocation", None, JOB_RANGE, jobs=jobs)
+    sweep = sweep_perspective(index, "allocation", JOB_TOPOLOGY,
+                              JOB_RANGE, jobs=jobs)
     # one call where the active set changes, with its jobs in job order
     assert calls == [[j.job_id for j in jobs if j.active_at(at)]
                      for at in (1800, 3600, 7200, 3 * 3600)]
@@ -279,8 +283,41 @@ def test_allocation_rejects_a_repeated_job_id():
     jobs = [_job("a", JOB_NODES[:3]), _job("b", JOB_NODES[3:5]),
             _job("a", JOB_NODES[5:8])]
     with pytest.raises(ValueError, match="unique job ids"):
-        sweep_perspective(_job_index(), "allocation", None, JOB_RANGE,
-                          jobs=jobs)
+        sweep_perspective(_job_index(), "allocation", JOB_TOPOLOGY,
+                          JOB_RANGE, jobs=jobs)
+
+
+def test_jobs_and_failures_count_only_the_topology_nodes():
+    """A node outside the topology has no rows: a job or a failure that
+    names one sweeps as if it named only the topology's nodes."""
+    index = _job_index()
+    stranger, other = NodeId(9, 9, 0), NodeId(9, 9, 1)
+
+    def failed(nodes, t):
+        return [FailureEvent(OutageEvent(n, t + 60 * i, None, tail=False),
+                             "regular_failure", ())
+                for i, n in enumerate(nodes)]
+
+    known_jobs = [_job("j1", JOB_NODES[:4]), _job("j2", JOB_NODES[4:7]),
+                  _job("j8", JOB_NODES[7:])]
+    named_jobs = [_job("j1", [*JOB_NODES[:4], stranger]), known_jobs[1],
+                  _job("j8", [JOB_NODES[7], other]),
+                  _job("j9", [stranger, other])]
+    # two chains of three, which the strangers' failures would link
+    known_failures = failed(JOB_NODES[:3], 5400) + failed(JOB_NODES[3:6], 7200)
+    named_failures = (known_failures + failed([stranger], 6000)
+                      + failed([other], 6600))
+    for perspective in ("allocation", "time_of_failure"):
+        known, named = (sweep_perspective(index, perspective, JOB_TOPOLOGY,
+                                          JOB_RANGE, jobs=jobs,
+                                          failures=failures)
+                        for jobs, failures in ((known_jobs, known_failures),
+                                               (named_jobs, named_failures)))
+        assert len(known.at) > 0
+        for name, value in vars(known).items():
+            got = getattr(named, name)
+            assert (np.array_equal(got, value) if isinstance(value, np.ndarray)
+                    else got == value), (perspective, name)
 
 
 def test_sweep_does_not_depend_on_node_or_entry_order(corpus):
@@ -713,15 +750,20 @@ def test_cli_detect_anomalies_rejects_a_window_or_cadence_below_one(
 
 def test_cli_time_of_failure_runs_on_a_range_shorter_than_one_window(
         cli_dir, tmp_path, capsys):
-    """time_of_failure judges at the failures, not at observation moments."""
+    """time_of_failure judges at the failures, not at observation moments;
+    the count is of the moments of the chains large enough to judge."""
+    failures = _failures_file(cli_dir, tmp_path)
     rc = main(["detect-anomalies", "--corpus", str(cli_dir / "corpus.log"),
                "--topology", str(cli_dir / "topology.tsv"), "--year", "2023",
                "--vicinity", "time_of_failure",
-               "--failures-file", str(_failures_file(cli_dir, tmp_path)),
+               "--failures-file", str(failures),
                "--from", "2023-03-06T00:00:00Z",
                "--to", "2023-03-06T00:10:00Z"])
     assert rc == 0
-    assert " flagged node-moments over " in capsys.readouterr().out
+    judged = {at for [(_, nodes)], (at,) in time_of_failure_vicinity(
+        load_classified(failures)) if len(nodes) >= MIN_GROUP_SIZE}
+    assert capsys.readouterr().out.endswith(
+        f" flagged node-moments over {len(judged)} moments\n")
 
 
 @pytest.mark.parametrize("option, value", [("--window", "0"),

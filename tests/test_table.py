@@ -408,9 +408,8 @@ def test_table_rows_round_trip(tmp_path):
     keyed = rows_of(table, rules)
     assert keyed == [Keyed(e.timestamp, e.node, rules.key(e.message))
                      for e in entries]
-    keyed_table = table.keyed_by(rules)
+    keyed_table = table_of(keyed)
     assert keyed_table.keyed and rows_of(keyed_table) == keyed
-    assert rows_of(table_of(keyed)) == keyed
     assert rows_of(table_of([])) == []
 
 
@@ -418,14 +417,18 @@ def test_each_distinct_message_is_keyed_once(monkeypatch):
     table, _ = parse_syslog_table(syslog_file(_wrapping_corpus(43)), 2023,
                                   TOPOLOGY.resolver())
     rules = SubstitutionRuleSet()
-    keyed = []
-    real_key = rules.key
-    monkeypatch.setattr(rules, "key", lambda m: keyed.append(m) or real_key(m))
+    templated = []
+    real_template = rules.template
+    monkeypatch.setattr(rules, "template",
+                        lambda m: templated.append(m) or real_template(m))
     key_id, keys = table.keys(rules)
-    assert table.keys(rules)[0] is key_id  # cached per rule set
-    assert sorted(keyed) == sorted(table.messages)
+    template_id, templates = table.templates(rules)
+    assert np.array_equal(table.keys(rules)[0], key_id)  # one pass per rules
+    assert sorted(templated) == sorted(table.messages)
     assert [keys[k] for k in key_id.tolist()] == [
         fnv1a_32(rules.template(e.message)) for e in rows_of(table)]
+    assert [templates[t] for t in template_id.tolist()] == [
+        rules.template(e.message) for e in rows_of(table)]
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -472,8 +475,8 @@ def test_key_filter_matches_naive_oracle():
                     t += period + rng.randrange(-jitter, jitter + 1)
         rng.shuffle(entries)
         percentile = rng.choice((90.0, 99.5, 100.0))
-        _, dropped = filter_frequent_anonymized(table_of(entries), percentile,
-                                                0.1)
+        _, dropped = filter_frequent_anonymized(table_of(entries), None,
+                                                percentile, 0.1)
         assert dropped == oracles.naive_key_filter(entries, percentile, 0.1)
 
 
@@ -485,7 +488,8 @@ def test_key_filter_edges():
                + periodic("00000004", range(0, 2400, 600))  # 4 do not
                + periodic("00000000", [7] * 6)  # no gap at all: cv 0
                + periodic("0000000a", [0, 5, 600, 700, 1900, 2000]))
-    _, dropped = filter_frequent_anonymized(table_of(entries), 100.0, 0.1)
+    _, dropped = filter_frequent_anonymized(table_of(entries), None, 100.0,
+                                            0.1)
     assert dropped == ["00000000", "00000005"]
     assert dropped == oracles.naive_key_filter(entries, 100.0, 0.1)
 
@@ -496,7 +500,7 @@ def test_key_filter_takes_the_mean_of_an_even_vote():
                + [Keyed(t, NODES[1], "0000000e")
                   for t in (0, 300, 1200, 1500, 2400)])
     for cv_threshold, dropped in ((0.3, ["0000000e"]), (0.2, [])):
-        assert filter_frequent_anonymized(table_of(entries), 100.0,
+        assert filter_frequent_anonymized(table_of(entries), None, 100.0,
                                           cv_threshold)[1] == dropped
         assert oracles.naive_key_filter(entries, 100.0, cv_threshold) \
             == dropped
