@@ -18,9 +18,9 @@ _EXPORTS = {
     "datasources": ("JobRecord", "MaintenanceWindow", "OutageRecord", "Scope",
                     "load_job_report", "load_maintenance", "load_outage_db",
                     "parse_scope"),
-    "detect": ("DetectionResult", "SGIndex", "SweepResult", "ThresholdReport",
-               "filter_frequent_anonymized", "filter_frequent_raw",
-               "observation_moments", "run_detection", "split_groups"),
+    "detect": ("SGIndex", "SweepResult", "filter_frequent_anonymized",
+               "filter_frequent_raw", "observation_moments", "run_detection",
+               "split_groups"),
     "evaluate": ("EvaluationReport", "MatchResult", "match_detections",
                  "render_reports", "score"),
     "model": ("EventTable", "Topology", "load_topology",

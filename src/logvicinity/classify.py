@@ -81,7 +81,7 @@ def classify_all(outages, maint, jobs, odb,
 def load_classified(path) -> list:
     """Read back the CSV written by write_classified."""
     def row(fields):
-        if fields[0] in ("node", ""):  # the header
+        if fields[0] == "node":  # the header
             return None
         if len(fields) < 3 or fields[2] not in LABELS:
             raise ValueError(f"malformed classified row: {fields!r}")

@@ -120,8 +120,10 @@ def _window(line):
     start_s, sep, end_s = parts[0].partition("..")
     if not sep:
         raise ValueError("span must be start..end")
-    return (parse_iso(start_s), parse_iso(end_s), parse_scope(parts[1]),
-            parts[2] if len(parts) > 2 else "")
+    start, end = parse_iso(start_s), parse_iso(end_s)
+    if start > end:
+        raise ValueError("start after end")
+    return start, end, parse_scope(parts[1]), parts[2] if len(parts) > 2 else ""
 
 
 def load_outage_db(path) -> list:

@@ -5,7 +5,8 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -20,7 +21,6 @@ MIN_ARRIVALS = 5  # a node votes on a key's period from this many rows on
 _SPAN = 1 << 40  # seconds of timestamps SGIndex can sort in one key
 
 VERDICTS = ("normal", "abnormal", "non_responsive")
-VERDICT_NAMES = np.array(VERDICTS, dtype=object)  # verdict code -> name
 
 
 class SGIndex:
@@ -231,35 +231,6 @@ def _sse(s, s2, size):
     return np.maximum(w, 0.0, out=w)
 
 
-@dataclass(frozen=True)
-class ThresholdReport:
-    c_minor: float
-    c_major: float
-    wcss: float
-    tau: float
-    minority: frozenset  # NodeIds in the smaller cluster (empty when degenerate)
-
-
-@dataclass(frozen=True)
-class DetectionResult:
-    at: int
-    group: str
-    nodes: tuple  # the group's NodeIds, sorted; shared by its moments
-    sg: list  # SG per node, in `nodes` order
-    verdict: list  # verdict per node, in `nodes` order
-    threshold: ThresholdReport
-
-    @property
-    def verdicts(self) -> dict:
-        """NodeId -> verdict."""
-        return dict(zip(self.nodes, self.verdict))
-
-    @property
-    def sgs(self) -> dict:
-        """NodeId -> SG."""
-        return dict(zip(self.nodes, self.sg))
-
-
 @dataclass
 class SweepResult:
     """A sweep's verdicts in columns, one cell per judged (moment, group).
@@ -287,32 +258,27 @@ class SweepResult:
     moments: list  # every distinct moment of the schedule, sorted
 
     @property
-    def results(self) -> CellViews:
-        """The cells as a read-only sequence of DetectionResult views."""
-        return CellViews(self)
+    def results(self) -> Sequence:
+        """The cells as a sequence whose item c has only .verdicts, cell
+        c's {NodeId: verdict name} dict, built when it is read. Only
+        bench/ reads it, until the benchmark reads the columns."""
+        return _CellVerdicts(self)
 
 
-class CellViews(Sequence):
-    """A sweep's cells, each read as a DetectionResult built on access."""
-
+class _CellVerdicts(Sequence):
     def __init__(self, sweep: SweepResult):
         self._sweep = sweep
 
     def __len__(self) -> int:
         return len(self._sweep.at)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        i = range(len(self))[i]
+    def __getitem__(self, c):
         s = self._sweep
-        a, b = s.offset[i:i + 2].tolist()
-        name, nodes = s.groups[s.group[i]]
-        minority = frozenset(compress(nodes, s.minority[a:b].tolist()))
-        report = ThresholdReport(float(s.c_minor[i]), float(s.c_major[i]),
-                                 float(s.wcss[i]), float(s.tau[i]), minority)
-        return DetectionResult(int(s.at[i]), name, nodes, s.sg[a:b].tolist(),
-                               VERDICT_NAMES[s.code[a:b]].tolist(), report)
+        c = range(len(self))[c]  # an IndexError ends iteration
+        a, b = s.offset[c:c + 2].tolist()
+        return SimpleNamespace(verdicts={
+            s.nodes[i]: VERDICTS[k]
+            for i, k in zip(s.node[a:b].tolist(), s.code[a:b].tolist())})
 
 
 def observation_moments(start: int, end: int,

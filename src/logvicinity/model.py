@@ -685,10 +685,12 @@ def save_topology(topology: Topology, path) -> None:
 
 
 _RANGE_RE = re.compile(r"(.*n)\[([\d,\-]+)\]", re.ASCII)
+_PIECE_RE = re.compile(r"(\d+)(?:-(\d+))?", re.ASCII)
 
 
 def expand_node_spec(spec: str):
-    """Expand "i1r0n[0-3,7]" style range syntax to a list of node names."""
+    """Expand "i1r0n[0-3,7]" style range syntax to a list of node names;
+    a range piece other than N or LO-HI with LO <= HI raises ValueError."""
     names = []
     for token in spec.split():
         m = _RANGE_RE.fullmatch(token)
@@ -697,11 +699,13 @@ def expand_node_spec(spec: str):
             continue
         prefix, body = m.group(1), m.group(2)
         for piece in body.split(","):
-            if "-" in piece:
-                lo, hi = piece.split("-")
-                names.extend(f"{prefix}{i}" for i in range(int(lo), int(hi) + 1))
-            else:
-                names.append(f"{prefix}{int(piece)}")
+            span = _PIECE_RE.fullmatch(piece)
+            if not span:
+                raise ValueError(f"bad range piece {piece!r} in {token!r}")
+            lo, hi = int(span[1]), int(span[2] or span[1])
+            if lo > hi:
+                raise ValueError(f"range {piece!r} in {token!r} runs backwards")
+            names.extend(f"{prefix}{i}" for i in range(lo, hi + 1))
     return names
 
 

@@ -729,7 +729,14 @@ def load_truth(path) -> list:
     def row(fields):
         if fields[0] == "node":  # the header
             return None
-        name, outage_s, has_reboot, cause = fields[:4]
+        if len(fields) != 4:
+            raise ValueError(f"expected 4 fields, got {len(fields)}")
+        name, outage_s, has_reboot, cause = fields
+        if has_reboot not in ("true", "false"):
+            raise ValueError(f"has_reboot must be true or false, not "
+                             f"{has_reboot!r}")
+        if cause not in CAUSES:
+            raise ValueError(f"unknown cause {cause!r}")
         return InjectedFailure(parse_node_name(name), parse_iso(outage_s),
                                has_reboot == "true", cause)
 

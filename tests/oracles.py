@@ -4,7 +4,8 @@ Deliberately naive: plain loops, no shared code with the package internals,
 except that the line-level parser (parse_syslog_line, which reference_parse
 applies line by line) checks a date, a time of day and a tag with the
 table parser's own helpers.
-columnar_sweep builds a sweep from hand-written cells; reference_generate
+columnar_sweep builds a sweep from hand-written cells, and sweep_cells
+reads a sweep's cells back from its columns; reference_generate
 reuses synth's schedule planners and rebuilds only the per-node streams.
 The reference writers format one row at a time with datetime.
 """
@@ -16,6 +17,7 @@ import random
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -146,6 +148,22 @@ def brute_window_count(entries, node, at, window):
     return total
 
 
+def sweep_cells(sweep):
+    """Each cell of a columnar sweep, read from its columns one at a time:
+    its at, group name, c_minor, c_major, wcss and tau, the nodes, sg and
+    verdict names of its rows, and the set of its minority nodes."""
+    for c in range(len(sweep.at)):
+        a, b = sweep.offset[c:c + 2].tolist()
+        nodes = tuple(sweep.nodes[i] for i in sweep.node[a:b].tolist())
+        yield SimpleNamespace(
+            at=int(sweep.at[c]), group=sweep.groups[sweep.group[c]][0],
+            c_minor=float(sweep.c_minor[c]), c_major=float(sweep.c_major[c]),
+            wcss=float(sweep.wcss[c]), tau=float(sweep.tau[c]), nodes=nodes,
+            sg=sweep.sg[a:b].tolist(),
+            verdict=[VERDICTS[k] for k in sweep.code[a:b].tolist()],
+            minority={n for n, m in zip(nodes, sweep.minority[a:b].tolist()) if m})
+
+
 def reference_extract_events(sweep, table, cadence, max_gap_moments):
     """Events of a sweep by the plain per-node loop over its cells.
 
@@ -160,7 +178,7 @@ def reference_extract_events(sweep, table, cadence, max_gap_moments):
     (anchor, node), runs of one node in time order.
     """
     flagged = {}
-    for res in sweep.results:
+    for res in sweep_cells(sweep):
         for node, verdict in zip(res.nodes, res.verdict):
             if verdict != "normal":
                 flagged.setdefault(node, []).append((res.at, verdict))
@@ -195,12 +213,12 @@ def reference_extract_events(sweep, table, cadence, max_gap_moments):
 def reference_verdict_lines(sweep):
     """The verdict TSV lines of a sweep, one cell at a time."""
     out = []
-    for res in sweep.results:
+    for res in sweep_cells(sweep):
         stamp = datetime.fromtimestamp(res.at, tz=timezone.utc).strftime(
             "%Y-%m-%dT%H:%M:%SZ")
         for node, verdict, sg in zip(res.nodes, res.verdict, res.sg):
             out.append(f"{stamp}\t{res.group}\t{node.name}\t"
-                       f"{verdict}\t{sg}\t{res.threshold.tau:.3f}\n")
+                       f"{verdict}\t{sg}\t{res.tau:.3f}\n")
     return out
 
 

@@ -22,7 +22,7 @@ from logvicinity.vicinity import (combined_vicinity, hardware_vicinity,
                                   location_vicinity)
 
 from oracles import (LogEntry, bipartite_max_matching, brute_window_count,
-                     kmeans_1d_2, naive_two_means)
+                     kmeans_1d_2, naive_two_means, sweep_cells)
 from tables import table_of
 
 
@@ -112,8 +112,8 @@ def test_failures_flagged_before_outage_and_healthy_nodes_quiet(corpus):
     sweep = run_detection(index, combined_vicinity(corpus.topology),
                           corpus.range)
     vmap = {}
-    for res in sweep.results:
-        for node, verdict in res.verdicts.items():
+    for res in sweep_cells(sweep):
+        for node, verdict in zip(res.nodes, res.verdict):
             vmap[(node, res.at)] = verdict
 
     moments = sweep.moments

@@ -47,6 +47,10 @@ _BAD_JOB_ROWS = [  # (row, reason)
      "empty node list"),
     ("j1,i1r0n0,not-a-time,2020-01-01T01:00:00Z,completed",
      "bad timestamp: 'not-a-time'"),
+    ("j1,i1r0n0 i1r0n[5-3],2020-01-01T00:00:00Z,2020-01-01T01:00:00Z,completed",
+     "range '5-3' in 'i1r0n[5-3]' runs backwards"),
+    ("j1,i1r0n[1-2-3],2020-01-01T00:00:00Z,2020-01-01T01:00:00Z,completed",
+     "bad range piece '1-2-3' in 'i1r0n[1-2-3]'"),
 ]
 
 

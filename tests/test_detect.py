@@ -330,7 +330,7 @@ def test_threshold_group_too_small():
     sweep = run_detection(idx, VicinityAssignment([pair], ["pair"]),
                           ObservationRange(0, 3600))
     assert sweep.skipped_groups == [("pair", 2)]
-    assert len(sweep.results) == 0 and len(sweep.moments) == 4
+    assert len(sweep.at) == 0 and len(sweep.moments) == 4
 
 
 def test_zero_sg_beats_abnormal():
@@ -367,8 +367,8 @@ def test_run_detection_counts_and_skips():
     sweep = run_detection(idx, asg, ObservationRange(0, 7200))
     assert sweep.skipped_groups == [("small", 2)]
     assert len(sweep.moments) == 10
-    assert len(sweep.results) == 10  # one usable group per moment
-    assert all(r.group == "big" for r in sweep.results)
+    assert len(sweep.at) == 10  # one usable group per moment
+    assert all(r.group == "big" for r in oracles.sweep_cells(sweep))
     with pytest.raises(ValueError):
         run_detection(idx, asg, ObservationRange(0, 7200), cadence=0)
 

@@ -137,7 +137,7 @@ def test_run_variant_smoke(corpus, rules):
                       corpus.range, "filtered_raw", rules)
     assert run.name == "filtered_raw"
     assert isinstance(run.dropped, list)
-    assert run.sweep.results
+    assert len(run.sweep.at)
 
 
 def test_run_variants_shares_the_raw_run_with_anonymized(corpus, rules):
@@ -173,8 +173,9 @@ def _job(job_id, nodes, start=0):
 
 
 def _rows(sweep):
-    return [(r.at, r.group, r.verdicts, r.sgs, r.threshold.tau)
-            for r in sweep.results]
+    return [(r.at, r.group, dict(zip(r.nodes, r.verdict)),
+             dict(zip(r.nodes, r.sg)), r.tau)
+            for r in oracles.sweep_cells(sweep)]
 
 
 def test_allocation_sweep_of_one_steady_job_equals_static_sweep():
@@ -187,8 +188,8 @@ def test_allocation_sweep_of_one_steady_job_equals_static_sweep():
         JOB_RANGE)
     assert alloc.moments == static.moments
     assert _rows(alloc) == _rows(static)
-    assert any(v != "normal" for r in alloc.results
-               for v in r.verdicts.values())
+    assert any(v != "normal" for r in oracles.sweep_cells(alloc)
+               for v in r.verdict)
 
 
 @pytest.mark.parametrize("perspective", ["allocation", "location"])
@@ -199,7 +200,8 @@ def test_verdict_sg_column_is_the_window_count(perspective, tmp_path):
     path = tmp_path / "verdicts.tsv"
     write_verdicts(sweep, path)
     rows = path.read_text().splitlines()
-    assert len(rows) == sum(len(r.verdicts) for r in sweep.results) > 0
+    assert len(rows) == sum(len(r.nodes)
+                            for r in oracles.sweep_cells(sweep)) > 0
     for row in rows:
         at, _group, name, _verdict, sg, _tau = row.split("\t")
         assert int(sg) == index.count(parse_node_name(name), parse_iso(at), 900)
@@ -214,19 +216,19 @@ def test_undersized_allocation_group_is_skipped_once():
     assert len(sweep.moments) > 1
     # first-seen order, not name order: j0 only starts half-way through
     assert sweep.skipped_groups == [("job:j2", 2), ("job:j0", 2)]
-    assert {r.group for r in sweep.results} == {"job:j1"}
+    assert {r.group for r in oracles.sweep_cells(sweep)} == {"job:j1"}
 
 
 def test_window_longer_than_range_gives_no_moments():
     index = _job_index()
     asg = VicinityAssignment([frozenset(JOB_NODES)], ["all"])
     sweep = run_detection(index, asg, JOB_RANGE, window=JOB_RANGE.end + 1)
-    assert (sweep.moments, list(sweep.results)) == ([], [])
+    assert (sweep.moments, len(sweep.at)) == ([], 0)
     sweep = sweep_perspective(index, "allocation", JOB_TOPOLOGY, JOB_RANGE,
                               jobs=[_job("j1", JOB_NODES)],
                               window=JOB_RANGE.end + 1)
-    assert (sweep.moments, list(sweep.results),
-            sweep.skipped_groups) == ([], [], [])
+    assert (sweep.moments, len(sweep.at),
+            sweep.skipped_groups) == ([], 0, [])
 
 
 def test_silent_group_node_and_minimum_group_size():
@@ -239,11 +241,13 @@ def test_silent_group_node_and_minimum_group_size():
               frozenset({JOB_NODES[3], JOB_NODES[4], silent})]
     sweep = run_detection(index, VicinityAssignment(
         groups, ["min", "with_silent"]), JOB_RANGE)
-    assert [len(r.nodes) for r in sweep.results[:2]] == [MIN_GROUP_SIZE] * 2
-    assert len(sweep.results) == 2 * len(sweep.moments)
-    for r in sweep.results[1::2]:
-        assert r.sgs[silent] == 0 and r.verdicts[silent] == "non_responsive"
-    for r in sweep.results:
+    cells = list(oracles.sweep_cells(sweep))
+    assert [len(r.nodes) for r in cells[:2]] == [MIN_GROUP_SIZE] * 2
+    assert len(cells) == 2 * len(sweep.moments)
+    for r in cells[1::2]:
+        i = r.nodes.index(silent)
+        assert r.sg[i] == 0 and r.verdict[i] == "non_responsive"
+    for r in cells:
         assert r.sg == [oracles.brute_window_count(entries, n, r.at, 1800)
                         for n in r.nodes]
         assert r.verdict == oracles.naive_verdicts(r.sg, 5.0, 5.0)
@@ -275,8 +279,8 @@ def test_allocation_regroups_only_when_the_job_set_changes(monkeypatch):
     assert sweep.moments == per_moment.moments == moments
     assert sweep.skipped_groups == per_moment.skipped_groups
     assert _rows(sweep) == _rows(per_moment)
-    assert {r.group for r in sweep.results} == {"job:j1", "job:j1+j2+j3",
-                                                "job:j0+j1+j2+j3"}
+    assert {r.group for r in oracles.sweep_cells(sweep)} == {
+        "job:j1", "job:j1+j2+j3", "job:j0+j1+j2+j3"}
 
 
 def test_allocation_rejects_a_repeated_job_id():
@@ -338,8 +342,9 @@ def test_sweep_does_not_depend_on_node_or_entry_order(corpus):
         shuffled = run_detection(shuffled_index, maker(Topology(nodes, arch)),
                                  obs_range)
         assert _rows(shuffled) == _rows(sweep)
-        assert any(v != "normal" for r in sweep.results for v in r.verdict)
-    for r in sweep.results:
+        assert any(v != "normal" for r in oracles.sweep_cells(sweep)
+                   for v in r.verdict)
+    for r in oracles.sweep_cells(sweep):
         assert r.verdict == oracles.naive_verdicts(r.sg, 5.0, 5.0)
 
 

@@ -1,5 +1,5 @@
 """The README's quick start prints the table it shows, and its
-step-by-step commands run as written."""
+step-by-step commands and library example run as written."""
 
 import re
 import shlex
@@ -33,3 +33,12 @@ def test_step_by_step_runs_as_written(tmp_path, monkeypatch, capsys):
         assert main(argv[1:]) == 0, argv
         err = capsys.readouterr().err
         assert "warning:" not in err, (argv, err)
+
+
+def test_library_use_runs_as_written(capsys):
+    section = README.read_text().split("## Library use", 1)[1]
+    block, = re.findall(r"```python\n(.*?)```", section.split("\n## ")[0],
+                        re.S)
+    exec(compile(block, f"{README}:Library use", "exec"), {})
+    rows = capsys.readouterr().out.splitlines()
+    assert rows and all(len(row.split()) == 6 for row in rows)

@@ -129,13 +129,26 @@ def test_a_line_that_is_not_utf8_names_its_file_and_line(tmp_path, name):
     ("outages", "i1r0n0\t2023-01-01T00:00:00Z\t2023-01-01T00:10:00Z\ttail"),
     ("events", "i1r0n0\t2023-01-01T00:00:00Z\t2023-01-01T00:00:00Z\t"
                "2023-01-01T00:10:00Z\tyes"),
+    ("truth", "i1r0n0,2023-01-01T00:00:00Z,true,crash_panic,"),
+    ("truth", "i1r0n0,2023-01-01T00:00:00Z,yes,crash_panic"),
+    ("truth", "i1r0n0,2023-01-01T00:00:00Z,true,mystery"),
+    ("classified", ",2023-01-01T00:00:00Z,regular_failure,"),
 ], ids=["confidence", "tail-confidence-footprint", "boot-confidence-tail",
-        "silent"])
+        "silent", "truth-fields", "has-reboot", "cause", "empty-node"])
 def test_a_value_its_writer_never_writes_names_its_line(tmp_path, name, bad):
     path = _with_bad_third_line(tmp_path / name, name, bad)
     with pytest.raises(ValueError) as err:
         FORMATS[name][1](path)
     assert str(err.value).startswith(f"{path}:3: ")
+
+
+@pytest.mark.parametrize("name", ["outage_db", "maintenance"])
+def test_a_window_that_runs_backwards_names_its_line(tmp_path, name):
+    path = _with_bad_third_line(
+        tmp_path / name, name, "2023-01-01T00:00:01Z..2023-01-01T00:00:00Z\tsystem")
+    with pytest.raises(ValueError) as err:
+        FORMATS[name][1](path)
+    assert str(err.value) == f"{path}:3: start after end"
 
 
 @pytest.mark.parametrize("name, bad", [

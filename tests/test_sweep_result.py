@@ -1,5 +1,5 @@
-"""The columnar sweep, its cell views, event extraction and the verdict
-writer, checked against the per-cell loops in oracles.py."""
+"""The columnar sweep, event extraction and the verdict writer, checked
+against the per-cell loops in oracles.py."""
 
 import dataclasses
 import random
@@ -104,19 +104,19 @@ def _assert_sweep_is_the_per_cell_loop(sweep, table, index, window,
              for at, pairs in schedule
              for name, group in pairs
              if len(group) >= 3]
-    assert len(sweep.results) == len(cells) > 0
-    for res, (at, name, nodes) in zip(sweep.results, cells):
+    got = list(oracles.sweep_cells(sweep))
+    assert len(got) == len(cells) > 0
+    for res, (at, name, nodes) in zip(got, cells):
         sg = [index.count(n, at, window) for n in nodes]
         c_minor, c_major, wcss, tau, minority = oracles.scalar_threshold(
             sg, 5.0, 5.0)
         assert (res.at, res.group, res.nodes, res.sg) == (at, name, nodes, sg)
         assert res.verdict == oracles.naive_verdicts(sg, 5.0, 5.0)
-        threshold = res.threshold
-        assert (threshold.c_minor, threshold.c_major, threshold.wcss,
-                threshold.tau) == (c_minor, c_major, wcss, tau)
-        assert threshold.minority == {nodes[i] for i in minority}
+        assert (res.c_minor, res.c_major, res.wcss, res.tau) == (
+            c_minor, c_major, wcss, tau)
+        assert res.minority == {nodes[i] for i in minority}
 
-    flagged = sum(v != "normal" for r in sweep.results for v in r.verdict)
+    flagged = sum(v != "normal" for r in got for v in r.verdict)
     assert int((sweep.code != 0).sum()) == flagged > 0
     assert _tuples(extract_events(sweep, index, CADENCE)) == \
         oracles.reference_extract_events(sweep, table, CADENCE, 3)
@@ -124,6 +124,27 @@ def _assert_sweep_is_the_per_cell_loop(sweep, table, index, window,
     write_verdicts(sweep, path)
     assert path.read_text().splitlines(keepends=True) == \
         oracles.reference_verdict_lines(sweep)
+
+
+def test_results_reads_each_cells_verdicts(corpus):
+    """sweep.results, the view the benchmark reads: one item per cell,
+    whose .verdicts pair the cell's nodes with its verdict names."""
+    cells = [(3000, "g", {N[0]: "abnormal", N[1]: "normal"}),
+             (3000, "h", {N[2]: "non_responsive", N[3]: "normal"}),
+             (3600, "g", {N[0]: "normal", N[1]: "normal"})]
+    results = oracles.columnar_sweep(cells).results
+    assert len(results) == 3
+    assert [r.verdicts for r in results] == [v for _, _, v in cells]
+    assert results[-1].verdicts == cells[-1][2]
+    with pytest.raises(IndexError):
+        results[3]
+    assert list(oracles.columnar_sweep([]).results) == []
+    sweep = sweep_perspective(SGIndex(corpus.entries), "allocation",
+                              corpus.topology, corpus.range,
+                              jobs=corpus.truth.jobs, window=900)
+    assert len(sweep.results) == len(sweep.at) > 0
+    assert [r.verdicts for r in sweep.results] == [
+        dict(zip(c.nodes, c.verdict)) for c in oracles.sweep_cells(sweep)]
 
 
 @pytest.mark.parametrize("perspective", ["combined", "hardware", "location",
