@@ -15,9 +15,8 @@ _EXPORTS = {
     "anonymize": ("DEFAULT_RULES", "SubstitutionRuleSet", "anonymize_stream",
                   "fnv1a_32", "read_anonymized", "write_anonymized"),
     "classify": ("FailureEvent", "classify_all", "classify_outage"),
-    "datasources": ("JobRecord", "MaintenanceWindow", "OutageRecord", "Scope",
-                    "load_job_report", "load_maintenance", "load_outage_db",
-                    "parse_scope"),
+    "datasources": ("JobRecord", "Scope", "Window", "load_job_report",
+                    "load_maintenance", "load_outage_db", "parse_scope"),
     "detect": ("SGIndex", "SweepResult", "filter_frequent_anonymized",
                "filter_frequent_raw", "observation_moments", "run_detection",
                "split_groups"),

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .names import (LABELS, check_nonnegative, iso, parse_iso,
+from .names import (LABELS, NodeId, check_nonnegative, iso, parse_iso,
                     parse_node_name, read_records, topen)
-from .outages import OutageEvent
 
 DEFAULT_CORRELATION_WINDOW = 600  # seconds
 
@@ -19,17 +18,10 @@ CONTRADICTIONS = (
 
 @dataclass(frozen=True)
 class FailureEvent:
-    outage: OutageEvent
+    node: NodeId
+    outage_time: int
     label: str
     evidence: tuple  # sorted evidence tags
-
-    @property
-    def node(self):
-        return self.outage.node
-
-    @property
-    def outage_time(self):
-        return self.outage.outage_time
 
 
 def label_from_evidence(evidence) -> str:
@@ -45,7 +37,7 @@ def label_from_evidence(evidence) -> str:
     return "not_failure"
 
 
-def classify_outage(outage: OutageEvent, maint, jobs, odb,
+def classify_outage(outage, maint, jobs, odb,
                     correlation_window=DEFAULT_CORRELATION_WINDOW) -> FailureEvent:
     node, t = outage.node, outage.outage_time
     evidence = set()
@@ -67,7 +59,7 @@ def classify_outage(outage: OutageEvent, maint, jobs, odb,
             evidence.add("jobs_completed_here")
     if not saw_job:
         evidence.add("no_job_info")
-    return FailureEvent(outage, label_from_evidence(evidence),
+    return FailureEvent(node, t, label_from_evidence(evidence),
                         tuple(sorted(evidence)))
 
 
@@ -83,13 +75,11 @@ def load_classified(path) -> list:
     def row(fields):
         if fields[0] == "node":  # the header
             return None
-        if len(fields) < 3 or fields[2] not in LABELS:
+        if len(fields) != 4 or fields[2] not in LABELS:
             raise ValueError(f"malformed classified row: {fields!r}")
-        outage = OutageEvent(parse_node_name(fields[0]), parse_iso(fields[1]),
-                             None, tail=False)
-        evidence = (tuple(fields[3].split("+")) if len(fields) > 3 and fields[3]
-                    else ())
-        return FailureEvent(outage, fields[2], evidence)
+        name, outage_s, label, evidence = fields
+        return FailureEvent(parse_node_name(name), parse_iso(outage_s), label,
+                            tuple(evidence.split("+")) if evidence else ())
 
     return read_records(path, row, sep=",")
 

@@ -17,6 +17,11 @@ from .names import (CV_THRESHOLD, DEFAULT_ALPHA, DEFAULT_BURST_FACTOR,
                     check_nonnegative, iso, parse_iso, parse_node_name,
                     read_records, run_manifest, topen)
 
+# Nothing here calls BLAS, so numpy's bundled OpenBLAS would only start a
+# worker thread that spins; set before any subcommand imports numpy, and a
+# value the user set still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 
 def _data_file(name: str) -> str:
     from importlib.resources import files as resource_files

@@ -58,21 +58,13 @@ class JobRecord:
 
 
 @dataclass(frozen=True)
-class OutageRecord:
+class Window:
+    """An outage-db record or a maintenance notice: a closed span over a
+    scope, with a free-text note."""
     start: int
     end: int
     scope: Scope
-    description: str = ""
-
-    def covers(self, node: NodeId, t: int) -> bool:
-        return self.start <= t <= self.end and self.scope.covers(node)
-
-
-@dataclass(frozen=True)
-class MaintenanceWindow:
-    start: int
-    end: int
-    scope: Scope
+    note: str = ""
 
     def covers(self, node: NodeId, t: int) -> bool:
         return self.start <= t <= self.end and self.scope.covers(node)
@@ -111,9 +103,9 @@ def write_job_report(jobs, path) -> None:
                              iso(job.start), iso(job.end), job.status])
 
 
-def _window(line):
-    """(start, end, scope, note) of a start..end<TAB>scope[<TAB>note] line;
-    the note is the rest of the line, tabs included."""
+def _window(line) -> Window:
+    """The window of a start..end<TAB>scope[<TAB>note] line; the note is
+    the rest of the line, tabs included."""
     parts = line.split("\t", 2)
     if len(parts) < 2:
         raise ValueError("expected start..end<TAB>scope")
@@ -123,24 +115,22 @@ def _window(line):
     start, end = parse_iso(start_s), parse_iso(end_s)
     if start > end:
         raise ValueError("start after end")
-    return start, end, parse_scope(parts[1]), parts[2] if len(parts) > 2 else ""
+    return Window(start, end, parse_scope(parts[1]),
+                  parts[2] if len(parts) > 2 else "")
 
 
 def load_outage_db(path) -> list:
-    return [OutageRecord(*w) for w in read_records(path, _window, sep=None)]
+    return read_records(path, _window, sep=None)
 
 
 def load_maintenance(path) -> list:
-    return [MaintenanceWindow(*w[:3]) for w in read_records(path, _window, sep=None)]
+    return read_records(path, _window, sep=None)
 
 
-def write_outage_db(records, path) -> None:
-    with topen(path, "w") as fh:
-        for r in records:
-            fh.write(f"{iso(r.start)}..{iso(r.end)}\t{r.scope}\t{r.description}\n")
-
-
-def write_maintenance(windows, path) -> None:
+def write_windows(windows, path) -> None:
+    """An outage db or a maintenance file; a window's tab and note are
+    written only when its note is not empty."""
     with topen(path, "w") as fh:
         for w in windows:
-            fh.write(f"{iso(w.start)}..{iso(w.end)}\t{w.scope}\n")
+            note = f"\t{w.note}" if w.note else ""
+            fh.write(f"{iso(w.start)}..{iso(w.end)}\t{w.scope}{note}\n")

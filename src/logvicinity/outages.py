@@ -28,7 +28,10 @@ class OutageEvent:
     node: NodeId
     outage_time: int
     following_boot: BootEvent | None
-    tail: bool
+
+    @property
+    def tail(self) -> bool:
+        return self.following_boot is None
 
     @property
     def confidence(self) -> str:
@@ -179,10 +182,10 @@ def detect_outages(table: EventTable, footprint: BootFootprintSpec, rules,
         boots = _boot_events(node, times[a:b], sigs[a:b], foot, burst_factor,
                              burst_minutes, min_gap)
         before = times[a:b].searchsorted([e.boot_time for e in boots]).tolist()
-        outages.extend(OutageEvent(node, int(times[a + i - 1]), boot, False)
+        outages.extend(OutageEvent(node, int(times[a + i - 1]), boot)
                        for boot, i in zip(boots, before) if i)
         if obs_range.end - times[b - 1] > silence_threshold:
-            outages.append(OutageEvent(node, int(times[b - 1]), None, True))
+            outages.append(OutageEvent(node, int(times[b - 1]), None))
     outages.sort(key=lambda o: (o.node, o.outage_time))
     return outages
 
@@ -203,9 +206,8 @@ def load_outages(path) -> list:
         if confidence not in written:
             raise ValueError(f"confidence {confidence!r} is not one of "
                              f"{', '.join(written)}")
-        if boot_s == "TAIL":
-            return OutageEvent(node, t, None, tail=True)
-        boot = BootEvent(node, parse_iso(boot_s), confidence)
-        return OutageEvent(node, t, boot, tail=False)
+        boot = (None if boot_s == "TAIL"
+                else BootEvent(node, parse_iso(boot_s), confidence))
+        return OutageEvent(node, t, boot)
 
     return read_records(path, row)

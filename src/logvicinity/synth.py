@@ -12,8 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datasources import (JobRecord, MaintenanceWindow, OutageRecord, Scope,
-                          write_job_report, write_maintenance, write_outage_db)
+from .datasources import JobRecord, Scope, Window, write_job_report, write_windows
 from .model import (EventTable, NodeId, ObservationRange, Topology, iso,
                     parse_iso, parse_node_name, read_records, save_topology,
                     to_epoch, topen, write_syslog)
@@ -118,8 +117,11 @@ class GeneratorSpec:
 class InjectedFailure:
     node: NodeId
     outage_time: int
-    has_reboot: bool
     cause: str
+
+    @property
+    def has_reboot(self) -> bool:
+        return self.cause != "no_reboot"
 
 
 @dataclass
@@ -238,11 +240,11 @@ def _plan_maintenance(spec: GeneratorSpec, topology: Topology):
     windows = []
     islands = topology.islands()
     if len(islands) > 1:
-        windows.append(MaintenanceWindow(
+        windows.append(Window(
             spec.start + int(3.5 * DAY), spec.start + int(3.5 * DAY) + 2 * HOUR,
             Scope("island", island=islands[1])))
     first = topology.nodes[0]
-    windows.append(MaintenanceWindow(
+    windows.append(Window(
         spec.start + int(1.25 * DAY), spec.start + int(1.25 * DAY) + 90 * 60,
         Scope("node", node=first)))
     return windows
@@ -384,9 +386,8 @@ def _plan_jobs(spec: GeneratorSpec, topology: Topology, planned, maint, rng):
                 jobs.append(JobRecord(f"f{seq}", frozenset(members), start, end,
                                       "node_fail"))
             else:
-                odb.append(OutageRecord(t - 900, t + 1800,
-                                        Scope("node", node=node),
-                                        "user-visible unavailability"))
+                odb.append(Window(t - 900, t + 1800, Scope("node", node=node),
+                                  "user-visible unavailability"))
 
     failure_times = {node: [f.nominal for f in fs] for node, fs in planned.items()}
     racks = topology.racks()
@@ -545,14 +546,13 @@ def _node_stream(node, spec, chatter, failures, maint_windows, storms,
             t_fail = failure.nominal
             heart_stop = float(t_fail)
             extra.append((float(t_fail), GASP[0], GASP[1]))
-        has_reboot = failure.cause != "no_reboot"
-        resume = t_fail + failure.downtime if has_reboot else end + DAY
+        injected = InjectedFailure(node, t_fail, failure.cause)
+        resume = t_fail + failure.downtime if injected.has_reboot else end + DAY
         cut_spans.append((t_fail - failure.quiet, resume))
         heart_cut.append((heart_stop, resume))
-        if has_reboot:
+        if injected.has_reboot:
             extra.extend(_boot_entries(rng, resume))
-        resolved_out.append(InjectedFailure(node, t_fail, has_reboot,
-                                            failure.cause))
+        resolved_out.append(injected)
 
     for window in maint_windows:
         cutoff = window.start + rng.uniform(60, 300)
@@ -709,8 +709,8 @@ def write_corpus_files(gen: GeneratedCorpus, outdir, compress=False) -> dict:
     write_syslog(gen.entries, paths["corpus"])
     save_topology(gen.topology, paths["topology"])
     write_job_report(gen.truth.jobs, paths["jobs"])
-    write_outage_db(gen.truth.outage_records, paths["outage_db"])
-    write_maintenance(gen.truth.maintenance, paths["maintenance"])
+    write_windows(gen.truth.outage_records, paths["outage_db"])
+    write_windows(gen.truth.maintenance, paths["maintenance"])
     write_truth(gen.truth.failures, paths["truth"])
     return {k: str(v) for k, v in paths.items()}
 
@@ -732,12 +732,14 @@ def load_truth(path) -> list:
         if len(fields) != 4:
             raise ValueError(f"expected 4 fields, got {len(fields)}")
         name, outage_s, has_reboot, cause = fields
-        if has_reboot not in ("true", "false"):
-            raise ValueError(f"has_reboot must be true or false, not "
-                             f"{has_reboot!r}")
         if cause not in CAUSES:
             raise ValueError(f"unknown cause {cause!r}")
-        return InjectedFailure(parse_node_name(name), parse_iso(outage_s),
-                               has_reboot == "true", cause)
+        failure = InjectedFailure(parse_node_name(name), parse_iso(outage_s),
+                                  cause)
+        written = str(failure.has_reboot).lower()
+        if has_reboot != written:
+            raise ValueError(f"has_reboot must be {written} for cause {cause}, "
+                             f"not {has_reboot!r}")
+        return failure
 
     return read_records(path, row, sep=",")

@@ -637,8 +637,7 @@ def reference_generate(spec):
             heart_cut.append((heart_stop, resume))
             if has_reboot:
                 extra.extend(_boot_entries(rng, resume))
-            resolved_out.append(InjectedFailure(node, t_fail, has_reboot,
-                                                failure.cause))
+            resolved_out.append(InjectedFailure(node, t_fail, failure.cause))
         for window in maint_windows:
             cutoff = window.start + rng.uniform(60, 300)
             resume = window.end - rng.uniform(600, 1200)

@@ -5,8 +5,7 @@ import pytest
 from logvicinity.classify import (CONTRADICTIONS, classify_outage,
                                   label_from_evidence, load_classified,
                                   write_classified)
-from logvicinity.datasources import (JobRecord, MaintenanceWindow,
-                                     OutageRecord, Scope)
+from logvicinity.datasources import JobRecord, Scope, Window
 from logvicinity.model import NodeId
 from logvicinity.outages import OutageEvent
 
@@ -44,7 +43,7 @@ def test_label_precedence_over_all_subsets():
 
 
 def _outage(t=10000):
-    return OutageEvent(NODE, t, None, tail=False)
+    return OutageEvent(NODE, t, None)
 
 
 def test_failed_job_near_outage_is_regular_failure():
@@ -69,21 +68,21 @@ def test_completed_job_spanning_outage_blocks_failure():
 
 
 def test_outage_db_entry_is_regular_failure():
-    rec = OutageRecord(9000, 11000, Scope("node", node=NODE))
+    rec = Window(9000, 11000, Scope("node", node=NODE))
     ev = classify_outage(_outage(), [], [], [rec])
     assert ev.label == "regular_failure"
     assert ev.evidence == ("in_outage_db", "no_job_info")
 
 
 def test_maintenance_window_is_planned():
-    win = MaintenanceWindow(9000, 12000, Scope("island", island=1))
+    win = Window(9000, 12000, Scope("island", island=1))
     ev = classify_outage(_outage(), [win], [], [])
     assert ev.label == "planned"
 
 
 def test_maintenance_plus_failed_job_is_neither():
     # a failed job blocks "planned" and the window blocks "regular_failure"
-    win = MaintenanceWindow(9000, 12000, Scope("island", island=1))
+    win = Window(9000, 12000, Scope("island", island=1))
     job = JobRecord("j", frozenset({NODE}), 5000, 9900, "failed")
     ev = classify_outage(_outage(), [win], [job], [])
     assert ev.label == "not_failure"

@@ -1,10 +1,9 @@
 import pytest
 
-from logvicinity.datasources import (JobRecord, MaintenanceWindow,
-                                     OutageRecord, Scope, load_job_report,
+from logvicinity.datasources import (JobRecord, Scope, Window, load_job_report,
                                      load_maintenance, load_outage_db,
                                      parse_scope, write_job_report,
-                                     write_maintenance, write_outage_db)
+                                     write_windows)
 from logvicinity.model import NodeId, parse_node_name
 
 
@@ -96,36 +95,35 @@ def test_scope_covers():
 
 def test_windows_cover_closed_interval():
     n = NodeId(1, 0, 0)
-    for cls in (OutageRecord, MaintenanceWindow):
-        w = cls(100, 200, Scope("system"))
-        assert w.covers(n, 100) and w.covers(n, 200)
-        assert not w.covers(n, 99) and not w.covers(n, 201)
+    w = Window(100, 200, Scope("system"))
+    assert w.covers(n, 100) and w.covers(n, 200)
+    assert not w.covers(n, 99) and not w.covers(n, 201)
 
 
 def test_outage_db_roundtrip(tmp_path):
     records = [
-        OutageRecord(1600000000, 1600007200, Scope("island", island=2), "power work"),
-        OutageRecord(1600100000, 1600101000, Scope("node", node=NodeId(1, 0, 3)), ""),
-        OutageRecord(1600200000, 1600201000, Scope("system"), "rack A\tPSU swap"),
+        Window(1600000000, 1600007200, Scope("island", island=2), "power work"),
+        Window(1600100000, 1600101000, Scope("node", node=NodeId(1, 0, 3)), ""),
+        Window(1600200000, 1600201000, Scope("system"), "rack A\tPSU swap"),
     ]
     for path in (tmp_path / "outage.db", tmp_path / "outage.db.gz"):
-        write_outage_db(records, path)
+        write_windows(records, path)
         assert _gzipped(path)
         assert load_outage_db(path) == records
+    # an empty note is written as no note: the line ends at its scope
+    assert (tmp_path / "outage.db").read_text().splitlines()[1] == (
+        "2020-09-14T16:13:20Z..2020-09-14T16:30:00Z\tnode:i1r0n3")
 
 
 def test_maintenance_roundtrip(tmp_path):
-    windows = [MaintenanceWindow(1600000000, 1600007200, Scope("system"))]
+    # a note, which may hold tabs, survives as an outage db row's does
+    windows = [Window(1600000000, 1600007200, Scope("system")),
+               Window(1600100000, 1600101000, Scope("island", island=2),
+                      "rack A\tPSU swap")]
     for path in (tmp_path / "maint.tsv", tmp_path / "maint.tsv.gz"):
-        write_maintenance(windows, path)
+        write_windows(windows, path)
         assert _gzipped(path)
         assert load_maintenance(path) == windows
-    # a window with a note, which may hold tabs, as an outage db row has
-    noted = OutageRecord(1600100000, 1600101000, Scope("island", island=2),
-                         "rack A\tPSU swap")
-    write_outage_db([noted], tmp_path / "noted.tsv")
-    assert load_maintenance(tmp_path / "noted.tsv") == [
-        MaintenanceWindow(noted.start, noted.end, noted.scope)]
 
 
 @pytest.mark.parametrize("line", [

@@ -115,6 +115,13 @@ def test_sg_index_refuses_more_rows_than_its_edge_table_counts():
     with pytest.raises(ValueError, match=r"fewer than 2\*\*22 nodes"):
         SGIndex(Wide())
 
+    # the 40 bits of time hold a span of up to 2**40 - 1 seconds
+    assert SGIndex(table_of(_entries({N[0]: [0, (1 << 40) - 1]}))).count(
+        N[0], 1 << 40, window=1 << 40) == 2
+    with pytest.raises(ValueError) as err:
+        SGIndex(table_of(_entries({N[0]: [0, 1 << 40]})))
+    assert str(err.value) == "timestamps span more than 2**40 seconds"
+
 
 def test_last_entry_before():
     idx = SGIndex(table_of(_entries({N[0]: [100, 200, 300]})))
@@ -449,6 +456,14 @@ def test_filter_raw_keeps_everything_when_flat():
     # every template count equals the cut; strictly-above never holds
     assert dropped == []
     assert len(kept) == 20
+
+
+def test_filters_pass_an_empty_table_through():
+    rules = SubstitutionRuleSet()
+    empty = table_of([])
+    for kept, dropped in (filter_frequent_raw(empty, rules),
+                          filter_frequent_anonymized(empty, rules)):
+        assert len(kept) == 0 and dropped == []
 
 
 def _anon(key, node, times):

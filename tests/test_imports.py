@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import logvicinity
 from logvicinity.cli import build_parser, main
 from logvicinity.model import NodeId, iso
@@ -23,9 +25,10 @@ LOADED = ("import json, sys\n"
 T0 = 1_690_000_000
 
 
-def _child(code, *args) -> str:
-    """Run code in a fresh interpreter with args as sys.argv[1:]; its stdout."""
-    env = {**os.environ, "PYTHONPATH": SRC}
+def _child(code, *args, env=None) -> str:
+    """Run code in a fresh interpreter with args as sys.argv[1:], in this
+    environment or env; its stdout."""
+    env = {**(os.environ if env is None else env), "PYTHONPATH": SRC}
     proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -66,6 +69,35 @@ def _score_inputs(tmp_path):
         f"{n.name},{iso(T0 + 900 * i + 300 * (i % 2))},true,crash_panic\n"
         for i, n in enumerate(nodes[1:], 1)))
     return ["evaluate", "--detected", str(detected), "--truth", str(truth)]
+
+
+def test_classify_loads_no_numpy(tmp_path):
+    code = """
+import sys
+from logvicinity.classify import FailureEvent, load_classified, write_classified
+from logvicinity.names import NodeId
+events = [FailureEvent(NodeId(1, 0, 0), 1690000000, "planned", ("in_maintenance",))]
+write_classified(events, sys.argv[1])
+assert load_classified(sys.argv[1]) == events
+""" + LOADED
+    assert _loaded(_child(code, str(tmp_path / "classified.csv"))) == {
+        "logvicinity", "logvicinity.classify", "logvicinity.names"}
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task")
+                    or (os.cpu_count() or 1) < 2,
+                    reason="needs /proc and more than one CPU")
+def test_cli_starts_no_openblas_worker_thread():
+    """numpy's OpenBLAS starts a spinning worker per CPU unless told not
+    to; nothing here calls BLAS. A value the user set is kept."""
+    code = ("import os\nimport logvicinity.cli\nimport numpy\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'],"
+            " len(os.listdir('/proc/self/task')))\n")
+    unset = {k: v for k, v in os.environ.items()
+             if k != "OPENBLAS_NUM_THREADS"}
+    assert _child(code, env=unset).split() == ["1", "1"]
+    assert _child(code, env={**unset, "OPENBLAS_NUM_THREADS": "2"}).split()[0] \
+        == "2"
 
 
 def test_cli_runs_evaluate_help_and_version_without_numpy(tmp_path, capsys):

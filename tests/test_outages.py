@@ -120,10 +120,21 @@ def test_backtrack_skips_boot_before_any_entry():
 def test_tail_outage():
     rng = ObservationRange(0, 50000)
     outages = detect_outages(table_of([_e(100), _e(200)]), FOOT, RULES, rng)
-    assert outages == [OutageEvent(NODE, 200, None, tail=True)]
-    assert outages[0].confidence == "tail"
+    assert outages == [OutageEvent(NODE, 200, None)]
+    assert outages[0].tail and outages[0].confidence == "tail"
     # recent enough data: no tail
     assert detect_outages(table_of([_e(49000)]), FOOT, RULES, rng) == []
+
+
+def test_footprint_needs_an_item(tmp_path):
+    with pytest.raises(ValueError) as err:
+        BootFootprintSpec([])
+    assert str(err.value) == "footprint spec needs at least one item"
+    path = tmp_path / "boot.footprint"
+    path.write_text("# nothing but a comment\n\n")
+    with pytest.raises(ValueError) as err:
+        load_footprint(path)
+    assert str(err.value) == "footprint spec needs at least one item"
 
 
 def test_footprint_file_roundtrip(tmp_path):

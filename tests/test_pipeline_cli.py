@@ -8,17 +8,18 @@ import numpy as np
 import oracles
 import pytest
 
+from logvicinity import cli
 from logvicinity.anonymize import SubstitutionRuleSet, read_anonymized
 from logvicinity.classify import (FailureEvent, load_classified,
                                   write_classified)
 from logvicinity.cli import _load_instants, main
-from logvicinity.datasources import JobRecord, MaintenanceWindow, Scope
+from logvicinity.datasources import JobRecord, Scope, Window
 from logvicinity.detect import (MIN_GROUP_SIZE, SGIndex, observation_moments,
                                 run_detection, sweep_schedule, write_verdicts)
 from logvicinity.model import (NodeId, ObservationRange, Topology, iso,
                                parse_iso, parse_node_name, to_epoch, topen)
-from logvicinity.outages import (BootFootprintSpec, OutageEvent,
-                                 detect_boot_events, load_outages)
+from logvicinity.outages import (BootFootprintSpec, detect_boot_events,
+                                 load_outages)
 from logvicinity.pipeline import (ExtractedEvent, drop_maintenance_events,
                                   extract_events, load_events, prepare_stream,
                                   run_manifest, run_variant, run_variants,
@@ -91,7 +92,7 @@ def test_extract_keeps_nodes_separate():
 def test_drop_maintenance_events():
     events = [ExtractedEvent(X, 5000, 6000, 6600, False),
               ExtractedEvent(Y, 5000, 6000, 6600, False)]
-    win = MaintenanceWindow(4000, 5500, Scope("node", node=X))
+    win = Window(4000, 5500, Scope("node", node=X))
     kept = drop_maintenance_events(events, [win])
     assert [e.node for e in kept] == [Y]
     assert drop_maintenance_events(events, []) == events
@@ -291,6 +292,16 @@ def test_allocation_rejects_a_repeated_job_id():
                           JOB_RANGE, jobs=jobs)
 
 
+@pytest.mark.parametrize("perspective, error", [
+    ("time_of_failure", "time_of_failure perspective needs failure events"),
+    ("rack", "unknown perspective: 'rack'"),
+])
+def test_sweep_perspective_refuses_what_it_cannot_group(perspective, error):
+    with pytest.raises(ValueError) as err:
+        sweep_perspective(_job_index(), perspective, JOB_TOPOLOGY, JOB_RANGE)
+    assert str(err.value) == error
+
+
 def test_jobs_and_failures_count_only_the_topology_nodes():
     """A node outside the topology has no rows: a job or a failure that
     names one sweeps as if it named only the topology's nodes."""
@@ -298,8 +309,7 @@ def test_jobs_and_failures_count_only_the_topology_nodes():
     stranger, other = NodeId(9, 9, 0), NodeId(9, 9, 1)
 
     def failed(nodes, t):
-        return [FailureEvent(OutageEvent(n, t + 60 * i, None, tail=False),
-                             "regular_failure", ())
+        return [FailureEvent(n, t + 60 * i, "regular_failure", ())
                 for i, n in enumerate(nodes)]
 
     known_jobs = [_job("j1", JOB_NODES[:4]), _job("j2", JOB_NODES[4:7]),
@@ -717,20 +727,63 @@ def test_cli_warns_about_the_assumed_year(cli_dir, capsys):
     assert capsys.readouterr() == (out, "")
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["generate", "--bogus-flag"])
     assert exc.value.code == 1
     rc = main(["parse", "--corpus", str(tmp_path / "missing.log")])
     assert rc == 2
 
+    def broken(path):
+        raise AssertionError("a broken invariant")
+
+    monkeypatch.setattr(cli, "_load_instants", broken)
+    capsys.readouterr()
+    assert main(["evaluate", "--detected", "d", "--truth", "t"]) == 3
+    assert capsys.readouterr().err == (
+        "internal invariant violated: a broken invariant\n")
+
+
+@pytest.mark.parametrize("fails_after_opening", [True, False])
+def test_atomic_write_leaves_nothing_when_its_writer_fails(tmp_path,
+                                                           fails_after_opening):
+    target = tmp_path / "out.tsv"
+
+    def writer(tmp):
+        if fails_after_opening:
+            with open(tmp, "w") as fh:
+                fh.write("half a row")
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        cli._atomic_write(target, writer)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["detect-outages", "--corpus", "{empty}", "--year", "2023",
+      "--output", "{tmp}/o.tsv"],
+     "empty corpus and no --from/--to bounds given"),
+    (["pipeline", "--workdir", "{tmp}/run"],
+     "pipeline needs --generate or --corpus + --topology"),
+    (["pipeline", "--corpus", "{empty}", "--workdir", "{tmp}/run"],
+     "pipeline needs --generate or --corpus + --topology"),
+    (["evaluate", "--config", "{cfg}", "--detected", "d", "--truth", "t"],
+     "{cfg}:2: expected key=value"),
+], ids=["empty-corpus", "no-input", "no-topology", "config-line"])
+def test_cli_refuses_what_it_cannot_run(tmp_path, capsys, argv, error):
+    files = {"tmp": tmp_path, "empty": tmp_path / "empty.log",
+             "cfg": tmp_path / "run.cfg"}
+    files["empty"].write_text("")
+    files["cfg"].write_text("tolerance = 300\nwindow 900\n")
+    assert main([arg.format(**files) for arg in argv]) == 2
+    assert capsys.readouterr().err == f"error: {error.format(**files)}\n"
+
 
 def _failures_file(cli_dir, tmp_path):
     """The corpus's true failures as a classified file of regular failures."""
     path = tmp_path / "failures.csv"
-    write_classified([FailureEvent(OutageEvent(f.node, f.outage_time, None,
-                                               tail=False),
-                                   "regular_failure", ())
+    write_classified([FailureEvent(f.node, f.outage_time, "regular_failure", ())
                       for f in load_truth(cli_dir / "truth.csv")], path)
     return path
 
@@ -839,10 +892,11 @@ def test_cli_config_file_values_are_checked_too(cli_dir, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("min_gap = -5\n")
     args = _command_args("detect-outages", cli_dir, tmp_path)
-    capsys.readouterr()
-    assert main(args + ["--config", str(cfg)]) == 2
-    assert capsys.readouterr().err == \
-        "error: min_gap must be a finite number >= 0, not -5\n"
+    for spelling in (["--config", str(cfg)], [f"--config={cfg}"]):
+        capsys.readouterr()
+        assert main(args + spelling) == 2
+        assert capsys.readouterr().err == \
+            "error: min_gap must be a finite number >= 0, not -5\n"
 
 
 @pytest.mark.parametrize("command, line, error", [

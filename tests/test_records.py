@@ -11,10 +11,9 @@ import pytest
 
 from logvicinity.classify import FailureEvent, load_classified, write_classified
 from logvicinity.cli import _load_instants, main
-from logvicinity.datasources import (JobRecord, MaintenanceWindow, OutageRecord,
-                                     Scope, load_job_report, load_maintenance,
-                                     load_outage_db, write_job_report,
-                                     write_maintenance, write_outage_db)
+from logvicinity.datasources import (JobRecord, Scope, Window, load_job_report,
+                                     load_maintenance, load_outage_db,
+                                     write_job_report, write_windows)
 from logvicinity.model import NodeId, Topology, load_topology, save_topology
 from logvicinity.outages import (BootEvent, BootFootprintSpec, OutageEvent,
                                  load_footprint, load_outages, save_footprint,
@@ -27,22 +26,20 @@ T = 1_672_531_200  # 2023-01-01T00:00:00Z
 TOPOLOGY = Topology([A, B], {A: "Haswell", B: "GPU"})
 JOBS = [JobRecord("j1", frozenset({A, B}), T, T + 3600, "completed"),
         JobRecord("j2", frozenset({B}), T + 60, T + 120, "node_fail")]
-OUTAGE_DB = [OutageRecord(T, T + 7200, Scope("island", island=1), "power work"),
-             OutageRecord(T + 60, T + 120, Scope("node", node=B),
-                          "rack A\tPSU swap")]
-MAINTENANCE = [MaintenanceWindow(T, T + 7200, Scope("system")),
-               MaintenanceWindow(T + 60, T + 120, Scope("node", node=A))]
+OUTAGE_DB = [Window(T, T + 7200, Scope("island", island=1), "power work"),
+             Window(T + 60, T + 120, Scope("node", node=B), "rack A\tPSU swap")]
+MAINTENANCE = [Window(T, T + 7200, Scope("system")),
+               Window(T + 60, T + 120, Scope("node", node=A), "BIOS update")]
 FOOTPRINT = [("template", "Booting Linux  on CPU 0"), ("key", "deadbeef")]
-OUTAGES = [OutageEvent(A, T, BootEvent(A, T + 600, "footprint"), tail=False),
-           OutageEvent(B, T + 60, None, tail=True)]
-CLASSIFIED = [FailureEvent(OutageEvent(A, T, None, tail=False),
-                           "regular_failure", ("in_outage_db", "no_job_info")),
-              FailureEvent(OutageEvent(B, T + 60, None, tail=False), "planned",
-                           ())]
+OUTAGES = [OutageEvent(A, T, BootEvent(A, T + 600, "footprint")),
+           OutageEvent(B, T + 60, None)]
+CLASSIFIED = [FailureEvent(A, T, "regular_failure",
+                           ("in_outage_db", "no_job_info")),
+              FailureEvent(B, T + 60, "planned", ())]
 EVENTS = [ExtractedEvent(A, T, T + 600, T + 1200, False),
           ExtractedEvent(B, T + 60, T + 660, T + 660, True)]
-TRUTH = [InjectedFailure(A, T, True, "crash_panic"),
-         InjectedFailure(B, T + 60, False, "silent_hang")]
+TRUTH = [InjectedFailure(A, T, "crash_panic"),
+         InjectedFailure(B, T + 60, "no_reboot")]
 
 
 def _topology(path):
@@ -56,9 +53,9 @@ FORMATS = {
                  ([A, B], TOPOLOGY.architecture_of), "i1r0n9\tHaswell\tx\t0"),
     "jobs": (lambda path: write_job_report(JOBS, path), load_job_report, JOBS,
              "j3,i1r0n0,not-a-time,2023-01-01T01:00:00Z,completed"),
-    "outage_db": (lambda path: write_outage_db(OUTAGE_DB, path),
+    "outage_db": (lambda path: write_windows(OUTAGE_DB, path),
                   load_outage_db, OUTAGE_DB, "2023-01-01T00:00:00Z\tsystem"),
-    "maintenance": (lambda path: write_maintenance(MAINTENANCE, path),
+    "maintenance": (lambda path: write_windows(MAINTENANCE, path),
                     load_maintenance, MAINTENANCE,
                     "2023-01-01T00:00:00Z..\tsystem"),
     "footprint": (lambda path: save_footprint(BootFootprintSpec(FOOTPRINT), path),
@@ -123,23 +120,42 @@ def test_a_line_that_is_not_utf8_names_its_file_and_line(tmp_path, name):
     assert str(err.value).startswith(f"{path}:3: 'utf-8' codec can't decode")
 
 
-@pytest.mark.parametrize("name, bad", [
-    ("outages", "i1r0n0\t2023-01-01T00:00:00Z\t2023-01-01T00:10:00Z\tnonsense"),
-    ("outages", "i1r0n0\t2023-01-01T00:00:00Z\tTAIL\tfootprint"),
-    ("outages", "i1r0n0\t2023-01-01T00:00:00Z\t2023-01-01T00:10:00Z\ttail"),
+@pytest.mark.parametrize("name, bad, reason", [
+    ("outages", "i1r0n0\t2023-01-01T00:00:00Z\t2023-01-01T00:10:00Z\tnonsense",
+     "confidence 'nonsense' is not one of footprint, burst"),
+    ("outages", "i1r0n0\t2023-01-01T00:00:00Z\tTAIL\tfootprint",
+     "confidence 'footprint' is not one of tail"),
+    ("outages", "i1r0n0\t2023-01-01T00:00:00Z\t2023-01-01T00:10:00Z\ttail",
+     "confidence 'tail' is not one of footprint, burst"),
     ("events", "i1r0n0\t2023-01-01T00:00:00Z\t2023-01-01T00:00:00Z\t"
-               "2023-01-01T00:10:00Z\tyes"),
-    ("truth", "i1r0n0,2023-01-01T00:00:00Z,true,crash_panic,"),
-    ("truth", "i1r0n0,2023-01-01T00:00:00Z,yes,crash_panic"),
-    ("truth", "i1r0n0,2023-01-01T00:00:00Z,true,mystery"),
-    ("classified", ",2023-01-01T00:00:00Z,regular_failure,"),
+               "2023-01-01T00:10:00Z\tyes",
+     "silent must be true or false, not 'yes'"),
+    ("truth", "i1r0n0,2023-01-01T00:00:00Z,true,crash_panic,",
+     "expected 4 fields, got 5"),
+    ("truth", "i1r0n0,2023-01-01T00:00:00Z,yes,crash_panic",
+     "has_reboot must be true for cause crash_panic, not 'yes'"),
+    ("truth", "i1r0n0,2023-01-01T00:00:00Z,true,mystery",
+     "unknown cause 'mystery'"),
+    ("truth", "i1r0n0,2023-01-01T00:00:00Z,true,no_reboot",
+     "has_reboot must be false for cause no_reboot, not 'true'"),
+    ("truth", "i1r0n0,2023-01-01T00:00:00Z,false,crash_panic",
+     "has_reboot must be true for cause crash_panic, not 'false'"),
+    ("classified", ",2023-01-01T00:00:00Z,regular_failure,",
+     "not a canonical node name: ''"),
+    ("classified", "i1r0n1,2023-01-01T00:00:00Z,planned",
+     "malformed classified row: "),
+    ("classified", "i1r0n0,2023-01-01T00:00:00Z,planned,,extra",
+     "malformed classified row: "),
 ], ids=["confidence", "tail-confidence-footprint", "boot-confidence-tail",
-        "silent", "truth-fields", "has-reboot", "cause", "empty-node"])
-def test_a_value_its_writer_never_writes_names_its_line(tmp_path, name, bad):
+        "silent", "truth-fields", "has-reboot", "cause",
+        "reboot-without-reboot", "no-reboot-with-reboot", "empty-node",
+        "classified-3-fields", "classified-5-fields"])
+def test_a_value_its_writer_never_writes_names_its_line(tmp_path, name, bad,
+                                                         reason):
     path = _with_bad_third_line(tmp_path / name, name, bad)
     with pytest.raises(ValueError) as err:
         FORMATS[name][1](path)
-    assert str(err.value).startswith(f"{path}:3: ")
+    assert str(err.value).startswith(f"{path}:3: {reason}")
 
 
 @pytest.mark.parametrize("name", ["outage_db", "maintenance"])

@@ -9,7 +9,6 @@ from logvicinity.classify import FailureEvent
 from logvicinity.datasources import JobRecord
 from logvicinity.model import NodeId, Topology
 from logvicinity.names import iso
-from logvicinity.outages import OutageEvent
 from logvicinity.synth import desk_topology
 from logvicinity.vicinity import (VicinityAssignment, allocation_groups,
                                   allocation_vicinity, combined_vicinity,
@@ -128,8 +127,7 @@ def test_allocation_groups_bridge_every_union_a_job_touches():
 
 
 def _fe(pos, t, label="regular_failure"):
-    outage = OutageEvent(NodeId(1, 0, pos), t, None, tail=False)
-    return FailureEvent(outage, label, ())
+    return FailureEvent(NodeId(1, 0, pos), t, label, ())
 
 
 def test_failure_chains_single_linkage():
