@@ -20,8 +20,9 @@ _EXPORTS = {
     "detect": ("SGIndex", "SweepResult", "filter_frequent_anonymized",
                "filter_frequent_raw", "observation_moments", "run_detection",
                "split_groups"),
-    "evaluate": ("EvaluationReport", "MatchResult", "match_detections",
-                 "render_reports", "score"),
+    "evaluate": ("EvaluationReport", "ExtractedEvent", "InjectedFailure",
+                 "MatchResult", "load_scored", "load_truth",
+                 "match_detections", "render_reports", "score"),
     "model": ("EventTable", "Topology", "load_topology",
               "parse_syslog_stream", "parse_syslog_table", "save_topology",
               "write_syslog"),
@@ -29,12 +30,12 @@ _EXPORTS = {
               "UnknownNodeError", "VARIANTS", "parse_node_name"),
     "outages": ("BootEvent", "BootFootprintSpec", "OutageEvent",
                 "detect_boot_events", "detect_outages", "load_footprint"),
-    "pipeline": ("ExtractedEvent", "VariantRun", "detect_and_classify",
+    "pipeline": ("VariantRun", "detect_and_classify",
                  "extract_events", "prepare_stream", "run_variant",
                  "run_variants", "sweep_perspective"),
     "synth": ("GeneratedCorpus", "GeneratorSpec", "GroundTruth",
-              "InjectedFailure", "desk_topology", "generate", "load_truth",
-              "scale_topology", "taurus_topology", "write_corpus_files"),
+              "desk_topology", "generate", "scale_topology",
+              "taurus_topology", "write_corpus_files"),
     "vicinity": ("VicinityAssignment", "allocation_groups",
                  "allocation_vicinity", "combined_vicinity",
                  "hardware_vicinity", "location_vicinity",

@@ -91,9 +91,13 @@ def anonymize_stream(table: EventTable, rules: SubstitutionRuleSet):
 
 def load_rules(path) -> SubstitutionRuleSet:
     rules, version = [], RULE_VERSION
-    with topen(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
+    with topen(path, "rb") as fh:
+        lines = (line for raw in fh for line in raw.splitlines())
+        for lineno, line in enumerate(lines, 1):
+            try:
+                line = line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             if not line:
                 continue
             if line.startswith("#"):  # only save_rules's header

@@ -8,6 +8,7 @@ from .names import (LABELS, NodeId, check_nonnegative, iso, parse_iso,
                     parse_node_name, read_records, topen)
 
 DEFAULT_CORRELATION_WINDOW = 600  # seconds
+CLASSIFIED_HEADER = "node,outage_time,label,evidence"  # the file's first line
 
 # Evidence pairs that cannot both hold for a genuine failure.
 CONTRADICTIONS = (
@@ -86,7 +87,7 @@ def load_classified(path) -> list:
 
 def write_classified(events, path) -> None:
     with topen(path, "w") as fh:
-        fh.write("node,outage_time,label,evidence\n")
+        fh.write(f"{CLASSIFIED_HEADER}\n")
         for ev in events:
             fh.write(f"{ev.node.name},{iso(ev.outage_time)},{ev.label},"
                      f"{'+'.join(ev.evidence)}\n")

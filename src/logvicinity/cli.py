@@ -14,8 +14,7 @@ from .names import (CV_THRESHOLD, DEFAULT_ALPHA, DEFAULT_BURST_FACTOR,
                     DEFAULT_PERCENTILE, DEFAULT_SILENCE_THRESHOLD,
                     DEFAULT_TAU_MIN, DEFAULT_TOLERANCE, DEFAULT_WINDOW, LABELS,
                     PERSPECTIVES, VARIANTS, ObservationRange, canonical_node,
-                    check_nonnegative, iso, parse_iso, parse_node_name,
-                    read_records, run_manifest, topen)
+                    check_nonnegative, iso, parse_iso, run_manifest, topen)
 
 # Nothing here calls BLAS, so numpy's bundled OpenBLAS would only start a
 # worker thread that spins; set before any subcommand imports numpy, and a
@@ -291,8 +290,9 @@ def cmd_detect_anomalies(args) -> int:
     from .classify import load_classified
     from .datasources import load_job_report, load_maintenance
     from .detect import write_verdicts
+    from .evaluate import write_events
     from .model import load_topology
-    from .pipeline import run_variant, write_events
+    from .pipeline import run_variant
     topology = load_topology(args.topology)
     table = _read_stream(args, topology)
     obs_range = _range_from(args, table)
@@ -330,38 +330,10 @@ def cmd_detect_anomalies(args) -> int:
     return 0
 
 
-def _load_instants(path) -> list:
-    """(node, instant) pairs from events TSV, classified CSV, or truth CSV.
-
-    Classified rows keep only the regular_failure label; other shapes keep
-    every row. Under write_classified's header a label not in LABELS fails
-    the read.
-    """
-    labelled = False  # under write_classified's header
-
-    def row(line):
-        nonlocal labelled
-        cells = line.split("\t") if "\t" in line else line.split(",")
-        if cells[0] == "node":  # a header
-            labelled = cells[2:3] == ["label"]
-            return None
-        if len(cells) < 2:
-            raise ValueError("expected node and instant")
-        label = cells[2] if len(cells) > 2 else None
-        if labelled and label not in LABELS:
-            raise ValueError(f"unknown label {label!r}")
-        if label in LABELS and label != "regular_failure":
-            return None  # a classified row of another label
-        return parse_node_name(cells[0]), parse_iso(cells[1])
-
-    return read_records(path, row, sep=None)
-
-
 def cmd_evaluate(args) -> int:
-    from .evaluate import render_reports, score
-    detected = _load_instants(args.detected)
-    truth = _load_instants(args.truth)
-    report = score(detected, truth, args.tolerance)
+    from .evaluate import load_scored, render_reports, score
+    report = score(load_scored(args.detected), load_scored(args.truth),
+                   args.tolerance)
     print(render_reports({args.name: report}, args.format))
     _emit_manifest(args, None)
     return 0
@@ -370,9 +342,9 @@ def cmd_evaluate(args) -> int:
 def cmd_pipeline(args) -> int:
     from .classify import write_classified
     from .datasources import load_job_report, load_maintenance, load_outage_db
-    from .evaluate import render_reports, score
+    from .evaluate import load_scored, render_reports, score, write_events
     from .model import load_topology
-    from .pipeline import detect_and_classify, run_variants, write_events
+    from .pipeline import detect_and_classify, run_variants
     # --tolerance is also the correlation window: named as the flag, and
     # checked before any sweep
     check_nonnegative(tolerance=args.tolerance)
@@ -387,7 +359,7 @@ def cmd_pipeline(args) -> int:
         gen = generate(spec)
         write_corpus_files(gen, workdir, compress=args.gzip)
         table, topology = gen.entries, gen.topology
-        truth = [(f.node, f.outage_time) for f in gen.truth.failures]
+        truth = gen.truth.failures
         jobs, odb = gen.truth.jobs, gen.truth.outage_records
         maint = gen.truth.maintenance
         obs_range = gen.range
@@ -396,7 +368,7 @@ def cmd_pipeline(args) -> int:
             raise ValueError("pipeline needs --generate or --corpus + --topology")
         topology = load_topology(args.topology)
         table, _stats = _read_raw(args, topology)
-        truth = _load_instants(args.truth) if args.truth else None
+        truth = load_scored(args.truth) if args.truth else None
         jobs = load_job_report(args.jobs_file) if args.jobs_file else []
         odb = load_outage_db(args.outage_db) if args.outage_db else []
         maint = load_maintenance(args.maintenance) if args.maintenance else []
@@ -422,8 +394,7 @@ def cmd_pipeline(args) -> int:
     if truth is not None:
         reports = {name: score(run.events, truth, args.tolerance)
                    for name, run in runs.items()}
-        regular = [(ev.node, ev.outage_time) for ev in classified
-                   if ev.label == "regular_failure"]
+        regular = [ev for ev in classified if ev.label == "regular_failure"]
         reports["classified_outages"] = score(regular, truth, args.tolerance)
         text = render_reports(reports, args.format)
         print(text)

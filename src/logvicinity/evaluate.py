@@ -1,4 +1,4 @@
-"""Scoring of detected failure events against generator ground truth."""
+"""Scoring of detections against ground truth, and the files it scores."""
 
 from __future__ import annotations
 
@@ -7,18 +7,116 @@ import io
 import json
 from dataclasses import dataclass
 
-from .names import DEFAULT_TOLERANCE, check_nonnegative
+from .classify import CLASSIFIED_HEADER, load_classified
+from .names import (DEFAULT_TOLERANCE, NodeId, check_nonnegative, iso,
+                    parse_iso, parse_node_name, read_records, topen)
+
+CAUSES = ("crash_panic", "silent_hang", "no_reboot")
+TRUTH_HEADER = "node,outage_time,has_reboot,cause"  # write_truth's first row
 
 
-def _as_pairs(items):
-    out = []
+@dataclass(frozen=True)
+class ExtractedEvent:
+    """An anomaly run collapsed to a single suspected outage instant."""
+    node: object
+    outage_time: int
+    first_flagged: int
+    last_flagged: int
+    non_responsive: bool  # the run contained zero-SG moments
+
+
+@dataclass(frozen=True)
+class InjectedFailure:
+    node: NodeId
+    outage_time: int
+    cause: str
+
+    @property
+    def has_reboot(self) -> bool:
+        return self.cause != "no_reboot"
+
+
+def write_events(events, path) -> None:
+    with topen(path, "w") as fh:
+        fh.write("# node\toutage\tfirst_flagged\tlast_flagged\tsilent\n")
+        for ev in events:
+            fh.write(f"{ev.node.name}\t{iso(ev.outage_time)}\t"
+                     f"{iso(ev.first_flagged)}\t{iso(ev.last_flagged)}\t"
+                     f"{str(ev.non_responsive).lower()}\n")
+
+
+def load_events(path) -> list:
+    """Read back the TSV written by write_events."""
+    def row(fields):
+        if len(fields) != 5:
+            raise ValueError(f"expected 5 tab-separated fields, "
+                             f"got {len(fields)}")
+        name, outage_s, first_s, last_s, silent = fields
+        if silent not in ("true", "false"):
+            raise ValueError(f"silent must be true or false, not {silent!r}")
+        return ExtractedEvent(parse_node_name(name), parse_iso(outage_s),
+                              parse_iso(first_s), parse_iso(last_s),
+                              silent == "true")
+
+    return read_records(path, row)
+
+
+def write_truth(failures, path) -> None:
+    with topen(path, "w") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TRUTH_HEADER.split(","))
+        for f in failures:
+            writer.writerow([f.node.name, iso(f.outage_time),
+                             str(f.has_reboot).lower(), f.cause])
+
+
+def load_truth(path) -> list:
+    """Read back the CSV written by write_truth."""
+    def row(fields):
+        if fields[0] == "node":  # the header
+            return None
+        if len(fields) != 4:
+            raise ValueError(f"expected 4 fields, got {len(fields)}")
+        name, outage_s, has_reboot, cause = fields
+        if cause not in CAUSES:
+            raise ValueError(f"unknown cause {cause!r}")
+        failure = InjectedFailure(parse_node_name(name), parse_iso(outage_s),
+                                  cause)
+        written = str(failure.has_reboot).lower()
+        if has_reboot != written:
+            raise ValueError(f"has_reboot must be {written} for cause {cause}, "
+                             f"not {has_reboot!r}")
+        return failure
+
+    return read_records(path, row, sep=",")
+
+
+def load_scored(path) -> list:
+    """A file's records to score, read by the reader its first line that
+    is neither blank nor "#" picks: write_classified's header reads a
+    classified file's regular failures, write_truth's a truth file, and
+    any other line an events file, whose header is a "#" comment."""
+    with topen(path, "rb") as fh:
+        first = next((line for raw in fh for line in raw.splitlines()
+                      if line.strip() and not line.lstrip().startswith(b"#")),
+                     b"")
+    if first == CLASSIFIED_HEADER.encode():
+        return [ev for ev in load_classified(path)
+                if ev.label == "regular_failure"]
+    if first == TRUTH_HEADER.encode():
+        return load_truth(path)
+    return load_events(path)
+
+
+def _by_node(items) -> dict:
+    """node -> sorted instants of (node, instant) pairs or of records with
+    .node and .outage_time."""
+    out: dict = {}
     for item in items:
-        if isinstance(item, tuple):
-            node, t = item
-        else:
-            node, t = item.node, item.outage_time
-        out.append((node, int(t)))
-    return out
+        node, t = (item if isinstance(item, tuple)
+                   else (item.node, item.outage_time))
+        out.setdefault(node, []).append(int(t))
+    return {node: sorted(ts) for node, ts in out.items()}
 
 
 @dataclass(frozen=True)
@@ -40,15 +138,7 @@ def match_detections(detections, truth, tolerance=DEFAULT_TOLERANCE) -> MatchRes
     the same node claims it.
     """
     check_nonnegative(tolerance=tolerance)
-    det = sorted(_as_pairs(detections))
-    tru = sorted(_as_pairs(truth))
-    by_node_det: dict = {}
-    by_node_tru: dict = {}
-    for node, t in det:
-        by_node_det.setdefault(node, []).append(t)
-    for node, t in tru:
-        by_node_tru.setdefault(node, []).append(t)
-
+    by_node_det, by_node_tru = _by_node(detections), _by_node(truth)
     matches, fps, fns = [], [], []
     for node in sorted(set(by_node_det) | set(by_node_tru)):
         ds = by_node_det.get(node, [])

@@ -63,7 +63,10 @@ def load_footprint(path) -> BootFootprintSpec:
             raise ValueError(f"key {key!r} is not 8 lowercase hex digits")
         return ("key", key)
 
-    return BootFootprintSpec(read_records(path, row, sep=None))
+    items = read_records(path, row, sep=None)
+    if not items:
+        raise ValueError(f"{path}: footprint spec needs at least one item")
+    return BootFootprintSpec(items)
 
 
 def save_footprint(spec: BootFootprintSpec, path) -> None:

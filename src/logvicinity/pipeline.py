@@ -12,27 +12,18 @@ from .classify import DEFAULT_CORRELATION_WINDOW, classify_all
 from .detect import (VERDICTS, SGIndex, SweepResult,
                      filter_frequent_anonymized, filter_frequent_raw,
                      observation_moments, sweep_schedule)
+# write_events is re-exported: bench/run.py and bench/tracer.py use it here
+from .evaluate import ExtractedEvent, write_events  # noqa: F401
 from .model import EventTable
-from .names import (CV_THRESHOLD, DEFAULT_ALPHA, DEFAULT_CADENCE,  # noqa: F401
+from .names import (CV_THRESHOLD, DEFAULT_ALPHA, DEFAULT_CADENCE,
                     DEFAULT_PERCENTILE, DEFAULT_TAU_MIN, DEFAULT_WINDOW,
-                    VARIANTS, iso, parse_iso, parse_node_name, read_records,
-                    run_manifest, topen)
+                    VARIANTS)
 from .outages import detect_outages
 from .vicinity import (allocation_groups, combined_vicinity,
                        hardware_vicinity, location_vicinity,
                        time_of_failure_vicinity)
 
 MAX_GAP_MOMENTS = 3  # unflagged moments an event run bridges
-
-
-@dataclass(frozen=True)
-class ExtractedEvent:
-    """An anomaly run collapsed to a single suspected outage instant."""
-    node: object
-    outage_time: int
-    first_flagged: int
-    last_flagged: int
-    non_responsive: bool  # the run contained zero-SG moments
 
 
 def prepare_stream(table: EventTable, variant: str, rules=None,
@@ -220,25 +211,3 @@ def detect_and_classify(table: EventTable, footprint, rules, obs_range,
                              **outage_params)
     return classify_all(outages, maintenance, jobs, outage_records,
                         correlation_window)
-
-
-def write_events(events, path) -> None:
-    with topen(path, "w") as fh:
-        fh.write("# node\toutage\tfirst_flagged\tlast_flagged\tsilent\n")
-        for ev in events:
-            fh.write(f"{ev.node.name}\t{iso(ev.outage_time)}\t"
-                     f"{iso(ev.first_flagged)}\t{iso(ev.last_flagged)}\t"
-                     f"{str(ev.non_responsive).lower()}\n")
-
-
-def load_events(path) -> list:
-    """Read back the TSV written by write_events."""
-    def row(fields):
-        name, outage_s, first_s, last_s, silent = fields
-        if silent not in ("true", "false"):
-            raise ValueError(f"silent must be true or false, not {silent!r}")
-        return ExtractedEvent(parse_node_name(name), parse_iso(outage_s),
-                              parse_iso(first_s), parse_iso(last_s),
-                              silent == "true")
-
-    return read_records(path, row)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import math
 import random
 from collections import Counter
@@ -13,9 +12,9 @@ from pathlib import Path
 import numpy as np
 
 from .datasources import JobRecord, Scope, Window, write_job_report, write_windows
-from .model import (EventTable, NodeId, ObservationRange, Topology, iso,
-                    parse_iso, parse_node_name, read_records, save_topology,
-                    to_epoch, topen, write_syslog)
+from .evaluate import CAUSES, InjectedFailure, write_truth
+from .model import (EventTable, NodeId, ObservationRange, Topology,
+                    save_topology, to_epoch, write_syslog)
 
 DAY = 86400
 HOUR = 3600
@@ -88,7 +87,6 @@ STORM_LENGTH = 900
 
 WINDOW = 1800  # the Poisson messages' rate is per WINDOW seconds
 
-CAUSES = ("crash_panic", "silent_hang", "no_reboot")
 CAUSE_MIX = (0.5, 0.35, 0.15)  # the weight of each of CAUSES
 FAILURE_SKEW = 0.2  # share of the failing roster that is hot
 TEMPORAL_CLUSTER_PROB = 0.3  # a failure draws a mate minutes later
@@ -111,17 +109,6 @@ class GeneratorSpec:
     @property
     def end(self) -> int:
         return self.start + int(self.days * DAY)
-
-
-@dataclass(frozen=True)
-class InjectedFailure:
-    node: NodeId
-    outage_time: int
-    cause: str
-
-    @property
-    def has_reboot(self) -> bool:
-        return self.cause != "no_reboot"
 
 
 @dataclass
@@ -713,33 +700,3 @@ def write_corpus_files(gen: GeneratedCorpus, outdir, compress=False) -> dict:
     write_windows(gen.truth.maintenance, paths["maintenance"])
     write_truth(gen.truth.failures, paths["truth"])
     return {k: str(v) for k, v in paths.items()}
-
-
-def write_truth(failures, path) -> None:
-    with topen(path, "w") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node", "outage_time", "has_reboot", "cause"])
-        for f in failures:
-            writer.writerow([f.node.name, iso(f.outage_time),
-                             str(f.has_reboot).lower(), f.cause])
-
-
-def load_truth(path) -> list:
-    """Read back the CSV written by write_truth."""
-    def row(fields):
-        if fields[0] == "node":  # the header
-            return None
-        if len(fields) != 4:
-            raise ValueError(f"expected 4 fields, got {len(fields)}")
-        name, outage_s, has_reboot, cause = fields
-        if cause not in CAUSES:
-            raise ValueError(f"unknown cause {cause!r}")
-        failure = InjectedFailure(parse_node_name(name), parse_iso(outage_s),
-                                  cause)
-        written = str(failure.has_reboot).lower()
-        if has_reboot != written:
-            raise ValueError(f"has_reboot must be {written} for cause {cause}, "
-                             f"not {has_reboot!r}")
-        return failure
-
-    return read_records(path, row, sep=",")

@@ -580,14 +580,14 @@ def reference_generate(spec):
     and rng.randint calls. The schedule planners and boot bursts are
     synth's own; ids follow the rows' first appearance.
     """
+    from logvicinity.evaluate import InjectedFailure
     from logvicinity.model import EventTable
     from logvicinity.synth import (CHATTER, CRON, DAY, GASP,
                                    HEARTBEAT, POISSON_PER_WINDOW,
                                    SHUTDOWN_LINES, STORM_LENGTH, STORM_PERIOD,
-                                   WINDOW, InjectedFailure, _boot_entries,
-                                   _plan_failures, _plan_jobs,
-                                   _plan_maintenance, _plan_storms,
-                                   desk_topology)
+                                   WINDOW, _boot_entries, _plan_failures,
+                                   _plan_jobs, _plan_maintenance,
+                                   _plan_storms, desk_topology)
 
     def lattice(rng, start, end, period, jitter):
         ticks = []

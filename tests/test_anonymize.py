@@ -162,6 +162,35 @@ def test_load_rules_names_the_line_of_a_bad_pattern(tmp_path, capsys):
     assert not (tmp_path / "a").exists()
 
 
+def test_load_rules_names_the_line_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "subst.rules"
+    path.write_bytes(b"# substitution rules v1\n\\d+\t<NUM>\ncaf\xe9\t<X>\n")
+    with pytest.raises(ValueError) as err:
+        load_rules(path)
+    assert str(err.value).startswith(
+        f"{path}:3: 'utf-8' codec can't decode byte 0xe9")
+    corpus = tmp_path / "corpus.log"
+    corpus.write_text("Mar  6 10:00:00 i1r0n0 kernel: ok\n")
+    assert main(["anonymize", "--corpus", str(corpus), "--year", "2023",
+                 "--rules", str(path), "--output", str(tmp_path / "a")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {path}:3: 'utf-8' codec can't decode byte 0xe9")
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_rules_load_with_any_line_end(tmp_path, end):
+    """A whitespace-only rule line is a rule: it is not skipped."""
+    rules = SubstitutionRuleSet([("\\d+", "<NUM>"), (" ", " ")], version="9")
+    save_rules(rules, tmp_path / "subst.rules")
+    text = (tmp_path / "subst.rules").read_text().replace("\n", end)
+    for name in ("ends.rules", "ends.rules.gz"):
+        with topen(tmp_path / name, "wb") as fh:
+            fh.write(text.encode())
+        loaded = load_rules(tmp_path / name)
+        assert (loaded.version, loaded.patterns) == ("9", rules.patterns)
+        assert [t for _, t in loaded.rules] == [t for _, t in rules.rules]
+
+
 def _entries():
     node = NodeId(1, 0, 0)
     return [LogEntry(1600000000 + i, node, "CRON", CRON_SAMPLE[i % len(CRON_SAMPLE)])

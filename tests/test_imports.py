@@ -4,6 +4,7 @@ Each check runs in a fresh interpreter, because this test process has
 loaded every module already.
 """
 
+import gzip
 import json
 import os
 import subprocess
@@ -13,9 +14,10 @@ from pathlib import Path
 import pytest
 
 import logvicinity
+from logvicinity.classify import FailureEvent, write_classified
 from logvicinity.cli import build_parser, main
+from logvicinity.evaluate import ExtractedEvent, write_events
 from logvicinity.model import NodeId, iso
-from logvicinity.pipeline import ExtractedEvent, write_events
 
 SRC = str(Path(logvicinity.__file__).resolve().parents[1])
 NO_NUMPY = "import sys\nsys.modules['numpy'] = None  # any numpy import fails\n"
@@ -59,16 +61,28 @@ print(len(logvicinity.__all__))
 
 
 def _score_inputs(tmp_path):
+    """evaluate's arguments for an events file against a truth file, and
+    for a classified file against the truth file gzipped."""
     nodes = [NodeId(1, 0, i) for i in range(4)]
-    detected = tmp_path / "events.tsv"
+    events = tmp_path / "events.tsv"
     write_events([ExtractedEvent(n, T0 + 900 * i, T0 + 900 * i + 600,
                                  T0 + 900 * i + 1200, i % 2 == 0)
-                  for i, n in enumerate(nodes[:3])], detected)
-    truth = tmp_path / "truth.csv"
-    truth.write_text("node,outage_time,has_reboot,cause\n" + "".join(
+                  for i, n in enumerate(nodes[:3])], events)
+    classified = tmp_path / "classified.csv"
+    write_classified([FailureEvent(n, T0 + 900 * i, label, ())
+                      for i, (n, label) in enumerate(zip(nodes, (
+                          "regular_failure", "planned", "regular_failure",
+                          "not_failure")))], classified)
+    text = "node,outage_time,has_reboot,cause\n" + "".join(
         f"{n.name},{iso(T0 + 900 * i + 300 * (i % 2))},true,crash_panic\n"
-        for i, n in enumerate(nodes[1:], 1)))
-    return ["evaluate", "--detected", str(detected), "--truth", str(truth)]
+        for i, n in enumerate(nodes[1:], 1))
+    truth = tmp_path / "truth.csv"
+    truth.write_text(text)
+    with gzip.open(tmp_path / "truth.csv.gz", "wt") as fh:
+        fh.write(text)
+    return [["evaluate", "--detected", str(events), "--truth", str(truth)],
+            ["evaluate", "--detected", str(classified),
+             "--truth", f"{truth}.gz"]]
 
 
 def test_classify_loads_no_numpy(tmp_path):
@@ -101,9 +115,12 @@ def test_cli_starts_no_openblas_worker_thread():
 
 
 def test_cli_runs_evaluate_help_and_version_without_numpy(tmp_path, capsys):
-    evaluate = _score_inputs(tmp_path)
-    assert main(evaluate) == 0
+    runs = _score_inputs(tmp_path)
+    for argv in runs:
+        assert main(argv) == 0
     expected = capsys.readouterr().out
+    # the classified run scores its regular failures only
+    assert expected.endswith("detected  1   1   2   0.5000     0.3333\n")
     subcommands = build_parser()._subparsers._group_actions[0].choices
     code = NO_NUMPY + """
 import contextlib, io, json
@@ -116,11 +133,12 @@ for argv in [["--help"], ["--version"]] + [[c, "--help"] for c in json.loads(sys
         assert exc.code == 0, argv
     else:
         raise AssertionError(f"{argv} did not exit")
-assert main(json.loads(sys.argv[1])) == 0
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0
 """
     manifest = str(tmp_path / "m.json")
-    out = _child(code, json.dumps(evaluate + ["--manifest", manifest]),
-                 json.dumps(sorted(subcommands)))
+    runs[-1] += ["--manifest", manifest]
+    out = _child(code, json.dumps(runs), json.dumps(sorted(subcommands)))
     assert out == expected
     assert json.loads(Path(manifest).read_text())["tool"] == "logvicinity"
 

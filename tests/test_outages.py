@@ -1,6 +1,7 @@
 import pytest
 
 from logvicinity.anonymize import SubstitutionRuleSet
+from logvicinity.cli import main
 from logvicinity.model import NodeId, ObservationRange
 from logvicinity.outages import (BootEvent, BootFootprintSpec, OutageEvent,
                                  detect_boot_events, detect_outages,
@@ -126,7 +127,7 @@ def test_tail_outage():
     assert detect_outages(table_of([_e(49000)]), FOOT, RULES, rng) == []
 
 
-def test_footprint_needs_an_item(tmp_path):
+def test_footprint_needs_an_item(tmp_path, capsys):
     with pytest.raises(ValueError) as err:
         BootFootprintSpec([])
     assert str(err.value) == "footprint spec needs at least one item"
@@ -134,7 +135,15 @@ def test_footprint_needs_an_item(tmp_path):
     path.write_text("# nothing but a comment\n\n")
     with pytest.raises(ValueError) as err:
         load_footprint(path)
-    assert str(err.value) == "footprint spec needs at least one item"
+    assert str(err.value) == f"{path}: footprint spec needs at least one item"
+    corpus = tmp_path / "corpus.log"
+    corpus.write_text("Mar  6 10:00:00 i1r0n0 kernel: ok\n"
+                      "Mar  6 11:00:00 i1r0n0 kernel: ok\n")
+    assert main(["detect-outages", "--corpus", str(corpus), "--year", "2023",
+                 "--footprint", str(path),
+                 "--output", str(tmp_path / "o.tsv")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: footprint spec needs at least one item\n")
 
 
 def test_footprint_file_roundtrip(tmp_path):

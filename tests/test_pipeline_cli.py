@@ -8,23 +8,25 @@ import numpy as np
 import oracles
 import pytest
 
-from logvicinity import cli
+from logvicinity import cli, evaluate
 from logvicinity.anonymize import SubstitutionRuleSet, read_anonymized
 from logvicinity.classify import (FailureEvent, load_classified,
                                   write_classified)
-from logvicinity.cli import _load_instants, main
+from logvicinity.cli import main
 from logvicinity.datasources import JobRecord, Scope, Window
 from logvicinity.detect import (MIN_GROUP_SIZE, SGIndex, observation_moments,
                                 run_detection, sweep_schedule, write_verdicts)
+from logvicinity.evaluate import (ExtractedEvent, load_events, load_truth,
+                                  write_events)
 from logvicinity.model import (NodeId, ObservationRange, Topology, iso,
                                parse_iso, parse_node_name, to_epoch, topen)
+from logvicinity.names import run_manifest
 from logvicinity.outages import (BootFootprintSpec, detect_boot_events,
                                  load_outages)
-from logvicinity.pipeline import (ExtractedEvent, drop_maintenance_events,
-                                  extract_events, load_events, prepare_stream,
-                                  run_manifest, run_variant, run_variants,
-                                  sweep_perspective, write_events)
-from logvicinity.synth import GeneratorSpec, generate, load_truth
+from logvicinity.pipeline import (drop_maintenance_events, extract_events,
+                                  prepare_stream, run_variant, run_variants,
+                                  sweep_perspective)
+from logvicinity.synth import GeneratorSpec, generate
 from logvicinity.vicinity import (VicinityAssignment, allocation_groups,
                                   combined_vicinity, hardware_vicinity,
                                   time_of_failure_vicinity)
@@ -665,25 +667,26 @@ def test_cli_config_rejects_an_unknown_key(cli_dir, tmp_path, capsys):
     assert main(args) == 0
 
 
-def test_truth_readers_agree(cli_dir):
-    truth = cli_dir / "truth.csv"
-    pairs = [(f.node, f.outage_time) for f in load_truth(truth)]
-    assert len(pairs) == 8 and _load_instants(truth) == pairs
-
-
-@pytest.mark.parametrize("row, why", [
-    ("i1r0n0", "expected node and instant"),
-    ("i1r0n0,yesterday", "bad timestamp: 'yesterday'"),
-    ("node7,2023-03-06T00:00:00Z", "not a canonical node name: 'node7'"),
-])
+@pytest.mark.parametrize("head, row, why", [
+    ("node,outage_time,has_reboot,cause", "i1r0n0", "expected 4 fields, got 1"),
+    ("node,outage_time,has_reboot,cause", "i1r0n0,yesterday,true,crash_panic",
+     "bad timestamp: 'yesterday'"),
+    ("node,outage_time,has_reboot,cause",
+     "node7,2023-03-06T00:00:00Z,true,crash_panic",
+     "not a canonical node name: 'node7'"),
+    # a header no writer writes: the file is read as events, and refused
+    ("node,outage_time", "i1r0n0,2023-03-06T00:00:00Z",
+     "expected 5 tab-separated fields, got 1"),
+], ids=["fields", "time", "node", "node-instant-header"])
 def test_evaluate_names_the_line_of_a_bad_row(cli_dir, tmp_path, capsys,
-                                              row, why):
+                                              head, row, why):
     truth = tmp_path / "truth.csv"
-    truth.write_text("node,outage_time\ni1r0n1,2023-03-06T01:00:00Z\n"
+    truth.write_text(f"{head}\ni1r0n1,2023-03-06T01:00:00Z,true,crash_panic\n"
                      f"{row}\n")
+    line = 1 if head == "node,outage_time" else 3
     assert main(["evaluate", "--detected", str(cli_dir / "truth.csv"),
                  "--truth", str(truth)]) == 2
-    assert capsys.readouterr().err == f"error: {truth}:3: {why}\n"
+    assert capsys.readouterr().err == f"error: {truth}:{line}: {why}\n"
 
 
 def test_cli_pipeline_generate(tmp_path, capsys, monkeypatch):
@@ -737,7 +740,7 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     def broken(path):
         raise AssertionError("a broken invariant")
 
-    monkeypatch.setattr(cli, "_load_instants", broken)
+    monkeypatch.setattr(evaluate, "load_scored", broken)
     capsys.readouterr()
     assert main(["evaluate", "--detected", "d", "--truth", "t"]) == 3
     assert capsys.readouterr().err == (

@@ -10,16 +10,17 @@ import gzip
 import pytest
 
 from logvicinity.classify import FailureEvent, load_classified, write_classified
-from logvicinity.cli import _load_instants, main
+from logvicinity.cli import main
 from logvicinity.datasources import (JobRecord, Scope, Window, load_job_report,
                                      load_maintenance, load_outage_db,
                                      write_job_report, write_windows)
+from logvicinity.evaluate import (ExtractedEvent, InjectedFailure, load_events,
+                                  load_scored, load_truth, write_events,
+                                  write_truth)
 from logvicinity.model import NodeId, Topology, load_topology, save_topology
 from logvicinity.outages import (BootEvent, BootFootprintSpec, OutageEvent,
                                  load_footprint, load_outages, save_footprint,
                                  write_outages)
-from logvicinity.pipeline import ExtractedEvent, load_events, write_events
-from logvicinity.synth import InjectedFailure, load_truth, write_truth
 
 A, B = NodeId(1, 0, 0), NodeId(1, 0, 1)
 T = 1_672_531_200  # 2023-01-01T00:00:00Z
@@ -130,6 +131,8 @@ def test_a_line_that_is_not_utf8_names_its_file_and_line(tmp_path, name):
     ("events", "i1r0n0\t2023-01-01T00:00:00Z\t2023-01-01T00:00:00Z\t"
                "2023-01-01T00:10:00Z\tyes",
      "silent must be true or false, not 'yes'"),
+    ("events", "i1r0n0\t2023-01-01T00:00:00Z\t2023-01-01T00:10:00Z",
+     "expected 5 tab-separated fields, got 3"),
     ("truth", "i1r0n0,2023-01-01T00:00:00Z,true,crash_panic,",
      "expected 4 fields, got 5"),
     ("truth", "i1r0n0,2023-01-01T00:00:00Z,yes,crash_panic",
@@ -147,7 +150,7 @@ def test_a_line_that_is_not_utf8_names_its_file_and_line(tmp_path, name):
     ("classified", "i1r0n0,2023-01-01T00:00:00Z,planned,,extra",
      "malformed classified row: "),
 ], ids=["confidence", "tail-confidence-footprint", "boot-confidence-tail",
-        "silent", "truth-fields", "has-reboot", "cause",
+        "silent", "events-fields", "truth-fields", "has-reboot", "cause",
         "reboot-without-reboot", "no-reboot-with-reboot", "empty-node",
         "classified-3-fields", "classified-5-fields"])
 def test_a_value_its_writer_never_writes_names_its_line(tmp_path, name, bad,
@@ -173,11 +176,33 @@ def test_a_window_that_runs_backwards_names_its_line(tmp_path, name):
     ("classified", FORMATS["classified"][3]),  # an unknown label
     ("truth", "node7,2023-01-01T00:00:00Z,true,crash_panic"),
 ])
-def test_scored_instants_name_the_bad_line(tmp_path, name, bad):
+def test_scored_records_name_the_bad_line(tmp_path, name, bad):
     path = _with_bad_third_line(tmp_path / name, name, bad)
     with pytest.raises(ValueError) as err:
-        _load_instants(path)
+        load_scored(path)
     assert str(err.value).startswith(f"{path}:3: ")
+
+
+@pytest.mark.parametrize("name, scored", [
+    ("events", EVENTS), ("classified", CLASSIFIED[:1]), ("truth", TRUTH)])
+def test_load_scored_reads_each_format_with_its_own_reader(tmp_path, name,
+                                                           scored):
+    """The first line that is neither blank nor "#" picks the reader,
+    whatever the compression and line ends; of a classified file only the
+    regular failures are scored."""
+    write, read, records, _bad = FORMATS[name]
+    write(tmp_path / name)
+    lines = (tmp_path / name).read_bytes().splitlines()
+    for end in (b"\n", b"\r\n", b"\r"):
+        for path in (tmp_path / f"{name}.txt", tmp_path / f"{name}.txt.gz"):
+            text = b"".join(line + end for line in [b"", b"# a note", *lines])
+            if path.suffix == ".gz":
+                with gzip.open(path, "wb") as fh:
+                    fh.write(text)
+            else:
+                path.write_bytes(text)
+            assert read(path) == records
+            assert load_scored(path) == scored
 
 
 # (format, the arguments of a command that reads a file of it)
@@ -220,6 +245,28 @@ def test_evaluate_fails_on_an_unknown_label(tmp_path, capsys):
     assert main(["evaluate", "--detected", str(bad),
                  "--truth", str(tmp_path / "truth.csv")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {bad}:3: ")
+
+
+@pytest.mark.parametrize("name, bad, extra", [
+    ("classified", "i1r0n0,2023-01-01T00:00:00Z,regular_failure,,extra",
+     "i1r0n1,2023-01-01T00:01:00Z,regular_failure"),
+    ("truth", "i1r0n0,2023-01-01T00:00:00Z,true,no_reboot", ""),
+], ids=["classified-5-and-3-fields", "truth-no-reboot-with-reboot"])
+def test_evaluate_refuses_a_row_its_writer_never_writes(tmp_path, capsys, name,
+                                                        bad, extra):
+    """evaluate reads each format with its own reader, so a row that reader
+    refuses is no detection and no failure."""
+    path = _with_bad_third_line(tmp_path / name, name, bad)
+    with open(path, "a") as fh:
+        fh.write(extra + "\n")
+    files = {"classified": tmp_path / "detected.csv",
+             "truth": tmp_path / "truth.csv"}
+    for other in files:
+        FORMATS[other][0](files[other])
+    files[name] = path
+    assert main(["evaluate", "--detected", str(files["classified"]),
+                 "--truth", str(files["truth"])]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}:3: ")
 
 
 def test_cli_names_the_line_that_is_not_utf8(tmp_path, capsys):

@@ -15,15 +15,15 @@ from hypothesis import strategies as st
 import logvicinity
 from logvicinity import synth
 from logvicinity.datasources import load_job_report, load_maintenance, load_outage_db
+from logvicinity.evaluate import CAUSES, load_truth
 from logvicinity.model import (NodeId, Topology, load_topology,
                                parse_syslog_table, to_epoch, topen)
-from logvicinity.synth import (CAUSES, CHATTER, CRON, FOOTPRINT_LINES, GASP,
+from logvicinity.synth import (CHATTER, CRON, FOOTPRINT_LINES, GASP,
                                GeneratorSpec, HEARTBEAT, POISSON_PER_WINDOW,
                                SHUTDOWN_LINES, WINDOW, _poisson,
                                _poisson_key, _time_order, _uniforms,
-                               desk_topology, generate, load_truth,
-                               scale_topology, taurus_topology,
-                               write_corpus_files)
+                               desk_topology, generate, scale_topology,
+                               taurus_topology, write_corpus_files)
 from tables import rows_of
 
 HOUR = 3600
