@@ -37,9 +37,9 @@ _EXPORTS = {
               "desk_topology", "generate", "scale_topology",
               "taurus_topology", "write_corpus_files"),
     "vicinity": ("VicinityAssignment", "allocation_groups",
-                 "allocation_vicinity", "combined_vicinity",
-                 "hardware_vicinity", "location_vicinity",
-                 "time_of_failure_vicinity"),
+                 "allocation_schedule", "allocation_vicinity",
+                 "combined_vicinity", "hardware_vicinity",
+                 "location_vicinity", "time_of_failure_vicinity"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

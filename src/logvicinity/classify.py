@@ -73,8 +73,10 @@ def classify_all(outages, maint, jobs, odb,
 
 def load_classified(path) -> list:
     """Read back the CSV written by write_classified."""
+    header = CLASSIFIED_HEADER.split(",")  # skipped only as written
+
     def row(fields):
-        if fields[0] == "node":  # the header
+        if fields == header:
             return None
         if len(fields) != 4 or fields[2] not in LABELS:
             raise ValueError(f"malformed classified row: {fields!r}")

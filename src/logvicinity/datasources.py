@@ -9,6 +9,7 @@ from .model import (NodeId, compress_node_names, expand_node_spec, iso,
                     parse_iso, parse_node_name, read_records, topen)
 
 JOB_STATUSES = ("completed", "failed", "cancelled", "timeout", "node_fail")
+JOBS_HEADER = "job_id,nodes,start,end,status"  # write_job_report's first row
 
 
 @dataclass(frozen=True)
@@ -72,9 +73,10 @@ class Window:
 
 def load_job_report(path) -> list:
     seen = set()  # job ids so far
+    header = JOBS_HEADER.split(",")  # skipped only as written
 
     def row(fields):
-        if fields[0] == "job_id":  # the header
+        if fields == header:
             return None
         job_id, nodes_s, start_s, end_s, status = fields
         if job_id in seen:
@@ -96,7 +98,7 @@ def load_job_report(path) -> list:
 def write_job_report(jobs, path) -> None:
     with topen(path, "w") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["job_id", "nodes", "start", "end", "status"])
+        writer.writerow(JOBS_HEADER.split(","))
         for job in jobs:
             names = [n.name for n in sorted(job.nodes)]
             writer.writerow([job.job_id, compress_node_names(names),

@@ -72,8 +72,10 @@ def write_truth(failures, path) -> None:
 
 def load_truth(path) -> list:
     """Read back the CSV written by write_truth."""
+    header = TRUTH_HEADER.split(",")  # skipped only as written
+
     def row(fields):
-        if fields[0] == "node":  # the header
+        if fields == header:
             return None
         if len(fields) != 4:
             raise ValueError(f"expected 4 fields, got {len(fields)}")

@@ -19,7 +19,7 @@ from .names import (CV_THRESHOLD, DEFAULT_ALPHA, DEFAULT_CADENCE,
                     DEFAULT_PERCENTILE, DEFAULT_TAU_MIN, DEFAULT_WINDOW,
                     VARIANTS)
 from .outages import detect_outages
-from .vicinity import (allocation_groups, combined_vicinity,
+from .vicinity import (allocation_schedule, combined_vicinity,
                        hardware_vicinity, location_vicinity,
                        time_of_failure_vicinity)
 
@@ -153,7 +153,7 @@ def sweep_perspective(index: SGIndex, perspective: str, topology, obs_range,
 
     Every perspective becomes one sweep_schedule. The static ones judge
     their groups at every observation moment; `allocation` regroups
-    wherever the set of active jobs changes; `time_of_failure` judges each
+    only where a job starts or ends; `time_of_failure` judges each
     failure chain once, at its first outage, so it ignores the moments but
     is held to the same window and cadence checks. Jobs and failures count
     only the topology's nodes: any other node has no rows, so it would
@@ -171,23 +171,9 @@ def sweep_perspective(index: SGIndex, perspective: str, topology, obs_range,
         if jobs is None or len({j.job_id for j in jobs}) < len(jobs):
             raise ValueError("allocation perspective needs job records "
                              "with unique job ids")
-        jobs = [replace(j, nodes=j.nodes & known) for j in jobs
-                if not j.nodes.isdisjoint(known)]
-        # regroup only where the active job set changes; a job is active
-        # on [start, end), as in JobRecord.active_at
-        at = np.array(moments, dtype=np.int64)[:, None]
-        active = ((np.array([j.start for j in jobs], dtype=np.int64) <= at)
-                  & (at < np.array([j.end for j in jobs], dtype=np.int64)))
-        change = np.flatnonzero((active[1:] != active[:-1]).any(axis=1)) + 1
-        starts = [0, *change.tolist()] if moments else []
-        # each grouping gets its segment's active jobs, in job order
-        segment, job = np.nonzero(active[starts])
-        ends = np.cumsum(np.bincount(segment, minlength=len(starts))).tolist()
-        job = job.tolist()
-        schedule = [(allocation_groups([jobs[j] for j in job[a:b]]),
-                     moments[start:end])
-                    for a, b, start, end in zip([0, *ends], ends, starts,
-                                                [*starts[1:], len(moments)])]
+        schedule = allocation_schedule(
+            [(j.job_id, j.nodes & known, j.start, j.end) for j in jobs
+             if not j.nodes.isdisjoint(known)], moments)
     elif perspective == "time_of_failure":
         if failures is None:
             raise ValueError("time_of_failure perspective needs failure events")

@@ -29,7 +29,7 @@ from logvicinity.pipeline import (drop_maintenance_events, extract_events,
 from logvicinity.synth import GeneratorSpec, generate
 from logvicinity.vicinity import (VicinityAssignment, allocation_groups,
                                   combined_vicinity, hardware_vicinity,
-                                  time_of_failure_vicinity)
+                                  regroup, time_of_failure_vicinity)
 from oracles import LogEntry, format_syslog_line
 from tables import rows_of, table_of
 
@@ -269,16 +269,17 @@ def test_allocation_regroups_only_when_the_job_set_changes(monkeypatch):
                  (at,)) for at in moments])
     calls = []
 
-    def counted(active):
-        calls.append([j.job_id for j in active])
-        return allocation_groups(active)
+    def counted(unions, started=(), ended=frozenset()):
+        calls.append(([job_id for job_id, _ in started], sorted(ended)))
+        return regroup(unions, started, ended)
 
-    monkeypatch.setattr("logvicinity.pipeline.allocation_groups", counted)
+    monkeypatch.setattr("logvicinity.vicinity.regroup", counted)
     sweep = sweep_perspective(index, "allocation", JOB_TOPOLOGY,
                               JOB_RANGE, jobs=jobs)
-    # one call where the active set changes, with its jobs in job order
-    assert calls == [[j.job_id for j in jobs if j.active_at(at)]
-                     for at in (1800, 3600, 7200, 3 * 3600)]
+    # one update per segment, at the moments 1800, 3600, 7200 and 10800 s,
+    # given the jobs that start there (in job order) and those that end
+    assert calls == [(["j1", "j2"], []), (["j3"], []), (["j0"], []),
+                     ([], ["j3"])]
     assert sweep.moments == per_moment.moments == moments
     assert sweep.skipped_groups == per_moment.skipped_groups
     assert _rows(sweep) == _rows(per_moment)

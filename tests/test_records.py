@@ -161,6 +161,22 @@ def test_a_value_its_writer_never_writes_names_its_line(tmp_path, name, bad,
     assert str(err.value).startswith(f"{path}:3: {reason}")
 
 
+# a row that starts like its format's header but is not it
+STRAY_HEADERS = [("truth", "node,anything"), ("classified", "node,anything"),
+                 ("jobs", "job_id,anything")]
+
+
+@pytest.mark.parametrize("name, stray", STRAY_HEADERS)
+def test_only_the_writers_header_is_skipped(tmp_path, name, stray):
+    path = _with_bad_third_line(tmp_path / name, name, stray)
+    gz = tmp_path / f"{name}.gz"
+    gz.write_bytes(gzip.compress(path.read_bytes()))
+    for bad in (path, gz):
+        with pytest.raises(ValueError) as err:
+            FORMATS[name][1](bad)
+        assert str(err.value).startswith(f"{bad}:3: ")
+
+
 @pytest.mark.parametrize("name", ["outage_db", "maintenance"])
 def test_a_window_that_runs_backwards_names_its_line(tmp_path, name):
     path = _with_bad_third_line(
@@ -231,6 +247,26 @@ def test_cli_fails_on_a_bad_row_with_its_file_and_line(tmp_path, capsys, name,
     files["corpus"].write_text("Jan  1 00:00:00 i1r0n0 a: b\n"
                                "Jan  1 01:00:00 i1r0n1 a: b\n")
     for other in ("outages", "topology", "truth"):
+        files[other] = tmp_path / other
+        FORMATS[other][0](files[other])
+    assert main([arg.format(**files) for arg in argv]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {files['bad']}:3: ")
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("truth", ["evaluate", "--detected", "{events}", "--truth", "{bad}"]),
+    ("jobs", ["detect-anomalies", "--year", "2023", "--corpus", "{corpus}",
+              "--topology", "{topology}", "--vicinity", "allocation",
+              "--jobs-file", "{bad}"]),
+], ids=["evaluate-truth", "detect-anomalies-jobs"])
+def test_cli_fails_on_a_row_that_only_starts_like_the_header(tmp_path, capsys,
+                                                            name, argv):
+    stray = dict(STRAY_HEADERS)[name]
+    files = {"bad": _with_bad_third_line(tmp_path / f"bad_{name}", name, stray),
+             "corpus": tmp_path / "corpus.log"}
+    files["corpus"].write_text("Jan  1 00:00:00 i1r0n0 a: b\n"
+                               "Jan  1 01:00:00 i1r0n1 a: b\n")
+    for other in ("events", "topology"):
         files[other] = tmp_path / other
         FORMATS[other][0](files[other])
     assert main([arg.format(**files) for arg in argv]) == 2

@@ -1,5 +1,7 @@
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -7,13 +9,17 @@ from hypothesis import strategies as st
 import oracles
 from logvicinity.classify import FailureEvent
 from logvicinity.datasources import JobRecord
-from logvicinity.model import NodeId, Topology
+from logvicinity.detect import SGIndex, observation_moments, sweep_schedule
+from logvicinity.model import NodeId, ObservationRange, Topology
 from logvicinity.names import iso
+from logvicinity.pipeline import sweep_perspective
 from logvicinity.synth import desk_topology
 from logvicinity.vicinity import (VicinityAssignment, allocation_groups,
-                                  allocation_vicinity, combined_vicinity,
-                                  hardware_vicinity, location_vicinity,
-                                  time_of_failure_vicinity)
+                                  allocation_schedule, allocation_vicinity,
+                                  combined_vicinity, hardware_vicinity,
+                                  location_vicinity, time_of_failure_vicinity)
+from oracles import LogEntry
+from tables import table_of
 
 
 def test_desk_hardware_groups():
@@ -124,6 +130,79 @@ def test_allocation_groups_bridge_every_union_a_job_touches():
             _job("d", [1, 4, 7]), _job("e", [9])]
     assert allocation_groups(jobs) == [
         ("job:a+b+c+d", frozenset(NodeId(1, 0, p) for p in (0, 1, 3, 4, 6, 7)))]
+
+
+# the allocation schedule, against the reference at every moment
+
+CADENCE = 600
+SCHEDULE_NODES = [NodeId(1, 0, p) for p in range(8)]
+SCHEDULE_TOPOLOGY = Topology(SCHEDULE_NODES,
+                             {n: "Haswell" for n in SCHEDULE_NODES})
+OUTSIDE = [NodeId(9, 9, 0), NodeId(9, 9, 1)]  # no topology node
+_rng = random.Random(5)
+# chatter on the topology's nodes; node 0 is silent from 2400 s to 4800 s
+SCHEDULE_INDEX = SGIndex(table_of(
+    LogEntry(t, n, "t", "m") for n in SCHEDULE_NODES
+    for t in _rng.sample(range(-CADENCE, 13 * CADENCE), 300)
+    if not (n == SCHEDULE_NODES[0] and 2400 <= t < 4800)))
+
+
+@st.composite
+def scheduled_jobs(draw):
+    """(jobs, range end): up to nine jobs with distinct ids that share
+    nodes, some outside the topology; each starts and ends on a moment,
+    between moments or outside the range, and some last no time at all.
+    A range shorter than one cadence holds no moment."""
+    instant = st.one_of(st.integers(-2, 14).map(lambda k: k * CADENCE),
+                        st.integers(-CADENCE, 14 * CADENCE))
+    length = st.one_of(st.just(0), st.integers(1, 5).map(lambda k: k * CADENCE),
+                       st.integers(1, 8 * CADENCE))
+    jobs = []
+    for i in range(draw(st.integers(0, 9))):
+        start = draw(instant)
+        jobs.append(JobRecord(
+            f"j{i}", draw(st.frozensets(st.sampled_from(SCHEDULE_NODES + OUTSIDE),
+                                        min_size=1, max_size=5)),
+            start, start + draw(length), "completed"))
+    return jobs, draw(st.integers(1, 12 * CADENCE))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scheduled_jobs())
+@example(([], CADENCE - 1))
+@example(([_job("a", [0, 1], 0, 1200), _job("b", [1, 2], 600, 2400),
+           _job("c", [2, 3], 1200, 1200)], 3000))
+def test_allocation_schedule_equals_the_reference_at_every_moment(drawn):
+    jobs, end = drawn
+    moments = observation_moments(0, end, CADENCE, CADENCE)
+    schedule = allocation_schedule(
+        [(j.job_id, j.nodes, j.start, j.end) for j in jobs], moments)
+    judged = [(at, groups) for groups, ats in schedule for at in ats]
+    assert [at for at, _ in judged] == moments
+    for at, groups in judged:
+        assert groups == oracles.reference_allocation_groups(
+            [j for j in jobs if j.active_at(at)])
+    # a segment starts exactly where the set of active jobs changes
+    active = [{j.job_id for j in jobs if j.active_at(at)} for at in moments]
+    assert [ats[0] for _, ats in schedule] == [
+        at for i, at in enumerate(moments) if i == 0 or active[i] != active[i - 1]]
+
+    # the sweep cuts each job to the topology's nodes and regroups only
+    # where a job starts or ends, yet judges what a per-moment schedule does
+    known = frozenset(SCHEDULE_NODES)
+    cut = [replace(j, nodes=j.nodes & known) for j in jobs if j.nodes & known]
+    sweep = sweep_perspective(SCHEDULE_INDEX, "allocation", SCHEDULE_TOPOLOGY,
+                              ObservationRange(0, end), jobs=jobs,
+                              window=CADENCE, cadence=CADENCE)
+    want = sweep_schedule(
+        SCHEDULE_INDEX,
+        [(oracles.reference_allocation_groups(
+            [j for j in cut if j.active_at(at)]), (at,)) for at in moments],
+        window=CADENCE)
+    for name, value in vars(want).items():
+        got = getattr(sweep, name)
+        assert (np.array_equal(got, value) and got.dtype == value.dtype
+                if isinstance(value, np.ndarray) else got == value), name
 
 
 def _fe(pos, t, label="regular_failure"):
