@@ -6,9 +6,10 @@ import re
 
 import numpy as np
 
-from .model import (EventTable, _days, _distinct, _first_seen, _gather,
-                    _gather_rows, _leap, _line_blocks, _stamps, _word, iso,
-                    parse_iso, parse_node_name, topen)
+from .model import (EventTable, _bad_line, _days, _distinct, _first_seen,
+                    _gather, _gather_rows, _leap, _line_blocks, _stamps, _word,
+                    iso, parse_iso, parse_node_name, topen)
+from .names import numbered_lines
 
 RULE_VERSION = "1"
 
@@ -90,31 +91,27 @@ def anonymize_stream(table: EventTable, rules: SubstitutionRuleSet):
 
 
 def load_rules(path) -> SubstitutionRuleSet:
+    """The rules of a save_rules file. Only empty lines are skipped, as a
+    pattern may be blanks; a bad line fails as "PATH:LINE: reason"."""
     rules, version = [], RULE_VERSION
-    with topen(path, "rb") as fh:
-        lines = (line for raw in fh for line in raw.splitlines())
-        for lineno, line in enumerate(lines, 1):
-            try:
-                line = line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if not line:
-                continue
-            if line.startswith("#"):  # only save_rules's header
-                m = re.match(r"# substitution rules v(\S+)", line)
-                if m:
-                    version = m.group(1)
-                continue
-            pattern, _, token = line.partition("\t")
-            if not token:
-                raise ValueError(f"{path}:{lineno}: rules line needs "
-                                 f"<pattern>\\t<token>: {line!r}")
-            try:
-                re.compile(pattern)
-            except re.error as exc:
-                raise ValueError(f"{path}:{lineno}: bad pattern "
-                                 f"{pattern!r}: {exc}") from None
-            rules.append((pattern, token))
+    for lineno, line in numbered_lines(path):
+        if not line:
+            continue
+        if line.startswith("#"):  # only save_rules's header
+            m = re.match(r"# substitution rules v(\S+)", line)
+            if m:
+                version = m.group(1)
+            continue
+        pattern, _, token = line.partition("\t")
+        if not token:
+            raise ValueError(f"{path}:{lineno}: rules line needs "
+                             f"<pattern>\\t<token>: {line!r}")
+        try:
+            re.compile(pattern)
+        except re.error as exc:
+            raise ValueError(f"{path}:{lineno}: bad pattern "
+                             f"{pattern!r}: {exc}") from None
+        rules.append((pattern, token))
     return SubstitutionRuleSet(rules, version=version)
 
 
@@ -144,17 +141,17 @@ def read_anonymized(path):
     """Load a pars-lite file as a keyed EventTable; returns (table, version).
 
     A row needs exactly 3 tab-separated fields and a key of 8 lowercase hex
-    digits; anything else raises ValueError naming path:lineno. Lines end
-    in \\n, \\r\\n or \\r, as in text mode. The file is read in
-    model._line_blocks blocks, the parser's; arrays find and check the
-    fields of a block and decode its keys and canonical ISO stamps. Each
-    distinct node name and other stamp spelling is parsed once. The first
-    bad line, malformed or invalid UTF-8, raises.
+    digits. The file is read in model._line_blocks blocks, the parser's;
+    arrays find and check the fields of a block and decode its keys and
+    canonical ISO stamps. Each distinct node name and other stamp
+    spelling is parsed once. The first bad line, malformed or invalid
+    UTF-8, raises its model._bad_line error, "PATH:LINE: reason".
     """
-    reader = _ParsLiteReader(path)
+    reader = _ParsLiteReader()
     with topen(path, "rb") as fh:
-        for block in _line_blocks(fh):
-            reader.feed(*block)
+        for data, starts, ends, first in _line_blocks(fh):
+            if bad := reader.feed(data, starts, ends):
+                raise _bad_line(fh, data, first, *bad)
     return reader.table(), reader.version
 
 
@@ -164,8 +161,8 @@ class _ParsLiteReader:
     Node and key ids follow first appearance in the file.
     """
 
-    def __init__(self, path):
-        self.path, self.lineno, self.version = path, 0, None
+    def __init__(self):
+        self.version = None
         self.blocks = []  # (ts, node id, key id) arrays per block
         self.stamp_of: dict = {}  # stamp bytes -> epoch, None if bad
         self.node_of: dict = {}  # name bytes -> node id, -1 if bad
@@ -180,7 +177,8 @@ class _ParsLiteReader:
 
     def feed(self, data: bytes, starts, ends) -> None:
         """Add the rows of a model._line_blocks block (data, its lines'
-        starts and ends); a bad row raises ValueError."""
+        starts and ends); for a bad row, add none and return (its offset
+        in data, its error)."""
         buf = np.frombuffer(data, np.uint8)
         heads = buf[starts]  # a blank line's head is its \n
         for i in np.flatnonzero(heads == ord("#")).tolist():
@@ -203,10 +201,10 @@ class _ParsLiteReader:
         bad = n if ok.all() else int(np.argmin(ok))
         if bad < len(line):
             i = int(line[bad])
-            raise ValueError(f"{self.path}:{self.lineno + i + 1}: " + _row_error(
+            return int(starts[i]), ValueError(_row_error(
                 data[starts[i]:ends[i]].decode("utf-8")))
         self.blocks.append((ts, node, key))
-        self.lineno += len(ends)
+        return None
 
     def _stamps(self, buf, start, stop):
         """(epoch, valid) of each stamp field."""

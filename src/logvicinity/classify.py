@@ -73,18 +73,14 @@ def classify_all(outages, maint, jobs, odb,
 
 def load_classified(path) -> list:
     """Read back the CSV written by write_classified."""
-    header = CLASSIFIED_HEADER.split(",")  # skipped only as written
-
     def row(fields):
-        if fields == header:
-            return None
         if len(fields) != 4 or fields[2] not in LABELS:
             raise ValueError(f"malformed classified row: {fields!r}")
         name, outage_s, label, evidence = fields
         return FailureEvent(parse_node_name(name), parse_iso(outage_s), label,
                             tuple(evidence.split("+")) if evidence else ())
 
-    return read_records(path, row, sep=",")
+    return read_records(path, row, sep=",", header=CLASSIFIED_HEADER)
 
 
 def write_classified(events, path) -> None:

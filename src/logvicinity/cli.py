@@ -14,7 +14,8 @@ from .names import (CV_THRESHOLD, DEFAULT_ALPHA, DEFAULT_BURST_FACTOR,
                     DEFAULT_PERCENTILE, DEFAULT_SILENCE_THRESHOLD,
                     DEFAULT_TAU_MIN, DEFAULT_TOLERANCE, DEFAULT_WINDOW, LABELS,
                     PERSPECTIVES, VARIANTS, ObservationRange, canonical_node,
-                    check_nonnegative, iso, parse_iso, run_manifest, topen)
+                    check_nonnegative, iso, parse_iso, read_records,
+                    run_manifest, topen)
 
 # Nothing here calls BLAS, so numpy's bundled OpenBLAS would only start a
 # worker thread that spins; set before any subcommand imports numpy, and a
@@ -42,18 +43,14 @@ def _atomic_write(path, writer) -> None:
 
 
 def _load_config(path) -> dict:
-    """key=value lines; '#' comments; values as text, for build_parser."""
-    out = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, value = (s.strip() for s in line.split("=", 1))
-            out[key.replace("-", "_")] = value
-    return out
+    """key=value records; '#' comments; values as text, for build_parser."""
+    def row(line):
+        key, eq, value = line.split("#", 1)[0].partition("=")
+        if not eq:
+            raise ValueError("expected key=value")
+        return key.strip().replace("-", "_"), value.strip()
+
+    return dict(read_records(path, row, sep=None))
 
 
 def _config_value(action, text: str):
@@ -293,15 +290,15 @@ def cmd_detect_anomalies(args) -> int:
     from .evaluate import write_events
     from .model import load_topology
     from .pipeline import run_variant
+    if args.anonymized and args.variant not in ("anonymized",
+                                                "filtered_anonymized"):
+        raise ValueError("anonymized input supports only the anonymized "
+                         "and filtered_anonymized variants")
     topology = load_topology(args.topology)
     table = _read_stream(args, topology)
     obs_range = _range_from(args, table)
     if args.vicinity != "time_of_failure":  # it judges at the failures
         _check_moments(args, obs_range)
-    if args.anonymized and args.variant not in ("anonymized",
-                                                "filtered_anonymized"):
-        raise ValueError("anonymized input supports only the anonymized "
-                         "and filtered_anonymized variants")
     run = run_variant(
         table, topology, obs_range, args.variant, _rules_from(args),
         load_maintenance(args.maintenance) if args.maintenance else [],
@@ -611,7 +608,7 @@ def main(argv=None) -> int:
     except (AssertionError, ArithmeticError) as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 3
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -73,11 +73,8 @@ class Window:
 
 def load_job_report(path) -> list:
     seen = set()  # job ids so far
-    header = JOBS_HEADER.split(",")  # skipped only as written
 
     def row(fields):
-        if fields == header:
-            return None
         job_id, nodes_s, start_s, end_s, status = fields
         if job_id in seen:
             raise ValueError(f"duplicate job id {job_id!r}")
@@ -92,7 +89,7 @@ def load_job_report(path) -> list:
         seen.add(job_id)
         return JobRecord(job_id, nodes, start, end, status)
 
-    return read_records(path, row, sep=",")
+    return read_records(path, row, sep=",", header=JOBS_HEADER)
 
 
 def write_job_report(jobs, path) -> None:

@@ -5,11 +5,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+from contextlib import closing
 from dataclasses import dataclass
 
 from .classify import CLASSIFIED_HEADER, load_classified
 from .names import (DEFAULT_TOLERANCE, NodeId, check_nonnegative, iso,
-                    parse_iso, parse_node_name, read_records, topen)
+                    numbered_lines, parse_iso, parse_node_name, read_records,
+                    topen)
 
 CAUSES = ("crash_panic", "silent_hang", "no_reboot")
 TRUTH_HEADER = "node,outage_time,has_reboot,cause"  # write_truth's first row
@@ -72,11 +74,7 @@ def write_truth(failures, path) -> None:
 
 def load_truth(path) -> list:
     """Read back the CSV written by write_truth."""
-    header = TRUTH_HEADER.split(",")  # skipped only as written
-
     def row(fields):
-        if fields == header:
-            return None
         if len(fields) != 4:
             raise ValueError(f"expected 4 fields, got {len(fields)}")
         name, outage_s, has_reboot, cause = fields
@@ -90,7 +88,7 @@ def load_truth(path) -> list:
                              f"not {has_reboot!r}")
         return failure
 
-    return read_records(path, row, sep=",")
+    return read_records(path, row, sep=",", header=TRUTH_HEADER)
 
 
 def load_scored(path) -> list:
@@ -98,14 +96,14 @@ def load_scored(path) -> list:
     is neither blank nor "#" picks: write_classified's header reads a
     classified file's regular failures, write_truth's a truth file, and
     any other line an events file, whose header is a "#" comment."""
-    with topen(path, "rb") as fh:
-        first = next((line for raw in fh for line in raw.splitlines()
-                      if line.strip() and not line.lstrip().startswith(b"#")),
-                     b"")
-    if first == CLASSIFIED_HEADER.encode():
+    with closing(numbered_lines(path)) as lines:
+        first = next((line for _, line in lines
+                      if line.strip() and not line.lstrip().startswith("#")),
+                     "")
+    if first == CLASSIFIED_HEADER:
         return [ev for ev in load_classified(path)
                 if ev.label == "regular_failure"]
-    if first == TRUTH_HEADER.encode():
+    if first == TRUTH_HEADER:
         return load_truth(path)
     return load_events(path)
 

@@ -11,9 +11,10 @@ from itertools import count
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .names import (NodeId, ObservationRange, SyslogParseError,  # noqa: F401
-                    UnknownNodeError, canonical_node, iso, parse_iso,
-                    parse_node_name, read_records, to_epoch, topen)
+from .names import (BLOCK, NodeId, ObservationRange,  # noqa: F401
+                    SyslogParseError, UnknownNodeError, canonical_node, iso,
+                    line_error, parse_iso, parse_node_name, read_blocks,
+                    read_records, to_epoch, topen)
 
 ARCHITECTURES = ("Haswell", "SandyBridge", "Westmere", "Broadwell", "GPU")
 
@@ -260,9 +261,9 @@ class _SyslogParser:
         self._clock_of: dict = {}  # "HH:MM:SS" -> seconds of day
 
     def parse(self, data, start, end):
-        """(EventTable, error) of the lines of a _line_blocks block: the
-        rows before the first bad line and its error, or every row and
-        None."""
+        """(EventTable, bad) of the lines of a _line_blocks block: the rows
+        before the first bad line and (its offset in data, its error), or
+        every row and None."""
         buf, start, host_end, rest, end, date, clock, ok = (
             _canonical_fields(data, start, end))
         host, text = np.zeros((2, len(start)), np.intp)  # distinct ids
@@ -294,8 +295,8 @@ class _SyslogParser:
                 if name not in self._host_of:
                     self._host_of[name] = self.resolve(name)
                 if self._host_of[name] is None and not self.skip_unknown:
-                    raise UnknownNodeError(name)
-            except Exception as exc:
+                    raise UnknownNodeError(f"unknown host {name!r}")
+            except ValueError as exc:
                 faults[name] = exc
         groups: dict = {}  # node -> its index among the chunk's nodes
         group = np.array([-1 if node is None else
@@ -319,9 +320,6 @@ class _SyslogParser:
             y = int(year[bad])
             error = SyslogParseError(f"year {y} is out of range" if y > MAXYEAR
                                      else f"no Feb 29 in {y}")
-        if isinstance(error, SyslogParseError):  # it names its line
-            line = data[start[stop]:end[stop] + 1].decode()
-            error = SyslogParseError(f"{error} in line: {line!r}")
         self.stats.skipped_unknown += int(np.searchsorted(unknown, stop))
         self.stats.parsed += bad
         ts, year, group, text = ts[:bad], year[:bad], group[:bad], text[:bad]
@@ -331,9 +329,10 @@ class _SyslogParser:
         (first, rank), (seen, index) = _in_order(group), _in_order(text)
         node = [self._node_id(nodes[g]) for g in group[first].tolist()]
         msg = [self._message_id(texts[t]) for t in text[seen].tolist()]
+        bad = None if error is None else (int(start[stop]), error)
         return EventTable(ts, np.array(node, np.int32)[rank],
                           np.array(msg, np.int32)[index], self.nodes,
-                          self.messages, self.tags), error
+                          self.messages, self.tags), bad
 
     def _line_fields(self, lines) -> tuple:
         """(index of each line read, index and error of the first bad line
@@ -446,9 +445,10 @@ def parse_syslog_stream(fh, default_year: int, node_resolver,
     jump of more than 180 days means the calendar year wrapped; the node's
     entries carry the incremented year from then on. Unknown hostnames are
     skipped (counted on .skipped_unknown) unless skip_unknown is false.
-    The first bad line, malformed or invalid UTF-8, raises its error after
-    the chunk of the lines before it. Arrays read lines in write_syslog's
-    shape, str.split others.
+    The first bad line, malformed, invalid UTF-8 or of an unknown host
+    under skip_unknown=False, raises its _bad_line error after the chunk
+    of the lines before it. Arrays read lines in write_syslog's shape,
+    str.split others.
     """
     if not isinstance(fh, (io.RawIOBase, io.BufferedIOBase)):
         raise TypeError("a syslog corpus is read from a binary file, such "
@@ -457,11 +457,11 @@ def parse_syslog_stream(fh, default_year: int, node_resolver,
     parser = _SyslogParser(default_year, node_resolver, skip_unknown, stats)
 
     def gen():
-        for block in _line_blocks(fh):
-            table, error = parser.parse(*block)
+        for data, start, end, first in _line_blocks(fh):
+            table, bad = parser.parse(data, start, end)
             yield table
-            if error:
-                raise error
+            if bad:
+                raise _bad_line(fh, data, first, *bad)
 
     return gen(), stats
 
@@ -475,45 +475,37 @@ class ParseStats:
     lines_one_by_one: int = field(default=0, compare=False)
 
 
-BLOCK = 1 << 20  # bytes read_blocks reads per step
-
-
-def read_blocks(fh, size: int):
-    """Yield binary file fh, read size bytes at a time, as blocks of whole
-    lines ending in \\n: \\r\\n and lone \\r become \\n, as in text mode,
-    a line longer than a block joins its blocks once and a last line
-    without an end gets one."""
-    pending = []  # the bytes after the last line end
-    while block := fh.read(size):
-        while block.endswith(b"\r") and (more := fh.read(1)):
-            block += more  # a \r\n the read split stays one line end
-        if b"\r" in block:  # replace alone would search the block twice
-            block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        cut = block.rfind(b"\n") + 1
-        if cut:
-            yield b"".join([*pending, memoryview(block)[:cut]])
-            pending.clear()
-        pending.append(block[cut:])
-    if rest := b"".join(pending):
-        yield rest + b"\n"
-
-
 def _line_blocks(fh):
     """Yield (block + _WIDE padding bytes, its lines' starts, their "\\n"
-    offsets) per read_blocks(fh, BLOCK) block. A block with invalid UTF-8
-    is cut before the line that holds it, whose UnicodeDecodeError is
-    raised when the reader asks for the next block."""
+    offsets, the number of its first line in fh) per read_blocks(fh,
+    BLOCK) block. A block with invalid UTF-8 is cut before the line that
+    holds it, whose _bad_line error is raised when the reader asks for
+    the next block."""
+    first = 1
     for block in read_blocks(fh, BLOCK):
         error = None
         try:
             block.decode("utf-8")
         except UnicodeDecodeError as exc:
             cut = block.rfind(b"\n", 0, exc.start) + 1
-            block, error = block[:cut], exc
+            try:  # the line alone, so that positions count within it
+                block[cut:block.index(b"\n", exc.start)].decode("utf-8")
+            except UnicodeDecodeError as in_line:
+                error = _bad_line(fh, block, first, cut, in_line)
+            block = block[:cut]
         end = np.flatnonzero(np.frombuffer(block, np.uint8) == ord("\n"))
-        yield block + bytes(_WIDE), np.concatenate(([0], end + 1))[:-1], end
+        yield (block + bytes(_WIDE), np.concatenate(([0], end + 1))[:-1],
+               end, first)
         if error:
             raise error
+        first += len(end)
+
+
+def _bad_line(fh, data, first, at, exc):
+    """line_error of exc, the error of the line at offset at of the
+    _line_blocks block data whose first line is line first of fh."""
+    name = getattr(fh, "name", "<stream>")
+    return line_error(name, first + data.count(b"\n", 0, at), exc)
 
 
 class EventTable:

@@ -8,6 +8,7 @@ import math
 import re
 import sys
 import time
+import zlib
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import NamedTuple
@@ -46,8 +47,9 @@ def check_nonnegative(**params) -> None:
                              f"not {value!r}")
 
 
-class UnknownNodeError(KeyError):
-    """Hostname not present in the topology resolver."""
+class UnknownNodeError(KeyError, ValueError):
+    """Hostname not present in the topology resolver; prints its message."""
+    __str__ = ValueError.__str__
 
 
 class NodeId(NamedTuple):
@@ -123,32 +125,76 @@ def topen(path, mode="rt"):
     return open(path, mode.replace("t", ""), encoding=encoding)
 
 
-def read_records(path, row, sep="\t") -> list:
-    """row(fields) of each record line of a UTF-8 text file (.gz ok), in
-    file order: fields is the line split at sep, by CSV rules for ",", or
-    the whole line for None. Lines end at "\\n", "\\r\\n" or "\\r". Blank
-    lines and lines whose first non-blank character is "#" are skipped;
-    row returns None for a header row. A line that is not UTF-8, a
-    ValueError from row, or a CSV error fails the read as
+BLOCK = 1 << 20  # bytes read_blocks reads per step
+
+
+def read_blocks(fh, size: int):
+    """Yield binary file fh, read size bytes at a time, as blocks of whole
+    lines ending in \\n: \\r\\n and lone \\r become \\n, as in text mode,
+    a line longer than a block joins its blocks once and a last line
+    without an end gets one. Damaged compression fails as ValueError
+    "PATH: reason", PATH being fh.name or "<stream>"."""
+    pending = []  # the bytes after the last line end
+    try:
+        while block := fh.read(size):
+            while block.endswith(b"\r") and (more := fh.read(1)):
+                block += more  # a \r\n the read split stays one line end
+            if b"\r" in block:  # replace alone would search the block twice
+                block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            cut = block.rfind(b"\n") + 1
+            if cut:
+                yield b"".join([*pending, memoryview(block)[:cut]])
+                pending.clear()
+            pending.append(block[cut:])
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        name = getattr(fh, "name", "<stream>")
+        raise ValueError(f"{name}: {exc}") from None
+    if rest := b"".join(pending):
+        yield rest + b"\n"
+
+
+def line_error(name, lineno, exc) -> ValueError:
+    """exc, the error of a file's line, as "NAME:LINE: reason"; only a
+    SyslogParseError or UnknownNodeError keeps its class."""
+    keep = isinstance(exc, (SyslogParseError, UnknownNodeError))
+    return (type(exc) if keep else ValueError)(f"{name}:{lineno}: {exc}")
+
+
+def numbered_lines(path):
+    """Yield (number from 1, text) of each line of a UTF-8 text file (.gz
+    ok), split by read_blocks; a line that is not UTF-8 fails as
     "PATH:LINE: reason"."""
-    errors = ValueError  # UnicodeDecodeError among them
+    with topen(path, "rb") as fh:
+        lines = (line for block in read_blocks(fh, BLOCK)
+                 for line in block.split(b"\n")[:-1])
+        for lineno, line in enumerate(lines, 1):
+            try:
+                text = line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise line_error(path, lineno, exc) from None
+            yield lineno, text
+
+
+def read_records(path, row, sep="\t", header=None) -> list:
+    """row(fields) of each record line of numbered_lines(path), in file
+    order: fields is the line split at sep, by CSV rules for ",", or the
+    whole line for None. Blank lines, lines whose first non-blank
+    character is "#" and lines that read exactly header (the writer's
+    header row) are skipped. A ValueError from row, or a CSV error, fails
+    the read as "PATH:LINE: reason"."""
+    errors = ValueError
     if sep == ",":
         import csv  # loaded only by the subcommands that read CSV
         errors = (ValueError, csv.Error)
     records = []
-    with topen(path, "rb") as fh:
-        lines = (line for raw in fh for line in raw.splitlines())
-        for lineno, line in enumerate(lines, 1):
-            try:
-                line = line.decode("utf-8")
-                if not line.strip() or line.lstrip().startswith("#"):
-                    continue
-                record = row(line if sep is None else next(csv.reader([line]))
-                             if sep == "," else line.split(sep))
-            except errors as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if record is not None:
-                records.append(record)
+    for lineno, line in numbered_lines(path):
+        if not line.strip() or line.lstrip().startswith("#") or line == header:
+            continue
+        try:
+            records.append(row(line if sep is None else next(csv.reader([line]))
+                               if sep == "," else line.split(sep)))
+        except errors as exc:
+            raise line_error(path, lineno, exc) from None
     return records
 
 

@@ -63,10 +63,9 @@ def extract_events(sweep: SweepResult, index: SGIndex,
     cell = np.searchsorted(sweep.offset, flagged, side="right") - 1
     triples = np.stack([sweep.node[flagged], sweep.at[cell],
                         sweep.code[flagged]])
-    triples = triples[:, np.lexsort(triples[::-1])]
-    repeat = np.zeros(len(flagged), dtype=bool)
-    repeat[1:] = (np.diff(triples, axis=1) == 0).all(axis=0)
-    node, at, code = triples[:, ~repeat]
+    # a flag that overlapping groups repeat lies 0 s from its twin, so
+    # it joins the same run and needs no dedupe
+    node, at, code = triples[:, np.lexsort(triples[::-1])]
     # a run starts at a new node or after a gap longer than span
     start = np.ones(len(at), dtype=bool)
     start[1:] = (node[1:] != node[:-1]) | (np.diff(at) > span)

@@ -134,26 +134,16 @@ class GeneratedCorpus:
         return ObservationRange(self.spec.start, self.spec.end)
 
 
-def desk_topology() -> Topology:
-    """Default 64-node bench topology: 3 classes, no rack below 8 nodes."""
-    nodes, arch_of = [], {}
+# (island, rack count, nodes per rack, architecture); an island's racks
+# are numbered from 0 across its rows
 
-    def rack(island, rck, count, arch):
-        for pos in range(count):
-            node = NodeId(island, rck, pos)
-            nodes.append(node)
-            arch_of[node] = arch
-
-    for r in range(3):
-        rack(1, r, 12, "Haswell")
-    for r in range(2):
-        rack(2, r, 8, "SandyBridge")
-    rack(3, 0, 12, "GPU")
-    return Topology(nodes, arch_of)
-
+DESK_LAYOUT = [
+    (1, 3, 12, "Haswell"),
+    (2, 2, 8, "SandyBridge"),
+    (3, 1, 12, "GPU"),
+]
 
 TAURUS_LAYOUT = [
-    # (island, rack count, nodes per rack, architecture)
     (1, 9, 30, "SandyBridge"),
     (2, 6, 18, "GPU"),
     (3, 6, 30, "Westmere"),
@@ -164,10 +154,11 @@ TAURUS_LAYOUT = [
 ]
 
 
-def taurus_topology() -> Topology:
+def _layout_topology(layout) -> Topology:
+    """The topology of a layout table such as DESK_LAYOUT."""
     nodes, arch_of = [], {}
     next_rack: dict = {}
-    for island, racks, per_rack, arch in TAURUS_LAYOUT:
+    for island, racks, per_rack, arch in layout:
         base = next_rack.get(island, 0)
         for r in range(racks):
             for pos in range(per_rack):
@@ -176,6 +167,15 @@ def taurus_topology() -> Topology:
                 arch_of[node] = arch
         next_rack[island] = base + racks
     return Topology(nodes, arch_of)
+
+
+def desk_topology() -> Topology:
+    """Default 64-node bench topology: 3 classes, no rack below 8 nodes."""
+    return _layout_topology(DESK_LAYOUT)
+
+
+def taurus_topology() -> Topology:
+    return _layout_topology(TAURUS_LAYOUT)
 
 
 def scale_topology(topology: Topology, factor: float) -> Topology:

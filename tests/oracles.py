@@ -346,11 +346,7 @@ def parse_syslog_line(line: str, default_year: int, node_resolver) -> LogEntry:
     parts = line.rstrip("\n").split(None, 4)
     if len(parts) < 4:
         raise SyslogParseError(f"truncated line: {line!r}")
-    try:
-        ts = (day_start(default_year, parts[0], parts[1])
-              + seconds_of_day(parts[2]))
-    except SyslogParseError as exc:
-        raise SyslogParseError(f"{exc} in line: {line!r}") from None
+    ts = day_start(default_year, parts[0], parts[1]) + seconds_of_day(parts[2])
     node = _resolve_fn(node_resolver)(parts[3])
     if node is None:
         raise UnknownNodeError(parts[3])
@@ -358,7 +354,7 @@ def parse_syslog_line(line: str, default_year: int, node_resolver) -> LogEntry:
     return LogEntry(ts, node, tag, message)
 
 
-def reference_parse(lines, default_year, resolver):
+def reference_parse(lines, default_year, resolver, name="<stream>"):
     """Entries of a syslog corpus by the documented per-node rollover rule.
 
     Each line is parsed alone by parse_syslog_line in its host's current
@@ -368,29 +364,33 @@ def reference_parse(lines, default_year, resolver):
     lacks is compared as Mar 1; unless that wraps the year, the line is
     an error. Blank and '#' lines are ignored; lines of unknown hosts are
     counted and skipped, unless their date is one no year has or their
-    time is invalid. Returns (entries, skipped).
+    time is invalid. Returns (entries, skipped). The error of the k-th
+    line (from 1) reads "NAME:k: reason".
     """
     year_of, last_of, entries, skipped = {}, {}, [], 0
-    for line in lines:
+    for lineno, line in enumerate(lines, 1):
         if not line.strip() or line.startswith("#"):
             continue
         month, day, rest = line.split(None, 2)
         host = rest.split()[1]
-        if resolver.get(host) is None:
-            # 2024 has every day some year has: this raises only on a
-            # date no year has or a bad time
-            parse_syslog_line(line, 2024, lambda name: name)
-            skipped += 1
-            continue
-        year = year_of.get(host, default_year)
-        probe = line
-        if (month, day) == ("Feb", "29") and not calendar.isleap(year):
-            probe = f"Mar  1 {rest}"
-        ts = parse_syslog_line(probe, year, resolver).timestamp
-        if host in last_of and last_of[host] - ts > 180 * 86400:
-            year_of[host] = year = year + 1
-        # raises if the year lacks the date
-        entry = parse_syslog_line(line, year, resolver)
+        try:
+            if resolver.get(host) is None:
+                # 2024 has every day some year has: this raises only on a
+                # date no year has or a bad time
+                parse_syslog_line(line, 2024, lambda name: name)
+                skipped += 1
+                continue
+            year = year_of.get(host, default_year)
+            probe = line
+            if (month, day) == ("Feb", "29") and not calendar.isleap(year):
+                probe = f"Mar  1 {rest}"
+            ts = parse_syslog_line(probe, year, resolver).timestamp
+            if host in last_of and last_of[host] - ts > 180 * 86400:
+                year_of[host] = year = year + 1
+            # raises if the year lacks the date
+            entry = parse_syslog_line(line, year, resolver)
+        except SyslogParseError as exc:
+            raise SyslogParseError(f"{name}:{lineno}: {exc}") from None
         last_of[host] = entry.timestamp
         entries.append(entry)
     return entries, skipped
@@ -520,16 +520,20 @@ def reference_read_anonymized(path, parse_iso, parse_node_name):
 
     Stamps and node names are read by the line-level parse_iso and
     parse_node_name. Ids follow first appearance; two spellings of a node
-    share its id. A row with other than 3 tab fields, a bad stamp, a bad
-    name or a key other than 8 lowercase hex digits raises ValueError
-    naming path:lineno.
+    share its id. A line that is not UTF-8, a row with other than 3 tab
+    fields, a bad stamp, a bad name or a key other than 8 lowercase hex
+    digits raises ValueError "PATH:LINE: reason", LINE counted from 1
+    over lines that end in \\n, \\r\\n or \\r.
     """
     opener = gzip.open if str(path).endswith(".gz") else open
     version, ts, node, msg = None, [], [], []
     node_ix, key_ix, stamp_of = {}, {}, {}
-    with opener(path, "rt", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
+    with opener(path, "rb") as fh:
+        for lineno, line in enumerate(fh.read().splitlines(), 1):
+            try:
+                line = line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             if not line:
                 continue
             if line.startswith("#"):

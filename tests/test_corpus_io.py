@@ -264,24 +264,28 @@ def test_the_first_bad_line_wins_malformed_or_invalid_utf8(
     malformed = b"Mar 32 10:00:00 i1r0n0 kernel: ok\n"
     bad_byte = b"Mar  6 10:00:01 i1r0n0 caf\xe9 ok\n"
     for data, rows, error in [
-            (good + malformed + good + bad_byte + good, 1, "Mar 32"),
-            (good * 3 + bad_byte + malformed, 3, "can't decode")]:
+            (good + malformed + good + bad_byte + good, 1,
+             "<stream>:2: bad calendar day Mar '32'"),
+            (good * 3 + bad_byte + malformed, 3,
+             "<stream>:4: 'utf-8' codec can't decode byte 0xe9 in position "
+             "26: invalid continuation byte")]:
         chunks, stats = parse_syslog_stream(io.BytesIO(data), 2023,
                                             canonical_node)
         seen = []
-        with pytest.raises(ValueError, match=error):
+        with pytest.raises(ValueError) as err:
             for chunk in chunks:
                 seen += chunk.ts.tolist()
+        assert str(err.value) == error
         assert len(seen) == stats.parsed == rows
-    (tmp_path / "bad.log").write_bytes(good + malformed + good + bad_byte)
-    assert main(["parse", "--corpus", str(tmp_path / "bad.log"), "--year",
-                 "2023"]) == 2
-    assert capsys.readouterr().err.startswith("error: bad calendar day Mar")
+    path = tmp_path / "bad.log"
+    path.write_bytes(good + malformed + good + bad_byte)
+    assert main(["parse", "--corpus", str(path), "--year", "2023"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}:2: bad calendar day Mar '32'\n")
 
 
 @pytest.mark.parametrize("year, error", [
-    ("9999", "year 10000 is out of range in line: "
-             "'Jan  1 00:00:00 i1r0n0 a: b\\n'"),
+    ("9999", "{corpus}:2: year 10000 is out of range"),
     ("10000", "--year 10000 is out of range 1..9999"),
     ("0", "--year 0 is out of range 1..9999"),
 ])
@@ -290,7 +294,7 @@ def test_parse_fails_on_a_year_out_of_range(tmp_path, capsys, year, error):
     corpus.write_text("Aug  1 00:00:00 i1r0n0 a: b\n"
                       "Jan  1 00:00:00 i1r0n0 a: b\n")
     assert main(["parse", "--corpus", str(corpus), "--year", year]) == 2
-    assert capsys.readouterr().err == f"error: {error}\n"
+    assert capsys.readouterr().err == f"error: {error.format(corpus=corpus)}\n"
 
 
 def test_parse_counts_the_lines_read_one_by_one(odd_corpus, tmp_path,

@@ -128,8 +128,9 @@ def test_stream_raises_after_the_entries_before_the_bad_line():
                                         parse_node_name)
     chunk = next(chunks)
     assert [chunk.messages[m] for m in chunk.msg.tolist()] == ["x", "y"]
-    with pytest.raises(SyslogParseError, match="Mar 32"):
+    with pytest.raises(SyslogParseError) as err:
         next(chunks)
+    assert str(err.value) == "<stream>:3: bad calendar day Mar '32'"
     assert stats.parsed == 2
 
 

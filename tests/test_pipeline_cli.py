@@ -8,7 +8,7 @@ import numpy as np
 import oracles
 import pytest
 
-from logvicinity import cli, evaluate
+from logvicinity import anonymize, cli, evaluate
 from logvicinity.anonymize import SubstitutionRuleSet, read_anonymized
 from logvicinity.classify import (FailureEvent, load_classified,
                                   write_classified)
@@ -956,3 +956,19 @@ def test_cli_refuses_a_range_shorter_than_one_window(cli_dir, tmp_path,
     assert main(args + ["--from", start, "--to", "2023-03-06T00:30:00Z"]) == 0
     if command == "detect-anomalies":
         assert capsys.readouterr().out.endswith(" over 1 moments\n")
+
+
+def test_cli_refuses_anonymized_input_before_reading_it(tmp_path, capsys,
+                                                        monkeypatch):
+    """The default variant is raw, which anonymized input lacks: the
+    refusal comes before the topology or the corpus is read."""
+    def unread(*args, **kwargs):
+        raise AssertionError("the corpus was read")
+
+    monkeypatch.setattr(anonymize, "read_anonymized", unread)
+    missing = str(tmp_path / "missing")
+    assert main(["detect-anomalies", "--corpus", missing, "--anonymized",
+                 "--topology", missing]) == 2
+    assert capsys.readouterr().err == (
+        "error: anonymized input supports only the anonymized and "
+        "filtered_anonymized variants\n")

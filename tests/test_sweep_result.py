@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 
 from logvicinity import pipeline
 from logvicinity.detect import (SGIndex, observation_moments,
-                                write_verdicts)
+                                sweep_schedule, write_verdicts)
 from logvicinity.model import EventTable, NodeId, ObservationRange
 from logvicinity.names import iso, parse_iso
 from logvicinity.pipeline import extract_events, sweep_perspective
+from logvicinity.synth import GeneratorSpec, generate
 from logvicinity.vicinity import (combined_vicinity, hardware_vicinity,
                                   location_vicinity, time_of_failure_vicinity)
 from oracles import LogEntry
@@ -304,3 +305,26 @@ def test_extract_events_equals_the_reference_loop(pattern):
         events = extract_events(sweep, SGIndex(table), CADENCE)
     assert _tuples(events) == oracles.reference_extract_events(
         sweep, table, CADENCE, max_gap)
+
+
+def test_a_node_flagged_twice_at_a_moment_is_one_run():
+    """Overlapping groups judge a node more than once per moment, so the
+    same (node, moment, verdict) is flagged twice; the runs, anchors and
+    silences are still the reference's, which counts each flag once."""
+    gen = generate(GeneratorSpec(seed=3, days=2, failure_count=8,
+                                 storm_count=10, background_jobs=30))
+    nodes = gen.topology.nodes
+    pairs = [(f"g{k}", frozenset(nodes[k:k + 12]))
+             for k in range(0, len(nodes) - 11, 4)]
+    moments = observation_moments(gen.range.start, gen.range.end, CADENCE,
+                                  1800)
+    index = SGIndex(gen.entries)
+    sweep = sweep_schedule(index, [(pairs, moments)], window=1800)
+    flagged = np.flatnonzero(sweep.code)
+    cell = np.searchsorted(sweep.offset, flagged, side="right") - 1
+    triples = set(zip(sweep.node[flagged].tolist(), sweep.at[cell].tolist(),
+                      sweep.code[flagged].tolist()))
+    assert 0 < len(triples) < len(flagged)  # some flags repeat
+    events = extract_events(sweep, index, CADENCE)
+    assert events and _tuples(events) == oracles.reference_extract_events(
+        sweep, gen.entries, CADENCE, 3)
