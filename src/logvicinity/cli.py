@@ -28,20 +28,6 @@ def _data_file(name: str) -> str:
     return str(resource_files("logvicinity").joinpath("data", name))
 
 
-def _atomic_write(path, writer) -> None:
-    """Write via temp file + rename so readers never see partial output."""
-    # the temp name keeps a .gz suffix: writers compress by the file name
-    suffix = ".gz" if str(path).endswith(".gz") else ""
-    tmp = f"{path}.tmp.{os.getpid()}{suffix}"
-    try:
-        writer(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _load_config(path) -> dict:
     """key=value records; '#' comments; values as text, for build_parser."""
     def row(line):
@@ -157,12 +143,8 @@ def _emit_manifest(args, default_path, extra=None) -> None:
     manifest = run_manifest(_config_of(args), seed=getattr(args, "seed", None))
     if extra:
         manifest.update(extra)
-    _atomic_write(path, lambda tmp: _dump_json(manifest, tmp))
-
-
-def _dump_json(obj, path) -> None:
     with topen(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, default=str)
+        json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
 
 
@@ -210,7 +192,7 @@ def cmd_parse(args) -> int:
     topology = load_topology(args.topology) if args.topology else None
     table, stats = _read_raw(args, topology)
     if args.output:
-        _atomic_write(args.output, lambda tmp: write_syslog(table, tmp))
+        write_syslog(table, args.output)
     summary = {
         "entries": stats.parsed,
         "skipped_unknown": stats.skipped_unknown,
@@ -234,8 +216,7 @@ def cmd_anonymize(args) -> int:
     rules = _rules_from(args)
     topology = load_topology(args.topology) if args.topology else None
     table, _stats = _read_raw(args, topology)
-    _atomic_write(args.output,
-                  lambda tmp: write_anonymized(table, tmp, rules))
+    write_anonymized(table, args.output, rules)
     _emit_manifest(args, f"{args.output}.manifest.json")
     print(f"anonymized {len(table)} entries -> {args.output}")
     return 0
@@ -252,7 +233,7 @@ def cmd_detect_outages(args) -> int:
         silence_threshold=args.silence_threshold,
         burst_factor=args.burst_factor, burst_minutes=args.burst_minutes,
         min_gap=args.min_gap)
-    _atomic_write(args.output, lambda tmp: write_outages(outages, tmp))
+    write_outages(outages, args.output)
     _emit_manifest(args, f"{args.output}.manifest.json")
     print(f"{len(outages)} outages -> {args.output}")
     return 0
@@ -267,7 +248,7 @@ def cmd_classify(args) -> int:
     odb = load_outage_db(args.outage_db) if args.outage_db else []
     maint = load_maintenance(args.maintenance) if args.maintenance else []
     events = classify_all(outages, maint, jobs, odb, args.correlation_window)
-    _atomic_write(args.output, lambda tmp: write_classified(events, tmp))
+    write_classified(events, args.output)
     _emit_manifest(args, f"{args.output}.manifest.json")
     tally = {label: 0 for label in LABELS}
     for ev in events:
@@ -313,9 +294,9 @@ def cmd_detect_anomalies(args) -> int:
     sweep = run.sweep
     flagged = int((sweep.code != 0).sum())
     if args.output:
-        _atomic_write(args.output, lambda tmp: write_verdicts(sweep, tmp))
+        write_verdicts(sweep, args.output)
     if args.events:
-        _atomic_write(args.events, lambda tmp: write_events(run.events, tmp))
+        write_events(run.events, args.events)
         print(f"{flagged} flagged node-moments, {len(run.events)} events")
     else:
         judged = len(set(sweep.at.tolist()))  # moments with a usable group
@@ -382,11 +363,9 @@ def cmd_pipeline(args) -> int:
     classified = detect_and_classify(
         table, footprint, rules, obs_range, jobs=jobs, outage_records=odb,
         maintenance=maint, correlation_window=args.tolerance)
-    _atomic_write(os.path.join(workdir, "classified.csv"),
-                  lambda tmp: write_classified(classified, tmp))
+    write_classified(classified, os.path.join(workdir, "classified.csv"))
     for name, run in runs.items():
-        _atomic_write(os.path.join(workdir, f"events_{name}.tsv"),
-                      lambda tmp, r=run: write_events(r.events, tmp))
+        write_events(run.events, os.path.join(workdir, f"events_{name}.tsv"))
 
     if truth is not None:
         reports = {name: score(run.events, truth, args.tolerance)
@@ -395,8 +374,8 @@ def cmd_pipeline(args) -> int:
         reports["classified_outages"] = score(regular, truth, args.tolerance)
         text = render_reports(reports, args.format)
         print(text)
-        _atomic_write(os.path.join(workdir, f"report.{args.format}"),
-                      lambda tmp: _write_text(text + "\n", tmp))
+        with topen(os.path.join(workdir, f"report.{args.format}"), "w") as fh:
+            fh.write(text + "\n")
     else:
         for name, run in runs.items():
             print(f"{name}: {len(run.events)} events")
@@ -404,11 +383,6 @@ def cmd_pipeline(args) -> int:
     _emit_manifest(args, os.path.join(workdir, "run_manifest.json"),
                    extra=_corpus_range(spec) if args.generate else None)
     return 0
-
-
-def _write_text(text, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
 
 
 # ---------------------------------------------------------------------------

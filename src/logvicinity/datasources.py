@@ -94,7 +94,7 @@ def load_job_report(path) -> list:
 
 def write_job_report(jobs, path) -> None:
     with topen(path, "w") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(JOBS_HEADER.split(","))
         for job in jobs:
             names = [n.name for n in sorted(job.nodes)]

@@ -65,7 +65,7 @@ def load_events(path) -> list:
 
 def write_truth(failures, path) -> None:
     with topen(path, "w") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRUTH_HEADER.split(","))
         for f in failures:
             writer.writerow([f.node.name, iso(f.outage_time),
@@ -199,9 +199,7 @@ def render_reports(reports: dict, fmt: str = "table") -> str:
     header = ["variant", *FIELDS]
     if fmt == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(buf, lineterminator="\n").writerows([header, *rows])
         return buf.getvalue().rstrip("\n")
     if fmt != "table":
         raise ValueError(f"unknown format: {fmt!r}")

@@ -11,10 +11,10 @@ from itertools import count
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .names import (BLOCK, NodeId, ObservationRange,  # noqa: F401
-                    SyslogParseError, UnknownNodeError, canonical_node, iso,
-                    line_error, parse_iso, parse_node_name, read_blocks,
-                    read_records, to_epoch, topen)
+from .names import (NodeId, ObservationRange, SyslogParseError,  # noqa: F401
+                    UnknownNodeError, canonical_node, iso, line_error,
+                    parse_iso, parse_node_name, read_blocks, read_records,
+                    to_epoch, topen)
 
 ARCHITECTURES = ("Haswell", "SandyBridge", "Westmere", "Broadwell", "GPU")
 
@@ -477,12 +477,12 @@ class ParseStats:
 
 def _line_blocks(fh):
     """Yield (block + _WIDE padding bytes, its lines' starts, their "\\n"
-    offsets, the number of its first line in fh) per read_blocks(fh,
-    BLOCK) block. A block with invalid UTF-8 is cut before the line that
+    offsets, the number of its first line in fh) per read_blocks(fh)
+    block. A block with invalid UTF-8 is cut before the line that
     holds it, whose _bad_line error is raised when the reader asks for
     the next block."""
     first = 1
-    for block in read_blocks(fh, BLOCK):
+    for block in read_blocks(fh):
         error = None
         try:
             block.decode("utf-8")

@@ -4,11 +4,15 @@ instants, files, errors and option defaults, on the standard library alone."""
 from __future__ import annotations
 
 import gzip
+import io
+import itertools
 import math
+import os
 import re
 import sys
 import time
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import NamedTuple
@@ -113,30 +117,53 @@ def parse_iso(text: str) -> int:
     return to_epoch(y, mo, d, h, mi, s)
 
 
+_tmp_serial = itertools.count()  # tells one process's temporary files apart
+
+
+@contextmanager
 def topen(path, mode="rt"):
     """Open a UTF-8 text file, or a binary one when mode holds "b",
-    transparently decompressing *.gz."""
+    (de)compressing *.gz. A file opened with "w" is written whole or not
+    at all: to a temporary file beside path, renamed onto path when the
+    block ends and removed if it raises. Text mode translates no line
+    end, a .gz header holds path's name and mtime 0, and an error
+    creating or renaming the file names path."""
     path = str(path)
-    encoding = None if "b" in mode else "utf-8"
-    if encoding and "t" not in mode:
-        mode += "t"
-    if path.endswith(".gz"):
-        return gzip.open(path, mode, encoding=encoding)
-    return open(path, mode.replace("t", ""), encoding=encoding)
+    gz, binary = path.endswith(".gz"), "b" in mode
+    encoding = None if binary else "utf-8"
+    if "w" not in mode:
+        with (gzip.open if gz else open)(path, "rb" if binary else "rt",
+                                         encoding=encoding) as fh:
+            yield fh
+        return
+    tmp = f"{path}.tmp.{os.getpid()}.{next(_tmp_serial)}"
+    try:
+        with open(tmp, "wb") as raw:
+            fh = gzip.GzipFile(path, "wb", fileobj=raw, mtime=0) if gz else raw
+            with (fh if binary else
+                  io.TextIOWrapper(fh, encoding, newline="\n")) as out:
+                yield out
+        os.replace(tmp, path)
+    except BaseException as exc:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            raise OSError(exc.errno, exc.strerror, path) from None
+        raise
 
 
 BLOCK = 1 << 20  # bytes read_blocks reads per step
 
 
-def read_blocks(fh, size: int):
-    """Yield binary file fh, read size bytes at a time, as blocks of whole
+def read_blocks(fh):
+    """Yield binary file fh, read BLOCK bytes at a time, as blocks of whole
     lines ending in \\n: \\r\\n and lone \\r become \\n, as in text mode,
     a line longer than a block joins its blocks once and a last line
     without an end gets one. Damaged compression fails as ValueError
     "PATH: reason", PATH being fh.name or "<stream>"."""
     pending = []  # the bytes after the last line end
     try:
-        while block := fh.read(size):
+        while block := fh.read(BLOCK):
             while block.endswith(b"\r") and (more := fh.read(1)):
                 block += more  # a \r\n the read split stays one line end
             if b"\r" in block:  # replace alone would search the block twice
@@ -165,7 +192,7 @@ def numbered_lines(path):
     ok), split by read_blocks; a line that is not UTF-8 fails as
     "PATH:LINE: reason"."""
     with topen(path, "rb") as fh:
-        lines = (line for block in read_blocks(fh, BLOCK)
+        lines = (line for block in read_blocks(fh)
                  for line in block.split(b"\n")[:-1])
         for lineno, line in enumerate(lines, 1):
             try:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import compress
 
 import numpy as np
 
@@ -82,11 +81,12 @@ def extract_events(sweep: SweepResult, index: SGIndex,
 
     nodes = [sweep.nodes[n] for n in node[first].tolist()]
     anchor, found = index.last_entry_before(nodes, probe)
-    events = list(map(ExtractedEvent, compress(nodes, found.tolist()),
-                      anchor[found].tolist(), at[first[found]].tolist(),
-                      at[last[found]].tolist(), silent[found].tolist()))
-    events.sort(key=lambda e: (e.outage_time, e.node))
-    return events
+    # by (anchor, node): sweep.nodes is sorted, and lexsort is stable
+    run = np.flatnonzero(found)
+    run = run[np.lexsort((node[first[run]], anchor[run]))]
+    return list(map(ExtractedEvent, [nodes[j] for j in run.tolist()],
+                    anchor[run].tolist(), at[first[run]].tolist(),
+                    at[last[run]].tolist(), silent[run].tolist()))
 
 
 def drop_maintenance_events(events, maintenance) -> list:

@@ -345,7 +345,7 @@ def parse_syslog_line(line: str, default_year: int, node_resolver) -> LogEntry:
     """
     parts = line.rstrip("\n").split(None, 4)
     if len(parts) < 4:
-        raise SyslogParseError(f"truncated line: {line!r}")
+        raise SyslogParseError("too few fields")
     ts = day_start(default_year, parts[0], parts[1]) + seconds_of_day(parts[2])
     node = _resolve_fn(node_resolver)(parts[3])
     if node is None:
@@ -371,9 +371,11 @@ def reference_parse(lines, default_year, resolver, name="<stream>"):
     for lineno, line in enumerate(lines, 1):
         if not line.strip() or line.startswith("#"):
             continue
-        month, day, rest = line.split(None, 2)
-        host = rest.split()[1]
         try:
+            if len(line.split(None, 3)) < 4:
+                raise SyslogParseError("too few fields")
+            month, day, rest = line.split(None, 2)
+            host = rest.split()[1]
             if resolver.get(host) is None:
                 # 2024 has every day some year has: this raises only on a
                 # date no year has or a bad time

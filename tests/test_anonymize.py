@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from logvicinity import anonymize, model
+from logvicinity import anonymize, model, names
 from logvicinity.anonymize import (RULE_VERSION, SubstitutionRuleSet,
                                    anonymize_stream, fnv1a_32, load_rules,
                                    read_anonymized, save_rules,
@@ -294,7 +294,7 @@ def test_block_reader_matches_the_line_reader(seed7_anonymized, monkeypatch,
     node and key ids keep their first appearance across blocks."""
     path = seed7_anonymized[which]
     if block:
-        monkeypatch.setattr(model, "BLOCK", block)
+        monkeypatch.setattr(names, "BLOCK", block)
     expect = _reference(path)
     assert len(expect[0]) > 30_000 and len(expect[3]) == 64
     assert _read(path) == expect
@@ -329,7 +329,7 @@ def test_block_reader_reads_every_spelling(tmp_path, monkeypatch, block,
     spellings of one node give the line reader's table, at any block
     size."""
     if block:
-        monkeypatch.setattr(model, "BLOCK", block)
+        monkeypatch.setattr(names, "BLOCK", block)
     cycle = ["\n", "\r\n", "\r"] if ends == "mixed" else [ends]
     path = tmp_path / "anon.txt"
     path.write_bytes("".join(
@@ -361,7 +361,7 @@ def test_names_that_share_a_hash_stay_apart(tmp_path, monkeypatch):
 @pytest.mark.parametrize("ends", ["\r\n", "mixed"])
 def test_each_line_end_counts_one_line(tmp_path, monkeypatch, block, ends):
     """A \\r\\n split between two blocks is one line end."""
-    monkeypatch.setattr(model, "BLOCK", block)
+    monkeypatch.setattr(names, "BLOCK", block)
     cycle = ["\n", "\r\n", "\r"] if ends == "mixed" else [ends]
     path = tmp_path / "anon.txt"
     path.write_bytes("".join(
@@ -386,7 +386,7 @@ def test_each_line_end_counts_one_line(tmp_path, monkeypatch, block, ends):
 def test_block_reader_rejects_impossible_stamps(tmp_path, monkeypatch, stamp,
                                                 block):
     if block:
-        monkeypatch.setattr(model, "BLOCK", block)
+        monkeypatch.setattr(names, "BLOCK", block)
     path = tmp_path / "anon.txt"
     path.write_text(f"#pars-lite v1\n2023-03-06T00:00:00Z\ti1r0n0\tdeadbeef\n"
                     f"{stamp}\ti1r0n0\tdeadbeef\n")
@@ -400,7 +400,7 @@ def test_read_anonymized_rejects_malformed_rows_after_the_first_block(
         tmp_path, monkeypatch, row, complaint):
     """The bad row lies blocks after the first; rows, blank and comment
     lines before it end in \\n, \\r\\n and \\r."""
-    monkeypatch.setattr(model, "BLOCK", 100)
+    monkeypatch.setattr(names, "BLOCK", 100)
     text, lines = "#pars-lite v1\n", 1
     for i in range(30):  # a \\r before an empty line would make one \\r\\n
         end = ["\n", "\r\n", "\r"][i % 3]
@@ -409,7 +409,7 @@ def test_read_anonymized_rejects_malformed_rows_after_the_first_block(
         lines += 2
     path = tmp_path / "anon.txt"
     path.write_bytes(f"{text}{row}\n{row}\n".encode())
-    assert len(text) > 10 * model.BLOCK
+    assert len(text) > 10 * names.BLOCK
     with pytest.raises(ValueError, match=complaint) as exc:
         read_anonymized(path)
     assert f"{path}:{lines + 1}:" in str(exc.value)
@@ -420,7 +420,7 @@ def test_read_anonymized_rejects_malformed_rows_after_the_first_block(
 def test_invalid_utf8_raises_after_the_rows_before_it(tmp_path, monkeypatch,
                                                       block):
     if block:
-        monkeypatch.setattr(model, "BLOCK", block)
+        monkeypatch.setattr(names, "BLOCK", block)
     good = b"#pars-lite v1\n2023-03-06T00:00:00Z\ti1r0n0\tdeadbeef\n"
     path = tmp_path / "anon.txt"
     path.write_bytes(good + b"2023-03-06T00:00:01Z\ti1r0n0\tdead\xffbeef\n")

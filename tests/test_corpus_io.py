@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from logvicinity import model
+from logvicinity import model, names
 from logvicinity.anonymize import SubstitutionRuleSet, write_anonymized
 from logvicinity.cli import main
 from logvicinity.model import (EventTable, NodeId, canonical_node,
@@ -216,7 +216,7 @@ def test_file_spellings_parse_alike(odd_corpus, tmp_path, monkeypatch, block):
     parsed, skipped, one_by_one = expect[1]
     assert parsed > 3000 and skipped == 1 and one_by_one == 1
     if block:
-        monkeypatch.setattr(model, "BLOCK", block)
+        monkeypatch.setattr(names, "BLOCK", block)
     spellings = {"gz.log.gz": gzip.compress(odd_corpus),
                  "crlf.log": odd_corpus.replace(b"\n", b"\r\n"),
                  "cr.log": odd_corpus.replace(b"\n", b"\r"),
@@ -259,7 +259,7 @@ def test_the_first_bad_line_wins_malformed_or_invalid_utf8(
     invalid UTF-8 on line 4, and invalid UTF-8 on line 4 of a file whose
     lines are otherwise good, each after the rows of the lines before."""
     if block:
-        monkeypatch.setattr(model, "BLOCK", block)
+        monkeypatch.setattr(names, "BLOCK", block)
     good = b"Mar  6 10:00:00 i1r0n0 kernel: ok\n"
     malformed = b"Mar 32 10:00:00 i1r0n0 kernel: ok\n"
     bad_byte = b"Mar  6 10:00:01 i1r0n0 caf\xe9 ok\n"
@@ -301,7 +301,7 @@ def test_parse_counts_the_lines_read_one_by_one(odd_corpus, tmp_path,
                                                monkeypatch, capsys):
     """A canonical corpus has no line read one by one; each odd line
     counts once, and `parse` prints the count."""
-    monkeypatch.setattr(model, "BLOCK", 1 << 15)
+    monkeypatch.setattr(names, "BLOCK", 1 << 15)
     lines = odd_corpus.splitlines(keepends=True)
     canonical = b"".join(line for line in lines if b"  i1" not in line)
     odd = canonical.replace(b"\n", b"\nMar  6 10:00:00  i1r0n0 odd\n", 1)
@@ -329,13 +329,13 @@ def test_one_odd_line_per_chunk_is_the_only_line_read_one_by_one(
     """Metamorphic: respelling the line in the middle of every BLOCK so
     that the arrays reject it gives the canonical corpus's table, and
     exactly those lines are read one by one."""
-    monkeypatch.setattr(model, "BLOCK", 1 << 17)
+    monkeypatch.setattr(names, "BLOCK", 1 << 17)
     write_syslog(corpus.entries.take(np.arange(len(corpus.entries)) < 30000),
                  tmp_path / "canonical.log")
     lines = (tmp_path / "canonical.log").read_bytes().splitlines(True)
     ends = np.cumsum([len(line) for line in lines])
-    odd = np.searchsorted(ends, np.arange(model.BLOCK // 2, ends[-1],
-                                          model.BLOCK), side="right")
+    odd = np.searchsorted(ends, np.arange(names.BLOCK // 2, ends[-1],
+                                          names.BLOCK), side="right")
     for k, i in enumerate(odd):
         lines[i] = ODD_SPELLINGS[k % len(ODD_SPELLINGS)](lines[i])
     (tmp_path / "odd.log").write_bytes(b"".join(lines))

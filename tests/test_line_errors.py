@@ -12,7 +12,7 @@ import io
 
 import pytest
 
-from logvicinity import model, names
+from logvicinity import names
 from logvicinity.anonymize import read_anonymized
 from logvicinity.cli import main
 from logvicinity.evaluate import load_events
@@ -24,9 +24,8 @@ SPELLINGS = [("", b"\n"), ("", b"\r\n"), (".gz", b"\n"), (".gz", b"\r\n")]
 
 @pytest.fixture(params=[1, 7, 4099, None], ids=lambda b: f"block{b}")
 def block(request, monkeypatch):
-    """Both block sizes: the corpus readers' and the record files'."""
+    """The one block size, the corpus readers' and the record files'."""
     if request.param:
-        monkeypatch.setattr(model, "BLOCK", request.param)
         monkeypatch.setattr(names, "BLOCK", request.param)
     return request.param
 

@@ -11,6 +11,10 @@ Testing: A Review of Challenges and Opportunities", ACM Computing Surveys
 - A second corpus on racks of an island the first lacks leaves the first
   racks' location cells and their nodes' events as they are: a location
   group is judged on its own nodes' counts alone.
+- Line order: reversing the rows of a jobs, outage-db or maintenance file
+  leaves the classified file as it is, reversing the outages reverses
+  the classified rows, and reversing the detected or truth rows leaves
+  the evaluate report as it is, plain and gzipped.
 """
 
 import random
@@ -18,9 +22,14 @@ import random
 import numpy as np
 import pytest
 
+from logvicinity.classify import CLASSIFIED_HEADER
 from logvicinity.cli import main
-from logvicinity.evaluate import score
-from logvicinity.model import EventTable, NodeId, Topology
+from logvicinity.datasources import (JOBS_HEADER, write_job_report,
+                                     write_windows)
+from logvicinity.evaluate import (TRUTH_HEADER, score, write_events,
+                                  write_truth)
+from logvicinity.model import EventTable, NodeId, Topology, topen
+from logvicinity.outages import detect_outages, write_outages
 from logvicinity.pipeline import run_variant
 from logvicinity.synth import GeneratorSpec, generate
 
@@ -168,3 +177,69 @@ def test_a_disjoint_island_leaves_the_other_racks_alone():
     assert set(base.sweep.skipped_groups) <= set(joint.sweep.skipped_groups)
     mine = set(first.topology.nodes)
     assert [e for e in _events(joint) if e[0] in mine] == _events(base)
+
+
+def _reverse_rows(path, out):
+    """Write out: the rows of path in reverse order, a header line first."""
+    with topen(path) as fh:
+        lines = fh.readlines()
+    head = int(lines[0].startswith("#") or lines[0].rstrip("\n") in
+               (JOBS_HEADER, TRUTH_HEADER, CLASSIFIED_HEADER))
+    with topen(out, "w") as fh:
+        fh.writelines(lines[:head] + lines[head:][::-1])
+
+
+@pytest.fixture(scope="module", params=["", ".gz"], ids=["plain", "gz"])
+def record_files(request, tmp_path_factory, corpus, rules, footprint,
+                 variant_runs):
+    """kind -> (the file, its rows reversed) of the seed-7 corpus's
+    records, its outages and its filtered_anonymized events."""
+    d, sfx = tmp_path_factory.mktemp("records"), request.param
+    truth = corpus.truth
+    writes = {
+        "jobs": lambda p: write_job_report(truth.jobs, p),
+        "outage_db": lambda p: write_windows(truth.outage_records, p),
+        "maintenance": lambda p: write_windows(truth.maintenance, p),
+        "outages": lambda p: write_outages(detect_outages(
+            corpus.entries, footprint, rules, corpus.range), p),
+        "truth": lambda p: write_truth(truth.failures, p),
+        "detected": lambda p: write_events(
+            variant_runs["filtered_anonymized"].events, p),
+    }
+    files = {}
+    for kind, write in writes.items():
+        path, back = d / f"{kind}{sfx}", d / f"{kind}_reversed{sfx}"
+        write(path)
+        _reverse_rows(path, back)
+        files[kind] = (str(path), str(back))
+    return files
+
+
+@pytest.mark.parametrize("kind", ["jobs", "outage_db", "maintenance",
+                                  "outages"])
+def test_line_order_does_not_change_classify(record_files, tmp_path, kind):
+    def classify(reverse):
+        out = tmp_path / f"{reverse}.csv"
+        f = {k: record_files[k][k == reverse] for k in record_files}
+        assert main(["classify", "--outages", f["outages"],
+                     "--jobs-file", f["jobs"], "--outage-db", f["outage_db"],
+                     "--maintenance", f["maintenance"],
+                     "--output", str(out)]) == 0
+        return out.read_text().splitlines()
+
+    want, got = classify(None), classify(kind)
+    assert len({row.split(",")[3] for row in want[1:]}) > 3  # the evidence
+    assert got == (want[:1] + want[:0:-1] if kind == "outages" else want)
+
+
+@pytest.mark.parametrize("kind", ["detected", "truth"])
+def test_line_order_does_not_change_evaluate(record_files, capsys, kind):
+    def evaluate(reverse):
+        assert main(["evaluate", "--detected", record_files["detected"][
+            reverse == "detected"], "--truth", record_files["truth"][
+            reverse == "truth"]]) == 0
+        return capsys.readouterr().out
+
+    want = evaluate(None)
+    assert want.split("\n")[2].split()[1:4] == ["26", "47", "14"]
+    assert evaluate(kind) == want

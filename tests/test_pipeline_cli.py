@@ -8,7 +8,7 @@ import numpy as np
 import oracles
 import pytest
 
-from logvicinity import anonymize, cli, evaluate
+from logvicinity import anonymize, evaluate
 from logvicinity.anonymize import SubstitutionRuleSet, read_anonymized
 from logvicinity.classify import (FailureEvent, load_classified,
                                   write_classified)
@@ -746,22 +746,6 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["evaluate", "--detected", "d", "--truth", "t"]) == 3
     assert capsys.readouterr().err == (
         "internal invariant violated: a broken invariant\n")
-
-
-@pytest.mark.parametrize("fails_after_opening", [True, False])
-def test_atomic_write_leaves_nothing_when_its_writer_fails(tmp_path,
-                                                           fails_after_opening):
-    target = tmp_path / "out.tsv"
-
-    def writer(tmp):
-        if fails_after_opening:
-            with open(tmp, "w") as fh:
-                fh.write("half a row")
-        raise OSError("disk full")
-
-    with pytest.raises(OSError, match="disk full"):
-        cli._atomic_write(target, writer)
-    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv, error", [

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from logvicinity import model
+from logvicinity import model, names
 from logvicinity.anonymize import SubstitutionRuleSet, fnv1a_32
 from logvicinity.detect import filter_frequent_anonymized
 from logvicinity.model import (NodeId, SyslogParseError, Topology,
@@ -98,7 +98,7 @@ def test_chunk_size_does_not_change_the_parse(monkeypatch):
     bounds."""
     lines = _wrapping_corpus(44)
     bad = lines + ["Mar 32 10:00:00 i1r0n0 a: z\n"]
-    monkeypatch.setattr(model, "BLOCK", len("".join(bad).encode()))
+    monkeypatch.setattr(names, "BLOCK", len("".join(bad).encode()))
     whole, error = _parsed(lines), _parsed(bad)
     assert whole[-1].skipped_unknown > 0
     assert error == f"<stream>:{len(bad)}: bad calendar day Mar '32'"
@@ -106,7 +106,7 @@ def test_chunk_size_does_not_change_the_parse(monkeypatch):
     shortest = min(len(line) for line in lines
                    if line.strip() and not line.startswith("#"))
     for size in (1, 7, 4096):
-        monkeypatch.setattr(model, "BLOCK", size)
+        monkeypatch.setattr(names, "BLOCK", size)
         assert _parsed(lines) == whole
         assert _parsed(bad) == error
         chunks, stats = parse_syslog_stream(syslog_file(bad), 2023,
@@ -141,7 +141,7 @@ def syslog_lines(draw):
     kinds = ["canonical"] * 10 + ["feb29", "comment"]
     if draw(st.booleans()):  # else the array path may take whole chunks
         kinds += ["whitespace", "fraction", "leading", "blank", "malformed",
-                  "two_in_one", "two_in_one"]
+                  "two_in_one", "two_in_one", "short"]
     lines = []
     for _ in range(draw(st.integers(0, 40))):
         t += draw(st.one_of(st.integers(0, 3 * 86400), st.just(60 * 86400)))
@@ -166,6 +166,8 @@ def syslog_lines(draw):
             line = draw(st.sampled_from([" ", "\t", "\xa0"])) + line
         if kind == "comment":
             line = "# " + line
+        if kind == "short":  # one to three fields: too few
+            line = " ".join(line.split()[:draw(st.integers(1, 3))])
         if kind == "two_in_one":  # one drawn line with a "\n" inside
             line += "\n" + draw(st.sampled_from([line, ""])) + "\n"
         if kind == "blank":
@@ -220,7 +222,7 @@ def test_chunked_parse_equals_the_line_parser(lines):
     same error after the rows of the lines before it."""
     expected = _reference(lines)
     for size in (1, 7, 4096):
-        with mock.patch.object(model, "BLOCK", size):
+        with mock.patch.object(names, "BLOCK", size):
             assert _streamed(lines) == expected
             if expected[-1] is None:
                 table, stats = parse_syslog_table(syslog_file(lines), 2023,
@@ -240,7 +242,7 @@ def test_written_corpora_are_never_read_line_by_line(corpus, tmp_path):
         with topen(path, "rb") as fh:  # as the CLI opens a corpus
             table, stats = parse_syslog_table(fh, 2023,
                                               gen.topology.resolver())
-        assert path.stat().st_size > 2 * model.BLOCK
+        assert path.stat().st_size > 2 * names.BLOCK
         assert stats.parsed == len(entries)
         assert rows_of(table) == rows_of(entries)
         assert stats.lines_one_by_one == 0
@@ -259,7 +261,7 @@ def test_year_wraps_are_read_by_the_arrays(monkeypatch):
         if year_of.setdefault(entry.node, year) != year:
             wraps.add((ends[i] - 1) // size)
         year_of[entry.node] = year
-    monkeypatch.setattr(model, "BLOCK", size)
+    monkeypatch.setattr(names, "BLOCK", size)
     table, stats = parse_syslog_table(syslog_file(lines), 2023, resolver)
     assert rows_of(table) == entries
     assert 0 < len(wraps) < ends[-1] // size // 2
