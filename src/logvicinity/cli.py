@@ -84,25 +84,39 @@ def _year_from(args) -> int:
     return year
 
 
-def _read_raw(args, topology=None):
-    """Parse a raw syslog corpus file into (EventTable, ParseStats)."""
-    from .model import parse_syslog_table
-    # without a topology every canonical name is a node; others are unknown
-    resolver = topology.resolver() if topology else canonical_node
-    with topen(args.corpus, "rb") as fh:
-        return parse_syslog_table(
-            fh, _year_from(args), resolver,
-            skip_unknown=not getattr(args, "strict", False))
+def _read_corpus(args):
+    """(table, topology, ParseStats or None) of --corpus and --topology.
 
-
-def _read_stream(args, topology=None):
-    """Raw or anonymized corpus, according to --anonymized."""
+    A raw corpus is parsed and a pars-lite one (--anonymized) read, under
+    one node rule: with a topology, the rows of any other node are
+    skipped; without one, every canonical node name is a node.
+    """
+    from .model import load_topology, parse_syslog_table
+    topology = load_topology(args.topology) if args.topology else None
     if getattr(args, "anonymized", False):
+        import numpy as np
         from .anonymize import read_anonymized
         table, _version = read_anonymized(args.corpus)
-        return table
-    table, _stats = _read_raw(args, topology)
-    return table
+        known = set(topology.nodes) if topology else set(table.nodes)
+        keep = np.array([node in known for node in table.nodes], dtype=bool)
+        return (table if keep.all() else table.take(keep[table.node]),
+                topology, None)
+    resolver = topology.resolver() if topology else canonical_node
+    with topen(args.corpus, "rb") as fh:
+        table, stats = parse_syslog_table(
+            fh, _year_from(args), resolver,
+            skip_unknown=not getattr(args, "strict", False))
+    return table, topology, stats
+
+
+def _read_records(args):
+    """(jobs, outage-db windows, maintenance windows) of --jobs-file,
+    --outage-db and --maintenance; a file not given holds no records."""
+    from . import datasources
+    return tuple(load(path) if path else [] for load, path in (
+        (datasources.load_job_report, getattr(args, "jobs_file", None)),
+        (datasources.load_outage_db, getattr(args, "outage_db", None)),
+        (datasources.load_maintenance, getattr(args, "maintenance", None))))
 
 
 def _range_from(args, table) -> ObservationRange:
@@ -188,9 +202,8 @@ def _spec_from(args):
 
 
 def cmd_parse(args) -> int:
-    from .model import load_topology, write_syslog
-    topology = load_topology(args.topology) if args.topology else None
-    table, stats = _read_raw(args, topology)
+    from .model import write_syslog
+    table, _topology, stats = _read_corpus(args)
     if args.output:
         write_syslog(table, args.output)
     summary = {
@@ -212,10 +225,8 @@ def cmd_parse(args) -> int:
 
 def cmd_anonymize(args) -> int:
     from .anonymize import write_anonymized
-    from .model import load_topology
     rules = _rules_from(args)
-    topology = load_topology(args.topology) if args.topology else None
-    table, _stats = _read_raw(args, topology)
+    table, _topology, _stats = _read_corpus(args)
     write_anonymized(table, args.output, rules)
     _emit_manifest(args, f"{args.output}.manifest.json")
     print(f"anonymized {len(table)} entries -> {args.output}")
@@ -223,10 +234,8 @@ def cmd_anonymize(args) -> int:
 
 
 def cmd_detect_outages(args) -> int:
-    from .model import load_topology
     from .outages import detect_outages, write_outages
-    topology = load_topology(args.topology) if args.topology else None
-    table = _read_stream(args, topology)
+    table, _topology, _stats = _read_corpus(args)
     obs_range = _range_from(args, table)
     outages = detect_outages(
         table, _footprint_from(args), _rules_from(args), obs_range,
@@ -241,12 +250,9 @@ def cmd_detect_outages(args) -> int:
 
 def cmd_classify(args) -> int:
     from .classify import classify_all, write_classified
-    from .datasources import load_job_report, load_maintenance, load_outage_db
     from .outages import load_outages
     outages = load_outages(args.outages)
-    jobs = load_job_report(args.jobs_file) if args.jobs_file else []
-    odb = load_outage_db(args.outage_db) if args.outage_db else []
-    maint = load_maintenance(args.maintenance) if args.maintenance else []
+    jobs, odb, maint = _read_records(args)
     events = classify_all(outages, maint, jobs, odb, args.correlation_window)
     write_classified(events, args.output)
     _emit_manifest(args, f"{args.output}.manifest.json")
@@ -266,25 +272,21 @@ def cmd_classify(args) -> int:
 
 def cmd_detect_anomalies(args) -> int:
     from .classify import load_classified
-    from .datasources import load_job_report, load_maintenance
     from .detect import write_verdicts
     from .evaluate import write_events
-    from .model import load_topology
     from .pipeline import run_variant
     if args.anonymized and args.variant not in ("anonymized",
                                                 "filtered_anonymized"):
         raise ValueError("anonymized input supports only the anonymized "
                          "and filtered_anonymized variants")
-    topology = load_topology(args.topology)
-    table = _read_stream(args, topology)
+    table, topology, _stats = _read_corpus(args)
     obs_range = _range_from(args, table)
     if args.vicinity != "time_of_failure":  # it judges at the failures
         _check_moments(args, obs_range)
+    jobs, _odb, maint = _read_records(args)
     run = run_variant(
-        table, topology, obs_range, args.variant, _rules_from(args),
-        load_maintenance(args.maintenance) if args.maintenance else [],
-        perspective=args.vicinity,
-        jobs=load_job_report(args.jobs_file) if args.jobs_file else None,
+        table, topology, obs_range, args.variant, _rules_from(args), maint,
+        perspective=args.vicinity, jobs=jobs if args.jobs_file else None,
         failures=(load_classified(args.failures_file)
                   if args.failures_file else None),
         window=args.window, cadence=args.cadence, alpha=args.alpha,
@@ -319,9 +321,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_pipeline(args) -> int:
     from .classify import write_classified
-    from .datasources import load_job_report, load_maintenance, load_outage_db
     from .evaluate import load_scored, render_reports, score, write_events
-    from .model import load_topology
     from .pipeline import detect_and_classify, run_variants
     # --tolerance is also the correlation window: named as the flag, and
     # checked before any sweep
@@ -344,12 +344,9 @@ def cmd_pipeline(args) -> int:
     else:
         if not args.corpus or not args.topology:
             raise ValueError("pipeline needs --generate or --corpus + --topology")
-        topology = load_topology(args.topology)
-        table, _stats = _read_raw(args, topology)
+        table, topology, _stats = _read_corpus(args)
         truth = load_scored(args.truth) if args.truth else None
-        jobs = load_job_report(args.jobs_file) if args.jobs_file else []
-        odb = load_outage_db(args.outage_db) if args.outage_db else []
-        maint = load_maintenance(args.maintenance) if args.maintenance else []
+        jobs, odb, maint = _read_records(args)
         obs_range = _range_from(args, table)
     _check_moments(args, obs_range)
 
@@ -399,12 +396,20 @@ def _add_common(p):
     p.add_argument("--manifest", help="run manifest path (JSON)")
 
 
-def _add_corpus_opts(p, anonymized_ok=True):
+def _add_corpus_opts(p, anonymized_ok=True, topology_required=False):
     p.add_argument("--corpus", required=True, help="syslog file (.gz ok)")
     p.add_argument("--year", type=int, help="calendar year of the first entries")
     if anonymized_ok:
         p.add_argument("--anonymized", action="store_true",
                        help="corpus is an anonymized key file")
+    p.add_argument("--topology", required=topology_required,
+                   help="restrict to known nodes")
+
+
+def _add_record_opts(p):
+    p.add_argument("--jobs-file", help="job report CSV")
+    p.add_argument("--outage-db", help="user-visible outage records")
+    p.add_argument("--maintenance", help="announced maintenance windows")
 
 
 def _add_detect_params(p):
@@ -460,7 +465,6 @@ def build_parser(config_defaults=None) -> argparse.ArgumentParser:
     p = add_parser("parse", help="parse and validate a syslog corpus")
     _add_common(p)
     _add_corpus_opts(p, anonymized_ok=False)
-    p.add_argument("--topology", help="restrict to known nodes")
     p.add_argument("--strict", action="store_true",
                    help="fail on unknown hostnames instead of skipping")
     p.add_argument("--output", help="write the normalized corpus here")
@@ -470,7 +474,6 @@ def build_parser(config_defaults=None) -> argparse.ArgumentParser:
     p = add_parser("anonymize", help="substitute + hash a corpus")
     _add_common(p)
     _add_corpus_opts(p, anonymized_ok=False)
-    p.add_argument("--topology")
     p.add_argument("--rules", help="substitution rules file")
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_anonymize)
@@ -478,7 +481,6 @@ def build_parser(config_defaults=None) -> argparse.ArgumentParser:
     p = add_parser("detect-outages", help="boot-anchored outage detection")
     _add_common(p)
     _add_corpus_opts(p)
-    p.add_argument("--topology")
     p.add_argument("--footprint", help="boot footprint file")
     p.add_argument("--rules")
     p.add_argument("--silence-threshold", type=int,
@@ -495,9 +497,7 @@ def build_parser(config_defaults=None) -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--outages", required=True,
                    help="output of detect-outages")
-    p.add_argument("--jobs-file", help="job report CSV")
-    p.add_argument("--outage-db", help="user-visible outage records")
-    p.add_argument("--maintenance", help="announced maintenance windows")
+    _add_record_opts(p)
     p.add_argument("--correlation-window", type=int,
                    default=DEFAULT_TOLERANCE)
     p.add_argument("--output", required=True)
@@ -506,8 +506,7 @@ def build_parser(config_defaults=None) -> argparse.ArgumentParser:
     p = add_parser("detect-anomalies",
                        help="vicinity-based frequency anomaly sweep")
     _add_common(p)
-    _add_corpus_opts(p)
-    p.add_argument("--topology", required=True)
+    _add_corpus_opts(p, topology_required=True)
     p.add_argument("--vicinity", choices=PERSPECTIVES, default="combined")
     p.add_argument("--variant", choices=VARIANTS, default="raw")
     p.add_argument("--rules")
@@ -542,9 +541,7 @@ def build_parser(config_defaults=None) -> argparse.ArgumentParser:
     p.add_argument("--year", type=int)
     p.add_argument("--topology")
     p.add_argument("--truth")
-    p.add_argument("--jobs-file")
-    p.add_argument("--outage-db")
-    p.add_argument("--maintenance")
+    _add_record_opts(p)
     p.add_argument("--footprint")
     p.add_argument("--rules")
     p.add_argument("--variant", choices=VARIANTS + ("all",), default="all")

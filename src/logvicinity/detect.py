@@ -104,8 +104,7 @@ class SGIndex:
     def _keep_edges(self, edges):
         """Keep the union of the kept and the new edges, or the new edges
         alone where the union would more than double them; only columns
-        of edges not kept before are counted, each node's in its own rows
-        of the key, as _rows_before counts."""
+        of edges not kept before are counted, by _rows_before."""
         kept, counted = self._edges, self._before
         union = _distinct(np.concatenate([kept, edges]))
         if len(union) > 2 * len(edges):
@@ -115,11 +114,8 @@ class SGIndex:
         old = union.searchsorted(kept)
         before[:, old], new[old] = counted, False
         new = np.flatnonzero(new)
-        at = np.clip(union[new] - self.t0, 0, _SPAN)
-        bounds = self.offset.tolist()
-        for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
-            before[i, new] = self.key[a:b].searchsorted(at + (i << 40))
-        before[-1, new] = 0  # the unlisted id owns no rows
+        ids = np.arange(len(self.offset))  # the unlisted id owns no rows
+        before[:, new] = self._rows_before(ids[:, None], union[new])
         self._edges, self._before = union, before
 
 

@@ -106,36 +106,41 @@ class VariantRun:
 
 
 def run_variant(table: EventTable, topology, obs_range, variant: str,
-                rules=None, maintenance=(), perspective: str = "combined",
-                jobs=None, failures=None,
-                window: int = DEFAULT_WINDOW, cadence: int = DEFAULT_CADENCE,
-                alpha: float = DEFAULT_ALPHA, tau_min: float = DEFAULT_TAU_MIN,
-                percentile: float = DEFAULT_PERCENTILE,
-                cv_threshold: float = CV_THRESHOLD) -> VariantRun:
-    """Prepare one variant of a table, sweep it under a perspective,
-    extract its events."""
-    variant_table, dropped = prepare_stream(table, variant, rules, percentile,
-                                            cv_threshold)
-    index = SGIndex(variant_table)
-    sweep = sweep_perspective(index, perspective, topology, obs_range,
-                              jobs=jobs, failures=failures, window=window,
-                              cadence=cadence, alpha=alpha, tau_min=tau_min)
-    events = drop_maintenance_events(
-        extract_events(sweep, index, cadence), maintenance)
-    return VariantRun(variant, events, dropped, sweep)
+                rules=None, maintenance=(), **params) -> VariantRun:
+    """run_variants of one variant."""
+    return run_variants(table, topology, obs_range, rules, maintenance,
+                        (variant,), **params)[variant]
 
 
 def run_variants(table: EventTable, topology, obs_range, rules=None,
-                 maintenance=(), variants=VARIANTS, **params) -> dict:
-    """Run each variant once on one table; raw and anonymized share a run."""
+                 maintenance=(), variants=VARIANTS, perspective="combined",
+                 cadence=DEFAULT_CADENCE, percentile=DEFAULT_PERCENTILE,
+                 cv_threshold=CV_THRESHOLD, **sweep_params) -> dict:
+    """Prepare each variant of a table, sweep it under a perspective and
+    extract its events; raw and anonymized share a run. sweep_params
+    (jobs, failures, window, alpha, tau_min) go to sweep_perspective.
+
+    The sweep counts the variant's rows, but every event is anchored on
+    the whole table's index, built once: a silent node at its last line,
+    whether the filter kept that line or not.
+    """
     rules = rules or SubstitutionRuleSet()  # one rule set keys the table once
+    whole = SGIndex(table)
     runs: dict = {}
     for v in variants:
         # the detector reads only (timestamp, node), which keying leaves as is
         twin = {"raw": "anonymized", "anonymized": "raw"}.get(v)
-        runs[v] = (replace(runs[twin], name=v) if twin in runs else
-                   run_variant(table, topology, obs_range, v, rules,
-                               maintenance, **params))
+        if twin in runs:
+            runs[v] = replace(runs[twin], name=v)
+            continue
+        kept, dropped = prepare_stream(table, v, rules, percentile,
+                                       cv_threshold)
+        sweep = sweep_perspective(
+            whole if kept is table else SGIndex(kept), perspective, topology,
+            obs_range, cadence=cadence, **sweep_params)
+        del kept  # freed before the next variant keys and filters
+        runs[v] = VariantRun(v, drop_maintenance_events(
+            extract_events(sweep, whole, cadence), maintenance), dropped, sweep)
     return runs
 
 

@@ -15,8 +15,13 @@ Testing: A Review of Challenges and Opportunities", ACM Computing Surveys
   leaves the classified file as it is, reversing the outages reverses
   the classified rows, and reversing the detected or truth rows leaves
   the evaluate report as it is, plain and gzipped.
+- Corpus format: a pars-lite file written from the whole corpus, read
+  under a topology of half its nodes, gives the outputs of the raw
+  corpus read under that topology: a row of a node outside it is
+  skipped in either format.
 """
 
+import json
 import random
 
 import numpy as np
@@ -241,5 +246,53 @@ def test_line_order_does_not_change_evaluate(record_files, capsys, kind):
         return capsys.readouterr().out
 
     want = evaluate(None)
-    assert want.split("\n")[2].split()[1:4] == ["26", "47", "14"]
+    assert want.split("\n")[2].split()[1:4] == ["40", "33", "0"]
     assert evaluate(kind) == want
+
+
+@pytest.fixture(scope="module")
+def both_formats(tmp_path_factory):
+    """(dir, manifest): a one-day corpus, its pars-lite file anon.txt
+    written without a topology, and first.tsv and second.tsv, topologies
+    of the first and the second half of its nodes; its failed nodes are
+    in the first half."""
+    d = tmp_path_factory.mktemp("formats")
+    assert main(["generate", "--out", str(d), "--days", "1", "--failures",
+                 "3", "--storms", "5", "--background-jobs", "10"]) == 0
+    manifest = json.loads((d / "run_manifest.json").read_text())
+    assert main(["anonymize", "--corpus", str(d / "corpus.log"), "--year",
+                 str(manifest["year"]), "--output", str(d / "anon.txt")]) == 0
+    head, *rows = (d / "topology.tsv").read_text().splitlines(keepends=True)
+    half = len(rows) // 2
+    (d / "first.tsv").write_text("".join([head] + rows[:half]))
+    (d / "second.tsv").write_text("".join([head] + rows[half:]))
+    return d, manifest
+
+
+@pytest.mark.parametrize("half", ["first", "second"])
+@pytest.mark.parametrize("bounds", [False, True], ids=["corpus", "from_to"])
+@pytest.mark.parametrize("command, raw_variant, anon_variant", [
+    ("detect-outages", None, None),
+    ("detect-anomalies", "raw", "anonymized"),
+    ("detect-anomalies", "filtered_anonymized", "filtered_anonymized")])
+def test_both_corpus_formats_obey_the_topology_alike(
+        both_formats, tmp_path, capsys, command, raw_variant, anon_variant,
+        bounds, half):
+    d, manifest = both_formats
+    args = [command, "--topology", str(d / f"{half}.tsv")]
+    if bounds:
+        args += ["--from", manifest["start"], "--to", manifest["end"]]
+    outputs = []
+    for name, corpus, variant in (
+            ("raw", ["--corpus", str(d / "corpus.log"), "--year",
+                     str(manifest["year"])], raw_variant),
+            ("anon", ["--corpus", str(d / "anon.txt"), "--anonymized"],
+             anon_variant)):
+        out, events = tmp_path / f"{name}.tsv", tmp_path / f"{name}_ev.tsv"
+        extra = (["--variant", variant, "--events", str(events)]
+                 if variant else [])
+        assert main(args + corpus + extra + ["--output", str(out)]) == 0
+        outputs.append([out.read_bytes()]
+                       + ([events.read_bytes()] if variant else []))
+    assert outputs[0] == outputs[1]
+    assert all(outputs[0]) or half == "second"

@@ -20,12 +20,12 @@ from logvicinity.evaluate import (ExtractedEvent, load_events, load_truth,
                                   write_events)
 from logvicinity.model import (NodeId, ObservationRange, Topology, iso,
                                parse_iso, parse_node_name, to_epoch, topen)
-from logvicinity.names import run_manifest
+from logvicinity.names import DEFAULT_CADENCE, run_manifest
 from logvicinity.outages import (BootFootprintSpec, detect_boot_events,
                                  load_outages)
-from logvicinity.pipeline import (drop_maintenance_events, extract_events,
-                                  prepare_stream, run_variant, run_variants,
-                                  sweep_perspective)
+from logvicinity.pipeline import (MAX_GAP_MOMENTS, drop_maintenance_events,
+                                  extract_events, prepare_stream, run_variant,
+                                  run_variants, sweep_perspective)
 from logvicinity.synth import GeneratorSpec, generate
 from logvicinity.vicinity import (VicinityAssignment, allocation_groups,
                                   combined_vicinity, hardware_vicinity,
@@ -151,6 +151,60 @@ def test_run_variants_shares_the_raw_run_with_anonymized(corpus, rules):
     assert runs["anonymized"].name == "anonymized"
     assert runs["anonymized"].events == alone.events
     assert runs["anonymized"].sweep is runs["raw"].sweep
+
+
+WORDS = ("alpha bravo charlie delta echo foxtrot golf hotel india juliett "
+         "kilo lima mike november oscar papa quebec romeo sierra tango "
+         "uniform victor whiskey xray yankee zulu").split()
+
+
+@pytest.mark.parametrize("variant", ["filtered_raw", "filtered_anonymized"])
+def test_a_filtered_variant_anchors_at_the_last_line(variant):
+    """Four nodes log a heartbeat a minute and a job step of a random
+    kind every two minutes. X's job steps stop at 6 h and its heartbeats
+    at 7 h; both filters drop the heartbeat alone, so the sweep sees X
+    silent from 6 h on, but its outage is anchored at its last
+    heartbeat, as in raw."""
+    nodes = [NodeId(1, 0, p) for p in range(4)]
+    start = to_epoch(2023, 3, 6, 0, 0, 0)
+    rng = random.Random(0)
+    beat = "Session heartbeat check completed"
+    rows = []
+    for node in nodes:
+        steps = start + 6 * 3600 if node == X else start + 12 * 3600
+        beats = start + 7 * 3600 if node == X else start + 12 * 3600
+        rows += [LogEntry(t, node, "sessiond", beat)
+                 for t in range(start + 30, beats, 60)]
+        rows += [LogEntry(t, node, "slurmd", f"job step {rng.choice(WORDS)}")
+                 for t in range(start, steps, 120)]
+    table = table_of(rows)
+    topology = Topology(nodes, dict.fromkeys(nodes, "Haswell"))
+    obs_range = ObservationRange(start, start + 12 * 3600)
+    runs = run_variants(table, topology, obs_range,
+                        variants=("raw", variant), perspective="location")
+    rules = SubstitutionRuleSet()
+    assert runs[variant].dropped == [
+        rules.key(beat) if variant == "filtered_anonymized"
+        else rules.template(beat)]
+    last_beat = start + 7 * 3600 - 30
+    for run in runs.values():
+        assert [(e.node, e.outage_time, e.non_responsive)
+                for e in run.events] == [(X, last_beat, True)]
+    assert runs[variant].events[0].first_flagged < last_beat
+
+
+def test_every_variant_anchors_as_the_reference_on_the_whole_table(
+        corpus, variant_runs):
+    """The seed-7 runs of all four variants, against the per-node loop
+    over the whole table, less the events in maintenance windows."""
+    maintenance = corpus.truth.maintenance
+    for run in variant_runs.values():
+        want = [e for e in oracles.reference_extract_events(
+            run.sweep, corpus.entries, DEFAULT_CADENCE, MAX_GAP_MOMENTS)
+            if not any(w.covers(e[0], e[1]) for w in maintenance)]
+        assert want and [(e.node, e.outage_time, e.first_flagged,
+                          e.last_flagged, e.non_responsive)
+                         for e in run.events] == want
 
 
 # ---------------------------------------------------------------------------
