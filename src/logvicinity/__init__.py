@@ -30,9 +30,8 @@ _EXPORTS = {
               "UnknownNodeError", "VARIANTS", "parse_node_name"),
     "outages": ("BootEvent", "BootFootprintSpec", "OutageEvent",
                 "detect_boot_events", "detect_outages", "load_footprint"),
-    "pipeline": ("VariantRun", "detect_and_classify",
-                 "extract_events", "prepare_stream", "run_variant",
-                 "run_variants", "sweep_perspective"),
+    "pipeline": ("VariantRun", "extract_events", "prepare_stream",
+                 "run_variant", "run_variants", "sweep_perspective"),
     "synth": ("GeneratedCorpus", "GeneratorSpec", "GroundTruth",
               "desk_topology", "generate", "scale_topology",
               "taurus_topology", "write_corpus_files"),

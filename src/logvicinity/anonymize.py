@@ -116,9 +116,17 @@ def load_rules(path) -> SubstitutionRuleSet:
 
 
 def save_rules(rules: SubstitutionRuleSet, path) -> None:
+    """Write load_rules's file; a version or rule it would read otherwise
+    ("#" leads a comment, a tab ends the pattern) raises ValueError."""
+    if not re.fullmatch(r"\S+", str(rules.version)):  # load_rules reads v(\S+)
+        raise ValueError(f"{path}: rules version {rules.version!r} is not one word")
     with topen(path, "w") as fh:
         fh.write(f"# substitution rules v{rules.version}\n")
         for pattern, (_, token) in zip(rules.patterns, rules.rules):
+            if (pattern.startswith("#") or "\t" in pattern or not token
+                    or re.search("[\r\n]", pattern + token)):
+                raise ValueError(f"{path}: rule {pattern!r} -> {token!r} "
+                                 f"would not load back as it is")
             fh.write(f"{pattern}\t{token}\n")
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .names import (LABELS, NodeId, check_nonnegative, iso, parse_iso,
-                    parse_node_name, read_records, topen)
+                    parse_node_name, read_records, write_records)
 
 DEFAULT_CORRELATION_WINDOW = 600  # seconds
 CLASSIFIED_HEADER = "node,outage_time,label,evidence"  # the file's first line
@@ -84,8 +84,6 @@ def load_classified(path) -> list:
 
 
 def write_classified(events, path) -> None:
-    with topen(path, "w") as fh:
-        fh.write(f"{CLASSIFIED_HEADER}\n")
-        for ev in events:
-            fh.write(f"{ev.node.name},{iso(ev.outage_time)},{ev.label},"
-                     f"{'+'.join(ev.evidence)}\n")
+    write_records(path, ([ev.node.name, iso(ev.outage_time), ev.label,
+                          "+".join(ev.evidence)] for ev in events),
+                  sep=",", header=CLASSIFIED_HEADER)

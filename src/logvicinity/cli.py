@@ -320,9 +320,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    from .classify import write_classified
+    from .classify import classify_all, write_classified
     from .evaluate import load_scored, render_reports, score, write_events
-    from .pipeline import detect_and_classify, run_variants
+    from .outages import detect_outages
+    from .pipeline import run_variants
     # --tolerance is also the correlation window: named as the flag, and
     # checked before any sweep
     check_nonnegative(tolerance=args.tolerance)
@@ -357,9 +358,8 @@ def cmd_pipeline(args) -> int:
         tau_min=args.tau_min, percentile=args.percentile,
         cv_threshold=args.cv_threshold)
 
-    classified = detect_and_classify(
-        table, footprint, rules, obs_range, jobs=jobs, outage_records=odb,
-        maintenance=maint, correlation_window=args.tolerance)
+    classified = classify_all(detect_outages(table, footprint, rules, obs_range),
+                              maint, jobs, odb, args.tolerance)
     write_classified(classified, os.path.join(workdir, "classified.csv"))
     for name, run in runs.items():
         write_events(run.events, os.path.join(workdir, f"events_{name}.tsv"))

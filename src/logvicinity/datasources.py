@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 from .model import (NodeId, compress_node_names, expand_node_spec, iso,
-                    parse_iso, parse_node_name, read_records, topen)
+                    parse_iso, parse_node_name, read_records, write_records)
 
 JOB_STATUSES = ("completed", "failed", "cancelled", "timeout", "node_fail")
 JOBS_HEADER = "job_id,nodes,start,end,status"  # write_job_report's first row
@@ -93,13 +92,9 @@ def load_job_report(path) -> list:
 
 
 def write_job_report(jobs, path) -> None:
-    with topen(path, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(JOBS_HEADER.split(","))
-        for job in jobs:
-            names = [n.name for n in sorted(job.nodes)]
-            writer.writerow([job.job_id, compress_node_names(names),
-                             iso(job.start), iso(job.end), job.status])
+    write_records(path, ([j.job_id, compress_node_names(n.name for n in j.nodes),
+                          iso(j.start), iso(j.end), j.status] for j in jobs),
+                  sep=",", header=JOBS_HEADER)
 
 
 def _window(line) -> Window:
@@ -129,7 +124,6 @@ def load_maintenance(path) -> list:
 def write_windows(windows, path) -> None:
     """An outage db or a maintenance file; a window's tab and note are
     written only when its note is not empty."""
-    with topen(path, "w") as fh:
-        for w in windows:
-            note = f"\t{w.note}" if w.note else ""
-            fh.write(f"{iso(w.start)}..{iso(w.end)}\t{w.scope}{note}\n")
+    write_records(path, ([f"{iso(w.start)}..{iso(w.end)}\t{w.scope}"
+                          + (f"\t{w.note}" if w.note else "")]
+                         for w in windows), sep=None)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from .classify import CLASSIFIED_HEADER, load_classified
 from .names import (DEFAULT_TOLERANCE, NodeId, check_nonnegative, iso,
                     numbered_lines, parse_iso, parse_node_name, read_records,
-                    topen)
+                    write_records)
 
 CAUSES = ("crash_panic", "silent_hang", "no_reboot")
 TRUTH_HEADER = "node,outage_time,has_reboot,cause"  # write_truth's first row
@@ -39,12 +39,10 @@ class InjectedFailure:
 
 
 def write_events(events, path) -> None:
-    with topen(path, "w") as fh:
-        fh.write("# node\toutage\tfirst_flagged\tlast_flagged\tsilent\n")
-        for ev in events:
-            fh.write(f"{ev.node.name}\t{iso(ev.outage_time)}\t"
-                     f"{iso(ev.first_flagged)}\t{iso(ev.last_flagged)}\t"
-                     f"{str(ev.non_responsive).lower()}\n")
+    write_records(path, ([ev.node.name, iso(ev.outage_time),
+                          iso(ev.first_flagged), iso(ev.last_flagged),
+                          str(ev.non_responsive).lower()] for ev in events),
+                  header="# node\toutage\tfirst_flagged\tlast_flagged\tsilent")
 
 
 def load_events(path) -> list:
@@ -64,12 +62,9 @@ def load_events(path) -> list:
 
 
 def write_truth(failures, path) -> None:
-    with topen(path, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRUTH_HEADER.split(","))
-        for f in failures:
-            writer.writerow([f.node.name, iso(f.outage_time),
-                             str(f.has_reboot).lower(), f.cause])
+    write_records(path, ([f.node.name, iso(f.outage_time),
+                          str(f.has_reboot).lower(), f.cause] for f in failures),
+                  sep=",", header=TRUTH_HEADER)
 
 
 def load_truth(path) -> list:

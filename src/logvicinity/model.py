@@ -14,7 +14,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .names import (NodeId, ObservationRange, SyslogParseError,  # noqa: F401
                     UnknownNodeError, canonical_node, iso, line_error,
                     parse_iso, parse_node_name, read_blocks, read_records,
-                    to_epoch, topen)
+                    to_epoch, topen, write_records)
 
 ARCHITECTURES = ("Haswell", "SandyBridge", "Westmere", "Broadwell", "GPU")
 
@@ -670,10 +670,9 @@ def load_topology(path) -> Topology:
 
 
 def save_topology(topology: Topology, path) -> None:
-    with topen(path, "w") as fh:
-        fh.write("# node\tarchitecture\tisland\track\n")
-        for n in topology.nodes:
-            fh.write(f"{n.name}\t{topology.architecture_of[n]}\t{n.island}\t{n.rack}\n")
+    write_records(path, ([n.name, topology.architecture_of[n], str(n.island),
+                          str(n.rack)] for n in topology.nodes),
+                  header="# node\tarchitecture\tisland\track")
 
 
 _RANGE_RE = re.compile(r"(.*n)\[([\d,\-]+)\]", re.ASCII)

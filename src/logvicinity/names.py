@@ -202,6 +202,11 @@ def numbered_lines(path):
             yield lineno, text
 
 
+def _skipped(line, header) -> bool:
+    """Whether read_records skips line: blank, "#"-led or header."""
+    return not line.strip() or line.lstrip().startswith("#") or line == header
+
+
 def read_records(path, row, sep="\t", header=None) -> list:
     """row(fields) of each record line of numbered_lines(path), in file
     order: fields is the line split at sep, by CSV rules for ",", or the
@@ -209,20 +214,41 @@ def read_records(path, row, sep="\t", header=None) -> list:
     character is "#" and lines that read exactly header (the writer's
     header row) are skipped. A ValueError from row, or a CSV error, fails
     the read as "PATH:LINE: reason"."""
-    errors = ValueError
-    if sep == ",":
-        import csv  # loaded only by the subcommands that read CSV
-        errors = (ValueError, csv.Error)
+    import csv  # loaded only by the subcommands that read records
     records = []
     for lineno, line in numbered_lines(path):
-        if not line.strip() or line.lstrip().startswith("#") or line == header:
+        if _skipped(line, header):
             continue
         try:
             records.append(row(line if sep is None else next(csv.reader([line]))
                                if sep == "," else line.split(sep)))
-        except errors as exc:
+        except (ValueError, csv.Error) as exc:
             raise line_error(path, lineno, exc) from None
     return records
+
+
+class _Echo:  # a file whose write returns its text, so writerow returns the line
+    write = staticmethod(str)
+
+
+def write_records(path, rows, sep="\t", header=None) -> None:
+    """Write header, if given, and each row's fields as a line through
+    topen: joined by sep, by CSV rules for ",", or one field as the line
+    for None. A row read_records would not give back (a line break in a
+    field, sep in a field outside CSV, NUL in CSV, a line read_records
+    skips) raises ValueError naming path and the row; path keeps its bytes."""
+    import csv  # loaded only by the subcommands that write records
+    join = (csv.writer(_Echo(), lineterminator="").writerow if sep == ","
+            else (sep or "").join)
+    with topen(path, "w") as fh:
+        fh.write("" if header is None else f"{header}\n")
+        for row in rows:
+            text = "".join(row)  # Python 3.10's csv can hold no NUL
+            if ("\n" in text or "\r" in text or sep == "," and "\0" in text
+                    or _skipped(line := join(row), header)
+                    or sep not in (None, ",") and line.count(sep) >= len(row)):
+                raise ValueError(f"{path}: {row!r} would not read back as it is")
+            fh.write(f"{line}\n")
 
 
 def run_manifest(config: dict, seed=None) -> dict:

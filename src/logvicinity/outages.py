@@ -11,7 +11,7 @@ from .model import EventTable, _lexsort
 from .names import (DEFAULT_BURST_FACTOR, DEFAULT_BURST_MINUTES,
                     DEFAULT_MIN_GAP, DEFAULT_SILENCE_THRESHOLD, NodeId,
                     ObservationRange, check_nonnegative, iso, parse_iso,
-                    parse_node_name, read_records, topen)
+                    parse_node_name, read_records, write_records)
 
 FOOTPRINT_SPAN = 120  # seconds within which the whole footprint must appear
 
@@ -70,9 +70,15 @@ def load_footprint(path) -> BootFootprintSpec:
 
 
 def save_footprint(spec: BootFootprintSpec, path) -> None:
-    with topen(path, "w") as fh:
-        for kind, value in spec.items:
-            fh.write(f"key:{value}\n" if kind == "key" else f"{value}\n")
+    """One item per line, a key as key:KEY; one load_footprint reads
+    otherwise, or a line write_records refuses, raises ValueError."""
+    def row(kind, value):
+        if (len(value) != 8 or value.strip("0123456789abcdef") if kind == "key"
+                else value.startswith("key:")):
+            raise ValueError(f"{path}: footprint {kind} {value!r} would not load")
+        return [f"key:{value}" if kind == "key" else value]
+
+    write_records(path, (row(*item) for item in spec.items), sep=None)
 
 
 def detect_boot_events(table: EventTable, footprint: BootFootprintSpec,
@@ -194,10 +200,9 @@ def detect_outages(table: EventTable, footprint: BootFootprintSpec, rules,
 
 
 def write_outages(outages, path) -> None:
-    with topen(path, "w") as fh:
-        for o in outages:
-            boot_s = iso(o.following_boot.boot_time) if o.following_boot else "TAIL"
-            fh.write(f"{o.node.name}\t{iso(o.outage_time)}\t{boot_s}\t{o.confidence}\n")
+    write_records(path, ([o.node.name, iso(o.outage_time),
+                          iso(o.following_boot.boot_time) if o.following_boot
+                          else "TAIL", o.confidence] for o in outages))
 
 
 def load_outages(path) -> list:

@@ -7,7 +7,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .anonymize import SubstitutionRuleSet
-from .classify import DEFAULT_CORRELATION_WINDOW, classify_all
 from .detect import (VERDICTS, SGIndex, SweepResult,
                      filter_frequent_anonymized, filter_frequent_raw,
                      observation_moments, sweep_schedule)
@@ -17,7 +16,6 @@ from .model import EventTable
 from .names import (CV_THRESHOLD, DEFAULT_ALPHA, DEFAULT_CADENCE,
                     DEFAULT_PERCENTILE, DEFAULT_TAU_MIN, DEFAULT_WINDOW,
                     VARIANTS)
-from .outages import detect_outages
 from .vicinity import (allocation_schedule, combined_vicinity,
                        hardware_vicinity, location_vicinity,
                        time_of_failure_vicinity)
@@ -187,17 +185,3 @@ def sweep_perspective(index: SGIndex, perspective: str, topology, obs_range,
         raise ValueError(f"unknown perspective: {perspective!r}")
     return sweep_schedule(index, schedule, window=window, alpha=alpha,
                           tau_min=tau_min)
-
-
-# ---------------------------------------------------------------------------
-# outage detection + classification route
-
-def detect_and_classify(table: EventTable, footprint, rules, obs_range,
-                        jobs=(), outage_records=(), maintenance=(),
-                        correlation_window: int = DEFAULT_CORRELATION_WINDOW,
-                        **outage_params) -> list:
-    """Boot-anchored outages classified against operational records."""
-    outages = detect_outages(table, footprint, rules, obs_range,
-                             **outage_params)
-    return classify_all(outages, maintenance, jobs, outage_records,
-                        correlation_window)

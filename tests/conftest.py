@@ -41,8 +41,9 @@ def variant_runs(corpus, rules):
 
 @pytest.fixture(scope="session")
 def classified_events(corpus, rules, footprint):
-    from logvicinity.pipeline import detect_and_classify
-    return detect_and_classify(
-        corpus.entries, footprint, rules, corpus.range,
-        jobs=corpus.truth.jobs, outage_records=corpus.truth.outage_records,
-        maintenance=corpus.truth.maintenance)
+    from logvicinity.classify import classify_all
+    from logvicinity.outages import detect_outages
+    truth = corpus.truth
+    return classify_all(
+        detect_outages(corpus.entries, footprint, rules, corpus.range),
+        truth.maintenance, truth.jobs, truth.outage_records)

@@ -13,10 +13,12 @@ from collections import Counter
 from importlib.resources import files as resource_files
 
 from logvicinity.anonymize import fnv1a_32
+from logvicinity.classify import classify_all
 from logvicinity.detect import DEFAULT_WINDOW, SGIndex, run_detection
 from logvicinity.evaluate import match_detections, score
 from logvicinity.model import NodeId, Topology, load_topology
-from logvicinity.pipeline import detect_and_classify, run_variant, run_variants
+from logvicinity.outages import detect_outages
+from logvicinity.pipeline import run_variant, run_variants
 from logvicinity.synth import taurus_topology
 from logvicinity.vicinity import (combined_vicinity, hardware_vicinity,
                                   location_vicinity)
@@ -56,10 +58,10 @@ def test_raw_and_anonymized_streams_score_identically(corpus, rules):
 def test_every_injected_failure_recovered_at_exact_instant(corpus, rules,
                                                            footprint):
     t0 = time.perf_counter()
-    events = detect_and_classify(
-        corpus.entries, footprint, rules, corpus.range,
-        jobs=corpus.truth.jobs, outage_records=corpus.truth.outage_records,
-        maintenance=corpus.truth.maintenance)
+    events = classify_all(
+        detect_outages(corpus.entries, footprint, rules, corpus.range),
+        corpus.truth.maintenance, corpus.truth.jobs,
+        corpus.truth.outage_records)
     elapsed = time.perf_counter() - t0
     regulars = {(ev.node, ev.outage_time) for ev in events
                 if ev.label == "regular_failure"}

@@ -166,10 +166,11 @@ def test_detection_and_outages_never_load_numpy_ma(tmp_path):
     code = """
 import sys
 from logvicinity.anonymize import SubstitutionRuleSet
+from logvicinity.classify import classify_all
 from logvicinity.detect import SGIndex
 from logvicinity.model import parse_syslog_table, write_syslog
-from logvicinity.outages import BootFootprintSpec
-from logvicinity.pipeline import detect_and_classify, run_variants, sweep_perspective
+from logvicinity.outages import BootFootprintSpec, detect_outages
+from logvicinity.pipeline import run_variants, sweep_perspective
 from logvicinity.synth import FOOTPRINT_LINES, GeneratorSpec, generate
 c = generate(GeneratorSpec(seed=3, days=1.0, failure_count=3, skew_share=0.0,
                            storm_count=5, background_jobs=10))
@@ -182,8 +183,9 @@ run_variants(c.entries, c.topology, c.range,
 sweep_perspective(SGIndex(c.entries), "allocation", c.topology, c.range,
                   jobs=c.truth.jobs)
 footprint = BootFootprintSpec([("template", m) for _, m in FOOTPRINT_LINES])
-print(len(detect_and_classify(c.entries, footprint, SubstitutionRuleSet(),
-                              c.range)))
+print(len(classify_all(detect_outages(c.entries, footprint,
+                                      SubstitutionRuleSet(), c.range),
+                       (), (), ())))
 print("numpy.ma" in sys.modules)
 """
     outages, loaded = _child(code, str(tmp_path / "corpus.log")).split()

@@ -19,6 +19,9 @@ Testing: A Review of Challenges and Opportunities", ACM Computing Surveys
   under a topology of half its nodes, gives the outputs of the raw
   corpus read under that topology: a row of a node outside it is
   skipped in either format.
+- Range splitting: sweeping two halves of the observation range, split
+  on the cadence grid, judges each of their cells as the sweep of the
+  whole range does, whichever is swept first on one shared SGIndex.
 """
 
 import json
@@ -31,11 +34,13 @@ from logvicinity.classify import CLASSIFIED_HEADER
 from logvicinity.cli import main
 from logvicinity.datasources import (JOBS_HEADER, write_job_report,
                                      write_windows)
+from logvicinity.detect import SGIndex
 from logvicinity.evaluate import (TRUTH_HEADER, score, write_events,
                                   write_truth)
 from logvicinity.model import EventTable, NodeId, Topology, topen
+from logvicinity.names import DEFAULT_CADENCE, ObservationRange
 from logvicinity.outages import detect_outages, write_outages
-from logvicinity.pipeline import run_variant
+from logvicinity.pipeline import run_variant, sweep_perspective
 from logvicinity.synth import GeneratorSpec, generate
 
 
@@ -137,7 +142,7 @@ def test_one_message_text_leaves_verdicts_and_events_as_they_are(
     assert got == want
 
 
-def _location_cells(sweep):
+def _cells(sweep):
     """Each cell's centres, wcss and tau and its rows' nodes, counts,
     verdicts and minority marks, by (moment, group name)."""
     cells = {}
@@ -176,12 +181,42 @@ def test_a_disjoint_island_leaves_the_other_racks_alone():
                                perspective="location")
                    for table, top in ((a, first.topology), (both, topology)))
     assert base.events and (base.sweep.code != 0).any()
-    want, got = _location_cells(base.sweep), _location_cells(joint.sweep)
+    want, got = _cells(base.sweep), _cells(joint.sweep)
     assert len(got) == 2 * len(want)  # the second racks' cells as many
     assert {key: got[key] for key in want} == want
     assert set(base.sweep.skipped_groups) <= set(joint.sweep.skipped_groups)
     mine = set(first.topology.nodes)
     assert [e for e in _events(joint) if e[0] in mine] == _events(base)
+
+
+@pytest.fixture(scope="module")
+def small_corpus():
+    return generate(GeneratorSpec(seed=3, days=1.0, failure_count=3,
+                                  skew_share=0.0, storm_count=5,
+                                  background_jobs=10))
+
+
+@pytest.mark.parametrize("order", ["whole_first", "halves_first"])
+@pytest.mark.parametrize("perspective", ["hardware", "combined", "allocation"])
+def test_a_split_range_sweeps_the_cells_of_the_whole(small_corpus, perspective,
+                                                     order):
+    """One SGIndex serves every sweep, so the edges it kept for one range
+    and window are reused, or extended, by the next."""
+    c = small_corpus
+    start, end = c.range.start, c.range.end
+    mid = start + (end - start) // (2 * DEFAULT_CADENCE) * DEFAULT_CADENCE
+    ranges = [c.range, ObservationRange(start, mid), ObservationRange(mid, end)]
+    if order == "halves_first":
+        ranges.reverse()
+    index = SGIndex(c.entries)
+    for window in (900, 1800):
+        sweeps = {r: _cells(sweep_perspective(
+            index, perspective, c.topology, r, jobs=c.truth.jobs,
+            window=window)) for r in ranges}
+        whole = sweeps.pop(c.range)
+        assert any(any(cell[6]) for cell in whole.values())  # a flagged node
+        for part in sweeps.values():
+            assert part and {key: whole.get(key) for key in part} == part
 
 
 def _reverse_rows(path, out):

@@ -6,9 +6,15 @@ the command that reads it, with "PATH:LINE: reason".
 """
 
 import gzip
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from logvicinity.anonymize import SubstitutionRuleSet, load_rules, save_rules
 from logvicinity.classify import FailureEvent, load_classified, write_classified
 from logvicinity.cli import main
 from logvicinity.datasources import (JobRecord, Scope, Window, load_job_report,
@@ -18,6 +24,7 @@ from logvicinity.evaluate import (ExtractedEvent, InjectedFailure, load_events,
                                   load_scored, load_truth, write_events,
                                   write_truth)
 from logvicinity.model import NodeId, Topology, load_topology, save_topology
+from logvicinity.names import read_records, write_records
 from logvicinity.outages import (BootEvent, BootFootprintSpec, OutageEvent,
                                  load_footprint, load_outages, save_footprint,
                                  write_outages)
@@ -314,3 +321,140 @@ def test_cli_names_the_line_that_is_not_utf8(tmp_path, capsys):
                  "--output", str(tmp_path / "out.csv")]) == 2
     assert capsys.readouterr().err.startswith(
         f"error: {jobs}:3: 'utf-8' codec can't decode byte 0xe9")
+
+
+def _rules_of(path):
+    rules = load_rules(path)
+    return rules.version, list(zip(rules.patterns, (t for _, t in rules.rules)))
+
+
+# format: (write its records to a path, read them back)
+ONE_RECORD = {
+    "jobs": (write_job_report, load_job_report),
+    "outage_db": (write_windows, load_outage_db),
+    "maintenance": (write_windows, load_maintenance),
+    "footprint": (lambda items, path: save_footprint(BootFootprintSpec(items),
+                                                     path),
+                  lambda path: load_footprint(path).items),
+    "rules": (lambda r, path: save_rules(SubstitutionRuleSet(r[1], r[0]), path),
+              _rules_of),
+}
+# field: (its format, the records that hold a text in it)
+FIELDS = {
+    "job_id": ("jobs", lambda text: [
+        JobRecord(text, frozenset({A, B}), T, T + 60, "failed")]),
+    "outage_note": ("outage_db", lambda text: [
+        Window(T, T + 60, Scope("system"), text)]),
+    "maintenance_note": ("maintenance", lambda text: [
+        Window(T, T + 60, Scope("node", node=B), text)]),
+    "template": ("footprint", lambda text: [("template", text)]),
+    "key": ("footprint", lambda text: [("key", text)]),
+    "pattern": ("rules", lambda text: ("1", [(text, "<N>")])),
+    "token": ("rules", lambda text: ("1", [("\\d", text)])),
+    "version": ("rules", lambda text: (text, [])),
+}
+
+
+def _write(field, text, path):
+    """Write a file of FIELDS[field]'s records holding text; the records."""
+    name, make = FIELDS[field]
+    records = make(text)
+    ONE_RECORD[name][0](records, path)
+    return records
+
+
+# (field, a text its reader would read otherwise, or not at all)
+MISREAD = [("job_id", "#j3"), ("job_id", " \t#j3"), ("job_id", "j\n3"),
+           ("outage_note", "PSU\nswap"), ("maintenance_note", "BIOS\rupdate"),
+           ("template", "Booting\nkey:0badf00d"), ("template", "key:0badf00d"),
+           ("template", "# Booting"), ("template", "  "), ("key", "DEADBEEF"),
+           ("key", "deadbee"), ("pattern", "#\\d+"), ("pattern", "a\tb"),
+           ("pattern", "a\nb"), ("token", "<N\r>"), ("token", ""),
+           ("version", "2 beta"), ("version", "2\n"), ("version", "")]
+
+
+@pytest.mark.parametrize("suffix", ["", ".gz"], ids=["plain", "gz"])
+@pytest.mark.parametrize("field, text", MISREAD,
+                         ids=[f"{f}-{t!r}" for f, t in MISREAD])
+def test_a_record_its_reader_would_misread_is_refused(tmp_path, suffix, field,
+                                                      text):
+    """The writer raises naming the path and the record, and a file
+    already at the path keeps its bytes."""
+    path = tmp_path / f"records{suffix}"
+    before = gzip.compress(b"kept\n", mtime=0) if suffix else b"kept\n"
+    path.write_bytes(before)
+    with pytest.raises(ValueError) as err:
+        _write(field, text, path)
+    assert str(err.value).startswith(f"{path}: ")
+    assert repr(text)[1:-1] in str(err.value)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]  # and no temporary file
+
+
+@pytest.mark.parametrize("sep, header, row", [
+    ("\t", None, ["a\tb", "c"]),  # sep in a field
+    ("\t", None, ["a", "b\nc"]),  # a line break
+    ("\t", None, [" ", ""]),  # a blank line
+    ("\t", "a\tb", ["a", "b"]),  # the header
+    (",", "a,b", ["a", "b"]),
+    (",", None, ["#a", "b"]),  # a comment
+    (",", None, ["a\r", "b"]),
+    (",", None, ["a\0", "b"]),  # Python 3.10's csv holds no NUL
+    (None, None, ["  # a"]),
+    (None, "h", ["h"]),
+])
+def test_write_records_refuses_a_row_read_records_would_not_give_back(
+        tmp_path, sep, header, row):
+    path = tmp_path / "records"
+    write_records(path, [["x"] * len(row)], sep=sep, header=header)
+    before = path.read_bytes()
+    with pytest.raises(ValueError) as err:
+        write_records(path, [["x"] * len(row), row], sep=sep, header=header)
+    assert str(err.value).startswith(f"{path}: {row!r}")
+    assert path.read_bytes() == before
+
+
+def test_write_records_writes_what_read_records_reads(tmp_path):
+    """A CSV field holding the separator or a quote is quoted; a TSV or
+    whole-line field is written as it is."""
+    rows = {",": [["a,b", 'say "hi"', " #c", ""], ["", "", "", ""]],
+            "\t": [[" a ", "b,c", '"d"']], None: [["a\tb #c"], [" x "]]}
+    for i, (sep, written) in enumerate(rows.items()):
+        path = tmp_path / f"records{i}"
+        write_records(path, written, sep=sep, header="h")
+        assert read_records(path, list if sep else lambda line: [line],
+                            sep=sep, header="h") == written
+    assert (tmp_path / "records0").read_text() == (
+        'h\n"a,b","say ""hi""", #c,\n,,,\n')
+
+
+# text a record field may hold: the characters readers split lines and
+# fields at, comment and key marks, blanks, and any other character
+_TEXT = st.lists(st.sampled_from(["#", "key:", "\t", " ", "\r", "\n", ",", '"',
+                                  "\0"])
+                 | st.characters(blacklist_categories=("Cs",)),
+                 max_size=8).map("".join)
+
+
+def _reads_back(field, text):
+    """A file of FIELDS[field]'s records holding text reads back as them,
+    or its writer refuses them and writes nothing."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "records")
+        try:
+            records = _write(field, text, path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: ")
+            assert not path.exists()
+            return
+        assert ONE_RECORD[FIELDS[field][0]][1](path) == records
+
+
+@settings(max_examples=300, deadline=None)
+@given(job_id=_TEXT, note=_TEXT, template=_TEXT, pattern=_TEXT, token=_TEXT)
+def test_a_drawn_record_reads_back_as_written_or_is_refused(
+        job_id, note, template, pattern, token):
+    for field, text in [("job_id", job_id), ("outage_note", note),
+                        ("template", template), ("pattern", re.escape(pattern)),
+                        ("token", token)]:
+        _reads_back(field, text)
