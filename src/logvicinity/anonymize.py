@@ -6,9 +6,9 @@ import re
 
 import numpy as np
 
-from .model import (EventTable, _bad_line, _days, _distinct, _first_seen,
-                    _gather, _gather_rows, _leap, _line_blocks, _stamps, _word,
-                    iso, parse_iso, parse_node_name, topen)
+from .model import (EventTable, _concat, _days, _distinct, _first_seen,
+                    _gather, _gather_rows, _id_of, _leap, _line_blocks, _stamps,
+                    _word, iso, parse_iso, parse_node_name, topen)
 from .names import numbered_lines
 
 RULE_VERSION = "1"
@@ -115,13 +115,19 @@ def load_rules(path) -> SubstitutionRuleSet:
     return SubstitutionRuleSet(rules, version=version)
 
 
+def _version_word(rules: SubstitutionRuleSet, path) -> str:
+    """The rules version, which the readers of both version lines read
+    back as v(\\S+); ValueError naming path if it is not one word."""
+    if not re.fullmatch(r"\S+", str(rules.version)):
+        raise ValueError(f"{path}: rules version {rules.version!r} is not one word")
+    return str(rules.version)
+
+
 def save_rules(rules: SubstitutionRuleSet, path) -> None:
     """Write load_rules's file; a version or rule it would read otherwise
     ("#" leads a comment, a tab ends the pattern) raises ValueError."""
-    if not re.fullmatch(r"\S+", str(rules.version)):  # load_rules reads v(\S+)
-        raise ValueError(f"{path}: rules version {rules.version!r} is not one word")
     with topen(path, "w") as fh:
-        fh.write(f"# substitution rules v{rules.version}\n")
+        fh.write(f"# substitution rules v{_version_word(rules, path)}\n")
         for pattern, (_, token) in zip(rules.patterns, rules.rules):
             if (pattern.startswith("#") or "\t" in pattern or not token
                     or re.search("[\r\n]", pattern + token)):
@@ -132,9 +138,10 @@ def save_rules(rules: SubstitutionRuleSet, path) -> None:
 
 def write_anonymized(table: EventTable, path,
                      rules: SubstitutionRuleSet) -> None:
-    """Write a pars-lite file: a version line, then anonymize_stream's rows."""
+    """Write a pars-lite file: a version line, then anonymize_stream's rows;
+    a version that is not one word raises ValueError."""
     with topen(path, "wb") as fh:
-        fh.write(f"#pars-lite v{rules.version}\n".encode())
+        fh.write(f"#pars-lite v{_version_word(rules, path)}\n".encode())
         fh.writelines(anonymize_stream(table, rules))
 
 
@@ -149,18 +156,15 @@ def read_anonymized(path):
     """Load a pars-lite file as a keyed EventTable; returns (table, version).
 
     A row needs exactly 3 tab-separated fields and a key of 8 lowercase hex
-    digits. The file is read in model._line_blocks blocks, the parser's;
-    arrays find and check the fields of a block and decode its keys and
-    canonical ISO stamps. Each distinct node name and other stamp
+    digits. The file is read by model._line_blocks, the parser's read
+    loop; arrays find and check the fields of a block and decode its keys
+    and canonical ISO stamps. Each distinct node name and other stamp
     spelling is parsed once. The first bad line, malformed or invalid
-    UTF-8, raises its model._bad_line error, "PATH:LINE: reason".
+    UTF-8, raises its line error, "PATH:LINE: reason".
     """
     reader = _ParsLiteReader()
     with topen(path, "rb") as fh:
-        for data, starts, ends, first in _line_blocks(fh):
-            if bad := reader.feed(data, starts, ends):
-                raise _bad_line(fh, data, first, *bad)
-    return reader.table(), reader.version
+        return _concat(_line_blocks(fh, reader.feed), None), reader.version
 
 
 class _ParsLiteReader:
@@ -171,22 +175,17 @@ class _ParsLiteReader:
 
     def __init__(self):
         self.version = None
-        self.blocks = []  # (ts, node id, key id) arrays per block
         self.stamp_of: dict = {}  # stamp bytes -> epoch, None if bad
         self.node_of: dict = {}  # name bytes -> node id, -1 if bad
         self.node_ix: dict = {}  # NodeId -> node id
         self.key_of: dict = {}  # key bytes -> key id, -1 if bad
+        self.nodes: list = []
         self.keys: list = []
 
-    def table(self) -> EventTable:
-        ts, node, msg = ((np.concatenate(c) for c in zip(*self.blocks))
-                         if self.blocks else ([], [], []))
-        return EventTable(ts, node, msg, list(self.node_ix), self.keys)
-
-    def feed(self, data: bytes, starts, ends) -> None:
-        """Add the rows of a model._line_blocks block (data, its lines'
-        starts and ends); for a bad row, add none and return (its offset
-        in data, its error)."""
+    def feed(self, data: bytes, starts, ends):
+        """(EventTable, bad) of a model._line_blocks block (data, its
+        lines' starts and ends): the rows before the first bad row and
+        (its offset in data, its error), or every row and None."""
         buf = np.frombuffer(data, np.uint8)
         heads = buf[starts]  # a blank line's head is its \n
         for i in np.flatnonzero(heads == ord("#")).tolist():
@@ -207,12 +206,13 @@ class _ParsLiteReader:
         key, key_ok = self._keys(buf, t2 + 1, end)
         ok = ts_ok & (node >= 0) & key_ok
         bad = n if ok.all() else int(np.argmin(ok))
+        chunk = EventTable(ts[:bad], node[:bad], key[:bad], self.nodes,
+                           self.keys)
         if bad < len(line):
             i = int(line[bad])
-            return int(starts[i]), ValueError(_row_error(
-                data[starts[i]:ends[i]].decode("utf-8")))
-        self.blocks.append((ts, node, key))
-        return None
+            return chunk, (int(starts[i]), ValueError(_row_error(
+                data[starts[i]:ends[i]].decode("utf-8"))))
+        return chunk, None
 
     def _stamps(self, buf, start, stop):
         """(epoch, valid) of each stamp field."""
@@ -243,8 +243,8 @@ class _ParsLiteReader:
         n = self.node_of.get(text)
         if n is None:
             try:
-                node = parse_node_name(text.decode("utf-8"))
-                n = self.node_ix.setdefault(node, len(self.node_ix))
+                n = _id_of(self.node_ix, self.nodes,
+                           parse_node_name(text.decode("utf-8")))
             except ValueError:
                 n = -1
             self.node_of[text] = n

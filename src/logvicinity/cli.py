@@ -154,7 +154,7 @@ def _emit_manifest(args, default_path, extra=None) -> None:
     path = getattr(args, "manifest", None) or default_path
     if not path:
         return
-    manifest = run_manifest(_config_of(args), seed=getattr(args, "seed", None))
+    manifest = run_manifest(_config_of(args))
     if extra:
         manifest.update(extra)
     with topen(path, "w") as fh:
@@ -178,10 +178,11 @@ def cmd_generate(args) -> int:
 
 
 def _corpus_range(spec) -> dict:
-    """A generated corpus's range for its manifest; year is the --year to
-    parse its corpus.log with."""
+    """A generated corpus's seed and range for its manifest; year is the
+    --year to parse its corpus.log with."""
     start = iso(spec.start)
-    return {"start": start, "end": iso(spec.end), "year": int(start[:4])}
+    return {"seed": spec.seed, "start": start, "end": iso(spec.end),
+            "year": int(start[:4])}
 
 
 def _spec_from(args):

@@ -241,6 +241,14 @@ def _days(year, month, day):
     return era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
 
 
+def _id_of(ids: dict, items: list, item) -> int:
+    """item's index in items, appended at first sight; ids: item -> index."""
+    n = ids.setdefault(item, len(items))
+    if n == len(items):
+        items.append(item)
+    return n
+
+
 class _SyslogParser:
     """BSD lines to event table columns, with per-node year rollover, a
     chunk at a time: arrays read the fields of its canonical lines,
@@ -327,7 +335,8 @@ class _SyslogParser:
         for i in (bad - 1 - _in_order(group[::-1])[0]).tolist():  # last rows
             self._state[nodes[group[i]]] = (int(year[i]), int(ts[i]))
         (first, rank), (seen, index) = _in_order(group), _in_order(text)
-        node = [self._node_id(nodes[g]) for g in group[first].tolist()]
+        node = [_id_of(self._node_ix, self.nodes, nodes[g])
+                for g in group[first].tolist()]
         msg = [self._message_id(texts[t]) for t in text[seen].tolist()]
         bad = None if error is None else (int(start[stop]), error)
         return EventTable(ts, np.array(node, np.int32)[rank],
@@ -403,12 +412,6 @@ class _SyslogParser:
             years = year[group]
             years[order] += seen - (seen - wraps)[head][np.cumsum(first) - 1]
 
-    def _node_id(self, node) -> int:
-        n = self._node_ix.setdefault(node, len(self.nodes))
-        if n == len(self.nodes):
-            self.nodes.append(node)
-        return n
-
     def _message_id(self, rest) -> int:
         """Id of the text after the host."""
         m = self._msg_of.get(rest)
@@ -426,13 +429,7 @@ def parse_syslog_table(fh, default_year: int, node_resolver,
     parse_syslog_stream, concatenated. Rows keep line order."""
     chunks, stats = parse_syslog_stream(fh, default_year, node_resolver,
                                         skip_unknown)
-    chunks = list(chunks)
-    if not chunks:
-        return EventTable([], [], [], [], [], []), stats
-    last = chunks[-1]  # every chunk shares the parser's growing lists
-    return EventTable(*(np.concatenate([getattr(c, col) for c in chunks])
-                        for col in ("ts", "node", "msg")),
-                      last.nodes, last.messages, last.tags), stats
+    return _concat(chunks, []), stats
 
 
 def parse_syslog_stream(fh, default_year: int, node_resolver,
@@ -446,7 +443,7 @@ def parse_syslog_stream(fh, default_year: int, node_resolver,
     entries carry the incremented year from then on. Unknown hostnames are
     skipped (counted on .skipped_unknown) unless skip_unknown is false.
     The first bad line, malformed, invalid UTF-8 or of an unknown host
-    under skip_unknown=False, raises its _bad_line error after the chunk
+    under skip_unknown=False, raises its line_error after the chunk
     of the lines before it. Arrays read lines in write_syslog's shape,
     str.split others.
     """
@@ -455,15 +452,16 @@ def parse_syslog_stream(fh, default_year: int, node_resolver,
                         f'as topen(path, "rb") opens; got {type(fh).__name__}')
     stats = ParseStats()
     parser = _SyslogParser(default_year, node_resolver, skip_unknown, stats)
+    return _line_blocks(fh, parser.parse), stats
 
-    def gen():
-        for data, start, end, first in _line_blocks(fh):
-            table, bad = parser.parse(data, start, end)
-            yield table
-            if bad:
-                raise _bad_line(fh, data, first, *bad)
 
-    return gen(), stats
+def _concat(chunks, tags) -> EventTable:
+    """One EventTable of the chunks, which share their reader's growing
+    lists; no chunk gives an empty table of tags ([] or None if keyed)."""
+    chunks = [EventTable([], [], [], [], [], tags), *chunks]
+    return EventTable(*(np.concatenate([getattr(c, col) for c in chunks])
+                        for col in ("ts", "node", "msg")),
+                      chunks[-1].nodes, chunks[-1].messages, chunks[-1].tags)
 
 
 @dataclass
@@ -475,37 +473,35 @@ class ParseStats:
     lines_one_by_one: int = field(default=0, compare=False)
 
 
-def _line_blocks(fh):
-    """Yield (block + _WIDE padding bytes, its lines' starts, their "\\n"
-    offsets, the number of its first line in fh) per read_blocks(fh)
-    block. A block with invalid UTF-8 is cut before the line that
-    holds it, whose _bad_line error is raised when the reader asks for
-    the next block."""
+def _line_blocks(fh, parse):
+    """The one read loop of both corpus readers: yield the chunk of each
+    read_blocks(fh) block that parse(block + _WIDE padding bytes, its
+    lines' starts, their "\\n" offsets) returns with bad, None or (the
+    offset of the first bad line, its error), whose line_error, named by
+    fh's name and the line's number, follows the chunk. A block with
+    invalid UTF-8 is cut before the line that holds it, whose error
+    comes next."""
     first = 1
     for block in read_blocks(fh):
-        error = None
+        cut = None
         try:
             block.decode("utf-8")
         except UnicodeDecodeError as exc:
-            cut = block.rfind(b"\n", 0, exc.start) + 1
+            at = block.rfind(b"\n", 0, exc.start) + 1
             try:  # the line alone, so that positions count within it
-                block[cut:block.index(b"\n", exc.start)].decode("utf-8")
+                block[at:block.index(b"\n", exc.start)].decode("utf-8")
             except UnicodeDecodeError as in_line:
-                error = _bad_line(fh, block, first, cut, in_line)
-            block = block[:cut]
+                cut = at, in_line
+            block = block[:at]
         end = np.flatnonzero(np.frombuffer(block, np.uint8) == ord("\n"))
-        yield (block + bytes(_WIDE), np.concatenate(([0], end + 1))[:-1],
-               end, first)
-        if error:
-            raise error
+        data = block + bytes(_WIDE)
+        chunk, bad = parse(data, np.concatenate(([0], end + 1))[:-1], end)
+        yield chunk
+        if bad or cut:
+            at, error = bad or cut
+            raise line_error(getattr(fh, "name", "<stream>"),
+                             first + data.count(b"\n", 0, at), error)
         first += len(end)
-
-
-def _bad_line(fh, data, first, at, exc):
-    """line_error of exc, the error of the line at offset at of the
-    _line_blocks block data whose first line is line first of fh."""
-    name = getattr(fh, "name", "<stream>")
-    return line_error(name, first + data.count(b"\n", 0, at), exc)
 
 
 class EventTable:
@@ -609,8 +605,10 @@ def write_syslog(table: EventTable, path) -> None:
 
     Every (tag, message) pair must read back as itself: no line break,
     no leading whitespace, and the tag _split_tag finds. Else ValueError
-    names the first pair that does not.
+    names the first pair that does not; a keyed table raises it too.
     """
+    if table.keyed:
+        raise ValueError("a keyed table has no message text to write as syslog")
     texts = [f"{t}: {m}" if t else m
              for t, m in zip(table.tags, table.messages)]
     for tag, message, text in zip(table.tags, table.messages, texts):

@@ -195,7 +195,6 @@ def detect_outages(table: EventTable, footprint: BootFootprintSpec, rules,
                        for boot, i in zip(boots, before) if i)
         if obs_range.end - times[b - 1] > silence_threshold:
             outages.append(OutageEvent(node, int(times[b - 1]), None))
-    outages.sort(key=lambda o: (o.node, o.outage_time))
     return outages
 
 

@@ -328,8 +328,6 @@ def _plan_failures(spec: GeneratorSpec, topology: Topology, maint, rng):
                 quiet=0.0 if sudden else rng.uniform(2700, 5400),
                 downtime=rng.uniform(2700, 5400),
             ))
-    for node in planned:
-        planned[node].sort(key=lambda f: f.nominal)
     return planned
 
 

@@ -151,6 +151,14 @@ def test_write_syslog_rejects_what_does_not_read_back(tmp_path, tag, message):
     assert not (tmp_path / "corpus.log").exists()
 
 
+def test_write_syslog_refuses_a_keyed_table(tmp_path):
+    """A keyed table has no text to write; the path is never opened."""
+    table = EventTable([0], [0], [0], NODES, ["deadbeef"])
+    with pytest.raises(ValueError, match="keyed table"):
+        write_syslog(table, tmp_path / "corpus.log")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_generated_and_parsed_tables_still_write(corpus, tmp_path):
     taurus = generate(GeneratorSpec(
         topology=scale_topology(taurus_topology(), 0.0625), days=0.5,

@@ -127,6 +127,21 @@ def test_tail_outage():
     assert detect_outages(table_of([_e(49000)]), FOOT, RULES, rng) == []
 
 
+def test_outages_come_in_node_then_time_order():
+    """Node ids that run against NodeId order change nothing: outages
+    come sorted by (node, outage time)."""
+    entries = []
+    for k in (5, 3, 0, 4, 1, 2):  # node ids 0.. go to positions 5, 3, ..
+        node = NodeId(1, 0, k)
+        entries += [LogEntry(r.timestamp, node, r.tag, r.message) for r in
+                    _steady(0, 3600) + _boot_lines(5000 + 100 * k)
+                    + _steady(7000, 9000)]
+    outages = detect_outages(table_of(entries), FOOT, RULES,
+                             ObservationRange(0, 50000))
+    assert len(outages) == 12  # a backtracked and a tail outage per node
+    assert outages == sorted(outages, key=lambda o: (o.node, o.outage_time))
+
+
 def test_footprint_needs_an_item(tmp_path, capsys):
     with pytest.raises(ValueError) as err:
         BootFootprintSpec([])

@@ -758,6 +758,17 @@ def test_cli_pipeline_generate(tmp_path, capsys, monkeypatch):
         assert (tmp_path / "run" / name).exists(), name
     manifest = json.loads((tmp_path / "run" / "run_manifest.json").read_text())
     assert manifest["start"] == iso(GeneratorSpec().start)
+    assert manifest["seed"] == 3
+
+
+def test_cli_pipeline_on_files_records_no_seed(cli_dir, tmp_path, capsys):
+    """A run that generated nothing has no seed, though --seed defaults."""
+    rc = main(["pipeline", "--corpus", str(cli_dir / "corpus.log"),
+               "--topology", str(cli_dir / "topology.tsv"), "--year", "2023",
+               "--variant", "raw", "--workdir", str(tmp_path / "run")])
+    assert rc == 0
+    manifest = json.loads((tmp_path / "run" / "run_manifest.json").read_text())
+    assert manifest["seed"] is None and "start" not in manifest
 
 
 def test_cli_manifest_gz_is_compressed(cli_dir, tmp_path, capsys):

@@ -14,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logvicinity.anonymize import SubstitutionRuleSet, load_rules, save_rules
+from logvicinity.anonymize import (SubstitutionRuleSet, load_rules,
+                                   read_anonymized, save_rules,
+                                   write_anonymized)
 from logvicinity.classify import FailureEvent, load_classified, write_classified
 from logvicinity.cli import main
 from logvicinity.datasources import (JobRecord, Scope, Window, load_job_report,
@@ -23,7 +25,8 @@ from logvicinity.datasources import (JobRecord, Scope, Window, load_job_report,
 from logvicinity.evaluate import (ExtractedEvent, InjectedFailure, load_events,
                                   load_scored, load_truth, write_events,
                                   write_truth)
-from logvicinity.model import NodeId, Topology, load_topology, save_topology
+from logvicinity.model import (EventTable, NodeId, Topology, load_topology,
+                               save_topology)
 from logvicinity.names import read_records, write_records
 from logvicinity.outages import (BootEvent, BootFootprintSpec, OutageEvent,
                                  load_footprint, load_outages, save_footprint,
@@ -338,6 +341,10 @@ ONE_RECORD = {
                   lambda path: load_footprint(path).items),
     "rules": (lambda r, path: save_rules(SubstitutionRuleSet(r[1], r[0]), path),
               _rules_of),
+    "pars_lite": (lambda version, path: write_anonymized(
+                      EventTable([], [], [], [], []), path,
+                      SubstitutionRuleSet(version=version)),
+                  lambda path: read_anonymized(path)[1]),
 }
 # field: (its format, the records that hold a text in it)
 FIELDS = {
@@ -352,6 +359,7 @@ FIELDS = {
     "pattern": ("rules", lambda text: ("1", [(text, "<N>")])),
     "token": ("rules", lambda text: ("1", [("\\d", text)])),
     "version": ("rules", lambda text: (text, [])),
+    "pars_lite_version": ("pars_lite", lambda text: text),
 }
 
 
@@ -370,7 +378,9 @@ MISREAD = [("job_id", "#j3"), ("job_id", " \t#j3"), ("job_id", "j\n3"),
            ("template", "# Booting"), ("template", "  "), ("key", "DEADBEEF"),
            ("key", "deadbee"), ("pattern", "#\\d+"), ("pattern", "a\tb"),
            ("pattern", "a\nb"), ("token", "<N\r>"), ("token", ""),
-           ("version", "2 beta"), ("version", "2\n"), ("version", "")]
+           ("version", "2 beta"), ("version", "2\n"), ("version", ""),
+           ("pars_lite_version", "2 beta"), ("pars_lite_version", "x\ty"),
+           ("pars_lite_version", ""), ("pars_lite_version", "2\nfoo")]
 
 
 @pytest.mark.parametrize("suffix", ["", ".gz"], ids=["plain", "gz"])
@@ -451,10 +461,12 @@ def _reads_back(field, text):
 
 
 @settings(max_examples=300, deadline=None)
-@given(job_id=_TEXT, note=_TEXT, template=_TEXT, pattern=_TEXT, token=_TEXT)
+@given(job_id=_TEXT, note=_TEXT, template=_TEXT, pattern=_TEXT, token=_TEXT,
+       version=_TEXT)
 def test_a_drawn_record_reads_back_as_written_or_is_refused(
-        job_id, note, template, pattern, token):
+        job_id, note, template, pattern, token, version):
     for field, text in [("job_id", job_id), ("outage_note", note),
                         ("template", template), ("pattern", re.escape(pattern)),
-                        ("token", token)]:
+                        ("token", token), ("version", version),
+                        ("pars_lite_version", version)]:
         _reads_back(field, text)

@@ -357,9 +357,9 @@ def test_fractions_of_a_second_share_their_second():
     lines = [f"Mar  6 10:00:0{k % 2}.{k:06d} i1r0n0 a: b\n" for k in range(50)]
     parser = model._SyslogParser(2023, TOPOLOGY.resolver(), True,
                                  model.ParseStats())
-    for data, start, end, _ in model._line_blocks(syslog_file(lines)):
-        table, bad = parser.parse(data, start, end)
-    assert bad is None and len(parser._clock_of) == 2
+    table = model._concat(model._line_blocks(syslog_file(lines),
+                                             parser.parse), [])
+    assert len(parser._clock_of) == 2
     assert table.ts.tolist() == [e.timestamp for e in oracles.reference_parse(
         lines, 2023, TOPOLOGY.resolver())[0]]
     for bad in ("10:00:00.5x", "10:00:00.\u0665", "10:00:00..5"):
